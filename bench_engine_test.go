@@ -223,8 +223,9 @@ func BenchmarkEngineWeekAcceleration(b *testing.B) {
 
 // BenchmarkEngineWeekTraced is BenchmarkEngineWeekAcceleration with
 // causal tracing armed on every session (TraceEvery 1) — the worst-case
-// tracing load. benchjson records this wall clock over the untraced
-// one as trace_overhead; the budget is ≤ 1.05 (5%).
+// tracing load. The budget for this wall clock over the untraced one is
+// ≤ 1.05 (5%); the measured ratio is `go run ./benchmark run -trace`'s
+// obs.trace_overhead.
 func BenchmarkEngineWeekTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := exp.RunWeek(exp.WeekConfig{
@@ -350,11 +351,8 @@ func BenchmarkEngineScaleOut(b *testing.B) {
 // overlay tree plus 1M virtual viewers, each holding a renewal timer and
 // an eviction sentinel on the timer wheel, with metrics streamed (not
 // retained) so the heap stays bounded. Override the population with
-// MEGA_VIEWERS for smoke runs; set MEGA_SHARDS > 0 to run the same
-// scenario on the sharded engine (the same knob cmd/benchjson records,
-// so sharded wall clocks are labeled in the JSON artifact). One
-// iteration is a complete scenario; run with -benchtime 1x (or small
-// -benchtime) accordingly.
+// MEGA_VIEWERS for smoke runs. One iteration is a complete scenario; run
+// with -benchtime 1x (or small -benchtime) accordingly.
 func BenchmarkEngineMegaScale(b *testing.B) {
 	viewers := 1_000_000
 	if s := os.Getenv("MEGA_VIEWERS"); s != "" {
@@ -364,20 +362,11 @@ func BenchmarkEngineMegaScale(b *testing.B) {
 		}
 		viewers = n
 	}
-	shards := 0
-	if s := os.Getenv("MEGA_SHARDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			b.Fatalf("bad MEGA_SHARDS %q", s)
-		}
-		shards = n
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunMegaScale(exp.MegaConfig{
 			Seed:         1,
 			Viewers:      viewers,
-			Shards:       shards,
 			MetricsCSV:   io.Discard,
 			MetricsJSONL: io.Discard,
 		})

@@ -14,8 +14,7 @@
 //	drmsim -fig faults      flash crowd with injected faults (crash, loss, partition)
 //	drmsim -fig scaleout    elastic farm: crowd grows 10×, members added live via resharding
 //	drmsim -fig megascale   engine capacity: virtual-viewer sweep up to -mega viewers
-//	drmsim -fig megascale -shards 8   same sweep on the sharded multi-core engine,
-//	                        byte-identical results, plus a speedup-vs-serial line
+//	                        over -shards worker lanes (results byte-identical at any count)
 //	drmsim -fig timeshift   time-shifted viewing: key availability vs seek depth,
 //	                        rights-conformance verdict over a mid-event lapse
 //	drmsim -fig adversary   adversarial DRM: re-key storm, free-riders, ticket replay
@@ -33,13 +32,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
 	"p2pdrm/internal/exp"
 	"p2pdrm/internal/feedback"
 	"p2pdrm/internal/obs"
+	"p2pdrm/internal/svc"
 )
 
 // figs enumerates every valid -fig value; an unknown value is an error,
@@ -65,7 +65,7 @@ func run(args []string) error {
 		viewers  = fs.String("viewers", "50,200,800", "flash-crowd sizes (baseline)")
 		farms    = fs.String("farms", "1,2,4,8", "farm sizes (farm scaling)")
 		mega     = fs.String("mega", "50000,200000,1000000", "virtual-viewer sweep sizes (megascale)")
-		shards   = fs.Int("shards", 0, "worker lanes for megascale (0 = serial engine; >0 also prints the speedup vs serial)")
+		shards   = fs.Int("shards", 1, "worker lanes carrying the megascale virtual population (>= 1)")
 		metrics  = fs.String("metrics", "", "directory for CSV/JSONL metric exports (empty = no exports)")
 		traceDir = fs.String("trace", "", "directory for causal-trace exports: <fig>_trace_events.json (Perfetto/chrome://tracing), _waterfall.txt, _critical_path.csv; arms week tracing (empty = no trace exports)")
 		traceEvN = fs.Int("traceevery", 10, "head-sample 1 in N week sessions when -trace is set (faults/scaleout trace every viewer)")
@@ -82,12 +82,15 @@ func run(args []string) error {
 	if !valid {
 		return fmt.Errorf("unknown -fig %q (valid: %s)", *fig, strings.Join(figs, ", "))
 	}
-	exporter, err := newExporter(*metrics)
-	if err != nil {
+	if *shards < 1 {
+		return fmt.Errorf("bad -shards %d (want >= 1)", *shards)
+	}
+	var out outputs
+	var err error
+	if out.metrics, err = newExporter(*metrics); err != nil {
 		return err
 	}
-	tracer, err := newExporter(*traceDir)
-	if err != nil {
+	if out.trace, err = newExporter(*traceDir); err != nil {
 		return err
 	}
 
@@ -111,7 +114,7 @@ func run(args []string) error {
 			Users:               *users,
 			PeakSessionsPerHour: *peak,
 		}
-		if tracer != nil {
+		if out.trace != nil {
 			weekCfg.TraceEvery = *traceEvN
 		}
 		week, err = exp.RunWeek(weekCfg)
@@ -120,13 +123,10 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "trace done in %v: %d sessions, %d feedback logs, peak %d concurrent\n",
 			time.Since(start).Round(time.Second), week.Sessions, week.Corpus.Logs(), week.PeakConcurrent)
-		if err := exporter.exportWeek(week); err != nil {
+		if err := out.exportArtifacts("week", nil, week.Endpoints, week.Calls, week.Series, week.Trace); err != nil {
 			return err
 		}
 		if week.Trace != nil {
-			if err := tracer.exportTrace("week", week.Trace); err != nil {
-				return err
-			}
 			fmt.Println(exp.RenderJourneyBreakdown(week.Trace))
 		}
 	}
@@ -163,11 +163,11 @@ func run(args []string) error {
 		fmt.Println(exp.RenderFlashSweep(pts))
 		for _, p := range pts {
 			p := p
-			if err := exporter.write(fmt.Sprintf("baseline_%d_trad_endpoints.csv", p.Viewers),
+			if err := out.metrics.write(fmt.Sprintf("baseline_%d_trad_endpoints.csv", p.Viewers),
 				func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.Trad.Endpoints) }); err != nil {
 				return err
 			}
-			if err := exporter.write(fmt.Sprintf("baseline_%d_drm_endpoints.csv", p.Viewers),
+			if err := out.metrics.write(fmt.Sprintf("baseline_%d_drm_endpoints.csv", p.Viewers),
 				func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.DRM.Endpoints) }); err != nil {
 				return err
 			}
@@ -204,13 +204,10 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(exp.RenderFaultFlash(res))
-		if err := exporter.exportFaults(res); err != nil {
+		if err := out.exportArtifacts("faults", res.Phases, res.Endpoints, res.Calls, res.Series, res.Trace); err != nil {
 			return err
 		}
-		if err := tracer.exportTrace("faults", res.Trace); err != nil {
-			return err
-		}
-		if tracer != nil {
+		if out.trace != nil {
 			fmt.Println(exp.RenderJourneyBreakdown(res.Trace))
 		}
 	}
@@ -221,10 +218,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(exp.RenderScaleOut(res))
-		if err := exporter.exportScaleOut(res); err != nil {
-			return err
-		}
-		if err := tracer.exportTrace("scaleout", res.Trace); err != nil {
+		if err := out.exportArtifacts("scaleout", res.Phases, res.Endpoints, res.Calls, res.Series, res.Trace); err != nil {
 			return err
 		}
 	}
@@ -241,11 +235,11 @@ func run(args []string) error {
 			if i == len(counts)-1 {
 				// Only the largest point streams: per-point files for
 				// every sweep size would drown the export directory.
-				csvF, err := exporter.create("megascale_series.csv")
+				csvF, err := out.metrics.create("megascale_series.csv")
 				if err != nil {
 					return err
 				}
-				jslF, err := exporter.create("megascale_series.jsonl")
+				jslF, err := out.metrics.create("megascale_series.jsonl")
 				if err != nil {
 					return err
 				}
@@ -270,21 +264,6 @@ func run(args []string) error {
 			pts = append(pts, res)
 		}
 		fmt.Println(exp.RenderMega(pts))
-		if *shards > 0 {
-			// Re-run the largest point on the serial engine so the wall-clock
-			// comparison lands in the same terminal as the sweep.
-			n := counts[len(counts)-1]
-			fmt.Fprintf(os.Stderr, "running serial baseline at %d viewers for speedup...\n", n)
-			serial, err := exp.RunMegaScale(exp.MegaConfig{Seed: *seed, Viewers: n})
-			if err != nil {
-				return err
-			}
-			sharded := pts[len(pts)-1]
-			fmt.Printf("speedup at %d viewers: %.2fx (serial %v, shards=%d %v, GOMAXPROCS=%d)\n",
-				n, float64(serial.Wall)/float64(sharded.Wall),
-				serial.Wall.Round(time.Millisecond), *shards,
-				sharded.Wall.Round(time.Millisecond), runtime.GOMAXPROCS(0))
-		}
 	}
 	if show("timeshift") {
 		fmt.Fprintln(os.Stderr, "running time-shifted viewing scenario...")
@@ -293,7 +272,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(exp.RenderTimeShift(res))
-		if err := exporter.exportTimeShift(res); err != nil {
+		if err := out.exportArtifacts("timeshift", res.Phases, res.Endpoints, res.Calls, res.Series, res.Trace); err != nil {
 			return err
 		}
 	}
@@ -304,7 +283,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(exp.RenderAdversary(res))
-		if err := exporter.exportAdversary(res); err != nil {
+		if err := out.exportArtifacts("adversary", res.Phases, res.Endpoints, res.Calls, res.Series, res.Trace); err != nil {
 			return err
 		}
 	}
@@ -321,7 +300,7 @@ func run(args []string) error {
 		fmt.Println(exp.RenderFarm(pts))
 		for _, p := range pts {
 			p := p
-			if err := exporter.write(fmt.Sprintf("farm_%d_endpoints.csv", p.Farm),
+			if err := out.metrics.write(fmt.Sprintf("farm_%d_endpoints.csv", p.Farm),
 				func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.Endpoints) }); err != nil {
 				return err
 			}
@@ -379,46 +358,36 @@ func (e *exporter) create(name string) (*os.File, error) {
 	return f, nil
 }
 
-func (e *exporter) exportWeek(week *exp.WeekResult) error {
-	if e == nil {
-		return nil
-	}
-	if err := e.write("week_series.csv", week.Series.WriteCSV); err != nil {
-		return err
-	}
-	if err := e.write("week_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, week.Endpoints)
-	}); err != nil {
-		return err
-	}
-	return e.write("week_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, week.Calls)
-	})
-}
+// outputs pairs the -metrics and -trace export directories; either may
+// be nil (flag unset), which skips its files.
+type outputs struct{ metrics, trace *exporter }
 
-func (e *exporter) exportFaults(res *exp.FaultFlashResult) error {
-	if e == nil {
-		return nil
+// exportArtifacts writes one figure's exports under the common naming
+// scheme: <prefix>_{phases,endpoints,calls,series}.csv and
+// <prefix>_trace.jsonl into the -metrics directory, the causal-trace
+// artifacts into the -trace directory. A part the figure does not have
+// is passed as nil and skipped.
+func (o outputs) exportArtifacts(prefix string, phases []exp.Phase, endpoints map[string]svc.Metrics, calls map[string]svc.CallStats, series *obs.Series, trace *obs.Trace) error {
+	parts := []struct {
+		name string
+		have bool
+		fill func(io.Writer) error
+	}{
+		{"_phases.csv", phases != nil, func(w io.Writer) error { return exp.WritePhasesCSV(w, phases) }},
+		{"_endpoints.csv", endpoints != nil, func(w io.Writer) error { return exp.WriteEndpointsCSV(w, endpoints) }},
+		{"_calls.csv", calls != nil, func(w io.Writer) error { return exp.WriteCallsCSV(w, calls) }},
+		{"_series.csv", series != nil, series.WriteCSV},
+		{"_trace.jsonl", trace != nil, trace.WriteJSONL},
 	}
-	if err := e.write("faults_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
+	for _, p := range parts {
+		if !p.have {
+			continue
+		}
+		if err := o.metrics.write(prefix+p.name, p.fill); err != nil {
+			return err
+		}
 	}
-	if err := e.write("faults_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("faults_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("faults_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("faults_trace.jsonl", res.Trace.WriteJSONL)
+	return o.trace.exportTrace(prefix, trace)
 }
 
 // exportTrace writes one figure's causal-trace artifacts: the Chrome
@@ -443,81 +412,6 @@ func (e *exporter) exportTrace(prefix string, t *obs.Trace) error {
 	})
 }
 
-func (e *exporter) exportScaleOut(res *exp.ScaleOutResult) error {
-	if e == nil {
-		return nil
-	}
-	if err := e.write("scaleout_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("scaleout_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("scaleout_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("scaleout_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("scaleout_trace.jsonl", res.Trace.WriteJSONL)
-}
-
-func (e *exporter) exportTimeShift(res *exp.TimeShiftResult) error {
-	if e == nil {
-		return nil
-	}
-	if err := e.write("timeshift_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("timeshift_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("timeshift_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("timeshift_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("timeshift_trace.jsonl", res.Trace.WriteJSONL)
-}
-
-func (e *exporter) exportAdversary(res *exp.AdversaryResult) error {
-	if e == nil {
-		return nil
-	}
-	if err := e.write("adversary_phases.csv", func(w io.Writer) error {
-		return exp.WritePhasesCSV(w, res.Phases)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("adversary_endpoints.csv", func(w io.Writer) error {
-		return exp.WriteEndpointsCSV(w, res.Endpoints)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("adversary_calls.csv", func(w io.Writer) error {
-		return exp.WriteCallsCSV(w, res.Calls)
-	}); err != nil {
-		return err
-	}
-	if err := e.write("adversary_series.csv", res.Series.WriteCSV); err != nil {
-		return err
-	}
-	return e.write("adversary_trace.jsonl", res.Trace.WriteJSONL)
-}
-
 func parseInts(csv string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(csv, ",") {
@@ -525,9 +419,9 @@ func parseInts(csv string) ([]int, error) {
 		if part == "" {
 			continue
 		}
-		n := 0
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad integer list %q", csv)
+		n, err := strconv.Atoi(part)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad integer %q in list %q", part, csv)
 		}
 		out = append(out, n)
 	}

@@ -26,6 +26,29 @@ func TestUnknownFigErrorListsEveryValidName(t *testing.T) {
 	}
 }
 
+// TestBadFlagValuesRejected pins input validation: a malformed integer
+// list or an out-of-range lane count must fail before any scenario runs,
+// and the error must name the bad value.
+func TestBadFlagValuesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  string
+	}{
+		{[]string{"-fig", "megascale", "-mega", "5x"}, `"5x"`},
+		{[]string{"-fig", "baseline", "-viewers", "50,12abc"}, `"12abc"`},
+		{[]string{"-fig", "farm", "-farms", "0"}, `"0"`},
+		{[]string{"-fig", "megascale", "-shards", "0"}, "-shards 0"},
+		{[]string{"-fig", "megascale", "-shards", "-2"}, "-shards -2"},
+	} {
+		err := run(tc.args)
+		if err == nil {
+			t.Errorf("%v: accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("%v: error does not name %s: %q", tc.args, tc.bad, err)
+		}
+	}
+}
+
 // The scenarios added after the original list must be registered, or the
 // -fig gate silently locks them out.
 func TestFigListCoversNewScenarios(t *testing.T) {
@@ -42,10 +65,11 @@ func TestFigListCoversNewScenarios(t *testing.T) {
 	}
 }
 
-// TestMetricsExportWritesScenarioArtifacts pins the -metrics contract for
-// the conformance scenarios: each run must leave the full five-file set
-// (phases/endpoints/calls CSVs, the sampler series CSV, and the event
-// trace JSONL), every file non-empty.
+// TestMetricsExportWritesScenarioArtifacts pins the -metrics and -trace
+// contracts for the conformance scenarios: each run must leave the full
+// five-file metric set (phases/endpoints/calls CSVs, the sampler series
+// CSV, and the event trace JSONL) and the three causal-trace artifacts,
+// every file non-empty.
 func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario runs")
@@ -53,7 +77,7 @@ func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 	for _, fig := range []string{"timeshift", "adversary"} {
 		fig := fig
 		t.Run(fig, func(t *testing.T) {
-			dir := t.TempDir()
+			dir, traceDir := t.TempDir(), t.TempDir()
 			// Silence the figure rendering; only the export side matters here.
 			old := os.Stdout
 			null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -61,14 +85,20 @@ func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 				t.Fatal(err)
 			}
 			os.Stdout = null
-			err = run([]string{"-fig", fig, "-seed", "1", "-metrics", dir})
+			err = run([]string{"-fig", fig, "-seed", "1", "-metrics", dir, "-trace", traceDir})
 			os.Stdout = old
 			null.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
+			var paths []string
 			for _, suffix := range []string{"phases.csv", "endpoints.csv", "calls.csv", "series.csv", "trace.jsonl"} {
-				path := filepath.Join(dir, fig+"_"+suffix)
+				paths = append(paths, filepath.Join(dir, fig+"_"+suffix))
+			}
+			for _, suffix := range []string{"trace_events.json", "waterfall.txt", "critical_path.csv"} {
+				paths = append(paths, filepath.Join(traceDir, fig+"_"+suffix))
+			}
+			for _, path := range paths {
 				st, err := os.Stat(path)
 				if err != nil {
 					t.Errorf("missing artifact %s: %v", path, err)

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -81,46 +80,6 @@ const goldenWeek = "sessions=203 peak=11 loginfail=0\n" +
 	"SWITCH2 n=841 sum=119511380530\n" +
 	"JOIN n=958 sum=44916520674\n" +
 	"atxor=1214150691858750957\n"
-
-var goldenMegaCfg = MegaConfig{
-	Seed:        42,
-	Viewers:     20000,
-	RealViewers: 12,
-	Duration:    10 * time.Minute,
-	RenewEvery:  2 * time.Minute,
-	SampleEvery: time.Minute,
-}
-
-const goldenMega = "viewers=20000 real=12 renewals=95354 churned=1977 evictions=1047 keymsgs=230 frames=3785 rows=10 peak=39604"
-
-// TestMegaScaleDeterminismGolden pins the megascale scenario at a small
-// population, and additionally requires that streaming the metrics
-// (sinks draining rows as they are sampled) reproduces the exact same
-// fingerprint as retaining them: exports must observe the simulation,
-// never perturb it.
-func TestMegaScaleDeterminismGolden(t *testing.T) {
-	res, err := RunMegaScale(goldenMegaCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Fingerprint()
-	if os.Getenv("GOLDEN_PRINT") != "" {
-		t.Logf("mega golden:\n%s", got)
-	} else if got != goldenMega {
-		t.Errorf("megascale results moved\n got: %s\nwant: %s", got, goldenMega)
-	}
-
-	cfg := goldenMegaCfg
-	cfg.MetricsCSV = io.Discard
-	cfg.MetricsJSONL = io.Discard
-	streamed, err := RunMegaScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sg := streamed.Fingerprint(); sg != got {
-		t.Errorf("streamed run diverges from retained run\n retained: %s\n streamed: %s", got, sg)
-	}
-}
 
 func TestFarmDeterminismGolden(t *testing.T) {
 	for _, workers := range []int{1, 4} {

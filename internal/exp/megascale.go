@@ -54,15 +54,10 @@ type MegaConfig struct {
 	// nothing, keeping the heap bounded for arbitrarily long runs.
 	MetricsCSV   io.Writer
 	MetricsJSONL io.Writer
-	// Parallelism bounds concurrent sweep points (0 = GOMAXPROCS).
-	Parallelism int
-	// Shards switches the run onto the sharded engine with that many
-	// worker lanes: the real overlay stays on the control scheduler and
-	// the virtual population stripes over the lanes with entity-local
-	// RNG streams, so the fingerprint is identical for ANY positive
-	// shard count (1, 2, 8, ...). Zero keeps the legacy serial engine —
-	// a different (also pinned) fingerprint, since the serial population
-	// draws from the scheduler's shared stream.
+	// Shards is the number of sim.Sharded worker lanes the virtual
+	// population stripes over (default 1); the real overlay stays on the
+	// control scheduler. Viewers draw from entity-local RNG streams, so
+	// the fingerprint is identical for ANY shard count (1, 2, 8, ...).
 	Shards int
 }
 
@@ -94,6 +89,9 @@ func (c *MegaConfig) fill() {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = time.Minute
 	}
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 }
 
 // MegaResult is one population point's outcome.
@@ -124,85 +122,27 @@ func (r *MegaResult) Fingerprint() string {
 		r.KeyMsgs, r.Frames, r.Rows, r.PeakPending)
 }
 
-// megaPop is the virtual viewer population. All mutation happens inside
-// scheduler events, which the run token serializes, so plain fields are
-// race-free. Per-viewer state is three flat slices — no per-viewer
-// structs, no closures: renewal events share one top-level func and an
-// index boxed once at construction.
-type megaPop struct {
-	sched      *sim.Scheduler
-	renewEvery time.Duration
-	evictAfter time.Duration
-	churn      float64
+// megaLookahead is the engine's epoch length (RunWeek shares it). The
+// virtual population never talks across lanes, so no causality bound
+// applies — the epoch length only sets how often control-phase samplers
+// observe lane counters (and the barrier overhead). It is a fixed
+// constant because epoch boundaries are visible to the sampled series:
+// changing it would move the goldens.
+const megaLookahead = 500 * time.Millisecond
 
-	renewals  int64
-	churned   int64
-	evictions int64
-
-	evict []sim.Timer // pending eviction sentinel per viewer
-	args  []any       // preallocated boxed indices (one alloc each, ever)
-}
-
-func newMegaPop(sched *sim.Scheduler, n int, renewEvery, evictAfter time.Duration, churn float64) *megaPop {
-	m := &megaPop{
-		sched:      sched,
-		renewEvery: renewEvery,
-		evictAfter: evictAfter,
-		churn:      churn,
-		evict:      make([]sim.Timer, n),
-		args:       make([]any, n),
-	}
-	for i := 0; i < n; i++ {
-		m.args[i] = i
-	}
-	return m
-}
-
-// start schedules every viewer's first renewal at a uniform phase within
-// one period, so the steady state is flat from the first tick.
-func (m *megaPop) start() {
-	for i := range m.args {
-		phase := time.Duration(m.sched.Float64() * float64(m.renewEvery))
-		m.sched.AfterArg(phase, m.renew, m.args[i])
-	}
-}
-
-// renew is one viewer's license renewal: cancel the previous eviction
-// sentinel, maybe churn, re-arm both timers.
-func (m *megaPop) renew(arg any) {
-	i := arg.(int)
-	m.evict[i].Stop()
-	if m.sched.Float64() < m.churn {
-		// Silent departure: no renewal is scheduled, so the sentinel
-		// fires at the deadline and admits a replacement.
-		m.churned++
-		m.evict[i] = m.sched.AfterArg(m.evictAfter, m.evicted, m.args[i])
-		return
-	}
-	m.renewals++
-	m.evict[i] = m.sched.AfterArg(m.evictAfter, m.evicted, m.args[i])
-	m.sched.AfterArg(m.renewEvery, m.renew, m.args[i])
-}
-
-// evicted fires only for churned viewers (renewals always cancel it
-// first); the slot's replacement joins with a fresh phase.
-func (m *megaPop) evicted(arg any) {
-	i := arg.(int)
-	m.evictions++
-	phase := time.Duration(m.sched.Float64() * float64(m.renewEvery))
-	m.sched.AfterArg(phase, m.renew, m.args[i])
-}
-
-// RunMegaScale runs one population point: build the real overlay, warm
-// it, release the virtual population, and sample metrics on the sim
-// clock until the window closes.
+// RunMegaScale runs one population point: build the real overlay on the
+// engine's control scheduler, warm it, release the virtual population
+// onto the worker lanes, and sample metrics on the sim clock until the
+// window closes. Per-viewer behavior depends only on the viewer's own
+// stream and epoch boundaries depend only on the lookahead and the
+// global event population, so the fingerprint is byte-identical for any
+// shard count.
 func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	cfg.fill()
-	if cfg.Shards > 0 {
-		return runMegaSharded(cfg)
-	}
 	wallStart := time.Now()
+	eng := sim.NewSharded(time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC), cfg.Seed, cfg.Shards, megaLookahead)
 	sys, err := core.NewSystem(core.Options{
+		Scheduler:       eng.Ctrl(),
 		Seed:            cfg.Seed,
 		RekeyInterval:   cfg.RekeyInterval,
 		PacketInterval:  cfg.PacketInterval,
@@ -245,18 +185,20 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	}
 	start := sys.Sched.Now()
 	warm := time.Duration(cfg.RealViewers)*250*time.Millisecond + 30*time.Second
-	sys.Sched.RunUntil(start.Add(warm))
+	// The lanes are still empty, so the warm-up runs as a single
+	// control span.
+	eng.Run(start.Add(warm))
 
-	pop := newMegaPop(sys.Sched, cfg.Viewers, cfg.RenewEvery, cfg.EvictAfter, cfg.ChurnFrac)
-	pop.start()
+	pops := newShardPops(eng, cfg.Viewers, cfg.Seed, cfg.RenewEvery, cfg.EvictAfter, cfg.ChurnFrac)
 
 	res := &MegaResult{Viewers: cfg.Viewers, RealViewers: cfg.RealViewers}
 	sp := obs.NewSampler(cfg.SampleEvery)
 	sp.AddSource(func(add func(string, float64)) {
-		add("mega.renewals", float64(pop.renewals))
-		add("mega.churned", float64(pop.churned))
-		add("mega.evictions", float64(pop.evictions))
-		p := sys.Sched.Pending()
+		renewals, churned, evictions := popTotals(pops)
+		add("mega.renewals", float64(renewals))
+		add("mega.churned", float64(churned))
+		add("mega.evictions", float64(evictions))
+		p := eng.Pending()
 		if p > res.PeakPending {
 			res.PeakPending = p
 		}
@@ -279,12 +221,10 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	}
 	end := start.Add(warm + cfg.Duration)
 	sp.Run(sys.Sched, end)
-	sys.Sched.RunUntil(end)
+	eng.Run(end)
 	sys.StopAll()
 
-	res.Renewals = pop.renewals
-	res.Churned = pop.churned
-	res.Evictions = pop.evictions
+	res.Renewals, res.Churned, res.Evictions = popTotals(pops)
 	res.KeyMsgs = overlayKeyMsgs(sys, clients)
 	mu.Lock()
 	res.Frames = frames
@@ -295,20 +235,6 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 		return nil, fmt.Errorf("megascale metrics sink: %w", err)
 	}
 	return res, nil
-}
-
-// RunMegaSweep measures several population sizes, spreading independent
-// points over cfg.Parallelism workers. Sweep points never share the
-// config's writers (interleaved rows would be useless), so streaming is
-// disabled for them.
-func RunMegaSweep(cfg MegaConfig, viewerCounts []int) ([]*MegaResult, error) {
-	cfg.fill()
-	cfg.MetricsCSV, cfg.MetricsJSONL = nil, nil
-	return runPoints(len(viewerCounts), cfg.Parallelism, func(i int) (*MegaResult, error) {
-		c := cfg
-		c.Viewers = viewerCounts[i]
-		return RunMegaScale(c)
-	})
 }
 
 // RenderMega prints the capacity study.

@@ -32,11 +32,13 @@ func sm64Seed(seed int64, global int) uint64 {
 	return uint64(seed)*0x9E3779B97F4A7C15 ^ (uint64(global)+1)*0xBF58476D1CE4E5B9
 }
 
-// shardPop is one lane's slice of the virtual viewer population: the
-// renewal / eviction-sentinel / churn state machine of megaPop, rebuilt
-// on a worker lane with entity-local RNG streams. Viewers are striped
-// over lanes by global index; all state here is lane-owned, counters are
-// read by control-phase samplers (commutative sums at epoch boundaries).
+// shardPop is one lane's slice of the virtual viewer population: each
+// viewer holds one pending license-renewal timer and one pending
+// eviction sentinel, and draws from its own RNG stream. Viewers are
+// striped over lanes by global index; all state here is lane-owned,
+// counters are read by control-phase samplers (commutative sums at epoch
+// boundaries). Per-viewer state is three flat slices — no per-viewer
+// structs; each viewer's index is boxed once at construction.
 type shardPop struct {
 	lane       *sim.Shard
 	renewEvery time.Duration
@@ -88,12 +90,13 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery, evictAfter ti
 }
 
 // renew is one viewer's license renewal: cancel the previous eviction
-// sentinel, maybe churn, re-arm both timers. Mirrors megaPop.renew with
-// the lane clock and the viewer's private stream.
+// sentinel, maybe churn, re-arm both timers.
 func (p *shardPop) renew(arg any) {
 	i := arg.(int)
 	p.evict[i].Stop()
 	if sm64Float(&p.rng[i]) < p.churn {
+		// Silent departure: no renewal is scheduled, so the sentinel
+		// fires at the deadline and admits a replacement.
 		p.churned++
 		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evicted, p.args[i])
 		return
@@ -103,8 +106,8 @@ func (p *shardPop) renew(arg any) {
 	p.lane.AfterArg(p.renewEvery, p.renew, p.args[i])
 }
 
-// evicted fires only for churned viewers; the slot's replacement joins
-// with a fresh phase.
+// evicted fires only for churned viewers (renewals always cancel it
+// first); the slot's replacement joins with a fresh phase.
 func (p *shardPop) evicted(arg any) {
 	i := arg.(int)
 	p.evictions++

@@ -55,15 +55,14 @@ type WeekConfig struct {
 	// Parallelism bounds concurrent replicates in RunWeekReplicates
 	// (0 = GOMAXPROCS, 1 = sequential); a single RunWeek ignores it.
 	Parallelism int
-	// Shards switches the week onto the sharded engine: the measured
-	// protocol deployment stays on the control scheduler while
-	// VirtualViewers stripe over the worker lanes. Zero keeps the legacy
-	// serial engine (the existing goldens).
+	// Shards is the number of sim.Sharded worker lanes (default 1): the
+	// measured protocol deployment stays on the control scheduler while
+	// VirtualViewers stripe over the lanes. The result is identical at
+	// any shard count.
 	Shards int
 	// VirtualViewers is the ambient license-renewal population carried
-	// by the lanes when Shards > 0 — the broadcast audience whose
-	// renewals tick alongside the measured sessions. Ignored (default 0)
-	// on the serial engine.
+	// by the lanes — the broadcast audience whose renewals tick alongside
+	// the measured sessions (default 0: none).
 	VirtualViewers int
 	// TraceEvery arms causal tracing on a deterministic head-sampled
 	// cohort: a session is traced when obs.Sampled(Seed, key, TraceEvery)
@@ -124,6 +123,9 @@ func (c *WeekConfig) fill() {
 	if c.TraceCap <= 0 {
 		c.TraceCap = 1 << 16
 	}
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 }
 
 // WeekResult carries the corpus and trace parameters for rendering.
@@ -146,7 +148,7 @@ type WeekResult struct {
 	// Net is the network message counters for the whole week.
 	Net simnet.NetStats
 	// VirtualRenewals / VirtualChurned / VirtualEvictions count the
-	// lane-resident ambient population's events (sharded runs only).
+	// lane-resident ambient population's events.
 	VirtualRenewals  int64
 	VirtualChurned   int64
 	VirtualEvictions int64
@@ -172,17 +174,14 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	}
 	svcRng := rand.New(rand.NewSource(cfg.Seed + 7))
 
-	var eng *sim.Sharded
-	if cfg.Shards > 0 {
-		eng = sim.NewSharded(time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC), cfg.Seed, cfg.Shards, megaLookahead)
-	}
+	eng := sim.NewSharded(time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC), cfg.Seed, cfg.Shards, megaLookahead)
 	var trace *obs.Trace
 	if cfg.TraceEvery > 0 {
 		trace = obs.NewTrace(cfg.TraceCap)
 	}
 	sys, err := core.NewSystem(core.Options{
 		Trace:          trace,
-		Scheduler:      schedulerOf(eng),
+		Scheduler:      eng.Ctrl(),
 		Seed:           cfg.Seed,
 		UserMgrFarm:    cfg.UserMgrFarm,
 		Partitions:     []string{"p1", "p2"},
@@ -240,10 +239,10 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 		mu.Unlock()
 	})
 
-	// Ambient lane population (sharded runs): renewals tick on the
-	// worker lanes, observed by the sampler at epoch boundaries.
+	// Ambient lane population: renewals tick on the worker lanes,
+	// observed by the sampler at epoch boundaries.
 	var pops []*shardPop
-	if eng != nil && cfg.VirtualViewers > 0 {
+	if cfg.VirtualViewers > 0 {
 		pops = newShardPops(eng, cfg.VirtualViewers, cfg.Seed,
 			5*time.Minute, 12*time.Minute+30*time.Second, 0.02)
 		sampler.AddSource(func(add func(string, float64)) {
@@ -357,11 +356,7 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 		}
 	})
 
-	if eng != nil {
-		eng.Run(end)
-	} else {
-		sys.Sched.RunUntil(end)
-	}
+	eng.Run(end)
 	sys.StopAll()
 	res.Calls = agg.Totals()
 	res.Endpoints = sys.EndpointTotals()
@@ -370,14 +365,6 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	res.VirtualRenewals, res.VirtualChurned, res.VirtualEvictions = popTotals(pops)
 	res.Trace = trace
 	return res, nil
-}
-
-// schedulerOf unwraps an optional sharded engine's control scheduler.
-func schedulerOf(eng *sim.Sharded) *sim.Scheduler {
-	if eng == nil {
-		return nil
-	}
-	return eng.Ctrl()
 }
 
 // FigureSeries is one Fig. 5 panel: hourly medians for the rounds plus
