@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench chaos smoke trace megascale check
+.PHONY: all vet build test race cover bench chaos smoke smokes megascale check
 
 all: check
 
@@ -53,39 +53,35 @@ chaos:
 	$(GO) test -race -run 'Chaos|FaultFlash' -v ./internal/core ./internal/exp
 	$(GO) test -run 'DeterminismGolden' ./internal/exp
 
-# Scenario smoke: run one drmsim figure (FIG = faults | scaleout |
-# timeshift | adversary) with -metrics and sanity-check the artifacts —
-# every export non-empty, the time series and phase table in
-# chronological order. The scenarios' own acceptance bars (every viewer
-# playing, flat p95, zero false grants/denials, typed refusals) are
-# pinned by their tests; this proves the figure path and its exports.
+# Scenario smoke: run one drmsim figure (FIG, one of SMOKE_FIGS) with
+# -metrics and -trace into out/smoke/$(FIG) and sanity-check the
+# artifacts — every export non-empty, the time series and phase table in
+# chronological order, the trace_event JSON carrying real events, and
+# the waterfall and critical-path CSV containing assembled login and
+# switch journeys (not just flat spans). The scenarios' own acceptance
+# bars (every viewer playing, flat p95, zero false grants/denials, typed
+# refusals) are pinned by their tests; this proves the figure path and
+# its exports. `make smokes` runs the whole list.
+SMOKE_FIGS = faults scaleout timeshift adversary
 FIG ?= faults
+SMOKE_OUT = out/smoke/$(FIG)
 smoke:
-	rm -rf out/$(FIG)
-	$(GO) run ./cmd/drmsim -fig $(FIG) -metrics out/$(FIG) > /dev/null
-	@for f in phases.csv endpoints.csv calls.csv series.csv trace.jsonl; do \
-		test -s out/$(FIG)/$(FIG)_$$f || { echo "empty export: $(FIG)_$$f"; exit 1; }; \
+	rm -rf $(SMOKE_OUT)
+	$(GO) run ./cmd/drmsim -fig $(FIG) -metrics $(SMOKE_OUT) -trace $(SMOKE_OUT) > /dev/null
+	@for f in phases.csv endpoints.csv calls.csv series.csv trace.jsonl trace_events.json waterfall.txt critical_path.csv; do \
+		test -s $(SMOKE_OUT)/$(FIG)_$$f || { echo "empty export: $(FIG)_$$f"; exit 1; }; \
 	done
-	@tail -n +2 out/$(FIG)/$(FIG)_series.csv | sort -c -t, -k1,1 || { echo "$(FIG)_series.csv not time-sorted"; exit 1; }
-	@tail -n +2 out/$(FIG)/$(FIG)_phases.csv | sort -c -s -t, -k2,2 || { echo "$(FIG)_phases.csv not time-sorted"; exit 1; }
-	@echo "$(FIG) exports OK: $$(ls out/$(FIG) | wc -l) files in out/$(FIG)"
+	@tail -n +2 $(SMOKE_OUT)/$(FIG)_series.csv | sort -c -t, -k1,1 || { echo "$(FIG)_series.csv not time-sorted"; exit 1; }
+	@tail -n +2 $(SMOKE_OUT)/$(FIG)_phases.csv | sort -c -s -t, -k2,2 || { echo "$(FIG)_phases.csv not time-sorted"; exit 1; }
+	@grep -q '"traceEvents"' $(SMOKE_OUT)/$(FIG)_trace_events.json || { echo "$(FIG): no traceEvents array"; exit 1; }
+	@for j in login switch; do \
+		grep -q "journey $$j" $(SMOKE_OUT)/$(FIG)_waterfall.txt || { echo "$(FIG): no $$j journeys in waterfall"; exit 1; }; \
+	done
+	@tail -n +2 $(SMOKE_OUT)/$(FIG)_critical_path.csv | grep -q login1 || { echo "$(FIG): no login1 stages in critical path"; exit 1; }
+	@echo "$(FIG) exports OK: $$(ls $(SMOKE_OUT) | wc -l) files in $(SMOKE_OUT)"
 
-# Causal-trace exports: the faulty flash crowd with -trace, producing
-# the Perfetto-loadable trace_event JSON, the per-viewer waterfalls, and
-# the critical-path CSV. Artifacts must be non-empty, the JSON must
-# carry real events, and the waterfall must contain assembled journeys
-# (not just flat spans).
-trace:
-	rm -rf out/trace
-	$(GO) run ./cmd/drmsim -fig faults -trace out/trace > /dev/null
-	@for f in faults_trace_events.json faults_waterfall.txt faults_critical_path.csv; do \
-		test -s out/trace/$$f || { echo "empty export: $$f"; exit 1; }; \
-	done
-	@grep -q '"traceEvents"' out/trace/faults_trace_events.json || { echo "no traceEvents array"; exit 1; }
-	@grep -q 'journey login' out/trace/faults_waterfall.txt || { echo "no login journeys in waterfall"; exit 1; }
-	@grep -q 'journey switch' out/trace/faults_waterfall.txt || { echo "no switch journeys in waterfall"; exit 1; }
-	@tail -n +2 out/trace/faults_critical_path.csv | grep -q login1 || { echo "no login1 stages in critical path"; exit 1; }
-	@echo "trace exports OK: $$(ls out/trace | wc -l) files in out/trace"
+smokes:
+	@for fig in $(SMOKE_FIGS); do $(MAKE) --no-print-directory smoke FIG=$$fig || exit 1; done
 
 # Million-viewer engine capacity study: the full sweep, with the largest
 # point streaming its metric series (CSV + JSONL) into out/megascale so
@@ -101,5 +97,4 @@ megascale:
 	@tail -n +2 out/megascale/megascale_series.csv | sort -c -t, -k1,1 || { echo "megascale_series.csv not time-sorted"; exit 1; }
 	@echo "megascale exports OK: $$(ls out/megascale | wc -l) files in out/megascale"
 
-check: vet build race bench trace
-	@for fig in faults scaleout timeshift adversary; do $(MAKE) --no-print-directory smoke FIG=$$fig || exit 1; done
+check: vet build race bench smokes

@@ -19,7 +19,7 @@ func TestUnknownFigErrorListsEveryValidName(t *testing.T) {
 	if !strings.Contains(msg, `"nope"`) {
 		t.Errorf("error does not name the rejected value: %q", msg)
 	}
-	for _, f := range figs {
+	for _, f := range figureNames() {
 		if !strings.Contains(msg, f) {
 			t.Errorf("error omits valid figure %q: %q", f, msg)
 		}
@@ -39,6 +39,8 @@ func TestBadFlagValuesRejected(t *testing.T) {
 		{[]string{"-fig", "farm", "-farms", "0"}, `"0"`},
 		{[]string{"-fig", "megascale", "-shards", "0"}, "-shards 0"},
 		{[]string{"-fig", "megascale", "-shards", "-2"}, "-shards -2"},
+		{[]string{"-fig", "5a", "-trace", t.TempDir(), "-traceevery", "0"}, "-traceevery 0"},
+		{[]string{"-fig", "5a", "-traceevery", "-3"}, "-traceevery -3"},
 	} {
 		err := run(tc.args)
 		if err == nil {
@@ -49,48 +51,64 @@ func TestBadFlagValuesRejected(t *testing.T) {
 	}
 }
 
-// The scenarios added after the original list must be registered, or the
-// -fig gate silently locks them out.
+// Every scenario must be a row of the figure table, or the -fig gate
+// silently locks it out; a row needs its name, its usage line and its
+// run function, and names must not collide.
 func TestFigListCoversNewScenarios(t *testing.T) {
+	names := " " + strings.Join(figureNames(), " ") + " "
 	for _, want := range []string{"faults", "scaleout", "megascale", "timeshift", "adversary", "all"} {
-		found := false
-		for _, f := range figs {
-			if f == want {
-				found = true
-			}
-		}
-		if !found {
+		if !strings.Contains(names, " "+want+" ") {
 			t.Errorf("figure %q missing from the -fig list", want)
 		}
+	}
+	seen := map[string]bool{}
+	for _, f := range figures {
+		if f.name == "" || f.about == "" || f.run == nil {
+			t.Errorf("incomplete figure row %+v", f)
+		}
+		if seen[f.name] || f.name == "all" {
+			t.Errorf("figure name %q is taken", f.name)
+		}
+		seen[f.name] = true
 	}
 }
 
 // TestMetricsExportWritesScenarioArtifacts pins the -metrics and -trace
-// contracts for the conformance scenarios: each run must leave the full
-// five-file metric set (phases/endpoints/calls CSVs, the sampler series
-// CSV, and the event trace JSONL) and the three causal-trace artifacts,
-// every file non-empty.
+// contracts by walking the figure table: after one `-fig all` at smoke
+// sizes, every figure whose run handed back a bundle with a phase
+// timeline must have left the full five-file metric set
+// (phases/endpoints/calls CSVs, the sampler series CSV, and the event
+// trace JSONL) and the three causal-trace artifacts, every file
+// non-empty — and its critical-path CSV must carry assembled journeys,
+// not just the header.
 func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario runs")
 	}
-	for _, fig := range []string{"timeshift", "adversary"} {
-		fig := fig
+	dir, traceDir := t.TempDir(), t.TempDir()
+	// Silence the figure rendering; only the export side matters here.
+	old := os.Stdout
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = null
+	err = run([]string{"-fig", "all", "-seed", "1", "-metrics", dir, "-trace", traceDir,
+		"-days", "1", "-channels", "3", "-users", "30", "-peak", "20",
+		"-viewers", "20", "-farms", "1", "-mega", "2000"})
+	os.Stdout = old
+	null.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	phased := 0
+	for _, f := range figures {
+		fig := f.name
+		if _, err := os.Stat(filepath.Join(dir, fig+"_phases.csv")); err != nil {
+			continue // no phase timeline: the figure writes its own files or none
+		}
+		phased++
 		t.Run(fig, func(t *testing.T) {
-			dir, traceDir := t.TempDir(), t.TempDir()
-			// Silence the figure rendering; only the export side matters here.
-			old := os.Stdout
-			null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			os.Stdout = null
-			err = run([]string{"-fig", fig, "-seed", "1", "-metrics", dir, "-trace", traceDir})
-			os.Stdout = old
-			null.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
 			var paths []string
 			for _, suffix := range []string{"phases.csv", "endpoints.csv", "calls.csv", "series.csv", "trace.jsonl"} {
 				paths = append(paths, filepath.Join(dir, fig+"_"+suffix))
@@ -108,6 +126,16 @@ func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 					t.Errorf("artifact %s is empty", path)
 				}
 			}
+			cp, err := os.ReadFile(filepath.Join(traceDir, fig+"_critical_path.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Count(string(cp), "\n") < 2 {
+				t.Errorf("%s_critical_path.csv has no journey rows:\n%s", fig, cp)
+			}
 		})
+	}
+	if phased < 4 {
+		t.Errorf("only %d figures exported a phase timeline; faults, scaleout, timeshift and adversary must", phased)
 	}
 }

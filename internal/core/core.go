@@ -304,49 +304,39 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	sys.umKeys = umKeys
 	if opts.UserMgrShard.Enabled {
+		// The sharded deployment replaces the VIP-pool farms.
 		if len(opts.Domains) > 0 {
 			return nil, fmt.Errorf("core: UserMgrShard requires the single anonymous domain")
 		}
-		if err := sys.deployShardedUserMgrs(net, umKeys); err != nil {
+		if err := sys.deployShardedUserMgrs(net); err != nil {
 			return nil, err
 		}
-	}
-	for di, domain := range append([]string{""}, opts.Domains...) {
-		if opts.UserMgrShard.Enabled {
-			break // sharded deployment replaces the VIP-pool farms
-		}
-		if di > 0 && domain == "" {
-			return nil, fmt.Errorf("core: empty domain name")
-		}
-		if di == 0 && len(opts.Domains) > 0 {
-			continue // explicit domains replace the anonymous one
-		}
-		umCfg := usermgr.Config{
-			Accounts:       sys.Accounts,
-			Keys:           umKeys,
-			TokenSecret:    []byte("um-farm-secret"),
-			TicketLifetime: opts.UserTicketLifetime,
-			MinVersion:     opts.MinVersion,
-			ClientImage:    opts.ClientImage,
-			Domain:         domain,
-			RNG:            rng,
-		}
-		suffix := domainSuffix(domain)
-		mgrs, nodes, err := svc.DeployFarm(net, AddrUserMgrDomain(domain), opts.UserMgrFarm,
-			func(i int) simnet.Addr {
-				return simnet.Addr(fmt.Sprintf("um%d%s.provider", i+1, suffix))
-			},
-			func(node *simnet.Node) (*usermgr.Manager, error) {
-				applyCapacity(node, opts.UserMgrCapacity)
-				return usermgr.New(node, umCfg)
-			})
-		if err != nil {
-			return nil, err
-		}
-		sys.UserMgrs = append(sys.UserMgrs, mgrs...)
-		for _, node := range nodes {
-			sys.umBackend = append(sys.umBackend, node.Addr())
-			sys.mgrNodes = append(sys.mgrNodes, node)
+	} else {
+		for di, domain := range append([]string{""}, opts.Domains...) {
+			if di > 0 && domain == "" {
+				return nil, fmt.Errorf("core: empty domain name")
+			}
+			if di == 0 && len(opts.Domains) > 0 {
+				continue // explicit domains replace the anonymous one
+			}
+			umCfg := sys.userMgrConfig(domain)
+			suffix := domainSuffix(domain)
+			mgrs, nodes, err := svc.DeployFarm(net, AddrUserMgrDomain(domain), opts.UserMgrFarm,
+				func(i int) simnet.Addr {
+					return simnet.Addr(fmt.Sprintf("um%d%s.provider", i+1, suffix))
+				},
+				func(node *simnet.Node) (*usermgr.Manager, error) {
+					applyCapacity(node, opts.UserMgrCapacity)
+					return usermgr.New(node, umCfg)
+				})
+			if err != nil {
+				return nil, err
+			}
+			sys.UserMgrs = append(sys.UserMgrs, mgrs...)
+			for _, node := range nodes {
+				sys.umBackend = append(sys.umBackend, node.Addr())
+				sys.mgrNodes = append(sys.mgrNodes, node)
+			}
 		}
 	}
 
@@ -443,27 +433,35 @@ func NewSystem(opts Options) (*System, error) {
 	return sys, nil
 }
 
+// userMgrConfig is what every User Manager backend of one Authentication
+// Domain is built from, whichever way its farm is deployed. All domains
+// share the provider's key pair.
+func (s *System) userMgrConfig(domain string) usermgr.Config {
+	return usermgr.Config{
+		Accounts:       s.Accounts,
+		Keys:           s.umKeys,
+		TokenSecret:    []byte("um-farm-secret"),
+		TicketLifetime: s.Opts.UserTicketLifetime,
+		MinVersion:     s.Opts.MinVersion,
+		ClientImage:    s.Opts.ClientImage,
+		Domain:         domain,
+		RNG:            s.rng,
+	}
+}
+
 // deployShardedUserMgrs builds the User Manager farm as a sharded farm:
 // same addresses and key draws as the VIP pool, plus the ring, the
 // per-member shard views, and (optionally) login shedding. The VIP is
 // still registered over the members so legacy VIP traffic works beside
 // the keyed routing.
-func (s *System) deployShardedUserMgrs(net *simnet.Network, umKeys *cryptoutil.KeyPair) error {
+func (s *System) deployShardedUserMgrs(net *simnet.Network) error {
 	opts := s.Opts
 	so := opts.UserMgrShard
-	umCfg := usermgr.Config{
-		Accounts:       s.Accounts,
-		Keys:           umKeys,
-		TokenSecret:    []byte("um-farm-secret"),
-		TicketLifetime: opts.UserTicketLifetime,
-		MinVersion:     opts.MinVersion,
-		ClientImage:    opts.ClientImage,
-		RNG:            s.rng,
-		LoginRateLimit: so.LoginRateLimit,
-		RateWindow:     so.RateWindow,
-		AbuseThreshold: so.AbuseThreshold,
-		LockoutFor:     so.LockoutFor,
-	}
+	umCfg := s.userMgrConfig("")
+	umCfg.LoginRateLimit = so.LoginRateLimit
+	umCfg.RateWindow = so.RateWindow
+	umCfg.AbuseThreshold = so.AbuseThreshold
+	umCfg.LockoutFor = so.LockoutFor
 	s.umBuild = func(node *simnet.Node, view *svc.ShardView) (*usermgr.Manager, error) {
 		applyCapacity(node, opts.UserMgrCapacity)
 		cfg := umCfg

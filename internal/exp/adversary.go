@@ -13,8 +13,6 @@ import (
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/keys"
-	"p2pdrm/internal/obs"
-	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
 	"p2pdrm/internal/workload"
@@ -30,68 +28,48 @@ import (
 // capacity or continuity, never rights.
 type AdversaryConfig struct {
 	Seed int64
-	// Viewers is the honest audience size. Default 12.
+	// Viewers is the honest audience size. Default 12; at least 2, because
+	// the stolen-ticket replay needs a victim other than viewer 0, whose
+	// ticket is the one harvested early and replayed expired.
 	Viewers int
-	// FreeRiders is the number of zero-capacity joiners arriving in the
-	// freeride phase. Default 6.
-	FreeRiders int
-	// Attackers is the number of replay nodes in the replay phase; each
-	// sends ReplayPerAttacker expired-ticket joins plus one stolen-ticket
-	// and one forged-ticket join. Defaults 5 and 3.
-	Attackers         int
-	ReplayPerAttacker int
-	// PhaseLen is the length of each phase (baseline, keyleak, freeride,
-	// replay). Default 75s.
-	PhaseLen time.Duration
-	// StormRekeys forced rotations spaced StormEvery apart make up the
-	// key-leak storm. Defaults 7 and 5s.
-	StormRekeys int
-	StormEvery  time.Duration
-	// TicketLifetime bounds Channel Tickets; short (default 90s) so blobs
-	// harvested in the baseline phase are expired by the replay phase.
-	TicketLifetime time.Duration
-
-	// FaultPartition severs PartitionShare of honest viewers from the
-	// root for PartitionFor during the freeride phase: their feed must
+	// FaultPartition severs advPartitionShare of honest viewers from the
+	// root for advPartitionFor during the freeride phase: their feed must
 	// re-parent through other viewers and the conformance verdict must
-	// stay clean. Defaults 0.25 and 20s.
+	// stay clean.
 	FaultPartition bool
-	PartitionShare float64
-	PartitionFor   time.Duration
 }
 
 func (c *AdversaryConfig) fill() {
 	if c.Viewers <= 0 {
 		c.Viewers = 12
 	}
-	if c.FreeRiders <= 0 {
-		c.FreeRiders = 6
-	}
-	if c.Attackers <= 0 {
-		c.Attackers = 5
-	}
-	if c.ReplayPerAttacker <= 0 {
-		c.ReplayPerAttacker = 3
-	}
-	if c.PhaseLen <= 0 {
-		c.PhaseLen = 75 * time.Second
-	}
-	if c.StormRekeys <= 0 {
-		c.StormRekeys = 7
-	}
-	if c.StormEvery <= 0 {
-		c.StormEvery = 5 * time.Second
-	}
-	if c.TicketLifetime <= 0 {
-		c.TicketLifetime = 90 * time.Second
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.25
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 20 * time.Second
+	if c.Viewers < 2 {
+		c.Viewers = 2
 	}
 }
+
+const (
+	// advFreeRiders zero-capacity joiners arrive in the freeride phase.
+	advFreeRiders = 6
+	// advAttackers replay nodes act in the replay phase; each sends
+	// advReplayPerAttacker expired-ticket joins plus one stolen-ticket
+	// and one forged-ticket join.
+	advAttackers         = 5
+	advReplayPerAttacker = 3
+	// advPhaseLen is the length of each phase (baseline, keyleak,
+	// freeride, replay).
+	advPhaseLen = 75 * time.Second
+	// advStormRekeys forced rotations spaced advStormEvery apart make up
+	// the key-leak storm.
+	advStormRekeys = 7
+	advStormEvery  = 5 * time.Second
+	// advTicketLifetime bounds Channel Tickets; short, so blobs harvested
+	// in the baseline phase are expired by the replay phase.
+	advTicketLifetime = 90 * time.Second
+
+	advPartitionShare = 0.25
+	advPartitionFor   = 20 * time.Second
+)
 
 // AdversaryResult reports the scenario outcome.
 type AdversaryResult struct {
@@ -122,12 +100,7 @@ type AdversaryResult struct {
 	Ring    keys.RingStats
 	Conform *conform.Report
 
-	Net       simnet.NetStats
-	Phases    []Phase
-	Endpoints map[string]svc.Metrics
-	Calls     map[string]svc.CallStats
-	Trace     *obs.Trace
-	Series    *obs.Series
+	Artifacts
 }
 
 // Fingerprint digests every counter into one line; two runs with the
@@ -163,26 +136,24 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	// natural rekey interval is pushed past the run so the storm owns
 	// every rotation.
 	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
-	var sys *core.System
-	sys, err := core.NewSystem(core.Options{
-		Seed:                  cfg.Seed,
+	var r *run
+	r, err := newRun(cfg.Seed, core.Options{
 		Partitions:            []string{"live"},
 		RekeyInterval:         10 * time.Minute,
 		PacketInterval:        time.Second,
 		RootRegion:            100,
 		RootMaxChildren:       4, // a real tree: most viewers peer off other viewers
-		ChannelTicketLifetime: cfg.TicketLifetime,
+		ChannelTicketLifetime: advTicketLifetime,
 		OnRekey: func(_ string, serial keys.Serial) {
-			oracle.RecordRekey(serial, sys.Sched.Now())
+			oracle.RecordRekey(serial, r.sys.Sched.Now())
 		},
-	})
+	}, 4*advPhaseLen, drain)
 	if err != nil {
 		return nil, err
 	}
-	start := sys.Sched.Now()
-	phase := func(n int) time.Time { return start.Add(time.Duration(n) * cfg.PhaseLen) }
-	deadline := phase(4)
-	eventEnd := deadline.Add(10 * time.Minute)
+	sys, start := r.sys, r.start
+	phase := func(n int) time.Time { return start.Add(time.Duration(n) * advPhaseLen) }
+	eventEnd := r.deadline.Add(10 * time.Minute)
 
 	if err := sys.DeployChannel(core.PPVChannel("ppv", "PPV Event", "evt", start, eventEnd, "100")); err != nil {
 		return nil, err
@@ -192,73 +163,39 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	var mu sync.Mutex
 	res := &AdversaryResult{
 		Viewers:         cfg.Viewers,
-		FreeRiders:      cfg.FreeRiders,
-		Attackers:       cfg.Attackers,
+		FreeRiders:      advFreeRiders,
+		Attackers:       advAttackers,
 		FreeRiderDenied: make(map[string]int64),
 		ReplayOutcomes:  make(map[string]int64),
-		Calls:           make(map[string]svc.CallStats),
 	}
-
-	trace := obs.NewTrace(8192)
-	bounds := []PhaseBoundary{
+	r.observe([]PhaseBoundary{
 		{Name: "baseline", At: start},
 		{Name: "keyleak", At: phase(1)},
 		{Name: "freeride", At: phase(2)},
 		{Name: "replay", At: phase(3)},
-	}
-	phases := RecordPhases(sys, bounds)
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
-
-	total := cfg.Viewers + cfg.FreeRiders
-	names := make([]string, total)
-	for i := 0; i < total; i++ {
-		if i < cfg.Viewers {
-			names[i] = fmt.Sprintf("adv%03d@e", i)
-		} else {
-			names[i] = fmt.Sprintf("rider%03d@e", i-cfg.Viewers)
-		}
-		if _, err := sys.RegisterUser(names[i], "pw"); err != nil {
-			return nil, err
-		}
-		// Free-riders hold real rights — their attack is on capacity, not
-		// entitlement; refusing them is resource policy, not DRM.
-		if err := sys.PurchasePPV(names[i], "evt", start, eventEnd); err != nil {
-			return nil, err
-		}
-		oracle.AddRight(names[i], start, eventEnd)
-	}
+	})
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	honestOffsets := workload.FlashCrowd(rng, cfg.Viewers, 20*time.Second)
-	riderOffsets := workload.FlashCrowd(rng, cfg.FreeRiders, 20*time.Second)
-	addrs := make([]simnet.Addr, total)
-	for i := range addrs {
-		addrs[i] = geo.Addr(100, 1+i%40, i+1)
+	arrive := workload.FlashCrowd(rng, cfg.Viewers, 20*time.Second)
+	for _, off := range workload.FlashCrowd(rng, advFreeRiders, 20*time.Second) {
+		arrive = append(arrive, 2*advPhaseLen+off) // riders come in the freeride phase
 	}
 
 	// Chaos knob: sever a share of honest viewers from the root during
 	// the freeride phase; their feed must re-parent through other viewers.
-	var partitioned []int
 	if cfg.FaultPartition {
-		partitioned = workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.PartitionShare))
-		var partAddrs []simnet.Addr
-		for _, i := range partitioned {
-			partAddrs = append(partAddrs, addrs[i])
-		}
-		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{rootAddr},
-			phase(2).Add(35*time.Second), cfg.PartitionFor)
+		res.Partitioned = r.partition(rng, cfg.Viewers, advPartitionShare, rootAddr,
+			phase(2).Add(35*time.Second), advPartitionFor)
 	}
-	res.Partitioned = len(partitioned)
 
 	stormStart, stormEnd := phase(1), phase(2)
-	clients := make([]*client.Client, total)
-	for i := 0; i < total; i++ {
-		i := i
-		name := names[i]
+	for i := 0; i < cfg.Viewers+advFreeRiders; i++ {
 		rider := i >= cfg.Viewers
-		c, err := sys.NewClient(name, "pw", addrs[i], func(cc *client.Config) {
-			cc.Trace = trace
+		name := fmt.Sprintf("adv%03d@e", i)
+		if rider {
+			name = fmt.Sprintf("rider%03d@e", i-cfg.Viewers)
+		}
+		c, err := r.viewer(name, func(cc *client.Config) {
 			if rider {
 				cc.PeerCapacity = -1 // declared free-rider
 			}
@@ -280,55 +217,35 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
-
-		var arrive time.Duration
-		if rider {
-			arrive = cfg.PhaseLen*2 + riderOffsets[i-cfg.Viewers]
-		} else {
-			arrive = honestOffsets[i]
+		// Free-riders hold real rights — their attack is on capacity, not
+		// entitlement; refusing them is resource policy, not DRM.
+		if err := sys.PurchasePPV(name, "evt", start, eventEnd); err != nil {
+			return nil, err
 		}
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(arrive)
-			backoff := 2 * time.Second
-			for sys.Sched.Now().Before(deadline) {
-				err := c.Login()
-				if err == nil {
-					err = c.Watch("ppv")
-				}
-				if err == nil {
-					exp := time.Time{}
-					if ct := c.ChannelTicket(); ct != nil {
-						exp = ct.Expiry
-					}
-					oracle.RecordAdmit(name, sys.Sched.Now(), exp)
-					return
-				}
+		oracle.AddRight(name, start, eventEnd)
+
+		r.session(c, arrive[i], "ppv", sessionHooks{
+			watching: func(time.Duration) { oracle.RecordAdmit(name, sys.Sched.Now(), ticketExpiry(c)) },
+			failed: func(err error) bool {
 				var serr *wire.ServiceError
-				if errors.As(err, &serr) {
-					oracle.RecordDeny(name, sys.Sched.Now(), serr.Code)
-					if rider {
-						mu.Lock()
-						res.FreeRiderDenied[serr.Code.String()]++
-						mu.Unlock()
-					}
-					if serr.Code == wire.CodeDenied {
-						return // rights refused — final
-					}
+				if !errors.As(err, &serr) {
+					return false
 				}
-				sys.Sched.Sleep(backoff + time.Duration(sys.Sched.Float64()*float64(time.Second)))
-				if backoff *= 2; backoff > 15*time.Second {
-					backoff = 15 * time.Second
+				oracle.RecordDeny(name, sys.Sched.Now(), serr.Code)
+				if rider {
+					mu.Lock()
+					res.FreeRiderDenied[serr.Code.String()]++
+					mu.Unlock()
 				}
-			}
+				return serr.Code == wire.CodeDenied // rights refused — final
+			},
 		})
 	}
 
 	// Key-leak storm: the provider's emergency response to a leaked
 	// content key — forced rotations with no advance distribution.
-	for k := 0; k < cfg.StormRekeys; k++ {
-		k := k
-		sys.Sched.At(phase(1).Add(3*time.Second+time.Duration(k)*cfg.StormEvery), func() {
+	for k := 0; k < advStormRekeys; k++ {
+		sys.Sched.At(phase(1).Add(3*time.Second+time.Duration(k)*advStormEvery), func() {
 			if _, err := sys.Servers["ppv"].ForceRekey(); err == nil {
 				mu.Lock()
 				res.ForcedRekeys++
@@ -341,7 +258,7 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	// expired and every replay of it must be refused with the typed code.
 	var staleBlob []byte
 	sys.Sched.At(start.Add(35*time.Second), func() {
-		if b := clients[0].ChannelTicketBlob(); len(b) > 0 {
+		if b := r.clients[0].ChannelTicketBlob(); len(b) > 0 {
 			staleBlob = append([]byte(nil), b...)
 		}
 	})
@@ -351,7 +268,7 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	frng := rand.New(rand.NewSource(cfg.Seed + 7))
 	garbage := make([]byte, 64)
 	frng.Read(garbage)
-	for a := 0; a < cfg.Attackers; a++ {
+	for a := 0; a < advAttackers; a++ {
 		a := a
 		node := sys.Net.NewNode(geo.Addr(100, 90, 500+a))
 		sys.Sched.At(phase(3).Add(5*time.Second+time.Duration(a)*2*time.Second), func() {
@@ -374,12 +291,12 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 						res.ReplayOutcomes[resp.Code.String()]++
 					}
 				}
-				for r := 0; r < cfg.ReplayPerAttacker; r++ {
+				for n := 0; n < advReplayPerAttacker; n++ {
 					rawJoin(staleBlob) // expired: harvested in baseline
 					sys.Sched.Sleep(3 * time.Second)
 				}
 				// Stolen: a live viewer's current ticket from our address.
-				if b := clients[1+a%(cfg.Viewers-1)].ChannelTicketBlob(); len(b) > 0 {
+				if b := r.clients[1+a%(cfg.Viewers-1)].ChannelTicketBlob(); len(b) > 0 {
 					rawJoin(append([]byte(nil), b...))
 				}
 				rawJoin(garbage) // forged
@@ -387,42 +304,24 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 		})
 	}
 
-	sys.Sched.RunUntil(deadline.Add(30 * time.Second))
-	sys.StopAll()
+	res.Artifacts = r.finish()
 
 	// Peer-side free-rider accounting: every serving peer, root included.
 	rs := sys.Servers["ppv"].Peer().Stats()
 	res.FreeRiderRefusals += rs.FreeRidersRefused
 	res.FreeRiderAdmits += rs.FreeRiderJoins
-	for i, c := range clients {
+	for i, c := range r.clients {
 		if p := c.Peer(); p != nil {
 			ps := p.Stats()
 			res.FreeRiderRefusals += ps.FreeRidersRefused
 			res.FreeRiderAdmits += ps.FreeRiderJoins
-			ring := p.Ring().Stats()
-			res.Ring.Lookups += ring.Lookups
-			res.Ring.Misses += ring.Misses
-			res.Ring.MissesEvicted += ring.MissesEvicted
-			res.Ring.MissesInWindow += ring.MissesInWindow
-			if ring.DeepestMiss > res.Ring.DeepestMiss {
-				res.Ring.DeepestMiss = ring.DeepestMiss
-			}
+			res.Ring.Add(p.Ring().Stats())
 			if i >= cfg.Viewers && c.Watching() != "" {
 				res.FreeRidersWatching++
 			}
 		}
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
-		}
 	}
 	res.Conform = oracle.Finish()
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
-	res.Trace = trace
-	res.Series = sampler.Series()
 	return res, nil
 }
 
@@ -447,16 +346,8 @@ func RenderAdversary(res *AdversaryResult) string {
 		fmt.Fprintf(&b, "    refused: %s ×%d\n", code, res.ReplayOutcomes[code])
 	}
 	cr := res.Conform
-	fmt.Fprintf(&b, "  conformance: %d decrypts (%d ok) — false grants %d, false denials %d, window breaches %d, ticket overruns %d\n",
-		cr.Decrypts, cr.DecryptOK, cr.FalseGrants, cr.FalseDenials, cr.WindowBreaches, cr.TicketOverruns)
-	fmt.Fprintf(&b, "               rekey races %d, settle %d, window denials %d (innocent)\n",
-		cr.RekeyRaceDenials, cr.SettleDenials, cr.WindowDenials)
-	if !cr.Clean() {
-		b.WriteString("  CONFORMANCE VIOLATIONS:\n")
-		for _, v := range cr.Violations {
-			fmt.Fprintf(&b, "    %s\n", v)
-		}
-	}
+	renderConform(&b, cr, fmt.Sprintf("rekey races %d, settle %d, window denials %d",
+		cr.RekeyRaceDenials, cr.SettleDenials, cr.WindowDenials))
 	fmt.Fprintf(&b, "  ring: %d lookups, %d misses (%d evicted / %d in-window)\n",
 		res.Ring.Lookups, res.Ring.Misses, res.Ring.MissesEvicted, res.Ring.MissesInWindow)
 	fmt.Fprintf(&b, "  network: %d messages sent, %d dropped\n", res.Net.Sent, res.Net.Dropped)

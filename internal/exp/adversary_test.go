@@ -93,3 +93,23 @@ func TestAdversaryPartitionChaos(t *testing.T) {
 		t.Fatalf("%d replayed tickets accepted under chaos", res.ReplayAccepted)
 	}
 }
+
+// TestAdversaryOneHonestViewer is the regression for the stolen-ticket
+// replay's victim pick, which divided by Viewers-1 inside a simulated
+// goroutine: a one-viewer audience is floored at two (a thief needs a
+// victim other than the harvested viewer 0) and the flood still runs.
+func TestAdversaryOneHonestViewer(t *testing.T) {
+	res, err := RunAdversary(AdversaryConfig{Seed: 1, Viewers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Viewers != 2 {
+		t.Errorf("audience = %d, want the floor of 2", res.Viewers)
+	}
+	if res.ReplayAttempts == 0 || res.ReplayAccepted != 0 {
+		t.Errorf("replay flood: %d attempts, %d accepted", res.ReplayAttempts, res.ReplayAccepted)
+	}
+	if !res.Conform.Clean() {
+		t.Fatalf("conformance violations: %s", res.Conform.Summary())
+	}
+}

@@ -2,13 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
-	"p2pdrm/internal/geo"
 )
 
 // ChurnConfig scales the churn-resilience study: the P2P overlay's
@@ -29,9 +27,6 @@ type ChurnConfig struct {
 	// Parents is the per-viewer parent count (receiver-based
 	// peer-division multiplexing; 1 disables PDM). Default 2.
 	Parents int
-	// Parallelism bounds concurrent sweep points in RunChurnSweep
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Parallelism int
 }
 
 func (c *ChurnConfig) fill() {
@@ -65,6 +60,9 @@ type ChurnResult struct {
 	// channel resets by the survivors' stall watchdogs.
 	Rejoins int64
 	Stalls  int64
+
+	// Phases (in Artifacts) are warm-up → before → during → after.
+	Artifacts
 }
 
 // RunChurn runs the broadcast with real content flowing, departs a
@@ -72,33 +70,32 @@ type ChurnResult struct {
 // before, during and after the churn event.
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.fill()
-	sys, err := core.NewSystem(core.Options{
-		Seed:            cfg.Seed,
+	warm := time.Duration(cfg.Viewers)*500*time.Millisecond + 30*time.Second
+	r, err := newRun(cfg.Seed, core.Options{
 		RootMaxChildren: cfg.RootMaxChildren,
 		PacketInterval:  2 * time.Second,
 		RootRegion:      100,
-	})
+	}, warm+3*cfg.Phase, 0)
 	if err != nil {
 		return nil, err
 	}
+	sys, start := r.sys, r.start
 	if err := sys.DeployChannel(core.FreeToView("live", "Live", "100")); err != nil {
 		return nil, err
 	}
+	r.observe([]PhaseBoundary{
+		{Name: "warm-up", At: start},
+		{Name: "before", At: start.Add(warm)},
+		{Name: "during", At: start.Add(warm + cfg.Phase)},
+		{Name: "after", At: start.Add(warm + 2*cfg.Phase)},
+	})
 
 	departing := int(float64(cfg.Viewers) * cfg.ChurnFraction)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	_ = rng
-
 	var mu sync.Mutex
 	frames := make([]int, cfg.Viewers)
-	clients := make([]*client.Client, cfg.Viewers)
 	for i := 0; i < cfg.Viewers; i++ {
 		i := i
-		email := fmt.Sprintf("churn%04d@e", i)
-		if _, err := sys.RegisterUser(email, "pw"); err != nil {
-			return nil, err
-		}
-		c, err := sys.NewClient(email, "pw", geo.Addr(100, 1+i%40, i+1), func(cc *client.Config) {
+		c, err := r.viewer(fmt.Sprintf("churn%04d@e", i), func(cc *client.Config) {
 			cc.Parents = cfg.Parents
 			cc.OnFrame = func(uint64, []byte) {
 				mu.Lock()
@@ -109,42 +106,25 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
-		delay := time.Duration(i) * 500 * time.Millisecond
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(delay)
-			if err := c.Login(); err != nil {
-				return
-			}
-			_ = c.Watch("live")
-		})
+		r.session(c, time.Duration(i)*500*time.Millisecond, "live", sessionHooks{failed: giveUp})
 	}
-
-	start := sys.Sched.Now()
-	warm := time.Duration(cfg.Viewers)*500*time.Millisecond + 30*time.Second
-	snapshot := func() []int {
+	snapshotAt := func(at time.Duration) []int {
+		sys.Sched.RunUntil(start.Add(at))
 		mu.Lock()
 		defer mu.Unlock()
-		out := make([]int, len(frames))
-		copy(out, frames)
-		return out
+		return append([]int(nil), frames...)
 	}
 
 	// Warm-up, then measure phase boundaries.
-	sys.Sched.RunUntil(start.Add(warm))
-	s0 := snapshot()
-	sys.Sched.RunUntil(start.Add(warm + cfg.Phase))
-	s1 := snapshot()
+	s0 := snapshotAt(warm)
+	s1 := snapshotAt(warm + cfg.Phase)
 	// Churn: the first `departing` viewers leave abruptly (they are the
 	// oldest peers, i.e. the most load-bearing relays).
-	for i := 0; i < departing; i++ {
-		clients[i].StopWatching()
+	for _, c := range r.clients[:departing] {
+		c.StopWatching()
 	}
-	sys.Sched.RunUntil(start.Add(warm + 2*cfg.Phase))
-	s2 := snapshot()
-	sys.Sched.RunUntil(start.Add(warm + 3*cfg.Phase))
-	s3 := snapshot()
-	sys.StopAll()
+	s2 := snapshotAt(warm + 2*cfg.Phase)
+	s3 := snapshotAt(warm + 3*cfg.Phase)
 
 	rate := func(a, b []int) float64 {
 		sum := 0.0
@@ -159,15 +139,16 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		return sum / float64(n)
 	}
 	res := &ChurnResult{
-		Viewers:  cfg.Viewers,
-		Departed: departing,
-		Before:   rate(s0, s1),
-		During:   rate(s1, s2),
-		After:    rate(s2, s3),
+		Viewers:   cfg.Viewers,
+		Departed:  departing,
+		Before:    rate(s0, s1),
+		During:    rate(s1, s2),
+		After:     rate(s2, s3),
+		Artifacts: r.finish(),
 	}
-	for i := departing; i < cfg.Viewers; i++ {
-		res.Rejoins += clients[i].Stats().Rejoins
-		res.Stalls += clients[i].Stats().Stalls
+	for _, c := range r.clients[departing:] {
+		res.Rejoins += c.Stats().Rejoins
+		res.Stalls += c.Stats().Stalls
 	}
 	return res, nil
 }

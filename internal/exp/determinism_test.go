@@ -81,21 +81,30 @@ const goldenWeek = "sessions=203 peak=11 loginfail=0\n" +
 	"JOIN n=958 sum=44916520674\n" +
 	"atxor=1214150691858750957\n"
 
+// TestFarmDeterminismGolden pins the farm sweep's bytes and the parallel
+// runner itself: runPoints over the host's CPUs and a plain sequential
+// loop over the same point function must both reproduce the golden.
 func TestFarmDeterminismGolden(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := goldenFarmCfg
-		cfg.Parallelism = workers
-		pts, err := RunFarmScaling(cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	cfg := goldenFarmCfg
+	cfg.fill()
+	par, err := RunFarmScaling(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := make([]FarmPoint, len(cfg.FarmSizes))
+	for i, farm := range cfg.FarmSizes {
+		if seq[i], err = runFarmPoint(cfg, farm); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for name, pts := range map[string][]FarmPoint{"runPoints": par, "sequential": seq} {
 		got := farmFingerprint(pts)
 		if os.Getenv("GOLDEN_PRINT") != "" {
-			t.Logf("farm golden (workers=%d):\n%s", workers, got)
+			t.Logf("farm golden (%s):\n%s", name, got)
 			continue
 		}
 		if got != goldenFarm {
-			t.Errorf("workers=%d: farm results moved\n got:\n%s\nwant:\n%s", workers, got, goldenFarm)
+			t.Errorf("%s: farm results moved\n got:\n%s\nwant:\n%s", name, got, goldenFarm)
 		}
 	}
 }
@@ -112,36 +121,5 @@ func TestWeekDeterminismGolden(t *testing.T) {
 	}
 	if got != goldenWeek {
 		t.Errorf("week results moved\n got:\n%s\nwant:\n%s", got, goldenWeek)
-	}
-}
-
-// TestWeekReplicatesSeqParIdentical pins the parallel runner itself: the
-// same replicate seeds must yield identical corpora whether the points
-// run on one worker or many.
-func TestWeekReplicatesSeqParIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replicated week runs in -short mode")
-	}
-	cfg := goldenWeekCfg
-	seeds := []int64{7, 8, 9}
-	run := func(workers int) []string {
-		cfg := cfg
-		cfg.Parallelism = workers
-		res, err := RunWeekReplicates(cfg, seeds)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		out := make([]string, len(res))
-		for i, r := range res {
-			out[i] = weekFingerprint(r)
-		}
-		return out
-	}
-	seq, par := run(1), run(3)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("replicate %d (seed %d) differs between sequential and parallel runs\n seq:\n%s\npar:\n%s",
-				i, seeds[i], seq[i], par[i])
-		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
-	"p2pdrm/internal/geo"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
 )
@@ -24,10 +23,6 @@ type FarmConfig struct {
 	// Per-backend capacity (deliberately tight so farm size matters).
 	Workers   int
 	ServiceMS float64
-	// Parallelism bounds how many farm points run concurrently on real
-	// CPUs (0 = GOMAXPROCS, 1 = sequential). Each point owns its own
-	// scheduler, so the results are identical either way.
-	Parallelism int
 }
 
 func (c *FarmConfig) fill() {
@@ -62,18 +57,18 @@ type FarmPoint struct {
 	Endpoints map[string]svc.Metrics
 }
 
-// RunFarmScaling replays the burst against each farm size, with
-// independent points spread over cfg.Parallelism workers.
+// RunFarmScaling replays the burst against each farm size, independent
+// points spread over the host's CPUs. Each point owns its own scheduler,
+// so the results are identical to a sequential loop's.
 func RunFarmScaling(cfg FarmConfig) ([]FarmPoint, error) {
 	cfg.fill()
-	return runPoints(len(cfg.FarmSizes), cfg.Parallelism, func(i int) (FarmPoint, error) {
+	return runPoints(len(cfg.FarmSizes), func(i int) (FarmPoint, error) {
 		return runFarmPoint(cfg, cfg.FarmSizes[i])
 	})
 }
 
 func runFarmPoint(cfg FarmConfig, farm int) (FarmPoint, error) {
-	sys, err := core.NewSystem(core.Options{
-		Seed:           cfg.Seed,
+	r, err := newRun(cfg.Seed, core.Options{
 		UserMgrFarm:    farm,
 		Partitions:     []string{"p1"},
 		ChannelMgrFarm: farm,
@@ -84,11 +79,11 @@ func runFarmPoint(cfg FarmConfig, farm int) (FarmPoint, error) {
 			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+12, cfg.ServiceMS),
 		},
 		PacketInterval: 24 * 365 * time.Hour,
-	})
+	}, 10*time.Minute, 0)
 	if err != nil {
 		return FarmPoint{}, err
 	}
-	start := sys.Sched.Now()
+	sys := r.sys
 	if err := sys.DeployChannel(core.FreeToView("live-event", "Live Event", "100")); err != nil {
 		return FarmPoint{}, err
 	}
@@ -98,32 +93,23 @@ func runFarmPoint(cfg FarmConfig, farm int) (FarmPoint, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	offsets := workload.FlashCrowd(rng, cfg.Viewers, cfg.Spread)
 	for i := 0; i < cfg.Viewers; i++ {
-		i := i
-		email := fmt.Sprintf("f%05d@e", i)
-		if _, err := sys.RegisterUser(email, "pw"); err != nil {
-			return FarmPoint{}, err
-		}
-		c, err := sys.NewClient(email, "pw", geo.Addr(100, 1+i%40, i+1), nil)
+		c, err := r.viewer(fmt.Sprintf("f%05d@e", i), nil)
 		if err != nil {
 			return FarmPoint{}, err
 		}
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(offsets[i])
-			err1 := c.Login()
-			var err2 error
-			if err1 == nil {
-				err2 = c.Watch("live-event")
-			}
-			mu.Lock()
-			if err1 != nil || err2 != nil {
+		// One attempt per viewer; either way its feedback log is in.
+		r.session(c, offsets[i], "live-event", sessionHooks{
+			watching: func(time.Duration) { corpus.Submit(c.FeedbackLog()) },
+			failed: func(error) bool {
+				mu.Lock()
 				failures++
-			}
-			mu.Unlock()
-			corpus.Submit(c.FeedbackLog())
+				mu.Unlock()
+				corpus.Submit(c.FeedbackLog())
+				return true
+			},
 		})
 	}
-	sys.Sched.RunUntil(start.Add(10 * time.Minute))
-	sys.StopAll()
+	art := r.finish()
 
 	lat := func(r feedback.Round, q float64) time.Duration {
 		var ds []time.Duration
@@ -146,6 +132,6 @@ func runFarmPoint(cfg FarmConfig, farm int) (FarmPoint, error) {
 		JoinMedian:   lat(feedback.Join, 0.5),
 		Failures:     failures,
 		MaxQueue:     sys.ManagerQueueHighWater(),
-		Endpoints:    sys.EndpointTotals(),
+		Endpoints:    art.Endpoints,
 	}, nil
 }

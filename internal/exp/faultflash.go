@@ -11,15 +11,12 @@ import (
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
-	"p2pdrm/internal/geo"
-	"p2pdrm/internal/obs"
-	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
 )
 
 // FaultFlashConfig parameterizes the resilience scenario: the flash
-// crowd of RunFlashCrowd's DRM side, with faults injected while the
+// crowd of RunFlashSweep's DRM side, with faults injected while the
 // crowd is arriving — per-link loss on every path, a worse last mile
 // for a subset of viewers, a transient partition cutting a second
 // subset off the Channel Manager, a full User Manager farm outage
@@ -31,43 +28,9 @@ type FaultFlashConfig struct {
 	Seed    int64
 	Viewers int           // default 120
 	Spread  time.Duration // arrival spread after event start; default 20s
-	// Per-backend capacity (same roles as FlashConfig).
-	Workers   int
-	ServiceMS float64
-	// Farm sizes; defaults mirror §VI (2 UM, 2 CM on the live partition).
-	UserMgrFarm    int
+	// ChannelMgrFarm is the live partition's farm size; default mirrors
+	// §VI (2 CM).
 	ChannelMgrFarm int
-
-	// LinkLoss is the loss probability on every link. Default 0.02.
-	LinkLoss float64
-	// DegradedShare of viewers get DegradedLoss on their infrastructure
-	// links instead (a bad last mile). Defaults 0.10 and 0.15.
-	DegradedShare float64
-	DegradedLoss  float64
-	// CrashAt/CrashFor: the whole User Manager farm goes down CrashAt
-	// after event start and restarts CrashFor later. The VIP black-holes
-	// for the window — the paper's managers are what must be survivable.
-	// Defaults 10s and 15s.
-	CrashAt  time.Duration
-	CrashFor time.Duration
-	// CMCrashAt/CMCrashFor: one Channel Manager backend crashes and
-	// restarts; its VIP health-checks around it, in-flight requests are
-	// lost. Defaults 15s and 10s.
-	CMCrashAt  time.Duration
-	CMCrashFor time.Duration
-	// PartitionShare of viewers lose their link to the Channel Manager
-	// VIP at PartitionAt, healed PartitionFor later. Defaults 0.15, 5s,
-	// 10s.
-	PartitionShare float64
-	PartitionAt    time.Duration
-	PartitionFor   time.Duration
-
-	// RPCTimeout is the per-attempt deadline clients use (short, so
-	// retries fit the session). Default 3s.
-	RPCTimeout time.Duration
-	// Deadline bounds the whole scenario: every viewer must be watching
-	// within Deadline of event start. Default 4m.
-	Deadline time.Duration
 }
 
 func (c *FaultFlashConfig) fill() {
@@ -77,55 +40,44 @@ func (c *FaultFlashConfig) fill() {
 	if c.Spread <= 0 {
 		c.Spread = 20 * time.Second
 	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.ServiceMS <= 0 {
-		c.ServiceMS = 8
-	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 2
-	}
 	if c.ChannelMgrFarm <= 0 {
 		c.ChannelMgrFarm = 2
 	}
-	if c.LinkLoss == 0 {
-		c.LinkLoss = 0.02
-	}
-	if c.DegradedShare == 0 {
-		c.DegradedShare = 0.10
-	}
-	if c.DegradedLoss == 0 {
-		c.DegradedLoss = 0.15
-	}
-	if c.CrashAt <= 0 {
-		c.CrashAt = 10 * time.Second
-	}
-	if c.CrashFor <= 0 {
-		c.CrashFor = 15 * time.Second
-	}
-	if c.CMCrashAt <= 0 {
-		c.CMCrashAt = 15 * time.Second
-	}
-	if c.CMCrashFor <= 0 {
-		c.CMCrashFor = 10 * time.Second
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.15
-	}
-	if c.PartitionAt <= 0 {
-		c.PartitionAt = 5 * time.Second
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 10 * time.Second
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 3 * time.Second
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 4 * time.Minute
-	}
 }
+
+// The fault schedule. Everything keys off the deterministic scheduler:
+// the same seed replays the same outages against the same arrivals.
+const (
+	// Per-backend capacity (same roles as FlashConfig) and the §VI User
+	// Manager farm size.
+	faultWorkers     = 2
+	faultServiceMS   = 8
+	faultUserMgrFarm = 2
+
+	// faultLinkLoss is the loss probability on every link;
+	// faultDegradedShare of viewers get faultDegradedLoss on their
+	// infrastructure links instead (a bad last mile).
+	faultLinkLoss      = 0.02
+	faultDegradedShare = 0.10
+	faultDegradedLoss  = 0.15
+	// The whole User Manager farm goes down faultCrashAt after event
+	// start and restarts faultCrashFor later. The VIP black-holes for the
+	// window — the paper's managers are what must be survivable.
+	faultCrashAt  = 10 * time.Second
+	faultCrashFor = 15 * time.Second
+	// One Channel Manager backend crashes and restarts; its VIP
+	// health-checks around it, in-flight requests are lost.
+	faultCMCrashAt  = 15 * time.Second
+	faultCMCrashFor = 10 * time.Second
+	// faultPartitionShare of viewers lose their link to the Channel
+	// Manager VIP at faultPartitionAt, healed faultPartitionFor later.
+	faultPartitionShare = 0.15
+	faultPartitionAt    = 5 * time.Second
+	faultPartitionFor   = 10 * time.Second
+	// faultDeadline bounds the whole scenario: every viewer must be
+	// watching within it of event start.
+	faultDeadline = 4 * time.Minute
+)
 
 // FaultFlashResult reports the outcome and how recovery was distributed
 // across the resilience layers.
@@ -144,20 +96,10 @@ type FaultFlashResult struct {
 	TransportRetries int64 // attempts beyond each call's first
 	BreakerOpens     int64 // circuit-open transitions across all clients
 	BreakerRejects   int64 // calls rejected fast by an open circuit
-	Calls            map[string]svc.CallStats
 
-	// Net is the network's message counters with the drop breakdown
-	// (why messages died: severed links vs. loss draws).
-	Net simnet.NetStats
-	// Phases are the fault timeline's endpoint deltas: ramp → partition
-	// → um-outage → cm-crash → healed.
-	Phases []Phase
-	// Endpoints is the final server-side snapshot across the deployment.
-	Endpoints map[string]svc.Metrics
-	// Trace is the protocol-round span ring shared by every client.
-	Trace *obs.Trace
-	// Series is the 5-second system time series over the scenario.
-	Series *obs.Series
+	// Phases (in Artifacts) are the fault timeline's endpoint deltas:
+	// ramp → partition → um-outage → cm-crash → healed.
+	Artifacts
 }
 
 // Fingerprint digests every counter and latency into one line. Two runs
@@ -189,175 +131,104 @@ func sortedCallNames(m map[string]svc.CallStats) []string {
 	return names
 }
 
+// impatientClient is the player tuning of the fault scenarios: a short
+// per-attempt deadline and a quick breaker, so transport retries and
+// breaker recovery fit inside one session.
+func impatientClient(cc *client.Config) {
+	cc.RPCTimeout = 3 * time.Second
+	cc.RPCAttempts = 3
+	cc.BreakerThreshold = 3
+	cc.BreakerCooldown = 4 * time.Second
+}
+
 // RunFaultFlash runs the faulty flash crowd.
 func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 	cfg.fill()
-	// One span ring shared by every client and every service runtime.
-	// Span IDs are pure hashes and the trace envelope perturbs no
-	// timing or RNG draw, so arming it leaves the fingerprint intact.
-	trace := obs.NewTrace(8192)
-	sys, err := core.NewSystem(core.Options{
-		Trace:          trace,
-		Seed:           cfg.Seed,
-		UserMgrFarm:    cfg.UserMgrFarm,
+	r, err := newRun(cfg.Seed, core.Options{
+		UserMgrFarm:    faultUserMgrFarm,
 		Partitions:     []string{"live"},
 		ChannelMgrFarm: cfg.ChannelMgrFarm,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+3, cfg.ServiceMS),
+			Workers: faultWorkers, ServiceTime: expService(cfg.Seed+3, faultServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+4, cfg.ServiceMS),
+			Workers: faultWorkers, ServiceTime: expService(cfg.Seed+4, faultServiceMS),
 		},
 		PacketInterval: 24 * 365 * time.Hour, // protocol-only, as in RunWeek
-		PacketLoss:     cfg.LinkLoss,
-	})
+		PacketLoss:     faultLinkLoss,
+	}, faultDeadline, drain)
 	if err != nil {
 		return nil, err
 	}
-	start := sys.Sched.Now()
-	deadline := start.Add(cfg.Deadline)
+	sys, start := r.sys, r.start
 	if err := sys.DeployChannel(core.FreeToView("live-event", "Live Event", "100")); err != nil {
 		return nil, err
-	}
-	for i := 0; i < cfg.Viewers; i++ {
-		if _, err := sys.RegisterUser(fmt.Sprintf("v%05d@e", i), "pw"); err != nil {
-			return nil, err
-		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	offsets := workload.FlashCrowd(rng, cfg.Viewers, cfg.Spread)
-	degraded := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.DegradedShare))
-	partitioned := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.PartitionShare))
-
-	addrs := make([]simnet.Addr, cfg.Viewers)
-	for i := range addrs {
-		addrs[i] = geo.Addr(100, 1+i%40, i+1)
-	}
-
-	// Fault schedule. Everything keys off the deterministic scheduler:
-	// the same seed replays the same outages against the same arrivals.
+	degraded := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*faultDegradedShare))
 	infra := append(sys.InfraAddrs(), core.AddrChannelRoot("live-event"))
 	for _, i := range degraded {
 		for _, dst := range infra {
-			sys.Net.SetLinkLoss(addrs[i], dst, cfg.DegradedLoss)
+			sys.Net.SetLinkLoss(viewerAddr(i), dst, faultDegradedLoss)
 		}
 	}
-	var partAddrs []simnet.Addr
-	for _, i := range partitioned {
-		partAddrs = append(partAddrs, addrs[i])
-	}
-	cmVIP := core.AddrChannelMgr("live")
-	sys.Net.SchedulePartition(partAddrs, []simnet.Addr{cmVIP}, start.Add(cfg.PartitionAt), cfg.PartitionFor)
+	res := &FaultFlashResult{Viewers: cfg.Viewers, Degraded: len(degraded)}
+	res.Partitioned = r.partition(rng, cfg.Viewers, faultPartitionShare,
+		core.AddrChannelMgr("live"), start.Add(faultPartitionAt), faultPartitionFor)
 	for _, b := range sys.UserMgrBackends() {
-		sys.Net.ScheduleDown(b, start.Add(cfg.CrashAt), cfg.CrashFor)
+		sys.Net.ScheduleDown(b, start.Add(faultCrashAt), faultCrashFor)
 	}
 	if cmb := sys.ChannelMgrBackends(); len(cmb) > 0 {
-		sys.Net.ScheduleDown(cmb[0], start.Add(cfg.CMCrashAt), cfg.CMCrashFor)
+		sys.Net.ScheduleDown(cmb[0], start.Add(faultCMCrashAt), faultCMCrashFor)
 	}
-
-	// Observability: a per-phase endpoint recorder keyed to the fault
-	// timeline and a 5-second system sampler. Both ride scheduled events
-	// and atomics — the run's byte-determinism (and the fault-free
-	// golden fingerprints) are unaffected.
-	phases := RecordPhases(sys, []PhaseBoundary{
+	r.observe([]PhaseBoundary{
 		{Name: "ramp", At: start},
-		{Name: "partition", At: start.Add(cfg.PartitionAt)},
-		{Name: "um-outage", At: start.Add(cfg.CrashAt)},
-		{Name: "cm-crash", At: start.Add(cfg.CMCrashAt)},
-		{Name: "healed", At: start.Add(cfg.CrashAt + cfg.CrashFor)},
+		{Name: "partition", At: start.Add(faultPartitionAt)},
+		{Name: "um-outage", At: start.Add(faultCrashAt)},
+		{Name: "cm-crash", At: start.Add(faultCMCrashAt)},
+		{Name: "healed", At: start.Add(faultCrashAt + faultCrashFor)},
 	})
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
 
 	var mu sync.Mutex
 	var lats []time.Duration // arrival → watching
-	var lastDone time.Duration
-	watching := 0
-	var sessionRetries int64
-	clients := make([]*client.Client, cfg.Viewers)
+	hooks := sessionHooks{
+		watching: func(elapsed time.Duration) {
+			mu.Lock()
+			res.Watching++
+			lats = append(lats, elapsed)
+			if done := sys.Sched.Now().Sub(start); done > res.AllWatchingIn {
+				res.AllWatchingIn = done
+			}
+			mu.Unlock()
+		},
+		retried: func() {
+			mu.Lock()
+			res.SessionRetries++
+			mu.Unlock()
+		},
+	}
 	for i := 0; i < cfg.Viewers; i++ {
-		i := i
-		email := fmt.Sprintf("v%05d@e", i)
-		c, err := sys.NewClient(email, "pw", addrs[i], func(cc *client.Config) {
-			cc.RPCTimeout = cfg.RPCTimeout
-			cc.RPCAttempts = 3
-			cc.BreakerThreshold = 3
-			cc.BreakerCooldown = 4 * time.Second
-			cc.Trace = trace
-			cc.TraceID = obs.TraceIDFor(cfg.Seed, email)
-		})
+		c, err := r.viewer(fmt.Sprintf("v%05d@e", i), impatientClient)
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(offsets[i])
-			t0 := sys.Sched.Now()
-			// Session loop: the layer a real player provides — if the
-			// whole login+watch session fails (manager outage outlasting
-			// the transport budget), back off and start over until the
-			// event deadline.
-			backoff := 2 * time.Second
-			for {
-				err := c.Login()
-				if err == nil {
-					err = c.Watch("live-event")
-				}
-				if err == nil {
-					mu.Lock()
-					watching++
-					lats = append(lats, sys.Sched.Now().Sub(t0))
-					if done := sys.Sched.Now().Sub(start); done > lastDone {
-						lastDone = done
-					}
-					mu.Unlock()
-					return
-				}
-				if !sys.Sched.Now().Before(deadline) {
-					return
-				}
-				mu.Lock()
-				sessionRetries++
-				mu.Unlock()
-				sys.Sched.Sleep(backoff + time.Duration(sys.Sched.Float64()*float64(time.Second)))
-				if backoff *= 2; backoff > 15*time.Second {
-					backoff = 15 * time.Second
-				}
-			}
-		})
+		r.session(c, offsets[i], "live-event", hooks)
 	}
-	sys.Sched.RunUntil(deadline.Add(30 * time.Second))
-	sys.StopAll()
+	res.Artifacts = r.finish()
 
-	res := &FaultFlashResult{
-		Viewers:        cfg.Viewers,
-		Watching:       watching,
-		Degraded:       len(degraded),
-		Partitioned:    len(partitioned),
-		AllWatchingIn:  lastDone,
-		Median:         feedback.Median(lats),
-		P95:            feedback.Quantile(lats, 0.95),
-		Max:            feedback.Quantile(lats, 1.0),
-		SessionRetries: sessionRetries,
-		Calls:          make(map[string]svc.CallStats),
-	}
-	for _, c := range clients {
+	res.Median = feedback.Median(lats)
+	res.P95 = feedback.Quantile(lats, 0.95)
+	res.Max = feedback.Quantile(lats, 1.0)
+	for _, c := range r.clients {
 		st := c.Stats()
 		res.ProtocolRestarts += st.Restarts
 		res.TransportRetries += st.Retries
 		res.BreakerOpens += st.BreakerOpens
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
-			res.BreakerRejects += cs.BreakerRejects
-		}
 	}
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
-	res.Trace = trace
-	res.Series = sampler.Series()
+	for _, cs := range res.Calls {
+		res.BreakerRejects += cs.BreakerRejects
+	}
 	return res, nil
 }

@@ -24,24 +24,23 @@ import (
 // (per-client license state pins it to one stateful server) while the
 // paper's stateless managers farm out and the P2P overlay absorbs joins.
 type FlashConfig struct {
-	Seed    int64
-	Viewers int // single-point runs
-	Spread  time.Duration
+	Seed   int64
+	Spread time.Duration
 	// Per-backend capacity.
 	Workers   int
 	ServiceMS float64
-	// Farms for the DRM side (defaults mirror §VI: 2 UM, 2×2 CM).
-	UserMgrFarm    int
-	ChannelMgrFarm int
-	// Parallelism bounds concurrent sweep points in RunFlashSweep
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Parallelism int
 }
 
+const (
+	// flashFarm is the DRM side's farm size, for the User Managers and
+	// for the live event's Channel Manager partition alike.
+	flashFarm = 4
+	// flashLength is the DRM side's hard end; the crowd lands in the
+	// first minute.
+	flashLength = 30 * time.Minute
+)
+
 func (c *FlashConfig) fill() {
-	if c.Viewers <= 0 {
-		c.Viewers = 300
-	}
 	if c.Spread <= 0 {
 		c.Spread = 10 * time.Second
 	}
@@ -50,12 +49,6 @@ func (c *FlashConfig) fill() {
 	}
 	if c.ServiceMS <= 0 {
 		c.ServiceMS = 10
-	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 4
-	}
-	if c.ChannelMgrFarm <= 0 {
-		c.ChannelMgrFarm = 4
 	}
 }
 
@@ -79,37 +72,20 @@ type FlashResult struct {
 	DRM     SideResult // end-to-end login+switch+join, stateless farms + P2P
 }
 
-// RunFlashCrowd runs both designs under identical correlated arrivals.
-func RunFlashCrowd(cfg FlashConfig) (*FlashResult, error) {
-	cfg.fill()
-	out := &FlashResult{Viewers: cfg.Viewers}
-	tr, err := runTradFlash(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.Trad = tr
-	dr, err := runDRMFlash(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.DRM = dr
-	return out, nil
-}
-
-// RunFlashSweep reruns the comparison at growing viewer counts — the
-// series behind the paper's peak-load-provisioning argument: the central
-// server's tail latency grows with the crowd, the distributed design's
-// does not.
+// RunFlashSweep runs both designs under identical correlated arrivals at
+// growing viewer counts — the series behind the paper's
+// peak-load-provisioning argument: the central server's tail latency
+// grows with the crowd, the distributed design's does not.
 func RunFlashSweep(cfg FlashConfig, viewerCounts []int) ([]FlashResult, error) {
 	cfg.fill()
-	return runPoints(len(viewerCounts), cfg.Parallelism, func(i int) (FlashResult, error) {
-		c := cfg
-		c.Viewers = viewerCounts[i]
-		res, err := RunFlashCrowd(c)
-		if err != nil {
-			return FlashResult{}, err
+	return runPoints(len(viewerCounts), func(i int) (FlashResult, error) {
+		out := FlashResult{Viewers: viewerCounts[i]}
+		var err error
+		if out.Trad, err = runTradFlash(cfg, out.Viewers); err != nil {
+			return out, err
 		}
-		return *res, nil
+		out.DRM, err = runDRMFlash(cfg, out.Viewers)
+		return out, err
 	})
 }
 
@@ -134,7 +110,7 @@ func expService(seed int64, meanMS float64) func() time.Duration {
 	}
 }
 
-func runTradFlash(cfg FlashConfig) (SideResult, error) {
+func runTradFlash(cfg FlashConfig, viewers int) (SideResult, error) {
 	start := time.Date(2008, 6, 23, 20, 0, 0, 0, time.UTC)
 	s := sim.New(start, cfg.Seed)
 	net := simnet.New(s, simnet.WithLatency(geo.LatencyModel(15*time.Millisecond, 60*time.Millisecond, 20*time.Millisecond)))
@@ -146,15 +122,15 @@ func runTradFlash(cfg FlashConfig) (SideResult, error) {
 		return SideResult{}, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	offsets := workload.FlashCrowd(rng, cfg.Viewers, cfg.Spread)
+	offsets := workload.FlashCrowd(rng, viewers, cfg.Spread)
 
 	var mu sync.Mutex
 	var lats []time.Duration
 	var lastDone time.Duration
 	failures := 0
-	for i := 0; i < cfg.Viewers; i++ {
+	for i := 0; i < viewers; i++ {
 		i := i
-		node := net.NewNode(geo.Addr(100, 1+i%40, i+1))
+		node := net.NewNode(viewerAddr(i))
 		s.Go(func() {
 			s.Sleep(offsets[i])
 			lat, err := trad.RequestLicense(node, "license.provider", uint64(i+1), "live-event", 10*time.Minute)
@@ -177,16 +153,15 @@ func runTradFlash(cfg FlashConfig) (SideResult, error) {
 	return r, nil
 }
 
-func runDRMFlash(cfg FlashConfig) (SideResult, error) {
+func runDRMFlash(cfg FlashConfig, viewers int) (SideResult, error) {
 	// §V extreme case: the popular live event gets a partition of its
 	// own served by a Channel Manager farm; the User Manager farm scales
 	// the same way. This horizontal provisioning is exactly what the
 	// baseline's per-client license state rules out.
-	sys, err := core.NewSystem(core.Options{
-		Seed:           cfg.Seed,
-		UserMgrFarm:    cfg.UserMgrFarm,
+	r, err := newRun(cfg.Seed, core.Options{
+		UserMgrFarm:    flashFarm,
 		Partitions:     []string{"live"},
-		ChannelMgrFarm: cfg.ChannelMgrFarm,
+		ChannelMgrFarm: flashFarm,
 		UserMgrCapacity: core.CapacityModel{
 			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+3, cfg.ServiceMS),
 		},
@@ -194,61 +169,46 @@ func runDRMFlash(cfg FlashConfig) (SideResult, error) {
 			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+4, cfg.ServiceMS),
 		},
 		PacketInterval: 24 * 365 * time.Hour, // protocol-only, as in RunWeek
-	})
+	}, flashLength, 0)
 	if err != nil {
 		return SideResult{}, err
 	}
-	start := sys.Sched.Now()
-	end := start.Add(30 * time.Minute)
+	sys := r.sys
 	if err := sys.DeployChannel(core.FreeToView("live-event", "Live Event", "100")); err != nil {
 		return SideResult{}, err
 	}
-	for i := 0; i < cfg.Viewers; i++ {
-		if _, err := sys.RegisterUser(fmt.Sprintf("v%05d@e", i), "pw"); err != nil {
-			return SideResult{}, err
-		}
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	offsets := workload.FlashCrowd(rng, cfg.Viewers, cfg.Spread)
+	offsets := workload.FlashCrowd(rng, viewers, cfg.Spread)
 
 	var mu sync.Mutex
 	var lats []time.Duration // end-to-end: arrival → watching
 	var lastDone time.Duration
 	failures := 0
-	for i := 0; i < cfg.Viewers; i++ {
-		i := i
-		email := fmt.Sprintf("v%05d@e", i)
-		addr := geo.Addr(100, 1+i%40, i+1)
-		c, err := sys.NewClient(email, "pw", addr, nil)
-		if err != nil {
-			return SideResult{}, err
-		}
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(offsets[i])
-			t0 := sys.Sched.Now()
-			if err := c.Login(); err != nil {
-				mu.Lock()
-				failures++
-				mu.Unlock()
-				return
-			}
-			if err := c.Watch("live-event"); err != nil {
-				mu.Lock()
-				failures++
-				mu.Unlock()
-				return
-			}
+	hooks := sessionHooks{
+		watching: func(elapsed time.Duration) {
 			mu.Lock()
-			lats = append(lats, sys.Sched.Now().Sub(t0))
-			if done := sys.Sched.Now().Sub(start); done > lastDone {
+			lats = append(lats, elapsed)
+			if done := sys.Sched.Now().Sub(r.start); done > lastDone {
 				lastDone = done
 			}
 			mu.Unlock()
-		})
+		},
+		failed: func(error) bool {
+			mu.Lock()
+			failures++
+			mu.Unlock()
+			return true // a flash viewer tries once
+		},
 	}
-	sys.Sched.RunUntil(end)
-	sys.StopAll()
-	r := summarize(lats, lastDone, failures, sys.ManagerQueueHighWater())
-	r.Endpoints = sys.EndpointTotals()
-	return r, nil
+	for i := 0; i < viewers; i++ {
+		c, err := r.viewer(fmt.Sprintf("v%05d@e", i), nil)
+		if err != nil {
+			return SideResult{}, err
+		}
+		r.session(c, offsets[i], "live-event", hooks)
+	}
+	art := r.finish()
+	res := summarize(lats, lastDone, failures, sys.ManagerQueueHighWater())
+	res.Endpoints = art.Endpoints
+	return res, nil
 }

@@ -1,0 +1,82 @@
+package exp
+
+import (
+	"testing"
+	"time"
+
+	"p2pdrm/internal/core"
+)
+
+// TestSessionLoop drives the one session loop on a tiny deployment. The
+// failing cases watch a channel that was never deployed: every login
+// succeeds, every watch is refused.
+func TestSessionLoop(t *testing.T) {
+	const deadline = 40 * time.Second
+	for _, tc := range []struct {
+		name    string
+		channel string
+		final   bool // what the failed hook answers
+		// Expected hook counts; toDeadline replaces the failed/retried
+		// counts with the retry-until-deadline checks.
+		watching, failed int
+		toDeadline       bool
+	}{
+		{name: "success stops at playback", channel: "live", watching: 1},
+		{name: "final failure stops at once", channel: "nope", final: true, failed: 1},
+		{name: "failures retry to the deadline", channel: "nope", toDeadline: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := newRun(3, core.Options{PacketInterval: 24 * 365 * time.Hour}, deadline, drain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.sys.DeployChannel(core.FreeToView("live", "Live", "100")); err != nil {
+				t.Fatal(err)
+			}
+			c, err := r.viewer("v@e", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var loggedIn, watching, failed, retried int
+			var lastFail time.Time
+			r.session(c, time.Second, tc.channel, sessionHooks{
+				loggedIn: func(elapsed time.Duration) {
+					loggedIn++
+					if elapsed <= 0 {
+						t.Errorf("login took %v from arrival", elapsed)
+					}
+				},
+				watching: func(time.Duration) { watching++ },
+				failed: func(err error) bool {
+					failed++
+					lastFail = r.sys.Sched.Now()
+					return tc.final
+				},
+				retried: func() { retried++ },
+			})
+			art := r.finish()
+			if tc.toDeadline {
+				// One retry per backoff, the attempt that crosses the
+				// deadline is the last: 2+4+8+15+15 s of backoff (plus
+				// jitter) cross 40 s on the fifth or sixth attempt.
+				if retried == 0 || failed != retried+1 {
+					t.Errorf("failed %d times, retried %d: want one retry per failure but the last", failed, retried)
+				}
+				if lastFail.Before(r.deadline) {
+					t.Errorf("gave up at %v, before the deadline %v", lastFail, r.deadline)
+				}
+				if failed < 5 || failed > 6 {
+					t.Errorf("%d attempts inside a %v deadline: backoff is not 2s doubling to 15s", failed, deadline)
+				}
+			} else if failed != tc.failed || retried != 0 {
+				t.Errorf("failed %d (want %d), retried %d (want 0)", failed, tc.failed, retried)
+			}
+			if loggedIn != 1 || watching != tc.watching {
+				t.Errorf("loggedIn %d (want 1, however many logins), watching %d (want %d)", loggedIn, watching, tc.watching)
+			}
+			if art.Calls["drm.login2"].Attempts == 0 || art.Trace.Len() == 0 {
+				t.Error("the viewer's calls and spans did not reach the bundle")
+			}
+		})
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
-	"p2pdrm/internal/geo"
 	"p2pdrm/internal/obs"
 	"p2pdrm/internal/sim"
 )
@@ -35,18 +34,6 @@ type MegaConfig struct {
 	// RenewEvery is the per-viewer license renewal period (default 5 min).
 	// Renewals are phase-jittered uniformly so load is flat, not bursty.
 	RenewEvery time.Duration
-	// EvictAfter is the silent-viewer eviction deadline re-armed by every
-	// renewal (default 2.5 × RenewEvery). A renewal cancels the previous
-	// sentinel — the dominant Timer.Stop workload at scale.
-	EvictAfter time.Duration
-	// ChurnFrac is the per-renewal probability that the viewer departs
-	// silently; its sentinel then fires and a replacement joins with a
-	// fresh phase (default 0.02).
-	ChurnFrac float64
-	// RekeyInterval / PacketInterval drive the real overlay (defaults
-	// 1 min / 2 s).
-	RekeyInterval  time.Duration
-	PacketInterval time.Duration
 	// SampleEvery is the metrics cadence (default 1 min).
 	SampleEvery time.Duration
 	// MetricsCSV / MetricsJSONL, when set, receive the metric rows as a
@@ -73,18 +60,6 @@ func (c *MegaConfig) fill() {
 	}
 	if c.RenewEvery <= 0 {
 		c.RenewEvery = 5 * time.Minute
-	}
-	if c.EvictAfter <= 0 {
-		c.EvictAfter = 2*c.RenewEvery + c.RenewEvery/2
-	}
-	if c.ChurnFrac <= 0 {
-		c.ChurnFrac = 0.02
-	}
-	if c.RekeyInterval <= 0 {
-		c.RekeyInterval = time.Minute
-	}
-	if c.PacketInterval <= 0 {
-		c.PacketInterval = 2 * time.Second
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = time.Minute
@@ -144,8 +119,8 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	sys, err := core.NewSystem(core.Options{
 		Scheduler:       eng.Ctrl(),
 		Seed:            cfg.Seed,
-		RekeyInterval:   cfg.RekeyInterval,
-		PacketInterval:  cfg.PacketInterval,
+		RekeyInterval:   time.Minute,
+		PacketInterval:  2 * time.Second,
 		RootRegion:      100,
 		RootMaxChildren: 4, // deep tree: keys relay through viewers
 	})
@@ -163,7 +138,7 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 		if _, err := sys.RegisterUser(email, "pw"); err != nil {
 			return nil, err
 		}
-		c, err := sys.NewClient(email, "pw", geo.Addr(100, 1+i%40, i+1), func(cc *client.Config) {
+		c, err := sys.NewClient(email, "pw", viewerAddr(i), func(cc *client.Config) {
 			cc.OnFrame = func(uint64, []byte) {
 				mu.Lock()
 				frames++
@@ -189,7 +164,7 @@ func RunMegaScale(cfg MegaConfig) (*MegaResult, error) {
 	// control span.
 	eng.Run(start.Add(warm))
 
-	pops := newShardPops(eng, cfg.Viewers, cfg.Seed, cfg.RenewEvery, cfg.EvictAfter, cfg.ChurnFrac)
+	pops := newShardPops(eng, cfg.Viewers, cfg.Seed, cfg.RenewEvery)
 
 	res := &MegaResult{Viewers: cfg.Viewers, RealViewers: cfg.RealViewers}
 	sp := obs.NewSampler(cfg.SampleEvery)

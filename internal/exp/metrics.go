@@ -3,7 +3,7 @@ package exp
 // This file wires internal/obs into the experiment harness: one shared
 // system sampler (endpoint + network sources), a cross-client call
 // aggregator, a per-phase endpoint recorder for the chaos scenarios,
-// and the CSV exporters behind `drmsim -metrics` and `make metrics`.
+// and the CSV exporters behind `drmsim -metrics` (`make smoke FIG=…`).
 // Everything here reads atomics on scheduled sim events and sorts its
 // output keys, so enabling it changes no golden fingerprint.
 

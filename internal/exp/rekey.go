@@ -8,7 +8,6 @@ import (
 
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
-	"p2pdrm/internal/geo"
 )
 
 // RekeyConfig scales the §IV-E design-choice ablation: the re-key
@@ -20,9 +19,6 @@ type RekeyConfig struct {
 	Viewers   int
 	Watch     time.Duration
 	Intervals []time.Duration
-	// Parallelism bounds concurrent interval points (0 = GOMAXPROCS,
-	// 1 = sequential).
-	Parallelism int
 }
 
 func (c *RekeyConfig) fill() {
@@ -52,38 +48,33 @@ type RekeyPoint struct {
 }
 
 // RunRekeyAblation measures each interval under identical viewing load,
-// with independent points spread over cfg.Parallelism workers.
+// independent points spread over the host's CPUs.
 func RunRekeyAblation(cfg RekeyConfig) ([]RekeyPoint, error) {
 	cfg.fill()
-	return runPoints(len(cfg.Intervals), cfg.Parallelism, func(i int) (RekeyPoint, error) {
+	return runPoints(len(cfg.Intervals), func(i int) (RekeyPoint, error) {
 		return runRekeyPoint(cfg, cfg.Intervals[i])
 	})
 }
 
 func runRekeyPoint(cfg RekeyConfig, interval time.Duration) (RekeyPoint, error) {
-	sys, err := core.NewSystem(core.Options{
-		Seed:            cfg.Seed,
+	warm := time.Duration(cfg.Viewers)*time.Second + 30*time.Second
+	r, err := newRun(cfg.Seed, core.Options{
 		RekeyInterval:   interval,
 		PacketInterval:  2 * time.Second,
 		RootRegion:      100,
 		RootMaxChildren: 4, // deep tree: keys relay through viewers
-	})
+	}, warm+cfg.Watch, 0)
 	if err != nil {
 		return RekeyPoint{}, err
 	}
+	sys := r.sys
 	if err := sys.DeployChannel(core.FreeToView("live", "Live", "100")); err != nil {
 		return RekeyPoint{}, err
 	}
 	var mu sync.Mutex
 	var frames int64
-	clients := make([]*client.Client, cfg.Viewers)
 	for i := 0; i < cfg.Viewers; i++ {
-		i := i
-		email := fmt.Sprintf("rk%04d@e", i)
-		if _, err := sys.RegisterUser(email, "pw"); err != nil {
-			return RekeyPoint{}, err
-		}
-		c, err := sys.NewClient(email, "pw", geo.Addr(100, 1+i%40, i+1), func(cc *client.Config) {
+		c, err := r.viewer(fmt.Sprintf("rk%04d@e", i), func(cc *client.Config) {
 			cc.OnFrame = func(uint64, []byte) {
 				mu.Lock()
 				frames++
@@ -93,33 +84,22 @@ func runRekeyPoint(cfg RekeyConfig, interval time.Duration) (RekeyPoint, error) 
 		if err != nil {
 			return RekeyPoint{}, err
 		}
-		clients[i] = c
-		delay := time.Duration(i) * time.Second
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(delay)
-			if err := c.Login(); err != nil {
-				return
-			}
-			_ = c.Watch("live")
-		})
+		r.session(c, time.Duration(i)*time.Second, "live", sessionHooks{failed: giveUp})
 	}
-	start := sys.Sched.Now()
-	warm := time.Duration(cfg.Viewers)*time.Second + 30*time.Second
-	sys.Sched.RunUntil(start.Add(warm))
+	sys.Sched.RunUntil(r.start.Add(warm))
 
 	// Zero the counters at measurement start by snapshotting.
-	baseMsgs := overlayKeyMsgs(sys, clients)
-	baseUndec := overlayUndecryptable(sys, clients)
+	baseMsgs := overlayKeyMsgs(sys, r.clients)
+	baseUndec := overlayUndecryptable(r.clients)
 	mu.Lock()
 	baseFrames := frames
 	mu.Unlock()
 
-	sys.Sched.RunUntil(start.Add(warm + cfg.Watch))
-	sys.StopAll()
+	r.finish()
 
 	pt := RekeyPoint{Interval: interval}
-	pt.KeyMsgs = overlayKeyMsgs(sys, clients) - baseMsgs
-	pt.Undecryptable = overlayUndecryptable(sys, clients) - baseUndec
+	pt.KeyMsgs = overlayKeyMsgs(sys, r.clients) - baseMsgs
+	pt.Undecryptable = overlayUndecryptable(r.clients) - baseUndec
 	mu.Lock()
 	pt.Frames = frames - baseFrames
 	mu.Unlock()
@@ -137,7 +117,7 @@ func overlayKeyMsgs(sys *core.System, clients []*client.Client) int64 {
 	return total
 }
 
-func overlayUndecryptable(sys *core.System, clients []*client.Client) int64 {
+func overlayUndecryptable(clients []*client.Client) int64 {
 	var total int64
 	for _, c := range clients {
 		if p := c.Peer(); p != nil {

@@ -88,25 +88,6 @@ func RenderCorrelations(res *WeekResult) string {
 	return b.String()
 }
 
-// RenderFlash prints the baseline comparison.
-func RenderFlash(res *FlashResult) string {
-	var b strings.Builder
-	b.WriteString("Flash crowd at live-event start — traditional DRM vs. this design\n")
-	fmt.Fprintf(&b, "%-28s %12s %12s\n", "", "traditional", "p2p-drm")
-	row := func(name string, a, c string) {
-		fmt.Fprintf(&b, "%-28s %12s %12s\n", name, a, c)
-	}
-	row("median latency", fmtMS(res.Trad.Median), fmtMS(res.DRM.Median))
-	row("p95 latency", fmtMS(res.Trad.P95), fmtMS(res.DRM.P95))
-	row("max latency", fmtMS(res.Trad.Max), fmtMS(res.DRM.Max))
-	row("all viewers served in", fmtMS(res.Trad.AllServedIn), fmtMS(res.DRM.AllServedIn))
-	row("failures", fmt.Sprintf("%d", res.Trad.Failures), fmt.Sprintf("%d", res.DRM.Failures))
-	row("max server queue depth", fmt.Sprintf("%d", res.Trad.MaxQueue), fmt.Sprintf("%d", res.DRM.MaxQueue))
-	b.WriteString("(traditional = per-file license at playback from one central stateful server;\n")
-	b.WriteString(" p2p-drm = full login+switch+join against stateless farms with P2P delegation)\n")
-	return b.String()
-}
-
 // RenderFlashSweep prints the scaling series: baseline vs. DRM tail
 // latency as the crowd grows.
 func RenderFlashSweep(points []FlashResult) string {
@@ -195,24 +176,6 @@ func RenderEndpoints(title string, eps map[string]svc.Metrics) string {
 			name, m.Requests, m.Errors,
 			fmtMS(m.Hist.Mean()), fmtMS(m.Hist.Quantile(0.5)),
 			fmtMS(m.Hist.Quantile(0.95)), fmtMS(m.Hist.Quantile(0.99)))
-	}
-	return b.String()
-}
-
-// RenderCallTable prints client-side per-service call stats with the
-// whole-call latency distribution (what users experienced, retries and
-// backoff included).
-func RenderCallTable(title string, calls map[string]svc.CallStats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — client-side calls (whole-call latency, retries included)\n", title)
-	fmt.Fprintf(&b, "%-18s %9s %7s %6s %8s %10s %10s %10s\n",
-		"service", "attempts", "retries", "fail", "rejects", "p50", "p95", "p99")
-	for _, name := range sortedCallNames(calls) {
-		s := calls[name]
-		fmt.Fprintf(&b, "%-18s %9d %7d %6d %8d %10s %10s %10s\n",
-			name, s.Attempts, s.Retries, s.Failures, s.BreakerRejects,
-			fmtMS(s.Hist.Quantile(0.5)), fmtMS(s.Hist.Quantile(0.95)),
-			fmtMS(s.Hist.Quantile(0.99)))
 	}
 	return b.String()
 }

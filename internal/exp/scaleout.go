@@ -7,13 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
-	"p2pdrm/internal/geo"
-	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
 )
 
@@ -30,43 +26,18 @@ type ScaleOutConfig struct {
 	// phase 3 to 10× (the growth the tentpole asks for). Default 40.
 	BaseViewers int
 	// PhaseLen is the phase-1 and phase-2 window; phase 3 runs twice as
-	// long (it carries 70% of the crowd). Default 40s.
+	// long (it carries 70% of the crowd). Default 40s. The phase-1
+	// flash-crowd arrival spread is PhaseLen/4; later phases scale it
+	// with their length, so burst intensity grows with the arrival count
+	// the way a longer event ramp does.
 	PhaseLen time.Duration
-	// Spread is the phase-1 flash-crowd arrival spread; later phases
-	// scale it with their length, so burst intensity grows with the
-	// arrival count the way a longer event ramp does. Default
-	// PhaseLen/4.
-	Spread time.Duration
-	// Per-member capacity (an M/G/c queue per backend). Defaults 2
-	// workers, 80ms mean service.
-	Workers   int
-	ServiceMS float64
-	// UserMgrFarm is the starting member count. Default 2. Boundary 1
-	// adds 2 members, boundary 2 adds 3 — member count tracks arrival
-	// rate (2 → 4 → 7), which is what keeps per-member load flat.
-	UserMgrFarm int
-	// LoginHighWater arms load shedding on the login endpoints (0 uses
-	// the default 4; set negative to disable).
-	LoginHighWater int
-	// UserTicketLifetime is shortened (default 2m) so phase-1 viewers
-	// renew mid-run and exercise the stale-shard-map retry path after
-	// the reshards.
-	UserTicketLifetime time.Duration
-	// RPCTimeout is the per-attempt client deadline. Default 3s.
-	RPCTimeout time.Duration
-	// Deadline bounds the scenario: every viewer must be watching within
-	// Deadline of event start. Default 6m.
-	Deadline time.Duration
-
 	// FaultPartition overlaps the first handoff with a transient
-	// partition: PartitionShare of viewers lose their link to the first
-	// added member for PartitionFor, starting exactly at the boundary-1
-	// reshard. Accounts the new member took over are unreachable for
-	// those viewers until the heal — session retry must carry them to
-	// playback anyway. Defaults 0.30 and 15s.
+	// partition: scalePartitionShare of viewers lose their link to the
+	// first added member for scalePartitionFor, starting exactly at the
+	// boundary-1 reshard. Accounts the new member took over are
+	// unreachable for those viewers until the heal — session retry must
+	// carry them to playback anyway.
 	FaultPartition bool
-	PartitionShare float64
-	PartitionFor   time.Duration
 }
 
 func (c *ScaleOutConfig) fill() {
@@ -76,37 +47,28 @@ func (c *ScaleOutConfig) fill() {
 	if c.PhaseLen <= 0 {
 		c.PhaseLen = 40 * time.Second
 	}
-	if c.Spread <= 0 {
-		c.Spread = c.PhaseLen / 4
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.ServiceMS <= 0 {
-		c.ServiceMS = 80
-	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 2
-	}
-	if c.LoginHighWater == 0 {
-		c.LoginHighWater = 4
-	}
-	if c.UserTicketLifetime <= 0 {
-		c.UserTicketLifetime = 2 * time.Minute
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 3 * time.Second
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 6 * time.Minute
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.30
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 15 * time.Second
-	}
 }
+
+const (
+	// Per-member capacity (an M/G/c queue per backend).
+	scaleWorkers   = 2
+	scaleServiceMS = 80
+	// scaleUserMgrFarm is the starting member count. Boundary 1 adds 2
+	// members, boundary 2 adds 3 — member count tracks arrival rate
+	// (2 → 4 → 7), which is what keeps per-member load flat.
+	scaleUserMgrFarm = 2
+	// scaleLoginHighWater arms load shedding on the login endpoints.
+	scaleLoginHighWater = 4
+	// scaleUserTicketLifetime is short so phase-1 viewers renew mid-run
+	// and exercise the stale-shard-map retry path after the reshards.
+	scaleUserTicketLifetime = 2 * time.Minute
+	// scaleDeadline bounds the scenario: every viewer must be watching
+	// within it of event start.
+	scaleDeadline = 6 * time.Minute
+
+	scalePartitionShare = 0.30
+	scalePartitionFor   = 15 * time.Second
+)
 
 // ScalePhase is one growth step of the sweep with its harness-measured
 // login outcome.
@@ -149,15 +111,10 @@ type ScaleOutResult struct {
 	SessionRetries int64
 	AllWatchingIn  time.Duration
 	PhaseStats     []ScalePhase
-	Calls          map[string]svc.CallStats
 
-	Net simnet.NetStats
-	// Phases are the growth timeline's endpoint deltas (x1 → x3 → x10).
-	Phases []Phase
-	// Endpoints is the final server-side snapshot across the deployment.
-	Endpoints map[string]svc.Metrics
-	Trace     *obs.Trace
-	Series    *obs.Series
+	// Phases (in Artifacts) are the growth timeline's endpoint deltas
+	// (x1 → x3 → x10).
+	Artifacts
 }
 
 // Fingerprint digests every counter and per-phase latency into one
@@ -207,35 +164,27 @@ func (r *ScaleOutResult) P95Spread() float64 {
 // RunScaleOut runs the elastic-farm flash-crowd sweep.
 func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	cfg.fill()
-	highWater := cfg.LoginHighWater
-	if highWater < 0 {
-		highWater = 0
-	}
-	// Shared span ring, armed on every runtime (including members added
-	// mid-run by the resharding schedule) and every client. Traced logins
-	// that land on a stale shard map or a shedding member leave
-	// wrong_shard restart and shed spans threaded into their journeys.
-	trace := obs.NewTrace(8192)
-	sys, err := core.NewSystem(core.Options{
-		Trace:       trace,
-		Seed:        cfg.Seed,
-		UserMgrFarm: cfg.UserMgrFarm,
+	// The ring is armed on every runtime, including members added mid-run
+	// by the resharding schedule: traced logins that land on a stale
+	// shard map or a shedding member leave wrong_shard restart and shed
+	// spans threaded into their journeys.
+	r, err := newRun(cfg.Seed, core.Options{
+		UserMgrFarm: scaleUserMgrFarm,
 		Partitions:  []string{"live"},
 		UserMgrShard: core.ShardOptions{
 			Enabled:        true,
-			LoginHighWater: highWater,
+			LoginHighWater: scaleLoginHighWater,
 		},
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+3, cfg.ServiceMS),
+			Workers: scaleWorkers, ServiceTime: expService(cfg.Seed+3, scaleServiceMS),
 		},
-		UserTicketLifetime: cfg.UserTicketLifetime,
+		UserTicketLifetime: scaleUserTicketLifetime,
 		PacketInterval:     24 * 365 * time.Hour, // protocol-only, as in RunWeek
-	})
+	}, scaleDeadline, drain)
 	if err != nil {
 		return nil, err
 	}
-	start := sys.Sched.Now()
-	deadline := start.Add(cfg.Deadline)
+	sys, start := r.sys, r.start
 	if err := sys.DeployChannel(core.FreeToView("live-event", "Live Event", "100")); err != nil {
 		return nil, err
 	}
@@ -254,33 +203,24 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	}
 	base := cfg.BaseViewers
 	plans := []phasePlan{
-		{name: "x1", arrivals: base, start: start, length: cfg.PhaseLen, adds: 0, members: cfg.UserMgrFarm},
-		{name: "x3", arrivals: 2 * base, start: start.Add(cfg.PhaseLen), length: cfg.PhaseLen, adds: 2, members: cfg.UserMgrFarm + 2},
-		{name: "x10", arrivals: 7 * base, start: start.Add(2 * cfg.PhaseLen), length: 2 * cfg.PhaseLen, adds: 3, members: cfg.UserMgrFarm + 5},
+		{name: "x1", arrivals: base, start: start, length: cfg.PhaseLen, adds: 0, members: scaleUserMgrFarm},
+		{name: "x3", arrivals: 2 * base, start: start.Add(cfg.PhaseLen), length: cfg.PhaseLen, adds: 2, members: scaleUserMgrFarm + 2},
+		{name: "x10", arrivals: 7 * base, start: start.Add(2 * cfg.PhaseLen), length: 2 * cfg.PhaseLen, adds: 3, members: scaleUserMgrFarm + 5},
 	}
 	viewers := 0
 	for _, p := range plans {
 		viewers += p.arrivals
-	}
-	for i := 0; i < viewers; i++ {
-		if _, err := sys.RegisterUser(fmt.Sprintf("v%05d@e", i), "pw"); err != nil {
-			return nil, err
-		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	offsets := make([]time.Duration, 0, viewers)
 	phaseOf := make([]int, 0, viewers)
 	for pi, p := range plans {
-		spread := cfg.Spread * time.Duration(p.length/cfg.PhaseLen)
+		spread := cfg.PhaseLen / 4 * time.Duration(p.length/cfg.PhaseLen)
 		for _, off := range workload.FlashCrowd(rng, p.arrivals, spread) {
 			offsets = append(offsets, p.start.Sub(start)+off)
 			phaseOf = append(phaseOf, pi)
 		}
-	}
-	addrs := make([]simnet.Addr, viewers)
-	for i := range addrs {
-		addrs[i] = geo.Addr(100, 1+i%40, i+1)
 	}
 
 	// Live resharding: member adds ride scheduler events at the phase
@@ -304,25 +244,19 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	// Chaos knob: sever a viewer subset from the first added member for
 	// the handoff window. Those viewers' redirects name an owner they
 	// cannot reach; the session loop has to carry them across the heal.
-	var partitioned []int
+	partitioned := 0
 	if cfg.FaultPartition {
-		partitioned = workload.PickSubset(rng, viewers, int(float64(viewers)*cfg.PartitionShare))
-		var partAddrs []simnet.Addr
-		for _, i := range partitioned {
-			partAddrs = append(partAddrs, addrs[i])
-		}
-		firstAdded := simnet.Addr(fmt.Sprintf("um%d.provider", cfg.UserMgrFarm+1))
-		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{firstAdded}, plans[1].start, cfg.PartitionFor)
+		firstAdded := simnet.Addr(fmt.Sprintf("um%d.provider", scaleUserMgrFarm+1))
+		partitioned = r.partition(rng, viewers, scalePartitionShare, firstAdded, plans[1].start, scalePartitionFor)
 	}
 
-	// Observability: per-phase endpoint recorder on the growth timeline,
-	// shed-counter snapshots at the same boundaries, and the 5-second
-	// system sampler.
+	// Observability: the growth timeline, plus shed-counter snapshots at
+	// the same boundaries.
 	bounds := make([]PhaseBoundary, len(plans))
 	for i, p := range plans {
 		bounds[i] = PhaseBoundary{Name: p.name, At: p.start}
 	}
-	phases := RecordPhases(sys, bounds)
+	r.observe(bounds)
 	shedAt := make([]int64, len(plans))
 	for i, p := range plans {
 		i := i
@@ -333,99 +267,54 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 			sys.Sched.At(p.start, capture)
 		}
 	}
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
 
 	var mu sync.Mutex
 	loginLats := make([][]time.Duration, len(plans))
 	phaseWatch := make([]int, len(plans))
-	var lastDone time.Duration
-	watching, loggedIn := 0, 0
-	var sessionRetries int64
-	clients := make([]*client.Client, viewers)
+	res := &ScaleOutResult{Viewers: viewers, MembersStart: scaleUserMgrFarm, Partitioned: partitioned}
+	loggedIn := 0
 	for i := 0; i < viewers; i++ {
-		i := i
-		email := fmt.Sprintf("v%05d@e", i)
-		c, err := sys.NewClient(email, "pw", addrs[i], func(cc *client.Config) {
-			cc.RPCTimeout = cfg.RPCTimeout
-			cc.RPCAttempts = 3
-			cc.BreakerThreshold = 3
-			cc.BreakerCooldown = 4 * time.Second
-			cc.Trace = trace
-			cc.TraceID = obs.TraceIDFor(cfg.Seed, email)
-		})
+		pi := phaseOf[i]
+		c, err := r.viewer(fmt.Sprintf("v%05d@e", i), impatientClient)
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(offsets[i])
-			t0 := sys.Sched.Now()
-			backoff := 2 * time.Second
-			gotLogin := false
-			for {
-				err := c.Login()
-				if err == nil && !gotLogin {
-					gotLogin = true
-					mu.Lock()
-					loggedIn++
-					pi := phaseOf[i]
-					loginLats[pi] = append(loginLats[pi], sys.Sched.Now().Sub(t0))
-					mu.Unlock()
-				}
-				if err == nil {
-					err = c.Watch("live-event")
-				}
-				if err == nil {
-					mu.Lock()
-					watching++
-					phaseWatch[phaseOf[i]]++
-					if done := sys.Sched.Now().Sub(start); done > lastDone {
-						lastDone = done
-					}
-					mu.Unlock()
-					return
-				}
-				if !sys.Sched.Now().Before(deadline) {
-					return
-				}
+		r.session(c, offsets[i], "live-event", sessionHooks{
+			loggedIn: func(elapsed time.Duration) {
 				mu.Lock()
-				sessionRetries++
+				loggedIn++
+				loginLats[pi] = append(loginLats[pi], elapsed)
 				mu.Unlock()
-				sys.Sched.Sleep(backoff + time.Duration(sys.Sched.Float64()*float64(time.Second)))
-				if backoff *= 2; backoff > 15*time.Second {
-					backoff = 15 * time.Second
+			},
+			watching: func(time.Duration) {
+				mu.Lock()
+				res.Watching++
+				phaseWatch[pi]++
+				if done := sys.Sched.Now().Sub(start); done > res.AllWatchingIn {
+					res.AllWatchingIn = done
 				}
-			}
+				mu.Unlock()
+			},
+			retried: func() {
+				mu.Lock()
+				res.SessionRetries++
+				mu.Unlock()
+			},
 		})
 	}
-	sys.Sched.RunUntil(deadline.Add(30 * time.Second))
-	sys.StopAll()
+	res.Artifacts = r.finish()
 
 	farm := sys.UMShard.Stats()
-	res := &ScaleOutResult{
-		Viewers:        viewers,
-		Watching:       watching,
-		FailedLogins:   viewers - loggedIn,
-		MembersStart:   cfg.UserMgrFarm,
-		MembersEnd:     farm.Members,
-		Epoch:          farm.Epoch,
-		Handoffs:       farm.Handoffs,
-		KeysMoved:      farm.KeysMoved,
-		Partitioned:    len(partitioned),
-		AllWatchingIn:  lastDone,
-		SessionRetries: sessionRetries,
-		Calls:          make(map[string]svc.CallStats),
+	res.FailedLogins = viewers - loggedIn
+	res.MembersEnd = farm.Members
+	res.Epoch = farm.Epoch
+	res.Handoffs = farm.Handoffs
+	res.KeysMoved = farm.KeysMoved
+	for _, c := range r.clients {
+		res.ShardRetries += c.Stats().ShardRetries
 	}
-	for _, c := range clients {
-		st := c.Stats()
-		res.ShardRetries += st.ShardRetries
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
-			res.Overloads += cs.Overloads
-		}
+	for _, cs := range res.Calls {
+		res.Overloads += cs.Overloads
 	}
 	for _, m := range sys.UserMgrs {
 		st := m.Stats()
@@ -433,12 +322,7 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 		res.RateLimited += st.RateLimited
 		res.LockedOut += st.LockedOut
 	}
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
 	res.Shed = totalShed(sys)
-	res.Trace = trace
-	res.Series = sampler.Series()
 	finalShed := append(shedAt[1:], res.Shed)
 	total := 0
 	for pi, p := range plans {

@@ -43,7 +43,6 @@ type shardPop struct {
 	lane       *sim.Shard
 	renewEvery time.Duration
 	evictAfter time.Duration
-	churn      float64
 
 	renewals  int64
 	churned   int64
@@ -54,10 +53,17 @@ type shardPop struct {
 	args  []any            // preallocated boxed lane-local indices
 }
 
+// popChurnFrac is the per-renewal probability that a viewer departs
+// silently; its sentinel then fires and a replacement joins with a fresh
+// phase.
+const popChurnFrac = 0.02
+
 // newShardPops stripes n viewers over the engine's lanes (viewer v on
 // lane v mod shards) and schedules every viewer's first renewal at a
-// uniform phase drawn from its own stream.
-func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery, evictAfter time.Duration, churn float64) []*shardPop {
+// uniform phase drawn from its own stream. The silent-viewer eviction
+// deadline every renewal re-arms is 2.5 × renewEvery; re-arming cancels
+// the previous sentinel — the dominant Timer.Stop workload at scale.
+func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery time.Duration) []*shardPop {
 	shards := eng.NumShards()
 	pops := make([]*shardPop, shards)
 	for s := range pops {
@@ -68,8 +74,7 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery, evictAfter ti
 		p := &shardPop{
 			lane:       eng.Shard(s),
 			renewEvery: renewEvery,
-			evictAfter: evictAfter,
-			churn:      churn,
+			evictAfter: 2*renewEvery + renewEvery/2,
 			rng:        make([]uint64, size),
 			evict:      make([]sim.ShardTimer, size),
 			args:       make([]any, size),
@@ -94,7 +99,7 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery, evictAfter ti
 func (p *shardPop) renew(arg any) {
 	i := arg.(int)
 	p.evict[i].Stop()
-	if sm64Float(&p.rng[i]) < p.churn {
+	if sm64Float(&p.rng[i]) < popChurnFrac {
 		// Silent departure: no renewal is scheduled, so the sentinel
 		// fires at the deadline and admits a replacement.
 		p.churned++

@@ -12,9 +12,7 @@ import (
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/conform"
 	"p2pdrm/internal/core"
-	"p2pdrm/internal/geo"
 	"p2pdrm/internal/keys"
-	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
@@ -35,65 +33,37 @@ type TimeShiftConfig struct {
 	Seed int64
 	// Viewers is the audience size. Default 16.
 	Viewers int
-	// LapsedShare of viewers hold a purchase ending at LapseAfter instead
-	// of covering the whole event. Default 0.25.
-	LapsedShare float64
-	// LivePhase / SeekPhase are the phase lengths: live viewing, then
-	// uniform seeks, then Zipf seeks. Defaults 3m / 3m.
-	LivePhase time.Duration
-	SeekPhase time.Duration
-	// LapseAfter ends the lapsed viewers' purchase window. Default
-	// LivePhase + SeekPhase/2 (mid seek-uniform).
-	LapseAfter time.Duration
-	// RekeyInterval rotates content keys. Default 30s (short, so seeks
-	// cross many key iterations).
-	RekeyInterval time.Duration
-	// HistoryFrames is the root's retained-frame window. Default 600.
-	HistoryFrames int
-	// SeekEvery paces each viewer's seek loop. Default 15s.
-	SeekEvery time.Duration
-
-	// FaultPartition severs PartitionShare of viewers from the root for
-	// PartitionFor, starting at the seek-uniform boundary: their seeks
-	// and live feed fail until the heal and must recover. Defaults 0.25
-	// and 20s.
+	// FaultPartition severs shiftPartitionShare of viewers from the root
+	// for shiftPartitionFor, starting at the seek-uniform boundary: their
+	// seeks and live feed fail until the heal and must recover.
 	FaultPartition bool
-	PartitionShare float64
-	PartitionFor   time.Duration
 }
 
 func (c *TimeShiftConfig) fill() {
 	if c.Viewers <= 0 {
 		c.Viewers = 16
 	}
-	if c.LapsedShare <= 0 {
-		c.LapsedShare = 0.25
-	}
-	if c.LivePhase <= 0 {
-		c.LivePhase = 3 * time.Minute
-	}
-	if c.SeekPhase <= 0 {
-		c.SeekPhase = 3 * time.Minute
-	}
-	if c.LapseAfter <= 0 {
-		c.LapseAfter = c.LivePhase + c.SeekPhase/2
-	}
-	if c.RekeyInterval <= 0 {
-		c.RekeyInterval = 30 * time.Second
-	}
-	if c.HistoryFrames <= 0 {
-		c.HistoryFrames = 600
-	}
-	if c.SeekEvery <= 0 {
-		c.SeekEvery = 15 * time.Second
-	}
-	if c.PartitionShare == 0 {
-		c.PartitionShare = 0.25
-	}
-	if c.PartitionFor <= 0 {
-		c.PartitionFor = 20 * time.Second
-	}
 }
+
+const (
+	// shiftLapsedShare of viewers hold a purchase ending at shiftLapseAfter
+	// (mid seek-uniform) instead of covering the whole event.
+	shiftLapsedShare = 0.25
+	// The phase lengths: live viewing, then uniform seeks, then Zipf
+	// seeks (the last two shiftSeekPhase each).
+	shiftLivePhase  = 3 * time.Minute
+	shiftSeekPhase  = 3 * time.Minute
+	shiftLapseAfter = shiftLivePhase + shiftSeekPhase/2
+	// shiftRekeyInterval is short, so seeks cross many key iterations.
+	shiftRekeyInterval = 30 * time.Second
+	// shiftHistoryFrames is the root's retained-frame window.
+	shiftHistoryFrames = 600
+	// shiftSeekEvery paces each viewer's seek loop.
+	shiftSeekEvery = 15 * time.Second
+
+	shiftPartitionShare = 0.25
+	shiftPartitionFor   = 20 * time.Second
+)
 
 // SeekDepthBucket aggregates seek outcomes at one depth, measured in
 // rekey intervals behind the viewer's playhead: within the ring window
@@ -125,12 +95,7 @@ type TimeShiftResult struct {
 	Ring    keys.RingStats // aggregated over all viewers' rings
 	Conform *conform.Report
 
-	Net       simnet.NetStats
-	Phases    []Phase
-	Endpoints map[string]svc.Metrics
-	Calls     map[string]svc.CallStats
-	Trace     *obs.Trace
-	Series    *obs.Series
+	Artifacts
 }
 
 // Fingerprint digests every counter into one line; two runs with the
@@ -173,25 +138,23 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	// receiving until expiry + p2p ExpiryGrace (10s default) + one
 	// delivery round, and only then is severed (§IV-D).
 	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
-	var sys *core.System
-	sys, err := core.NewSystem(core.Options{
-		Seed:            cfg.Seed,
+	var r *run
+	r, err := newRun(cfg.Seed, core.Options{
 		Partitions:      []string{"live"},
-		RekeyInterval:   cfg.RekeyInterval,
+		RekeyInterval:   shiftRekeyInterval,
 		PacketInterval:  time.Second,
 		RootRegion:      100,
 		RootMaxChildren: 2 * cfg.Viewers, // every viewer can sit at the root
-		HistoryWindow:   cfg.HistoryFrames,
+		HistoryWindow:   shiftHistoryFrames,
 		OnRekey: func(_ string, serial keys.Serial) {
-			oracle.RecordRekey(serial, sys.Sched.Now())
+			oracle.RecordRekey(serial, r.sys.Sched.Now())
 		},
-	})
+	}, shiftLivePhase+2*shiftSeekPhase, drain)
 	if err != nil {
 		return nil, err
 	}
-	start := sys.Sched.Now()
-	lapseEnd := start.Add(cfg.LapseAfter)
-	deadline := start.Add(cfg.LivePhase + 2*cfg.SeekPhase)
+	sys, start, deadline := r.sys, r.start, r.deadline
+	lapseEnd := start.Add(shiftLapseAfter)
 	eventEnd := deadline.Add(10 * time.Minute)
 
 	if err := sys.DeployChannel(core.PPVChannel("ppv", "PPV Event", "evt", start, eventEnd, "100")); err != nil {
@@ -199,75 +162,42 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	}
 	rootAddr := sys.Servers["ppv"].Addr()
 
-	lapsed := int(float64(cfg.Viewers) * cfg.LapsedShare)
-	names := make([]string, cfg.Viewers)
-	for i := 0; i < cfg.Viewers; i++ {
-		names[i] = fmt.Sprintf("ts%03d@e", i)
-		if _, err := sys.RegisterUser(names[i], "pw"); err != nil {
-			return nil, err
-		}
-		end := eventEnd
-		if i < lapsed {
-			end = lapseEnd
-		}
-		if err := sys.PurchasePPV(names[i], "evt", start, end); err != nil {
-			return nil, err
-		}
-		oracle.AddRight(names[i], start, end)
-	}
-
+	lapsed := int(float64(cfg.Viewers) * shiftLapsedShare)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	offsets := workload.FlashCrowd(rng, cfg.Viewers, 30*time.Second)
-	addrs := make([]simnet.Addr, cfg.Viewers)
-	for i := range addrs {
-		addrs[i] = geo.Addr(100, 1+i%40, i+1)
-	}
 
 	// Chaos knob: sever a viewer subset from the root across the
 	// live→seek boundary. Their live feed stalls and their seeks fail at
 	// the transport until the heal; session recovery must carry them.
-	var partitioned []int
+	partitioned := 0
 	if cfg.FaultPartition {
-		partitioned = workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*cfg.PartitionShare))
-		var partAddrs []simnet.Addr
-		for _, i := range partitioned {
-			partAddrs = append(partAddrs, addrs[i])
-		}
-		sys.Net.SchedulePartition(partAddrs, []simnet.Addr{rootAddr}, start.Add(cfg.LivePhase), cfg.PartitionFor)
+		partitioned = r.partition(rng, cfg.Viewers, shiftPartitionShare, rootAddr,
+			start.Add(shiftLivePhase), shiftPartitionFor)
 	}
-
-	trace := obs.NewTrace(8192)
-	bounds := []PhaseBoundary{
+	r.observe([]PhaseBoundary{
 		{Name: "live", At: start},
-		{Name: "seek-uniform", At: start.Add(cfg.LivePhase)},
-		{Name: "seek-zipf", At: start.Add(cfg.LivePhase + cfg.SeekPhase)},
-	}
-	phases := RecordPhases(sys, bounds)
-	sampler := NewSystemSampler(sys, 5*time.Second)
-	sampler.Run(sys.Sched, deadline)
+		{Name: "seek-uniform", At: start.Add(shiftLivePhase)},
+		{Name: "seek-zipf", At: start.Add(shiftLivePhase + shiftSeekPhase)},
+	})
 
 	var mu sync.Mutex
-	var frames int64
 	lastSeq := make([]uint64, cfg.Viewers)
 	res := &TimeShiftResult{
 		Viewers:     cfg.Viewers,
 		Lapsed:      lapsed,
-		Partitioned: len(partitioned),
+		Partitioned: partitioned,
 		SeekRejects: make(map[string]int64),
-		Calls:       make(map[string]svc.CallStats),
 	}
 	buckets := make(map[int]*SeekDepthBucket)
 
 	totalFrames := uint64(deadline.Sub(start) / time.Second)
-	clients := make([]*client.Client, cfg.Viewers)
 	for i := 0; i < cfg.Viewers; i++ {
 		i := i
-		name := names[i]
-		c, err := sys.NewClient(name, "pw", addrs[i], func(cc *client.Config) {
-			cc.Trace = trace
+		name := fmt.Sprintf("ts%03d@e", i)
+		c, err := r.viewer(name, func(cc *client.Config) {
 			cc.OnFrame = func(seq uint64, _ []byte) {
 				mu.Lock()
-				frames++
+				res.Frames++
 				if seq > lastSeq[i] {
 					lastSeq[i] = seq
 				}
@@ -280,41 +210,27 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
+		end := eventEnd
+		if i < lapsed {
+			end = lapseEnd
+		}
+		if err := sys.PurchasePPV(name, "evt", start, end); err != nil {
+			return nil, err
+		}
+		oracle.AddRight(name, start, end)
 
-		// Session loop: arrive, log in, watch; exit on a typed policy
-		// denial (rights gone — expected for lapsed viewers).
-		sys.Sched.Go(func() {
-			sys.Sched.Sleep(offsets[i])
-			backoff := 2 * time.Second
-			for {
-				err := c.Login()
-				if err == nil {
-					err = c.Watch("ppv")
-				}
-				if err == nil {
-					mu.Lock()
-					exp := time.Time{}
-					if ct := c.ChannelTicket(); ct != nil {
-						exp = ct.Expiry
-					}
-					mu.Unlock()
-					oracle.RecordAdmit(name, sys.Sched.Now(), exp)
-					return
-				}
+		// Session: arrive, log in, watch; exit on a typed policy denial
+		// (rights gone — expected for lapsed viewers).
+		r.session(c, offsets[i], "ppv", sessionHooks{
+			watching: func(time.Duration) { oracle.RecordAdmit(name, sys.Sched.Now(), ticketExpiry(c)) },
+			failed: func(err error) bool {
 				var serr *wire.ServiceError
 				if errors.As(err, &serr) && serr.Code == wire.CodeDenied {
 					oracle.RecordDeny(name, sys.Sched.Now(), serr.Code)
-					return
+					return true
 				}
-				if !sys.Sched.Now().Before(deadline) {
-					return
-				}
-				sys.Sched.Sleep(backoff + time.Duration(sys.Sched.Float64()*float64(time.Second)))
-				if backoff *= 2; backoff > 15*time.Second {
-					backoff = 15 * time.Second
-				}
-			}
+				return false
+			},
 		})
 
 		// Seek loop: from the uniform boundary on, fetch history from the
@@ -324,8 +240,8 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 		sys.Sched.Go(func() {
 			srng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i)))
 			zipf := rand.NewZipf(srng, 1.3, 8, totalFrames)
-			sys.Sched.Sleep(cfg.LivePhase + time.Duration(i)*time.Second)
-			zipfAt := start.Add(cfg.LivePhase + cfg.SeekPhase)
+			sys.Sched.Sleep(shiftLivePhase + time.Duration(i)*time.Second)
+			zipfAt := start.Add(shiftLivePhase + shiftSeekPhase)
 			for sys.Sched.Now().Before(deadline) {
 				mu.Lock()
 				head := lastSeq[i]
@@ -341,77 +257,62 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 						}
 						target = head - depth
 					}
-					runSeek(sys, oracle, res, buckets, &mu, c, cfg, name, rootAddr, head, target)
+					runSeek(sys, oracle, res, buckets, &mu, c, name, rootAddr, head, target)
 				}
-				sys.Sched.Sleep(cfg.SeekEvery + time.Duration(srng.Int63n(int64(5*time.Second))))
+				sys.Sched.Sleep(shiftSeekEvery + time.Duration(srng.Int63n(int64(5*time.Second))))
 			}
 		})
-	}
 
-	// Post-lapse probes: lapsed viewers try a fresh watch after their
-	// purchase window closed — every probe must come back with the typed
-	// policy denial, never a ticket.
-	for i := 0; i < lapsed; i++ {
-		i := i
-		name := names[i]
-		sys.Sched.At(lapseEnd.Add(45*time.Second), func() {
-			sys.Sched.Go(func() {
-				err := clients[i].Watch("ppv")
-				var serr *wire.ServiceError
-				if errors.As(err, &serr) {
-					oracle.RecordDeny(name, sys.Sched.Now(), serr.Code)
-					if serr.Code == wire.CodeDenied {
-						mu.Lock()
-						res.PostLapseDenies++
-						mu.Unlock()
+		// Post-lapse probe: a lapsed viewer tries a fresh watch after its
+		// purchase window closed — every probe must come back with the
+		// typed policy denial, never a ticket.
+		if i < lapsed {
+			sys.Sched.At(lapseEnd.Add(45*time.Second), func() {
+				sys.Sched.Go(func() {
+					err := c.Watch("ppv")
+					var serr *wire.ServiceError
+					if errors.As(err, &serr) {
+						oracle.RecordDeny(name, sys.Sched.Now(), serr.Code)
+						if serr.Code == wire.CodeDenied {
+							mu.Lock()
+							res.PostLapseDenies++
+							mu.Unlock()
+						}
 					}
-				}
+				})
 			})
-		})
+		}
 	}
 
-	sys.Sched.RunUntil(deadline.Add(30 * time.Second))
-	sys.StopAll()
+	res.Artifacts = r.finish()
 
-	mu.Lock()
-	res.Frames = frames
-	mu.Unlock()
-	for _, c := range clients {
+	for _, c := range r.clients {
 		if p := c.Peer(); p != nil {
-			rs := p.Ring().Stats()
-			res.Ring.Lookups += rs.Lookups
-			res.Ring.Misses += rs.Misses
-			res.Ring.MissesEvicted += rs.MissesEvicted
-			res.Ring.MissesInWindow += rs.MissesInWindow
-			if rs.DeepestMiss > res.Ring.DeepestMiss {
-				res.Ring.DeepestMiss = rs.DeepestMiss
-			}
-		}
-		for name, cs := range c.Policy().Stats() {
-			t := res.Calls[name]
-			t.Merge(cs)
-			res.Calls[name] = t
+			res.Ring.Add(p.Ring().Stats())
 		}
 	}
-	for d, bk := range buckets {
-		_ = d
+	for _, bk := range buckets {
 		res.Buckets = append(res.Buckets, *bk)
 	}
 	sort.Slice(res.Buckets, func(i, j int) bool { return res.Buckets[i].Intervals < res.Buckets[j].Intervals })
 	res.Conform = oracle.Finish()
-	res.Net = sys.Net.Stats()
-	res.Phases = phases.Finish()
-	res.Endpoints = sys.EndpointTotals()
-	res.Trace = trace
-	res.Series = sampler.Series()
 	return res, nil
+}
+
+// ticketExpiry is the expiry of the client's current Channel Ticket
+// (zero when it holds none).
+func ticketExpiry(c *client.Client) time.Time {
+	if ct := c.ChannelTicket(); ct != nil {
+		return ct.Expiry
+	}
+	return time.Time{}
 }
 
 // runSeek performs one seek call against the root and scores each
 // returned frame with the viewer's own ring.
 func runSeek(sys *core.System, oracle *conform.Oracle, res *TimeShiftResult,
 	buckets map[int]*SeekDepthBucket, mu *sync.Mutex, c *client.Client,
-	cfg TimeShiftConfig, name string, root simnet.Addr, head, target uint64) {
+	name string, root simnet.Addr, head, target uint64) {
 	mu.Lock()
 	res.SeekCalls++
 	mu.Unlock()
@@ -453,7 +354,7 @@ func runSeek(sys *core.System, oracle *conform.Oracle, res *TimeShiftResult,
 		oracle.RecordSeekDecrypt(name, serial, f.Seq, now, ok)
 		depth := 0
 		if head > f.Seq {
-			depth = int(time.Duration(head-f.Seq) * time.Second / cfg.RekeyInterval)
+			depth = int(time.Duration(head-f.Seq) * time.Second / shiftRekeyInterval)
 		}
 		mu.Lock()
 		res.SeekFrames++
@@ -521,16 +422,8 @@ func RenderTimeShift(res *TimeShiftResult) string {
 	}
 	fmt.Fprintf(&b, "  post-lapse re-watch probes denied: %d\n", res.PostLapseDenies)
 	cr := res.Conform
-	fmt.Fprintf(&b, "  conformance: %d decrypts (%d ok) — false grants %d, false denials %d, window breaches %d, ticket overruns %d\n",
-		cr.Decrypts, cr.DecryptOK, cr.FalseGrants, cr.FalseDenials, cr.WindowBreaches, cr.TicketOverruns)
-	fmt.Fprintf(&b, "               grace grants %d, window denials %d, settle %d (innocent)\n",
-		cr.GraceGrants, cr.WindowDenials, cr.SettleDenials+cr.RekeyRaceDenials)
-	if !cr.Clean() {
-		b.WriteString("  CONFORMANCE VIOLATIONS:\n")
-		for _, v := range cr.Violations {
-			fmt.Fprintf(&b, "    %s\n", v)
-		}
-	}
+	renderConform(&b, cr, fmt.Sprintf("grace grants %d, window denials %d, settle %d",
+		cr.GraceGrants, cr.WindowDenials, cr.SettleDenials+cr.RekeyRaceDenials))
 	fmt.Fprintf(&b, "  ring: %d lookups, %d misses (%d evicted / %d in-window), deepest miss %d\n",
 		res.Ring.Lookups, res.Ring.Misses, res.Ring.MissesEvicted, res.Ring.MissesInWindow, res.Ring.DeepestMiss)
 	fmt.Fprintf(&b, "  network: %d messages sent, %d dropped\n", res.Net.Sent, res.Net.Dropped)
@@ -540,4 +433,18 @@ func RenderTimeShift(res *TimeShiftResult) string {
 	b.WriteString("(frames deeper than the key-ring window fetch fine but no longer decrypt —\n")
 	b.WriteString(" forward secrecy bounds time-shifting at the viewer, not at the server)\n")
 	return b.String()
+}
+
+// renderConform prints the oracle's verdict: the decrypt tally, the
+// scenario's line of innocent (explained) refusals, and every violation.
+func renderConform(b *strings.Builder, cr *conform.Report, innocent string) {
+	fmt.Fprintf(b, "  conformance: %d decrypts (%d ok) — false grants %d, false denials %d, window breaches %d, ticket overruns %d\n",
+		cr.Decrypts, cr.DecryptOK, cr.FalseGrants, cr.FalseDenials, cr.WindowBreaches, cr.TicketOverruns)
+	fmt.Fprintf(b, "               %s (innocent)\n", innocent)
+	if !cr.Clean() {
+		b.WriteString("  CONFORMANCE VIOLATIONS:\n")
+		for _, v := range cr.Violations {
+			fmt.Fprintf(b, "    %s\n", v)
+		}
+	}
 }

@@ -11,28 +11,6 @@ import (
 	"p2pdrm/internal/obs"
 )
 
-// WriteTraceEvents exports a span ring as a Chrome trace_event JSON file
-// (load it at ui.perfetto.dev or chrome://tracing). Spans are sorted by
-// (trace, begin, id) before encoding, so the bytes are identical no
-// matter which lane order filled the ring — the property the shard-count
-// invariance test pins.
-func WriteTraceEvents(w io.Writer, t *obs.Trace) error {
-	if t == nil {
-		return nil
-	}
-	return obs.WriteTraceEvents(w, t.Spans(), t.Total(), t.Dropped())
-}
-
-// WriteWaterfalls renders every assembled trace as a per-viewer text
-// waterfall, footered with the ring's emitted/dropped totals.
-func WriteWaterfalls(w io.Writer, t *obs.Trace) error {
-	if t == nil {
-		return nil
-	}
-	obs.RenderWaterfalls(w, t.Spans(), t.Total(), t.Dropped())
-	return nil
-}
-
 // WriteCriticalPathCSV exports one row per journey stage: the critical
 // path of every assembled trace, flattened for spreadsheet analysis.
 func WriteCriticalPathCSV(w io.Writer, t *obs.Trace) error {

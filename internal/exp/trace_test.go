@@ -35,12 +35,11 @@ func TestWeekTraceShardInvariant(t *testing.T) {
 			t.Fatalf("shards=%d: traced cohort emitted no spans", shards)
 		}
 		var ev, wf, cp bytes.Buffer
-		if err := WriteTraceEvents(&ev, res.Trace); err != nil {
+		tr := res.Trace
+		if err := obs.WriteTraceEvents(&ev, tr.Spans(), tr.Total(), tr.Dropped()); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteWaterfalls(&wf, res.Trace); err != nil {
-			t.Fatal(err)
-		}
+		obs.RenderWaterfalls(&wf, tr.Spans(), tr.Total(), tr.Dropped())
 		if err := WriteCriticalPathCSV(&cp, res.Trace); err != nil {
 			t.Fatal(err)
 		}

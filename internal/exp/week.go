@@ -16,7 +16,6 @@ import (
 	"p2pdrm/internal/obs"
 	"p2pdrm/internal/sim"
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
 )
 
@@ -37,24 +36,10 @@ type WeekConfig struct {
 	// MeanSession / MeanZap parameterize viewing behaviour.
 	MeanSession time.Duration
 	MeanZap     time.Duration
-	// UserMgrFarm (default 2) and ChannelMgrFarm per partition (default
-	// 2, over 2 partitions = 4 total) mirror §VI.
-	UserMgrFarm    int
-	ChannelMgrFarm int
-	// Capacity of each manager backend.
-	UMWorkers   int
-	UMServiceMS float64
-	CMWorkers   int
-	CMServiceMS float64
-	// SampleEvery is the concurrent-user sampling period.
-	SampleEvery time.Duration
 	// MetricsEvery is the system-metrics sampling period (endpoint and
 	// network counters into WeekResult.Series). Default 1h — the same
 	// granularity as the paper's per-hour tables.
 	MetricsEvery time.Duration
-	// Parallelism bounds concurrent replicates in RunWeekReplicates
-	// (0 = GOMAXPROCS, 1 = sequential); a single RunWeek ignores it.
-	Parallelism int
 	// Shards is the number of sim.Sharded worker lanes (default 1): the
 	// measured protocol deployment stays on the control scheduler while
 	// VirtualViewers stripe over the lanes. The result is identical at
@@ -72,10 +57,24 @@ type WeekConfig struct {
 	// seed and key (no RNG draws), so the traced cohort — and the
 	// exported spans — are identical at any shard count.
 	TraceEvery int
-	// TraceCap bounds the span ring (default 1 << 16). Overflow evicts
-	// the oldest spans; exports report the dropped count.
-	TraceCap int
 }
+
+const (
+	// The §VI deployment shape: two User Managers, and two Channel
+	// Managers on each of the two partitions (four in total).
+	weekUserMgrFarm    = 2
+	weekChannelMgrFarm = 2
+	// Capacity of each manager backend.
+	weekUMWorkers   = 4
+	weekUMServiceMS = 3
+	weekCMWorkers   = 4
+	weekCMServiceMS = 2
+	// weekSampleEvery is the concurrent-user sampling period.
+	weekSampleEvery = 5 * time.Minute
+	// weekTraceCap bounds the span ring. Overflow evicts the oldest
+	// spans; exports report the dropped count.
+	weekTraceCap = 1 << 16
+)
 
 func (c *WeekConfig) fill() {
 	if c.Days <= 0 {
@@ -96,32 +95,8 @@ func (c *WeekConfig) fill() {
 	if c.MeanZap <= 0 {
 		c.MeanZap = 15 * time.Minute
 	}
-	if c.UserMgrFarm <= 0 {
-		c.UserMgrFarm = 2
-	}
-	if c.ChannelMgrFarm <= 0 {
-		c.ChannelMgrFarm = 2
-	}
-	if c.UMWorkers <= 0 {
-		c.UMWorkers = 4
-	}
-	if c.UMServiceMS <= 0 {
-		c.UMServiceMS = 3
-	}
-	if c.CMWorkers <= 0 {
-		c.CMWorkers = 4
-	}
-	if c.CMServiceMS <= 0 {
-		c.CMServiceMS = 2
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5 * time.Minute
-	}
 	if c.MetricsEvery <= 0 {
 		c.MetricsEvery = time.Hour
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = 1 << 16
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -137,24 +112,16 @@ type WeekResult struct {
 	Sessions       int
 	LoginFailures  int
 
-	// Calls aggregates client-side per-service call stats (histograms
-	// included) across every session of the week — the client-measured
-	// distributions behind the Fig. 5 medians.
-	Calls map[string]svc.CallStats
-	// Endpoints is the final server-side endpoint snapshot.
-	Endpoints map[string]svc.Metrics
-	// Series is the MetricsEvery-interval system time series.
-	Series *obs.Series
-	// Net is the network message counters for the whole week.
-	Net simnet.NetStats
+	// Artifacts: Calls are the client-measured distributions behind the
+	// Fig. 5 medians, Series is the MetricsEvery-interval system time
+	// series, Trace is the traced session cohort's span ring (nil unless
+	// WeekConfig.TraceEvery > 0). The week has no phase timeline.
+	Artifacts
 	// VirtualRenewals / VirtualChurned / VirtualEvictions count the
 	// lane-resident ambient population's events.
 	VirtualRenewals  int64
 	VirtualChurned   int64
 	VirtualEvictions int64
-	// Trace is the span ring for the traced session cohort (nil unless
-	// WeekConfig.TraceEvery > 0).
-	Trace *obs.Trace
 }
 
 // RunWeek simulates the measurement week and returns the feedback
@@ -177,20 +144,20 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	eng := sim.NewSharded(time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC), cfg.Seed, cfg.Shards, megaLookahead)
 	var trace *obs.Trace
 	if cfg.TraceEvery > 0 {
-		trace = obs.NewTrace(cfg.TraceCap)
+		trace = obs.NewTrace(weekTraceCap)
 	}
 	sys, err := core.NewSystem(core.Options{
 		Trace:          trace,
 		Scheduler:      eng.Ctrl(),
 		Seed:           cfg.Seed,
-		UserMgrFarm:    cfg.UserMgrFarm,
+		UserMgrFarm:    weekUserMgrFarm,
 		Partitions:     []string{"p1", "p2"},
-		ChannelMgrFarm: cfg.ChannelMgrFarm,
+		ChannelMgrFarm: weekChannelMgrFarm,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.UMWorkers, ServiceTime: expService(svcRng, cfg.UMServiceMS),
+			Workers: weekUMWorkers, ServiceTime: expService(svcRng, weekUMServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: cfg.CMWorkers, ServiceTime: expService(svcRng, cfg.CMServiceMS),
+			Workers: weekCMWorkers, ServiceTime: expService(svcRng, weekCMServiceMS),
 		},
 		PacketInterval: 24 * 365 * time.Hour, // content off (see doc comment)
 		RekeyInterval:  time.Minute,
@@ -243,8 +210,7 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	// observed by the sampler at epoch boundaries.
 	var pops []*shardPop
 	if cfg.VirtualViewers > 0 {
-		pops = newShardPops(eng, cfg.VirtualViewers, cfg.Seed,
-			5*time.Minute, 12*time.Minute+30*time.Second, 0.02)
+		pops = newShardPops(eng, cfg.VirtualViewers, cfg.Seed, 5*time.Minute)
 		sampler.AddSource(func(add func(string, float64)) {
 			renewals, churned, evictions := popTotals(pops)
 			add("virtual.renewals", float64(renewals))
@@ -265,7 +231,7 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 			if !sys.Sched.Now().Before(end) {
 				return
 			}
-			sys.Sched.Sleep(cfg.SampleEvery)
+			sys.Sched.Sleep(weekSampleEvery)
 			mu.Lock()
 			n := active
 			if n > res.PeakConcurrent {
@@ -365,21 +331,6 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	res.VirtualRenewals, res.VirtualChurned, res.VirtualEvictions = popTotals(pops)
 	res.Trace = trace
 	return res, nil
-}
-
-// FigureSeries is one Fig. 5 panel: hourly medians for the rounds plus
-// the concurrent-user series.
-type FigureSeries struct {
-	Rounds map[feedback.Round][]feedback.HourlyPoint
-}
-
-// Fig5 extracts the per-hour medians for the requested rounds.
-func (r *WeekResult) Fig5(rounds ...feedback.Round) FigureSeries {
-	out := FigureSeries{Rounds: make(map[feedback.Round][]feedback.HourlyPoint, len(rounds))}
-	for _, rd := range rounds {
-		out.Rounds[rd] = r.Corpus.Hourly(rd, r.Start, r.Hours)
-	}
-	return out
 }
 
 // Fig6Split returns peak (18–24h) and off-peak (0–18h) latency samples

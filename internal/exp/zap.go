@@ -8,7 +8,6 @@ import (
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
-	"p2pdrm/internal/geo"
 )
 
 // ZapConfig scales the channel-switching (zapping) latency study. §II's
@@ -23,11 +22,12 @@ type ZapConfig struct {
 	Channels int
 	// Zaps per viewer measured after warm-up.
 	Zaps int
-	// PacketInterval paces content; a zap cannot beat the gap to the
-	// next produced frame, exactly like waiting for the next keyframe in
-	// a real encoder. Default 500ms.
-	PacketInterval time.Duration
 }
+
+// zapPacketInterval paces content; a zap cannot beat the gap to the
+// next produced frame, exactly like waiting for the next keyframe in a
+// real encoder.
+const zapPacketInterval = 500 * time.Millisecond
 
 func (c *ZapConfig) fill() {
 	if c.Viewers <= 0 {
@@ -39,9 +39,6 @@ func (c *ZapConfig) fill() {
 	if c.Zaps <= 0 {
 		c.Zaps = 5
 	}
-	if c.PacketInterval <= 0 {
-		c.PacketInterval = 500 * time.Millisecond
-	}
 }
 
 // ZapResult summarizes zap-time statistics.
@@ -50,20 +47,25 @@ type ZapResult struct {
 	Median  time.Duration
 	P95     time.Duration
 	Max     time.Duration
+
+	// Phases (in Artifacts) are tune-in → zapping.
+	Artifacts
 }
 
 // RunZap measures switch-to-first-frame latency across a pool of viewers
 // zapping between live channels.
 func RunZap(cfg ZapConfig) (*ZapResult, error) {
 	cfg.fill()
-	sys, err := core.NewSystem(core.Options{
-		Seed:           cfg.Seed,
-		PacketInterval: cfg.PacketInterval,
+	warm := time.Duration(cfg.Viewers) * time.Second
+	total := warm + time.Duration(cfg.Zaps+2)*25*time.Second
+	r, err := newRun(cfg.Seed, core.Options{
+		PacketInterval: zapPacketInterval,
 		RootRegion:     100,
-	})
+	}, total, 0)
 	if err != nil {
 		return nil, err
 	}
+	sys := r.sys
 	channelIDs := make([]string, cfg.Channels)
 	for i := range channelIDs {
 		id := fmt.Sprintf("zap%02d", i)
@@ -72,17 +74,17 @@ func RunZap(cfg ZapConfig) (*ZapResult, error) {
 			return nil, err
 		}
 	}
+	r.observe([]PhaseBoundary{
+		{Name: "tune-in", At: r.start},
+		{Name: "zapping", At: r.start.Add(warm)},
+	})
 
 	var mu sync.Mutex
 	var zaps []time.Duration
 	for i := 0; i < cfg.Viewers; i++ {
 		i := i
-		email := fmt.Sprintf("zap%04d@e", i)
-		if _, err := sys.RegisterUser(email, "pw"); err != nil {
-			return nil, err
-		}
 		var frameCh func()
-		c, err := sys.NewClient(email, "pw", geo.Addr(100, 1+i%40, i+1), func(cc *client.Config) {
+		c, err := r.viewer(fmt.Sprintf("zap%04d@e", i), func(cc *client.Config) {
 			cc.OnFrame = func(uint64, []byte) {
 				mu.Lock()
 				f := frameCh
@@ -121,18 +123,13 @@ func RunZap(cfg ZapConfig) (*ZapResult, error) {
 			c.StopWatching()
 		})
 	}
-	warm := time.Duration(cfg.Viewers) * time.Second
-	total := warm + time.Duration(cfg.Zaps+2)*25*time.Second
-	sys.Sched.RunUntil(sys.Sched.Now().Add(total))
-	sys.StopAll()
-
-	mu.Lock()
-	defer mu.Unlock()
+	art := r.finish()
 	return &ZapResult{
-		Samples: len(zaps),
-		Median:  feedback.Median(zaps),
-		P95:     feedback.Quantile(zaps, 0.95),
-		Max:     feedback.Quantile(zaps, 1.0),
+		Samples:   len(zaps),
+		Median:    feedback.Median(zaps),
+		P95:       feedback.Quantile(zaps, 0.95),
+		Max:       feedback.Quantile(zaps, 1.0),
+		Artifacts: art,
 	}, nil
 }
 

@@ -131,4 +131,15 @@ func TestOpenPacketNeverSucceedsForEvictedSerials(t *testing.T) {
 	if st.DeepestMiss < window {
 		t.Fatalf("deepest miss %d < window %d", st.DeepestMiss, window)
 	}
+
+	// Cross-viewer aggregation: counts sum, the deepest miss is a maximum.
+	sum := RingStats{Lookups: 1, Misses: 1, MissesInWindow: 1, DeepestMiss: st.DeepestMiss + 3}
+	sum.Add(st)
+	want := RingStats{
+		Lookups: st.Lookups + 1, Misses: st.Misses + 1, MissesEvicted: st.MissesEvicted,
+		MissesInWindow: st.MissesInWindow + 1, DeepestMiss: st.DeepestMiss + 3,
+	}
+	if sum != want {
+		t.Fatalf("RingStats.Add: got %+v, want %+v", sum, want)
+	}
 }

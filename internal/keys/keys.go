@@ -137,6 +137,18 @@ type RingStats struct {
 	DeepestMiss int
 }
 
+// Add folds another ring's counters into s (cross-viewer aggregation):
+// counts sum, DeepestMiss takes the maximum.
+func (s *RingStats) Add(o RingStats) {
+	s.Lookups += o.Lookups
+	s.Misses += o.Misses
+	s.MissesEvicted += o.MissesEvicted
+	s.MissesInWindow += o.MissesInWindow
+	if o.DeepestMiss > s.DeepestMiss {
+		s.DeepestMiss = o.DeepestMiss
+	}
+}
+
 // Stats snapshots the ring's lookup counters.
 func (r *Ring) Stats() RingStats {
 	r.mu.Lock()

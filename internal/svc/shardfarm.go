@@ -328,12 +328,6 @@ type ShardView struct {
 	self simnet.Addr
 }
 
-// NewShardView builds a standalone view for tests (farm may be any
-// shardChecker-compatible farm).
-func NewShardView[M ShardMember](farm *ShardedFarm[M], self simnet.Addr) *ShardView {
-	return &ShardView{farm: farm, self: self}
-}
-
 // Self returns the member address the view checks for.
 func (v *ShardView) Self() simnet.Addr { return v.self }
 
