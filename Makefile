@@ -17,10 +17,12 @@ test:
 # more at a forced GOMAXPROCS: the shard-invariance goldens run the same
 # scenarios at shards 0 (unset), 1, 2 and 8, so lane workers, the barrier
 # merge and arena recycling execute under a second thread schedule with
-# the checker watching cross-lane memory orderings.
+# the checker watching cross-lane memory orderings. The run-token tests
+# ride the same line: the baton-passing loop switches goroutines in a
+# different pattern when a woken goroutine finds an idle P to start on.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress' ./internal/sim ./internal/exp
+	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder' ./internal/sim ./internal/simnet ./internal/exp
 
 # Coverage over every package, with a per-function summary. Writes
 # cover.out (ignored by git) for `go tool cover -html=cover.out`.

@@ -8,12 +8,15 @@
 // goroutine is parked. A simulated week of protocol traffic therefore runs
 // in the CPU time it takes to execute the protocol code itself.
 //
-// Execution is strictly serialized: at any instant at most one simulated
-// goroutine (or the event loop) runs; waking another goroutine appends it
-// to a FIFO run queue and the run token is handed over only when the
-// current goroutine parks or exits. Determinism for a fixed seed is
-// therefore a hard guarantee, independent of GOMAXPROCS, OS scheduling,
-// or other simulations running concurrently in the same process.
+// Execution is strictly serialized: one run token exists and only its
+// holder runs. Waking a goroutine or starting one appends it to a FIFO
+// run queue; the token moves only when its holder parks or exits, and
+// whoever gives it up runs the event loop itself (drive) until the token
+// is due to somebody else — there is no event-loop goroutine. Which OS
+// goroutine executes the loop never shows in the order of events, so
+// determinism for a fixed seed is a hard guarantee, independent of
+// GOMAXPROCS, OS scheduling, or other simulations running concurrently
+// in the same process.
 //
 // All blocking inside simulated goroutines MUST go through the scheduler
 // primitives (Sleep, Waiter.Wait, Queue.Recv, WaitGroup.Wait). Blocking on
@@ -36,26 +39,43 @@ import (
 // seed.
 type Scheduler struct {
 	mu      sync.Mutex
-	cond    *sync.Cond // the event loop waits here for quiescence
 	now     time.Time
 	q       equeue    // heap + timer wheel + freelist (see queue.go)
-	active  int       // 1 while a simulated goroutine holds the run token
-	runq    []*parker // goroutines unparked and awaiting the token, FIFO
+	runq    []task    // woken goroutines and unstarted bodies awaiting the token, FIFO
 	runqOff int       // consumed prefix of runq
 	idle    []*worker // parked worker goroutines awaiting a Go/GoArg task
+	main    *parker   // RunUntil's caller parks here; the drive's end wakes it
+	limit   int64     // the running RunUntil's deadline key
 	stopped bool
+	stats   Stats
 	rng     *rand.Rand
 	rngMu   sync.Mutex
+}
+
+// Stats counts what the engine did: plain counters, read with
+// (*Scheduler).Stats.
+type Stats struct {
+	Events        uint64 // scheduled events fired (callbacks, sleep expiries, wait timeouts)
+	Handoffs      uint64 // run token passed to a different OS goroutine
+	InlineResumes uint64 // a parker's own wake-up came next: Sleep/Wait/RunUntil returned without a switch
+	InlineTasks   uint64 // Go/GoArg bodies run by an idle worker as a plain call
+}
+
+// Stats returns the engine counters so far.
+func (s *Scheduler) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // New creates a Scheduler whose clock starts at start and whose random
 // stream is derived from seed.
 func New(start time.Time, seed int64) *Scheduler {
 	s := &Scheduler{
-		now: start,
-		rng: rand.New(rand.NewSource(seed)),
+		now:  start,
+		main: getParker(),
+		rng:  rand.New(rand.NewSource(seed)),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.q.init(start.UnixNano())
 	return s
 }
@@ -118,7 +138,7 @@ func putParker(p *parker) { parkerPool.Put(p) }
 
 // event is a scheduled occurrence. Exactly one of fn, fnA, p, w is set:
 // a plain callback, a callback with its argument (saves the closure on
-// hot RPC paths), a sleeping goroutine to hand the token to, or a Waiter
+// hot RPC paths), a sleeping goroutine due the run token, or a Waiter
 // whose timeout this is. Events are pooled: gen distinguishes a live
 // event from a recycled one so a stale Timer cannot cancel its slot's
 // next tenant.
@@ -167,8 +187,9 @@ func (t Timer) Stop() bool {
 }
 
 // At schedules fn to run at virtual time at (or now, whichever is later).
-// fn runs on the scheduler loop; it must not block on virtual time — use Go
-// inside fn for anything that sleeps.
+// fn runs in place on whichever goroutine is driving the event loop; it
+// must not block on virtual time — use Go inside fn for anything that
+// sleeps.
 func (s *Scheduler) At(at time.Time, fn func()) Timer {
 	s.mu.Lock()
 	ev := s.scheduleLocked(at)
@@ -234,18 +255,32 @@ func (s *Scheduler) scheduleLocked(at time.Time) *event {
 	return s.q.schedule(at.UnixNano())
 }
 
-// worker is a pooled OS goroutine that runs simulated-goroutine bodies.
-// Spawning a real goroutine (plus its wrapper closure) per Go/GoArg is
-// measurable at message rates; a worker instead parks on its own parker
-// after each task and is handed the next body directly. The task fields
-// are written by the scheduler before the parker wake and read by the
-// worker after it, so the channel provides the happens-before edge.
-type worker struct {
-	s   *Scheduler
+// task is something for the run token's holder to do next: resume a
+// parked goroutine (p), or call fn / fnA(arg) — a Go/GoArg body on the
+// run queue that has not started yet, or a due event's callback.
+type task struct {
 	p   *parker
 	fn  func()
 	fnA func(any)
 	arg any
+}
+
+func (t *task) run() {
+	if t.fn != nil {
+		t.fn()
+	} else {
+		t.fnA(t.arg)
+	}
+}
+
+// worker is a pooled OS goroutine that runs Go/GoArg bodies. A body gets
+// a worker when the run token reaches it and the driver holding the token
+// cannot call it in place (see drive). t is written before the parker
+// wake and read after it, so the channel provides the happens-before edge.
+type worker struct {
+	s *Scheduler
+	p *parker
+	t task
 }
 
 // maxIdleWorkers bounds the parked-worker pool; beyond it a finishing
@@ -253,20 +288,14 @@ type worker struct {
 const maxIdleWorkers = 256
 
 func (w *worker) loop() {
+	s := w.s
 	for {
 		w.p.block()
-		if w.fn != nil {
-			fn := w.fn
-			w.fn = nil
-			fn()
-		} else {
-			fn, arg := w.fnA, w.arg
-			w.fnA, w.arg = nil, nil
-			fn(arg)
-		}
-		s := w.s
+		t := w.t
+		w.t = task{}
+		t.run()
 		s.mu.Lock()
-		s.handoffLocked()
+		s.drive(nil)
 		pooled := !s.stopped && len(s.idle) < maxIdleWorkers
 		if pooled {
 			s.idle = append(s.idle, w)
@@ -279,79 +308,124 @@ func (w *worker) loop() {
 	}
 }
 
-// spawn queues a task body on a pooled (or fresh) worker. The worker
-// joins the run queue behind already runnable goroutines and executes
-// once the run token reaches it; the event loop will not advance
-// virtual time while any goroutine is runnable.
-func (s *Scheduler) spawn(fn func(), fnA func(any), arg any) {
-	s.mu.Lock()
+// startWorkerLocked passes the run token to a pooled (or fresh) worker
+// together with the body it is to run.
+func (s *Scheduler) startWorkerLocked(t task) {
+	var w *worker
 	if n := len(s.idle); n > 0 {
-		w := s.idle[n-1]
+		w = s.idle[n-1]
 		s.idle[n-1] = nil
 		s.idle = s.idle[:n-1]
-		w.fn, w.fnA, w.arg = fn, fnA, arg
-		s.unparkLocked(w.p)
-		s.mu.Unlock()
-		return
+	} else {
+		w = &worker{s: s, p: getParker()}
+		go w.loop()
 	}
-	s.mu.Unlock()
-	w := &worker{s: s, p: getParker(), fn: fn, fnA: fnA, arg: arg}
-	go w.loop()
-	s.mu.Lock()
-	s.unparkLocked(w.p)
-	s.mu.Unlock()
+	w.t = t
+	s.passLocked(w.p, nil)
 }
 
-// Go starts a simulated goroutine.
+// Go starts a simulated goroutine. The body joins the run queue behind
+// already runnable goroutines and starts once the run token reaches it;
+// virtual time does not advance while anything is runnable.
 func (s *Scheduler) Go(fn func()) {
-	s.spawn(fn, nil, nil)
+	s.mu.Lock()
+	s.runq = append(s.runq, task{fn: fn})
+	s.mu.Unlock()
 }
 
 // GoArg starts a simulated goroutine running fn(arg) — the closure-free
 // sibling of Go for hot paths that spawn a goroutine per message.
 func (s *Scheduler) GoArg(fn func(any), arg any) {
-	s.spawn(nil, fn, arg)
+	s.mu.Lock()
+	s.runq = append(s.runq, task{fnA: fn, arg: arg})
+	s.mu.Unlock()
 }
 
-// unparkLocked queues p for the run token. The signal matters only when
-// the event loop is mid-callback or between loop iterations with no
-// token holder; a running goroutine's eventual handoff covers the rest.
+// unparkLocked queues p's goroutine for the run token; the token's
+// holder drains the run queue when it gives the token up.
 func (s *Scheduler) unparkLocked(p *parker) {
-	s.runq = append(s.runq, p)
-	if s.active == 0 {
-		s.cond.Signal()
-	}
+	s.runq = append(s.runq, task{p: p})
 }
 
-// handoffLocked passes the run token to the next queued goroutine, or
-// back to the event loop when none is runnable. Called when the current
-// holder parks or exits.
-func (s *Scheduler) handoffLocked() {
-	if p := s.runqPopLocked(); p != nil {
-		p.wake() // token passes directly; active stays 1
-		return
-	}
-	s.active--
-	if s.active == 0 {
-		s.cond.Signal()
-	}
-}
-
-func (s *Scheduler) runqPopLocked() *parker {
+func (s *Scheduler) runqPopLocked() (task, bool) {
 	if s.runqOff == len(s.runq) {
-		return nil
+		return task{}, false
 	}
-	p := s.runq[s.runqOff]
-	s.runq[s.runqOff] = nil
+	t := s.runq[s.runqOff]
+	s.runq[s.runqOff] = task{}
 	s.runqOff++
 	if s.runqOff == len(s.runq) {
 		s.runq = s.runq[:0]
 		s.runqOff = 0
 	}
-	return p
+	return t, true
 }
 
-func (s *Scheduler) runqLenLocked() int { return len(s.runq) - s.runqOff }
+// drive is the event loop. Its caller holds s.mu and the run token and is
+// giving the token up: a goroutine parking on self (Sleep, Waiter.Wait,
+// RunUntil's caller on s.main) or a worker whose body returned (nil). It
+// drains the run queue in FIFO order, then fires events through s.limit
+// in (time, seq) order, callbacks in place, until the token is another
+// goroutine's (false: the caller must block on its parker) or self's
+// again (true: the caller carries on, never having blocked). A finished
+// run — Stop, or nothing due by the limit — passes it to RunUntil's caller.
+// An unstarted body is called in place only from a worker's empty stack:
+// any other driver is a parked frame that the body, once it parked and
+// drove in turn, could be asked to resume from on top of it.
+func (s *Scheduler) drive(self *parker) bool {
+	for !s.stopped {
+		t, queued := s.runqPopLocked()
+		if !queued {
+			ev := s.q.popThrough(s.limit)
+			if ev == nil {
+				break
+			}
+			s.stats.Events++
+			s.now = time.Unix(0, ev.key).UTC()
+			t = task{p: ev.p, fn: ev.fn, fnA: ev.fnA, arg: ev.arg}
+			if w := ev.w; w != nil {
+				// A Wait timed out (a Deliver in time kills this event).
+				w.done, w.tev, t.p = true, nil, w.p
+			}
+			s.q.release(ev)
+		}
+		switch {
+		case t.p != nil:
+			return s.passLocked(t.p, self)
+		case queued && self != nil:
+			s.startWorkerLocked(t)
+			return false
+		case queued:
+			s.stats.InlineTasks++
+		}
+		s.mu.Unlock()
+		t.run()
+		s.mu.Lock()
+	}
+	return s.passLocked(s.main, self)
+}
+
+// passLocked gives the run token to p's goroutine and reports whether
+// that is the driving goroutine itself.
+func (s *Scheduler) passLocked(p, self *parker) bool {
+	if p == self {
+		s.stats.InlineResumes++
+		return true
+	}
+	s.stats.Handoffs++
+	p.wake()
+	return false
+}
+
+// park gives up the run token and returns once p's goroutine holds it
+// again. It is called with s.mu held and returns with it released.
+func (s *Scheduler) park(p *parker) {
+	resumed := s.drive(p)
+	s.mu.Unlock()
+	if !resumed {
+		p.block()
+	}
+}
 
 // Sleep blocks the calling simulated goroutine for d of virtual time.
 func (s *Scheduler) Sleep(d time.Duration) {
@@ -362,9 +436,7 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	s.mu.Lock()
 	ev := s.scheduleLocked(s.now.Add(d))
 	ev.p = p
-	s.handoffLocked()
-	s.mu.Unlock()
-	p.block()
+	s.park(p)
 	putParker(p)
 }
 
@@ -375,74 +447,27 @@ func (s *Scheduler) Run() {
 }
 
 // RunUntil executes events with at ≤ deadline (zero deadline = no limit)
-// until the queue drains or Stop is called. The clock is left at the last
-// fired event (it does not jump to the deadline).
+// until the queue drains or Stop is called; it returns once every
+// goroutine has parked or exited. The clock is left at the last fired
+// event (it does not jump to the deadline).
 func (s *Scheduler) RunUntil(deadline time.Time) {
-	deadlineKey := noLimit
-	if !deadline.IsZero() {
-		deadlineKey = deadline.UnixNano()
-	}
 	s.mu.Lock()
-	for {
-		// Quiesce: circulate the run token until every goroutine parks.
-		for !s.stopped && (s.active > 0 || s.runqLenLocked() > 0) {
-			if s.active == 0 {
-				s.active = 1
-				s.runqPopLocked().wake()
-			}
-			s.cond.Wait()
-		}
-		if s.stopped {
-			s.mu.Unlock()
-			return
-		}
-		ev := s.q.popThrough(deadlineKey)
-		if ev == nil {
-			// Queue empty, or the next event is beyond the deadline and
-			// stays queued for a later RunUntil call.
-			s.mu.Unlock()
-			return
-		}
-		s.now = time.Unix(0, ev.key).UTC()
-		switch {
-		case ev.p != nil:
-			// A Sleep expired: hand the token straight to the sleeper.
-			p := ev.p
-			s.q.release(ev)
-			s.active = 1
-			p.wake()
-		case ev.w != nil:
-			// A Waiter timed out (unless a Deliver won the race and this
-			// event was already disarmed).
-			w := ev.w
-			s.q.release(ev)
-			if !w.done {
-				w.done = true
-				w.tev = nil
-				s.active = 1
-				w.p.wake()
-			}
-		case ev.fnA != nil:
-			fn, arg := ev.fnA, ev.arg
-			s.q.release(ev)
-			s.mu.Unlock()
-			fn(arg)
-			s.mu.Lock()
-		default:
-			fn := ev.fn
-			s.q.release(ev)
-			s.mu.Unlock()
-			fn()
-			s.mu.Lock()
-		}
+	s.limit = noLimit
+	if !deadline.IsZero() {
+		s.limit = deadline.UnixNano()
 	}
+	s.park(s.main)
 }
 
-// Stop aborts Run/RunUntil at the next quiescent point.
+// Stop ends the run for good, from a callback, a simulated goroutine or
+// outside the simulation. The run token's holder keeps it until it
+// parks or exits (a callback: returns) and then passes it straight to
+// RunUntil's caller: no further event fires, nothing queued starts, and
+// RunUntil returns with no simulated code still running. Parked
+// goroutines stay parked; a later Run/RunUntil returns immediately.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	s.stopped = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -460,7 +485,7 @@ func (s *Scheduler) Pending() int {
 func (s *Scheduler) earliestKey() (key int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.active > 0 || s.runqLenLocked() > 0 {
+	if s.runqOff < len(s.runq) {
 		return s.now.UnixNano(), true
 	}
 	b := s.q.earliestBound()

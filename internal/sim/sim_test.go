@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -482,6 +483,173 @@ func TestStopAbortsRun(t *testing.T) {
 	s.Run()
 	if n != 10 {
 		t.Fatalf("ran %d events, want 10", n)
+	}
+}
+
+// TestStopSemantics pins what Stop promises wherever it is called from:
+// the token holder runs on until it parks, nothing else runs, Run returns
+// only then, and every later Run/RunUntil returns at once.
+func TestStopSemantics(t *testing.T) {
+	cases := []struct {
+		name string
+		// arm schedules the scenario and returns the check to make once
+		// Run has returned.
+		arm func(t *testing.T, s *Scheduler) (verify func())
+	}{
+		{"from a callback", func(t *testing.T, s *Scheduler) func() {
+			n := 0
+			for i := 1; i <= 100; i++ {
+				s.After(time.Duration(i)*time.Second, func() {
+					if n++; n == 10 {
+						s.Stop()
+						s.Go(func() { t.Error("goroutine spawned by the stopping callback ran") })
+					}
+				})
+			}
+			s.Go(func() {
+				s.Sleep(time.Hour)
+				t.Error("sleeper woke after Stop")
+			})
+			return func() {
+				if n != 10 {
+					t.Errorf("ran %d events, want 10", n)
+				}
+			}
+		}},
+		{"from a simulated goroutine", func(t *testing.T, s *Scheduler) func() {
+			parked := false
+			s.Go(func() {
+				s.Sleep(time.Second)
+				s.Go(func() { t.Error("goroutine queued behind the stopper ran") })
+				s.Stop()
+				// Still holding the token: Run must not return under us.
+				time.Sleep(20 * time.Millisecond)
+				parked = true
+				s.Sleep(time.Second)
+				t.Error("stopper resumed after parking")
+			})
+			return func() {
+				if !parked {
+					t.Error("Run returned while the stopping goroutine was still running")
+				}
+			}
+		}},
+		{"from a goroutine that exits", func(t *testing.T, s *Scheduler) func() {
+			exited := false
+			s.Go(func() {
+				s.Stop()
+				time.Sleep(20 * time.Millisecond)
+				exited = true
+			})
+			s.After(time.Second, func() { t.Error("event fired after Stop") })
+			return func() {
+				if !exited {
+					t.Error("Run returned before the stopping goroutine finished")
+				}
+			}
+		}},
+		{"from outside", func(t *testing.T, s *Scheduler) func() {
+			var fired atomic.Int64
+			var tick func()
+			tick = func() {
+				fired.Add(1)
+				s.After(time.Millisecond, tick)
+			}
+			s.After(0, tick)
+			go func() {
+				for fired.Load() < 1000 {
+					time.Sleep(time.Millisecond)
+				}
+				s.Stop()
+			}()
+			return func() {
+				at := fired.Load()
+				time.Sleep(10 * time.Millisecond)
+				if at < 1000 || fired.Load() != at {
+					t.Errorf("fired %d at return, %d later; want >= 1000 and unchanged", at, fired.Load())
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(t0, 1)
+			verify := c.arm(t, s)
+			s.Run()
+			verify()
+
+			before := s.Stats()
+			s.After(0, func() { t.Error("event fired by a Run after Stop") })
+			s.Go(func() { t.Error("goroutine started by a Run after Stop") })
+			s.Run()
+			s.RunUntil(s.Now().Add(time.Hour))
+			after := s.Stats()
+			if after.Events != before.Events || after.Handoffs != before.Handoffs {
+				t.Errorf("Run after Stop did work: %+v -> %+v", before, after)
+			}
+		})
+	}
+}
+
+// TestBuriedDriverStartsNoTask: a worker between tasks runs the next
+// body as a plain call, so when that body parks it drives with the
+// worker's loop frame beneath it. If it started the next body there too,
+// the first could never be resumed once its wake-up came — its frames
+// would be buried — and the run would deadlock. A parked driver
+// therefore hands unstarted bodies to another worker.
+func TestBuriedDriverStartsNoTask(t *testing.T) {
+	s := New(t0, 1)
+	var log []string
+	s.Go(func() { // runs on a worker the RunUntil caller had to start
+		s.Go(func() { // runs inline once that worker's first body returned
+			s.Go(func() {
+				s.Sleep(2 * time.Millisecond)
+				log = append(log, "t2 woke")
+			})
+			s.Sleep(time.Millisecond) // drives; t2 is next on the run queue
+			log = append(log, "t1 woke")
+		})
+	})
+	done := make(chan struct{})
+	go func() { s.Run(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock: a body was started on top of a parked one")
+	}
+	if len(log) != 2 || log[0] != "t1 woke" || log[1] != "t2 woke" {
+		t.Fatalf("log = %v, want [t1 woke, t2 woke]", log)
+	}
+	if st := s.Stats(); st.InlineTasks != 1 {
+		t.Fatalf("InlineTasks = %d, want 1 (t1 alone): %+v", st.InlineTasks, st)
+	}
+}
+
+// TestStatsCounters checks each counter against a run small enough to
+// count by hand.
+func TestStatsCounters(t *testing.T) {
+	s := New(t0, 1)
+	for i := 1; i <= 3; i++ {
+		s.After(time.Duration(i)*time.Second, func() {})
+	}
+	s.After(time.Second, func() {}).Stop() // a stopped timer is not an event
+	s.Go(func() {
+		for i := 0; i < 5; i++ {
+			s.Sleep(time.Minute)
+		}
+	})
+	s.Run()
+	// 3 callbacks + 5 sleep expiries. The caller starts the body on a
+	// worker and the worker hands the token back at the end: 2 handoffs.
+	// Every Sleep finds its own expiry next. Nothing ran inline as a task.
+	want := Stats{Events: 8, Handoffs: 2, InlineResumes: 5}
+	if got := s.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	s.Run() // nothing to do: the caller resumes itself
+	want.InlineResumes++
+	if got := s.Stats(); got != want {
+		t.Fatalf("Stats after idle Run = %+v, want %+v", got, want)
 	}
 }
 

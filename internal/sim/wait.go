@@ -88,10 +88,7 @@ func (w *Waiter) Wait(timeout time.Duration) (any, error) {
 		ev.w = w
 		w.tev = ev
 	}
-	w.s.handoffLocked()
-	w.s.mu.Unlock()
-
-	p.block()
+	w.s.park(p)
 
 	w.s.mu.Lock()
 	w.p = nil

@@ -518,34 +518,20 @@ func (nd *Node) Handle(service string, h Handler) {
 	nd.handlers[service] = h
 }
 
-// lookupHandler returns the handler and whether the node accepts traffic.
-func (nd *Node) lookupHandler(service string) (Handler, bool) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if !nd.up {
-		return nil, false
-	}
-	h, ok := nd.handlers[service]
-	return h, ok
-}
-
 // process runs one request through the node's capacity model and handler.
 // It must run inside a simulated goroutine.
 func (nd *Node) process(service string, from Addr, payload []byte) ([]byte, error) {
-	h, ok := nd.lookupHandler(service)
+	nd.mu.Lock()
+	h, ok := nd.handlers[service]
+	up, proc, svc, admit := nd.up, nd.proc, nd.serviceTime, nd.admission
+	nd.mu.Unlock()
+	// Down nodes silently drop; unknown services answer with an error.
+	if !up {
+		return nil, errDropped
+	}
 	if !ok {
-		// Down nodes silently drop; unknown services answer with an error.
-		nd.mu.Lock()
-		up := nd.up
-		nd.mu.Unlock()
-		if !up {
-			return nil, errDropped
-		}
 		return nil, &RemoteError{Code: "no_service", Msg: service}
 	}
-	nd.mu.Lock()
-	proc, svc, admit := nd.proc, nd.serviceTime, nd.admission
-	nd.mu.Unlock()
 	if admit != nil {
 		if err := admit(service, from, payload); err != nil {
 			return nil, err
