@@ -6,6 +6,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"p2pdrm/internal/sim"
 )
 
 // The sharded engine's promise: for ANY shard count the run is
@@ -133,5 +135,27 @@ func TestMegaShardedStreamsMatchRetained(t *testing.T) {
 	}
 	if csv.Len() == 0 || jsonl.Len() == 0 {
 		t.Fatal("sinks received nothing")
+	}
+}
+
+// TestShardPopRenewAllocatesNoClosure pins the once-bound method values:
+// in steady state a renewal recycles pooled events and allocates
+// nothing, whereas writing p.renew / p.evicted at the AfterArg call
+// sites costs one method-value closure per timer (≥ 2 per renewal).
+func TestShardPopRenewAllocatesNoClosure(t *testing.T) {
+	start := time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC)
+	eng := sim.NewSharded(start, 1, 1, megaLookahead)
+	pops := newShardPops(eng, 512, 1, time.Minute)
+	now := start.Add(10 * time.Minute) // warm the event pool past the first purge
+	eng.Run(now)
+	before, _, _ := popTotals(pops)
+	allocs := testing.AllocsPerRun(5, func() {
+		now = now.Add(time.Minute)
+		eng.Run(now)
+	})
+	after, _, _ := popTotals(pops)
+	perRenewal := allocs * 6 / float64(after-before) // AllocsPerRun makes one warm-up call
+	if perRenewal >= 0.5 {
+		t.Errorf("%.2f allocations per renewal, want ~0 (a closure per timer would be ≥ 2)", perRenewal)
 	}
 }

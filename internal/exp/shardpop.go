@@ -51,6 +51,10 @@ type shardPop struct {
 	rng   []uint64         // per-viewer SplitMix64 state
 	evict []sim.ShardTimer // pending eviction sentinel per viewer
 	args  []any            // preallocated boxed lane-local indices
+
+	// renew and evicted bound once: writing p.renew at a call site
+	// allocates a fresh method value per timer.
+	renewFn, evictedFn func(any)
 }
 
 // popChurnFrac is the per-renewal probability that a viewer departs
@@ -79,6 +83,7 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery time.Duration)
 			evict:      make([]sim.ShardTimer, size),
 			args:       make([]any, size),
 		}
+		p.renewFn, p.evictedFn = p.renew, p.evicted
 		for i := 0; i < size; i++ {
 			p.rng[i] = sm64Seed(seed, s+i*shards)
 			p.args[i] = i
@@ -88,7 +93,7 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery time.Duration)
 	for _, p := range pops {
 		for i := range p.args {
 			phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-			p.lane.AfterArg(phase, p.renew, p.args[i])
+			p.lane.AfterArg(phase, p.renewFn, p.args[i])
 		}
 	}
 	return pops
@@ -103,12 +108,12 @@ func (p *shardPop) renew(arg any) {
 		// Silent departure: no renewal is scheduled, so the sentinel
 		// fires at the deadline and admits a replacement.
 		p.churned++
-		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evicted, p.args[i])
+		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, p.args[i])
 		return
 	}
 	p.renewals++
-	p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evicted, p.args[i])
-	p.lane.AfterArg(p.renewEvery, p.renew, p.args[i])
+	p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, p.args[i])
+	p.lane.AfterArg(p.renewEvery, p.renewFn, p.args[i])
 }
 
 // evicted fires only for churned viewers (renewals always cancel it
@@ -117,7 +122,7 @@ func (p *shardPop) evicted(arg any) {
 	i := arg.(int)
 	p.evictions++
 	phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-	p.lane.AfterArg(phase, p.renew, p.args[i])
+	p.lane.AfterArg(phase, p.renewFn, p.args[i])
 }
 
 // popTotals sums the commutative counters across lanes (control-phase
