@@ -4,8 +4,11 @@ GO ?= go
 
 all: check
 
+# vet also gates formatting: any file gofmt would rewrite fails the
+# target (and with it `make check` and CI's first step).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l . is not empty:"; echo "$$unformatted"; exit 1; }
 
 build:
 	$(GO) build ./...

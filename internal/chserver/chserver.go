@@ -102,8 +102,8 @@ type Server struct {
 	schedule *keys.Schedule
 	// produce seals packets under the current key iteration with its AEAD
 	// built once per rotation, not once per packet.
-	produce *keys.PacketSealer
-	seq     uint64
+	produce  *keys.PacketSealer
+	seq      uint64
 	running  bool
 	stopping bool
 	stats    Stats

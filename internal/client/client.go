@@ -302,7 +302,7 @@ func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	st := c.stats
 	c.mu.Unlock()
-	st.Retries = c.pol.Totals().Retries
+	st.Retries = c.pol.Retries()
 	st.BreakerOpens = c.pol.BreakerOpens()
 	return st
 }

@@ -54,11 +54,11 @@ func (c *Client) beginJourney(name string) *journey {
 	c.mu.Unlock()
 	trace := obs.SpanID(c.cfg.TraceID, 0, name, n)
 	return &journey{
-		c:     c,
-		trace: trace,
-		root:  obs.SpanID(trace, 0, name, 0),
-		name:  name,
-		begin: c.node.Scheduler().Now(),
+		c:      c,
+		trace:  trace,
+		root:   obs.SpanID(trace, 0, name, 0),
+		name:   name,
+		begin:  c.node.Scheduler().Now(),
 		marked: make(map[string]bool),
 	}
 }

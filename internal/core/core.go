@@ -582,11 +582,7 @@ func (s *System) Runtimes() map[simnet.Addr]*svc.Runtime {
 func (s *System) EndpointTotals() map[string]svc.Metrics {
 	out := make(map[string]svc.Metrics)
 	for _, rt := range s.Runtimes() {
-		for service, m := range rt.Snapshot() {
-			t := out[service]
-			t.Add(m)
-			out[service] = t
-		}
+		rt.AddTo(out)
 	}
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"p2pdrm/internal/core"
+	"p2pdrm/internal/svc"
+	"p2pdrm/internal/wire"
 )
 
 // TestSessionLoop drives the one session loop on a tiny deployment. The
@@ -79,4 +81,60 @@ func TestSessionLoop(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCallAggregatorRollUp: the aggregator adds live counters straight
+// into one total per service; the result must equal merging every
+// client's own snapshot, whichever clients have already departed, and a
+// returned total must not alias the accumulator.
+func TestCallAggregatorRollUp(t *testing.T) {
+	r, err := newRun(3, core.Options{PacketInterval: 24 * 365 * time.Hour}, 40*time.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.sys.DeployChannel(core.FreeToView("live", "Live", "100")); err != nil {
+		t.Fatal(err)
+	}
+	for _, email := range []string{"a@e", "b@e", "c@e"} {
+		c, err := r.viewer(email, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.session(c, time.Second, "live", sessionHooks{})
+	}
+	r.sys.Sched.RunUntil(r.end)
+	want := map[string]svc.CallStats{}
+	for _, c := range r.clients {
+		for name, cs := range c.Policy().Stats() {
+			tot := want[name]
+			tot.Merge(cs)
+			want[name] = tot
+		}
+	}
+	check := func(when string) {
+		got := r.calls.Totals()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d services, want %d", when, len(got), len(want))
+		}
+		for name, w := range want {
+			g := got[name]
+			if *g.Hist != *w.Hist {
+				t.Errorf("%s: %s histogram differs from the merged client snapshots", when, name)
+			}
+			g.Hist, w.Hist = nil, nil
+			if g != w {
+				t.Errorf("%s: %s = %+v, want %+v", when, name, g, w)
+			}
+		}
+		got[wire.SvcLogin1].Hist.N += 1000 // must not reach the accumulator
+	}
+	check("all live")
+	r.calls.Finish(r.clients[0])
+	r.calls.Finish(r.clients[0]) // a second Finish is a no-op
+	check("one departed")
+	for _, c := range r.clients {
+		r.calls.Finish(c)
+	}
+	check("all departed")
+	r.sys.StopAll()
 }

@@ -80,15 +80,10 @@ func (a *CallAggregator) Track(c *client.Client) {
 
 // Finish folds a departing client's final stats into the accumulator.
 func (a *CallAggregator) Finish(c *client.Client) {
-	stats := c.Policy().Stats()
 	a.mu.Lock()
 	if _, ok := a.live[c]; ok {
 		delete(a.live, c)
-		for name, cs := range stats {
-			t := a.done[name]
-			t.Merge(cs)
-			a.done[name] = t
-		}
+		c.Policy().AddTo(a.done)
 	}
 	a.mu.Unlock()
 }
@@ -103,11 +98,7 @@ func (a *CallAggregator) Totals() map[string]svc.CallStats {
 		out[name] = mergeCopy(cs)
 	}
 	for c := range a.live {
-		for name, cs := range c.Policy().Stats() {
-			t := out[name]
-			t.Merge(cs)
-			out[name] = t
-		}
+		c.Policy().AddTo(out)
 	}
 	return out
 }

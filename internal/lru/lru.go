@@ -15,7 +15,7 @@ import (
 type Cache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // front = most recently used
+	ll    list.List // front = most recently used
 	items map[K]*list.Element
 }
 
@@ -25,16 +25,15 @@ type entry[K comparable, V any] struct {
 }
 
 // New creates a cache holding at most capacity entries (capacity < 1 is
-// treated as 1).
+// treated as 1). Capacity is the eviction bound, not a reservation: the
+// index is created by the first Add and grows with the entries, so a
+// cache that stays empty or small (a peer's ticket cache holds a handful
+// of children) costs what it holds.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache[K, V]{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[K]*list.Element, capacity),
-	}
+	return &Cache[K, V]{cap: capacity}
 }
 
 // Get returns the value for key, marking it most recently used.
@@ -58,6 +57,9 @@ func (c *Cache[K, V]) Add(key K, val V) {
 		el.Value.(*entry[K, V]).val = val
 		c.ll.MoveToFront(el)
 		return
+	}
+	if c.items == nil {
+		c.items = make(map[K]*list.Element)
 	}
 	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
 	if c.ll.Len() > c.cap {

@@ -72,3 +72,22 @@ func TestNeverExceedsCap(t *testing.T) {
 		}
 	}
 }
+
+// Capacity is an eviction bound, not a reservation: an unused cache is
+// its header alone (no map, no list node), reads on it work, and the
+// bound still holds once it fills.
+func TestNewReservesNothing(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { New[[32]byte, *int](1024) }); a > 1 {
+		t.Errorf("New(1024) allocates %v times, want 1 (the header)", a)
+	}
+	c := New[int, int](3)
+	if _, ok := c.Get(1); ok || c.Len() != 0 {
+		t.Fatal("an unused cache must read as empty")
+	}
+	for i := 0; i < 10; i++ {
+		c.Add(i, i)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d after 10 adds at capacity 3", c.Len())
+	}
+}

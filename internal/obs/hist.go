@@ -15,15 +15,20 @@ import (
 // durations below 2^minExp ns (≈ 8.2 µs — under any simulated RPC)
 // share one underflow bucket, durations at or above 2^(maxExp+1) ns
 // (≈ 137 s — past every scenario deadline) clamp into the top bucket.
-// That bounds a histogram at numBuckets (769) atomic counters ≈ 6 KB,
-// cheap enough to give one to every endpoint and every per-service
-// client call counter.
+// That bounds the layout at numBuckets (769) buckets. A live Histogram
+// stores them sparsely — one block of subCount counters per octave,
+// allocated when the octave is first observed — because most holders
+// (an endpoint per peer, a call counter per service per client) see a
+// handful of octaves or none: ~200 bytes empty, +256 per octave touched,
+// against 6 KB dense. Only a HistSnapshot, of which a run keeps a few
+// per service, is dense.
 const (
 	subBits    = 5
 	subCount   = 1 << subBits // sub-buckets per octave
 	minExp     = 13           // lowest tracked octave: 2^13 ns ≈ 8.2 µs
 	maxExp     = 36           // highest tracked octave: [2^36, 2^37) ns ≈ 68.7–137 s
-	numBuckets = 1 + (maxExp-minExp+1)*subCount
+	numOctaves = maxExp - minExp + 1
+	numBuckets = 1 + numOctaves*subCount
 )
 
 // bucketIndex maps a nanosecond duration to its bucket.
@@ -51,31 +56,70 @@ func bucketMid(i int) int64 {
 	return lo + width/2
 }
 
+// octave holds the subCount counters of one power-of-two octave.
+type octave [subCount]atomic.Int64
+
 // Histogram is a concurrency-safe fixed-bucket latency histogram.
-// Observe is lock-free (two or three atomic adds) and allocation-free,
-// so it can sit on request hot paths. The zero value is ready to use.
+// Observe is lock-free (two atomic adds) and allocation-free except
+// for the first observation in each octave, so it can sit on request
+// hot paths. The zero value is ready to use.
 type Histogram struct {
-	counts [numBuckets]atomic.Int64
-	n      atomic.Int64
-	sum    atomic.Int64 // exact nanosecond sum, kept alongside the buckets
+	under   atomic.Int64                       // bucket 0
+	octaves [numOctaves]atomic.Pointer[octave] // buckets 1…; nil until first observed
+	sum     atomic.Int64                       // exact nanosecond sum, kept alongside the buckets
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	v := d.Nanoseconds()
-	h.counts[bucketIndex(v)].Add(1)
-	h.n.Add(1)
+	if i := bucketIndex(v) - 1; i < 0 {
+		h.under.Add(1)
+	} else {
+		b := h.octaves[i>>subBits].Load()
+		if b == nil {
+			b = h.install(i >> subBits)
+		}
+		b[i&(subCount-1)].Add(1)
+	}
 	h.sum.Add(v)
+}
+
+// install allocates octave o's counters on its first observation.
+// Racing first observers agree on one block through the CAS; the
+// loser's allocation is dropped.
+func (h *Histogram) install(o int) *octave {
+	b := new(octave)
+	if h.octaves[o].CompareAndSwap(nil, b) {
+		return b
+	}
+	return h.octaves[o].Load()
+}
+
+// AddTo merges the current counts into s without materialising a
+// snapshot of h — the roll-up form: one aggregate per service, every
+// holder added straight into it. The observation count is the sum of
+// the buckets read, so Observe keeps no counter of its own for it.
+func (h *Histogram) AddTo(s *HistSnapshot) {
+	n := h.under.Load()
+	s.Counts[0] += n
+	for o := range h.octaves {
+		if b := h.octaves[o].Load(); b != nil {
+			dst := s.Counts[1+o*subCount:]
+			for i := range b {
+				c := b[i].Load()
+				dst[i] += c
+				n += c
+			}
+		}
+	}
+	s.N += n
+	s.Sum += h.sum.Load()
 }
 
 // Snapshot copies the current counts into an immutable snapshot.
 func (h *Histogram) Snapshot() *HistSnapshot {
 	s := &HistSnapshot{}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.N = h.n.Load()
-	s.Sum = h.sum.Load()
+	h.AddTo(s)
 	return s
 }
 

@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // exactQuantile is the nearest-rank order statistic, mirroring
@@ -146,5 +148,160 @@ func TestNilSnapshotSafe(t *testing.T) {
 	dst.Add(nil) // must not panic
 	if dst.N != 0 {
 		t.Fatal("Add(nil) must be a no-op")
+	}
+}
+
+// denseHist is the pre-sparse layout — one counter per bucket — kept as
+// the reference the sparse Histogram must match bucket for bucket.
+type denseHist struct {
+	counts [numBuckets]int64
+	n, sum int64
+}
+
+func (h *denseHist) observe(d time.Duration) {
+	h.counts[bucketIndex(d.Nanoseconds())]++
+	h.n++
+	h.sum += d.Nanoseconds()
+}
+
+func (h *denseHist) snapshot() *HistSnapshot {
+	return &HistSnapshot{Counts: h.counts, N: h.n, Sum: h.sum}
+}
+
+// boundaryDurations covers the underflow bucket, every octave edge (one
+// below, on, one above) and the top clamp.
+func boundaryDurations() []time.Duration {
+	ds := []time.Duration{-time.Second, -1, 0, 1, 1<<minExp - 1, 1 << 62, time.Duration(math.MaxInt64)}
+	for e := minExp; e <= maxExp+1; e++ {
+		for _, off := range []int64{-1, 0, 1} {
+			ds = append(ds, time.Duration(int64(1)<<e+off))
+		}
+		ds = append(ds, time.Duration(int64(1)<<e+int64(1)<<(e-subBits)-1)) // last ns of the first sub-bucket
+	}
+	return ds
+}
+
+// TestSparseMatchesDenseReference: over boundary and random durations
+// the sparse Histogram equals the dense reference in every bucket, N
+// and Sum, through Snapshot, AddTo, Sub and Quantile.
+func TestSparseMatchesDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		var h Histogram
+		var ref denseHist
+		var ds []time.Duration
+		if trial%2 == 0 {
+			ds = boundaryDurations()
+		}
+		// Odd trials confine the random draws to a few octaves so most
+		// blocks stay unallocated; even ones add the full range.
+		lo, span := 0.0, 63.0
+		if trial%2 == 1 {
+			lo, span = float64(minExp+rng.Intn(numOctaves)), 1+2*rng.Float64()
+		}
+		for i, n := 0, rng.Intn(3000); i < n; i++ {
+			ds = append(ds, time.Duration(math.Exp2(lo+rng.Float64()*span)))
+		}
+		var prevGot, prevWant *HistSnapshot
+		for i, d := range ds {
+			h.Observe(d)
+			ref.observe(d)
+			if i == len(ds)/2 {
+				prevGot, prevWant = h.Snapshot(), ref.snapshot()
+			}
+		}
+		got, want := h.Snapshot(), ref.snapshot()
+		if *got != *want {
+			t.Fatalf("trial %d: sparse snapshot differs from the dense reference", trial)
+		}
+		// AddTo into a non-empty aggregate ≡ Add of the snapshot.
+		agg, aggWant := prevGot.Clone(), prevWant.Clone()
+		h.AddTo(agg)
+		aggWant.Add(want)
+		if *agg != *aggWant {
+			t.Fatalf("trial %d: AddTo differs from Add(Snapshot())", trial)
+		}
+		if *got.Sub(prevGot) != *want.Sub(prevWant) {
+			t.Fatalf("trial %d: Sub differs", trial)
+		}
+		for _, q := range []float64{0, 0.001, 0.5, 0.95, 0.999, 1} {
+			if got.Quantile(q) != want.Quantile(q) {
+				t.Fatalf("trial %d: Quantile(%v) %v want %v", trial, q, got.Quantile(q), want.Quantile(q))
+			}
+		}
+	}
+}
+
+// TestHistogramStaysSparse pins the point of the layout: an unobserved
+// histogram holds no octave, a one-octave one holds one, and Observe
+// allocates only on an octave's first touch.
+func TestHistogramStaysSparse(t *testing.T) {
+	var h Histogram
+	if sz := unsafe.Sizeof(h); sz > 256 {
+		t.Errorf("empty Histogram is %d bytes, want ≤ 256", sz)
+	}
+	held := func() (n int) {
+		for o := range h.octaves {
+			if h.octaves[o].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	h.Observe(time.Microsecond) // underflow bucket: no octave
+	if held() != 0 {
+		t.Fatalf("underflow observation allocated %d octaves", held())
+	}
+	h.Observe(100 * time.Millisecond)
+	h.Observe(130 * time.Millisecond)
+	if held() != 1 {
+		t.Fatalf("one octave observed, %d held", held())
+	}
+	if a := testing.AllocsPerRun(100, func() { h.Observe(110 * time.Millisecond) }); a != 0 {
+		t.Errorf("Observe into a touched octave allocates %v", a)
+	}
+	var agg HistSnapshot
+	if a := testing.AllocsPerRun(100, func() { h.AddTo(&agg) }); a != 0 {
+		t.Errorf("AddTo allocates %v", a)
+	}
+}
+
+// TestConcurrentFirstTouch races many goroutines onto the same cold
+// octaves (run under -race): every observation must land in the one
+// block that wins the install.
+func TestConcurrentFirstTouch(t *testing.T) {
+	const workers, per = 8, 2000
+	for round := 0; round < 20; round++ {
+		var h Histogram
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < per; i++ {
+					h.Observe(time.Duration(1) << (minExp + i%numOctaves))
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		s := h.Snapshot()
+		var total int64
+		for _, c := range s.Counts {
+			total += c
+		}
+		if s.N != workers*per || total != s.N {
+			t.Fatalf("round %d: N=%d bucket total=%d, want %d", round, s.N, total, workers*per)
+		}
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	var h Histogram
+	d := 137 * time.Millisecond
+	for i := 0; i < b.N; i++ {
+		h.Observe(d)
 	}
 }

@@ -31,9 +31,9 @@ type Arena struct {
 	next   int32         // first never-used handle
 	live   int           // allocated and not freed
 
-	seenSlab []uint64            // current block rings are carved from
-	seenOff  int                 // carve position in seenSlab
-	seenFree map[int][][]uint64  // released rings, keyed by capacity
+	seenSlab []uint64           // current block rings are carved from
+	seenOff  int                // carve position in seenSlab
+	seenFree map[int][][]uint64 // released rings, keyed by capacity
 }
 
 // arenaDefaultCap is the private-arena child capacity (a standalone peer

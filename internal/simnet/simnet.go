@@ -96,8 +96,8 @@ type Network struct {
 	shards int     // worker lanes declared by the surrounding engine
 	pin    PinFunc // explicit placement for pinned addresses
 
-	cutCount  atomic.Int64 // number of currently severed links
-	ovCount   atomic.Int64 // number of links with loss/latency overrides
+	cutCount    atomic.Int64 // number of currently severed links
+	ovCount     atomic.Int64 // number of links with loss/latency overrides
 	sent        atomic.Int64
 	delivered   atomic.Int64
 	dropped     atomic.Int64

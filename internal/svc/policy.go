@@ -141,15 +141,17 @@ type callCounters struct {
 	hist           obs.Histogram
 }
 
-func (c *callCounters) snapshot() CallStats {
-	return CallStats{
-		Attempts:       c.attempts.Load(),
-		Retries:        c.retries.Load(),
-		Failures:       c.failures.Load(),
-		BreakerRejects: c.breakerRejects.Load(),
-		Overloads:      c.overloads.Load(),
-		Hist:           c.hist.Snapshot(),
+// addTo merges the live counters into s.
+func (c *callCounters) addTo(s *CallStats) {
+	s.Attempts += c.attempts.Load()
+	s.Retries += c.retries.Load()
+	s.Failures += c.failures.Load()
+	s.BreakerRejects += c.breakerRejects.Load()
+	s.Overloads += c.overloads.Load()
+	if s.Hist == nil {
+		s.Hist = &obs.HistSnapshot{}
 	}
+	c.hist.AddTo(s.Hist)
 }
 
 // ExhaustedError reports a call that failed on every allowed attempt.
@@ -454,22 +456,34 @@ func retryCause(maxAttempts int) string {
 
 // Stats snapshots the per-service counters.
 func (p *Policy) Stats() map[string]CallStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]CallStats, len(p.stats))
-	for name, c := range p.stats {
-		out[name] = c.snapshot()
-	}
+	out := make(map[string]CallStats)
+	p.AddTo(out)
 	return out
 }
 
-// Totals sums the per-service counters (histograms included).
-func (p *Policy) Totals() CallStats {
-	var t CallStats
-	for _, s := range p.Stats() {
-		t.Merge(s)
+// AddTo merges the per-service counters into out — the cross-client
+// roll-up: histograms are added straight into out's one aggregate per
+// service, never snapshotted per client.
+func (p *Policy) AddTo(out map[string]CallStats) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for name, c := range p.stats {
+		t := out[name]
+		c.addTo(&t)
+		out[name] = t
 	}
-	return t
+}
+
+// Retries sums retried attempts across services (counters only; no
+// histogram is read).
+func (p *Policy) Retries() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for _, c := range p.stats {
+		n += c.retries.Load()
+	}
+	return n
 }
 
 // BreakerOpens counts circuit-open transitions across all destinations.

@@ -42,6 +42,18 @@ func TestPolicyRetriesIdempotentUntilSuccess(t *testing.T) {
 	if st.Attempts != 3 || st.Retries != 2 || st.Failures != 0 {
 		t.Fatalf("stats = %+v, want 3 attempts / 2 retries / 0 failures", st)
 	}
+	// A second service retries once more; the counters-only read and the
+	// roll-up into an existing aggregate agree with the snapshots.
+	s.Go(func() { _, _ = p.Do("cm.vip", wire.SvcSwitch1, nil, scriptedAttempt(1, nil)) })
+	s.Run()
+	if got := p.Retries(); got != 3 {
+		t.Fatalf("Retries() = %d, want 3 across both services", got)
+	}
+	agg := p.Stats()
+	p.AddTo(agg)
+	if st := agg[wire.SvcLogin1]; st.Attempts != 6 || st.Hist.Count() != 2 {
+		t.Fatalf("AddTo into a snapshot = %+v (hist %d), want the counters doubled", st, st.Hist.Count())
+	}
 }
 
 func TestPolicyNonIdempotentNeverRetried(t *testing.T) {

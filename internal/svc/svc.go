@@ -117,15 +117,17 @@ func (ep *endpoint) observe(start, end time.Time, err error) {
 	}
 }
 
-func (ep *endpoint) snapshot() Metrics {
-	return Metrics{
-		Requests:     ep.requests.Load(),
-		Errors:       ep.errors.Load(),
-		DecodeErrors: ep.decodeErrors.Load(),
-		Shed:         ep.shed.Load(),
-		Latency:      time.Duration(ep.latencyNanos.Load()),
-		Hist:         ep.hist.Snapshot(),
+// addTo merges the endpoint's live counters into m.
+func (ep *endpoint) addTo(m *Metrics) {
+	m.Requests += ep.requests.Load()
+	m.Errors += ep.errors.Load()
+	m.DecodeErrors += ep.decodeErrors.Load()
+	m.Shed += ep.shed.Load()
+	m.Latency += time.Duration(ep.latencyNanos.Load())
+	if m.Hist == nil {
+		m.Hist = &obs.HistSnapshot{}
 	}
+	ep.hist.AddTo(m.Hist)
 }
 
 // Runtime owns every endpoint registered on one node. It is the only
@@ -217,25 +219,31 @@ func (r *Runtime) Metrics(service string) Metrics {
 	r.mu.Lock()
 	ep := r.endpoints[service]
 	r.mu.Unlock()
-	if ep == nil {
-		return Metrics{}
+	var m Metrics
+	if ep != nil {
+		ep.addTo(&m)
 	}
-	return ep.snapshot()
+	return m
 }
 
 // Snapshot returns every endpoint's counters keyed by service name.
 func (r *Runtime) Snapshot() map[string]Metrics {
-	r.mu.Lock()
-	eps := make([]*endpoint, 0, len(r.order))
-	for _, s := range r.order {
-		eps = append(eps, r.endpoints[s])
-	}
-	r.mu.Unlock()
-	out := make(map[string]Metrics, len(eps))
-	for _, ep := range eps {
-		out[ep.service] = ep.snapshot()
-	}
+	out := make(map[string]Metrics)
+	r.AddTo(out)
 	return out
+}
+
+// AddTo merges every endpoint's live counters into out, keyed by service
+// name — the deployment-wide roll-up: histograms are added straight into
+// out's one aggregate per service, never snapshotted per runtime.
+func (r *Runtime) AddTo(out map[string]Metrics) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for service, ep := range r.endpoints {
+		m := out[service]
+		ep.addTo(&m)
+		out[service] = m
+	}
 }
 
 // SetShedding arms load shedding on an endpoint: once highWater requests

@@ -185,6 +185,13 @@ func TestReRegistrationKeepsCounters(t *testing.T) {
 	if m := rt.Metrics("feed"); m.Requests != 2 {
 		t.Fatalf("metrics = %+v (history lost)", m)
 	}
+	// AddTo rolls the live counters into whatever the aggregate already
+	// holds — a second runtime's share, here the same one again.
+	agg := rt.Snapshot()
+	rt.AddTo(agg)
+	if m := agg["feed"]; m.Requests != 4 || m.Hist.Count() != 4 || rt.Metrics("feed").Hist.Count() != 2 {
+		t.Fatalf("AddTo into a snapshot = %+v (hist %d), want the counters doubled", m, m.Hist.Count())
+	}
 	if services := rt.Services(); len(services) != 1 {
 		t.Fatalf("services = %v", services)
 	}

@@ -35,7 +35,9 @@ type Verifier struct {
 }
 
 // NewVerifier creates a Verifier holding up to capacity verified tickets
-// of each kind (non-positive means DefaultVerifierCap).
+// of each kind (non-positive means DefaultVerifierCap). Each cache's
+// storage is created by its first Add, so a kind never verified — an
+// overlay peer only ever sees Channel Tickets — costs its header alone.
 func NewVerifier(capacity int) *Verifier {
 	if capacity <= 0 {
 		capacity = DefaultVerifierCap

@@ -10,8 +10,8 @@ import (
 // decode to the same message, for both sealed and clear packets.
 func TestAppendContentPushHeader(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		msg   ContentPush
+		name string
+		msg  ContentPush
 	}{
 		{"sealed", ContentPush{ChannelID: "sports-hd", Substream: 3, Seq: 982451653, Packet: bytes.Repeat([]byte{0x5C}, 1400)}},
 		{"clear", ContentPush{ChannelID: "c", Substream: 0, Seq: 0, Clear: true, Packet: []byte{}}},

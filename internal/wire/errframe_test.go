@@ -100,11 +100,11 @@ func TestReplyEnvelopeError(t *testing.T) {
 
 func TestReplyEnvelopeCorruption(t *testing.T) {
 	cases := [][]byte{
-		nil,                 // empty
-		{2},                 // invalid bool
-		{0},                 // error flag but no frame
-		{1},                 // ok flag but no blob
-		{0, 0xFF, 0xFF},     // error flag, truncated frame
+		nil,                  // empty
+		{2},                  // invalid bool
+		{0},                  // error flag but no frame
+		{1},                  // ok flag but no blob
+		{0, 0xFF, 0xFF},      // error flag, truncated frame
 		{1, 0, 0, 0, 9, 'x'}, // ok flag, blob length overruns
 	}
 	for _, b := range cases {
