@@ -18,9 +18,10 @@ test:
 
 # Full suite under the race detector, then the mixed-shard stress once
 # more at a forced GOMAXPROCS: the shard-invariance goldens run the same
-# scenarios at shards 0 (unset), 1, 2 and 8, so lane workers, the barrier
-# merge and arena recycling execute under a second thread schedule with
-# the checker watching cross-lane memory orderings. The run-token tests
+# scenarios at shards 0 (unset), 1, 2 and 8, so lane workers, control's
+# reads of lane counters at the epoch boundary and arena recycling
+# execute under a second thread schedule with the checker watching for
+# any cross-lane access. The run-token tests
 # ride the same line: the baton-passing loop switches goroutines in a
 # different pattern when a woken goroutine finds an idle P to start on.
 race:
@@ -43,11 +44,11 @@ cover:
 		echo "cover gate: $$pkg $$pct% >= $(COVER_FLOOR)%"; \
 	done
 
-# Quick smoke of every benchmark (~0.1s each): catches bit-rot, not a
-# measurement. MEGA_VIEWERS shrinks the megascale scenario so the smoke
-# stays fast; drop the override for the real million-viewer run.
+# Quick smoke of every testing.B benchmark (~0.1s each): catches
+# bit-rot, not a measurement. The measured numbers — and every per-call
+# probe — come from `go run ./benchmark`.
 bench:
-	MEGA_VIEWERS=20000 $(GO) test -run '^$$' -bench . -benchtime 0.1s -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 0.1s -benchmem .
 
 # Fault-injection suite under the race detector: the resilience policy
 # and simnet fault machinery, the chaos scenarios (manager-farm crashes,

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"p2pdrm/internal/client"
@@ -22,12 +24,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	sys, err := core.NewSystem(core.Options{
 		Seed:                  7,
 		UserTicketLifetime:    4 * time.Minute,
@@ -53,7 +55,7 @@ func run() error {
 	if err := sys.DeployBlackout("sport1", boStart, boEnd); err != nil {
 		return err
 	}
-	fmt.Printf("blackout deployed for %s–%s (lead time %v)\n",
+	fmt.Fprintf(w, "blackout deployed for %s–%s (lead time %v)\n",
 		boStart.Format(time.Kitchen), boEnd.Format(time.Kitchen), boStart.Sub(start))
 
 	var lastFrame time.Time
@@ -78,7 +80,7 @@ func run() error {
 			log.Printf("watch: %v", err)
 			return
 		}
-		fmt.Println("fan watching sport1...")
+		fmt.Fprintln(w, "fan watching sport1...")
 
 		// During the blackout, the fan retries every couple of minutes —
 		// every attempt must be rejected by policy.
@@ -92,10 +94,10 @@ func run() error {
 			return
 		}
 		if err := c.Watch("sport1"); err != nil {
-			fmt.Printf("t=%v: watch during blackout rejected: %v\n",
+			fmt.Fprintf(w, "t=%v: watch during blackout rejected: %v\n",
 				sys.Sched.Now().Sub(start).Round(time.Second), err)
 		} else {
-			fmt.Println("BUG: watch during blackout accepted")
+			fmt.Fprintln(w, "BUG: watch during blackout accepted")
 		}
 
 		// Wait out the window, then return.
@@ -108,7 +110,7 @@ func run() error {
 			log.Printf("post-blackout watch: %v", err)
 			return
 		}
-		fmt.Printf("t=%v: back on sport1 after the blackout\n",
+		fmt.Fprintf(w, "t=%v: back on sport1 after the blackout\n",
 			sys.Sched.Now().Sub(start).Round(time.Second))
 		sys.Sched.Sleep(3 * time.Minute)
 	})
@@ -116,7 +118,7 @@ func run() error {
 	sys.Sched.RunUntil(start.Add(26 * time.Minute))
 	sys.StopAll()
 
-	fmt.Println("\nframes received per minute of the broadcast:")
+	fmt.Fprintln(w, "\nframes received per minute of the broadcast:")
 	for m := 0; m < 26; m++ {
 		bar := ""
 		for i := 0; i < frameLog[m]/6; i++ {
@@ -126,7 +128,7 @@ func run() error {
 		if mm := start.Add(time.Duration(m) * time.Minute); !mm.Before(boStart) && mm.Before(boEnd) {
 			marker = "   << blackout window"
 		}
-		fmt.Printf("  min %2d: %3d %s%s\n", m, frameLog[m], bar, marker)
+		fmt.Fprintf(w, "  min %2d: %3d %s%s\n", m, frameLog[m], bar, marker)
 	}
 	_ = lastFrame
 	// The cutoff is the first silent minute at/after the window opens.
@@ -137,7 +139,7 @@ func run() error {
 			break
 		}
 	}
-	fmt.Printf("\nsignal cut by minute %d — within one 2-minute Channel Ticket lifetime of the window\n", cutMin)
+	fmt.Fprintf(w, "\nsignal cut by minute %d — within one 2-minute Channel Ticket lifetime of the window\n", cutMin)
 	if cutMin < 0 || cutMin > 12 {
 		return fmt.Errorf("viewer not cut within a ticket lifetime")
 	}

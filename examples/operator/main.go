@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"p2pdrm/internal/core"
@@ -21,12 +23,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	sys, err := core.NewSystem(core.Options{
 		Seed:               23,
 		UserTicketLifetime: 3 * time.Minute, // short, so lineup changes propagate fast
@@ -44,7 +46,7 @@ func run() error {
 	if err := sys.DeployChannel(core.SubscriptionChannel("movies", "Movie Gold", "gold", "100")); err != nil {
 		return err
 	}
-	fmt.Println("operator: morning lineup deployed: news (free), movies (subscription)")
+	fmt.Fprintln(w, "operator: morning lineup deployed: news (free), movies (subscription)")
 
 	if _, err := sys.RegisterUser("viewer@example.com", "pw"); err != nil {
 		return err
@@ -59,7 +61,7 @@ func run() error {
 			log.Printf("login: %v", err)
 			return
 		}
-		fmt.Printf("t=%s viewer sees: %v\n", at(), c.AvailableChannels())
+		fmt.Fprintf(w, "t=%s viewer sees: %v\n", at(), c.AvailableChannels())
 
 		// --- The operator sells the viewer a 'gold' subscription and
 		// launches a new free channel.
@@ -72,10 +74,10 @@ func run() error {
 			log.Printf("deploy: %v", err)
 			return
 		}
-		fmt.Printf("t=%s operator: sold 'gold' to viewer; launched channel 'extra'\n", at())
+		fmt.Fprintf(w, "t=%s operator: sold 'gold' to viewer; launched channel 'extra'\n", at())
 
 		// The running client still holds its old ticket — no change yet.
-		fmt.Printf("t=%s viewer (stale ticket) sees: %v\n", at(), c.AvailableChannels())
+		fmt.Fprintf(w, "t=%s viewer (stale ticket) sees: %v\n", at(), c.AvailableChannels())
 
 		// At the next User Ticket renewal the fresher utimes trigger a
 		// Channel List refetch automatically.
@@ -84,7 +86,7 @@ func run() error {
 			log.Printf("renew: %v", err)
 			return
 		}
-		fmt.Printf("t=%s viewer (fresh ticket) sees: %v\n", at(), c.AvailableChannels())
+		fmt.Fprintf(w, "t=%s viewer (fresh ticket) sees: %v\n", at(), c.AvailableChannels())
 
 		// --- A PPV event for tonight goes on sale.
 		evStart := sys.Sched.Now().Add(10 * time.Minute)
@@ -97,14 +99,14 @@ func run() error {
 			log.Printf("purchase: %v", err)
 			return
 		}
-		fmt.Printf("t=%s operator: PPV 'Fight Night' on sale; viewer bought it\n", at())
+		fmt.Fprintf(w, "t=%s operator: PPV 'Fight Night' on sale; viewer bought it\n", at())
 
 		if err := c.RenewUserTicket(); err != nil {
 			log.Printf("renew: %v", err)
 			return
 		}
 		if err := c.Watch("fight"); err != nil {
-			fmt.Printf("t=%s before the event, 'fight' is refused: %v\n", at(), err)
+			fmt.Fprintf(w, "t=%s before the event, 'fight' is refused: %v\n", at(), err)
 		}
 		sys.Sched.Sleep(evStart.Sub(sys.Sched.Now()) + time.Minute)
 		if err := c.RenewUserTicket(); err != nil {
@@ -115,7 +117,7 @@ func run() error {
 			log.Printf("watch fight: %v", err)
 			return
 		}
-		fmt.Printf("t=%s event started — viewer is watching %q\n", at(), c.Watching())
+		fmt.Fprintf(w, "t=%s event started — viewer is watching %q\n", at(), c.Watching())
 		c.StopWatching()
 
 		// --- End of day: the operator withdraws 'extra'.
@@ -128,27 +130,27 @@ func run() error {
 			log.Printf("renew: %v", err)
 			return
 		}
-		fmt.Printf("t=%s operator removed 'extra'; viewer sees: %v\n", at(), c.AvailableChannels())
+		fmt.Fprintf(w, "t=%s operator removed 'extra'; viewer sees: %v\n", at(), c.AvailableChannels())
 	})
 
 	sys.Sched.RunUntil(start.Add(40 * time.Minute))
 	sys.StopAll()
 
-	fmt.Printf("\nchannel-list fetches triggered by utime changes: %d\n", c.Stats().ListFetches)
+	fmt.Fprintf(w, "\nchannel-list fetches triggered by utime changes: %d\n", c.Stats().ListFetches)
 	if c.Stats().ListFetches < 3 {
 		return fmt.Errorf("lineup changes did not propagate")
 	}
 
 	// End-of-day royalty/viewing-rate report from the viewing logs
 	// (§II: licensing fees, royalties, per-view payment, ad ratings).
-	fmt.Println("\nviewing report (per partition):")
+	fmt.Fprintln(w, "\nviewing report (per partition):")
 	for part, farm := range sys.ChanMgrs {
 		if len(farm) == 0 {
 			continue
 		}
 		usage := farm[0].Log().Usage(start, sys.Sched.Now())
 		for _, u := range usage {
-			fmt.Printf("  [%s] %-8s viewers=%d ticket-issues=%d\n",
+			fmt.Fprintf(w, "  [%s] %-8s viewers=%d ticket-issues=%d\n",
 				part, u.ChannelID, u.UniqueViewers, u.TicketIssues)
 		}
 	}

@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"p2pdrm/internal/chserver"
@@ -16,12 +18,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// 1. A provider deployment: 2 User Managers, 4 Channel Managers over
 	//    2 partitions, a Channel Policy Manager, a Redirection Manager.
 	sys, err := core.NewSystem(core.Options{Seed: 42})
@@ -53,7 +55,7 @@ func run() error {
 				}
 				if frames <= 3 {
 					s, _ := chserver.FrameSeq(frame)
-					fmt.Printf("  frame seq=%d (%d bytes) lag=%v\n", s, len(frame), lag)
+					fmt.Fprintf(w, "  frame seq=%d (%d bytes) lag=%v\n", s, len(frame), lag)
 				}
 			}
 		})
@@ -71,16 +73,16 @@ func run() error {
 			return
 		}
 		ut := c.UserTicket()
-		fmt.Printf("logged in: UserIN=%d, %d attributes, ticket expires %s\n",
+		fmt.Fprintf(w, "logged in: UserIN=%d, %d attributes, ticket expires %s\n",
 			ut.UserIN, len(ut.Attrs), ut.Expiry.Format(time.Kitchen))
-		fmt.Printf("channels available here: %v\n", c.AvailableChannels())
+		fmt.Fprintf(w, "channels available here: %v\n", c.AvailableChannels())
 
 		if err := c.Watch("news"); err != nil {
 			log.Printf("watch: %v", err)
 			return
 		}
 		ct := c.ChannelTicket()
-		fmt.Printf("watching %q with a Channel Ticket (expires %s), decrypting live signal:\n",
+		fmt.Fprintf(w, "watching %q with a Channel Ticket (expires %s), decrypting live signal:\n",
 			c.Watching(), ct.Expiry.Format(time.Kitchen))
 	})
 
@@ -88,9 +90,9 @@ func run() error {
 	sys.Sched.RunUntil(sys.Sched.Now().Add(30 * time.Second))
 	sys.StopAll()
 
-	fmt.Printf("received %d decrypted frames in 30s of broadcast (last lag %v)\n", frames, lag)
+	fmt.Fprintf(w, "received %d decrypted frames in 30s of broadcast (last lag %v)\n", frames, lag)
 	for _, s := range c.FeedbackLog().Samples() {
-		fmt.Printf("  %-7s latency %v\n", s.Round, s.Latency)
+		fmt.Fprintf(w, "  %-7s latency %v\n", s.Round, s.Latency)
 	}
 	if frames == 0 {
 		return fmt.Errorf("no frames decrypted")

@@ -17,7 +17,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"p2pdrm/internal/client"
@@ -26,12 +28,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	sys, err := core.NewSystem(core.Options{
 		Seed:                  3,
 		ChannelTicketLifetime: 2 * time.Minute,
@@ -82,21 +84,21 @@ func run() error {
 			log.Printf("home login: %v", err)
 			return
 		}
-		fmt.Printf("at home (region 100): channels = %v\n", home.AvailableChannels())
+		fmt.Fprintf(w, "at home (region 100): channels = %v\n", home.AvailableChannels())
 
 		if err := abroad.Login(); err != nil {
 			log.Printf("abroad login: %v", err)
 			return
 		}
-		fmt.Printf("abroad  (region 200): channels = %v\n", abroad.AvailableChannels())
+		fmt.Fprintf(w, "abroad  (region 200): channels = %v\n", abroad.AvailableChannels())
 		if err := abroad.Watch("home-news"); err != nil {
-			fmt.Printf("abroad, home-news is refused: %v\n", err)
+			fmt.Fprintf(w, "abroad, home-news is refused: %v\n", err)
 		}
 		if err := abroad.Watch("world"); err != nil {
 			log.Printf("abroad watch world: %v", err)
 			return
 		}
-		fmt.Println("abroad, world service plays fine")
+		fmt.Fprintln(w, "abroad, world service plays fine")
 		abroad.StopWatching()
 
 		// --- Part 2: moving between computers at home.
@@ -104,7 +106,7 @@ func run() error {
 			log.Printf("home watch: %v", err)
 			return
 		}
-		fmt.Printf("\nt=%v: computer A starts watching 'world'\n",
+		fmt.Fprintf(w, "\nt=%v: computer A starts watching 'world'\n",
 			sys.Sched.Now().Sub(start).Round(time.Second))
 		sys.Sched.Sleep(30 * time.Second)
 
@@ -116,14 +118,14 @@ func run() error {
 			log.Printf("second watch: %v", err)
 			return
 		}
-		fmt.Printf("t=%v: computer B joins 'world' with the same account — no waiting\n",
+		fmt.Fprintf(w, "t=%v: computer B joins 'world' with the same account — no waiting\n",
 			sys.Sched.Now().Sub(start).Round(time.Second))
 
 		// Let A's renewal come due: it must be refused.
 		sys.Sched.Sleep(4 * time.Minute)
-		fmt.Printf("t=%v: computer A renewals failed: %d (latest log entry now names B)\n",
+		fmt.Fprintf(w, "t=%v: computer A renewals failed: %d (latest log entry now names B)\n",
 			sys.Sched.Now().Sub(start).Round(time.Second), home.Stats().RenewalsFailed)
-		fmt.Printf("        computer B renewals OK: %d, still watching %q (%d frames so far)\n",
+		fmt.Fprintf(w, "        computer B renewals OK: %d, still watching %q (%d frames so far)\n",
 			second.Stats().Renewals, second.Watching(), frames2)
 	})
 
@@ -136,6 +138,6 @@ func run() error {
 	if frames2 == 0 {
 		return fmt.Errorf("computer B never received frames")
 	}
-	fmt.Println("\nsingle-concurrent-use enforced; roaming lineup follows the region")
+	fmt.Fprintln(w, "\nsingle-concurrent-use enforced; roaming lineup follows the region")
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -32,8 +31,6 @@ const (
 	// None as a required value matches users who lack a currently-valid
 	// attribute of that name.
 	None Value = "NONE"
-	// Null marks an unset value.
-	Null Value = "NULL"
 )
 
 // Well-known attribute names used by the DRM requirements (Table I).
@@ -134,22 +131,6 @@ func (l List) Clone() List {
 	return append(List(nil), l...)
 }
 
-// Sorted returns a copy ordered by (Name, Value, STime) for deterministic
-// encodings.
-func (l List) Sorted() List {
-	out := l.Clone()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		if out[i].Value != out[j].Value {
-			return out[i].Value < out[j].Value
-		}
-		return out[i].STime.Before(out[j].STime)
-	})
-	return out
-}
-
 // Satisfies reports whether this (user) attribute list satisfies a
 // required name/value at time t under the special-value rules:
 //
@@ -190,8 +171,8 @@ var errTruncated = errors.New("attr: truncated encoding")
 // maxListLen bounds decoded list sizes defensively.
 const maxListLen = 4096
 
-// AppendAttribute serializes a onto buf.
-func AppendAttribute(buf []byte, a Attribute) []byte {
+// appendAttribute serializes a onto buf.
+func appendAttribute(buf []byte, a Attribute) []byte {
 	buf = appendString(buf, a.Name)
 	buf = appendString(buf, string(a.Value))
 	buf = appendTime(buf, a.STime)
@@ -200,8 +181,8 @@ func AppendAttribute(buf []byte, a Attribute) []byte {
 	return buf
 }
 
-// DecodeAttribute parses one attribute, returning the remainder.
-func DecodeAttribute(b []byte) (Attribute, []byte, error) {
+// decodeAttribute parses one attribute, returning the remainder.
+func decodeAttribute(b []byte) (Attribute, []byte, error) {
 	var a Attribute
 	var err error
 	var s string
@@ -239,7 +220,7 @@ func (l List) EncodedLen() int {
 func AppendList(buf []byte, l List) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(l)))
 	for _, a := range l {
-		buf = AppendAttribute(buf, a)
+		buf = appendAttribute(buf, a)
 	}
 	return buf
 }
@@ -258,7 +239,7 @@ func DecodeList(b []byte) (List, []byte, error) {
 	for i := uint32(0); i < n; i++ {
 		var a Attribute
 		var err error
-		if a, b, err = DecodeAttribute(b); err != nil {
+		if a, b, err = decodeAttribute(b); err != nil {
 			return nil, nil, err
 		}
 		out = append(out, a)

@@ -173,26 +173,10 @@ func TestValidAtFilter(t *testing.T) {
 	}
 }
 
-func TestSortedDeterministic(t *testing.T) {
-	l := List{
-		{Name: "B", Value: "2"},
-		{Name: "A", Value: "9"},
-		{Name: "A", Value: "1"},
-	}
-	s := l.Sorted()
-	if s[0].Name != "A" || s[0].Value != "1" || s[2].Name != "B" {
-		t.Fatalf("Sorted = %v", s)
-	}
-	// Original untouched.
-	if l[0].Name != "B" {
-		t.Fatal("Sorted mutated the receiver")
-	}
-}
-
 func TestEncodeDecodeAttribute(t *testing.T) {
 	a := Attribute{Name: NameRegion, Value: "100", STime: t0, ETime: t1, UTime: t0}
-	buf := AppendAttribute(nil, a)
-	dec, rest, err := DecodeAttribute(buf)
+	buf := appendAttribute(nil, a)
+	dec, rest, err := decodeAttribute(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +229,7 @@ func TestDecodeListLengthBomb(t *testing.T) {
 
 func TestZeroTimeIsNullInEncoding(t *testing.T) {
 	a := Attribute{Name: "A", Value: "1"}
-	dec, _, err := DecodeAttribute(AppendAttribute(nil, a))
+	dec, _, err := decodeAttribute(appendAttribute(nil, a))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,8 +160,8 @@ func (m *Manager) Directory() *Directory { return m.cfg.Dir }
 // reporting, §IV-C).
 func (m *Manager) Log() *ViewLog { return m.cfg.Log }
 
-// SetChannels installs the Channel List for this manager's partition.
-func (m *Manager) SetChannels(chs []*policy.Channel) {
+// setChannels installs the Channel List for this manager's partition.
+func (m *Manager) setChannels(chs []*policy.Channel) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.channels = make(map[string]*policy.Channel, len(chs))
@@ -187,7 +187,7 @@ func (m *Manager) handleChannelFeed(_ simnet.Addr, feed *wire.Feed) {
 	if stale {
 		return // reordered stale push
 	}
-	m.SetChannels(chs)
+	m.setChannels(chs)
 }
 
 func (m *Manager) channel(id string) (*policy.Channel, bool) {
@@ -364,7 +364,7 @@ func (m *Manager) freshTicket(ut *ticket.UserTicket, channelID string, from simn
 	if !grantEnd.IsZero() && grantEnd.Before(expiry) {
 		expiry = grantEnd // no longer than the rights that granted access
 	}
-	m.cfg.Log.Append(ut.UserIN, channelID, from, now)
+	m.cfg.Log.add(ut.UserIN, channelID, from, now)
 	return &ticket.ChannelTicket{
 		UserIN:    ut.UserIN,
 		ChannelID: channelID,
@@ -392,7 +392,7 @@ func (m *Manager) renew(old *ticket.ChannelTicket, ut *ticket.UserTicket, from s
 		return nil, wire.Errf(wire.CodeRenewalWindow,
 			"renewal outside window (expiry %v from now)", d)
 	}
-	entry, ok := m.cfg.Log.Latest(old.UserIN, old.ChannelID)
+	entry, ok := m.cfg.Log.last(old.UserIN, old.ChannelID)
 	if !ok {
 		return nil, wire.Errf(wire.CodeRenewalDenied, "no viewing log entry")
 	}

@@ -61,14 +61,20 @@ func newFixture(t *testing.T, mut func(*Config)) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.SetChannels([]*policy.Channel{freeChannel("chA"), freeChannel("chB")})
+	mgr.setChannels([]*policy.Channel{freeChannel("chA"), freeChannel("chB")})
 	mgr.Directory().RegisterPermanent("chA", "root.chA")
 	return &fixture{sched: s, net: net, mgr: mgr, umKeys: umKeys, cmKeys: cmKeys, rng: rng}
 }
 
+// regionOf returns addr's region ("" for an address geo cannot place).
+func regionOf(addr simnet.Addr) string {
+	info, _ := geo.Lookup(addr)
+	return info.Region
+}
+
 // mintUserTicket forges a legitimate ticket as the User Manager would.
 func (f *fixture) mintUserTicket(kp *cryptoutil.KeyPair, userIN uint64, addr simnet.Addr, lifetime time.Duration) []byte {
-	region := geo.Region(addr)
+	region := regionOf(addr)
 	ut := &ticket.UserTicket{
 		UserIN:    userIN,
 		ClientKey: kp.Public(),
@@ -146,7 +152,7 @@ func TestSwitchHappyPath(t *testing.T) {
 		t.Fatalf("peer list %v missing channel root", resp.Peers)
 	}
 	// Viewing activity logged (§IV-C purpose 3).
-	entry, ok := f.mgr.cfg.Log.Latest(7, "chA")
+	entry, ok := f.mgr.cfg.Log.last(7, "chA")
 	if !ok || entry.NetAddr != addr {
 		t.Fatalf("view log entry = %+v %v", entry, ok)
 	}
@@ -196,7 +202,7 @@ func TestChannelTicketCappedByGrantWindow(t *testing.T) {
 			Effect: policy.Accept,
 		}},
 	}
-	f.mgr.SetChannels([]*policy.Channel{ppv})
+	f.mgr.setChannels([]*policy.Channel{ppv})
 	addr := geo.Addr(100, 1, 1)
 	cli := f.net.NewNode(addr)
 	kp, _ := cryptoutil.NewKeyPair(f.rng)
@@ -208,7 +214,7 @@ func TestChannelTicketCappedByGrantWindow(t *testing.T) {
 		Expiry:    f.sched.Now().Add(time.Hour),
 		Attrs: attr.List{
 			{Name: attr.NameNetAddr, Value: attr.Value(addr)},
-			{Name: attr.NameRegion, Value: attr.Value(geo.Region(addr))},
+			{Name: attr.NameRegion, Value: attr.Value(regionOf(addr))},
 			{Name: attr.NameSubscription, Value: "evt", ETime: purchaseEnd},
 		},
 	}
@@ -316,7 +322,7 @@ func TestPartitionFiltering(t *testing.T) {
 	chP1.Partition = "p1"
 	chP2 := freeChannel("chP2")
 	chP2.Partition = "p2"
-	f.mgr.SetChannels([]*policy.Channel{chP1, chP2})
+	f.mgr.setChannels([]*policy.Channel{chP1, chP2})
 	addr := geo.Addr(100, 1, 1)
 	cli := f.net.NewNode(addr)
 	kp, _ := cryptoutil.NewKeyPair(f.rng)
@@ -341,7 +347,7 @@ func TestBlackoutEnforced(t *testing.T) {
 	boAttr, boRule := policy.Blackout(t0.Add(time.Hour), t0.Add(2*time.Hour), 100, t0)
 	ch.Attrs = append(ch.Attrs, boAttr)
 	ch.Rules = append(ch.Rules, boRule)
-	f.mgr.SetChannels([]*policy.Channel{ch})
+	f.mgr.setChannels([]*policy.Channel{ch})
 	addr := geo.Addr(100, 1, 1)
 	cli := f.net.NewNode(addr)
 	kp, _ := cryptoutil.NewKeyPair(f.rng)
@@ -504,8 +510,8 @@ func TestFarmSharedLogAndStatelessRounds(t *testing.T) {
 	b2 := net.NewNode("cm-backend-2")
 	m1, _ := New(b1, cfg)
 	m2, _ := New(b2, cfg)
-	m1.SetChannels([]*policy.Channel{freeChannel("chA")})
-	m2.SetChannels([]*policy.Channel{freeChannel("chA")})
+	m1.setChannels([]*policy.Channel{freeChannel("chA")})
+	m2.setChannels([]*policy.Channel{freeChannel("chA")})
 	net.NewVIP("cm.provider", b1, b2)
 
 	f := &fixture{sched: s, net: net, umKeys: umKeys, cmKeys: cmKeys, rng: rng}
@@ -525,7 +531,7 @@ func TestFarmSharedLogAndStatelessRounds(t *testing.T) {
 	if s1.Switch1Served != 1 || s2.Switch2Served != 1 {
 		t.Fatalf("rounds not split: %+v %+v", s1, s2)
 	}
-	if _, ok := sharedLog.Latest(7, "chA"); !ok {
+	if _, ok := sharedLog.last(7, "chA"); !ok {
 		t.Fatal("shared view log missing the entry")
 	}
 }

@@ -78,11 +78,11 @@ func TestViewLogLatestProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			user := uint64(users[i] % 4) // few users → frequent overwrites
 			addr := geo.Addr(1, 1, int(hosts[i]))
-			l.Append(user, "ch", addr, base.Add(time.Duration(i)*time.Second))
+			l.add(user, "ch", addr, base.Add(time.Duration(i)*time.Second))
 			lastByKey[user] = addr
 		}
 		for user, want := range lastByKey {
-			e, ok := l.Latest(user, "ch")
+			e, ok := l.last(user, "ch")
 			if !ok || e.NetAddr != want {
 				return false
 			}

@@ -63,18 +63,3 @@ func (l *ViewLog) Usage(from, to time.Time) []ChannelUsage {
 	})
 	return out
 }
-
-// UniqueUsers counts distinct UserINs active across all channels in
-// [from, to) — the licensing-fee denominator.
-func (l *ViewLog) UniqueUsers(from, to time.Time) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	users := make(map[uint64]bool)
-	for _, e := range l.history {
-		if e.At.Before(from) || !e.At.Before(to) {
-			continue
-		}
-		users[e.UserIN] = true
-	}
-	return len(users)
-}

@@ -11,13 +11,13 @@ func seedLog() (*ViewLog, time.Time) {
 	l := NewViewLog(0)
 	base := time.Date(2008, 6, 23, 18, 0, 0, 0, time.UTC)
 	// chA: users 1,2,3 (user 1 twice — a move); chB: user 1.
-	l.Append(1, "chA", geo.Addr(1, 1, 1), base)
-	l.Append(2, "chA", geo.Addr(1, 1, 2), base.Add(5*time.Minute))
-	l.Append(1, "chA", geo.Addr(1, 1, 9), base.Add(10*time.Minute)) // moved
-	l.Append(3, "chA", geo.Addr(1, 1, 3), base.Add(20*time.Minute))
-	l.Append(1, "chB", geo.Addr(1, 1, 9), base.Add(30*time.Minute))
+	l.add(1, "chA", geo.Addr(1, 1, 1), base)
+	l.add(2, "chA", geo.Addr(1, 1, 2), base.Add(5*time.Minute))
+	l.add(1, "chA", geo.Addr(1, 1, 9), base.Add(10*time.Minute)) // moved
+	l.add(3, "chA", geo.Addr(1, 1, 3), base.Add(20*time.Minute))
+	l.add(1, "chB", geo.Addr(1, 1, 9), base.Add(30*time.Minute))
 	// Outside the window:
-	l.Append(4, "chA", geo.Addr(1, 1, 4), base.Add(2*time.Hour))
+	l.add(4, "chA", geo.Addr(1, 1, 4), base.Add(2*time.Hour))
 	return l, base
 }
 
@@ -52,22 +52,12 @@ func TestUsageWindowBounds(t *testing.T) {
 	}
 }
 
-func TestUniqueUsers(t *testing.T) {
-	l, base := seedLog()
-	if got := l.UniqueUsers(base, base.Add(time.Hour)); got != 3 {
-		t.Fatalf("unique users = %d, want 3 (user 1 counted once across channels)", got)
-	}
-	if got := l.UniqueUsers(base, base.Add(3*time.Hour)); got != 4 {
-		t.Fatalf("full-window unique users = %d, want 4", got)
-	}
-}
-
 func TestUsageOrdering(t *testing.T) {
 	l := NewViewLog(0)
 	base := time.Date(2008, 6, 23, 18, 0, 0, 0, time.UTC)
-	l.Append(1, "quiet", geo.Addr(1, 1, 1), base)
+	l.add(1, "quiet", geo.Addr(1, 1, 1), base)
 	for i := 0; i < 5; i++ {
-		l.Append(uint64(i+10), "busy", geo.Addr(1, 1, i+2), base.Add(time.Duration(i)*time.Minute))
+		l.add(uint64(i+10), "busy", geo.Addr(1, 1, i+2), base.Add(time.Duration(i)*time.Minute))
 	}
 	usage := l.Usage(base, base.Add(time.Hour))
 	if usage[0].ChannelID != "busy" || usage[1].ChannelID != "quiet" {

@@ -21,8 +21,8 @@ import (
 // so it retains a bounded history.
 type ViewLog struct {
 	mu      sync.Mutex
-	latest  map[viewKey]ViewEntry
-	history []ViewEntry
+	latest  map[viewKey]viewEntry
+	history []viewEntry
 	maxHist int
 }
 
@@ -31,8 +31,8 @@ type viewKey struct {
 	ChannelID string
 }
 
-// ViewEntry is one logged ticket issue.
-type ViewEntry struct {
+// viewEntry is one logged ticket issue.
+type viewEntry struct {
 	UserIN    uint64
 	ChannelID string
 	NetAddr   simnet.Addr
@@ -46,16 +46,16 @@ func NewViewLog(maxHistory int) *ViewLog {
 		maxHistory = 100000
 	}
 	return &ViewLog{
-		latest:  make(map[viewKey]ViewEntry),
+		latest:  make(map[viewKey]viewEntry),
 		maxHist: maxHistory,
 	}
 }
 
-// Append records a fresh ticket issue.
-func (l *ViewLog) Append(userIN uint64, channelID string, addr simnet.Addr, at time.Time) {
+// add records a fresh ticket issue.
+func (l *ViewLog) add(userIN uint64, channelID string, addr simnet.Addr, at time.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := ViewEntry{UserIN: userIN, ChannelID: channelID, NetAddr: addr, At: at}
+	e := viewEntry{UserIN: userIN, ChannelID: channelID, NetAddr: addr, At: at}
 	l.latest[viewKey{UserIN: userIN, ChannelID: channelID}] = e
 	if len(l.history) < l.maxHist {
 		l.history = append(l.history, e)
@@ -65,19 +65,12 @@ func (l *ViewLog) Append(userIN uint64, channelID string, addr simnet.Addr, at t
 	}
 }
 
-// Latest returns the most recent entry for (userIN, channelID).
-func (l *ViewLog) Latest(userIN uint64, channelID string) (ViewEntry, bool) {
+// last returns the most recent entry for (userIN, channelID).
+func (l *ViewLog) last(userIN uint64, channelID string) (viewEntry, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e, ok := l.latest[viewKey{UserIN: userIN, ChannelID: channelID}]
 	return e, ok
-}
-
-// History returns a copy of the audit trail.
-func (l *ViewLog) History() []ViewEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]ViewEntry(nil), l.history...)
 }
 
 // Len reports the number of retained history entries.

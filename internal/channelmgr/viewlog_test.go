@@ -13,9 +13,9 @@ func TestViewLogLatestWins(t *testing.T) {
 	l := NewViewLog(0)
 	a := geo.Addr(1, 1, 1)
 	b := geo.Addr(1, 1, 2)
-	l.Append(7, "chA", a, vt0)
-	l.Append(7, "chA", b, vt0.Add(time.Minute))
-	e, ok := l.Latest(7, "chA")
+	l.add(7, "chA", a, vt0)
+	l.add(7, "chA", b, vt0.Add(time.Minute))
+	e, ok := l.last(7, "chA")
 	if !ok || e.NetAddr != b {
 		t.Fatalf("latest = %+v %v, want addr %s", e, ok, b)
 	}
@@ -23,16 +23,16 @@ func TestViewLogLatestWins(t *testing.T) {
 
 func TestViewLogKeysAreIndependent(t *testing.T) {
 	l := NewViewLog(0)
-	l.Append(7, "chA", geo.Addr(1, 1, 1), vt0)
-	l.Append(7, "chB", geo.Addr(1, 1, 2), vt0)
-	l.Append(8, "chA", geo.Addr(1, 1, 3), vt0)
-	if e, _ := l.Latest(7, "chA"); e.NetAddr != geo.Addr(1, 1, 1) {
+	l.add(7, "chA", geo.Addr(1, 1, 1), vt0)
+	l.add(7, "chB", geo.Addr(1, 1, 2), vt0)
+	l.add(8, "chA", geo.Addr(1, 1, 3), vt0)
+	if e, _ := l.last(7, "chA"); e.NetAddr != geo.Addr(1, 1, 1) {
 		t.Fatalf("(7, chA) = %+v", e)
 	}
-	if e, _ := l.Latest(8, "chA"); e.NetAddr != geo.Addr(1, 1, 3) {
+	if e, _ := l.last(8, "chA"); e.NetAddr != geo.Addr(1, 1, 3) {
 		t.Fatalf("(8, chA) = %+v", e)
 	}
-	if _, ok := l.Latest(9, "chA"); ok {
+	if _, ok := l.last(9, "chA"); ok {
 		t.Fatal("unknown key found")
 	}
 }
@@ -40,9 +40,9 @@ func TestViewLogKeysAreIndependent(t *testing.T) {
 func TestViewLogHistoryBounded(t *testing.T) {
 	l := NewViewLog(3)
 	for i := 0; i < 5; i++ {
-		l.Append(uint64(i), "ch", geo.Addr(1, 1, i), vt0.Add(time.Duration(i)*time.Second))
+		l.add(uint64(i), "ch", geo.Addr(1, 1, i), vt0.Add(time.Duration(i)*time.Second))
 	}
-	h := l.History()
+	h := l.history
 	if len(h) != 3 {
 		t.Fatalf("history len = %d, want 3", len(h))
 	}

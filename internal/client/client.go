@@ -201,8 +201,6 @@ type Client struct {
 	watchedAt    time.Time
 	generation   int
 	stats        Stats
-	defaultCMKey cryptoutil.PublicKey
-	defaultCM    simnet.Addr
 	// journeySeq numbers this client's traced journeys (login, switch) so
 	// each derives a distinct trace ID; per-client state, so the sequence
 	// is deterministic regardless of shard count.
@@ -282,15 +280,6 @@ func (t measuredTransport) RoundTrip(dst simnet.Addr, service string, payload []
 	resp, err := t.inner.RoundTrip(dst, service, payload)
 	t.c.flog.Record(t.round, start, s.Now().Sub(start), err == nil)
 	return resp, err
-}
-
-// SetDefaultChannelManager configures the Channel Manager used for
-// channels that do not name their own (single-partition deployments).
-func (c *Client) SetDefaultChannelManager(addr simnet.Addr, key cryptoutil.PublicKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.defaultCM = addr
-	c.defaultCMKey = key
 }
 
 // FeedbackLog exposes the client's feedback log (§VI).
@@ -619,9 +608,8 @@ func sortStrings(s []string) {
 	}
 }
 
-// channelManagerFor resolves the Channel Manager serving a channel:
-// per-channel coordinates from the Channel List when partitioned (§V),
-// else the deployment default.
+// channelManagerFor resolves the Channel Manager serving a channel from
+// the per-channel coordinates in the Channel List (§V).
 func (c *Client) channelManagerFor(ch *policy.Channel) (simnet.Addr, cryptoutil.PublicKey, error) {
 	if ch != nil && ch.MgrAddr != "" {
 		key, err := cryptoutil.DecodePublicKey(ch.MgrKey)
@@ -630,12 +618,7 @@ func (c *Client) channelManagerFor(ch *policy.Channel) (simnet.Addr, cryptoutil.
 		}
 		return simnet.Addr(ch.MgrAddr), key, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.defaultCM == "" {
-		return "", cryptoutil.PublicKey{}, fmt.Errorf("client: no channel manager known")
-	}
-	return c.defaultCM, c.defaultCMKey, nil
+	return "", cryptoutil.PublicKey{}, fmt.Errorf("client: no channel manager known")
 }
 
 // switchProtocol runs SWITCH1+SWITCH2 and returns the response. expiring

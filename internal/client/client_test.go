@@ -137,13 +137,11 @@ func TestParentLossTriggersRejoin(t *testing.T) {
 }
 
 func TestDefaultChannelManagerPath(t *testing.T) {
-	// Strip the per-channel manager coordinates to exercise the
-	// single-partition fallback.
+	// A single-partition deployment: every channel resolves to the one
+	// Channel Manager farm through its per-channel coordinates.
 	sys := newSystem(t, func(o *core.Options) { o.Partitions = []string{"p1"} })
 	_, _ = sys.RegisterUser("a@e", "pw")
 	c, _ := sys.NewClient("a@e", "pw", geo.Addr(100, 1, 1), nil)
-	cmKey, _ := sys.ChannelMgrKey("p1")
-	c.SetDefaultChannelManager(core.AddrChannelMgr("p1"), cmKey)
 	var werr error
 	sys.Sched.Go(func() {
 		if err := c.Login(); err != nil {
@@ -155,7 +153,7 @@ func TestDefaultChannelManagerPath(t *testing.T) {
 	sys.Sched.RunUntil(t0.Add(time.Minute))
 	sys.StopAll()
 	if werr != nil {
-		t.Fatalf("watch via default CM: %v", werr)
+		t.Fatalf("watch via the single partition's CM: %v", werr)
 	}
 }
 

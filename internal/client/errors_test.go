@@ -48,11 +48,10 @@ func newFaultySystem(t *testing.T) (*core.System, *client.Client) {
 func killAll(t *testing.T, sys *core.System, addrs []simnet.Addr) {
 	t.Helper()
 	for _, a := range addrs {
-		n, ok := sys.Net.Node(a)
-		if !ok {
+		if _, ok := sys.Net.Node(a); !ok {
 			t.Fatalf("backend %s not found", a)
 		}
-		n.SetUp(false)
+		sys.Net.ScheduleDown(a, sys.Sched.Now(), 0)
 	}
 }
 
@@ -100,7 +99,7 @@ func TestFetchChannelListSurfacesExhaustedTimeout(t *testing.T) {
 			t.Errorf("login: %v", lerr)
 			return
 		}
-		killAll(t, sys, []simnet.Addr{core.AddrPolicyMgr})
+		killAll(t, sys, []simnet.Addr{"pm.provider"}) // the Channel Policy Manager's well-known address
 		err = c.FetchChannelList(nil)
 	})
 	sys.Sched.RunUntil(sys.Sched.Now().Add(5 * time.Minute))

@@ -68,15 +68,15 @@ func (c *Config) fill() {
 	}
 }
 
-// Window is one rights interval: [Start, End), zero End = unbounded.
-type Window struct {
+// rightsWindow is one rights interval: [Start, End), zero End = unbounded.
+type rightsWindow struct {
 	Start time.Time
 	End   time.Time
 }
 
-// Contains reports whether t falls inside the window (start inclusive,
+// contains reports whether t falls inside the window (start inclusive,
 // end exclusive — the attr.Attribute.ValidAt convention).
-func (w Window) Contains(t time.Time) bool {
+func (w rightsWindow) contains(t time.Time) bool {
 	if !w.Start.IsZero() && t.Before(w.Start) {
 		return false
 	}
@@ -117,7 +117,7 @@ type deny struct {
 }
 
 type viewer struct {
-	rights []Window
+	rights []rightsWindow
 	admits []time.Time
 }
 
@@ -153,7 +153,7 @@ func (o *Oracle) viewerOf(name string) *viewer {
 // compose as a union, like multiple Subscription attributes).
 func (o *Oracle) AddRight(viewerName string, start, end time.Time) {
 	v := o.viewerOf(viewerName)
-	v.rights = append(v.rights, Window{Start: start, End: end})
+	v.rights = append(v.rights, rightsWindow{Start: start, End: end})
 }
 
 // RecordRekey observes production switching onto a key iteration
@@ -392,9 +392,9 @@ func (o *Oracle) depthAt(s keys.Serial, t time.Time) (int, time.Time, bool) {
 
 // rightsEndAt reports whether t is inside any rights window, and if so
 // whether the covering windows are bounded and the latest such end.
-func rightsEndAt(rights []Window, t time.Time) (ok, bounded bool, end time.Time) {
+func rightsEndAt(rights []rightsWindow, t time.Time) (ok, bounded bool, end time.Time) {
 	for _, w := range rights {
-		if !w.Contains(t) {
+		if !w.contains(t) {
 			continue
 		}
 		if w.End.IsZero() {
@@ -407,9 +407,9 @@ func rightsEndAt(rights []Window, t time.Time) (ok, bounded bool, end time.Time)
 	return ok, bounded, end
 }
 
-func anyContains(rights []Window, t time.Time) bool {
+func anyContains(rights []rightsWindow, t time.Time) bool {
 	for _, w := range rights {
-		if w.Contains(t) {
+		if w.contains(t) {
 			return true
 		}
 	}

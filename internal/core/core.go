@@ -35,15 +35,15 @@ import (
 
 // Well-known infrastructure addresses.
 const (
-	AddrUserMgr   = simnet.Addr("um.provider")
-	AddrPolicyMgr = simnet.Addr("pm.provider")
-	AddrRedirect  = simnet.Addr("rm.provider")
+	addrUserMgr   = simnet.Addr("um.provider")
+	addrPolicyMgr = simnet.Addr("pm.provider")
+	addrRedirect  = simnet.Addr("rm.provider")
 )
 
-// AddrUserMgrDomain names a domain's User Manager VIP ("" = default).
-func AddrUserMgrDomain(domain string) simnet.Addr {
+// addrUserMgrDomain names a domain's User Manager VIP ("" = default).
+func addrUserMgrDomain(domain string) simnet.Addr {
 	if domain == "" {
-		return AddrUserMgr
+		return addrUserMgr
 	}
 	return simnet.Addr("um." + domain + ".provider")
 }
@@ -103,7 +103,7 @@ type Options struct {
 	// Domains lists Authentication Domains (§V): each gets its own User
 	// Manager farm behind its own address; the Redirection Manager routes
 	// each user to the domain it was assigned to. Empty means a single
-	// anonymous domain at AddrUserMgr.
+	// anonymous domain at addrUserMgr.
 	Domains []string
 	// Partitions lists Channel Listing Partition names. The paper's
 	// deployment used two partitions served by four Channel Managers
@@ -185,7 +185,7 @@ func (o *Options) fill() {
 		o.RenewWindow = time.Minute
 	}
 	if len(o.ClientImage) == 0 {
-		o.ClientImage = DefaultClientImage()
+		o.ClientImage = defaultClientImage()
 	}
 	if o.RekeyInterval <= 0 {
 		o.RekeyInterval = time.Minute
@@ -206,7 +206,7 @@ type ShardOptions struct {
 	// Enabled switches the farm from VIP round-robin to account-hash
 	// sharding.
 	Enabled bool
-	// VNodes per member on the ring (0 = svc.DefaultVNodes).
+	// VNodes per member on the ring (0 = the svc default, 64).
 	VNodes int
 	// GraceWindow is how long after a reshard members still serve keys
 	// they owned under the previous epoch (0 = the farm default, 30s).
@@ -224,9 +224,9 @@ type ShardOptions struct {
 	LockoutFor     time.Duration
 }
 
-// DefaultClientImage returns the golden client binary image used for the
+// defaultClientImage returns the golden client binary image used for the
 // rudimentary remote attestation.
-func DefaultClientImage() []byte {
+func defaultClientImage() []byte {
 	img := make([]byte, 4096)
 	for i := range img {
 		img[i] = byte(i*31 + 7)
@@ -321,7 +321,7 @@ func NewSystem(opts Options) (*System, error) {
 			}
 			umCfg := sys.userMgrConfig(domain)
 			suffix := domainSuffix(domain)
-			mgrs, nodes, err := svc.DeployFarm(net, AddrUserMgrDomain(domain), opts.UserMgrFarm,
+			mgrs, nodes, err := svc.DeployFarm(net, addrUserMgrDomain(domain), opts.UserMgrFarm,
 				func(i int) simnet.Addr {
 					return simnet.Addr(fmt.Sprintf("um%d%s.provider", i+1, suffix))
 				},
@@ -383,7 +383,7 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.pmKeys = pmKeys
-	pmNode := net.NewNode(AddrPolicyMgr)
+	pmNode := net.NewNode(addrPolicyMgr)
 	pm, err := policymgr.New(pmNode, policymgr.Config{
 		Keys:        pmKeys,
 		RNG:         rng,
@@ -397,10 +397,10 @@ func NewSystem(opts Options) (*System, error) {
 	sys.PolicyMgr = pm
 
 	// --- Redirection Manager (built into clients, §V).
-	rmNode := net.NewNode(AddrRedirect)
-	defaultUM := AddrUserMgr
+	rmNode := net.NewNode(addrRedirect)
+	defaultUM := addrUserMgr
 	if len(opts.Domains) > 0 {
-		defaultUM = AddrUserMgrDomain(opts.Domains[0])
+		defaultUM = addrUserMgrDomain(opts.Domains[0])
 	}
 	rmKeys, err := cryptoutil.NewKeyPair(rng)
 	if err != nil {
@@ -414,7 +414,7 @@ func NewSystem(opts Options) (*System, error) {
 			UserMgr:    defaultUM,
 			UserMgrKey: umKeys.Public().Encode(),
 		},
-		PolicyMgr:    AddrPolicyMgr,
+		PolicyMgr:    addrPolicyMgr,
 		PolicyMgrKey: pmKeys.Public().Encode(),
 	}
 	if sys.UMShard != nil {
@@ -426,7 +426,7 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	sys.Redirect = rm
 	if opts.Trace != nil {
-		for _, rt := range sys.Runtimes() {
+		for _, rt := range sys.runtimes() {
 			rt.SetTrace(opts.Trace)
 		}
 	}
@@ -492,7 +492,7 @@ func (s *System) deployShardedUserMgrs(net *simnet.Network) error {
 	s.UMShard = farm
 	s.umNext = opts.UserMgrFarm
 	nodes := farm.Nodes()
-	net.NewVIP(AddrUserMgr, nodes...)
+	net.NewVIP(addrUserMgr, nodes...)
 	s.UserMgrs = farm.Members()
 	for _, node := range nodes {
 		s.umBackend = append(s.umBackend, node.Addr())
@@ -520,7 +520,7 @@ func (s *System) AddUserMgrMember() (simnet.Addr, error) {
 		m.Runtime().SetTrace(s.Opts.Trace)
 	}
 	node := m.Runtime().Node()
-	s.Net.AddVIPBackend(AddrUserMgr, node)
+	s.Net.AddVIPBackend(addrUserMgr, node)
 	s.PolicyMgr.AddUserMgr(addr)
 	s.UserMgrs = append(s.UserMgrs, m)
 	s.umBackend = append(s.umBackend, addr)
@@ -539,7 +539,7 @@ func (s *System) RemoveUserMgrMember(addr simnet.Addr) error {
 	if err := s.UMShard.RemoveMember(addr); err != nil {
 		return err
 	}
-	s.Net.RemoveVIPBackend(AddrUserMgr, addr)
+	s.Net.RemoveVIPBackend(addrUserMgr, addr)
 	for i, a := range s.umBackend {
 		if a == addr {
 			s.umBackend = append(s.umBackend[:i], s.umBackend[i+1:]...)
@@ -555,10 +555,10 @@ func applyCapacity(node *simnet.Node, c CapacityModel) {
 	}
 }
 
-// Runtimes returns every service runtime in the deployment keyed by node
+// runtimes returns every service runtime in the deployment keyed by node
 // address: manager farm backends, the policy and redirection managers,
 // and the channel server roots.
-func (s *System) Runtimes() map[simnet.Addr]*svc.Runtime {
+func (s *System) runtimes() map[simnet.Addr]*svc.Runtime {
 	out := make(map[simnet.Addr]*svc.Runtime)
 	add := func(rt *svc.Runtime) { out[rt.Node().Addr()] = rt }
 	for _, m := range s.UserMgrs {
@@ -581,7 +581,7 @@ func (s *System) Runtimes() map[simnet.Addr]*svc.Runtime {
 // in the deployment (deployment-wide request/error/latency counters).
 func (s *System) EndpointTotals() map[string]svc.Metrics {
 	out := make(map[string]svc.Metrics)
-	for _, rt := range s.Runtimes() {
+	for _, rt := range s.runtimes() {
 		rt.AddTo(out)
 	}
 	return out
@@ -617,12 +617,12 @@ func (s *System) ChannelMgrBackends() []simnet.Addr {
 // scenarios cut clients from these, not from individual backends,
 // because that is what clients dial.
 func (s *System) InfraAddrs() []simnet.Addr {
-	out := []simnet.Addr{AddrRedirect, AddrPolicyMgr}
+	out := []simnet.Addr{addrRedirect, addrPolicyMgr}
 	if len(s.Opts.Domains) == 0 {
-		out = append(out, AddrUserMgr)
+		out = append(out, addrUserMgr)
 	}
 	for _, d := range s.Opts.Domains {
-		out = append(out, AddrUserMgrDomain(d))
+		out = append(out, addrUserMgrDomain(d))
 	}
 	for _, part := range s.Opts.Partitions {
 		out = append(out, AddrChannelMgr(part))
@@ -636,15 +636,6 @@ func (s *System) RedirectKey() cryptoutil.PublicKey { return s.rmKeys.Public() }
 
 // UserMgrKey returns the User Manager farm's public key.
 func (s *System) UserMgrKey() cryptoutil.PublicKey { return s.umKeys.Public() }
-
-// ChannelMgrKey returns a partition's Channel Manager public key.
-func (s *System) ChannelMgrKey(partition string) (cryptoutil.PublicKey, bool) {
-	kp, ok := s.cmKeys[partition]
-	if !ok {
-		return cryptoutil.PublicKey{}, false
-	}
-	return kp.Public(), true
-}
 
 // nextPartition assigns channels round-robin over partitions ("each
 // channel is assigned to one, and only one, partition", §V).
@@ -728,15 +719,15 @@ func (s *System) RemoveChannel(id string) error {
 // explicit Domains configured, the user lands in the first one.
 func (s *System) RegisterUser(email, password string) (accountmgr.Account, error) {
 	if len(s.Opts.Domains) > 0 {
-		return s.RegisterUserInDomain(email, password, s.Opts.Domains[0])
+		return s.registerUserInDomain(email, password, s.Opts.Domains[0])
 	}
 	return s.Accounts.Register(email, password)
 }
 
-// RegisterUserInDomain creates an account assigned to an Authentication
+// registerUserInDomain creates an account assigned to an Authentication
 // Domain (§V): the account is tagged, and the Redirection Manager is
 // taught to route the user to that domain's User Manager farm.
-func (s *System) RegisterUserInDomain(email, password, domain string) (accountmgr.Account, error) {
+func (s *System) registerUserInDomain(email, password, domain string) (accountmgr.Account, error) {
 	found := false
 	for _, d := range s.Opts.Domains {
 		if d == domain {
@@ -755,7 +746,7 @@ func (s *System) RegisterUserInDomain(email, password, domain string) (accountmg
 		return acct, err
 	}
 	s.Redirect.Assign(email, redirect.Assignment{
-		UserMgr:    AddrUserMgrDomain(domain),
+		UserMgr:    addrUserMgrDomain(domain),
 		UserMgrKey: s.umKeys.Public().Encode(),
 	})
 	acct.Domain = domain
@@ -767,7 +758,7 @@ func (s *System) NewClient(email, password string, addr simnet.Addr, mut func(*c
 	cfg := client.Config{
 		Email:           email,
 		Password:        password,
-		RedirectAddr:    AddrRedirect,
+		RedirectAddr:    addrRedirect,
 		Version:         s.Opts.MinVersion,
 		Image:           s.Opts.ClientImage,
 		Substreams:      s.Opts.Substreams,
@@ -791,33 +782,6 @@ func (s *System) StopAll() {
 	for _, srv := range s.Servers {
 		srv.Stop()
 	}
-}
-
-// ConcurrentUsers estimates current concurrent viewers across the given
-// channels: live directory registrations minus the permanent roots.
-func (s *System) ConcurrentUsers(channelIDs []string) int {
-	now := s.Sched.Now()
-	total := 0
-	for _, id := range channelIDs {
-		// A channel lives in exactly one partition; the farm shares one
-		// directory, so the first partition with registrations owns it.
-		for _, farm := range s.ChanMgrs {
-			if n := farm[0].Directory().Count(id, now); n > 0 {
-				total += n - 1 // exclude the permanent root
-				break
-			}
-		}
-	}
-	return total
-}
-
-// AllChannelIDs lists deployed channels.
-func (s *System) AllChannelIDs() []string {
-	out := make([]string, 0, len(s.Servers))
-	for id := range s.Servers {
-		out = append(out, id)
-	}
-	return out
 }
 
 // DeploySchedule validates a program schedule against the §IV-C

@@ -12,7 +12,7 @@ import (
 // redirectAssignment builds the Redirection Manager entry for a domain.
 func redirectAssignment(sys *System, domain string) redirect.Assignment {
 	return redirect.Assignment{
-		UserMgr:    AddrUserMgrDomain(domain),
+		UserMgr:    addrUserMgrDomain(domain),
 		UserMgrKey: sys.UserMgrKey().Encode(),
 	}
 }
@@ -32,13 +32,13 @@ func TestAuthenticationDomains(t *testing.T) {
 	if err := sys.DeployChannel(FreeToView("news", "News", "100")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RegisterUserInDomain("pierre@example.eu", "pw", "eu"); err != nil {
+	if _, err := sys.registerUserInDomain("pierre@example.eu", "pw", "eu"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RegisterUserInDomain("bob@example.us", "pw", "us"); err != nil {
+	if _, err := sys.registerUserInDomain("bob@example.us", "pw", "us"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RegisterUserInDomain("x@e", "pw", "mars"); err == nil {
+	if _, err := sys.registerUserInDomain("x@e", "pw", "mars"); err == nil {
 		t.Fatal("unknown domain accepted")
 	}
 
@@ -87,7 +87,7 @@ func TestDomainMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RegisterUserInDomain("bob@example.us", "pw", "us"); err != nil {
+	if _, err := sys.registerUserInDomain("bob@example.us", "pw", "us"); err != nil {
 		t.Fatal(err)
 	}
 	// Point the redirect at the WRONG domain to simulate the bypass.

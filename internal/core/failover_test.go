@@ -108,12 +108,12 @@ func TestRPCRetryCoversLossyLinks(t *testing.T) {
 	}
 }
 
-// killNode marks a backend unreachable through the test-only seam.
+// killNode marks a backend unreachable from now on.
 func killNode(t *testing.T, sys *System, addr string) {
 	t.Helper()
 	for _, n := range sys.mgrNodes {
 		if string(n.Addr()) == addr {
-			n.SetUp(false)
+			sys.Net.ScheduleDown(n.Addr(), sys.Sched.Now(), 0)
 			return
 		}
 	}

@@ -32,7 +32,7 @@ func TestServiceRegistrationComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runtimes := sys.Runtimes()
+	runtimes := sys.runtimes()
 	runtimes["license.provider"] = licSrv.Runtime()
 
 	// Where each service must live.
@@ -55,8 +55,8 @@ func TestServiceRegistrationComplete(t *testing.T) {
 		wire.SvcSwitch1:     cmAddrs,
 		wire.SvcSwitch2:     cmAddrs,
 		wire.SvcChannelFeed: cmAddrs,
-		wire.SvcChanList:    {AddrPolicyMgr: true},
-		wire.SvcRedirect:    {AddrRedirect: true},
+		wire.SvcChanList:    {addrPolicyMgr: true},
+		wire.SvcRedirect:    {addrRedirect: true},
 		wire.SvcJoin:        rootAddrs,
 		wire.SvcSeek:        rootAddrs,
 		wire.SvcKeyPush:     rootAddrs,
@@ -70,7 +70,7 @@ func TestServiceRegistrationComplete(t *testing.T) {
 	// Actual placement, from the runtimes' own registries.
 	actual := make(map[string]map[simnet.Addr]bool)
 	for addr, rt := range runtimes {
-		for _, service := range rt.Services() {
+		for service := range rt.Snapshot() {
 			if actual[service] == nil {
 				actual[service] = make(map[simnet.Addr]bool)
 			}
@@ -81,11 +81,7 @@ func TestServiceRegistrationComplete(t *testing.T) {
 		}
 	}
 
-	for _, service := range wire.Services {
-		want, ok := expected[service]
-		if !ok {
-			t.Fatalf("wire.Services has %s but this test maps no owner — update the map", service)
-		}
+	for service, want := range expected {
 		got := actual[service]
 		if len(got) != len(want) {
 			t.Errorf("service %s on %d nodes, want %d (%v vs %v)", service, len(got), len(want), got, want)
@@ -97,16 +93,12 @@ func TestServiceRegistrationComplete(t *testing.T) {
 			}
 		}
 	}
-	// And the reverse: no runtime serves a name outside the taxonomy
-	// (the sealed variants ride under a suffix on the node, not as
+	// And the reverse: no runtime serves a name this test maps no owner
+	// for (the sealed variants ride under a suffix on the node, not as
 	// separate runtime endpoints).
-	known := make(map[string]bool, len(wire.Services))
-	for _, s := range wire.Services {
-		known[s] = true
-	}
 	for service := range actual {
-		if !known[service] {
-			t.Errorf("runtime serves %s, which wire.Services does not list", service)
+		if expected[service] == nil {
+			t.Errorf("runtime serves %s but this test maps no owner — update the map", service)
 		}
 	}
 }
@@ -173,7 +165,7 @@ func TestEndpointInstrumentation(t *testing.T) {
 
 	// A svc.Metrics aggregate matches manual addition.
 	var sum svc.Metrics
-	for _, rt := range sys.Runtimes() {
+	for _, rt := range sys.runtimes() {
 		sum.Add(rt.Metrics(wire.SvcJoin))
 	}
 	if sum.Requests != totals[wire.SvcJoin].Requests {

@@ -177,7 +177,7 @@ func TestTamperedTicketsRejectedEverywhere(t *testing.T) {
 		_, cmErr = victim.Node().Call(AddrChannelMgr("p1"), wire.SvcSwitch1, req.Encode(), 0)
 
 		clReq := &wire.ChanListReq{UserTicket: ut}
-		_, pmErr = victim.Node().Call(AddrPolicyMgr, wire.SvcChanList, clReq.Encode(), 0)
+		_, pmErr = victim.Node().Call(addrPolicyMgr, wire.SvcChanList, clReq.Encode(), 0)
 
 		jr := &wire.JoinReq{ChannelTicket: ct}
 		raw, err := victim.Node().Call(AddrChannelRoot("news"), wire.SvcJoin, jr.Encode(), 0)

@@ -105,8 +105,8 @@ func (s *Schedule) Validate(deployAt time.Time, userTicketLifetime time.Duration
 	return nil
 }
 
-// AttrPPVWindow is the channel attribute name arming a PPV gate.
-const AttrPPVWindow = "PPVWindow"
+// attrPPVWindow is the channel attribute name arming a PPV gate.
+const attrPPVWindow = "PPVWindow"
 
 // Compile produces the channel attributes and rules implementing the
 // schedule's restrictions, to be appended to the channel's base
@@ -131,7 +131,7 @@ func (s *Schedule) Compile(now time.Time, regions ...string) (attr.List, []polic
 		case RightsPPV:
 			attrs = append(attrs,
 				attr.Attribute{
-					Name: AttrPPVWindow, Value: attr.Any,
+					Name: attrPPVWindow, Value: attr.Any,
 					STime: p.Start, ETime: p.End, UTime: now,
 				},
 				attr.Attribute{
@@ -143,7 +143,7 @@ func (s *Schedule) Compile(now time.Time, regions ...string) (attr.List, []polic
 				rules = append(rules, policy.Rule{
 					Priority: 110,
 					Conds: []policy.Cond{
-						{Name: AttrPPVWindow, Value: attr.Any},
+						{Name: attrPPVWindow, Value: attr.Any},
 						{Name: attr.NameRegion, Value: attr.Value(region)},
 						{Name: attr.NameSubscription, Value: attr.Value(p.Package)},
 					},
@@ -152,7 +152,7 @@ func (s *Schedule) Compile(now time.Time, regions ...string) (attr.List, []polic
 			}
 			rules = append(rules, policy.Rule{
 				Priority: 100,
-				Conds:    []policy.Cond{{Name: AttrPPVWindow, Value: attr.Any}},
+				Conds:    []policy.Cond{{Name: attrPPVWindow, Value: attr.Any}},
 				Effect:   policy.Reject,
 			})
 		}

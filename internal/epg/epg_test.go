@@ -187,10 +187,11 @@ func TestCompileSurvivesWireRoundTrip(t *testing.T) {
 	compileOnto(ch, &Schedule{ChannelID: "chA", Programs: []Program{
 		prog("fight night", 20, 22, RightsPPV, "ppv-1"),
 	}})
-	dec, rest, err := policy.DecodeChannel(policy.AppendChannel(nil, ch))
-	if err != nil || len(rest) != 0 {
+	chs, rest, err := policy.DecodeChannels(policy.AppendChannels(nil, []*policy.Channel{ch}))
+	if err != nil || len(rest) != 0 || len(chs) != 1 {
 		t.Fatalf("codec: %v", err)
 	}
+	dec := chs[0]
 	buyer := attr.List{
 		{Name: attr.NameRegion, Value: "100"},
 		{Name: attr.NameSubscription, Value: "ppv-1"},

@@ -168,7 +168,7 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 		FreeRiderDenied: make(map[string]int64),
 		ReplayOutcomes:  make(map[string]int64),
 	}
-	r.observe([]PhaseBoundary{
+	r.observe([]phaseBoundary{
 		{Name: "baseline", At: start},
 		{Name: "keyleak", At: phase(1)},
 		{Name: "freeride", At: phase(2)},
@@ -352,7 +352,7 @@ func RenderAdversary(res *AdversaryResult) string {
 		res.Ring.Lookups, res.Ring.Misses, res.Ring.MissesEvicted, res.Ring.MissesInWindow)
 	fmt.Fprintf(&b, "  network: %d messages sent, %d dropped\n", res.Net.Sent, res.Net.Dropped)
 	if len(res.Phases) > 0 {
-		b.WriteString(RenderPhases(res.Phases))
+		b.WriteString(renderPhases(res.Phases))
 	}
 	b.WriteString("(attacks cost capacity and continuity, never rights: every replayed,\n")
 	b.WriteString(" stolen, or forged ticket is refused with a typed code)\n")

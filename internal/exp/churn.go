@@ -83,7 +83,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err := sys.DeployChannel(core.FreeToView("live", "Live", "100")); err != nil {
 		return nil, err
 	}
-	r.observe([]PhaseBoundary{
+	r.observe([]phaseBoundary{
 		{Name: "warm-up", At: start},
 		{Name: "before", At: start.Add(warm)},
 		{Name: "during", At: start.Add(warm + cfg.Phase)},

@@ -82,7 +82,7 @@ func TestWeekLatencyFlatDespiteLoad(t *testing.T) {
 	// independent of concurrent users.
 	res := week(t)
 	for _, r := range []feedback.Round{feedback.Login2, feedback.Switch2} {
-		if corr := res.Correlations()[r]; corr > 0.5 {
+		if corr := res.correlations()[r]; corr > 0.5 {
 			t.Fatalf("%s correlation %.3f — latency tracks load, architecture broken", r, corr)
 		}
 	}
@@ -90,7 +90,7 @@ func TestWeekLatencyFlatDespiteLoad(t *testing.T) {
 
 func TestWeekFig6CDFsNearlyIdentical(t *testing.T) {
 	res := week(t)
-	peak, off := res.Fig6Split(feedback.Switch1)
+	peak, off := res.fig6Split(feedback.Switch1)
 	if len(peak) == 0 || len(off) == 0 {
 		t.Fatal("missing peak or off-peak samples")
 	}

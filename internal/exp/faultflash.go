@@ -183,7 +183,7 @@ func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 	if cmb := sys.ChannelMgrBackends(); len(cmb) > 0 {
 		sys.Net.ScheduleDown(cmb[0], start.Add(faultCMCrashAt), faultCMCrashFor)
 	}
-	r.observe([]PhaseBoundary{
+	r.observe([]phaseBoundary{
 		{Name: "ramp", At: start},
 		{Name: "partition", At: start.Add(faultPartitionAt)},
 		{Name: "um-outage", At: start.Add(faultCrashAt)},

@@ -50,8 +50,8 @@ type run struct {
 	clients  []*client.Client // in viewer-index order
 
 	trace   *obs.Trace
-	calls   *CallAggregator
-	phases  *PhaseRecorder
+	calls   *callAggregator
+	phases  *phaseRecorder
 	sampler *obs.Sampler
 }
 
@@ -61,7 +61,7 @@ type run struct {
 // hashes and the trace envelope perturbs no timing or RNG draw, so the
 // armed ring leaves every fingerprint intact.
 func newRun(seed int64, opts core.Options, deadline, grace time.Duration) (*run, error) {
-	r := &run{seed: seed, trace: obs.NewTrace(8192), calls: NewCallAggregator()}
+	r := &run{seed: seed, trace: obs.NewTrace(8192), calls: newCallAggregator()}
 	opts.Seed, opts.Trace = seed, r.trace
 	sys, err := core.NewSystem(opts)
 	if err != nil {
@@ -76,9 +76,9 @@ func newRun(seed int64, opts core.Options, deadline, grace time.Duration) (*run,
 // observe arms the per-phase endpoint recorder on the scenario's
 // timeline and the 5-second system sampler. Both ride scheduled events
 // and read atomics: no randomness, no fingerprint impact.
-func (r *run) observe(bounds []PhaseBoundary) {
-	r.phases = RecordPhases(r.sys, bounds)
-	r.sampler = NewSystemSampler(r.sys, 5*time.Second)
+func (r *run) observe(bounds []phaseBoundary) {
+	r.phases = recordPhases(r.sys, bounds)
+	r.sampler = newSystemSampler(r.sys, 5*time.Second)
 	r.sampler.Run(r.sys.Sched, r.deadline)
 }
 

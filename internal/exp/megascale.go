@@ -100,7 +100,7 @@ func (r *MegaResult) Fingerprint() string {
 // megaLookahead is the engine's epoch length (RunWeek shares it). The
 // virtual population never talks across lanes, so no causality bound
 // applies — the epoch length only sets how often control-phase samplers
-// observe lane counters (and the barrier overhead). It is a fixed
+// observe lane counters (and the per-epoch overhead). It is a fixed
 // constant because epoch boundaries are visible to the sampled series:
 // changing it would move the goldens.
 const megaLookahead = 500 * time.Millisecond

@@ -21,12 +21,12 @@ import (
 	"p2pdrm/internal/svc"
 )
 
-// NewSystemSampler builds a sampler over the deployment-wide state:
+// newSystemSampler builds a sampler over the deployment-wide state:
 // per-endpoint cumulative requests/errors plus per-interval p50/p95
 // (from histogram snapshot deltas), and the network message counters.
 // Call its Run before driving the scheduler; scenario-specific sources
 // (client calls, concurrency) are added by the caller.
-func NewSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
+func newSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
 	sp := obs.NewSampler(every)
 	prev := make(map[string]*obs.HistSnapshot) // per-endpoint last snapshot
 	sp.AddSource(func(add func(string, float64)) {
@@ -52,34 +52,34 @@ func NewSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
 	return sp
 }
 
-// CallAggregator accumulates per-service client-side CallStats across a
+// callAggregator accumulates per-service client-side CallStats across a
 // scenario's whole client population — sessions still running and
 // sessions already finished. Merging is commutative (counter and bucket
 // addition), so totals are independent of map iteration order and of
 // when each client departs: the aggregate is deterministic.
-type CallAggregator struct {
+type callAggregator struct {
 	mu   sync.Mutex
 	live map[*client.Client]struct{}
 	done map[string]svc.CallStats
 }
 
-// NewCallAggregator creates an empty aggregator.
-func NewCallAggregator() *CallAggregator {
-	return &CallAggregator{
+// newCallAggregator creates an empty aggregator.
+func newCallAggregator() *callAggregator {
+	return &callAggregator{
 		live: make(map[*client.Client]struct{}),
 		done: make(map[string]svc.CallStats),
 	}
 }
 
 // Track registers a live client.
-func (a *CallAggregator) Track(c *client.Client) {
+func (a *callAggregator) Track(c *client.Client) {
 	a.mu.Lock()
 	a.live[c] = struct{}{}
 	a.mu.Unlock()
 }
 
 // Finish folds a departing client's final stats into the accumulator.
-func (a *CallAggregator) Finish(c *client.Client) {
+func (a *callAggregator) Finish(c *client.Client) {
 	a.mu.Lock()
 	if _, ok := a.live[c]; ok {
 		delete(a.live, c)
@@ -90,7 +90,7 @@ func (a *CallAggregator) Finish(c *client.Client) {
 
 // Totals merges finished and still-live clients into one per-service
 // view.
-func (a *CallAggregator) Totals() map[string]svc.CallStats {
+func (a *callAggregator) Totals() map[string]svc.CallStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make(map[string]svc.CallStats, len(a.done))
@@ -105,7 +105,7 @@ func (a *CallAggregator) Totals() map[string]svc.CallStats {
 
 // Source returns a sampler source exposing cumulative client-side
 // attempts/retries plus per-interval whole-call p50 per service.
-func (a *CallAggregator) Source() obs.Source {
+func (a *callAggregator) Source() obs.Source {
 	prev := make(map[string]*obs.HistSnapshot)
 	return func(add func(string, float64)) {
 		for name, cs := range a.Totals() {
@@ -129,15 +129,15 @@ type Phase struct {
 	Endpoints map[string]svc.Metrics // per-service deltas within the phase
 }
 
-// PhaseBoundary starts a named phase at an instant; the phase runs
+// phaseBoundary starts a named phase at an instant; the phase runs
 // until the next boundary (or scenario end).
-type PhaseBoundary struct {
+type phaseBoundary struct {
 	Name string
 	At   time.Time
 }
 
-// PhaseRecorder captures endpoint snapshots at scheduled boundaries.
-type PhaseRecorder struct {
+// phaseRecorder captures endpoint snapshots at scheduled boundaries.
+type phaseRecorder struct {
 	sys    *core.System
 	mu     sync.Mutex
 	names  []string
@@ -145,13 +145,13 @@ type PhaseRecorder struct {
 	snaps  []map[string]svc.Metrics
 }
 
-// RecordPhases schedules a snapshot at every boundary. Boundaries at or
+// recordPhases schedules a snapshot at every boundary. Boundaries at or
 // before the current virtual time are captured immediately; call it
 // before driving the scheduler. Snapshot events read only atomic
 // counters — no randomness, no fingerprint impact.
-func RecordPhases(sys *core.System, bounds []PhaseBoundary) *PhaseRecorder {
-	pr := &PhaseRecorder{sys: sys}
-	sorted := append([]PhaseBoundary(nil), bounds...)
+func recordPhases(sys *core.System, bounds []phaseBoundary) *phaseRecorder {
+	pr := &phaseRecorder{sys: sys}
+	sorted := append([]phaseBoundary(nil), bounds...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At.Before(sorted[j].At) })
 	for _, b := range sorted {
 		b := b
@@ -173,7 +173,7 @@ func RecordPhases(sys *core.System, bounds []PhaseBoundary) *PhaseRecorder {
 
 // Finish closes the last phase at the current virtual time and returns
 // every phase's endpoint deltas (services with no traffic omitted).
-func (pr *PhaseRecorder) Finish() []Phase {
+func (pr *phaseRecorder) Finish() []Phase {
 	now := pr.sys.Sched.Now()
 	final := pr.sys.EndpointTotals()
 	pr.mu.Lock()

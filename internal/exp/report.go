@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"p2pdrm/internal/feedback"
-	"p2pdrm/internal/svc"
 )
 
 // RenderFig5 prints one Fig. 5 panel as a text series: per-hour median
@@ -44,7 +43,7 @@ func RenderFig5(res *WeekResult, title string, rounds ...feedback.Round) string 
 // (18–24h) vs. off-peak (0–18h) hours, with the max vertical gap.
 // maxLat ≤ 0 auto-scales the x-axis to the data's p99.9.
 func RenderFig6(res *WeekResult, round feedback.Round, maxLat time.Duration, steps int) string {
-	peak, off := res.Fig6Split(round)
+	peak, off := res.fig6Split(round)
 	if maxLat <= 0 {
 		maxLat = feedback.Quantile(peak, 0.999)
 		if q := feedback.Quantile(off, 0.999); q > maxLat {
@@ -74,7 +73,7 @@ func RenderFig6(res *WeekResult, round feedback.Round, maxLat time.Duration, ste
 func RenderCorrelations(res *WeekResult) string {
 	var b strings.Builder
 	b.WriteString("Pearson r (per-hour median latency vs. concurrent users)\n")
-	corr := res.Correlations()
+	corr := res.correlations()
 	paper := map[feedback.Round]string{
 		feedback.Login1:  "-0.03…0.08",
 		feedback.Login2:  "-0.03…0.08",
@@ -129,17 +128,17 @@ func RenderFaultFlash(res *FaultFlashResult) string {
 			fmtMS(s.Hist.Quantile(0.5)), fmtMS(s.Hist.Quantile(0.95)))
 	}
 	if len(res.Phases) > 0 {
-		b.WriteString(RenderPhases(res.Phases))
+		b.WriteString(renderPhases(res.Phases))
 	}
 	b.WriteString("(retries cover lost packets; the breaker rides out the manager-farm outage;\n")
 	b.WriteString(" protocol restarts re-run round 1 instead of resending one-time round-2 tokens)\n")
 	return b.String()
 }
 
-// RenderPhases prints per-phase endpoint deltas: what each service saw
+// renderPhases prints per-phase endpoint deltas: what each service saw
 // during each window of a fault timeline, with in-phase latency
 // quantiles off the histogram deltas.
-func RenderPhases(phases []Phase) string {
+func renderPhases(phases []Phase) string {
 	var b strings.Builder
 	b.WriteString("  per-phase endpoint activity:\n")
 	if len(phases) == 0 {
@@ -155,27 +154,6 @@ func RenderPhases(phases []Phase) string {
 				name, m.Requests, m.Errors,
 				fmtMS(m.Hist.Quantile(0.5)), fmtMS(m.Hist.Quantile(0.95)))
 		}
-	}
-	return b.String()
-}
-
-// RenderEndpoints prints a server-side endpoint snapshot as a latency
-// distribution table — the svc counters the ROADMAP's metrics-export
-// item wanted surfaced.
-func RenderEndpoints(title string, eps map[string]svc.Metrics) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — per-endpoint latency distribution\n", title)
-	fmt.Fprintf(&b, "%-18s %9s %6s %10s %10s %10s %10s\n",
-		"service", "requests", "err", "mean", "p50", "p95", "p99")
-	for _, name := range sortedMetricNames(eps) {
-		m := eps[name]
-		if m.Requests == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-18s %9d %6d %10s %10s %10s %10s\n",
-			name, m.Requests, m.Errors,
-			fmtMS(m.Hist.Mean()), fmtMS(m.Hist.Quantile(0.5)),
-			fmtMS(m.Hist.Quantile(0.95)), fmtMS(m.Hist.Quantile(0.99)))
 	}
 	return b.String()
 }

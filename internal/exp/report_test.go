@@ -136,22 +136,8 @@ func TestRenderFaultFlashGolden(t *testing.T) {
 	checkGolden(t, "RenderFaultFlash", got, want)
 }
 
-func TestRenderEndpointsGolden(t *testing.T) {
-	eps := map[string]svc.Metrics{
-		"um.login1": {Requests: 500, Errors: 2, Hist: histOf(ms(10), ms(12), ms(14), ms(100))},
-		"cm.join":   {Requests: 200, Errors: 0, Hist: histOf(ms(5), ms(6))},
-		"um.quiet":  {Requests: 0}, // zero traffic: must be skipped
-	}
-	got := RenderEndpoints("Deployment", eps)
-	const want = "Deployment — per-endpoint latency distribution\n" +
-		"service             requests    err       mean        p50        p95        p99\n" +
-		"cm.join                  200      0      5.5ms      5.0ms      6.0ms      6.0ms\n" +
-		"um.login1                500      2     34.0ms     11.9ms     99.6ms     99.6ms\n"
-	checkGolden(t, "RenderEndpoints", got, want)
-}
-
 func TestRenderPhasesEmpty(t *testing.T) {
-	if got := RenderPhases(nil); got != "  per-phase endpoint activity:\n" {
+	if got := renderPhases(nil); got != "  per-phase endpoint activity:\n" {
 		t.Errorf("empty phases rendered %q", got)
 	}
 }

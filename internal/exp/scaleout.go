@@ -139,10 +139,10 @@ func (r *ScaleOutResult) Fingerprint() string {
 	return b.String()
 }
 
-// P95Spread returns the ratio of the worst to the best per-phase login
+// p95Spread returns the ratio of the worst to the best per-phase login
 // p95 — the "flat within 20%" acceptance check reads this (1.0 =
 // perfectly flat).
-func (r *ScaleOutResult) P95Spread() float64 {
+func (r *ScaleOutResult) p95Spread() float64 {
 	var min, max time.Duration
 	for _, ph := range r.PhaseStats {
 		if ph.LoginP95 <= 0 {
@@ -252,9 +252,9 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 
 	// Observability: the growth timeline, plus shed-counter snapshots at
 	// the same boundaries.
-	bounds := make([]PhaseBoundary, len(plans))
+	bounds := make([]phaseBoundary, len(plans))
 	for i, p := range plans {
-		bounds[i] = PhaseBoundary{Name: p.name, At: p.start}
+		bounds[i] = phaseBoundary{Name: p.name, At: p.start}
 	}
 	r.observe(bounds)
 	shedAt := make([]int64, len(plans))
@@ -373,7 +373,7 @@ func RenderScaleOut(res *ScaleOutResult) string {
 			ph.Name, ph.Arrivals, ph.Total, ph.Members, ph.Watching,
 			fmtMS(ph.LoginP50), fmtMS(ph.LoginP95), ph.Shed)
 	}
-	fmt.Fprintf(&b, "  login p95 spread across phases: %.2fx (flat = 1.00x)\n", res.P95Spread())
+	fmt.Fprintf(&b, "  login p95 spread across phases: %.2fx (flat = 1.00x)\n", res.p95Spread())
 	fmt.Fprintf(&b, "  shedding: %d refused at high water, %d absorbed by client retry\n",
 		res.Shed, res.Overloads)
 	fmt.Fprintf(&b, "  resharding: %d stale-map client retries, %d wrong-shard refusals server-side\n",
@@ -385,7 +385,7 @@ func RenderScaleOut(res *ScaleOutResult) string {
 	fmt.Fprintf(&b, "  sessions: %d retries; network: %d messages sent, %d dropped\n",
 		res.SessionRetries, res.Net.Sent, res.Net.Dropped)
 	if len(res.Phases) > 0 {
-		b.WriteString(RenderPhases(res.Phases))
+		b.WriteString(renderPhases(res.Phases))
 	}
 	b.WriteString("(members join mid-wave: old owners serve through each handoff's grace window,\n")
 	b.WriteString(" the high-water mark sheds bursts instead of queueing them, and stale client\n")

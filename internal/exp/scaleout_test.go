@@ -22,7 +22,7 @@ func TestScaleOutFlatP95(t *testing.T) {
 	if res.FailedLogins != 0 {
 		t.Fatalf("%d failed logins across the reshards", res.FailedLogins)
 	}
-	if spread := res.P95Spread(); spread > 1.2 {
+	if spread := res.p95Spread(); spread > 1.2 {
 		t.Errorf("login p95 spread %.2fx across phases, want flat within 20%%", spread)
 	}
 	// The farm must actually have grown live, moving account state.

@@ -174,7 +174,7 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 		partitioned = r.partition(rng, cfg.Viewers, shiftPartitionShare, rootAddr,
 			start.Add(shiftLivePhase), shiftPartitionFor)
 	}
-	r.observe([]PhaseBoundary{
+	r.observe([]phaseBoundary{
 		{Name: "live", At: start},
 		{Name: "seek-uniform", At: start.Add(shiftLivePhase)},
 		{Name: "seek-zipf", At: start.Add(shiftLivePhase + shiftSeekPhase)},
@@ -428,7 +428,7 @@ func RenderTimeShift(res *TimeShiftResult) string {
 		res.Ring.Lookups, res.Ring.Misses, res.Ring.MissesEvicted, res.Ring.MissesInWindow, res.Ring.DeepestMiss)
 	fmt.Fprintf(&b, "  network: %d messages sent, %d dropped\n", res.Net.Sent, res.Net.Dropped)
 	if len(res.Phases) > 0 {
-		b.WriteString(RenderPhases(res.Phases))
+		b.WriteString(renderPhases(res.Phases))
 	}
 	b.WriteString("(frames deeper than the key-ring window fetch fine but no longer decrypt —\n")
 	b.WriteString(" forward secrecy bounds time-shifting at the viewer, not at the server)\n")

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -174,11 +175,15 @@ func TestScaleOutTraceSpans(t *testing.T) {
 	if err := res.Trace.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
-	_, footer, err := obs.ReadJSONL(&jsonl)
-	if err != nil {
+	lines := bytes.Split(bytes.TrimSpace(jsonl.Bytes()), []byte("\n"))
+	var footer struct {
+		Kind    string `json:"kind"`
+		Dropped int64  `json:"dropped"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &footer); err != nil {
 		t.Fatal(err)
 	}
-	if footer == nil || footer.Dropped != res.Trace.Dropped() {
+	if footer.Kind != "trace_footer" || footer.Dropped != res.Trace.Dropped() {
 		t.Fatalf("footer %+v does not report the ring's %d dropped spans", footer, res.Trace.Dropped())
 	}
 	breakdown := RenderJourneyBreakdown(res.Trace)

@@ -197,8 +197,8 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	// call aggregator. Sampling rides scheduled events and reads only
 	// atomics, so the corpus (and its golden fingerprint) is identical
 	// with or without it.
-	agg := NewCallAggregator()
-	sampler := NewSystemSampler(sys, cfg.MetricsEvery)
+	agg := newCallAggregator()
+	sampler := newSystemSampler(sys, cfg.MetricsEvery)
 	sampler.AddSource(agg.Source())
 	sampler.AddSource(func(add func(string, float64)) {
 		mu.Lock()
@@ -333,17 +333,17 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	return res, nil
 }
 
-// Fig6Split returns peak (18–24h) and off-peak (0–18h) latency samples
+// fig6Split returns peak (18–24h) and off-peak (0–18h) latency samples
 // for one round.
-func (r *WeekResult) Fig6Split(round feedback.Round) (peak, off []time.Duration) {
+func (r *WeekResult) fig6Split(round feedback.Round) (peak, off []time.Duration) {
 	peak = r.Corpus.Latencies(round, r.Start, 18, 24)
 	off = r.Corpus.Latencies(round, r.Start, 0, 18)
 	return peak, off
 }
 
-// Correlations computes the paper's Pearson r per round (§VI: −0.03…0.08
+// correlations computes the paper's Pearson r per round (§VI: −0.03…0.08
 // for login/switch, 0.13 for join).
-func (r *WeekResult) Correlations() map[feedback.Round]float64 {
+func (r *WeekResult) correlations() map[feedback.Round]float64 {
 	out := make(map[feedback.Round]float64, len(feedback.Rounds))
 	for _, rd := range feedback.Rounds {
 		out[rd] = feedback.PearsonHourly(r.Corpus.Hourly(rd, r.Start, r.Hours))

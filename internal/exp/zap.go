@@ -74,7 +74,7 @@ func RunZap(cfg ZapConfig) (*ZapResult, error) {
 			return nil, err
 		}
 	}
-	r.observe([]PhaseBoundary{
+	r.observe([]phaseBoundary{
 		{Name: "tune-in", At: r.start},
 		{Name: "zapping", At: r.start.Add(warm)},
 	})

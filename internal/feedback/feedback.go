@@ -2,7 +2,7 @@
 // clients record per-round protocol latencies in "user feedback" logs;
 // submitted logs form a corpus from which the evaluation computes median
 // latency per hour against concurrent-user counts (Fig. 5), latency CDFs
-// for peak vs. off-peak hours (Fig. 6), and the Pearson product-moment
+// for peak vs. off-peak hours (Fig. 6), and the pearson product-moment
 // correlation coefficients quoted in the text.
 package feedback
 
@@ -265,10 +265,10 @@ func CDF(d []time.Duration, max time.Duration, steps int) []CDFPoint {
 	return out
 }
 
-// Pearson computes the Pearson product-moment correlation coefficient of
+// pearson computes the pearson product-moment correlation coefficient of
 // two equal-length series (NaN-free: returns 0 when either variance is
 // zero or inputs are too short).
-func Pearson(x, y []float64) float64 {
+func pearson(x, y []float64) float64 {
 	n := len(x)
 	if len(y) < n {
 		n = len(y)
@@ -307,7 +307,7 @@ func PearsonHourly(points []HourlyPoint) float64 {
 		lat = append(lat, float64(p.Median))
 		users = append(users, p.Users)
 	}
-	return Pearson(lat, users)
+	return pearson(lat, users)
 }
 
 // MaxAbsCDFGap returns the maximum vertical distance between two CDFs

@@ -143,18 +143,18 @@ func TestCDFEmpty(t *testing.T) {
 func TestPearsonKnownValues(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	yPos := []float64{2, 4, 6, 8, 10}
-	if r := Pearson(x, yPos); math.Abs(r-1) > 1e-9 {
+	if r := pearson(x, yPos); math.Abs(r-1) > 1e-9 {
 		t.Fatalf("perfect positive r = %v", r)
 	}
 	yNeg := []float64{10, 8, 6, 4, 2}
-	if r := Pearson(x, yNeg); math.Abs(r+1) > 1e-9 {
+	if r := pearson(x, yNeg); math.Abs(r+1) > 1e-9 {
 		t.Fatalf("perfect negative r = %v", r)
 	}
 	flat := []float64{3, 3, 3, 3, 3}
-	if r := Pearson(x, flat); r != 0 {
+	if r := pearson(x, flat); r != 0 {
 		t.Fatalf("zero-variance r = %v", r)
 	}
-	if Pearson([]float64{1}, []float64{2}) != 0 {
+	if pearson([]float64{1}, []float64{2}) != 0 {
 		t.Fatal("short input r != 0")
 	}
 }
@@ -183,7 +183,7 @@ func TestMaxAbsCDFGap(t *testing.T) {
 	}
 }
 
-// Property: Pearson is symmetric and bounded in [-1, 1].
+// Property: pearson is symmetric and bounded in [-1, 1].
 func TestPearsonProperty(t *testing.T) {
 	f := func(xs, ys []float64) bool {
 		n := len(xs)
@@ -196,7 +196,7 @@ func TestPearsonProperty(t *testing.T) {
 				return true // skip pathological float inputs
 			}
 		}
-		r1, r2 := Pearson(x, y), Pearson(y, x)
+		r1, r2 := pearson(x, y), pearson(y, x)
 		if math.Abs(r1-r2) > 1e-9 {
 			return false
 		}

@@ -74,9 +74,9 @@ func Lookup(addr simnet.Addr) (Info, error) {
 	return Info{Region: region, ASN: asn}, nil
 }
 
-// Region returns just the region ("" when unknown). Infrastructure
+// regionOf returns just the region ("" when unknown). Infrastructure
 // addresses (e.g. "um.provider") have no region.
-func Region(addr simnet.Addr) string {
+func regionOf(addr simnet.Addr) string {
 	info, err := Lookup(addr)
 	if err != nil {
 		return ""
@@ -91,7 +91,7 @@ func Region(addr simnet.Addr) string {
 func LatencyModel(intra, inter, jitter time.Duration) simnet.LatencyModel {
 	return simnet.LatencyFunc(func(s *sim.Scheduler, src, dst simnet.Addr) time.Duration {
 		base := inter
-		rs, rd := Region(src), Region(dst)
+		rs, rd := regionOf(src), regionOf(dst)
 		if rs != "" && rs == rd {
 			base = intra
 		}

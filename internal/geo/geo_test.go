@@ -36,10 +36,10 @@ func TestLookupRejectsMalformed(t *testing.T) {
 }
 
 func TestRegionHelper(t *testing.T) {
-	if Region(Addr(7, 1, 2)) != "7" {
+	if regionOf(Addr(7, 1, 2)) != "7" {
 		t.Fatal("Region lookup failed")
 	}
-	if Region("cm1.provider") != "" {
+	if regionOf("cm1.provider") != "" {
 		t.Fatal("infrastructure address got a region")
 	}
 }

@@ -20,7 +20,7 @@ func Example() {
 	ring.Add(schedule.Current())
 
 	// Seal a content packet under the current iteration.
-	packet, _ := keys.SealPacket(rng, schedule.Current(), []byte("frame 1"), []byte("chA"))
+	packet, _ := keys.NewPacketSealer(schedule.Current()).Seal(rng, []byte("frame 1"), []byte("chA"))
 	fmt.Println("serial prefix:", packet[0])
 
 	plain, err := keys.OpenPacket(ring, packet, []byte("chA"))
@@ -35,7 +35,7 @@ func Example() {
 	fmt.Println("after rotations:", err)
 
 	// Tampered content trips GCM authentication.
-	fresh, _ := keys.SealPacket(rng, schedule.Current(), []byte("frame 2"), []byte("chA"))
+	fresh, _ := keys.NewPacketSealer(schedule.Current()).Seal(rng, []byte("frame 2"), []byte("chA"))
 	fresh[len(fresh)-1] ^= 1
 	_, err = keys.OpenPacket(ring, fresh, []byte("chA"))
 	fmt.Println("tampered:", err)

@@ -42,7 +42,7 @@ func FuzzRing(f *testing.F) {
 				t.Fatalf("step %d: duplicate serial %d re-added", i, s)
 			}
 			if hasBefore {
-				if d := latestBefore.Serial.Distance(s); d <= -w && added {
+				if d := latestBefore.Serial.distance(s); d <= -w && added {
 					t.Fatalf("step %d: serial %d at distance %d accepted past window %d", i, s, d, w)
 				}
 			} else if !added {
@@ -57,7 +57,7 @@ func FuzzRing(f *testing.F) {
 				t.Fatalf("step %d: ring empty after an Add", i)
 			}
 			for _, ck := range r.Snapshot() {
-				if d := latest.Serial.Distance(ck.Serial); d <= -w {
+				if d := latest.Serial.distance(ck.Serial); d <= -w {
 					t.Fatalf("step %d: evicted-range serial %d still held (latest %d, window %d)",
 						i, ck.Serial, latest.Serial, w)
 				}
@@ -98,7 +98,7 @@ func TestOpenPacketNeverSucceedsForEvictedSerials(t *testing.T) {
 			t.Fatalf("rotation %d: in-order key refused", i)
 		}
 		clear := []byte{byte(i), byte(i >> 8), 0xAB}
-		pkt, err := SealPacket(rng, ck, clear, aad)
+		pkt, err := NewPacketSealer(ck).Seal(rng, clear, aad)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,16 +24,16 @@ type Serial uint8
 // Next returns the following serial (wrapping).
 func (s Serial) Next() Serial { return s + 1 }
 
-// Distance returns the signed shortest distance from s to o in modulo-256
+// distance returns the signed shortest distance from s to o in modulo-256
 // space: positive when o is ahead of s.
-func (s Serial) Distance(o Serial) int {
+func (s Serial) distance(o Serial) int {
 	d := int(int8(o - s))
 	return d
 }
 
-// NewerThan reports whether s is strictly ahead of o under the
+// newerThan reports whether s is strictly ahead of o under the
 // half-window rule.
-func (s Serial) NewerThan(o Serial) bool { return o.Distance(s) > 0 }
+func (s Serial) newerThan(o Serial) bool { return o.distance(s) > 0 }
 
 // ContentKey is one iteration of the evolving key.
 type ContentKey struct {
@@ -165,7 +165,7 @@ func (r *Ring) Depth(s Serial) (int, bool) {
 	if !r.has {
 		return 0, false
 	}
-	return -r.latest.Distance(s), true
+	return -r.latest.distance(s), true
 }
 
 // DefaultWindow covers in-flight rotation plus early-delivered next keys.
@@ -190,18 +190,18 @@ func (r *Ring) Add(k ContentKey) bool {
 		if _, dup := r.keys[k.Serial]; dup {
 			return false
 		}
-		if d := r.latest.Distance(k.Serial); d <= -r.window {
+		if d := r.latest.distance(k.Serial); d <= -r.window {
 			return false // too old
 		}
 	}
 	r.keys[k.Serial] = k.Key.Sealer()
-	if !r.has || k.Serial.NewerThan(r.latest) {
+	if !r.has || k.Serial.newerThan(r.latest) {
 		r.latest = k.Serial
 		r.has = true
 	}
 	// Evict iterations that fell out of the window.
 	for s := range r.keys {
-		if d := r.latest.Distance(s); d <= -r.window {
+		if d := r.latest.distance(s); d <= -r.window {
 			delete(r.keys, s)
 		}
 	}
@@ -226,7 +226,7 @@ func (r *Ring) Sealer(s Serial) (*cryptoutil.SealKey, bool) {
 	if !ok {
 		r.stats.Misses++
 		if r.has {
-			depth := -r.latest.Distance(s)
+			depth := -r.latest.distance(s)
 			if depth >= r.window {
 				r.stats.MissesEvicted++
 			} else {
@@ -238,16 +238,6 @@ func (r *Ring) Sealer(s Serial) (*cryptoutil.SealKey, bool) {
 		}
 	}
 	return sk, ok
-}
-
-// Latest returns the newest held iteration.
-func (r *Ring) Latest() (ContentKey, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.has {
-		return ContentKey{}, false
-	}
-	return ContentKey{Serial: r.latest, Key: r.keys[r.latest].Key()}, true
 }
 
 // Len reports how many iterations are held.
@@ -269,7 +259,7 @@ func (r *Ring) Snapshot() []ContentKey {
 	// Oldest-to-newest, not map order: the snapshot is sealed per-key into
 	// join responses, so its order must be deterministic for a fixed seed.
 	sort.Slice(out, func(i, j int) bool {
-		return r.latest.Distance(out[i].Serial) < r.latest.Distance(out[j].Serial)
+		return r.latest.distance(out[i].Serial) < r.latest.distance(out[j].Serial)
 	})
 	return out
 }
@@ -339,15 +329,9 @@ func (ps *PacketSealer) SealAppend(dst []byte, rng io.Reader, payload, aad []byt
 	return ps.sealer.SealAppend(dst, rng, payload, ps.aadBuf)
 }
 
-// SealPacket is the one-shot form of PacketSealer.Seal; repeated sealing
-// under the same iteration should hold a PacketSealer.
-func SealPacket(rng io.Reader, k ContentKey, payload, aad []byte) ([]byte, error) {
-	return NewPacketSealer(k).Seal(rng, payload, aad)
-}
-
-// OpenPacket decrypts a SealPacket output using the receiver's ring. The
-// per-serial AEAD is cached inside the ring, so repeated packets under
-// one iteration skip the cipher setup.
+// OpenPacket decrypts a PacketSealer.Seal output using the receiver's
+// ring. The per-serial AEAD is cached inside the ring, so repeated
+// packets under one iteration skip the cipher setup.
 func OpenPacket(r *Ring, packet, aad []byte) ([]byte, error) {
 	if len(packet) < 1 {
 		return nil, cryptoutil.ErrShortData

@@ -15,19 +15,19 @@ func TestSerialWraps(t *testing.T) {
 	if Serial(255).Next() != 0 {
 		t.Fatal("255.Next() != 0")
 	}
-	if Serial(0).Distance(1) != 1 {
+	if Serial(0).distance(1) != 1 {
 		t.Fatal("distance 0→1 != 1")
 	}
-	if Serial(255).Distance(0) != 1 {
+	if Serial(255).distance(0) != 1 {
 		t.Fatal("distance 255→0 != 1 across wrap")
 	}
-	if Serial(0).Distance(255) != -1 {
+	if Serial(0).distance(255) != -1 {
 		t.Fatal("distance 0→255 != -1")
 	}
-	if !Serial(0).NewerThan(255) {
+	if !Serial(0).newerThan(255) {
 		t.Fatal("0 should be newer than 255 after wrap")
 	}
-	if Serial(5).NewerThan(5) {
+	if Serial(5).newerThan(5) {
 		t.Fatal("serial newer than itself")
 	}
 }
@@ -204,7 +204,7 @@ func TestSealOpenPacket(t *testing.T) {
 	sched, _ := NewSchedule(rng)
 	ck := sched.Current()
 	aad := []byte("channel-7")
-	pkt, err := SealPacket(rng, ck, []byte("frame-data"), aad)
+	pkt, err := NewPacketSealer(ck).Seal(rng, []byte("frame-data"), aad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSealOpenPacket(t *testing.T) {
 func TestOpenPacketUnknownSerial(t *testing.T) {
 	rng := testRNG()
 	sched, _ := NewSchedule(rng)
-	pkt, _ := SealPacket(rng, sched.Current(), []byte("x"), nil)
+	pkt, _ := NewPacketSealer(sched.Current()).Seal(rng, []byte("x"), nil)
 	r := NewRing(4) // empty: eavesdropper without the content key
 	if _, err := OpenPacket(r, pkt, nil); !errors.Is(err, ErrUnknownSerial) {
 		t.Fatalf("err = %v, want ErrUnknownSerial", err)
@@ -237,7 +237,7 @@ func TestOpenPacketHijackDetected(t *testing.T) {
 	rng := testRNG()
 	sched, _ := NewSchedule(rng)
 	ck := sched.Current()
-	pkt, _ := SealPacket(rng, ck, []byte("legit"), []byte("ch"))
+	pkt, _ := NewPacketSealer(ck).Seal(rng, []byte("legit"), []byte("ch"))
 	pkt[len(pkt)-1] ^= 1
 	r := NewRing(4)
 	r.Add(ck)
@@ -250,7 +250,7 @@ func TestOpenPacketWrongChannelAAD(t *testing.T) {
 	rng := testRNG()
 	sched, _ := NewSchedule(rng)
 	ck := sched.Current()
-	pkt, _ := SealPacket(rng, ck, []byte("x"), []byte("channel-A"))
+	pkt, _ := NewPacketSealer(ck).Seal(rng, []byte("x"), []byte("channel-A"))
 	r := NewRing(4)
 	r.Add(ck)
 	if _, err := OpenPacket(r, pkt, []byte("channel-B")); !errors.Is(err, ErrHijack) {
@@ -274,7 +274,7 @@ func TestForwardSecrecyAfterRotations(t *testing.T) {
 	for i := 0; i < DefaultWindow+1; i++ {
 		_, _ = sched.Rotate()
 	}
-	pkt, _ := SealPacket(rng, sched.Current(), []byte("later"), nil)
+	pkt, _ := NewPacketSealer(sched.Current()).Seal(rng, []byte("later"), nil)
 	attacker := NewRing(DefaultWindow)
 	attacker.Add(old)
 	if _, err := OpenPacket(attacker, pkt, nil); err == nil {
@@ -282,22 +282,22 @@ func TestForwardSecrecyAfterRotations(t *testing.T) {
 	}
 }
 
-// Property: serial Distance is antisymmetric and NewerThan is a strict
+// Property: serial distance is antisymmetric and newerThan is a strict
 // order on any pair at distance != -128.
 func TestSerialDistanceProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		sa, sb := Serial(a), Serial(b)
-		d := sa.Distance(sb)
-		if d != -128 && sb.Distance(sa) != -d {
+		d := sa.distance(sb)
+		if d != -128 && sb.distance(sa) != -d {
 			return false
 		}
 		if sa == sb {
-			return !sa.NewerThan(sb) && !sb.NewerThan(sa)
+			return !sa.newerThan(sb) && !sb.newerThan(sa)
 		}
 		if d == -128 {
 			return true // ambiguous midpoint by design
 		}
-		return sa.NewerThan(sb) != sb.NewerThan(sa)
+		return sa.newerThan(sb) != sb.newerThan(sa)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 			return false
 		}
 		ck := ContentKey{Serial: Serial(serial), Key: k}
-		pkt, err := SealPacket(rng, ck, payload, []byte("ch"))
+		pkt, err := NewPacketSealer(ck).Seal(rng, payload, []byte("ch"))
 		if err != nil {
 			return false
 		}
@@ -328,4 +328,15 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Latest returns the newest held iteration (the tests' and FuzzRing's
+// view of the ring head).
+func (r *Ring) Latest() (ContentKey, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.has {
+		return ContentKey{}, false
+	}
+	return ContentKey{Serial: r.latest, Key: r.keys[r.latest].Key()}, true
 }

@@ -75,6 +75,3 @@ func (c *Cache[K, V]) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Cap reports the cache capacity.
-func (c *Cache[K, V]) Cap() int { return c.cap }

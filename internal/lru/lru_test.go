@@ -53,8 +53,8 @@ func TestAddRefreshesExisting(t *testing.T) {
 
 func TestCapacityFloor(t *testing.T) {
 	c := New[int, int](0)
-	if c.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", c.Cap())
+	if c.cap != 1 {
+		t.Fatalf("cap = %d, want 1", c.cap)
 	}
 	c.Add(1, 1)
 	c.Add(2, 2)

@@ -15,7 +15,7 @@ import (
 
 // Row is one sampled instant: the sim-clock time plus a column→value
 // map contributed by the sampler's sources. It is the materialized
-// (allocating) view — hot paths use EachRow instead.
+// (allocating) view; exports stream the columnar slab instead.
 type Row struct {
 	T      time.Time
 	Values map[string]float64
@@ -178,20 +178,8 @@ func (s *Series) SinkErr() error {
 	return s.sinkErr
 }
 
-// Append adds a row from a column→value map (compat/setup path; the
-// sampler's tick path writes columns directly without a per-row map).
-func (s *Series) Append(t time.Time, values map[string]float64) {
-	s.mu.Lock()
-	s.beginLocked(t)
-	for k, v := range values {
-		s.setLocked(k, v)
-	}
-	s.endLocked()
-	s.mu.Unlock()
-}
-
 // Rows materializes the retained rows in time order. Every call
-// rebuilds rows and maps — renderers and hot paths should use EachRow.
+// rebuilds rows and maps.
 func (s *Series) Rows() []Row {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,23 +197,6 @@ func (s *Series) Rows() []Row {
 	return rows
 }
 
-// EachRow iterates the retained rows without copying: cols is the
-// registration-order column list (shared across calls) and vals is the
-// row's slice of the columnar slab, NaN marking missing columns. Both
-// are read-only and only valid during the callback; return false to
-// stop. The series lock is held for the whole iteration — callbacks
-// must not call back into the series.
-func (s *Series) EachRow(fn func(t time.Time, cols []string, vals []float64) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stride := len(s.cols)
-	for r, tn := range s.times {
-		if !fn(time.Unix(0, tn).UTC(), s.cols, s.data[r*stride:(r+1)*stride]) {
-			return
-		}
-	}
-}
-
 // Len returns the number of rows ever appended, retained or streamed
 // (nil-safe).
 func (s *Series) Len() int {
@@ -237,19 +208,10 @@ func (s *Series) Len() int {
 	return s.total
 }
 
-// Columns returns the sorted column names.
-func (s *Series) Columns() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cols := append([]string(nil), s.cols...)
-	sort.Strings(cols)
-	return cols
-}
-
 // WriteCSV writes the retained rows with a leading RFC-3339 "time"
 // column followed by the sorted column union; missing values render
 // empty. Output bytes are a pure function of the rows. For runs too
-// long to retain, attach a CSVSink via Stream instead.
+// long to retain, attach NewCSVSink via Stream instead.
 func (s *Series) WriteCSV(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -287,18 +249,18 @@ func (s *Series) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// CSVSink streams rows as CSV: the same shape WriteCSV produces, but
+// csvSink streams rows as CSV: the same shape WriteCSV produces, but
 // incremental and bounded-memory.
-type CSVSink struct {
+type csvSink struct {
 	cw  *csv.Writer
 	rec []string
 }
 
 // NewCSVSink creates a CSV sink over w.
-func NewCSVSink(w io.Writer) *CSVSink { return &CSVSink{cw: csv.NewWriter(w)} }
+func NewCSVSink(w io.Writer) RowSink { return &csvSink{cw: csv.NewWriter(w)} }
 
 // Start writes the header row.
-func (c *CSVSink) Start(cols []string) error {
+func (c *csvSink) Start(cols []string) error {
 	c.rec = make([]string, len(cols)+1)
 	c.rec[0] = "time"
 	copy(c.rec[1:], cols)
@@ -306,7 +268,7 @@ func (c *CSVSink) Start(cols []string) error {
 }
 
 // Row writes one record.
-func (c *CSVSink) Row(t time.Time, cols []string, vals []float64) error {
+func (c *csvSink) Row(t time.Time, cols []string, vals []float64) error {
 	c.rec[0] = t.Format(time.RFC3339)
 	for i, v := range vals {
 		if !math.IsNaN(v) {
@@ -319,28 +281,28 @@ func (c *CSVSink) Row(t time.Time, cols []string, vals []float64) error {
 }
 
 // Flush forwards buffered records to the underlying writer.
-func (c *CSVSink) Flush() error {
+func (c *csvSink) Flush() error {
 	c.cw.Flush()
 	return c.cw.Error()
 }
 
-// JSONLSink streams rows as JSON Lines: one object per row with a
+// jsonlSink streams rows as JSON Lines: one object per row with a
 // "time" field plus one field per present column (missing columns are
 // omitted, so no schema padding). Encoding is hand-rolled and
 // deterministic — keys follow the sorted sink schema.
-type JSONLSink struct {
+type jsonlSink struct {
 	bw  *bufio.Writer
 	buf []byte
 }
 
 // NewJSONLSink creates a JSONL sink over w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{bw: bufio.NewWriter(w)} }
+func NewJSONLSink(w io.Writer) RowSink { return &jsonlSink{bw: bufio.NewWriter(w)} }
 
 // Start is a no-op: JSONL needs no header.
-func (j *JSONLSink) Start(cols []string) error { return nil }
+func (j *jsonlSink) Start(cols []string) error { return nil }
 
 // Row writes one line.
-func (j *JSONLSink) Row(t time.Time, cols []string, vals []float64) error {
+func (j *jsonlSink) Row(t time.Time, cols []string, vals []float64) error {
 	b := j.buf[:0]
 	b = append(b, `{"time":"`...)
 	b = t.AppendFormat(b, time.RFC3339)
@@ -361,7 +323,7 @@ func (j *JSONLSink) Row(t time.Time, cols []string, vals []float64) error {
 }
 
 // Flush drains the buffered writer.
-func (j *JSONLSink) Flush() error { return j.bw.Flush() }
+func (j *jsonlSink) Flush() error { return j.bw.Flush() }
 
 // multiSink fans one row stream out to several sinks (e.g. CSV and
 // JSONL exports of the same run). The first error stops the fan-out.

@@ -126,3 +126,15 @@ func TestSamplerStopsAtUntil(t *testing.T) {
 		t.Fatalf("got %d rows, want 2 (ticks at +10s and +20s only)", got)
 	}
 }
+
+// Append adds a row from a column→value map; the sampler's tick path
+// writes columns directly without a per-row map.
+func (s *Series) Append(t time.Time, values map[string]float64) {
+	s.mu.Lock()
+	s.beginLocked(t)
+	for k, v := range values {
+		s.setLocked(k, v)
+	}
+	s.endLocked()
+	s.mu.Unlock()
+}

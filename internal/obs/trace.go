@@ -148,21 +148,21 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// Footer is the JSONL trailer line accounting for ring overflow: every
+// footer is the JSONL trailer line accounting for ring overflow: every
 // export ends with it, so a reader always learns how many spans the
 // bounded ring dropped instead of silently reading a truncated record.
-type Footer struct {
-	Kind     string `json:"kind"` // always KindFooter
+type footer struct {
+	Kind     string `json:"kind"` // always kindFooter
 	Total    int64  `json:"total"`
 	Retained int    `json:"retained"`
 	Dropped  int64  `json:"dropped"`
 }
 
-// KindFooter marks the JSONL trailer line (not a span kind).
-const KindFooter = "trace_footer"
+// kindFooter marks the JSONL trailer line (not a span kind).
+const kindFooter = "trace_footer"
 
 // WriteJSONL writes the retained spans oldest-first, one JSON object
-// per line, fields in Span declaration order, followed by a Footer line
+// per line, fields in Span declaration order, followed by a footer line
 // reporting total emitted / retained / dropped counts.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w) // Encode appends the newline
@@ -172,42 +172,7 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	return enc.Encode(Footer{
-		Kind: KindFooter, Total: t.Total(), Retained: len(spans), Dropped: t.Dropped(),
+	return enc.Encode(footer{
+		Kind: kindFooter, Total: t.Total(), Retained: len(spans), Dropped: t.Dropped(),
 	})
-}
-
-// ReadJSONL decodes a WriteJSONL export back into spans plus its footer.
-// The footer line is recognized by its kind; a stream without one (a
-// pre-footer export, or a truncated file) returns a nil footer.
-func ReadJSONL(r io.Reader) ([]Span, *Footer, error) {
-	dec := json.NewDecoder(r)
-	var spans []Span
-	var footer *Footer
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
-			return spans, footer, nil
-		} else if err != nil {
-			return spans, footer, err
-		}
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return spans, footer, err
-		}
-		if probe.Kind == KindFooter {
-			footer = &Footer{}
-			if err := json.Unmarshal(raw, footer); err != nil {
-				return spans, footer, err
-			}
-			continue
-		}
-		var sp Span
-		if err := json.Unmarshal(raw, &sp); err != nil {
-			return spans, footer, err
-		}
-		spans = append(spans, sp)
-	}
 }

@@ -68,11 +68,11 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 	if len(lines) != 6 { // 5 spans + footer
 		t.Fatalf("got %d lines, want 6", len(lines))
 	}
-	var foot Footer
+	var foot footer
 	if err := json.Unmarshal(lines[5], &foot); err != nil {
 		t.Fatalf("footer line is not valid JSON: %v", err)
 	}
-	if foot.Kind != KindFooter || foot.Total != 5 || foot.Retained != 5 || foot.Dropped != 0 {
+	if foot.Kind != kindFooter || foot.Total != 5 || foot.Retained != 5 || foot.Dropped != 0 {
 		t.Fatalf("footer mismatch: %+v", foot)
 	}
 	var sp Span

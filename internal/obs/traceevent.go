@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // Chrome trace_event exporter: spans rendered as "X" (complete) duration
@@ -14,9 +13,9 @@ import (
 // structs, spans sorted by (Trace, Begin, ID), and timestamps expressed
 // as microsecond offsets on the simulation clock.
 
-// TraceEvent is one entry in the trace_event "traceEvents" array. Field
+// traceEvent is one entry in the trace_event "traceEvents" array. Field
 // order is the wire schema; encoding/json preserves declaration order.
-type TraceEvent struct {
+type traceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Ts   int64          `json:"ts"`            // microseconds
@@ -28,7 +27,7 @@ type TraceEvent struct {
 }
 
 type traceEventFile struct {
-	TraceEvents     []TraceEvent `json:"traceEvents"`
+	TraceEvents     []traceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 	Metadata        traceEventMD `json:"metadata"`
 }
@@ -55,12 +54,12 @@ func WriteTraceEvents(w io.Writer, spans []Span, total, dropped int64) error {
 		return ordered[i].ID < ordered[j].ID
 	})
 	file := traceEventFile{
-		TraceEvents:     make([]TraceEvent, 0, len(ordered)),
+		TraceEvents:     make([]traceEvent, 0, len(ordered)),
 		DisplayTimeUnit: "ms",
 		Metadata:        traceEventMD{Total: total, Retained: len(ordered), Dropped: dropped},
 	}
 	for _, sp := range ordered {
-		ev := TraceEvent{
+		ev := traceEvent{
 			Name: eventName(sp),
 			Ph:   "X",
 			Ts:   sp.Begin.UnixMicro(),
@@ -119,21 +118,4 @@ func eventName(sp Span) string {
 		return sp.Kind + ":" + sp.Service
 	}
 	return sp.Kind
-}
-
-// ReadTraceEvents decodes a WriteTraceEvents document back into its
-// event list and metadata — the inverse used by the encode→decode
-// property test.
-func ReadTraceEvents(r io.Reader) ([]TraceEvent, int64, int64, error) {
-	var file traceEventFile
-	if err := json.NewDecoder(r).Decode(&file); err != nil {
-		return nil, 0, 0, err
-	}
-	return file.TraceEvents, file.Metadata.Total, file.Metadata.Dropped, nil
-}
-
-// eventSpanTimes recovers the (begin, end) of a decoded event.
-func (ev TraceEvent) Interval() (time.Time, time.Time) {
-	begin := time.UnixMicro(ev.Ts).UTC()
-	return begin, begin.Add(time.Duration(ev.Dur) * time.Microsecond)
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -70,7 +72,7 @@ func TestTraceEventsRoundTripProperty(t *testing.T) {
 			name string
 			ts   int64
 		}
-		seen := map[key]TraceEvent{}
+		seen := map[key]traceEvent{}
 		for _, ev := range events {
 			seen[key{ev.Pid, ev.Name, ev.Ts}] = ev
 		}
@@ -98,4 +100,21 @@ func TestTraceEventsRoundTripProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ReadTraceEvents decodes a WriteTraceEvents document back into its
+// event list and metadata — the inverse used by the encode→decode
+// property test.
+func ReadTraceEvents(r io.Reader) ([]traceEvent, int64, int64, error) {
+	var file traceEventFile
+	if err := json.NewDecoder(r).Decode(&file); err != nil {
+		return nil, 0, 0, err
+	}
+	return file.TraceEvents, file.Metadata.Total, file.Metadata.Dropped, nil
+}
+
+// Interval recovers the (begin, end) of a decoded event.
+func (ev traceEvent) Interval() (time.Time, time.Time) {
+	begin := time.UnixMicro(ev.Ts).UTC()
+	return begin, begin.Add(time.Duration(ev.Dur) * time.Microsecond)
 }

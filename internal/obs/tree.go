@@ -10,37 +10,37 @@ import (
 // wrapped ring arrive out of order and possibly with their ancestors
 // overwritten — so assembly sorts first and tolerates orphans.
 
-// SpanNode is one span with its causal children.
-type SpanNode struct {
+// spanNode is one span with its causal children.
+type spanNode struct {
 	Span     Span
-	Children []*SpanNode
+	Children []*spanNode
 }
 
 // Walk visits the subtree pre-order, depth-first.
-func (n *SpanNode) Walk(depth int, f func(depth int, n *SpanNode)) {
+func (n *spanNode) Walk(depth int, f func(depth int, n *spanNode)) {
 	f(depth, n)
 	for _, c := range n.Children {
 		c.Walk(depth+1, f)
 	}
 }
 
-// SpanTree is one trace's assembled forest: the journey root (when its
+// spanTree is one trace's assembled forest: the journey root (when its
 // span survived the ring) plus any orphans whose parents did not.
-type SpanTree struct {
+type spanTree struct {
 	Trace uint64
 	// Root is the journey span (nil when it was overwritten or the trace
 	// has no journey-kind span; Orphans then carries everything).
-	Root *SpanNode
+	Root *spanNode
 	// Orphans are subtree roots whose parent span is missing — the
 	// visible footprint of ring overflow or a partially sampled trace.
-	Orphans []*SpanNode
+	Orphans []*spanNode
 }
 
 // Spans returns every span in the tree (root first, then orphans),
 // pre-order.
-func (t *SpanTree) Spans() []Span {
+func (t *spanTree) Spans() []Span {
 	var out []Span
-	visit := func(_ int, n *SpanNode) { out = append(out, n.Span) }
+	visit := func(_ int, n *spanNode) { out = append(out, n.Span) }
 	if t.Root != nil {
 		t.Root.Walk(0, visit)
 	}
@@ -50,12 +50,12 @@ func (t *SpanTree) Spans() []Span {
 	return out
 }
 
-// BuildTrees assembles per-trace span trees from an unordered span
+// buildTrees assembles per-trace span trees from an unordered span
 // slice. Spans without a trace ID (the flat protocol-ring kinds) are
 // ignored. The result is deterministic for any input order: spans are
 // sorted by (Trace, Begin, ID) before linking, trees come back sorted
 // by (first span begin, trace ID).
-func BuildTrees(spans []Span) []*SpanTree {
+func buildTrees(spans []Span) []*spanTree {
 	byTrace := make(map[uint64][]Span)
 	for _, sp := range spans {
 		if sp.Trace == 0 || sp.ID == 0 {
@@ -63,7 +63,7 @@ func BuildTrees(spans []Span) []*SpanTree {
 		}
 		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
 	}
-	trees := make([]*SpanTree, 0, len(byTrace))
+	trees := make([]*spanTree, 0, len(byTrace))
 	for trace, group := range byTrace {
 		sort.Slice(group, func(i, j int) bool {
 			if !group[i].Begin.Equal(group[j].Begin) {
@@ -74,17 +74,17 @@ func BuildTrees(spans []Span) []*SpanTree {
 			}
 			return group[i].Kind < group[j].Kind
 		})
-		nodes := make(map[uint64]*SpanNode, len(group))
-		order := make([]*SpanNode, 0, len(group))
+		nodes := make(map[uint64]*spanNode, len(group))
+		order := make([]*spanNode, 0, len(group))
 		for _, sp := range group {
 			if _, dup := nodes[sp.ID]; dup {
 				continue // identical re-emission; first (earliest) wins
 			}
-			n := &SpanNode{Span: sp}
+			n := &spanNode{Span: sp}
 			nodes[sp.ID] = n
 			order = append(order, n)
 		}
-		tree := &SpanTree{Trace: trace}
+		tree := &spanTree{Trace: trace}
 		for _, n := range order {
 			parent := nodes[n.Span.Parent]
 			switch {
@@ -108,7 +108,7 @@ func BuildTrees(spans []Span) []*SpanTree {
 	return trees
 }
 
-func treeBegin(t *SpanTree) time.Time {
+func treeBegin(t *spanTree) time.Time {
 	if t.Root != nil {
 		return t.Root.Span.Begin
 	}
@@ -155,9 +155,9 @@ type CriticalPath struct {
 	Marks map[string]time.Duration
 }
 
-// ExtractCriticalPath computes a journey's stage breakdown from its
+// extractCriticalPath computes a journey's stage breakdown from its
 // assembled tree. Returns ok=false when the tree has no journey root.
-func ExtractCriticalPath(t *SpanTree) (CriticalPath, bool) {
+func extractCriticalPath(t *spanTree) (CriticalPath, bool) {
 	if t == nil || t.Root == nil {
 		return CriticalPath{}, false
 	}
@@ -178,7 +178,7 @@ func ExtractCriticalPath(t *SpanTree) (CriticalPath, bool) {
 			st := StageBreakdown{Name: sp.Name, Duration: sp.Duration(), Outcome: sp.Outcome}
 			// Calls sit directly under the stage; server spans parent under
 			// the call that caused them — walk the whole stage subtree.
-			child.Walk(0, func(depth int, g *SpanNode) {
+			child.Walk(0, func(depth int, g *spanNode) {
 				if depth == 0 {
 					return
 				}
@@ -207,8 +207,8 @@ func ExtractCriticalPath(t *SpanTree) (CriticalPath, bool) {
 // sorted by (begin, trace).
 func CriticalPaths(spans []Span) []CriticalPath {
 	var out []CriticalPath
-	for _, t := range BuildTrees(spans) {
-		if cp, ok := ExtractCriticalPath(t); ok {
+	for _, t := range buildTrees(spans) {
+		if cp, ok := extractCriticalPath(t); ok {
 			out = append(out, cp)
 		}
 	}

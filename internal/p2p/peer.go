@@ -306,12 +306,6 @@ func (p *Peer) Stats() Stats {
 // Ring exposes the content-key ring (the client's playback path uses it).
 func (p *Peer) Ring() *keys.Ring { return p.ring }
 
-// TicketCacheStats reports hits and misses of the verified Channel
-// Ticket cache (observability for tests and tuning).
-func (p *Peer) TicketCacheStats() (hits, misses int64) {
-	return p.verifier.Hits(), p.verifier.Misses()
-}
-
 // Children reports current downstream count.
 func (p *Peer) Children() int {
 	p.mu.Lock()
@@ -834,19 +828,6 @@ func (p *Peer) handleKeyPush(from simnet.Addr, msg *wire.KeyPush) {
 }
 
 // --- Content distribution ----------------------------------------------
-
-// InjectPacket enters an encrypted packet at this peer (the Channel
-// Server root calls this for every produced packet).
-func (p *Peer) InjectPacket(substream uint8, seq uint64, packet []byte) {
-	p.relayPacket(substream, seq, packet, false)
-}
-
-// InjectClearPacket enters an unencrypted packet (providers with a
-// public mandate may distribute in the clear, §IV-E fn. 2; access is
-// still gated by Channel Tickets at join time).
-func (p *Peer) InjectClearPacket(substream uint8, seq uint64, packet []byte) {
-	p.relayPacket(substream, seq, packet, true)
-}
 
 // InjectFrame enters a packet together with its pre-encoded ContentPush
 // frame: enc must be the wire encoding of (ChannelID, substream, seq,

@@ -87,7 +87,7 @@ func TestJoinHappyPathDeliversSessionAndKeys(t *testing.T) {
 	if cli.Ring().Len() != 1 {
 		t.Fatalf("client ring has %d keys, want 1", cli.Ring().Len())
 	}
-	if got, _ := cli.Ring().Latest(); got != sched.Current() {
+	if got, _ := cli.Ring().Get(sched.Current().Serial); got != sched.Current().Key {
 		t.Fatal("client's key differs from the schedule's")
 	}
 }
@@ -229,11 +229,11 @@ func TestContentFlowsAndDecryptsAtLeaf(t *testing.T) {
 	ck := sched.Current()
 	root.InjectKey(ck)
 	f.sched.RunUntil(t0.Add(time.Minute))
-	pkt, err := keys.SealPacket(f.rng, ck, []byte("frame-1"), []byte("chA"))
+	pkt, err := keys.NewPacketSealer(ck).Seal(f.rng, []byte("frame-1"), []byte("chA"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.InjectPacket(0, 1, pkt)
+	root.relayPacket(0, 1, pkt, false)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if len(got) != 1 || string(got[0]) != "frame-1" {
 		t.Fatalf("leaf delivered %q", got)
@@ -250,9 +250,9 @@ func TestDuplicateKeysAndPacketsDiscarded(t *testing.T) {
 	ck, _ := sched.Rotate()
 	root.InjectKey(ck)
 	root.InjectKey(ck) // duplicate injection
-	pkt, _ := keys.SealPacket(f.rng, ck, []byte("x"), []byte("chA"))
-	root.InjectPacket(0, 5, pkt)
-	root.InjectPacket(0, 5, pkt)
+	pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte("x"), []byte("chA"))
+	root.relayPacket(0, 5, pkt, false)
+	root.relayPacket(0, 5, pkt, false)
 	f.sched.RunUntil(t0.Add(time.Minute))
 	st := mid.Stats()
 	if st.KeysReceived != 1 {
@@ -368,9 +368,9 @@ func TestHijackedContentDetected(t *testing.T) {
 	ck := sched.Current()
 	root.InjectKey(ck)
 	f.sched.RunUntil(t0.Add(time.Minute))
-	pkt, _ := keys.SealPacket(f.rng, ck, []byte("legit"), []byte("chA"))
+	pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte("legit"), []byte("chA"))
 	pkt[len(pkt)-1] ^= 1 // rogue content masquerading as legitimate
-	root.InjectPacket(0, 9, pkt)
+	root.relayPacket(0, 9, pkt, false)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if hijacks != 1 {
 		t.Fatalf("hijacks = %d, want 1", hijacks)
@@ -408,12 +408,12 @@ func TestMultiParentSubstreamSplit(t *testing.T) {
 	f.sched.RunUntil(t0.Add(time.Minute))
 	for seq := uint64(0); seq < 8; seq++ {
 		sub := uint8(seq % 4)
-		pkt, _ := keys.SealPacket(f.rng, ck, []byte{byte(seq)}, []byte("chA"))
+		pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte{byte(seq)}, []byte("chA"))
 		// Both roots carry the full stream; each child only gets its
 		// subscribed substreams.
-		rootA.InjectPacket(sub, seq, pkt)
-		pkt2, _ := keys.SealPacket(f.rng, ck, []byte{byte(seq)}, []byte("chA"))
-		rootB.InjectPacket(sub, seq, pkt2)
+		rootA.relayPacket(sub, seq, pkt, false)
+		pkt2, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte{byte(seq)}, []byte("chA"))
+		rootB.relayPacket(sub, seq, pkt2, false)
 	}
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if len(seqs) != 8 {

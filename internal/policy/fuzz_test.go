@@ -23,7 +23,7 @@ func FuzzDecodeChannelArtifacts(f *testing.F) {
 		MgrAddr:   "cm.p1",
 		MgrKey:    []byte("key"),
 	}
-	f.Add(AppendChannel(nil, ch))
+	f.Add(appendChannel(nil, ch))
 	f.Add(AppendChannels(nil, []*Channel{ch, ch}))
 	f.Add(BuildAttrList([]*Channel{ch}).Encode())
 	f.Add([]byte{})
@@ -31,12 +31,12 @@ func FuzzDecodeChannelArtifacts(f *testing.F) {
 
 	at := time.Date(2008, 6, 23, 12, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if c, _, err := DecodeChannel(b); err == nil && c != nil {
+		if c, _, err := decodeChannel(b); err == nil && c != nil {
 			// Decoded channels must be safely evaluable.
 			_ = c.EvaluateUser(attr.List{{Name: attr.NameRegion, Value: "100"}}, at)
 		}
 		_, _, _ = DecodeChannels(b)
 		_, _ = DecodeAttrList(b)
-		_, _, _ = DecodeRule(b)
+		_, _, _ = decodeRule(b)
 	})
 }

@@ -275,8 +275,8 @@ const (
 	maxChannels = 65536
 )
 
-// AppendRule serializes r onto buf.
-func AppendRule(buf []byte, r Rule) []byte {
+// appendRule serializes r onto buf.
+func appendRule(buf []byte, r Rule) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(r.Priority)))
 	buf = append(buf, byte(r.Effect))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Conds)))
@@ -287,8 +287,8 @@ func AppendRule(buf []byte, r Rule) []byte {
 	return buf
 }
 
-// DecodeRule parses one rule, returning the remainder.
-func DecodeRule(b []byte) (Rule, []byte, error) {
+// decodeRule parses one rule, returning the remainder.
+func decodeRule(b []byte) (Rule, []byte, error) {
 	var r Rule
 	if len(b) < 7 {
 		return r, nil, errTruncated
@@ -318,14 +318,14 @@ func DecodeRule(b []byte) (Rule, []byte, error) {
 	return r, b, nil
 }
 
-// AppendChannel serializes c onto buf.
-func AppendChannel(buf []byte, c *Channel) []byte {
+// appendChannel serializes c onto buf.
+func appendChannel(buf []byte, c *Channel) []byte {
 	buf = appendString(buf, c.ID)
 	buf = appendString(buf, c.Name)
 	buf = attr.AppendList(buf, c.Attrs)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Rules)))
 	for _, r := range c.Rules {
-		buf = AppendRule(buf, r)
+		buf = appendRule(buf, r)
 	}
 	buf = appendString(buf, c.Partition)
 	buf = appendString(buf, c.MgrAddr)
@@ -333,8 +333,8 @@ func AppendChannel(buf []byte, c *Channel) []byte {
 	return buf
 }
 
-// DecodeChannel parses one channel, returning the remainder.
-func DecodeChannel(b []byte) (*Channel, []byte, error) {
+// decodeChannel parses one channel, returning the remainder.
+func decodeChannel(b []byte) (*Channel, []byte, error) {
 	c := &Channel{}
 	var err error
 	if c.ID, b, err = decodeString(b); err != nil {
@@ -357,7 +357,7 @@ func DecodeChannel(b []byte) (*Channel, []byte, error) {
 	c.Rules = make([]Rule, 0, n)
 	for i := 0; i < n; i++ {
 		var r Rule
-		if r, b, err = DecodeRule(b); err != nil {
+		if r, b, err = decodeRule(b); err != nil {
 			return nil, nil, err
 		}
 		c.Rules = append(c.Rules, r)
@@ -382,7 +382,7 @@ func DecodeChannel(b []byte) (*Channel, []byte, error) {
 func AppendChannels(buf []byte, chs []*Channel) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(chs)))
 	for _, c := range chs {
-		buf = AppendChannel(buf, c)
+		buf = appendChannel(buf, c)
 	}
 	return buf
 }
@@ -401,7 +401,7 @@ func DecodeChannels(b []byte) ([]*Channel, []byte, error) {
 	for i := uint32(0); i < n; i++ {
 		var c *Channel
 		var err error
-		if c, b, err = DecodeChannel(b); err != nil {
+		if c, b, err = decodeChannel(b); err != nil {
 			return nil, nil, err
 		}
 		out = append(out, c)

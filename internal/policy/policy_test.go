@@ -200,7 +200,7 @@ func TestRuleEncodeDecode(t *testing.T) {
 		{Name: attr.NameRegion, Value: "100"},
 		{Name: attr.NameSubscription, Value: "101"},
 	}, Effect: Reject}
-	dec, rest, err := DecodeRule(AppendRule(nil, r))
+	dec, rest, err := decodeRule(appendRule(nil, r))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v rest=%d", err, len(rest))
 	}
@@ -210,9 +210,9 @@ func TestRuleEncodeDecode(t *testing.T) {
 }
 
 func TestRuleDecodeBadEffect(t *testing.T) {
-	buf := AppendRule(nil, Rule{Priority: 1, Effect: Accept})
+	buf := appendRule(nil, Rule{Priority: 1, Effect: Accept})
 	buf[4] = 99
-	if _, _, err := DecodeRule(buf); err == nil {
+	if _, _, err := decodeRule(buf); err == nil {
 		t.Fatal("bogus effect accepted")
 	}
 }
@@ -222,7 +222,7 @@ func TestChannelEncodeDecodeRoundTrip(t *testing.T) {
 	ch.Partition = "p1"
 	ch.MgrAddr = "cm1.provider"
 	ch.MgrKey = []byte("pubkeybytes")
-	dec, rest, err := DecodeChannel(AppendChannel(nil, ch))
+	dec, rest, err := decodeChannel(appendChannel(nil, ch))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v rest=%d", err, len(rest))
 	}
@@ -252,9 +252,9 @@ func TestChannelsEncodeDecode(t *testing.T) {
 }
 
 func TestChannelDecodeTruncated(t *testing.T) {
-	buf := AppendChannel(nil, channelA())
+	buf := appendChannel(nil, channelA())
 	for cut := 0; cut < len(buf); cut += 7 {
-		if _, _, err := DecodeChannel(buf[:cut]); err == nil {
+		if _, _, err := decodeChannel(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -307,7 +307,7 @@ func TestRuleRoundTripProperty(t *testing.T) {
 		for _, n := range names {
 			r.Conds = append(r.Conds, Cond{Name: n, Value: "v"})
 		}
-		dec, rest, err := DecodeRule(AppendRule(nil, r))
+		dec, rest, err := decodeRule(appendRule(nil, r))
 		if err != nil || len(rest) != 0 {
 			return false
 		}

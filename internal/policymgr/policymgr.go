@@ -62,7 +62,6 @@ type Manager struct {
 	// tombstones keeps utimes of attributes whose channels were removed,
 	// so the Channel Attribute List still signals the change (§IV-A).
 	tombstones map[policy.AttrKey]time.Time
-	fetches    int64
 	// feedVersion orders pushes; receivers discard stale feeds that were
 	// reordered in flight.
 	feedVersion uint64
@@ -92,13 +91,6 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 
 // Runtime exposes the manager's service runtime (endpoint metrics).
 func (m *Manager) Runtime() *svc.Runtime { return m.rt }
-
-// Fetches reports how many client Channel List fetches were served.
-func (m *Manager) Fetches() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fetches
-}
 
 // AddChannel registers a new channel and pushes updates.
 func (m *Manager) AddChannel(ch *policy.Channel) error {
@@ -182,13 +174,8 @@ func (m *Manager) channelsLocked() []*policy.Channel {
 	return out
 }
 
-// AttrList builds the Channel Attribute List, including tombstoned keys.
-func (m *Manager) AttrList() policy.ChannelAttrList {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.attrListLocked()
-}
-
+// attrListLocked builds the Channel Attribute List, including
+// tombstoned keys.
 func (m *Manager) attrListLocked() policy.ChannelAttrList {
 	chs := make([]*policy.Channel, 0, len(m.channels))
 	for _, c := range m.channels {
@@ -259,7 +246,6 @@ func (m *Manager) handleChanList(from simnet.Addr, req *wire.ChanListReq) (*wire
 	}
 	m.mu.Lock()
 	blob := policy.AppendChannels(nil, m.channelsLocked())
-	m.fetches++
 	m.mu.Unlock()
 	return &wire.ChanListResp{Channels: blob}, nil
 }

@@ -93,13 +93,6 @@ func (m *Manager) Assign(email string, a Assignment) {
 	m.byEmail[email] = a
 }
 
-// Unassign reverts a user to the default.
-func (m *Manager) Unassign(email string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.byEmail, email)
-}
-
 // Lookups reports how many redirects were served.
 func (m *Manager) Lookups() int64 {
 	m.mu.Lock()

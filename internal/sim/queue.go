@@ -10,8 +10,9 @@ import "math"
 //
 // equeue itself is not synchronized. The Scheduler guards its queue
 // with s.mu; a Shard's queue is touched only by the shard's worker
-// inside an epoch and by the barrier merge between epochs, which are
-// ordered by the engine's phase synchronization.
+// inside an epoch and by the engine goroutine between epochs (the
+// Pending and earliest-work reads), which the worker phase's WaitGroup
+// orders.
 type equeue struct {
 	events []heapEnt // binary heap: due-now band + long-horizon overflow
 	wheel  wheel     // hierarchical timer wheel: near/mid-future events

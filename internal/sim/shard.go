@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -17,11 +16,10 @@ import (
 //
 // # Epochs and lookahead
 //
-// Time advances in lock-step epochs of length L, the engine's lookahead
-// (classic null-message-style conservative synchronization: L must not
-// exceed the minimum latency of any cross-shard interaction, so no
-// event executed inside an epoch can affect another shard within the
-// same epoch). Each epoch [T, T+L) runs two phases:
+// Time advances in lock-step epochs of length L, the engine's
+// lookahead. Lanes never interact with each other, so L is not a
+// causality bound; it is the cadence at which control gets to observe
+// lane state. Each epoch [T, T+L) runs two phases:
 //
 //  1. Control phase: the control scheduler executes its events in
 //     [T, T+L). Control code deterministically observes every lane's
@@ -29,42 +27,35 @@ import (
 //  2. Worker phase: all lanes execute their events in [T, T+L)
 //     concurrently, one goroutine per non-idle lane.
 //
-// At the epoch barrier, cross-shard messages buffered during the worker
-// phase are merged in deterministic (key, source shard, source seq)
-// order and filed into their destination queues with fresh sequence
-// numbers, so for a fixed shard count the observable event order is
-// bit-for-bit reproducible regardless of GOMAXPROCS or OS scheduling.
-//
-// Phase boundaries depend only on L and the event population — not on
-// the shard count — so a simulation whose per-entity behavior is
+// Nothing crosses between lanes, so within a lane the event order is
+// (key, seq) whatever GOMAXPROCS or the OS scheduler does. Phase
+// boundaries depend only on L and the event population — not on the
+// shard count — so a simulation whose per-entity behavior is
 // independent of lane placement (entity-local RNG streams, commutative
-// cross-lane aggregation) produces byte-identical results for any
-// number of shards. internal/exp's sharded scenarios are built on that
-// discipline and pin it with golden fingerprints.
+// counters) produces byte-identical results for any number of shards.
+// internal/exp's sharded scenarios are built on that discipline and pin
+// it with golden fingerprints.
 //
 // # Contract
 //
-// Lane events must touch only state owned by their lane; anything
-// cross-lane goes through SendAfter (delay >= L) or commutative
-// counters read by control at phase boundaries. Scheduling into a lane
-// from outside is allowed only before Run starts (setup); during a run
-// new lane events may originate only from that lane's own callbacks or
-// from the merge barrier. Timer wheels make lane scheduling and
-// cancellation O(1), so million-timer lanes cost what the serial engine
-// pays, minus the shared-heap contention.
+// Lane events must touch only state owned by their lane, plus
+// commutative counters that control reads at phase boundaries; there is
+// no cross-lane messaging. Scheduling into a lane (and stopping a lane
+// timer) from outside is allowed only before Run starts (setup); during
+// a run new lane events may originate only from that lane's own
+// callbacks. Timer wheels make lane scheduling and cancellation O(1), so
+// million-timer lanes cost what the serial engine pays, minus the
+// shared-heap contention.
 type Sharded struct {
 	ctrl      *Scheduler
 	shards    []*Shard
-	lookahead int64 // epoch length L in ns; cross-shard sends need delay >= L
+	lookahead int64 // epoch length L in ns
 	running   bool
-	mergeBuf  []xmsg
 }
 
 // NewSharded creates an engine with n worker lanes. The lookahead is
-// the epoch length: it must be positive when n > 0, and callers must
-// ensure no cross-shard interaction is faster than it (for simnet
-// topologies, Network.LatencyFloor is the safe choice; for pure
-// counter/timer populations any control-phase cadence works).
+// the epoch length: it must be positive when n > 0. It sets how stale a
+// control-phase read of lane counters may be; any cadence is safe.
 func NewSharded(start time.Time, seed int64, n int, lookahead time.Duration) *Sharded {
 	if n < 0 {
 		panic("sim: negative shard count")
@@ -95,9 +86,6 @@ func (e *Sharded) NumShards() int { return len(e.shards) }
 
 // Shard returns lane i.
 func (e *Sharded) Shard(i int) *Shard { return e.shards[i] }
-
-// Lookahead reports the epoch length.
-func (e *Sharded) Lookahead() time.Duration { return time.Duration(e.lookahead) }
 
 // Pending totals live events across the control scheduler and every
 // lane. It must only be called from the control phase or outside Run
@@ -135,7 +123,6 @@ func (e *Sharded) Run(until time.Time) {
 		}
 		e.ctrl.RunUntil(time.Unix(0, next-1).UTC())
 		e.runLanes(next - 1)
-		e.merge()
 	}
 }
 
@@ -170,7 +157,7 @@ func (e *Sharded) lanesIdle() bool {
 
 // runLanes executes the worker phase: every lane with work runs its
 // events with key <= limit on its own goroutine. A panic in a lane
-// callback is re-raised on the engine goroutine after the barrier.
+// callback is re-raised on the engine goroutine once every lane is done.
 func (e *Sharded) runLanes(limit int64) {
 	if len(e.shards) == 1 {
 		e.shards[0].runThrough(limit)
@@ -206,68 +193,6 @@ func (e *Sharded) runLanes(limit int64) {
 	}
 }
 
-// merge drains every lane's outbox and files the messages into their
-// destinations in (key, source shard, source seq) order, assigning
-// fresh destination sequence numbers in that order. Because the sort
-// key is independent of arrival interleaving, the post-merge queues are
-// identical no matter how the worker phase was scheduled onto cores.
-func (e *Sharded) merge() {
-	all := e.mergeBuf[:0]
-	for _, sh := range e.shards {
-		all = append(all, sh.out...)
-		sh.out = sh.out[:0]
-	}
-	if len(all) == 0 {
-		e.mergeBuf = all
-		return
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		if a.srcShard != b.srcShard {
-			return a.srcShard < b.srcShard
-		}
-		return a.srcSeq < b.srcSeq
-	})
-	for i := range all {
-		m := &all[i]
-		if m.dst == ToControl {
-			at := time.Unix(0, m.key).UTC()
-			if m.fnA != nil {
-				e.ctrl.AtArg(at, m.fnA, m.arg)
-			} else {
-				e.ctrl.At(at, m.fn)
-			}
-			continue
-		}
-		sh := e.shards[m.dst]
-		ev := sh.q.schedule(m.key)
-		ev.fn, ev.fnA, ev.arg = m.fn, m.fnA, m.arg
-	}
-	buf := all[:cap(all)]
-	for i := range buf {
-		buf[i] = xmsg{} // drop fn/arg references for GC
-	}
-	e.mergeBuf = all[:0]
-}
-
-// ToControl addresses SendAfter messages to the control scheduler.
-const ToControl = -1
-
-// xmsg is a cross-shard event in flight between an epoch's worker phase
-// and its merge barrier.
-type xmsg struct {
-	dst      int
-	key      int64
-	srcShard int
-	srcSeq   uint64
-	fn       func()
-	fnA      func(any)
-	arg      any
-}
-
 // Shard is one worker lane: an event queue advanced in epochs by the
 // engine. All methods are unsynchronized — see the Sharded contract for
 // who may call what when.
@@ -276,92 +201,29 @@ type Shard struct {
 	id        int
 	nowKey    int64
 	q         equeue
-	out       []xmsg
-	outSeq    uint64
 	executing bool
 }
 
-// ID reports the lane index.
-func (sh *Shard) ID() int { return sh.id }
-
-// Now returns the lane clock: the due time of the event being executed,
-// or the last one executed.
-func (sh *Shard) Now() time.Time { return time.Unix(0, sh.nowKey).UTC() }
-
-// Pending reports the lane's live event count. Control-phase/setup only.
-func (sh *Shard) Pending() int { return sh.q.pending() }
-
-func (sh *Shard) checkSchedule() {
+// checkOwner panics when a lane's queue is touched mid-run by anything
+// but the lane's own callbacks: the queue is unsynchronized.
+func (sh *Shard) checkOwner() {
 	if sh.eng.running && !sh.executing {
-		panic(fmt.Sprintf("sim: scheduling into shard %d from outside its worker phase", sh.id))
+		panic(fmt.Sprintf("sim: touching shard %d's timers from outside its worker phase", sh.id))
 	}
 }
 
-func (sh *Shard) scheduleKey(at time.Time) int64 {
-	key := at.UnixNano()
-	if key < sh.nowKey {
-		key = sh.nowKey
+// AfterArg schedules fn(arg) to run d after the lane clock (the due time
+// of the event being executed, or the last one executed) — closure-free,
+// for per-entity timer populations.
+func (sh *Shard) AfterArg(d time.Duration, fn func(any), arg any) ShardTimer {
+	sh.checkOwner()
+	if d < 0 {
+		d = 0
 	}
-	return key
-}
-
-// At schedules fn on the lane at virtual time at (or the lane clock,
-// whichever is later).
-func (sh *Shard) At(at time.Time, fn func()) ShardTimer {
-	sh.checkSchedule()
-	ev := sh.q.schedule(sh.scheduleKey(at))
-	ev.fn = fn
-	return ShardTimer{sh: sh, ev: ev, gen: ev.gen}
-}
-
-// AtArg schedules fn(arg) on the lane — closure-free form for
-// per-entity timer populations.
-func (sh *Shard) AtArg(at time.Time, fn func(any), arg any) ShardTimer {
-	sh.checkSchedule()
-	ev := sh.q.schedule(sh.scheduleKey(at))
+	ev := sh.q.schedule(sh.nowKey + int64(d))
 	ev.fnA = fn
 	ev.arg = arg
 	return ShardTimer{sh: sh, ev: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d after the lane clock.
-func (sh *Shard) After(d time.Duration, fn func()) ShardTimer {
-	if d < 0 {
-		d = 0
-	}
-	return sh.At(time.Unix(0, sh.nowKey+int64(d)).UTC(), fn)
-}
-
-// AfterArg schedules fn(arg) to run d after the lane clock.
-func (sh *Shard) AfterArg(d time.Duration, fn func(any), arg any) ShardTimer {
-	if d < 0 {
-		d = 0
-	}
-	return sh.AtArg(time.Unix(0, sh.nowKey+int64(d)).UTC(), fn, arg)
-}
-
-// SendAfter schedules fn(arg) on lane dst (or the control scheduler,
-// dst == ToControl) d after the lane clock. d must be at least the
-// engine lookahead: the message lands in a later epoch, which is what
-// makes running lanes concurrently safe. Same-lane sends short-circuit
-// to a local schedule with no lower bound.
-func (sh *Shard) SendAfter(dst int, d time.Duration, fn func(any), arg any) {
-	if dst == sh.id {
-		sh.AfterArg(d, fn, arg)
-		return
-	}
-	if int64(d) < sh.eng.lookahead {
-		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v", d, sh.eng.Lookahead()))
-	}
-	sh.out = append(sh.out, xmsg{
-		dst:      dst,
-		key:      sh.nowKey + int64(d),
-		srcShard: sh.id,
-		srcSeq:   sh.outSeq,
-		fnA:      fn,
-		arg:      arg,
-	})
-	sh.outSeq++
 }
 
 // runThrough executes lane events with key <= limit in (key, seq) order.
@@ -373,21 +235,16 @@ func (sh *Shard) runThrough(limit int64) {
 			break
 		}
 		sh.nowKey = ev.key
-		if ev.fnA != nil {
-			fn, arg := ev.fnA, ev.arg
-			sh.q.release(ev)
-			fn(arg)
-		} else {
-			fn := ev.fn
-			sh.q.release(ev)
-			fn()
-		}
+		fn, arg := ev.fnA, ev.arg
+		sh.q.release(ev)
+		fn(arg)
 	}
 	sh.executing = false
 }
 
 // ShardTimer cancels a pending lane event. Stop must be called under
-// the same conditions as scheduling into the lane.
+// the same conditions as scheduling into the lane, and panics likewise
+// when it is not.
 type ShardTimer struct {
 	sh  *Shard
 	ev  *event
@@ -399,6 +256,7 @@ func (t ShardTimer) Stop() bool {
 	if t.sh == nil || t.ev == nil {
 		return false
 	}
+	t.sh.checkOwner()
 	if t.ev.gen != t.gen || t.ev.dead {
 		return false
 	}

@@ -3,111 +3,128 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 )
 
-// shardEntity is a lane-pinned actor for the invariance tests: a
-// periodic self-rescheduling timer that logs its fire times, counts
-// ticks, and occasionally sends a cross-shard message to its successor.
+// shardEntity is a lane-pinned actor for the invariance tests, built on
+// the discipline internal/exp's virtual populations follow: a private
+// RNG stream seeded from the entity's global index, lane-local AfterArg
+// timers, a sentinel every tick cancels and re-arms, and a per-lane
+// counter control reads.
 type shardEntity struct {
-	id     int
-	lane   *Shard
-	period time.Duration
-	fires  int
-	log    []int64 // own fire keys
-	rx     []int64 // arrival keys of cross-shard messages, unordered
-	ticks  int64
+	id       int
+	lane     *Shard
+	fired    *int64 // the lane's commutative counter
+	rng      uint64
+	fires    int
+	log      []int64 // own fire keys
+	sentinel ShardTimer
+	lapsed   int // sentinels that fired: ticks that drew a long gap
 }
 
+func (e *shardEntity) next() uint64 {
+	e.rng = e.rng*6364136223846793005 + 1442695040888963407
+	return e.rng >> 33
+}
+
+const fixtureLookahead = 10 * time.Millisecond
+
 // shardFixture builds K entities striped over n lanes and runs the
-// scenario to end. Entity behavior depends only on the entity's own
-// identity, so every per-entity observation must be independent of n.
-func shardFixture(t *testing.T, n int, entities int, end time.Time) []*shardEntity {
-	t.Helper()
-	const lookahead = 10 * time.Millisecond
-	eng := NewSharded(t0, 7, n, lookahead)
+// scenario to end, sampling the summed lane counters from the control
+// phase once per epoch. Entity behavior depends only on the entity's own
+// identity, so every per-entity observation — and every control sample —
+// must be independent of n.
+func shardFixture(n, entities int, end time.Time) ([]*shardEntity, []int64) {
+	eng := NewSharded(t0, 7, n, fixtureLookahead)
+	counters := make([]int64, n)
 	ents := make([]*shardEntity, entities)
 	for i := range ents {
 		ents[i] = &shardEntity{
-			id:     i,
-			lane:   eng.Shard(i % n),
-			period: time.Duration(1+i%7) * time.Millisecond,
+			id:    i,
+			lane:  eng.Shard(i % n),
+			fired: &counters[i%n],
+			rng:   uint64(i)*0x9E3779B97F4A7C15 + 1,
 		}
 	}
+	lapse := func(v any) { v.(*shardEntity).lapsed++ }
 	var tick func(v any)
 	tick = func(v any) {
 		e := v.(*shardEntity)
 		e.fires++
-		e.ticks++
+		*e.fired++
 		e.log = append(e.log, e.lane.nowKey)
-		if e.fires%10 == 0 {
-			// Cross-shard hop to the successor entity, delay >= lookahead,
-			// key made entity-unique so arrival order is key-determined.
-			succ := ents[(e.id+1)%len(ents)]
-			d := lookahead + time.Duration(1+e.id)*time.Microsecond
-			e.lane.SendAfter(succ.lane.ID(), d, func(w any) {
-				s := w.(*shardEntity)
-				s.ticks++
-				s.rx = append(s.rx, s.lane.nowKey)
-			}, succ)
-		}
+		e.sentinel.Stop()
+		e.sentinel = e.lane.AfterArg(5*time.Millisecond, lapse, e)
 		if e.fires < 100 {
-			e.lane.AfterArg(e.period, tick, e)
+			e.lane.AfterArg(time.Duration(1+e.next()%7000)*time.Microsecond, tick, e)
 		}
 	}
 	for _, e := range ents {
-		e.lane.AtArg(t0.Add(e.period), tick, e)
+		e.lane.AfterArg(time.Duration(1+e.next()%7000)*time.Microsecond, tick, e)
 	}
+	var samples []int64
+	var sample func()
+	sample = func() {
+		total := int64(0)
+		for _, c := range counters {
+			total += c
+		}
+		samples = append(samples, total)
+		eng.Ctrl().After(fixtureLookahead, sample)
+	}
+	eng.Ctrl().After(fixtureLookahead, sample)
 	eng.Run(end)
-	return ents
+	return ents, samples
+}
+
+func (e *shardEntity) fingerprint() string {
+	sum := int64(0)
+	for _, k := range e.log {
+		sum += k
+	}
+	return fmt.Sprintf("%d:%d:%d:%d;", e.id, e.fires, e.lapsed, sum)
 }
 
 // TestShardedShardCountInvariance pins the engine's core promise: a
-// lane-local workload with cross-shard messaging produces identical
-// per-entity observations for 1, 2, and 4 shards.
+// lane-local workload produces identical per-entity observations and
+// identical control-phase samples for 1, 2, and 8 lanes.
 func TestShardedShardCountInvariance(t *testing.T) {
 	end := t0.Add(2 * time.Second)
-	base := shardFixture(t, 1, 12, end)
-	for _, n := range []int{2, 4} {
-		got := shardFixture(t, n, 12, end)
+	base, baseSamples := shardFixture(1, 24, end)
+	for _, e := range base {
+		if e.fires != 100 || e.lapsed == 0 {
+			t.Fatalf("entity %d: %d fires, %d lapsed sentinels; the fixture must exercise both timers", e.id, e.fires, e.lapsed)
+		}
+	}
+	for _, n := range []int{2, 8} {
+		got, samples := shardFixture(n, 24, end)
 		for i, e := range got {
 			ref := base[i]
 			if !reflect.DeepEqual(e.log, ref.log) {
 				t.Fatalf("shards=%d entity %d fire log diverged from shards=1", n, i)
 			}
-			sortKeys := func(k []int64) []int64 {
-				out := append([]int64(nil), k...)
-				sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-				return out
+			if e.lapsed != ref.lapsed {
+				t.Fatalf("shards=%d entity %d lapsed=%d, shards=1 lapsed=%d", n, i, e.lapsed, ref.lapsed)
 			}
-			if !reflect.DeepEqual(sortKeys(e.rx), sortKeys(ref.rx)) {
-				t.Fatalf("shards=%d entity %d rx keys diverged from shards=1: %v vs %v",
-					n, i, e.rx, ref.rx)
-			}
-			if e.ticks != ref.ticks {
-				t.Fatalf("shards=%d entity %d ticks=%d, shards=1 ticks=%d", n, i, e.ticks, ref.ticks)
-			}
+		}
+		if !reflect.DeepEqual(samples, baseSamples) {
+			t.Fatalf("shards=%d control samples diverged from shards=1:\n%v\nvs\n%v", n, samples, baseSamples)
 		}
 	}
 }
 
 // TestShardedRunDeterminism pins run-to-run reproducibility at a fixed
 // shard count: goroutine interleaving during the worker phase must not
-// leak into post-merge state. Fails under -race on any unsynchronized
-// cross-lane access as well.
+// leak into lane state or into what control reads. Fails under -race on
+// any unsynchronized cross-lane access as well.
 func TestShardedRunDeterminism(t *testing.T) {
 	end := t0.Add(2 * time.Second)
 	fingerprint := func() string {
-		ents := shardFixture(t, 4, 16, end)
-		s := ""
+		ents, samples := shardFixture(8, 32, end)
+		s := fmt.Sprint(samples)
 		for _, e := range ents {
-			sum := int64(0)
-			for _, k := range e.rx {
-				sum += k
-			}
-			s += fmt.Sprintf("%d:%d:%d:%d;", e.id, e.fires, e.ticks, sum)
+			s += e.fingerprint()
 		}
 		return s
 	}
@@ -134,7 +151,7 @@ func TestShardedControlPhaseFirst(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			eng.Shard(i).AtArg(t0.Add(time.Millisecond), tick, i)
+			eng.Shard(i).AfterArg(time.Millisecond, tick, i)
 		}
 		var samples []int64
 		var obsTick func()
@@ -200,17 +217,18 @@ func TestShardedLaneFreeEquivalence(t *testing.T) {
 }
 
 // TestShardedTimerStop covers ShardTimer cancellation including
-// wheel-resident lane timers, and the scheduling-contract panic.
+// wheel-resident lane timers, and the contract panics: mid-run, only a
+// lane's own callbacks may schedule into it or stop its timers.
 func TestShardedTimerStop(t *testing.T) {
+	nop := func(any) {}
 	eng := NewSharded(t0, 5, 2, 5*time.Millisecond)
 	fired := 0
-	keep := eng.Shard(0).After(20*time.Millisecond, func() { fired++ })
-	_ = keep
+	eng.Shard(0).AfterArg(20*time.Millisecond, func(any) { fired++ }, nil)
 	var cancelled []ShardTimer
 	for i := 0; i < 1000; i++ {
-		cancelled = append(cancelled, eng.Shard(0).After(time.Minute+time.Duration(i)*time.Millisecond, func() {
+		cancelled = append(cancelled, eng.Shard(0).AfterArg(time.Minute+time.Duration(i)*time.Millisecond, func(any) {
 			t.Error("stopped lane timer fired")
-		}))
+		}, nil))
 	}
 	for _, tm := range cancelled {
 		if !tm.Stop() {
@@ -220,113 +238,91 @@ func TestShardedTimerStop(t *testing.T) {
 			t.Fatal("second Stop() = true")
 		}
 	}
-	if got := eng.Shard(0).Pending(); got != 1 {
-		t.Fatalf("lane Pending() = %d after mass cancel; want 1", got)
+	if got := eng.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d after mass cancel; want 1", got)
 	}
 	eng.Run(t0.Add(time.Hour))
 	if fired != 1 {
 		t.Fatalf("live lane timer fired %d times; want 1", fired)
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling into a foreign lane mid-run did not panic")
-		}
-	}()
-	eng2 := NewSharded(t0, 5, 2, 5*time.Millisecond)
-	eng2.Shard(0).AtArg(t0.Add(time.Millisecond), func(any) {
-		// Lane 0 callback scheduling into lane 1 directly (not via
-		// SendAfter) violates the contract.
-		eng2.Shard(1).After(time.Millisecond, func() {})
-	}, nil)
-	eng2.Run(t0.Add(time.Second))
-}
-
-// TestShardedCrossShardDelayPanic pins the lookahead floor on
-// cross-shard sends.
-func TestShardedCrossShardDelayPanic(t *testing.T) {
-	eng := NewSharded(t0, 5, 2, 5*time.Millisecond)
-	eng.Shard(0).AtArg(t0.Add(time.Millisecond), func(any) {
-		defer func() {
-			if recover() == nil {
-				t.Error("cross-shard send below lookahead did not panic")
-			}
-		}()
-		eng.Shard(0).SendAfter(1, time.Millisecond, func(any) {}, nil)
-	}, nil)
-	eng.Run(t0.Add(time.Second))
-}
-
-// TestShardedToControl routes lane messages to the control scheduler
-// and checks deterministic arrival.
-func TestShardedToControl(t *testing.T) {
-	const lookahead = 5 * time.Millisecond
-	run := func() []int64 {
-		eng := NewSharded(t0, 9, 4, lookahead)
-		var arrivals []int64
-		for i := 0; i < 4; i++ {
-			i := i
-			eng.Shard(i).AtArg(t0.Add(time.Duration(1+i)*time.Millisecond), func(any) {
-				eng.Shard(i).SendAfter(ToControl, lookahead+time.Duration(i)*time.Microsecond, func(v any) {
-					arrivals = append(arrivals, eng.Ctrl().Now().UnixNano()*10+int64(v.(int)))
-				}, i)
-			}, nil)
-		}
+	// foreign runs body from a lane-0 callback in an epoch where lane 1
+	// has nothing pending (so no lane-1 worker is running beside it) and
+	// reports whether the run panicked.
+	foreign := func(body func(lane1 *Shard, theirs ShardTimer)) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		eng := NewSharded(t0, 5, 2, 5*time.Millisecond)
+		theirs := eng.Shard(1).AfterArg(time.Millisecond, nop, nil)
+		eng.Shard(0).AfterArg(20*time.Millisecond, func(any) { body(eng.Shard(1), theirs) }, nil)
 		eng.Run(t0.Add(time.Second))
-		return arrivals
+		return false
 	}
-	a := run()
-	if len(a) != 4 {
-		t.Fatalf("control received %d messages; want 4", len(a))
+	if !foreign(func(lane1 *Shard, _ ShardTimer) { lane1.AfterArg(time.Millisecond, nop, nil) }) {
+		t.Error("scheduling into a foreign lane mid-run did not panic")
 	}
-	if b := run(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("lane-to-control arrival order not reproducible: %v vs %v", a, b)
+	if !foreign(func(_ *Shard, theirs ShardTimer) { theirs.Stop() }) {
+		t.Error("stopping a foreign lane's timer mid-run did not panic")
 	}
 }
 
 // TestShardedStress is the -race workhorse: many lanes, dense timers,
-// heavy cross-shard chatter, cancellations.
+// cancellations, per-lane counters summed by a control-phase reader.
 func TestShardedStress(t *testing.T) {
 	const lanes = 8
 	eng := NewSharded(t0, 1234, lanes, 2*time.Millisecond)
 	type actor struct {
 		lane  *Shard
+		steps *int64 // the lane's commutative counter
 		n     int
 		state uint64
+		guard ShardTimer
 	}
+	counters := make([]int64, lanes)
 	actors := make([]*actor, 64)
 	for i := range actors {
-		actors[i] = &actor{lane: eng.Shard(i % lanes), state: uint64(i)}
+		actors[i] = &actor{lane: eng.Shard(i % lanes), steps: &counters[i%lanes], state: uint64(i)}
 	}
+	nop := func(any) {}
 	var step func(v any)
 	step = func(v any) {
 		a := v.(*actor)
 		a.n++
+		*a.steps++
 		a.state = a.state*6364136223846793005 + 1442695040888963407
 		if a.state%5 == 0 {
-			tm := a.lane.After(time.Duration(1+a.state%100)*time.Millisecond, func() {})
-			tm.Stop()
-		}
-		if a.state%7 == 0 {
-			dst := int(a.state % lanes)
-			peer := actors[int(a.state%uint64(len(actors)))]
-			if peer.lane.ID() == dst {
-				a.lane.SendAfter(dst, 2*time.Millisecond+time.Duration(a.state%1000)*time.Microsecond, func(w any) {
-					w.(*actor).state ^= 0x9e3779b9
-				}, peer)
-			}
+			a.guard.Stop()
+			a.guard = a.lane.AfterArg(time.Duration(1+a.state%100)*time.Millisecond, nop, nil)
 		}
 		if a.n < 500 {
 			a.lane.AfterArg(time.Duration(100+a.state%900)*time.Microsecond, step, a)
 		}
 	}
 	for _, a := range actors {
-		a.lane.AtArg(t0.Add(time.Duration(1+a.state%50)*time.Microsecond), step, a)
+		a.lane.AfterArg(time.Duration(1+a.state%50)*time.Microsecond, step, a)
 	}
+	var last int64
+	var read func()
+	read = func() {
+		total := int64(0)
+		for _, c := range counters {
+			total += c
+		}
+		if total < last {
+			t.Errorf("control read %d steps after reading %d", total, last)
+		}
+		last = total
+		if eng.Pending() > 0 {
+			eng.Ctrl().After(2*time.Millisecond, read)
+		}
+	}
+	eng.Ctrl().After(2*time.Millisecond, read)
 	eng.Run(t0.Add(10 * time.Second))
 	for i, a := range actors {
 		if a.n != 500 {
 			t.Fatalf("actor %d ran %d of 500 steps", i, a.n)
 		}
+	}
+	if want := int64(500 * len(actors)); last != want {
+		t.Fatalf("control's last read saw %d steps; want %d", last, want)
 	}
 }

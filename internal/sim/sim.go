@@ -116,13 +116,6 @@ func (s *Scheduler) ExpFloat64() float64 {
 	return s.rng.ExpFloat64()
 }
 
-// NormFloat64 draws a standard normal value.
-func (s *Scheduler) NormFloat64() float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.NormFloat64()
-}
-
 // parker is a reusable one-shot wakeup slot. The buffered channel lets
 // wake run before block without losing the token, and lets wake be called
 // with s.mu held (the send can never block: one wake per park cycle).
@@ -194,19 +187,6 @@ func (s *Scheduler) At(at time.Time, fn func()) Timer {
 	s.mu.Lock()
 	ev := s.scheduleLocked(at)
 	ev.fn = fn
-	t := Timer{s: s, ev: ev, gen: ev.gen}
-	s.mu.Unlock()
-	return t
-}
-
-// AtArg schedules fn(arg) to run at virtual time at (or now, whichever is
-// later) — the closure-free sibling of At, used by the sharded engine's
-// cross-shard merge.
-func (s *Scheduler) AtArg(at time.Time, fn func(any), arg any) Timer {
-	s.mu.Lock()
-	ev := s.scheduleLocked(at)
-	ev.fnA = fn
-	ev.arg = arg
 	t := Timer{s: s, ev: ev, gen: ev.gen}
 	s.mu.Unlock()
 	return t

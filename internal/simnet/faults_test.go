@@ -63,36 +63,6 @@ func TestLinkLossOverrideSymmetric(t *testing.T) {
 	}
 }
 
-func TestLinkLatencyOverride(t *testing.T) {
-	s, net, _, cli := newEchoPair(1)
-	net.SetLinkLatency("client", "server", fixedLatency(100*time.Millisecond))
-
-	var rtt time.Duration
-	s.Go(func() {
-		start := s.Now()
-		if _, err := cli.Call("server", "echo", nil, time.Second); err != nil {
-			t.Errorf("Call: %v", err)
-		}
-		rtt = s.Now().Sub(start)
-	})
-	s.Run()
-	if rtt != 200*time.Millisecond {
-		t.Fatalf("rtt = %v, want 200ms under the degraded-link model", rtt)
-	}
-
-	// nil restores the network-wide model.
-	net.SetLinkLatency("client", "server", nil)
-	s.Go(func() {
-		start := s.Now()
-		cli.Call("server", "echo", nil, time.Second)
-		rtt = s.Now().Sub(start)
-	})
-	s.Run()
-	if rtt != 2*time.Millisecond {
-		t.Fatalf("rtt after clearing = %v, want 2ms", rtt)
-	}
-}
-
 func TestScheduleDownCrashAndRestartWindow(t *testing.T) {
 	s, net, srv, cli := newEchoPair(1)
 	// Crash at +10s, restart 5s later.
@@ -197,4 +167,11 @@ func TestFaultFreeOverridesCostNothing(t *testing.T) {
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("cleared overrides changed the timeline: %v vs %v", a, b)
 	}
+}
+
+// Up reports whether the node currently accepts traffic.
+func (nd *Node) Up() bool {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return nd.up
 }

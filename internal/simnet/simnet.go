@@ -84,33 +84,22 @@ func (f LatencyFunc) Sample(s *sim.Scheduler, src, dst Addr) time.Duration {
 type Network struct {
 	sched *sim.Scheduler
 
-	mu        sync.Mutex
-	nodes     map[Addr]*Node
-	vips      map[Addr]*vip
-	cut       map[[2]Addr]bool
-	overrides map[[2]Addr]linkOverride
+	mu       sync.Mutex
+	nodes    map[Addr]*Node
+	vips     map[Addr]*vip
+	cut      map[[2]Addr]bool
+	linkLoss map[[2]Addr]float64 // per-link loss replacing lossRate
 
 	latency  LatencyModel
 	lossRate float64
 
-	shards int     // worker lanes declared by the surrounding engine
-	pin    PinFunc // explicit placement for pinned addresses
-
 	cutCount    atomic.Int64 // number of currently severed links
-	ovCount     atomic.Int64 // number of links with loss/latency overrides
+	ovCount     atomic.Int64 // number of links with a loss override
 	sent        atomic.Int64
 	delivered   atomic.Int64
 	dropped     atomic.Int64
 	droppedCut  atomic.Int64 // dropped: link severed (Cut/Partition)
 	droppedLoss atomic.Int64 // dropped: random loss draw (global or per-link)
-}
-
-// linkOverride is per-link fault-injection state: a loss rate replacing
-// the global one and/or a latency model replacing the network's.
-type linkOverride struct {
-	loss    float64
-	hasLoss bool
-	latency LatencyModel
 }
 
 type vip struct {
@@ -134,12 +123,12 @@ func WithLoss(p float64) Option {
 // New creates a Network on the given scheduler.
 func New(s *sim.Scheduler, opts ...Option) *Network {
 	n := &Network{
-		sched:     s,
-		nodes:     make(map[Addr]*Node),
-		vips:      make(map[Addr]*vip),
-		latency:   UniformLatency{Base: 20 * time.Millisecond, Jitter: 20 * time.Millisecond},
-		cut:       make(map[[2]Addr]bool),
-		overrides: make(map[[2]Addr]linkOverride),
+		sched:    s,
+		nodes:    make(map[Addr]*Node),
+		vips:     make(map[Addr]*vip),
+		latency:  UniformLatency{Base: 20 * time.Millisecond, Jitter: 20 * time.Millisecond},
+		cut:      make(map[[2]Addr]bool),
+		linkLoss: make(map[[2]Addr]float64),
 	}
 	for _, o := range opts {
 		o(n)
@@ -207,33 +196,14 @@ func linkKey(a, b Addr) [2]Addr {
 func (n *Network) SetLinkLoss(a, b Addr, p float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	k := linkKey(a, b)
-	ov := n.overrides[k]
-	ov.loss, ov.hasLoss = p, p >= 0
-	n.storeOverride(k, ov)
-}
-
-// SetLinkLatency overrides the latency model of the link between a and
-// b; nil restores the network-wide model.
-func (n *Network) SetLinkLatency(a, b Addr, m LatencyModel) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	k := linkKey(a, b)
-	ov := n.overrides[k]
-	ov.latency = m
-	n.storeOverride(k, ov)
-}
-
-// storeOverride writes back one link's override, keeping the atomic
-// guard in sync so the transmit fast path stays lock-free when no
-// overrides exist. Caller holds n.mu.
-func (n *Network) storeOverride(k [2]Addr, ov linkOverride) {
-	if !ov.hasLoss && ov.latency == nil {
-		delete(n.overrides, k)
+	if p < 0 {
+		delete(n.linkLoss, linkKey(a, b))
 	} else {
-		n.overrides[k] = ov
+		n.linkLoss[linkKey(a, b)] = p
 	}
-	n.ovCount.Store(int64(len(n.overrides)))
+	// The atomic guard keeps the transmit fast path lock-free while no
+	// overrides exist.
+	n.ovCount.Store(int64(len(n.linkLoss)))
 }
 
 // Partition severs (down=true) or heals every link between the two
@@ -277,13 +247,13 @@ func (n *Network) Node(addr Addr) (*Node, bool) {
 func (n *Network) ScheduleDown(addr Addr, at time.Time, downFor time.Duration) {
 	n.sched.At(at, func() {
 		if nd, ok := n.Node(addr); ok {
-			nd.SetUp(false)
+			nd.setUp(false)
 		}
 	})
 	if downFor > 0 {
 		n.sched.At(at.Add(downFor), func() {
 			if nd, ok := n.Node(addr); ok {
-				nd.SetUp(true)
+				nd.setUp(true)
 			}
 		})
 	}
@@ -411,16 +381,10 @@ func (n *Network) transmit(src, dst Addr) (time.Duration, bool) {
 		}
 	}
 	loss := n.lossRate
-	lat := n.latency
 	if n.ovCount.Load() > 0 {
 		n.mu.Lock()
-		if ov, ok := n.overrides[linkKey(src, dst)]; ok {
-			if ov.hasLoss {
-				loss = ov.loss
-			}
-			if ov.latency != nil {
-				lat = ov.latency
-			}
+		if p, ok := n.linkLoss[linkKey(src, dst)]; ok {
+			loss = p
 		}
 		n.mu.Unlock()
 	}
@@ -429,7 +393,7 @@ func (n *Network) transmit(src, dst Addr) (time.Duration, bool) {
 		n.droppedLoss.Add(1)
 		return 0, false
 	}
-	return lat.Sample(n.sched, src, dst), true
+	return n.latency.Sample(n.sched, src, dst), true
 }
 
 // Node is an addressed endpoint: a manager backend, a channel server, or a
@@ -463,18 +427,11 @@ func (nd *Node) Network() *Network { return nd.net }
 // Scheduler returns the simulation scheduler.
 func (nd *Node) Scheduler() *sim.Scheduler { return nd.net.sched }
 
-// SetUp marks the node reachable or unreachable.
-func (nd *Node) SetUp(up bool) {
+// setUp marks the node reachable or unreachable.
+func (nd *Node) setUp(up bool) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	nd.up = up
-}
-
-// Up reports whether the node currently accepts traffic.
-func (nd *Node) Up() bool {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.up
 }
 
 // SetCapacity installs a queueing model: workers parallel servers, each

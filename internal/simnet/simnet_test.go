@@ -77,7 +77,7 @@ func TestCallToDownNodeTimesOut(t *testing.T) {
 	net := New(s, WithLatency(fixedLatency(time.Millisecond)))
 	srv := net.NewNode("server")
 	srv.Handle("x", func(Addr, []byte) ([]byte, error) { return nil, nil })
-	srv.SetUp(false)
+	srv.setUp(false)
 	cli := net.NewNode("client")
 	var err error
 	var took time.Duration
@@ -301,7 +301,7 @@ func TestVIPSkipsDownBackends(t *testing.T) {
 		backends = append(backends, b)
 	}
 	net.NewVIP("farm", backends...)
-	backends[0].SetUp(false)
+	backends[0].setUp(false)
 	cli := net.NewNode("client")
 	s.Go(func() {
 		for i := 0; i < 6; i++ {
@@ -309,7 +309,7 @@ func TestVIPSkipsDownBackends(t *testing.T) {
 				t.Errorf("call with one backend down: %v", err)
 			}
 		}
-		backends[0].SetUp(true)
+		backends[0].setUp(true)
 		for i := 0; i < 6; i++ {
 			if _, err := cli.Call("farm", "x", nil, time.Second); err != nil {
 				t.Errorf("call after recovery: %v", err)
@@ -331,7 +331,7 @@ func TestVIPAllBackendsDownTimesOut(t *testing.T) {
 	b := net.NewNode("b1")
 	b.Handle("x", func(Addr, []byte) ([]byte, error) { return nil, nil })
 	net.NewVIP("farm", b)
-	b.SetUp(false)
+	b.setUp(false)
 	cli := net.NewNode("client")
 	var err error
 	s.Go(func() { _, err = cli.Call("farm", "x", nil, time.Second) })

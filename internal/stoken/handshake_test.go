@@ -65,7 +65,7 @@ func TestOpenStateRejectsSchemaMismatch(t *testing.T) {
 	s := New([]byte("secret"))
 	tok := s.SealState(now.Add(time.Minute), func(e *wire.Enc) { e.Str("x") })
 	// Read too much.
-	if err := s.OpenState(tok, now, func(d *wire.Dec) { d.Str(); d.U64() }); err == nil {
+	if err := s.OpenState(tok, now, func(d *wire.Dec) { d.Str(); d.U32() }); err == nil {
 		t.Fatal("over-read accepted")
 	}
 	// Read too little: trailing bytes.

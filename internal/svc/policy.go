@@ -212,9 +212,9 @@ func NewPolicy(sched *sim.Scheduler, cfg PolicyConfig) *Policy {
 	}
 }
 
-// Deadline returns the per-attempt deadline the policy applies to a
+// deadline returns the per-attempt deadline the policy applies to a
 // service.
-func (p *Policy) Deadline(service string) time.Duration {
+func (p *Policy) deadline(service string) time.Duration {
 	if d, ok := p.cfg.Deadlines[service]; ok && d > 0 {
 		return d
 	}
@@ -334,12 +334,12 @@ func overloadShed(err error) bool {
 	return errors.As(err, &se) && se.Code == wire.CodeOverloaded
 }
 
-// Do runs one logical call under the policy: admission through dst's
+// do runs one logical call under the policy: admission through dst's
 // breaker, then up to the attempt budget of attempts, each bounded by the
 // service's deadline, with backoff between them. Must run in a simulated
 // goroutine (it sleeps between retries).
-func (p *Policy) Do(dst simnet.Addr, service string, payload []byte, attempt AttemptFunc) ([]byte, error) {
-	deadline := p.Deadline(service)
+func (p *Policy) do(dst simnet.Addr, service string, payload []byte, attempt AttemptFunc) ([]byte, error) {
+	deadline := p.deadline(service)
 	maxAttempts := 1
 	if p.cfg.Idempotent(service) {
 		maxAttempts = p.cfg.MaxAttempts
@@ -489,14 +489,6 @@ func (p *Policy) Retries() int64 {
 // BreakerOpens counts circuit-open transitions across all destinations.
 func (p *Policy) BreakerOpens() int64 { return p.breakerOpens.Load() }
 
-// BreakerOpen reports whether dst's circuit is currently refusing calls.
-func (p *Policy) BreakerOpen(dst simnet.Addr) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := p.breakers[dst]
-	return b != nil && b.state != breakerClosed
-}
-
 // PolicyTransport adapts a Policy plus a per-attempt sender to the
 // Transport interface, so Invoke callers get deadlines, retries, and
 // circuit breaking without further plumbing.
@@ -507,5 +499,5 @@ type PolicyTransport struct {
 
 // RoundTrip implements Transport.
 func (t PolicyTransport) RoundTrip(dst simnet.Addr, service string, payload []byte) ([]byte, error) {
-	return t.Policy.Do(dst, service, payload, t.Attempt)
+	return t.Policy.do(dst, service, payload, t.Attempt)
 }

@@ -1,4 +1,4 @@
-package svc_test
+package svc
 
 import (
 	"errors"
@@ -7,14 +7,13 @@ import (
 
 	"p2pdrm/internal/sim"
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
 )
 
 // scriptedAttempt returns an AttemptFunc that fails with ErrRPCTimeout
 // for the first `failures` attempts and then succeeds, recording every
 // per-attempt deadline it was handed.
-func scriptedAttempt(failures int, deadlines *[]time.Duration) svc.AttemptFunc {
+func scriptedAttempt(failures int, deadlines *[]time.Duration) AttemptFunc {
 	n := 0
 	return func(dst simnet.Addr, service string, payload []byte, timeout time.Duration) ([]byte, error) {
 		if deadlines != nil {
@@ -30,10 +29,10 @@ func scriptedAttempt(failures int, deadlines *[]time.Duration) svc.AttemptFunc {
 
 func TestPolicyRetriesIdempotentUntilSuccess(t *testing.T) {
 	s := sim.New(t0, 1)
-	p := svc.NewPolicy(s, svc.PolicyConfig{MaxAttempts: 3})
+	p := NewPolicy(s, PolicyConfig{MaxAttempts: 3})
 	var resp []byte
 	var err error
-	s.Go(func() { resp, err = p.Do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(2, nil)) })
+	s.Go(func() { resp, err = p.do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(2, nil)) })
 	s.Run()
 	if err != nil || string(resp) != "ok" {
 		t.Fatalf("resp=%q err=%v", resp, err)
@@ -44,7 +43,7 @@ func TestPolicyRetriesIdempotentUntilSuccess(t *testing.T) {
 	}
 	// A second service retries once more; the counters-only read and the
 	// roll-up into an existing aggregate agree with the snapshots.
-	s.Go(func() { _, _ = p.Do("cm.vip", wire.SvcSwitch1, nil, scriptedAttempt(1, nil)) })
+	s.Go(func() { _, _ = p.do("cm.vip", wire.SvcSwitch1, nil, scriptedAttempt(1, nil)) })
 	s.Run()
 	if got := p.Retries(); got != 3 {
 		t.Fatalf("Retries() = %d, want 3 across both services", got)
@@ -59,11 +58,11 @@ func TestPolicyRetriesIdempotentUntilSuccess(t *testing.T) {
 func TestPolicyNonIdempotentNeverRetried(t *testing.T) {
 	for _, service := range []string{wire.SvcLogin2, wire.SvcSwitch2} {
 		s := sim.New(t0, 1)
-		p := svc.NewPolicy(s, svc.PolicyConfig{MaxAttempts: 5})
+		p := NewPolicy(s, PolicyConfig{MaxAttempts: 5})
 		attempts := 0
 		var err error
 		s.Go(func() {
-			_, err = p.Do("um.vip", service, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
+			_, err = p.do("um.vip", service, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
 				attempts++
 				return nil, simnet.ErrRPCTimeout
 			})
@@ -74,7 +73,7 @@ func TestPolicyNonIdempotentNeverRetried(t *testing.T) {
 		}
 		// The single-attempt failure surfaces raw, not as "exhausted
 		// retries" — no retries were ever allowed.
-		var ex *svc.ExhaustedError
+		var ex *ExhaustedError
 		if errors.As(err, &ex) {
 			t.Fatalf("%s: error wrapped in ExhaustedError although retries were disabled: %v", service, err)
 		}
@@ -86,11 +85,11 @@ func TestPolicyNonIdempotentNeverRetried(t *testing.T) {
 
 func TestPolicyExhaustedErrorWrapping(t *testing.T) {
 	s := sim.New(t0, 1)
-	p := svc.NewPolicy(s, svc.PolicyConfig{MaxAttempts: 3, BreakerThreshold: -1})
+	p := NewPolicy(s, PolicyConfig{MaxAttempts: 3, BreakerThreshold: -1})
 	var err error
-	s.Go(func() { _, err = p.Do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(99, nil)) })
+	s.Go(func() { _, err = p.do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(99, nil)) })
 	s.Run()
-	var ex *svc.ExhaustedError
+	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want *ExhaustedError", err)
 	}
@@ -109,12 +108,12 @@ func TestPolicyExhaustedErrorWrapping(t *testing.T) {
 
 func TestPolicyApplicationErrorNotRetried(t *testing.T) {
 	s := sim.New(t0, 1)
-	p := svc.NewPolicy(s, svc.PolicyConfig{MaxAttempts: 3, BreakerThreshold: 1})
+	p := NewPolicy(s, PolicyConfig{MaxAttempts: 3, BreakerThreshold: 1})
 	appErr := wire.Errf(wire.CodeDenied, "bad password")
 	attempts := 0
 	var err error
 	s.Go(func() {
-		_, err = p.Do("um.vip", wire.SvcLogin1, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
+		_, err = p.do("um.vip", wire.SvcLogin1, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
 			attempts++
 			return nil, appErr
 		})
@@ -136,7 +135,7 @@ func TestPolicyApplicationErrorNotRetried(t *testing.T) {
 func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 	s := sim.New(t0, 1)
 	cooldown := 5 * time.Second
-	p := svc.NewPolicy(s, svc.PolicyConfig{
+	p := NewPolicy(s, PolicyConfig{
 		MaxAttempts:      1, // isolate breaker behaviour from retries
 		Idempotent:       func(string) bool { return true },
 		BreakerThreshold: 2,
@@ -152,8 +151,8 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 	}
 	s.Go(func() {
 		// Two consecutive transport failures open the circuit.
-		p.Do("cm.vip", wire.SvcSwitch1, nil, fail)
-		p.Do("cm.vip", wire.SvcSwitch1, nil, fail)
+		p.do("cm.vip", wire.SvcSwitch1, nil, fail)
+		p.do("cm.vip", wire.SvcSwitch1, nil, fail)
 		if !p.BreakerOpen("cm.vip") {
 			t.Error("breaker still closed after reaching the threshold")
 		}
@@ -162,7 +161,7 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 		}
 
 		// Inside the cooldown: fast rejection, no attempt sent, typed code.
-		_, err := p.Do("cm.vip", wire.SvcSwitch1, nil, succeed)
+		_, err := p.do("cm.vip", wire.SvcSwitch1, nil, succeed)
 		var se *wire.ServiceError
 		if !errors.As(err, &se) || se.Code != wire.CodeBreakerOpen {
 			t.Errorf("reject err = %v, want ServiceError{breaker_open}", err)
@@ -172,7 +171,7 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 		}
 
 		// Another destination is unaffected: breakers are per-destination.
-		if _, err := p.Do("cm2.vip", wire.SvcSwitch1, nil, succeed); err != nil {
+		if _, err := p.do("cm2.vip", wire.SvcSwitch1, nil, succeed); err != nil {
 			t.Errorf("other destination rejected: %v", err)
 		}
 		attempted = 0
@@ -180,7 +179,7 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 		// Past the cooldown the next call is admitted as the half-open
 		// probe; its success closes the circuit again.
 		s.Sleep(cooldown)
-		if _, err := p.Do("cm.vip", wire.SvcSwitch1, nil, succeed); err != nil {
+		if _, err := p.do("cm.vip", wire.SvcSwitch1, nil, succeed); err != nil {
 			t.Errorf("probe rejected: %v", err)
 		}
 		if attempted != 1 {
@@ -192,14 +191,14 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 
 		// Re-open, then fail the probe: straight back to open with a fresh
 		// cooldown — one failure, not threshold-many.
-		p.Do("cm.vip", wire.SvcSwitch1, nil, fail)
-		p.Do("cm.vip", wire.SvcSwitch1, nil, fail)
+		p.do("cm.vip", wire.SvcSwitch1, nil, fail)
+		p.do("cm.vip", wire.SvcSwitch1, nil, fail)
 		s.Sleep(cooldown)
-		p.Do("cm.vip", wire.SvcSwitch1, nil, fail) // failed probe
+		p.do("cm.vip", wire.SvcSwitch1, nil, fail) // failed probe
 		if !p.BreakerOpen("cm.vip") {
 			t.Error("breaker closed after failed probe")
 		}
-		_, err = p.Do("cm.vip", wire.SvcSwitch1, nil, succeed)
+		_, err = p.do("cm.vip", wire.SvcSwitch1, nil, succeed)
 		if !errors.As(err, &se) || se.Code != wire.CodeBreakerOpen {
 			t.Errorf("post-failed-probe err = %v, want ServiceError{breaker_open}", err)
 		}
@@ -213,21 +212,21 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 
 func TestPolicyPerServiceDeadlines(t *testing.T) {
 	s := sim.New(t0, 1)
-	p := svc.NewPolicy(s, svc.PolicyConfig{
+	p := NewPolicy(s, PolicyConfig{
 		DefaultDeadline: 10 * time.Second,
 		Deadlines:       map[string]time.Duration{wire.SvcJoin: 2 * time.Second},
 		MaxAttempts:     1,
 	})
-	if got := p.Deadline(wire.SvcJoin); got != 2*time.Second {
+	if got := p.deadline(wire.SvcJoin); got != 2*time.Second {
 		t.Fatalf("Deadline(join) = %v", got)
 	}
-	if got := p.Deadline(wire.SvcLogin1); got != 10*time.Second {
+	if got := p.deadline(wire.SvcLogin1); got != 10*time.Second {
 		t.Fatalf("Deadline(login1) = %v", got)
 	}
 	var seen []time.Duration
 	s.Go(func() {
-		p.Do("root", wire.SvcJoin, nil, scriptedAttempt(0, &seen))
-		p.Do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(0, &seen))
+		p.do("root", wire.SvcJoin, nil, scriptedAttempt(0, &seen))
+		p.do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(0, &seen))
 	})
 	s.Run()
 	if len(seen) != 2 || seen[0] != 2*time.Second || seen[1] != 10*time.Second {
@@ -242,10 +241,10 @@ func TestPolicyPerServiceDeadlines(t *testing.T) {
 func TestPolicyBackoffDeterministic(t *testing.T) {
 	run := func(seed int64) time.Duration {
 		s := sim.New(t0, seed)
-		p := svc.NewPolicy(s, svc.PolicyConfig{MaxAttempts: 4, BreakerThreshold: -1})
+		p := NewPolicy(s, PolicyConfig{MaxAttempts: 4, BreakerThreshold: -1})
 		var done time.Time
 		s.Go(func() {
-			p.Do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(3, nil))
+			p.do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(3, nil))
 			done = s.Now()
 		})
 		s.Run()
@@ -265,10 +264,10 @@ func TestPolicyBackoffDeterministic(t *testing.T) {
 // not consume the scheduler's random stream.
 func TestPolicySuccessPathDrawsNoRandomness(t *testing.T) {
 	s := sim.New(t0, 3)
-	p := svc.NewPolicy(s, svc.PolicyConfig{})
+	p := NewPolicy(s, PolicyConfig{})
 	s.Go(func() {
 		for i := 0; i < 10; i++ {
-			p.Do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(0, nil))
+			p.do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(0, nil))
 		}
 	})
 	s.Run()
@@ -276,4 +275,12 @@ func TestPolicySuccessPathDrawsNoRandomness(t *testing.T) {
 	if got := s.Float64(); got != want {
 		t.Fatalf("success path consumed randomness: next draw %v, want %v", got, want)
 	}
+}
+
+// BreakerOpen reports whether dst's circuit is currently refusing calls.
+func (p *Policy) BreakerOpen(dst simnet.Addr) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b := p.breakers[dst]
+	return b != nil && b.state != breakerClosed
 }

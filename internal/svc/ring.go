@@ -7,7 +7,7 @@ import (
 	"p2pdrm/internal/simnet"
 )
 
-// Ring is a consistent-hash ring over farm members: every member owns
+// hashRing is a consistent-hash ring over farm members: every member owns
 // the key-ranges preceding its virtual nodes, so adding or removing one
 // member moves only ~1/n of the key space instead of reshuffling all of
 // it (the Chord-style property the ROADMAP names for live resharding).
@@ -15,14 +15,14 @@ import (
 // The ring is deterministic: virtual-node placement hashes only the
 // member address and the vnode index (FNV-1a, no randomness), so two
 // rings built from the same membership sequence agree exactly — the
-// Redirection Manager and every farm member can each hold a Ring and
+// Redirection Manager and every farm member can each hold a hashRing and
 // route identically.
 //
 // Every membership change bumps the epoch. The epoch is the shard-map
 // version clients carry (wire.RedirectResp.ShardEpoch): a member that
 // answers wire.CodeWrongShard proves the caller's map stale, and the
 // epoch in the fresh redirect reply shows the map moved on.
-type Ring struct {
+type hashRing struct {
 	mu     sync.Mutex
 	vnodes int
 	points []ringPoint // sorted by hash
@@ -35,22 +35,22 @@ type ringPoint struct {
 	addr simnet.Addr
 }
 
-// DefaultVNodes is the virtual-node count per member when NewRing is
+// defaultVNodes is the virtual-node count per member when newRing is
 // given 0. 64 vnodes keep the largest/smallest ownership ratio within a
 // few tens of percent for small farms without making rebuilds costly.
-const DefaultVNodes = 64
+const defaultVNodes = 64
 
-// NewRing creates an empty ring with the given virtual nodes per member
-// (0 = DefaultVNodes). The empty ring is epoch 0 and owns nothing.
-func NewRing(vnodes int) *Ring {
+// newRing creates an empty ring with the given virtual nodes per member
+// (0 = defaultVNodes). The empty ring is epoch 0 and owns nothing.
+func newRing(vnodes int) *hashRing {
 	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+		vnodes = defaultVNodes
 	}
-	return &Ring{vnodes: vnodes}
+	return &hashRing{vnodes: vnodes}
 }
 
-// fnv1a hashes a string with 64-bit FNV-1a (matches simnet.ShardOf's
-// choice of stripe hash; stable across runs and platforms).
+// fnv1a hashes a string with 64-bit FNV-1a (stable across runs and
+// platforms).
 func fnv1a(s string) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
@@ -77,7 +77,7 @@ func vnodeHash(addr simnet.Addr, i int) uint64 {
 
 // Add inserts a member and bumps the epoch. Adding a present member is
 // a no-op (the epoch does not move).
-func (r *Ring) Add(addr simnet.Addr) {
+func (r *hashRing) Add(addr simnet.Addr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, m := range r.member {
@@ -95,7 +95,7 @@ func (r *Ring) Add(addr simnet.Addr) {
 
 // Remove deletes a member and bumps the epoch. Removing an absent
 // member is a no-op.
-func (r *Ring) Remove(addr simnet.Addr) {
+func (r *hashRing) Remove(addr simnet.Addr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	found := false
@@ -121,7 +121,7 @@ func (r *Ring) Remove(addr simnet.Addr) {
 
 // sortLocked orders points by hash, breaking the (astronomically rare)
 // hash ties by address so the order never depends on insertion history.
-func (r *Ring) sortLocked() {
+func (r *hashRing) sortLocked() {
 	sort.Slice(r.points, func(i, j int) bool {
 		if r.points[i].hash != r.points[j].hash {
 			return r.points[i].hash < r.points[j].hash
@@ -132,14 +132,14 @@ func (r *Ring) sortLocked() {
 
 // Owner returns the member owning a key and the epoch the answer is
 // valid under. ok is false on an empty ring.
-func (r *Ring) Owner(key string) (addr simnet.Addr, epoch uint64, ok bool) {
+func (r *hashRing) Owner(key string) (addr simnet.Addr, epoch uint64, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	addr, ok = r.ownerLocked(key)
 	return addr, r.epoch, ok
 }
 
-func (r *Ring) ownerLocked(key string) (simnet.Addr, bool) {
+func (r *hashRing) ownerLocked(key string) (simnet.Addr, bool) {
 	if len(r.points) == 0 {
 		return "", false
 	}
@@ -152,14 +152,14 @@ func (r *Ring) ownerLocked(key string) (simnet.Addr, bool) {
 }
 
 // Epoch returns the shard-map version (0 for a never-changed ring).
-func (r *Ring) Epoch() uint64 {
+func (r *hashRing) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.epoch
 }
 
 // Members lists the current members sorted by address.
-func (r *Ring) Members() []simnet.Addr {
+func (r *hashRing) Members() []simnet.Addr {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := append([]simnet.Addr(nil), r.member...)
@@ -169,10 +169,10 @@ func (r *Ring) Members() []simnet.Addr {
 
 // Clone returns an independent copy at the same epoch — the basis for
 // computing a membership change's key movement before committing it.
-func (r *Ring) Clone() *Ring {
+func (r *hashRing) Clone() *hashRing {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return &Ring{
+	return &hashRing{
 		vnodes: r.vnodes,
 		points: append([]ringPoint(nil), r.points...),
 		member: append([]simnet.Addr(nil), r.member...),

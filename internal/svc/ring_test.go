@@ -1,16 +1,15 @@
-package svc_test
+package svc
 
 import (
 	"fmt"
 	"testing"
 
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 )
 
 func TestRingOwnerDeterministicAcrossBuildOrder(t *testing.T) {
-	a := svc.NewRing(0)
-	b := svc.NewRing(0)
+	a := newRing(0)
+	b := newRing(0)
 	for _, m := range []simnet.Addr{"um1", "um2", "um3"} {
 		a.Add(m)
 	}
@@ -28,7 +27,7 @@ func TestRingOwnerDeterministicAcrossBuildOrder(t *testing.T) {
 }
 
 func TestRingEpochBumpsOnlyOnChange(t *testing.T) {
-	r := svc.NewRing(8)
+	r := newRing(8)
 	if r.Epoch() != 0 {
 		t.Fatalf("fresh ring epoch = %d", r.Epoch())
 	}
@@ -55,7 +54,7 @@ func TestRingEpochBumpsOnlyOnChange(t *testing.T) {
 }
 
 func TestRingEmptyOwnsNothing(t *testing.T) {
-	r := svc.NewRing(0)
+	r := newRing(0)
 	if _, _, ok := r.Owner("k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
@@ -70,7 +69,7 @@ func TestRingEmptyOwnsNothing(t *testing.T) {
 // property the handoff relies on: growing the farm reassigns only keys
 // the new member takes over — nothing shuffles between the old members.
 func TestRingAddMovesOnlyNewMembersShare(t *testing.T) {
-	r := svc.NewRing(0)
+	r := newRing(0)
 	r.Add("um1")
 	r.Add("um2")
 	r.Add("um3")
@@ -101,7 +100,7 @@ func TestRingAddMovesOnlyNewMembersShare(t *testing.T) {
 }
 
 func TestRingDistributionRoughlyBalanced(t *testing.T) {
-	r := svc.NewRing(0)
+	r := newRing(0)
 	members := []simnet.Addr{"um1", "um2", "um3", "um4"}
 	for _, m := range members {
 		r.Add(m)
@@ -121,7 +120,7 @@ func TestRingDistributionRoughlyBalanced(t *testing.T) {
 }
 
 func TestRingCloneIndependent(t *testing.T) {
-	r := svc.NewRing(0)
+	r := newRing(0)
 	r.Add("um1")
 	c := r.Clone()
 	if c.Epoch() != r.Epoch() {

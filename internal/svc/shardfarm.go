@@ -11,7 +11,7 @@ import (
 )
 
 // This file scales DeployFarm's stateless VIP pool into a sharded farm:
-// members own key-ranges of a consistent-hash Ring, per-account hot
+// members own key-ranges of a consistent-hash ring, per-account hot
 // state lives manager-local on the owner, and membership can change
 // mid-run with a key-range handoff instead of a redeploy.
 //
@@ -50,7 +50,7 @@ type ShardMember interface {
 
 // ShardFarmConfig parameterizes a sharded farm.
 type ShardFarmConfig struct {
-	// VNodes per member on the ring (0 = DefaultVNodes).
+	// VNodes per member on the ring (0 = defaultVNodes).
 	VNodes int
 	// GraceWindow is how long after an epoch commit members still accept
 	// keys they owned under the previous epoch. Default 30s.
@@ -77,7 +77,7 @@ type ShardedFarm[M ShardMember] struct {
 	net   *simnet.Network
 	sched *sim.Scheduler
 	cfg   ShardFarmConfig
-	ring  *Ring
+	ring  *hashRing
 
 	// mu guards the membership tables. Mutation happens from scheduler
 	// events (serialized); the mutex is for cross-goroutine snapshots.
@@ -85,20 +85,20 @@ type ShardedFarm[M ShardMember] struct {
 	members   map[simnet.Addr]M
 	nodes     map[simnet.Addr]*simnet.Node
 	order     []simnet.Addr // membership in add order (deterministic)
-	prev      *Ring         // previous epoch's ring, for the grace window
+	prev      *hashRing     // previous epoch's ring, for the grace window
 	prevUntil time.Time
 	handoffs  int64
 	keysMoved int64
 }
 
-// NewShardedFarm creates an empty sharded farm on the network.
-func NewShardedFarm[M ShardMember](net *simnet.Network, cfg ShardFarmConfig) *ShardedFarm[M] {
+// newShardedFarm creates an empty sharded farm on the network.
+func newShardedFarm[M ShardMember](net *simnet.Network, cfg ShardFarmConfig) *ShardedFarm[M] {
 	cfg.fill()
 	return &ShardedFarm[M]{
 		net:     net,
 		sched:   net.Scheduler(),
 		cfg:     cfg,
-		ring:    NewRing(cfg.VNodes),
+		ring:    newRing(cfg.VNodes),
 		members: make(map[simnet.Addr]M),
 		nodes:   make(map[simnet.Addr]*simnet.Node),
 	}
@@ -113,7 +113,7 @@ func DeployShardedFarm[M ShardMember](net *simnet.Network, n int, cfg ShardFarmC
 	addr func(i int) simnet.Addr,
 	build func(node *simnet.Node, view *ShardView) (M, error)) (*ShardedFarm[M], error) {
 
-	f := NewShardedFarm[M](net, cfg)
+	f := newShardedFarm[M](net, cfg)
 	for i := 0; i < n; i++ {
 		if err := f.AddMember(addr(i), build); err != nil {
 			// Mirror DeployFarm: a failed deploy deregisters the members
@@ -136,9 +136,6 @@ func (f *ShardedFarm[M]) Owner(key string) (simnet.Addr, uint64) {
 
 // Epoch returns the current shard-map version.
 func (f *ShardedFarm[M]) Epoch() uint64 { return f.ring.Epoch() }
-
-// Ring exposes the farm's ring (tests and tooling).
-func (f *ShardedFarm[M]) Ring() *Ring { return f.ring }
 
 // Members returns the members in add order.
 func (f *ShardedFarm[M]) Members() []M {
@@ -327,9 +324,6 @@ type ShardView struct {
 	farm shardChecker
 	self simnet.Addr
 }
-
-// Self returns the member address the view checks for.
-func (v *ShardView) Self() simnet.Addr { return v.self }
 
 // Epoch returns the farm's current shard-map version.
 func (v *ShardView) Epoch() uint64 { return v.farm.Epoch() }

@@ -1,4 +1,4 @@
-package svc_test
+package svc
 
 import (
 	"errors"
@@ -8,22 +8,21 @@ import (
 	"time"
 
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
 )
 
 // kvMember is the minimal ShardMember: a key→value map with export and
 // import, standing in for a manager's per-account hot state.
 type kvMember struct {
-	view *svc.ShardView
+	view *ShardView
 	data map[string]int
 }
 
-func (m *kvMember) ExportShard(leaving func(key string) bool) []svc.HandoffRecord {
-	var out []svc.HandoffRecord
+func (m *kvMember) ExportShard(leaving func(key string) bool) []HandoffRecord {
+	var out []HandoffRecord
 	for k, v := range m.data {
 		if leaving(k) {
-			out = append(out, svc.HandoffRecord{Key: k, Data: v})
+			out = append(out, HandoffRecord{Key: k, Data: v})
 			delete(m.data, k)
 		}
 	}
@@ -31,20 +30,20 @@ func (m *kvMember) ExportShard(leaving func(key string) bool) []svc.HandoffRecor
 	return out
 }
 
-func (m *kvMember) ImportShard(recs []svc.HandoffRecord) {
+func (m *kvMember) ImportShard(recs []HandoffRecord) {
 	for _, r := range recs {
 		m.data[r.Key] = r.Data.(int)
 	}
 }
 
-func buildKV(_ *simnet.Node, view *svc.ShardView) (*kvMember, error) {
+func buildKV(_ *simnet.Node, view *ShardView) (*kvMember, error) {
 	return &kvMember{view: view, data: make(map[string]int)}, nil
 }
 
-func deployKV(t *testing.T, n int) (*svc.ShardedFarm[*kvMember], *simnet.Network) {
+func deployKV(t *testing.T, n int) (*ShardedFarm[*kvMember], *simnet.Network) {
 	t.Helper()
 	_, net := newNet()
-	farm, err := svc.DeployShardedFarm(net, n, svc.ShardFarmConfig{},
+	farm, err := DeployShardedFarm(net, n, ShardFarmConfig{},
 		func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("m%d", i+1)) },
 		buildKV)
 	if err != nil {
@@ -55,7 +54,7 @@ func deployKV(t *testing.T, n int) (*svc.ShardedFarm[*kvMember], *simnet.Network
 
 // seed stores keys 0..n-1 on their owning members, returning the
 // ownership snapshot.
-func seedKV(farm *svc.ShardedFarm[*kvMember], n int) map[string]simnet.Addr {
+func seedKV(farm *ShardedFarm[*kvMember], n int) map[string]simnet.Addr {
 	owners := make(map[string]simnet.Addr, n)
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("v%05d@e", i)
@@ -75,7 +74,7 @@ func TestShardedFarmDeployOwnershipAgreesWithRing(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("v%05d@e", i)
 		owner, epoch := farm.Owner(key)
-		ro, re, ok := farm.Ring().Owner(key)
+		ro, re, ok := farm.ring.Owner(key)
 		if !ok || owner != ro || epoch != re {
 			t.Fatalf("farm/ring disagree on %q: %v/%v", key, owner, ro)
 		}
@@ -165,7 +164,7 @@ func TestShardedFarmRefusesRemovingLastMember(t *testing.T) {
 
 func TestShardViewGraceWindowCoversOldOwner(t *testing.T) {
 	s, net := newNet()
-	farm, err := svc.DeployShardedFarm(net, 2, svc.ShardFarmConfig{GraceWindow: 10 * time.Second},
+	farm, err := DeployShardedFarm(net, 2, ShardFarmConfig{GraceWindow: 10 * time.Second},
 		func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("m%d", i+1)) },
 		buildKV)
 	if err != nil {
@@ -192,7 +191,7 @@ func TestShardViewGraceWindowCoversOldOwner(t *testing.T) {
 		t.Fatal("no seeded key moved to the new member")
 	}
 	// Its previous owner under the old ring:
-	prev := farm.Ring().Clone()
+	prev := farm.ring.Clone()
 	prev.Remove("m3")
 	po, _, _ := prev.Owner(movedKey)
 	oldOwner = po
@@ -220,9 +219,9 @@ func TestShardViewGraceWindowCoversOldOwner(t *testing.T) {
 	}
 	// A member that never owned the key was never allowed.
 	for _, m := range farm.Members() {
-		if m.view.Self() != oldOwner && m.view.Self() != "m3" {
+		if m.view.self != oldOwner && m.view.self != "m3" {
 			if err := m.view.Check(movedKey); err == nil {
-				t.Fatalf("bystander %v allowed to serve %q", m.view.Self(), movedKey)
+				t.Fatalf("bystander %v allowed to serve %q", m.view.self, movedKey)
 			}
 		}
 	}
@@ -231,7 +230,7 @@ func TestShardViewGraceWindowCoversOldOwner(t *testing.T) {
 func TestShardedFarmAddMemberBuildErrorLeavesNoNode(t *testing.T) {
 	farm, net := deployKV(t, 2)
 	boom := errors.New("boom")
-	err := farm.AddMember("m3", func(*simnet.Node, *svc.ShardView) (*kvMember, error) {
+	err := farm.AddMember("m3", func(*simnet.Node, *ShardView) (*kvMember, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
@@ -259,9 +258,9 @@ func TestDeployShardedFarmBuildErrorCleansUp(t *testing.T) {
 	_, net := newNet()
 	boom := errors.New("boom")
 	calls := 0
-	_, err := svc.DeployShardedFarm(net, 3, svc.ShardFarmConfig{},
+	_, err := DeployShardedFarm(net, 3, ShardFarmConfig{},
 		func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("m%d", i+1)) },
-		func(node *simnet.Node, view *svc.ShardView) (*kvMember, error) {
+		func(node *simnet.Node, view *ShardView) (*kvMember, error) {
 			calls++
 			if calls == 2 {
 				return nil, boom

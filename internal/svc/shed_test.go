@@ -1,4 +1,4 @@
-package svc_test
+package svc
 
 import (
 	"errors"
@@ -8,7 +8,6 @@ import (
 
 	"p2pdrm/internal/sim"
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
 )
 
@@ -20,8 +19,8 @@ func TestSheddingRefusesAboveHighWater(t *testing.T) {
 	s, net := newNet()
 	node := net.NewNode("server")
 	node.SetCapacity(1, func() time.Duration { return 100 * time.Millisecond })
-	rt := svc.NewRuntime(node)
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(node)
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	if err := rt.SetShedding("feed", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestSheddingRefusesAboveHighWater(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cli := net.NewNode(simnet.Addr("client" + string(rune('a'+i))))
 		s.Go(func() {
-			_, err := svc.Invoke(svc.Plain{Node: cli}, "server", "feed",
+			_, err := Invoke(Plain{Node: cli}, "server", "feed",
 				&wire.Feed{Version: 1}, wire.DecodeFeed)
 			mu.Lock()
 			defer mu.Unlock()
@@ -67,15 +66,15 @@ func TestSheddingInflightDrains(t *testing.T) {
 	s, net := newNet()
 	node := net.NewNode("server")
 	node.SetCapacity(1, func() time.Duration { return 10 * time.Millisecond })
-	rt := svc.NewRuntime(node)
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(node)
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	if err := rt.SetShedding("feed", 1); err != nil {
 		t.Fatal(err)
 	}
 	cli := net.NewNode("client")
 	s.Go(func() {
 		for i := 0; i < 8; i++ {
-			if _, err := svc.Invoke(svc.Plain{Node: cli}, "server", "feed",
+			if _, err := Invoke(Plain{Node: cli}, "server", "feed",
 				&wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
 				t.Errorf("sequential call %d shed: %v", i, err)
 				return
@@ -91,7 +90,7 @@ func TestSheddingInflightDrains(t *testing.T) {
 
 func TestSetSheddingUnregisteredService(t *testing.T) {
 	_, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
+	rt := NewRuntime(net.NewNode("server"))
 	if err := rt.SetShedding("nope", 3); err == nil {
 		t.Fatal("SetShedding on an unregistered service succeeded")
 	}
@@ -105,12 +104,12 @@ func TestSetSheddingUnregisteredService(t *testing.T) {
 func TestPolicyRetriesOverloadEvenNonIdempotent(t *testing.T) {
 	for _, service := range []string{wire.SvcLogin1, wire.SvcLogin2} {
 		s := sim.New(t0, 1)
-		p := svc.NewPolicy(s, svc.PolicyConfig{MaxAttempts: 3, BreakerThreshold: 2})
+		p := NewPolicy(s, PolicyConfig{MaxAttempts: 3, BreakerThreshold: 2})
 		attempts := 0
 		var resp []byte
 		var err error
 		s.Go(func() {
-			resp, err = p.Do("um.vip", service, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
+			resp, err = p.do("um.vip", service, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
 				attempts++
 				if attempts <= 2 {
 					return nil, wire.Errf(wire.CodeOverloaded, "shedding")
@@ -142,11 +141,11 @@ func TestPolicyRetriesOverloadEvenNonIdempotent(t *testing.T) {
 // MaxAttempts, counted as a failure.
 func TestPolicyOverloadBudgetExhausts(t *testing.T) {
 	s := sim.New(t0, 1)
-	p := svc.NewPolicy(s, svc.PolicyConfig{MaxAttempts: 2})
+	p := NewPolicy(s, PolicyConfig{MaxAttempts: 2})
 	attempts := 0
 	var err error
 	s.Go(func() {
-		_, err = p.Do("um.vip", wire.SvcLogin1, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
+		_, err = p.do("um.vip", wire.SvcLogin1, nil, func(simnet.Addr, string, []byte, time.Duration) ([]byte, error) {
 			attempts++
 			return nil, wire.Errf(wire.CodeOverloaded, "shedding")
 		})
@@ -170,13 +169,13 @@ func TestPolicyOverloadBudgetExhausts(t *testing.T) {
 // new VIP traffic but stays directly addressable.
 func TestVIPBackendAddRemoveLive(t *testing.T) {
 	s, net := newNet()
-	type member struct{ rt *svc.Runtime }
+	type member struct{ rt *Runtime }
 	build := func(node *simnet.Node) (member, error) {
-		rt := svc.NewRuntime(node)
-		svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+		rt := NewRuntime(node)
+		Register(rt, "feed", wire.DecodeFeed, echoFeed)
 		return member{rt: rt}, nil
 	}
-	members, _, err := svc.DeployFarm(net, "farm.vip", 2,
+	members, _, err := DeployFarm(net, "farm.vip", 2,
 		func(i int) simnet.Addr { return simnet.Addr([]string{"b1", "b2"}[i]) },
 		build)
 	if err != nil {
@@ -189,7 +188,7 @@ func TestVIPBackendAddRemoveLive(t *testing.T) {
 	}
 	cli := net.NewNode("client")
 	call := func() {
-		if _, err := svc.Invoke(svc.Plain{Node: cli}, "farm.vip", "feed",
+		if _, err := Invoke(Plain{Node: cli}, "farm.vip", "feed",
 			&wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
 			t.Errorf("vip call: %v", err)
 		}
@@ -212,7 +211,7 @@ func TestVIPBackendAddRemoveLive(t *testing.T) {
 			call()
 		}
 		// Direct traffic still lands on the drained node.
-		if _, err := svc.Invoke(svc.Plain{Node: cli}, "b3", "feed",
+		if _, err := Invoke(Plain{Node: cli}, "b3", "feed",
 			&wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
 			t.Errorf("direct call to drained backend: %v", err)
 		}
@@ -237,14 +236,14 @@ func TestDeployFarmBuildErrorLeavesNoVIPOrNodes(t *testing.T) {
 	s, net := newNet()
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := svc.DeployFarm(net, "farm.vip", 3,
+	_, _, err := DeployFarm(net, "farm.vip", 3,
 		func(i int) simnet.Addr { return simnet.Addr([]string{"n1", "n2", "n3"}[i]) },
 		func(node *simnet.Node) (struct{}, error) {
 			calls++
 			if calls == 2 {
 				return struct{}{}, boom
 			}
-			svc.Register(svc.NewRuntime(node), "feed", wire.DecodeFeed, echoFeed)
+			Register(NewRuntime(node), "feed", wire.DecodeFeed, echoFeed)
 			return struct{}{}, nil
 		})
 	if !errors.Is(err, boom) {
@@ -272,7 +271,7 @@ func TestDeployFarmHeterogeneousAddrsDeterministicOrder(t *testing.T) {
 	_, net := newNet()
 	addrs := []simnet.Addr{"zeta.provider", "um1.other", "alpha"}
 	var built []simnet.Addr
-	_, nodes, err := svc.DeployFarm(net, "farm.vip", 3,
+	_, nodes, err := DeployFarm(net, "farm.vip", 3,
 		func(i int) simnet.Addr { return addrs[i] },
 		func(node *simnet.Node) (struct{}, error) {
 			built = append(built, node.Addr())

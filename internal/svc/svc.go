@@ -207,13 +207,6 @@ func (r *Runtime) install(service string, raw simnet.Handler) *endpoint {
 	return ep
 }
 
-// Services lists registered service names in registration order.
-func (r *Runtime) Services() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // Metrics returns one endpoint's counters (zero for unknown services).
 func (r *Runtime) Metrics(service string) Metrics {
 	r.mu.Lock()

@@ -1,4 +1,4 @@
-package svc_test
+package svc
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 	"p2pdrm/internal/cryptoutil"
 	"p2pdrm/internal/sim"
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
 )
 
@@ -29,13 +28,13 @@ func echoFeed(_ simnet.Addr, f *wire.Feed) (*wire.Feed, error) {
 
 func TestTypedRoundTrip(t *testing.T) {
 	s, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(net.NewNode("server"))
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	cli := net.NewNode("client")
 	var resp *wire.Feed
 	var cerr error
 	s.Go(func() {
-		resp, cerr = svc.Invoke(svc.Plain{Node: cli}, "server", "feed",
+		resp, cerr = Invoke(Plain{Node: cli}, "server", "feed",
 			&wire.Feed{Version: 6, Body: []byte("b")}, wire.DecodeFeed)
 	})
 	s.Run()
@@ -53,9 +52,9 @@ func TestTypedRoundTrip(t *testing.T) {
 
 func TestMalformedRequestAnsweredBeforeHandler(t *testing.T) {
 	s, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
+	rt := NewRuntime(net.NewNode("server"))
 	ran := false
-	svc.Register(rt, "feed", wire.DecodeFeed, func(from simnet.Addr, f *wire.Feed) (*wire.Feed, error) {
+	Register(rt, "feed", wire.DecodeFeed, func(from simnet.Addr, f *wire.Feed) (*wire.Feed, error) {
 		ran = true
 		return f, nil
 	})
@@ -80,14 +79,14 @@ func TestMalformedRequestAnsweredBeforeHandler(t *testing.T) {
 
 func TestHandlerErrorSurfacesTyped(t *testing.T) {
 	s, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
-	svc.Register(rt, "feed", wire.DecodeFeed, func(simnet.Addr, *wire.Feed) (*wire.Feed, error) {
+	rt := NewRuntime(net.NewNode("server"))
+	Register(rt, "feed", wire.DecodeFeed, func(simnet.Addr, *wire.Feed) (*wire.Feed, error) {
 		return nil, wire.Errf(wire.CodeDenied, "nope")
 	})
 	cli := net.NewNode("client")
 	var cerr error
 	s.Go(func() {
-		_, cerr = svc.Invoke(svc.Plain{Node: cli}, "server", "feed",
+		_, cerr = Invoke(Plain{Node: cli}, "server", "feed",
 			&wire.Feed{Version: 1}, wire.DecodeFeed)
 	})
 	s.Run()
@@ -102,9 +101,9 @@ func TestHandlerErrorSurfacesTyped(t *testing.T) {
 
 func TestOneWayCountsAndDropsMalformed(t *testing.T) {
 	s, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
+	rt := NewRuntime(net.NewNode("server"))
 	var got []*wire.Feed
-	svc.RegisterOneWay(rt, "push", wire.DecodeFeed, func(_ simnet.Addr, f *wire.Feed) {
+	RegisterOneWay(rt, "push", wire.DecodeFeed, func(_ simnet.Addr, f *wire.Feed) {
 		got = append(got, f)
 	})
 	cli := net.NewNode("client")
@@ -120,12 +119,19 @@ func TestOneWayCountsAndDropsMalformed(t *testing.T) {
 	}
 }
 
+// attemptTransport runs one bare attempt per round trip, no policy.
+type attemptTransport AttemptFunc
+
+func (a attemptTransport) RoundTrip(dst simnet.Addr, service string, payload []byte) ([]byte, error) {
+	return a(dst, service, payload, 0)
+}
+
 func TestSealedSharesEndpointCounters(t *testing.T) {
 	s, net := newNet()
 	rng := cryptoutil.NewSeededReader(1)
 	keys, _ := cryptoutil.NewKeyPair(rng)
-	rt := svc.NewRuntime(net.NewNode("server"))
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(net.NewNode("server"))
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	if err := rt.EnableSealed(keys, rng, "feed"); err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +139,9 @@ func TestSealedSharesEndpointCounters(t *testing.T) {
 	var plain, sealed *wire.Feed
 	var err1, err2 error
 	s.Go(func() {
-		plain, err1 = svc.Invoke(svc.Plain{Node: cli}, "server", "feed",
+		plain, err1 = Invoke(Plain{Node: cli}, "server", "feed",
 			&wire.Feed{Version: 1}, wire.DecodeFeed)
-		sealed, err2 = svc.Invoke(svc.Sealed{Node: cli, Key: keys.Public(), RNG: rng},
+		sealed, err2 = Invoke(attemptTransport(SealedAttempt(cli, keys.Public(), rng)),
 			"server", "feed", &wire.Feed{Version: 10}, wire.DecodeFeed)
 	})
 	s.Run()
@@ -155,7 +161,7 @@ func TestEnableSealedRequiresRegistration(t *testing.T) {
 	_, net := newNet()
 	rng := cryptoutil.NewSeededReader(1)
 	keys, _ := cryptoutil.NewKeyPair(rng)
-	rt := svc.NewRuntime(net.NewNode("server"))
+	rt := NewRuntime(net.NewNode("server"))
 	if err := rt.EnableSealed(keys, rng, "ghost"); err == nil {
 		t.Fatal("EnableSealed accepted an unregistered service")
 	}
@@ -163,20 +169,20 @@ func TestEnableSealedRequiresRegistration(t *testing.T) {
 
 func TestReRegistrationKeepsCounters(t *testing.T) {
 	s, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(net.NewNode("server"))
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	cli := net.NewNode("client")
 	s.Go(func() {
-		_, _ = svc.Invoke(svc.Plain{Node: cli}, "server", "feed", &wire.Feed{Version: 1}, wire.DecodeFeed)
+		_, _ = Invoke(Plain{Node: cli}, "server", "feed", &wire.Feed{Version: 1}, wire.DecodeFeed)
 	})
 	s.Run()
 	// Replace the handler; the endpoint's history must survive.
-	svc.Register(rt, "feed", wire.DecodeFeed, func(simnet.Addr, *wire.Feed) (*wire.Feed, error) {
+	Register(rt, "feed", wire.DecodeFeed, func(simnet.Addr, *wire.Feed) (*wire.Feed, error) {
 		return &wire.Feed{Version: 99}, nil
 	})
 	var resp *wire.Feed
 	s.Go(func() {
-		resp, _ = svc.Invoke(svc.Plain{Node: cli}, "server", "feed", &wire.Feed{Version: 1}, wire.DecodeFeed)
+		resp, _ = Invoke(Plain{Node: cli}, "server", "feed", &wire.Feed{Version: 1}, wire.DecodeFeed)
 	})
 	s.Run()
 	if resp == nil || resp.Version != 99 {
@@ -192,17 +198,17 @@ func TestReRegistrationKeepsCounters(t *testing.T) {
 	if m := agg["feed"]; m.Requests != 4 || m.Hist.Count() != 4 || rt.Metrics("feed").Hist.Count() != 2 {
 		t.Fatalf("AddTo into a snapshot = %+v (hist %d), want the counters doubled", m, m.Hist.Count())
 	}
-	if services := rt.Services(); len(services) != 1 {
-		t.Fatalf("services = %v", services)
+	if len(rt.order) != 1 {
+		t.Fatalf("services = %v", rt.order)
 	}
 }
 
 func TestSnapshotListsEveryEndpoint(t *testing.T) {
 	_, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
-	svc.Register(rt, "a", wire.DecodeFeed, echoFeed)
-	svc.RegisterOneWay(rt, "b", wire.DecodeFeed, func(simnet.Addr, *wire.Feed) {})
-	svc.RegisterRaw(rt, "c", func(_ simnet.Addr, p []byte) ([]byte, error) { return p, nil })
+	rt := NewRuntime(net.NewNode("server"))
+	Register(rt, "a", wire.DecodeFeed, echoFeed)
+	RegisterOneWay(rt, "b", wire.DecodeFeed, func(simnet.Addr, *wire.Feed) {})
+	RegisterRaw(rt, "c", func(_ simnet.Addr, p []byte) ([]byte, error) { return p, nil })
 	snap := rt.Snapshot()
 	for _, name := range []string{"a", "b", "c"} {
 		if _, ok := snap[name]; !ok {
@@ -213,14 +219,14 @@ func TestSnapshotListsEveryEndpoint(t *testing.T) {
 
 func TestDeployFarmOrderAndVIP(t *testing.T) {
 	s, net := newNet()
-	type member struct{ rt *svc.Runtime }
+	type member struct{ rt *Runtime }
 	var built []simnet.Addr
-	members, nodes, err := svc.DeployFarm(net, "farm.vip", 3,
+	members, nodes, err := DeployFarm(net, "farm.vip", 3,
 		func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("backend-%d", i+1)) },
 		func(node *simnet.Node) (member, error) {
 			built = append(built, node.Addr())
-			rt := svc.NewRuntime(node)
-			svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+			rt := NewRuntime(node)
+			Register(rt, "feed", wire.DecodeFeed, echoFeed)
 			return member{rt: rt}, nil
 		})
 	if err != nil {
@@ -239,7 +245,7 @@ func TestDeployFarmOrderAndVIP(t *testing.T) {
 	cli := net.NewNode("client")
 	s.Go(func() {
 		for i := 0; i < 6; i++ {
-			if _, err := svc.Invoke(svc.Plain{Node: cli}, "farm.vip", "feed",
+			if _, err := Invoke(Plain{Node: cli}, "farm.vip", "feed",
 				&wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
@@ -263,7 +269,7 @@ func TestDeployFarmOrderAndVIP(t *testing.T) {
 func TestDeployFarmBuildError(t *testing.T) {
 	_, net := newNet()
 	boom := errors.New("boom")
-	_, _, err := svc.DeployFarm(net, "farm.vip", 2,
+	_, _, err := DeployFarm(net, "farm.vip", 2,
 		func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("n%d", i)) },
 		func(*simnet.Node) (struct{}, error) { return struct{}{}, boom })
 	if !errors.Is(err, boom) {

@@ -1,4 +1,4 @@
-package svc_test
+package svc
 
 import (
 	"testing"
@@ -6,7 +6,6 @@ import (
 
 	"p2pdrm/internal/obs"
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 	"p2pdrm/internal/wire"
 )
 
@@ -18,21 +17,21 @@ func TestTracedCallChainsServerSpan(t *testing.T) {
 	s, net := newNet()
 	node := net.NewNode("server")
 	node.SetCapacity(1, func() time.Duration { return 5 * time.Millisecond })
-	rt := svc.NewRuntime(node)
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(node)
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	ring := obs.NewTrace(64)
 	rt.SetTrace(ring)
 
 	cli := net.NewNode("client")
-	pol := svc.NewPolicy(s, svc.PolicyConfig{Trace: ring})
+	pol := NewPolicy(s, PolicyConfig{Trace: ring})
 	trace := obs.TraceIDFor(1, "alice")
 	stage := obs.SpanID(trace, 0, "stage", 1)
-	tr := svc.Traced{
-		Inner: svc.PolicyTransport{Policy: pol, Attempt: svc.AttemptFunc(cli.Call)},
+	tr := Traced{
+		Inner: PolicyTransport{Policy: pol, Attempt: AttemptFunc(cli.Call)},
 		Ctx:   wire.TraceCtx{Trace: trace, Span: stage},
 	}
 	s.Go(func() {
-		if _, err := svc.Invoke(tr, "server", "feed", &wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
+		if _, err := Invoke(tr, "server", "feed", &wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
 			t.Errorf("traced call: %v", err)
 		}
 	})
@@ -79,8 +78,8 @@ func TestTracedShedEmitsSpan(t *testing.T) {
 	s, net := newNet()
 	node := net.NewNode("server")
 	node.SetCapacity(1, func() time.Duration { return 100 * time.Millisecond })
-	rt := svc.NewRuntime(node)
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(node)
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	if err := rt.SetShedding("feed", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestTracedShedEmitsSpan(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cli := net.NewNode(simnet.Addr("client" + string(rune('a'+i))))
 		s.Go(func() {
-			tr := svc.Traced{Inner: svc.Plain{Node: cli}, Ctx: wire.TraceCtx{Trace: trace, Span: stage}}
+			tr := Traced{Inner: Plain{Node: cli}, Ctx: wire.TraceCtx{Trace: trace, Span: stage}}
 			_, _ = tr.RoundTrip("server", "feed", (&wire.Feed{Version: 1}).Encode())
 		})
 	}
@@ -123,13 +122,13 @@ func TestTracedShedEmitsSpan(t *testing.T) {
 // serves the plain frame untouched.
 func TestUntracedPathUnchangedWithRing(t *testing.T) {
 	s, net := newNet()
-	rt := svc.NewRuntime(net.NewNode("server"))
-	svc.Register(rt, "feed", wire.DecodeFeed, echoFeed)
+	rt := NewRuntime(net.NewNode("server"))
+	Register(rt, "feed", wire.DecodeFeed, echoFeed)
 	ring := obs.NewTrace(64)
 	rt.SetTrace(ring)
 	cli := net.NewNode("client")
 	s.Go(func() {
-		resp, err := svc.Invoke(svc.Plain{Node: cli}, "server", "feed",
+		resp, err := Invoke(Plain{Node: cli}, "server", "feed",
 			&wire.Feed{Version: 7}, wire.DecodeFeed)
 		if err != nil || resp.Version != 8 {
 			t.Errorf("untraced call: resp=%+v err=%v", resp, err)

@@ -29,20 +29,6 @@ func (t Plain) RoundTrip(dst simnet.Addr, service string, payload []byte) ([]byt
 	return t.Node.Call(dst, service, payload, t.Timeout)
 }
 
-// Sealed is the SSL-like transport (§IV-G1): requests ride inside an
-// ECIES envelope to the server's public key.
-type Sealed struct {
-	Node    *simnet.Node
-	Key     cryptoutil.PublicKey
-	Timeout time.Duration
-	RNG     io.Reader
-}
-
-// RoundTrip implements Transport.
-func (t Sealed) RoundTrip(dst simnet.Addr, service string, payload []byte) ([]byte, error) {
-	return sectran.Call(t.Node, dst, service, t.Key, payload, t.Timeout, t.RNG)
-}
-
 // Traced wraps an inner transport so every request carries a causal
 // trace envelope (wire.WrapTraced). With a zero context the wrap is the
 // identity and the payload pointer passes through untouched — a Traced

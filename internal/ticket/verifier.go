@@ -19,9 +19,9 @@ import (
 	"p2pdrm/internal/lru"
 )
 
-// DefaultVerifierCap bounds each of the two ticket caches when
+// defaultVerifierCap bounds each of the two ticket caches when
 // NewVerifier is given a non-positive capacity.
-const DefaultVerifierCap = 1024
+const defaultVerifierCap = 1024
 
 // Verifier caches successful ticket verifications. Tickets returned from
 // a cache hit are shared: callers must treat them as read-only (all
@@ -35,12 +35,12 @@ type Verifier struct {
 }
 
 // NewVerifier creates a Verifier holding up to capacity verified tickets
-// of each kind (non-positive means DefaultVerifierCap). Each cache's
+// of each kind (non-positive means defaultVerifierCap). Each cache's
 // storage is created by its first Add, so a kind never verified — an
 // overlay peer only ever sees Channel Tickets — costs its header alone.
 func NewVerifier(capacity int) *Verifier {
 	if capacity <= 0 {
-		capacity = DefaultVerifierCap
+		capacity = defaultVerifierCap
 	}
 	return &Verifier{
 		user:    lru.New[[32]byte, *UserTicket](capacity),
@@ -93,9 +93,3 @@ func (v *Verifier) VerifyChannel(b []byte, mgr cryptoutil.PublicKey) (*ChannelTi
 	v.channel.Add(k, t)
 	return t, nil
 }
-
-// Hits reports cache hits across both ticket kinds.
-func (v *Verifier) Hits() int64 { return v.hits.Load() }
-
-// Misses reports successful verifications that had to run in full.
-func (v *Verifier) Misses() int64 { return v.misses.Load() }

@@ -166,3 +166,9 @@ func TestVerifierEviction(t *testing.T) {
 		t.Fatalf("misses = %d, want 32 distinct verifications", got)
 	}
 }
+
+// Hits reports cache hits across both ticket kinds.
+func (v *Verifier) Hits() int64 { return v.hits.Load() }
+
+// Misses reports successful verifications that had to run in full.
+func (v *Verifier) Misses() int64 { return v.misses.Load() }

@@ -171,14 +171,6 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// SetChannelAttrList installs the Channel Attribute List pushed by the
-// Channel Policy Manager (§IV-A).
-func (m *Manager) SetChannelAttrList(l policy.ChannelAttrList) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.chanAttrs = l.Clone()
-}
-
 func (m *Manager) handlePolicyFeed(_ simnet.Addr, feed *wire.Feed) {
 	l, err := policy.DecodeAttrList(feed.Body)
 	if err != nil {
@@ -298,14 +290,6 @@ func (m *Manager) ImportShard(recs []svc.HandoffRecord) {
 			m.accounts[r.Key] = st
 		}
 	}
-}
-
-// AccountStates reports how many accounts currently have manager-local
-// hot state here (tests and handoff accounting).
-func (m *Manager) AccountStates() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.accounts)
 }
 
 // handleLogin1 runs the first login round: locate the user, mint a nonce

@@ -344,9 +344,11 @@ func TestUTimeStampedFromChannelAttrList(t *testing.T) {
 	f := newFixture(t, nil)
 	_, _ = f.accounts.Register("a@e", "pw")
 	updated := t0.Add(-time.Hour)
-	f.mgr.SetChannelAttrList(policy.ChannelAttrList{
+	f.mgr.mu.Lock()
+	f.mgr.chanAttrs = policy.ChannelAttrList{
 		{Name: attr.NameRegion, Value: "100"}: updated,
-	})
+	}
+	f.mgr.mu.Unlock()
 	cli := f.net.NewNode(geo.Addr(100, 1, 1))
 	var ut *ticket.UserTicket
 	f.sched.Go(func() { _, ut, _ = f.doLogin(cli, "a@e", loginOpts{password: "pw"}) })

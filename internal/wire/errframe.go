@@ -127,15 +127,6 @@ func (c Code) String() string {
 // Valid reports whether c is a defined code.
 func (c Code) Valid() bool { return c < codeMax }
 
-// Codes enumerates every defined code (exhaustiveness tests iterate it).
-func Codes() []Code {
-	out := make([]Code, 0, codeMax)
-	for c := Code(0); c < codeMax; c++ {
-		out = append(out, c)
-	}
-	return out
-}
-
 // ServiceError is the typed application-level error every request-serving
 // endpoint answers with. On the plain simnet transport it travels by
 // reference; on the sealed transport it is serialized as an error frame
@@ -158,19 +149,19 @@ func Errf(code Code, format string, args ...any) *ServiceError {
 
 // --- Error frame codec --------------------------------------------------
 //
-// Layout: code(u16) || msg(str). Used standalone (Encode/DecodeErrorFrame)
+// Layout: code(u16) || msg(str). Used standalone (ServiceError.Encode)
 // and inline inside the sealed transport's reply envelope.
 
 // appendErrorFrame writes the frame fields onto an encoder.
 func appendErrorFrame(e *Enc, serr *ServiceError) {
-	e.U16(uint16(serr.Code))
+	e.u16(uint16(serr.Code))
 	e.Str(serr.Msg)
 }
 
 // readErrorFrame reads the frame fields off a decoder. Unknown codes are
 // a decode error: a frame is only valid if both ends agree on the code.
 func readErrorFrame(d *Dec) *ServiceError {
-	code := Code(d.U16())
+	code := Code(d.u16())
 	msg := d.Str()
 	if d.Err() != nil {
 		return nil
@@ -184,19 +175,9 @@ func readErrorFrame(d *Dec) *ServiceError {
 
 // Encode serializes the error as a standalone frame.
 func (e *ServiceError) Encode() []byte {
-	en := NewEnc(8 + len(e.Msg))
+	en := newEnc(8 + len(e.Msg))
 	appendErrorFrame(en, e)
 	return en.Bytes()
-}
-
-// DecodeErrorFrame parses a standalone error frame.
-func DecodeErrorFrame(b []byte) (*ServiceError, error) {
-	d := NewDec(b)
-	serr := readErrorFrame(d)
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return serr, nil
 }
 
 // --- Reply envelope ----------------------------------------------------

@@ -75,7 +75,7 @@ func TestServiceErrorMessage(t *testing.T) {
 }
 
 func TestReplyEnvelopeSuccess(t *testing.T) {
-	e := NewEnc(64)
+	e := newEnc(64)
 	AppendReply(e, []byte("payload"), nil)
 	body, remote, err := DecodeReply(e.Bytes())
 	if err != nil || remote != nil {
@@ -87,7 +87,7 @@ func TestReplyEnvelopeSuccess(t *testing.T) {
 }
 
 func TestReplyEnvelopeError(t *testing.T) {
-	e := NewEnc(64)
+	e := newEnc(64)
 	AppendReply(e, nil, Errf(CodeExpiredTicket, "lapsed"))
 	body, remote, err := DecodeReply(e.Bytes())
 	if err != nil || body != nil {
@@ -141,10 +141,10 @@ func FuzzDecodeErrorFrame(f *testing.F) {
 // FuzzDecodeReply: the reply-envelope decoder must be total on arbitrary
 // bytes and never yield both a body and a remote error.
 func FuzzDecodeReply(f *testing.F) {
-	ok := NewEnc(16)
+	ok := newEnc(16)
 	AppendReply(ok, []byte("body"), nil)
 	f.Add(ok.Bytes())
-	bad := NewEnc(16)
+	bad := newEnc(16)
 	AppendReply(bad, nil, Errf(CodeBadToken, "x"))
 	f.Add(bad.Bytes())
 	f.Add([]byte{})
@@ -161,4 +161,24 @@ func FuzzDecodeReply(f *testing.F) {
 			t.Fatalf("invalid remote code %d accepted", uint16(remote.Code))
 		}
 	})
+}
+
+// Codes enumerates every defined code (exhaustiveness tests iterate it).
+func Codes() []Code {
+	out := make([]Code, 0, codeMax)
+	for c := Code(0); c < codeMax; c++ {
+		out = append(out, c)
+	}
+	return out
+}
+
+// DecodeErrorFrame parses a standalone error frame: readErrorFrame, the
+// decoder the reply envelope uses, behind the strict Finish check.
+func DecodeErrorFrame(b []byte) (*ServiceError, error) {
+	d := NewDec(b)
+	serr := readErrorFrame(d)
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return serr, nil
 }

@@ -29,15 +29,6 @@ const (
 	SvcChannelFeed = "mgmt.channels" // Channel Policy Manager → Channel Managers (channel list)
 )
 
-// Services enumerates every service name above. Registration-completeness
-// tests walk it to assert a deployment serves the full protocol surface.
-var Services = []string{
-	SvcLogin1, SvcLogin2, SvcSwitch1, SvcSwitch2, SvcJoin, SvcSeek,
-	SvcChanList, SvcRedirect, SvcLicense,
-	SvcKeyPush, SvcContent, SvcRenewal, SvcLeave, SvcPeerExpire,
-	SvcPolicyFeed, SvcChannelFeed,
-}
-
 // IdempotentService reports whether a service's requests are safe to
 // repeat at the transport layer. The round-1 openers and read-only
 // lookups qualify: re-sending them at worst re-issues a challenge or a
@@ -64,7 +55,7 @@ type Login1Req struct {
 
 // Encode serializes the message.
 func (m *Login1Req) Encode() []byte {
-	e := NewEnc(128)
+	e := newEnc(128)
 	e.Str(m.Email)
 	e.Blob(m.ClientKey)
 	e.U32(m.Version)
@@ -89,7 +80,7 @@ type Login1Resp struct {
 
 // Encode serializes the message.
 func (m *Login1Resp) Encode() []byte {
-	e := NewEnc(128)
+	e := newEnc(128)
 	e.Blob(m.Sealed)
 	e.Blob(m.Token)
 	return e.Bytes()
@@ -115,7 +106,7 @@ type Login2Req struct {
 
 // Encode serializes the message.
 func (m *Login2Req) Encode() []byte {
-	e := NewEnc(256)
+	e := newEnc(256)
 	e.Str(m.Email)
 	e.Blob(m.Token)
 	e.Blob(m.Nonce)
@@ -144,7 +135,7 @@ type Login2Resp struct {
 
 // Encode serializes the message.
 func (m *Login2Resp) Encode() []byte {
-	e := NewEnc(512)
+	e := newEnc(512)
 	e.Blob(m.UserTicket)
 	e.Time(m.ServerTime)
 	e.U32(m.MinVersion)
@@ -170,7 +161,7 @@ type SwitchReq struct {
 
 // Encode serializes the message.
 func (m *SwitchReq) Encode() []byte {
-	e := NewEnc(512)
+	e := newEnc(512)
 	e.Blob(m.UserTicket)
 	e.Str(m.ChannelID)
 	e.Blob(m.ExpiringTicket)
@@ -193,7 +184,7 @@ type SwitchChallenge struct {
 
 // Encode serializes the message.
 func (m *SwitchChallenge) Encode() []byte {
-	e := NewEnc(128)
+	e := newEnc(128)
 	e.Blob(m.Nonce)
 	e.Blob(m.Token)
 	return e.Bytes()
@@ -219,7 +210,7 @@ type SwitchFinish struct {
 
 // Encode serializes the message.
 func (m *SwitchFinish) Encode() []byte {
-	e := NewEnc(512)
+	e := newEnc(512)
 	e.Blob(m.UserTicket)
 	e.Str(m.ChannelID)
 	e.Blob(m.ExpiringTicket)
@@ -248,16 +239,16 @@ type SwitchResp struct {
 
 // Encode serializes the message.
 func (m *SwitchResp) Encode() []byte {
-	e := NewEnc(512)
+	e := newEnc(512)
 	e.Blob(m.ChannelTicket)
-	e.StrSlice(m.Peers)
+	e.strSlice(m.Peers)
 	return e.Bytes()
 }
 
 // DecodeSwitchResp parses a SwitchResp.
 func DecodeSwitchResp(b []byte) (*SwitchResp, error) {
 	d := NewDec(b)
-	m := &SwitchResp{ChannelTicket: d.Blob(), Peers: d.StrSlice()}
+	m := &SwitchResp{ChannelTicket: d.Blob(), Peers: d.strSlice()}
 	return m, d.Finish()
 }
 
@@ -277,17 +268,17 @@ type JoinReq struct {
 
 // Encode serializes the message.
 func (m *JoinReq) Encode() []byte {
-	e := NewEnc(256)
+	e := newEnc(256)
 	e.Blob(m.ChannelTicket)
 	e.Blob(m.Substreams)
-	e.U16(m.Capacity)
+	e.u16(m.Capacity)
 	return e.Bytes()
 }
 
 // DecodeJoinReq parses a JoinReq.
 func DecodeJoinReq(b []byte) (*JoinReq, error) {
 	d := NewDec(b)
-	m := &JoinReq{ChannelTicket: d.Blob(), Substreams: d.Blob(), Capacity: d.U16()}
+	m := &JoinReq{ChannelTicket: d.Blob(), Substreams: d.Blob(), Capacity: d.u16()}
 	return m, d.Finish()
 }
 
@@ -307,12 +298,12 @@ type JoinResp struct {
 
 // Encode serializes the message.
 func (m *JoinResp) Encode() []byte {
-	e := NewEnc(512)
+	e := newEnc(512)
 	e.Bool(m.Accept)
 	e.Str(m.Reason)
 	e.Blob(m.SealedSession)
-	e.BlobSlice(m.SealedKeys)
-	e.U16(uint16(m.Code))
+	e.blobSlice(m.SealedKeys)
+	e.u16(uint16(m.Code))
 	return e.Bytes()
 }
 
@@ -321,8 +312,8 @@ func DecodeJoinResp(b []byte) (*JoinResp, error) {
 	d := NewDec(b)
 	m := &JoinResp{
 		Accept: d.Bool(), Reason: d.Str(),
-		SealedSession: d.Blob(), SealedKeys: d.BlobSlice(),
-		Code: Code(d.U16()),
+		SealedSession: d.Blob(), SealedKeys: d.blobSlice(),
+		Code: Code(d.u16()),
 	}
 	return m, d.Finish()
 }
@@ -339,9 +330,9 @@ type SeekReq struct {
 
 // Encode serializes the message.
 func (m *SeekReq) Encode() []byte {
-	e := NewEnc(256)
+	e := newEnc(256)
 	e.Blob(m.ChannelTicket)
-	e.U64(m.FromSeq)
+	e.u64(m.FromSeq)
 	e.U32(m.MaxFrames)
 	return e.Bytes()
 }
@@ -349,7 +340,7 @@ func (m *SeekReq) Encode() []byte {
 // DecodeSeekReq parses a SeekReq.
 func DecodeSeekReq(b []byte) (*SeekReq, error) {
 	d := NewDec(b)
-	m := &SeekReq{ChannelTicket: d.Blob(), FromSeq: d.U64(), MaxFrames: d.U32()}
+	m := &SeekReq{ChannelTicket: d.Blob(), FromSeq: d.u64(), MaxFrames: d.U32()}
 	return m, d.Finish()
 }
 
@@ -367,9 +358,9 @@ type HistoryFrame struct {
 
 // Encode serializes the frame.
 func (f *HistoryFrame) Encode() []byte {
-	e := NewEnc(64 + len(f.Packet))
-	e.U8(f.Substream)
-	e.U64(f.Seq)
+	e := newEnc(64 + len(f.Packet))
+	e.u8(f.Substream)
+	e.u64(f.Seq)
 	e.Bool(f.Clear)
 	e.Blob(f.Packet)
 	return e.Bytes()
@@ -378,7 +369,7 @@ func (f *HistoryFrame) Encode() []byte {
 // DecodeHistoryFrame parses a HistoryFrame.
 func DecodeHistoryFrame(b []byte) (*HistoryFrame, error) {
 	d := NewDec(b)
-	f := &HistoryFrame{Substream: d.U8(), Seq: d.U64(), Clear: d.Bool(), Packet: d.Blob()}
+	f := &HistoryFrame{Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.Blob()}
 	return f, d.Finish()
 }
 
@@ -398,13 +389,13 @@ type SeekResp struct {
 
 // Encode serializes the message.
 func (m *SeekResp) Encode() []byte {
-	e := NewEnc(512)
+	e := newEnc(512)
 	e.Bool(m.Accept)
 	e.Str(m.Reason)
-	e.U16(uint16(m.Code))
-	e.U64(m.OldestSeq)
-	e.U64(m.NewestSeq)
-	e.BlobSlice(m.Frames)
+	e.u16(uint16(m.Code))
+	e.u64(m.OldestSeq)
+	e.u64(m.NewestSeq)
+	e.blobSlice(m.Frames)
 	return e.Bytes()
 }
 
@@ -412,8 +403,8 @@ func (m *SeekResp) Encode() []byte {
 func DecodeSeekResp(b []byte) (*SeekResp, error) {
 	d := NewDec(b)
 	m := &SeekResp{
-		Accept: d.Bool(), Reason: d.Str(), Code: Code(d.U16()),
-		OldestSeq: d.U64(), NewestSeq: d.U64(), Frames: d.BlobSlice(),
+		Accept: d.Bool(), Reason: d.Str(), Code: Code(d.u16()),
+		OldestSeq: d.u64(), NewestSeq: d.u64(), Frames: d.blobSlice(),
 	}
 	return m, d.Finish()
 }
@@ -427,7 +418,7 @@ type KeyPush struct {
 
 // Encode serializes the message.
 func (m *KeyPush) Encode() []byte {
-	e := NewEnc(128)
+	e := newEnc(128)
 	e.Str(m.ChannelID)
 	e.Blob(m.SealedKey)
 	return e.Bytes()
@@ -477,8 +468,8 @@ func (m *ContentPush) EncodedLen() int {
 func (m *ContentPush) Encode() []byte {
 	e := Enc{b: make([]byte, 0, m.EncodedLen())}
 	e.Str(m.ChannelID)
-	e.U8(m.Substream)
-	e.U64(m.Seq)
+	e.u8(m.Substream)
+	e.u64(m.Seq)
 	e.Bool(m.Clear)
 	e.Blob(m.Packet)
 	return e.Bytes()
@@ -512,7 +503,7 @@ func AppendContentPushHeader(dst []byte, channelID string, substream uint8, seq 
 // DecodeContentPush parses a ContentPush.
 func DecodeContentPush(b []byte) (*ContentPush, error) {
 	d := NewDec(b)
-	m := &ContentPush{ChannelID: d.Str(), Substream: d.U8(), Seq: d.U64(), Clear: d.Bool(), Packet: d.Blob()}
+	m := &ContentPush{ChannelID: d.Str(), Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.Blob()}
 	return m, d.Finish()
 }
 
@@ -524,7 +515,7 @@ type RenewalPresent struct {
 
 // Encode serializes the message.
 func (m *RenewalPresent) Encode() []byte {
-	e := NewEnc(256)
+	e := newEnc(256)
 	e.Blob(m.ChannelTicket)
 	return e.Bytes()
 }
@@ -543,7 +534,7 @@ type LeaveNotice struct {
 
 // Encode serializes the message.
 func (m *LeaveNotice) Encode() []byte {
-	e := NewEnc(32)
+	e := newEnc(32)
 	e.Str(m.ChannelID)
 	return e.Bytes()
 }
@@ -565,16 +556,16 @@ type ChanListReq struct {
 
 // Encode serializes the message.
 func (m *ChanListReq) Encode() []byte {
-	e := NewEnc(512)
+	e := newEnc(512)
 	e.Blob(m.UserTicket)
-	e.StrSlice(m.StaleNames)
+	e.strSlice(m.StaleNames)
 	return e.Bytes()
 }
 
 // DecodeChanListReq parses a ChanListReq.
 func DecodeChanListReq(b []byte) (*ChanListReq, error) {
 	d := NewDec(b)
-	m := &ChanListReq{UserTicket: d.Blob(), StaleNames: d.StrSlice()}
+	m := &ChanListReq{UserTicket: d.Blob(), StaleNames: d.strSlice()}
 	return m, d.Finish()
 }
 
@@ -586,7 +577,7 @@ type ChanListResp struct {
 
 // Encode serializes the message.
 func (m *ChanListResp) Encode() []byte {
-	e := NewEnc(1024)
+	e := newEnc(1024)
 	e.Blob(m.Channels)
 	return e.Bytes()
 }
@@ -606,7 +597,7 @@ type RedirectReq struct {
 
 // Encode serializes the message.
 func (m *RedirectReq) Encode() []byte {
-	e := NewEnc(64)
+	e := newEnc(64)
 	e.Str(m.Email)
 	return e.Bytes()
 }
@@ -634,12 +625,12 @@ type RedirectResp struct {
 
 // Encode serializes the message.
 func (m *RedirectResp) Encode() []byte {
-	e := NewEnc(256)
+	e := newEnc(256)
 	e.Str(m.UserMgr)
 	e.Blob(m.UserMgrKey)
 	e.Str(m.PolicyMgr)
 	e.Blob(m.PolicyMgrKey)
-	e.U64(m.ShardEpoch)
+	e.u64(m.ShardEpoch)
 	return e.Bytes()
 }
 
@@ -649,7 +640,7 @@ func DecodeRedirectResp(b []byte) (*RedirectResp, error) {
 	m := &RedirectResp{
 		UserMgr: d.Str(), UserMgrKey: d.Blob(),
 		PolicyMgr: d.Str(), PolicyMgrKey: d.Blob(),
-		ShardEpoch: d.U64(),
+		ShardEpoch: d.u64(),
 	}
 	return m, d.Finish()
 }
@@ -664,8 +655,8 @@ type Feed struct {
 
 // Encode serializes the message.
 func (m *Feed) Encode() []byte {
-	e := NewEnc(16 + len(m.Body))
-	e.U64(m.Version)
+	e := newEnc(16 + len(m.Body))
+	e.u64(m.Version)
 	e.Blob(m.Body)
 	return e.Bytes()
 }
@@ -673,7 +664,7 @@ func (m *Feed) Encode() []byte {
 // DecodeFeed parses a Feed.
 func DecodeFeed(b []byte) (*Feed, error) {
 	d := NewDec(b)
-	m := &Feed{Version: d.U64(), Body: d.Blob()}
+	m := &Feed{Version: d.u64(), Body: d.Blob()}
 	return m, d.Finish()
 }
 
@@ -686,8 +677,8 @@ type LicenseReq struct {
 
 // Encode serializes the message.
 func (m *LicenseReq) Encode() []byte {
-	e := NewEnc(64)
-	e.U64(m.UserIN)
+	e := newEnc(64)
+	e.u64(m.UserIN)
 	e.Str(m.FileID)
 	return e.Bytes()
 }
@@ -695,7 +686,7 @@ func (m *LicenseReq) Encode() []byte {
 // DecodeLicenseReq parses a LicenseReq.
 func DecodeLicenseReq(b []byte) (*LicenseReq, error) {
 	d := NewDec(b)
-	m := &LicenseReq{UserIN: d.U64(), FileID: d.Str()}
+	m := &LicenseReq{UserIN: d.u64(), FileID: d.Str()}
 	return m, d.Finish()
 }
 
@@ -707,7 +698,7 @@ type LicenseResp struct {
 
 // Encode serializes the message.
 func (m *LicenseResp) Encode() []byte {
-	e := NewEnc(64)
+	e := newEnc(64)
 	e.Bool(m.Granted)
 	e.Blob(m.Key)
 	return e.Bytes()

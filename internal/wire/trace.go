@@ -35,8 +35,8 @@ func (tc TraceCtx) Valid() bool { return tc.Trace != 0 }
 // so an untraced frame can never alias the envelope.
 var traceMagic = [4]byte{0xD7, 0x72, 0xA5, 0xE9}
 
-// TraceEnvLen is the wrapped-payload overhead in bytes.
-const TraceEnvLen = 4 + 8 + 8
+// traceEnvLen is the wrapped-payload overhead in bytes.
+const traceEnvLen = 4 + 8 + 8
 
 // WrapTraced prefixes payload with the trace envelope. An invalid
 // (zero-trace) context returns payload unchanged — zero cost off.
@@ -44,7 +44,7 @@ func WrapTraced(tc TraceCtx, payload []byte) []byte {
 	if !tc.Valid() {
 		return payload
 	}
-	out := make([]byte, 0, TraceEnvLen+len(payload))
+	out := make([]byte, 0, traceEnvLen+len(payload))
 	out = append(out, traceMagic[:]...)
 	out = binary.BigEndian.AppendUint64(out, tc.Trace)
 	out = binary.BigEndian.AppendUint64(out, tc.Span)
@@ -56,7 +56,7 @@ func WrapTraced(tc TraceCtx, payload []byte) []byte {
 // unchanged with a zero context. The check is a bounded 4-byte compare —
 // cheap enough to run unconditionally on every request, traced or not.
 func UnwrapTraced(payload []byte) (TraceCtx, []byte) {
-	if len(payload) < TraceEnvLen ||
+	if len(payload) < traceEnvLen ||
 		payload[0] != traceMagic[0] || payload[1] != traceMagic[1] ||
 		payload[2] != traceMagic[2] || payload[3] != traceMagic[3] {
 		return TraceCtx{}, payload
@@ -70,5 +70,5 @@ func UnwrapTraced(payload []byte) (TraceCtx, []byte) {
 		// starts with the magic — leave it alone.
 		return TraceCtx{}, payload
 	}
-	return tc, payload[TraceEnvLen:]
+	return tc, payload[traceEnvLen:]
 }

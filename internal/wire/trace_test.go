@@ -10,8 +10,8 @@ func TestTraceWrapUnwrapRoundTrip(t *testing.T) {
 	payload := []byte("hello protocol frame")
 	tc := TraceCtx{Trace: 0xDEADBEEFCAFEF00D, Span: 42}
 	wrapped := WrapTraced(tc, payload)
-	if len(wrapped) != TraceEnvLen+len(payload) {
-		t.Fatalf("wrapped length = %d, want %d", len(wrapped), TraceEnvLen+len(payload))
+	if len(wrapped) != traceEnvLen+len(payload) {
+		t.Fatalf("wrapped length = %d, want %d", len(wrapped), traceEnvLen+len(payload))
 	}
 	got, inner := UnwrapTraced(wrapped)
 	if got != tc {

@@ -34,8 +34,8 @@ type Enc struct {
 	b []byte
 }
 
-// NewEnc creates an encoder with some preallocated room.
-func NewEnc(capacity int) *Enc { return &Enc{b: make([]byte, 0, capacity)} }
+// newEnc creates an encoder with some preallocated room.
+func newEnc(capacity int) *Enc { return &Enc{b: make([]byte, 0, capacity)} }
 
 // encPool recycles encoders whose output does not escape the call site
 // (handshake tokens, transport envelopes: the bytes are copied by a
@@ -65,44 +65,44 @@ func PutEnc(e *Enc) {
 	if cap(e.b) > maxPooledCap {
 		return
 	}
-	e.Reset()
+	e.reset()
 	encPool.Put(e)
 }
 
-// Reset clears the encoder for reuse, keeping its buffer.
-func (e *Enc) Reset() { e.b = e.b[:0] }
+// reset clears the encoder for reuse, keeping its buffer.
+func (e *Enc) reset() { e.b = e.b[:0] }
 
 // Bytes returns the encoded buffer.
 func (e *Enc) Bytes() []byte { return e.b }
 
-// U8 appends one byte.
-func (e *Enc) U8(v uint8) { e.b = append(e.b, v) }
+// u8 appends one byte.
+func (e *Enc) u8(v uint8) { e.b = append(e.b, v) }
 
-// U16 appends a big-endian uint16.
-func (e *Enc) U16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
+// u16 appends a big-endian uint16.
+func (e *Enc) u16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
 
 // U32 appends a big-endian uint32.
 func (e *Enc) U32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
 
-// U64 appends a big-endian uint64.
-func (e *Enc) U64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+// u64 appends a big-endian uint64.
+func (e *Enc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
 
 // Bool appends a 0/1 byte.
 func (e *Enc) Bool(v bool) {
 	if v {
-		e.U8(1)
+		e.u8(1)
 	} else {
-		e.U8(0)
+		e.u8(0)
 	}
 }
 
 // Time appends a time as unix nanos (0 = zero time).
 func (e *Enc) Time(t time.Time) {
 	if t.IsZero() {
-		e.U64(0)
+		e.u64(0)
 		return
 	}
-	e.U64(uint64(t.UnixNano()))
+	e.u64(uint64(t.UnixNano()))
 }
 
 // Blob appends a u32-length-prefixed byte field.
@@ -117,16 +117,16 @@ func (e *Enc) Str(s string) {
 	e.b = append(e.b, s...)
 }
 
-// StrSlice appends a count-prefixed string list.
-func (e *Enc) StrSlice(ss []string) {
+// strSlice appends a count-prefixed string list.
+func (e *Enc) strSlice(ss []string) {
 	e.U32(uint32(len(ss)))
 	for _, s := range ss {
 		e.Str(s)
 	}
 }
 
-// BlobSlice appends a count-prefixed list of byte fields.
-func (e *Enc) BlobSlice(bs [][]byte) {
+// blobSlice appends a count-prefixed list of byte fields.
+func (e *Enc) blobSlice(bs [][]byte) {
 	e.U32(uint32(len(bs)))
 	for _, b := range bs {
 		e.Blob(b)
@@ -164,8 +164,8 @@ func (d *Dec) fail() {
 	}
 }
 
-// U8 reads one byte.
-func (d *Dec) U8() uint8 {
+// u8 reads one byte.
+func (d *Dec) u8() uint8 {
 	if d.err != nil || len(d.b) < 1 {
 		d.fail()
 		return 0
@@ -175,8 +175,8 @@ func (d *Dec) U8() uint8 {
 	return v
 }
 
-// U16 reads a big-endian uint16.
-func (d *Dec) U16() uint16 {
+// u16 reads a big-endian uint16.
+func (d *Dec) u16() uint16 {
 	if d.err != nil || len(d.b) < 2 {
 		d.fail()
 		return 0
@@ -197,8 +197,8 @@ func (d *Dec) U32() uint32 {
 	return v
 }
 
-// U64 reads a big-endian uint64.
-func (d *Dec) U64() uint64 {
+// u64 reads a big-endian uint64.
+func (d *Dec) u64() uint64 {
 	if d.err != nil || len(d.b) < 8 {
 		d.fail()
 		return 0
@@ -210,7 +210,7 @@ func (d *Dec) U64() uint64 {
 
 // Bool reads a 0/1 byte (anything else is an error).
 func (d *Dec) Bool() bool {
-	v := d.U8()
+	v := d.u8()
 	if d.err != nil {
 		return false
 	}
@@ -227,7 +227,7 @@ func (d *Dec) Bool() bool {
 
 // Time reads a unix-nano time (0 = zero time).
 func (d *Dec) Time() time.Time {
-	v := d.U64()
+	v := d.u64()
 	if d.err != nil || v == 0 {
 		return time.Time{}
 	}
@@ -258,8 +258,8 @@ func (d *Dec) Str() string {
 	return string(d.Blob())
 }
 
-// StrSlice reads a count-prefixed string list.
-func (d *Dec) StrSlice() []string {
+// strSlice reads a count-prefixed string list.
+func (d *Dec) strSlice() []string {
 	n := d.U32()
 	if d.err != nil {
 		return nil
@@ -278,8 +278,8 @@ func (d *Dec) StrSlice() []string {
 	return out
 }
 
-// BlobSlice reads a count-prefixed list of byte fields.
-func (d *Dec) BlobSlice() [][]byte {
+// blobSlice reads a count-prefixed list of byte fields.
+func (d *Dec) blobSlice() [][]byte {
 	n := d.U32()
 	if d.err != nil {
 		return nil

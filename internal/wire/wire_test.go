@@ -10,22 +10,22 @@ import (
 
 func TestEncDecPrimitives(t *testing.T) {
 	ts := time.Date(2008, 6, 23, 12, 0, 0, 0, time.UTC)
-	e := NewEnc(64)
-	e.U8(7)
-	e.U16(1000)
+	e := newEnc(64)
+	e.u8(7)
+	e.u16(1000)
 	e.U32(70000)
-	e.U64(1 << 40)
+	e.u64(1 << 40)
 	e.Bool(true)
 	e.Bool(false)
 	e.Time(ts)
 	e.Time(time.Time{})
 	e.Blob([]byte{1, 2, 3})
 	e.Str("hello")
-	e.StrSlice([]string{"a", "bb"})
-	e.BlobSlice([][]byte{{9}, {8, 7}})
+	e.strSlice([]string{"a", "bb"})
+	e.blobSlice([][]byte{{9}, {8, 7}})
 
 	d := NewDec(e.Bytes())
-	if d.U8() != 7 || d.U16() != 1000 || d.U32() != 70000 || d.U64() != 1<<40 {
+	if d.u8() != 7 || d.u16() != 1000 || d.U32() != 70000 || d.u64() != 1<<40 {
 		t.Fatal("integer round trip failed")
 	}
 	if !d.Bool() || d.Bool() {
@@ -43,11 +43,11 @@ func TestEncDecPrimitives(t *testing.T) {
 	if d.Str() != "hello" {
 		t.Fatal("str round trip failed")
 	}
-	ss := d.StrSlice()
+	ss := d.strSlice()
 	if len(ss) != 2 || ss[0] != "a" || ss[1] != "bb" {
 		t.Fatalf("strslice = %v", ss)
 	}
-	bs := d.BlobSlice()
+	bs := d.blobSlice()
 	if len(bs) != 2 || !bytes.Equal(bs[1], []byte{8, 7}) {
 		t.Fatalf("blobslice = %v", bs)
 	}
@@ -62,17 +62,17 @@ func TestDecStickyError(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("no error after truncated read")
 	}
-	if d.U64() != 0 || d.Str() != "" {
+	if d.u64() != 0 || d.Str() != "" {
 		t.Fatal("reads after failure returned data")
 	}
 }
 
 func TestDecTrailingBytes(t *testing.T) {
-	e := NewEnc(8)
-	e.U8(1)
-	e.U8(2)
+	e := newEnc(8)
+	e.u8(1)
+	e.u8(2)
 	d := NewDec(e.Bytes())
-	_ = d.U8()
+	_ = d.u8()
 	if err := d.Finish(); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
@@ -87,7 +87,7 @@ func TestDecBadBool(t *testing.T) {
 }
 
 func TestDecFieldBomb(t *testing.T) {
-	e := NewEnc(8)
+	e := newEnc(8)
 	e.U32(1 << 30) // absurd length prefix
 	d := NewDec(e.Bytes())
 	_ = d.Blob()
@@ -97,17 +97,17 @@ func TestDecFieldBomb(t *testing.T) {
 }
 
 func TestDecSliceBomb(t *testing.T) {
-	e := NewEnc(8)
+	e := newEnc(8)
 	e.U32(1 << 20)
 	d := NewDec(e.Bytes())
-	_ = d.StrSlice()
+	_ = d.strSlice()
 	if !errors.Is(d.Err(), ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", d.Err())
 	}
 }
 
 func TestBlobIsCopied(t *testing.T) {
-	e := NewEnc(16)
+	e := newEnc(16)
 	e.Blob([]byte{1, 2, 3})
 	buf := e.Bytes()
 	d := NewDec(buf)

@@ -36,13 +36,6 @@ func TestDiurnalProfileShape(t *testing.T) {
 	}
 }
 
-func TestFlatProfile(t *testing.T) {
-	p := FlatProfile()
-	if p(0) != 1 || p(13.7) != 1 {
-		t.Fatal("flat profile not flat")
-	}
-}
-
 func TestArrivalsFollowProfile(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := NewArrivals(rng, DiurnalProfile(), 600, t0)
@@ -160,17 +153,6 @@ func TestFlashCrowdClustered(t *testing.T) {
 	}
 	if within < 800 {
 		t.Fatalf("only %d/1000 arrivals within the spread — not a flash crowd", within)
-	}
-}
-
-func TestExpectedConcurrency(t *testing.T) {
-	// 100 sessions/hour at peak, 30-minute sessions → 50 concurrent.
-	got := ExpectedConcurrency(100, 30*time.Minute, 1.0)
-	if math.Abs(got-50) > 1e-9 {
-		t.Fatalf("concurrency = %v, want 50", got)
-	}
-	if half := ExpectedConcurrency(100, 30*time.Minute, 0.5); math.Abs(half-25) > 1e-9 {
-		t.Fatalf("half-profile concurrency = %v, want 25", half)
 	}
 }
 
