@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench chaos smoke smokes megascale check
+.PHONY: all vet build test race cover allocs bench chaos smoke smokes megascale check
 
 all: check
 
@@ -43,6 +43,20 @@ cover:
 		awk "BEGIN{exit !($$pct >= $(COVER_FLOOR))}" || { echo "coverage floor: $$pkg at $$pct% < $(COVER_FLOOR)%"; exit 1; }; \
 		echo "cover gate: $$pkg $$pct% >= $(COVER_FLOOR)%"; \
 	done
+
+# Allocation budgets by name, so a byte regression is its own failure:
+# the per-viewer retained heap and per-journey churn (core), the lazy key
+# ring and SealKey (keys, cryptoutil), exact-size encoders (wire), and the
+# zero-garbage MAC and directory sample (stoken, channelmgr). A package
+# listed here in which the pattern selects nothing fails the target — a
+# renamed or deleted budget must not pass by vanishing.
+ALLOC_TESTS = AllocBudget|RetainedHeapBudget|BuildsNoAEAD|SealKeyLazy|ExactSize|AllocatesOnly
+ALLOC_PKGS = core keys cryptoutil wire stoken channelmgr
+allocs:
+	@for pkg in $(ALLOC_PKGS); do \
+		$(GO) test -list '$(ALLOC_TESTS)' ./internal/$$pkg | grep -q '^Test' || { echo "allocs: no budget test selected in internal/$$pkg"; exit 1; }; \
+	done
+	$(GO) test -run '$(ALLOC_TESTS)' $(addprefix ./internal/,$(ALLOC_PKGS))
 
 # Quick smoke of every testing.B benchmark (~0.1s each): catches
 # bit-rot, not a measurement. The measured numbers — and every per-call

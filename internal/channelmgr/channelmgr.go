@@ -99,6 +99,9 @@ type Manager struct {
 	// tickets this manager sees repeatedly: the same User Ticket arrives
 	// on every SWITCH round for its whole lifetime, and an expiring
 	// Channel Ticket is presented twice per renewal (SWITCH1 + SWITCH2).
+	// chanVerifier also remembers every Channel Ticket this backend
+	// signed, so a renewal landing on its issuer verifies nothing twice;
+	// the cache is this backend's own, never shared across the farm.
 	userVerifier *ticket.Verifier
 	chanVerifier *ticket.Verifier
 
@@ -337,6 +340,7 @@ func (m *Manager) handleSwitch2(from simnet.Addr, req *wire.SwitchFinish) (*wire
 		ct = m.freshTicket(ut, channelID, from, now, grantEnd)
 	}
 	blob := ticket.SignChannel(ct, m.cfg.Keys)
+	m.chanVerifier.RememberChannel(blob, m.cfg.Keys.Public(), ct)
 
 	// Track the client as a (future) peer on the channel until its
 	// ticket lapses.

@@ -408,6 +408,62 @@ func TestRenewalHappyPath(t *testing.T) {
 	}
 }
 
+// TestRenewalForgedExpiringTicketRejected: the backend remembers the
+// tickets it signs so its own renewals skip a signature check — which
+// must not let anything but those exact bytes through. A bit-flipped copy
+// of the issued ticket and the same ticket re-signed by a rogue key are
+// refused as bad tickets at SWITCH1, before and after the genuine
+// renewal; the genuine one renews.
+func TestRenewalForgedExpiringTicketRejected(t *testing.T) {
+	f := newFixture(t, nil)
+	addr := geo.Addr(100, 1, 1)
+	cli := f.net.NewNode(addr)
+	kp, _ := cryptoutil.NewKeyPair(f.rng)
+	rogue, _ := cryptoutil.NewKeyPair(f.rng)
+	var codes []wire.Code
+	var serr error
+	f.sched.Go(func() {
+		ut := f.mintUserTicket(kp, 7, addr, time.Hour)
+		resp, err := doSwitch(cli, "cm.provider", kp, ut, "chA", nil)
+		if err != nil {
+			serr = err
+			return
+		}
+		issued, err := ticket.VerifyChannel(resp.ChannelTicket, f.cmKeys.Public())
+		if err != nil {
+			serr = err
+			return
+		}
+		flipped := append([]byte(nil), resp.ChannelTicket...)
+		flipped[len(flipped)/2] ^= 1
+		forged := ticket.SignChannel(issued, rogue)
+		f.sched.Sleep(5*time.Minute - 30*time.Second)
+		attempt := func(expiring []byte) {
+			_, err := doSwitch(cli, "cm.provider", kp, ut, "", expiring)
+			codes = append(codes, remoteCode(err))
+		}
+		attempt(flipped)
+		attempt(forged)
+		if _, serr = doSwitch(cli, "cm.provider", kp, ut, "", resp.ChannelTicket); serr != nil {
+			return
+		}
+		attempt(flipped)
+		attempt(forged)
+	})
+	f.sched.Run()
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	for i, c := range codes {
+		if c != wire.CodeBadTicket {
+			t.Fatalf("forged attempt %d: code = %v, want bad_ticket (all: %v)", i, c, codes)
+		}
+	}
+	if len(codes) != 4 || f.mgr.Stats().Renewals != 1 {
+		t.Fatalf("attempts = %v, stats = %+v; want 4 refusals and 1 renewal", codes, f.mgr.Stats())
+	}
+}
+
 func TestRenewalOutsideWindowRejected(t *testing.T) {
 	f := newFixture(t, nil)
 	addr := geo.Addr(100, 1, 1)

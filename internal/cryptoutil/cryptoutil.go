@@ -56,16 +56,18 @@ var (
 type KeyPair struct {
 	sign ed25519.PrivateKey
 	box  *ecdh.PrivateKey
+	// boxPub is box's public half, encoded once: every Open binds it
+	// into the KDF.
+	boxPub [32]byte
 }
 
 // PublicKey is the public half of a KeyPair.
 type PublicKey struct {
 	Verify ed25519.PublicKey
 	Box    []byte // X25519 public key bytes
-	// boxParsed caches the parsed form of Box so repeated Seal calls to
-	// the same recipient (e.g. every sealed-transport RPC to one server)
-	// skip re-parsing. Copies of the struct share the cache; it never
-	// affects Encode/Equal.
+	// boxParsed is the parsed form of Box when the key came from
+	// KeyPair.Public, so Seal skips re-parsing; a decoded key leaves it
+	// nil and Seal parses on use. It never affects Encode/Equal.
 	boxParsed *ecdh.PublicKey
 }
 
@@ -82,7 +84,9 @@ func NewKeyPair(rng io.Reader) (*KeyPair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("x25519 keygen: %w", err)
 	}
-	return &KeyPair{sign: sk, box: bk}, nil
+	k := &KeyPair{sign: sk, box: bk}
+	copy(k.boxPub[:], bk.PublicKey().Bytes())
+	return k, nil
 }
 
 // newX25519Key derives an X25519 private key by reading exactly 32 bytes
@@ -103,7 +107,7 @@ func (k *KeyPair) Public() PublicKey {
 	pub, _ := k.sign.Public().(ed25519.PublicKey)
 	return PublicKey{
 		Verify:    pub,
-		Box:       k.box.PublicKey().Bytes(),
+		Box:       append([]byte(nil), k.boxPub[:]...),
 		boxParsed: k.box.PublicKey(),
 	}
 }
@@ -130,19 +134,16 @@ func (p PublicKey) Encode() []byte {
 }
 
 // DecodePublicKey parses a PublicKeySize-byte encoding. The X25519 half
-// is parsed eagerly so every later Seal to this key reuses it.
+// stays as bytes: most decoded keys (every ticket's client key) are only
+// ever verified against, and Seal parses the few it is handed.
 func DecodePublicKey(b []byte) (PublicKey, error) {
 	if len(b) != PublicKeySize {
 		return PublicKey{}, ErrBadKey
 	}
-	pk := PublicKey{
+	return PublicKey{
 		Verify: ed25519.PublicKey(append([]byte(nil), b[:32]...)),
 		Box:    append([]byte(nil), b[32:]...),
-	}
-	if parsed, err := ecdh.X25519().NewPublicKey(pk.Box); err == nil {
-		pk.boxParsed = parsed
-	}
-	return pk, nil
+	}, nil
 }
 
 // Equal reports whether two public keys are identical.
@@ -174,21 +175,20 @@ func Seal(rng io.Reader, to PublicKey, plaintext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecdh: %w", err)
 	}
-	gcm := kdf(shared, eph.PublicKey().Bytes(), to.Box).aead()
-	nonce := make([]byte, gcm.NonceSize())
+	ephPub := eph.PublicKey().Bytes()
+	gcm := kdf(shared, ephPub, to.Box).aead()
+	out := make([]byte, 32+gcmNonceSize, 32+gcmNonceSize+len(plaintext)+gcmTagSize)
+	copy(out, ephPub)
+	nonce := out[32:]
 	if _, err := io.ReadFull(rng, nonce); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, 32+len(nonce)+len(plaintext)+gcm.Overhead())
-	out = append(out, eph.PublicKey().Bytes()...)
-	out = append(out, nonce...)
-	out = gcm.Seal(out, nonce, plaintext, nil)
-	return out, nil
+	return gcm.Seal(out, nonce, plaintext, nil), nil
 }
 
 // Open decrypts a Seal output addressed to k.
 func (k *KeyPair) Open(sealed []byte) ([]byte, error) {
-	if len(sealed) < 32+12 {
+	if len(sealed) < 32+gcmNonceSize {
 		return nil, ErrShortData
 	}
 	ephPub, err := ecdh.X25519().NewPublicKey(sealed[:32])
@@ -199,9 +199,8 @@ func (k *KeyPair) Open(sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	gcm := kdf(shared, sealed[:32], k.box.PublicKey().Bytes()).aead()
-	ns := gcm.NonceSize()
-	nonce, ct := sealed[32:32+ns], sealed[32+ns:]
+	gcm := kdf(shared, sealed[:32], k.boxPub[:]).aead()
+	nonce, ct := sealed[32:32+gcmNonceSize], sealed[32+gcmNonceSize:]
 	pt, err := gcm.Open(nil, nonce, ct, nil)
 	if err != nil {
 		return nil, ErrDecrypt
@@ -209,15 +208,53 @@ func (k *KeyPair) Open(sealed []byte) ([]byte, error) {
 	return pt, nil
 }
 
+// MACKey is an HMAC-SHA-256 key held as RFC 2104's two key blocks: the
+// key (hashed first if longer than SHA-256's 64-byte block) zero-padded
+// to a block, XOR 0x36 and XOR 0x5c. With the blocks precomputed a MAC is
+// two plain sha256.Sum256 calls — no keyed-hash object per message, which
+// is what crypto/hmac allocates (≈ 500 B) for one-shot use.
+type MACKey struct {
+	ipad, opad [sha256.BlockSize]byte
+}
+
+// NewMACKey prepares key for Sum.
+func NewMACKey(key []byte) MACKey {
+	var k MACKey
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	copy(k.ipad[:], key)
+	k.opad = k.ipad
+	for i := range k.ipad {
+		k.ipad[i] ^= 0x36
+		k.opad[i] ^= 0x5c
+	}
+	return k
+}
+
+// Sum returns HMAC-SHA-256(key, msg). The inner hash input is assembled
+// in a stack buffer that fits the messages this system MACs (the ECIES
+// KDF's 96 bytes, a manager's handshake token); a longer msg spills to
+// the heap and stays correct.
+func (k *MACKey) Sum(msg []byte) [sha256.Size]byte {
+	var stack [sha256.BlockSize + 256]byte
+	inner := sha256.Sum256(append(append(stack[:0], k.ipad[:]...), msg...))
+	var outer [sha256.BlockSize + sha256.Size]byte
+	copy(outer[:], k.opad[:])
+	copy(outer[sha256.BlockSize:], inner[:])
+	return sha256.Sum256(outer[:])
+}
+
+var kdfKey = NewMACKey([]byte("p2pdrm-ecies-v1"))
+
 // kdf derives an AES-128 key from the ECDH shared secret bound to both
-// public keys.
+// public keys: HMAC-SHA-256(label, shared || ephPub || rcptPub), truncated.
 func kdf(shared, ephPub, rcptPub []byte) SymKey {
-	mac := hmac.New(sha256.New, []byte("p2pdrm-ecies-v1"))
-	mac.Write(shared)
-	mac.Write(ephPub)
-	mac.Write(rcptPub)
+	var msg [3 * 32]byte // all three are 32 bytes: no allocation
+	sum := kdfKey.Sum(append(append(append(msg[:0], shared...), ephPub...), rcptPub...))
 	var k SymKey
-	copy(k[:], mac.Sum(nil)[:SymKeySize])
+	copy(k[:], sum[:])
 	return k
 }
 
@@ -235,6 +272,12 @@ func NewSymKey(rng io.Reader) (SymKey, error) {
 	}
 	return k, nil
 }
+
+// AES-GCM framing sizes (the standard nonce and tag of cipher.NewGCM).
+const (
+	gcmNonceSize = 12
+	gcmTagSize   = 16
+)
 
 // Seal encrypts plaintext under the key with AES-128-GCM, binding aad.
 // Output layout: nonce(12) || ciphertext.
@@ -261,39 +304,52 @@ func (k SymKey) aead() cipher.AEAD {
 	return gcm
 }
 
-// Sealer returns the cached-AEAD form of the key: the AES key schedule
-// and GCM tables are built once here and reused by every Seal/Open on
-// the returned SealKey. Session keys, content keys, and per-account shp
-// keys live for many operations, so holding a SealKey removes the
-// dominant per-operation setup cost.
+// Sealer returns the reusable form of the key. It stores the key only:
+// the AES key schedule and GCM tables (~1.3 kB) are built by the first
+// Seal, Open or SealAppend on the returned SealKey and reused by every
+// later one. Session keys, content keys and per-account shp keys live for
+// many operations, so holding a SealKey removes the dominant
+// per-operation set-up cost; a key that is held but never used — a
+// content key on a peer that receives no packets under it — costs its 16
+// bytes and nothing else.
 func (k SymKey) Sealer() *SealKey {
-	return &SealKey{key: k, aead: k.aead()}
+	return &SealKey{key: k}
 }
 
-// SealKey is a SymKey bundled with its AEAD, built once. It is safe for
-// concurrent use (cipher.AEAD is stateless across calls).
+// SealKey is a SymKey with its AEAD, built once on first use. It is safe
+// for concurrent use: the build is guarded by a sync.Once and cipher.AEAD
+// is stateless across calls.
 type SealKey struct {
 	key  SymKey
-	aead cipher.AEAD
+	once sync.Once
+	aead cipher.AEAD // set by once; read through gcm() only
 }
+
+// gcm returns the key's AEAD, building it on the first call.
+func (s *SealKey) gcm() cipher.AEAD {
+	s.once.Do(s.build)
+	return s.aead
+}
+
+func (s *SealKey) build() { s.aead = s.key.aead() }
 
 // Key returns the underlying symmetric key.
 func (s *SealKey) Key() SymKey { return s.key }
 
 // Seal is SymKey.Seal without the per-call AEAD construction.
 func (s *SealKey) Seal(rng io.Reader, plaintext, aad []byte) ([]byte, error) {
-	return sealAEAD(s.aead, rng, plaintext, aad)
+	return sealAEAD(s.gcm(), rng, plaintext, aad)
 }
 
 // Open is SymKey.Open without the per-call AEAD construction.
 func (s *SealKey) Open(sealed, aad []byte) ([]byte, error) {
-	return openAEAD(s.aead, sealed, aad)
+	return openAEAD(s.gcm(), sealed, aad)
 }
 
 // SealedLen reports the sealed size of an n-byte plaintext: nonce plus
 // ciphertext plus tag. Use it to size a SealAppend destination exactly.
 func (s *SealKey) SealedLen(n int) int {
-	return s.aead.NonceSize() + n + s.aead.Overhead()
+	return gcmNonceSize + n + gcmTagSize
 }
 
 // SealAppend seals plaintext and appends nonce||ciphertext||tag to dst,
@@ -305,34 +361,31 @@ func (s *SealKey) SealAppend(dst []byte, rng io.Reader, plaintext, aad []byte) (
 	if rng == nil {
 		rng = crand.Reader
 	}
-	ns := s.aead.NonceSize()
 	off := len(dst)
-	var zeros [16]byte
-	dst = append(dst, zeros[:ns]...)
-	if _, err := io.ReadFull(rng, dst[off:off+ns]); err != nil {
+	var zeros [gcmNonceSize]byte
+	dst = append(dst, zeros[:]...)
+	if _, err := io.ReadFull(rng, dst[off:off+gcmNonceSize]); err != nil {
 		return nil, err
 	}
-	return s.aead.Seal(dst, dst[off:off+ns], plaintext, aad), nil
+	return s.gcm().Seal(dst, dst[off:off+gcmNonceSize], plaintext, aad), nil
 }
 
 func sealAEAD(gcm cipher.AEAD, rng io.Reader, plaintext, aad []byte) ([]byte, error) {
 	if rng == nil {
 		rng = crand.Reader
 	}
-	ns := gcm.NonceSize()
-	out := make([]byte, ns, ns+len(plaintext)+gcm.Overhead())
-	if _, err := io.ReadFull(rng, out[:ns]); err != nil {
+	out := make([]byte, gcmNonceSize, gcmNonceSize+len(plaintext)+gcmTagSize)
+	if _, err := io.ReadFull(rng, out); err != nil {
 		return nil, err
 	}
-	return gcm.Seal(out, out[:ns], plaintext, aad), nil
+	return gcm.Seal(out, out[:gcmNonceSize], plaintext, aad), nil
 }
 
 func openAEAD(gcm cipher.AEAD, sealed, aad []byte) ([]byte, error) {
-	ns := gcm.NonceSize()
-	if len(sealed) < ns {
+	if len(sealed) < gcmNonceSize {
 		return nil, ErrShortData
 	}
-	pt, err := gcm.Open(nil, sealed[:ns], sealed[ns:], aad)
+	pt, err := gcm.Open(nil, sealed[:gcmNonceSize], sealed[gcmNonceSize:], aad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -405,8 +458,16 @@ func Checksum(image []byte, p ChecksumParams) [32]byte {
 	h := sha256.New()
 	h.Write(p.Salt[:])
 	if len(image) > 0 {
-		for i := uint32(0); i < p.Length; i++ {
-			h.Write([]byte{image[(int(p.Offset)+int(i))%len(image)]})
+		// The window as contiguous runs: from the offset to the end of
+		// the image, then whole images from the start.
+		off := int(uint64(p.Offset) % uint64(len(image)))
+		for left := int(p.Length); left > 0; off = 0 {
+			seg := image[off:]
+			if len(seg) > left {
+				seg = seg[:left]
+			}
+			h.Write(seg)
+			left -= len(seg)
 		}
 	}
 	var out [32]byte

@@ -105,8 +105,10 @@ func (s *Schedule) Rotate() (ContentKey, error) {
 // than the window are evicted, enforcing forward secrecy at the client:
 // a late joiner cannot decrypt packets from before its admission window.
 //
-// Each iteration is stored in cached-AEAD form: the AES/GCM setup is paid
-// once per rotation (at Add) instead of once per received packet.
+// Each iteration is stored as a cryptoutil.SealKey: Add keeps the 16 key
+// bytes, and the AES/GCM set-up is paid by the first packet opened under
+// that iteration, once — a peer that receives no content under a key
+// never builds its AEAD.
 type Ring struct {
 	mu     sync.Mutex
 	window int
@@ -217,7 +219,7 @@ func (r *Ring) Get(s Serial) (cryptoutil.SymKey, bool) {
 	return sk.Key(), true
 }
 
-// Sealer looks up the cached-AEAD form of the key for a packet serial.
+// Sealer looks up the reusable SealKey form of the key for a packet serial.
 func (r *Ring) Sealer(s Serial) (*cryptoutil.SealKey, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -275,15 +277,16 @@ var (
 )
 
 // PacketSealer seals packets under one key iteration with the AEAD built
-// once. The Channel Server holds one per produce-key and replaces it on
-// rotation, so per-packet cost is pure GCM.
+// once, by the first packet sealed. The Channel Server holds one per
+// produce-key and replaces it on rotation, so per-packet cost is pure GCM
+// and a rotation with no content costs no cipher set-up.
 type PacketSealer struct {
 	serial Serial
 	sealer *cryptoutil.SealKey
 	aadBuf []byte // SealAppend scratch: serial||aad without a per-call alloc
 }
 
-// NewPacketSealer caches the AEAD for the key iteration.
+// NewPacketSealer wraps the key iteration for sealing packets.
 func NewPacketSealer(k ContentKey) *PacketSealer {
 	return &PacketSealer{serial: k.Serial, sealer: k.Key.Sealer()}
 }

@@ -2,6 +2,7 @@ package keys
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"p2pdrm/internal/cryptoutil"
@@ -80,5 +81,40 @@ func TestPacketSealerSealAppendNoAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("SealAppend allocated %.1f times per call with pre-sized buffer", allocs)
+	}
+}
+
+// TestRingAddBuildsNoAEAD pins the lazy ring: storing an iteration costs
+// the key holder and (at most) its map slot — not the ~1.3 kB AES-GCM
+// set-up, which a peer that never receives a packet under that key must
+// never pay. The first packet still opens, and a packet sealed under
+// another key is still a hijack.
+func TestRingAddBuildsNoAEAD(t *testing.T) {
+	sched, _ := NewSchedule(testRNG())
+	ring := NewRing(4)
+	k := sched.Current()
+	allocs := testing.AllocsPerRun(200, func() {
+		ring.Add(k)
+		k, _ = sched.Rotate()
+	})
+	if allocs > 2 {
+		t.Fatalf("Ring.Add allocates %.1f objects per new key, want <= 2 (an AEAD was built?)", allocs)
+	}
+
+	cur := sched.Current()
+	ring.Add(cur)
+	aad := []byte("chan-1")
+	packet, err := NewPacketSealer(cur).Seal(testRNG(), []byte("frame"), aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt, err := OpenPacket(ring, packet, aad); err != nil || string(pt) != "frame" {
+		t.Fatalf("OpenPacket after Add = %q, %v", pt, err)
+	}
+	rogue := ContentKey{Serial: cur.Serial}
+	rogue.Key[0] = 0xEE
+	hijacked, _ := NewPacketSealer(rogue).Seal(testRNG(), []byte("frame"), aad)
+	if _, err := OpenPacket(ring, hijacked, aad); !errors.Is(err, ErrHijack) {
+		t.Fatalf("packet under a foreign key: err = %v, want ErrHijack", err)
 	}
 }

@@ -378,8 +378,28 @@ func decodeChannel(b []byte) (*Channel, []byte, error) {
 	return c, b, nil
 }
 
-// AppendChannels serializes a channel list (count-prefixed).
+// encodedLen is the exact size appendChannel writes for c.
+func (c *Channel) encodedLen() int {
+	n := 2 + len(c.ID) + 2 + len(c.Name) + c.Attrs.EncodedLen() + 2
+	for _, r := range c.Rules {
+		n += 4 + 1 + 2
+		for _, cond := range r.Conds {
+			n += 2 + len(cond.Name) + 2 + len(cond.Value)
+		}
+	}
+	return n + 2 + len(c.Partition) + 2 + len(c.MgrAddr) + 2 + len(c.MgrKey)
+}
+
+// AppendChannels serializes a channel list (count-prefixed). The output
+// is sized up front, so appending to a nil buf is one exact allocation.
 func AppendChannels(buf []byte, chs []*Channel) []byte {
+	n := 4
+	for _, c := range chs {
+		n += c.encodedLen()
+	}
+	if cap(buf)-len(buf) < n {
+		buf = append(make([]byte, 0, len(buf)+n), buf...)
+	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(chs)))
 	for _, c := range chs {
 		buf = appendChannel(buf, c)

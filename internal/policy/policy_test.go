@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -248,6 +249,19 @@ func TestChannelsEncodeDecode(t *testing.T) {
 	}
 	if len(dec) != 2 || dec[0].ID != "chA" || dec[1].ID != "chB" {
 		t.Fatalf("decoded %d channels: %+v", len(dec), dec)
+	}
+	// Sized up front: one exact allocation from nil, the same bytes after
+	// an existing prefix, none at all into room that is already there.
+	enc := AppendChannels(nil, chs)
+	if len(enc) != cap(enc) {
+		t.Fatalf("AppendChannels(nil): len %d, cap %d — encodedLen is off", len(enc), cap(enc))
+	}
+	if got := AppendChannels([]byte("hdr"), chs); string(got[:3]) != "hdr" || !bytes.Equal(got[3:], enc) {
+		t.Fatal("AppendChannels after a prefix differs")
+	}
+	room := make([]byte, 0, len(enc))
+	if n := testing.AllocsPerRun(20, func() { _ = AppendChannels(room, chs) }); n != 0 {
+		t.Fatalf("AppendChannels into sufficient capacity allocates %.0f objects", n)
 	}
 }
 

@@ -59,6 +59,11 @@ type Manager struct {
 
 	mu       sync.Mutex
 	channels map[string]*policy.Channel
+	// chanList is the encoded Channel List every fetch and push carries:
+	// identical for every caller, so it is encoded once per lineup. nil
+	// means stale — every mutation of channels, or of a channel's
+	// attributes or rules, drops it (see chanListLocked).
+	chanList []byte
 	// tombstones keeps utimes of attributes whose channels were removed,
 	// so the Channel Attribute List still signals the change (§IV-A).
 	tombstones map[policy.AttrKey]time.Time
@@ -102,6 +107,7 @@ func (m *Manager) AddChannel(ch *policy.Channel) error {
 	cp := ch.Clone()
 	cp.TouchAttrs(m.node.Scheduler().Now())
 	m.channels[cp.ID] = cp
+	m.chanList = nil
 	m.mu.Unlock()
 	m.push()
 	return nil
@@ -121,6 +127,7 @@ func (m *Manager) RemoveChannel(id string) error {
 		m.tombstones[policy.AttrKey{Name: a.Name, Value: a.Value}] = now
 	}
 	delete(m.channels, id)
+	m.chanList = nil
 	m.mu.Unlock()
 	m.push()
 	return nil
@@ -135,6 +142,7 @@ func (m *Manager) UpdateChannel(id string, mutate func(*policy.Channel) error) e
 		m.mu.Unlock()
 		return ErrNoChannel
 	}
+	m.chanList = nil // before mutate: a failing mutate may still have written
 	if err := mutate(ch); err != nil {
 		m.mu.Unlock()
 		return err
@@ -158,20 +166,35 @@ func (m *Manager) SetBlackout(id string, start, end time.Time) error {
 	})
 }
 
-// Channels returns the Channel List sorted by ID.
+// Channels returns a copy of the Channel List sorted by ID.
 func (m *Manager) Channels() []*policy.Channel {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.channelsLocked()
+	out := m.sortedLocked()
+	for i, c := range out {
+		out[i] = c.Clone()
+	}
+	return out
 }
 
-func (m *Manager) channelsLocked() []*policy.Channel {
+// sortedLocked returns the live channels sorted by ID.
+func (m *Manager) sortedLocked() []*policy.Channel {
 	out := make([]*policy.Channel, 0, len(m.channels))
 	for _, c := range m.channels {
-		out = append(out, c.Clone())
+		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// chanListLocked returns the encoded Channel List, encoding it if a
+// mutation dropped the last one. The result is shared: callers only copy
+// it into their own message.
+func (m *Manager) chanListLocked() []byte {
+	if m.chanList == nil {
+		m.chanList = policy.AppendChannels(nil, m.sortedLocked())
+	}
+	return m.chanList
 }
 
 // attrListLocked builds the Channel Attribute List, including
@@ -196,7 +219,7 @@ func (m *Manager) push() {
 	m.mu.Lock()
 	m.feedVersion++
 	v := m.feedVersion
-	chBlob := (&wire.Feed{Version: v, Body: policy.AppendChannels(nil, m.channelsLocked())}).Encode()
+	chBlob := (&wire.Feed{Version: v, Body: m.chanListLocked()}).Encode()
 	alBlob := (&wire.Feed{Version: v, Body: m.attrListLocked().Encode()}).Encode()
 	cms := append([]simnet.Addr(nil), m.cfg.ChannelMgrs...)
 	ums := append([]simnet.Addr(nil), m.cfg.UserMgrs...)
@@ -245,7 +268,7 @@ func (m *Manager) handleChanList(from simnet.Addr, req *wire.ChanListReq) (*wire
 		return nil, wire.Errf(wire.CodeAddrMismatch, "ticket/connection address mismatch")
 	}
 	m.mu.Lock()
-	blob := policy.AppendChannels(nil, m.channelsLocked())
+	blob := m.chanListLocked()
 	m.mu.Unlock()
 	return &wire.ChanListResp{Channels: blob}, nil
 }

@@ -1,6 +1,7 @@
 package policymgr
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -291,4 +292,63 @@ func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(net.NewNode("pm"), Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
+}
+
+// TestChanListCacheTracksMutations: the encoded Channel List is kept
+// between fetches, so every path that changes the lineup — or a channel's
+// attributes or rules — must drop it. After each one, what a fetch would
+// get equals a fresh encode of Channels(), and a second read is the kept
+// blob, not another encode.
+func TestChanListCacheTracksMutations(t *testing.T) {
+	f := newFixture(t)
+	served := func() []byte {
+		f.mgr.mu.Lock()
+		defer f.mgr.mu.Unlock()
+		return f.mgr.chanListLocked()
+	}
+	check := func(step string) {
+		t.Helper()
+		got := served()
+		if want := policy.AppendChannels(nil, f.mgr.Channels()); !bytes.Equal(got, want) {
+			t.Fatalf("after %s: served Channel List differs from a fresh encode", step)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("after %s: len %d != cap %d", step, len(got), cap(got))
+		}
+		if again := served(); &again[0] != &got[0] {
+			t.Fatalf("after %s: second read re-encoded the list", step)
+		}
+	}
+	check("New")
+	for _, id := range []string{"chB", "chA", "chC"} {
+		if err := f.mgr.AddChannel(ch(id)); err != nil {
+			t.Fatal(err)
+		}
+		check("AddChannel " + id)
+	}
+	if err := f.mgr.RemoveChannel("chA"); err != nil {
+		t.Fatal(err)
+	}
+	check("RemoveChannel")
+	if err := f.mgr.UpdateChannel("chB", func(c *policy.Channel) error {
+		c.Name = "renamed"
+		c.Rules[0].Priority = 7
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("UpdateChannel")
+	boom := errors.New("boom")
+	if err := f.mgr.UpdateChannel("chB", func(c *policy.Channel) error {
+		c.Name = "half-written"
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("failing mutate: err = %v", err)
+	}
+	check("UpdateChannel with a failing mutate")
+	if err := f.mgr.SetBlackout("chC", t0.Add(time.Hour), t0.Add(2*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	check("SetBlackout")
+	f.sched.Run()
 }

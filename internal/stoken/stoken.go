@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"time"
+
+	"p2pdrm/internal/cryptoutil"
 )
 
 // Token errors.
@@ -28,13 +30,13 @@ const macSize = sha256.Size
 
 // Sealer mints and verifies tokens under a shared secret.
 type Sealer struct {
-	secret []byte
+	key cryptoutil.MACKey
 }
 
 // New creates a Sealer. The secret must be shared by all farm members
 // behind one manager address.
 func New(secret []byte) *Sealer {
-	return &Sealer{secret: append([]byte(nil), secret...)}
+	return &Sealer{key: cryptoutil.NewMACKey(secret)}
 }
 
 // Seal wraps payload with an expiry and a MAC.
@@ -43,7 +45,8 @@ func (s *Sealer) Seal(payload []byte, expiry time.Time) []byte {
 	out := make([]byte, 0, 8+len(payload)+macSize)
 	out = binary.BigEndian.AppendUint64(out, uint64(expiry.UnixNano()))
 	out = append(out, payload...)
-	return append(out, s.mac(out)...)
+	mac := s.key.Sum(out)
+	return append(out, mac[:]...)
 }
 
 // Open verifies the MAC and expiry and returns the payload.
@@ -52,8 +55,8 @@ func (s *Sealer) Open(tok []byte, now time.Time) ([]byte, error) {
 		return nil, ErrBadToken
 	}
 	body := tok[:len(tok)-macSize]
-	mac := tok[len(tok)-macSize:]
-	if !hmac.Equal(mac, s.mac(body)) {
+	want := s.key.Sum(body)
+	if !hmac.Equal(tok[len(tok)-macSize:], want[:]) {
 		return nil, ErrBadToken
 	}
 	expiry := time.Unix(0, int64(binary.BigEndian.Uint64(body))).UTC()
@@ -61,10 +64,4 @@ func (s *Sealer) Open(tok []byte, now time.Time) ([]byte, error) {
 		return nil, ErrExpired
 	}
 	return append([]byte(nil), body[8:]...), nil
-}
-
-func (s *Sealer) mac(body []byte) []byte {
-	h := hmac.New(sha256.New, s.secret)
-	h.Write(body)
-	return h.Sum(nil)
 }

@@ -93,3 +93,16 @@ func (v *Verifier) VerifyChannel(b []byte, mgr cryptoutil.PublicKey) (*ChannelTi
 	v.channel.Add(k, t)
 	return t, nil
 }
+
+// RememberChannel records a Channel Ticket the caller has itself just
+// issued: b is SignChannel's output for t under the key pair whose
+// public half is mgr. A signer has no need to check its own signature,
+// so when the client presents b back to the backend that issued it (the
+// renewal's ExpiringTicket) VerifyChannel hits. Same key, same LRU bound
+// as a verified entry; t is shared with later hits, so the caller must
+// not modify it afterwards. Only an issuing path may call this — it is
+// the one place where "these bytes are validly signed by mgr" is known
+// without checking.
+func (v *Verifier) RememberChannel(b []byte, mgr cryptoutil.PublicKey, t *ChannelTicket) {
+	v.channel.Add(cacheKey(b, mgr), t)
+}

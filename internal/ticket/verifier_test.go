@@ -1,6 +1,7 @@
 package ticket
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -164,6 +165,67 @@ func TestVerifierEviction(t *testing.T) {
 	}
 	if got := v.Misses(); got != 32 {
 		t.Fatalf("misses = %d, want 32 distinct verifications", got)
+	}
+}
+
+// TestRememberChannelServesTheIssuerOnly: a ticket the signer recorded at
+// issue hits when the very same bytes come back under the signer's key —
+// equal, field for field, to what a full verification parses — and
+// nothing else rides on the entry: a mutated blob, the same blob under
+// another key and the same ticket signed by another key all take the full
+// path and fail; the LRU bound holds for remembered entries too.
+func TestRememberChannelServesTheIssuerOnly(t *testing.T) {
+	rng := cryptoutil.NewSeededReader(13)
+	mgr, _ := cryptoutil.NewKeyPair(rng)
+	other, _ := cryptoutil.NewKeyPair(rng)
+	client, _ := cryptoutil.NewKeyPair(rng)
+	ct := &ChannelTicket{
+		UserIN: 1, ChannelID: "ch", NetAddr: "r1.as1.h1",
+		ClientKey: client.Public(), Start: tStart, Expiry: tEnd, Renewal: true,
+	}
+	blob := SignChannel(ct, mgr)
+	v := NewVerifier(4)
+	v.RememberChannel(blob, mgr.Public(), ct)
+
+	got, err := v.VerifyChannel(blob, mgr.Public())
+	if err != nil || v.Hits() != 1 || v.Misses() != 0 {
+		t.Fatalf("own ticket: err = %v, hits = %d, misses = %d; want a hit", err, v.Hits(), v.Misses())
+	}
+	want, err := VerifyChannel(blob, mgr.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.encodeBody(), want.encodeBody()) || !got.ClientKey.Equal(want.ClientKey) ||
+		!got.Start.Equal(want.Start) || !got.Expiry.Equal(want.Expiry) {
+		t.Fatalf("remembered ticket = %+v, full verification parses %+v", got, want)
+	}
+
+	for pos := 0; pos < len(blob); pos++ {
+		mut := append([]byte(nil), blob...)
+		mut[pos] ^= 0x01
+		if _, err := v.VerifyChannel(mut, mgr.Public()); err == nil {
+			t.Fatalf("bit flip at %d verified through a remembered entry", pos)
+		}
+	}
+	if _, err := v.VerifyChannel(blob, other.Public()); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("remembered blob under another signer key: err = %v, want ErrBadSignature", err)
+	}
+	if _, err := v.VerifyChannel(SignChannel(ct, other), mgr.Public()); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("same ticket signed by another key: err = %v, want ErrBadSignature", err)
+	}
+	if v.Hits() != 1 || v.Misses() != 0 {
+		t.Fatalf("failures moved the counters: hits = %d, misses = %d", v.Hits(), v.Misses())
+	}
+
+	// Four more issues push the first out of a 4-entry cache: it then
+	// verifies in full, once.
+	for i := 2; i <= 5; i++ {
+		next := *ct
+		next.UserIN = uint64(i)
+		v.RememberChannel(SignChannel(&next, mgr), mgr.Public(), &next)
+	}
+	if _, err := v.VerifyChannel(blob, mgr.Public()); err != nil || v.Misses() != 1 {
+		t.Fatalf("evicted own ticket: err = %v, misses = %d; want one full verification", err, v.Misses())
 	}
 }
 

@@ -175,7 +175,7 @@ func readErrorFrame(d *Dec) *ServiceError {
 
 // Encode serializes the error as a standalone frame.
 func (e *ServiceError) Encode() []byte {
-	en := newEnc(8 + len(e.Msg))
+	en := newEnc(2 + strLen(e.Msg))
 	appendErrorFrame(en, e)
 	return en.Bytes()
 }

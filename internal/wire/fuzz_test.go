@@ -56,3 +56,30 @@ func FuzzDecodeOverlayAndMgmt(f *testing.F) {
 		_, _ = DecodeFeed(b)
 	})
 }
+
+// FuzzDecodeStr: Str reads straight from the input, and must stay what it
+// was — string(Blob()) — on every input: same value, same sticky error
+// (ErrTooLarge for the 1 MiB length bomb, ErrTruncated for a short body),
+// same bytes left over.
+func FuzzDecodeStr(f *testing.F) {
+	fuzzSeeds(f)
+	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c', 'd'})
+	f.Add([]byte{0, 0x10, 0, 1, 'x'})                            // maxField+1: too large
+	f.Add([]byte{0, 0x10, 0, 0, 'x'})                            // maxField with 1 byte: truncated
+	f.Add(append([]byte{0, 0x10, 0, 0}, make([]byte, 1<<20)...)) // maxField, all there
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ds, db := NewDec(b), NewDec(b)
+		for i := 0; i < 3; i++ { // second and third read exercise the sticky error
+			s, blob := ds.Str(), db.Blob()
+			if s != string(blob) {
+				t.Fatalf("read %d: Str = %q, string(Blob()) = %q", i, s, blob)
+			}
+			if ds.Err() != db.Err() {
+				t.Fatalf("read %d: Str err = %v, Blob err = %v", i, ds.Err(), db.Err())
+			}
+			if len(ds.b) != len(db.b) {
+				t.Fatalf("read %d: Str left %d bytes, Blob left %d", i, len(ds.b), len(db.b))
+			}
+		}
+	})
+}

@@ -55,7 +55,7 @@ type Login1Req struct {
 
 // Encode serializes the message.
 func (m *Login1Req) Encode() []byte {
-	e := newEnc(128)
+	e := newEnc(strLen(m.Email) + blobLen(m.ClientKey) + 4)
 	e.Str(m.Email)
 	e.Blob(m.ClientKey)
 	e.U32(m.Version)
@@ -80,7 +80,7 @@ type Login1Resp struct {
 
 // Encode serializes the message.
 func (m *Login1Resp) Encode() []byte {
-	e := newEnc(128)
+	e := newEnc(blobLen(m.Sealed) + blobLen(m.Token))
 	e.Blob(m.Sealed)
 	e.Blob(m.Token)
 	return e.Bytes()
@@ -106,7 +106,8 @@ type Login2Req struct {
 
 // Encode serializes the message.
 func (m *Login2Req) Encode() []byte {
-	e := newEnc(256)
+	e := newEnc(strLen(m.Email) + blobLen(m.Token) + blobLen(m.Nonce) +
+		blobLen(m.Checksum) + blobLen(m.Sig))
 	e.Str(m.Email)
 	e.Blob(m.Token)
 	e.Blob(m.Nonce)
@@ -135,7 +136,7 @@ type Login2Resp struct {
 
 // Encode serializes the message.
 func (m *Login2Resp) Encode() []byte {
-	e := newEnc(512)
+	e := newEnc(blobLen(m.UserTicket) + 8 + 4)
 	e.Blob(m.UserTicket)
 	e.Time(m.ServerTime)
 	e.U32(m.MinVersion)
@@ -161,7 +162,7 @@ type SwitchReq struct {
 
 // Encode serializes the message.
 func (m *SwitchReq) Encode() []byte {
-	e := newEnc(512)
+	e := newEnc(blobLen(m.UserTicket) + strLen(m.ChannelID) + blobLen(m.ExpiringTicket))
 	e.Blob(m.UserTicket)
 	e.Str(m.ChannelID)
 	e.Blob(m.ExpiringTicket)
@@ -184,7 +185,7 @@ type SwitchChallenge struct {
 
 // Encode serializes the message.
 func (m *SwitchChallenge) Encode() []byte {
-	e := newEnc(128)
+	e := newEnc(blobLen(m.Nonce) + blobLen(m.Token))
 	e.Blob(m.Nonce)
 	e.Blob(m.Token)
 	return e.Bytes()
@@ -210,7 +211,8 @@ type SwitchFinish struct {
 
 // Encode serializes the message.
 func (m *SwitchFinish) Encode() []byte {
-	e := newEnc(512)
+	e := newEnc(blobLen(m.UserTicket) + strLen(m.ChannelID) + blobLen(m.ExpiringTicket) +
+		blobLen(m.Token) + blobLen(m.Nonce) + blobLen(m.Sig))
 	e.Blob(m.UserTicket)
 	e.Str(m.ChannelID)
 	e.Blob(m.ExpiringTicket)
@@ -239,7 +241,7 @@ type SwitchResp struct {
 
 // Encode serializes the message.
 func (m *SwitchResp) Encode() []byte {
-	e := newEnc(512)
+	e := newEnc(blobLen(m.ChannelTicket) + strSliceLen(m.Peers))
 	e.Blob(m.ChannelTicket)
 	e.strSlice(m.Peers)
 	return e.Bytes()
@@ -268,7 +270,7 @@ type JoinReq struct {
 
 // Encode serializes the message.
 func (m *JoinReq) Encode() []byte {
-	e := newEnc(256)
+	e := newEnc(blobLen(m.ChannelTicket) + blobLen(m.Substreams) + 2)
 	e.Blob(m.ChannelTicket)
 	e.Blob(m.Substreams)
 	e.u16(m.Capacity)
@@ -298,7 +300,7 @@ type JoinResp struct {
 
 // Encode serializes the message.
 func (m *JoinResp) Encode() []byte {
-	e := newEnc(512)
+	e := newEnc(1 + strLen(m.Reason) + blobLen(m.SealedSession) + blobSliceLen(m.SealedKeys) + 2)
 	e.Bool(m.Accept)
 	e.Str(m.Reason)
 	e.Blob(m.SealedSession)
@@ -330,7 +332,7 @@ type SeekReq struct {
 
 // Encode serializes the message.
 func (m *SeekReq) Encode() []byte {
-	e := newEnc(256)
+	e := newEnc(blobLen(m.ChannelTicket) + 8 + 4)
 	e.Blob(m.ChannelTicket)
 	e.u64(m.FromSeq)
 	e.U32(m.MaxFrames)
@@ -358,7 +360,7 @@ type HistoryFrame struct {
 
 // Encode serializes the frame.
 func (f *HistoryFrame) Encode() []byte {
-	e := newEnc(64 + len(f.Packet))
+	e := newEnc(1 + 8 + 1 + blobLen(f.Packet))
 	e.u8(f.Substream)
 	e.u64(f.Seq)
 	e.Bool(f.Clear)
@@ -389,7 +391,7 @@ type SeekResp struct {
 
 // Encode serializes the message.
 func (m *SeekResp) Encode() []byte {
-	e := newEnc(512)
+	e := newEnc(1 + strLen(m.Reason) + 2 + 8 + 8 + blobSliceLen(m.Frames))
 	e.Bool(m.Accept)
 	e.Str(m.Reason)
 	e.u16(uint16(m.Code))
@@ -418,7 +420,7 @@ type KeyPush struct {
 
 // Encode serializes the message.
 func (m *KeyPush) Encode() []byte {
-	e := newEnc(128)
+	e := newEnc(KeyPushHeaderLen(m.ChannelID) + len(m.SealedKey))
 	e.Str(m.ChannelID)
 	e.Blob(m.SealedKey)
 	return e.Bytes()
@@ -466,7 +468,7 @@ func (m *ContentPush) EncodedLen() int {
 // buffer is retained by the network until delivery, so fan-out paths
 // must not over-allocate or pool it.
 func (m *ContentPush) Encode() []byte {
-	e := Enc{b: make([]byte, 0, m.EncodedLen())}
+	e := newEnc(m.EncodedLen())
 	e.Str(m.ChannelID)
 	e.u8(m.Substream)
 	e.u64(m.Seq)
@@ -515,7 +517,7 @@ type RenewalPresent struct {
 
 // Encode serializes the message.
 func (m *RenewalPresent) Encode() []byte {
-	e := newEnc(256)
+	e := newEnc(blobLen(m.ChannelTicket))
 	e.Blob(m.ChannelTicket)
 	return e.Bytes()
 }
@@ -534,7 +536,7 @@ type LeaveNotice struct {
 
 // Encode serializes the message.
 func (m *LeaveNotice) Encode() []byte {
-	e := newEnc(32)
+	e := newEnc(strLen(m.ChannelID))
 	e.Str(m.ChannelID)
 	return e.Bytes()
 }
@@ -556,7 +558,7 @@ type ChanListReq struct {
 
 // Encode serializes the message.
 func (m *ChanListReq) Encode() []byte {
-	e := newEnc(512)
+	e := newEnc(blobLen(m.UserTicket) + strSliceLen(m.StaleNames))
 	e.Blob(m.UserTicket)
 	e.strSlice(m.StaleNames)
 	return e.Bytes()
@@ -577,7 +579,7 @@ type ChanListResp struct {
 
 // Encode serializes the message.
 func (m *ChanListResp) Encode() []byte {
-	e := newEnc(1024)
+	e := newEnc(blobLen(m.Channels))
 	e.Blob(m.Channels)
 	return e.Bytes()
 }
@@ -597,7 +599,7 @@ type RedirectReq struct {
 
 // Encode serializes the message.
 func (m *RedirectReq) Encode() []byte {
-	e := newEnc(64)
+	e := newEnc(strLen(m.Email))
 	e.Str(m.Email)
 	return e.Bytes()
 }
@@ -625,7 +627,8 @@ type RedirectResp struct {
 
 // Encode serializes the message.
 func (m *RedirectResp) Encode() []byte {
-	e := newEnc(256)
+	e := newEnc(strLen(m.UserMgr) + blobLen(m.UserMgrKey) + strLen(m.PolicyMgr) +
+		blobLen(m.PolicyMgrKey) + 8)
 	e.Str(m.UserMgr)
 	e.Blob(m.UserMgrKey)
 	e.Str(m.PolicyMgr)
@@ -655,7 +658,7 @@ type Feed struct {
 
 // Encode serializes the message.
 func (m *Feed) Encode() []byte {
-	e := newEnc(16 + len(m.Body))
+	e := newEnc(8 + blobLen(m.Body))
 	e.u64(m.Version)
 	e.Blob(m.Body)
 	return e.Bytes()
@@ -677,7 +680,7 @@ type LicenseReq struct {
 
 // Encode serializes the message.
 func (m *LicenseReq) Encode() []byte {
-	e := newEnc(64)
+	e := newEnc(8 + strLen(m.FileID))
 	e.u64(m.UserIN)
 	e.Str(m.FileID)
 	return e.Bytes()
@@ -698,7 +701,7 @@ type LicenseResp struct {
 
 // Encode serializes the message.
 func (m *LicenseResp) Encode() []byte {
-	e := newEnc(64)
+	e := newEnc(1 + blobLen(m.Key))
 	e.Bool(m.Granted)
 	e.Blob(m.Key)
 	return e.Bytes()

@@ -34,8 +34,33 @@ type Enc struct {
 	b []byte
 }
 
-// newEnc creates an encoder with some preallocated room.
+// newEnc creates an encoder with capacity bytes of room. Every message's
+// Encode passes the exact size of its output, computed from its fields
+// (fixed-width fields are their width; see blobLen and friends), so the
+// returned buffer is one allocation with len == cap: it is retained by
+// the network until delivery, and a guess either wastes the slack for
+// that long or pays append-growth on the way.
 func newEnc(capacity int) *Enc { return &Enc{b: make([]byte, 0, capacity)} }
+
+// Encoded sizes of the variable-length field kinds.
+func blobLen(p []byte) int { return 4 + len(p) }
+func strLen(s string) int  { return 4 + len(s) }
+
+func strSliceLen(ss []string) int {
+	n := 4
+	for _, s := range ss {
+		n += strLen(s)
+	}
+	return n
+}
+
+func blobSliceLen(bs [][]byte) int {
+	n := 4
+	for _, b := range bs {
+		n += blobLen(b)
+	}
+	return n
+}
 
 // encPool recycles encoders whose output does not escape the call site
 // (handshake tokens, transport envelopes: the bytes are copied by a
@@ -234,8 +259,9 @@ func (d *Dec) Time() time.Time {
 	return time.Unix(0, int64(v)).UTC()
 }
 
-// Blob reads a length-prefixed byte field (copied).
-func (d *Dec) Blob() []byte {
+// field consumes a length-prefixed byte field and returns it as a view
+// into the input.
+func (d *Dec) field() []byte {
 	n := d.U32()
 	if d.err != nil {
 		return nil
@@ -248,14 +274,20 @@ func (d *Dec) Blob() []byte {
 		d.fail()
 		return nil
 	}
-	out := append([]byte(nil), d.b[:n]...)
+	out := d.b[:n]
 	d.b = d.b[n:]
 	return out
 }
 
-// Str reads a length-prefixed string.
+// Blob reads a length-prefixed byte field. The result is a copy: decoded
+// messages outlive the receive buffer and callers may mutate either.
+func (d *Dec) Blob() []byte {
+	return append([]byte(nil), d.field()...)
+}
+
+// Str reads a length-prefixed string (one copy, straight from the input).
 func (d *Dec) Str() string {
-	return string(d.Blob())
+	return string(d.field())
 }
 
 // strSlice reads a count-prefixed string list.
