@@ -1,6 +1,7 @@
 package chserver
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -80,7 +81,8 @@ func (f *fixture) joinViewer(t *testing.T, host int, onPacket func(uint64, []byt
 func TestViewerReceivesDecryptablePackets(t *testing.T) {
 	f := newFixture(t, nil)
 	var frames [][]byte
-	f.joinViewer(t, 1, func(_ uint64, p []byte) { frames = append(frames, p) })
+	// The payload is only valid during the callback: keep a copy.
+	f.joinViewer(t, 1, func(_ uint64, p []byte) { frames = append(frames, bytes.Clone(p)) })
 	f.srv.Start()
 	f.sched.RunUntil(t0.Add(10 * time.Second))
 	f.srv.Stop()
@@ -147,7 +149,7 @@ func TestForwardSecrecyForLateJoiner(t *testing.T) {
 func TestUnencryptedChannel(t *testing.T) {
 	f := newFixture(t, func(c *Config) { c.NoEncrypt = true })
 	var frames [][]byte
-	f.joinViewer(t, 1, func(_ uint64, p []byte) { frames = append(frames, p) })
+	f.joinViewer(t, 1, func(_ uint64, p []byte) { frames = append(frames, bytes.Clone(p)) })
 	f.srv.Start()
 	f.sched.RunUntil(t0.Add(5 * time.Second))
 	f.srv.Stop()

@@ -293,7 +293,7 @@ func (k SymKey) Seal(rng io.Reader, plaintext, aad []byte) ([]byte, error) {
 //
 // Like Seal, this rebuilds the AEAD per call; see Sealer.
 func (k SymKey) Open(sealed, aad []byte) ([]byte, error) {
-	return openAEAD(k.aead(), sealed, aad)
+	return openAEAD(nil, k.aead(), sealed, aad)
 }
 
 // aead builds the AES-128-GCM AEAD for the key. Neither constructor can
@@ -343,7 +343,15 @@ func (s *SealKey) Seal(rng io.Reader, plaintext, aad []byte) ([]byte, error) {
 
 // Open is SymKey.Open without the per-call AEAD construction.
 func (s *SealKey) Open(sealed, aad []byte) ([]byte, error) {
-	return openAEAD(s.gcm(), sealed, aad)
+	return s.OpenAppend(nil, sealed, aad)
+}
+
+// OpenAppend is Open appending the plaintext to dst: with len(sealed)
+// spare capacity in dst the open performs no allocation, so a receiver
+// can decrypt every packet into one reused buffer. On failure it returns
+// nil and dst's contents past len(dst) are unspecified.
+func (s *SealKey) OpenAppend(dst, sealed, aad []byte) ([]byte, error) {
+	return openAEAD(dst, s.gcm(), sealed, aad)
 }
 
 // SealedLen reports the sealed size of an n-byte plaintext: nonce plus
@@ -381,11 +389,11 @@ func sealAEAD(gcm cipher.AEAD, rng io.Reader, plaintext, aad []byte) ([]byte, er
 	return gcm.Seal(out, out[:gcmNonceSize], plaintext, aad), nil
 }
 
-func openAEAD(gcm cipher.AEAD, sealed, aad []byte) ([]byte, error) {
+func openAEAD(dst []byte, gcm cipher.AEAD, sealed, aad []byte) ([]byte, error) {
 	if len(sealed) < gcmNonceSize {
 		return nil, ErrShortData
 	}
-	pt, err := gcm.Open(nil, sealed[:gcmNonceSize], sealed[gcmNonceSize:], aad)
+	pt, err := gcm.Open(dst, sealed[:gcmNonceSize], sealed[gcmNonceSize:], aad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

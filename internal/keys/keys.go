@@ -336,6 +336,14 @@ func (ps *PacketSealer) SealAppend(dst []byte, rng io.Reader, payload, aad []byt
 // ring. The per-serial AEAD is cached inside the ring, so repeated
 // packets under one iteration skip the cipher setup.
 func OpenPacket(r *Ring, packet, aad []byte) ([]byte, error) {
+	return OpenPacketAppend(nil, r, packet, aad)
+}
+
+// OpenPacketAppend is OpenPacket appending the plaintext to dst. Given
+// len(packet) spare capacity in dst its only allocation is the
+// serial||aad binding (which escapes through cipher.AEAD), so the
+// playback path decrypts every frame into one reused buffer.
+func OpenPacketAppend(dst []byte, r *Ring, packet, aad []byte) ([]byte, error) {
 	if len(packet) < 1 {
 		return nil, cryptoutil.ErrShortData
 	}
@@ -344,7 +352,7 @@ func OpenPacket(r *Ring, packet, aad []byte) ([]byte, error) {
 	if !ok {
 		return nil, ErrUnknownSerial
 	}
-	pt, err := key.Open(packet[1:], packetAAD(serial, aad))
+	pt, err := key.OpenAppend(dst, packet[1:], packetAAD(serial, aad))
 	if err != nil {
 		return nil, ErrHijack
 	}

@@ -84,6 +84,51 @@ func TestPacketSealerSealAppendNoAlloc(t *testing.T) {
 	}
 }
 
+// TestOpenPacketAppendAllocatesOnly pins the playback open: into a dst
+// with room for the plaintext, OpenPacketAppend allocates only the
+// serial||aad binding (packetAAD, which escapes through cipher.AEAD) —
+// no plaintext — and returns the bytes in dst's array. OpenPacket is the
+// same function with dst == nil, and a packet under a foreign key is
+// still a hijack.
+func TestOpenPacketAppendAllocatesOnly(t *testing.T) {
+	sched, _ := NewSchedule(testRNG())
+	k := sched.Current()
+	ring := NewRing(4)
+	ring.Add(k)
+	aad := []byte("chan-7")
+	payload := bytes.Repeat([]byte{0x3C}, 1024)
+	packet, err := NewPacketSealer(k).Seal(testRNG(), payload, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, len(packet))
+	pt, err := OpenPacketAppend(dst, ring, packet, aad) // also builds the AEAD
+	if err != nil || !bytes.Equal(pt, payload) {
+		t.Fatalf("OpenPacketAppend = %d bytes, %v", len(pt), err)
+	}
+	if &pt[0] != &dst[:1][0] {
+		t.Fatal("OpenPacketAppend did not open into dst")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := OpenPacketAppend(dst, ring, packet, aad); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("OpenPacketAppend allocates %.1f objects with a sized dst, want only packetAAD's 1", allocs)
+	}
+	if viaNil, err := OpenPacket(ring, packet, aad); err != nil || !bytes.Equal(viaNil, payload) {
+		t.Fatalf("OpenPacket = %d bytes, %v", len(viaNil), err)
+	}
+
+	rogue := ContentKey{Serial: k.Serial}
+	rogue.Key[0] = 0xEE
+	hijacked, _ := NewPacketSealer(rogue).Seal(testRNG(), payload, aad)
+	if out, err := OpenPacketAppend(dst, ring, hijacked, aad); !errors.Is(err, ErrHijack) || out != nil {
+		t.Fatalf("packet under a foreign key: %d bytes, err = %v, want nil, ErrHijack", len(out), err)
+	}
+}
+
 // TestRingAddBuildsNoAEAD pins the lazy ring: storing an iteration costs
 // the key holder and (at most) its map slot — not the ~1.3 kB AES-GCM
 // set-up, which a peer that never receives a packet under that key must

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -223,7 +224,8 @@ func TestContentFlowsAndDecryptsAtLeaf(t *testing.T) {
 	f := newFixture(t)
 	var got [][]byte
 	root, _, leaf := buildChain(t, f, func(c *Config) {
-		c.OnPacket = func(_ uint64, payload []byte) { got = append(got, payload) }
+		// payload is only valid during the callback: keep a copy.
+		c.OnPacket = func(_ uint64, payload []byte) { got = append(got, bytes.Clone(payload)) }
 	})
 	sched, _ := keys.NewSchedule(f.rng)
 	ck := sched.Current()
@@ -233,7 +235,7 @@ func TestContentFlowsAndDecryptsAtLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.relayPacket(0, 1, pkt, false)
+	root.relayFrame(0, 1, pkt, false, nil)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if len(got) != 1 || string(got[0]) != "frame-1" {
 		t.Fatalf("leaf delivered %q", got)
@@ -251,8 +253,8 @@ func TestDuplicateKeysAndPacketsDiscarded(t *testing.T) {
 	root.InjectKey(ck)
 	root.InjectKey(ck) // duplicate injection
 	pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte("x"), []byte("chA"))
-	root.relayPacket(0, 5, pkt, false)
-	root.relayPacket(0, 5, pkt, false)
+	root.relayFrame(0, 5, pkt, false, nil)
+	root.relayFrame(0, 5, pkt, false, nil)
 	f.sched.RunUntil(t0.Add(time.Minute))
 	st := mid.Stats()
 	if st.KeysReceived != 1 {
@@ -370,7 +372,7 @@ func TestHijackedContentDetected(t *testing.T) {
 	f.sched.RunUntil(t0.Add(time.Minute))
 	pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte("legit"), []byte("chA"))
 	pkt[len(pkt)-1] ^= 1 // rogue content masquerading as legitimate
-	root.relayPacket(0, 9, pkt, false)
+	root.relayFrame(0, 9, pkt, false, nil)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if hijacks != 1 {
 		t.Fatalf("hijacks = %d, want 1", hijacks)
@@ -411,9 +413,9 @@ func TestMultiParentSubstreamSplit(t *testing.T) {
 		pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte{byte(seq)}, []byte("chA"))
 		// Both roots carry the full stream; each child only gets its
 		// subscribed substreams.
-		rootA.relayPacket(sub, seq, pkt, false)
+		rootA.relayFrame(sub, seq, pkt, false, nil)
 		pkt2, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte{byte(seq)}, []byte("chA"))
-		rootB.relayPacket(sub, seq, pkt2, false)
+		rootB.relayFrame(sub, seq, pkt2, false, nil)
 	}
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if len(seqs) != 8 {

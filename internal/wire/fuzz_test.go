@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // Fuzz targets: every decoder must be total — no panics, no hangs — on
 // arbitrary byte strings, because they parse data straight off the
@@ -40,11 +43,27 @@ func FuzzDecodeSwitchAndJoin(f *testing.F) {
 	})
 }
 
+// FuzzDecodeOverlayAndMgmt also pins the canonical ContentPush decode the
+// relay's forward-as-received path rests on: whatever DecodeContentPush
+// accepts is exactly Encode() of the result, and Frame is the input.
 func FuzzDecodeOverlayAndMgmt(f *testing.F) {
 	fuzzSeeds(f)
+	clearFrame := (&ContentPush{ChannelID: "ch", Substream: 2, Seq: 1 << 40, Clear: true, Packet: []byte("frame")}).Encode()
+	f.Add(clearFrame)
+	badBool := bytes.Clone(clearFrame)
+	badBool[ContentPushHeaderLen("ch")-5] = 2 // Clear byte: only 0/1 is canonical
+	f.Add(badBool)
+	f.Add(append(bytes.Clone(clearFrame), 0)) // trailing byte
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = DecodeKeyPush(b)
-		_, _ = DecodeContentPush(b)
+		if m, err := DecodeContentPush(b); err == nil {
+			if enc := m.Encode(); !bytes.Equal(enc, b) {
+				t.Fatalf("DecodeContentPush accepted a non-canonical frame:\n in  %x\n out %x", b, enc)
+			}
+			if !bytes.Equal(m.Frame, b) {
+				t.Fatalf("Frame = %x, want the accepted input %x", m.Frame, b)
+			}
+		}
 		_, _ = DecodeRenewalPresent(b)
 		_, _ = DecodeLeaveNotice(b)
 		_, _ = DecodeChanListReq(b)

@@ -457,6 +457,11 @@ type ContentPush struct {
 	Seq       uint64
 	Clear     bool
 	Packet    []byte
+	// Frame is the exact input DecodeContentPush accepted (nil on a
+	// message built locally). The decoder is canonical, so Frame is
+	// byte-for-byte Encode() of the decoded fields and a relay can
+	// forward it as-is. Encode ignores it.
+	Frame []byte
 }
 
 // EncodedLen is the exact Encode output size.
@@ -502,10 +507,14 @@ func AppendContentPushHeader(dst []byte, channelID string, substream uint8, seq 
 	return binary.BigEndian.AppendUint32(dst, uint32(packetLen))
 }
 
-// DecodeContentPush parses a ContentPush.
-func DecodeContentPush(b []byte) (*ContentPush, error) {
+// DecodeContentPush parses a ContentPush without copying: Packet and
+// Frame are views into b, which the network hands over immutable (see
+// simnet.Node.Send). The decode is canonical — every field is
+// length-prefixed, Bool accepts only 0/1 and Finish rejects trailing
+// bytes — so an accepted b is exactly Encode() of the result.
+func DecodeContentPush(b []byte) (ContentPush, error) {
 	d := NewDec(b)
-	m := &ContentPush{ChannelID: d.Str(), Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.Blob()}
+	m := ContentPush{ChannelID: d.Str(), Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.field(), Frame: b}
 	return m, d.Finish()
 }
 

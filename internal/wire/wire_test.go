@@ -190,9 +190,14 @@ func TestOverlayMessagesRoundTrip(t *testing.T) {
 		t.Fatalf("KeyPush: %v", err)
 	}
 	c := &ContentPush{ChannelID: "chA", Substream: 3, Seq: 77, Packet: []byte("pkt")}
-	gc, err := DecodeContentPush(c.Encode())
+	cb := c.Encode()
+	gc, err := DecodeContentPush(cb)
 	if err != nil || gc.Substream != 3 || gc.Seq != 77 || !bytes.Equal(gc.Packet, []byte("pkt")) {
 		t.Fatalf("ContentPush: %v %+v", err, gc)
+	}
+	// Zero-copy: Frame is the input itself and Packet its tail.
+	if &gc.Frame[0] != &cb[0] || len(gc.Frame) != len(cb) || &gc.Packet[0] != &cb[len(cb)-len("pkt")] {
+		t.Fatal("ContentPush decode copied the frame or the packet")
 	}
 	rn := &RenewalPresent{ChannelTicket: []byte("ct2")}
 	grn, err := DecodeRenewalPresent(rn.Encode())
@@ -269,11 +274,13 @@ func TestDecodersRejectTruncation(t *testing.T) {
 func TestContentPushProperty(t *testing.T) {
 	f := func(ch string, sub uint8, seq uint64, pkt []byte) bool {
 		m := &ContentPush{ChannelID: ch, Substream: sub, Seq: seq, Packet: pkt}
-		g, err := DecodeContentPush(m.Encode())
+		enc := m.Encode()
+		g, err := DecodeContentPush(enc)
 		if err != nil {
 			return false
 		}
-		return g.ChannelID == ch && g.Substream == sub && g.Seq == seq && bytes.Equal(g.Packet, pkt)
+		return g.ChannelID == ch && g.Substream == sub && g.Seq == seq && bytes.Equal(g.Packet, pkt) &&
+			bytes.Equal(g.Frame, enc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
