@@ -24,9 +24,11 @@ test:
 # any cross-lane access. The run-token tests
 # ride the same line: the baton-passing loop switches goroutines in a
 # different pattern when a woken goroutine finds an idle P to start on.
+# So does the queue's differential reference, whose 2-lane runs unlink
+# and recycle events on concurrent lanes.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder' ./internal/sim ./internal/simnet ./internal/exp
+	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference' ./internal/sim ./internal/simnet ./internal/exp
 
 # Coverage over every package, with a per-function summary. Writes
 # cover.out (ignored by git) for `go tool cover -html=cover.out`.
@@ -49,11 +51,12 @@ cover:
 # ring and SealKey (keys, cryptoutil), exact-size encoders (wire), the
 # zero-garbage MAC and directory sample (stoken, channelmgr), and the
 # zero-copy data plane (p2p relays, keys playback, simnet send
-# envelopes). A package listed here in which the pattern selects nothing
-# fails the target — a renamed or deleted budget must not pass by
-# vanishing.
+# envelopes), and exact event recycling (sim's LaneRearmAllocBudget, exp's
+# MegaPopAllocBudget: per-renewal churn and per-virtual-viewer heap). A
+# package listed here in which the pattern selects nothing fails the
+# target — a renamed or deleted budget must not pass by vanishing.
 ALLOC_TESTS = AllocBudget|RetainedHeapBudget|BuildsNoAEAD|SealKeyLazy|ExactSize|AllocatesOnly
-ALLOC_PKGS = core keys cryptoutil wire stoken channelmgr p2p simnet
+ALLOC_PKGS = core keys cryptoutil wire stoken channelmgr p2p simnet sim exp
 allocs:
 	@for pkg in $(ALLOC_PKGS); do \
 		$(GO) test -list '$(ALLOC_TESTS)' ./internal/$$pkg | grep -q '^Test' || { echo "allocs: no budget test selected in internal/$$pkg"; exit 1; }; \

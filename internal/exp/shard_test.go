@@ -2,8 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -146,7 +150,7 @@ func TestShardPopRenewAllocatesNoClosure(t *testing.T) {
 	start := time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC)
 	eng := sim.NewSharded(start, 1, 1, megaLookahead)
 	pops := newShardPops(eng, 512, 1, time.Minute)
-	now := start.Add(10 * time.Minute) // warm the event pool past the first purge
+	now := start.Add(10 * time.Minute) // warm the event freelist
 	eng.Run(now)
 	before, _, _ := popTotals(pops)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -157,5 +161,105 @@ func TestShardPopRenewAllocatesNoClosure(t *testing.T) {
 	perRenewal := allocs * 6 / float64(after-before) // AllocsPerRun makes one warm-up call
 	if perRenewal >= 0.5 {
 		t.Errorf("%.2f allocations per renewal, want ~0 (a closure per timer would be ≥ 2)", perRenewal)
+	}
+}
+
+// memProbe is the metrics writer TestMegaPopAllocBudget streams into.
+// The sampler flushes one CSV row per simulated minute from the control
+// phase, while the lanes wait between epochs, so each Write sees the
+// population at rest. It records the heap still live after a full GC,
+// less the live heap before the run, and the process's running
+// allocation count, and keeps the rows.
+type memProbe struct {
+	csv           bytes.Buffer
+	base          uint64
+	heap, mallocs []uint64
+}
+
+func newMemProbe() *memProbe {
+	m := &memProbe{heap: make([]uint64, 0, 32), mallocs: make([]uint64, 0, 32)}
+	m.csv.Grow(1 << 16)
+	m.base, _ = liveHeap()
+	return m
+}
+
+// liveHeap collects garbage and reports the heap still in use and the
+// process's running allocation count.
+func liveHeap() (heap, mallocs uint64) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc, ms.Mallocs
+}
+
+func (m *memProbe) Write(p []byte) (int, error) {
+	heap, mallocs := liveHeap()
+	m.heap = append(m.heap, heap-m.base)
+	m.mallocs = append(m.mallocs, mallocs)
+	return m.csv.Write(p)
+}
+
+// renewals returns the mega.renewals column, one value per Write.
+func (m *memProbe) renewals(t *testing.T) []float64 {
+	recs, err := csv.NewReader(&m.csv).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(recs[0], "mega.renewals")
+	if col < 0 || len(recs)-1 != len(m.mallocs) {
+		t.Fatalf("streamed %d rows in %d writes, renewals column %d", len(recs)-1, len(m.mallocs), col)
+	}
+	out := make([]float64, len(recs)-1)
+	for i, rec := range recs[1:] {
+		if out[i], err = strconv.ParseFloat(rec[col], 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestMegaPopAllocBudget pins what a virtual viewer costs once the
+// population is in steady state: at most 0.02 allocations per renewal and
+// 320 B of retained heap per viewer. The quick mega_timers scenario
+// (8 real viewers) runs at 20 000 and at 10 000 viewers, and the two are
+// subtracted row by row: the real overlay cancels, leaving the extra
+// 10 000 viewers. It runs on one lane, which the engine runs in place:
+// with two, every epoch starts two goroutines, and the sparser population
+// runs a few fewer epochs. The first 6 rows are warm-up, since the
+// population grows to two timers per viewer over its first 5-minute
+// renewal period.
+func TestMegaPopAllocBudget(t *testing.T) {
+	run := func(viewers int) (*memProbe, []float64) {
+		probe := newMemProbe()
+		_, err := RunMegaScale(MegaConfig{Seed: 1, Viewers: viewers, RealViewers: 8,
+			Duration: 12 * time.Minute, MetricsCSV: probe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return probe, probe.renewals(t)
+	}
+	const big, small, warm = 20000, 10000, 6
+	bp, br := run(big)
+	sp, sr := run(small)
+	if len(bp.mallocs) != len(sp.mallocs) || len(bp.mallocs) <= warm+1 {
+		t.Fatalf("%d and %d rows; want the same number, more than %d", len(bp.mallocs), len(sp.mallocs), warm+1)
+	}
+	last := len(bp.mallocs) - 1
+	allocs := float64(bp.mallocs[last]-bp.mallocs[warm]) - float64(sp.mallocs[last]-sp.mallocs[warm])
+	renewals := (br[last] - br[warm]) - (sr[last] - sr[warm])
+	retained := 0.0
+	for i := warm; i <= last; i++ {
+		retained = max(retained, (float64(bp.heap[i])-float64(sp.heap[i]))/(big-small))
+	}
+	t.Logf("%.0f allocations over %.0f renewals (%.4f each); %.0f B retained per viewer",
+		allocs, renewals, allocs/renewals, retained)
+	if renewals < 5000 {
+		t.Fatalf("only %.0f renewals in the measured window", renewals)
+	}
+	if per := allocs / renewals; per > 0.02 {
+		t.Errorf("%.3f allocations per renewal after warm-up, want <= 0.02", per)
+	}
+	if retained > 320 {
+		t.Errorf("%.0f B of heap retained per virtual viewer, want <= 320", retained)
 	}
 }

@@ -38,7 +38,8 @@ func sm64Seed(seed int64, global int) uint64 {
 // striped over lanes by global index; all state here is lane-owned,
 // counters are read by control-phase samplers (commutative sums at epoch
 // boundaries). Per-viewer state is three flat slices — no per-viewer
-// structs; each viewer's index is boxed once at construction.
+// structs. A timer's argument is a pointer into ids, which an interface
+// holds without boxing, so arming a timer allocates nothing.
 type shardPop struct {
 	lane       *sim.Shard
 	renewEvery time.Duration
@@ -50,7 +51,7 @@ type shardPop struct {
 
 	rng   []uint64         // per-viewer SplitMix64 state
 	evict []sim.ShardTimer // pending eviction sentinel per viewer
-	args  []any            // preallocated boxed lane-local indices
+	ids   []int            // ids[i] == i: the lane-local index a timer points at
 
 	// renew and evicted bound once: writing p.renew at a call site
 	// allocates a fresh method value per timer.
@@ -81,19 +82,19 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery time.Duration)
 			evictAfter: 2*renewEvery + renewEvery/2,
 			rng:        make([]uint64, size),
 			evict:      make([]sim.ShardTimer, size),
-			args:       make([]any, size),
+			ids:        make([]int, size),
 		}
 		p.renewFn, p.evictedFn = p.renew, p.evicted
 		for i := 0; i < size; i++ {
 			p.rng[i] = sm64Seed(seed, s+i*shards)
-			p.args[i] = i
+			p.ids[i] = i
 		}
 		pops[s] = p
 	}
 	for _, p := range pops {
-		for i := range p.args {
+		for i := range p.ids {
 			phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-			p.lane.AfterArg(phase, p.renewFn, p.args[i])
+			p.lane.AfterArg(phase, p.renewFn, &p.ids[i])
 		}
 	}
 	return pops
@@ -102,27 +103,29 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery time.Duration)
 // renew is one viewer's license renewal: cancel the previous eviction
 // sentinel, maybe churn, re-arm both timers.
 func (p *shardPop) renew(arg any) {
-	i := arg.(int)
+	id := arg.(*int)
+	i := *id
 	p.evict[i].Stop()
 	if sm64Float(&p.rng[i]) < popChurnFrac {
 		// Silent departure: no renewal is scheduled, so the sentinel
 		// fires at the deadline and admits a replacement.
 		p.churned++
-		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, p.args[i])
+		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, id)
 		return
 	}
 	p.renewals++
-	p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, p.args[i])
-	p.lane.AfterArg(p.renewEvery, p.renewFn, p.args[i])
+	p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, id)
+	p.lane.AfterArg(p.renewEvery, p.renewFn, id)
 }
 
 // evicted fires only for churned viewers (renewals always cancel it
 // first); the slot's replacement joins with a fresh phase.
 func (p *shardPop) evicted(arg any) {
-	i := arg.(int)
+	id := arg.(*int)
+	i := *id
 	p.evictions++
 	phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-	p.lane.AfterArg(phase, p.renewFn, p.args[i])
+	p.lane.AfterArg(phase, p.renewFn, id)
 }
 
 // popTotals sums the commutative counters across lanes (control-phase

@@ -5,21 +5,25 @@ import "math"
 // equeue is the event storage shared by the serial Scheduler and the
 // worker shards of the Sharded engine: a binary heap for the due-now
 // band and long-horizon overflow, fronted by the hierarchical timer
-// wheel for everything in between, plus the event freelist and the
-// dead-event (cancelled timer) accounting.
+// wheel for everything in between, plus the event slabs and freelist and
+// the heap's dead-event (cancelled timer) accounting.
 //
-// equeue itself is not synchronized. The Scheduler guards its queue
-// with s.mu; a Shard's queue is touched only by the shard's worker
-// inside an epoch and by the engine goroutine between epochs (the
-// Pending and earliest-work reads), which the worker phase's WaitGroup
-// orders.
+// equeue itself is not synchronized, and each queue owns its storage: no
+// event ever moves between queues. The Scheduler guards its queue with
+// s.mu; a Shard's queue is touched only by the shard's worker inside an
+// epoch and by the engine goroutine between epochs (the Pending and
+// earliest-work reads), which the worker phase's WaitGroup orders.
 type equeue struct {
 	events []heapEnt // binary heap: due-now band + long-horizon overflow
 	wheel  wheel     // hierarchical timer wheel: near/mid-future events
-	free   []*event  // event freelist (bounded)
+	slab   []event   // uncarved rest of the current allocation chunk
+	free   []*event  // every released event, uncapped
 	dead   int       // cancelled events still occupying the heap
 	seq    uint64
 }
+
+// eventSlab is how many events one allocation carves.
+const eventSlab = 256
 
 func (q *equeue) init(curKey int64) {
 	q.wheel.init(curKey)
@@ -29,10 +33,13 @@ func (q *equeue) newEvent(key int64) *event {
 	var ev *event
 	if n := len(q.free); n > 0 {
 		ev = q.free[n-1]
-		q.free[n-1] = nil
 		q.free = q.free[:n-1]
 	} else {
-		ev = &event{}
+		if len(q.slab) == 0 {
+			q.slab = make([]event, eventSlab)
+		}
+		ev = &q.slab[0]
+		q.slab = q.slab[1:]
 	}
 	ev.key = key
 	ev.seq = q.seq
@@ -40,17 +47,15 @@ func (q *equeue) newEvent(key int64) *event {
 	return ev
 }
 
-// release recycles a fired or purged event. Bumping gen invalidates any
-// Timer still pointing at it.
+// release recycles a fired or cancelled event onto the freelist, which
+// has no cap: a queue's storage stays at its peak population and steady
+// state allocates nothing. Bumping gen invalidates any Timer still
+// pointing at it.
 func (q *equeue) release(ev *event) {
 	ev.gen++
 	ev.fn, ev.fnA, ev.arg, ev.p, ev.w = nil, nil, nil, nil, nil
 	ev.dead = false
-	ev.inWheel = false
-	ev.wnext = nil
-	if len(q.free) < maxFree {
-		q.free = append(q.free, ev)
-	}
+	q.free = append(q.free, ev)
 }
 
 // schedule files a new event at key into the wheel or, failing that
@@ -63,44 +68,19 @@ func (q *equeue) schedule(key int64) *event {
 	return ev
 }
 
-// kill marks a live event dead and triggers compaction when dead events
-// dominate. The floor counts dead events across BOTH tiers — a workload
-// that cancels wheel-resident timers must reclaim memory even while a
-// large live heap population (or vice versa) keeps the global dead
-// fraction low, so once past the floor each tier compacts on its own
-// dead majority, and a global dead majority sweeps both. The slot is
-// reclaimed either here (bulk purge), when a pop skips it (heap), or at
-// band drain (wheel).
+// kill cancels a live event. A wheel resident is unlinked from its slot
+// chain and recycled at once. A heap resident is marked dead in place and
+// reclaimed when a pop skips it, or by a compaction once dead entries
+// pass purgeFloor and form the heap's majority.
 func (q *equeue) kill(ev *event) {
+	if ev.inWheel {
+		q.wheel.unlink(ev)
+		q.release(ev)
+		return
+	}
 	ev.dead = true
-	if ev.inWheel {
-		q.wheel.dead++
-	} else {
-		q.dead++
-	}
-	totalDead := q.dead + q.wheel.dead
-	if totalDead < purgeFloor {
-		return
-	}
-	if totalDead*2 >= len(q.events)+q.wheel.count {
-		q.purge()
-		return
-	}
-	if ev.inWheel {
-		if q.wheel.dead*2 >= q.wheel.count {
-			q.purgeWheel()
-		}
-	} else if q.dead*2 >= len(q.events) {
-		q.purgeHeap()
-	}
-}
-
-// purge compacts both tiers, dropping every dead event.
-func (q *equeue) purge() {
-	if q.wheel.dead > 0 {
-		q.purgeWheel()
-	}
-	if q.dead > 0 {
+	q.dead++
+	if q.dead >= purgeFloor && q.dead*2 >= len(q.events) {
 		q.purgeHeap()
 	}
 }
@@ -129,17 +109,17 @@ func (q *equeue) purgeHeap() {
 
 // pending reports the number of live scheduled events in O(1).
 func (q *equeue) pending() int {
-	return len(q.events) - q.dead + q.wheel.count - q.wheel.dead
+	return len(q.events) - q.dead + q.wheel.count
 }
 
 // noLimit disables popThrough's deadline check.
 const noLimit = int64(math.MaxInt64)
 
 // earliestBound returns a lower bound on the key of the next live event
-// (noLimit when the queue holds none). The wheel contributes its
-// earliest occupied band's start, not the exact key, so the bound may
-// undershoot — never overshoot — which is the conservative direction
-// for epoch scheduling.
+// (noLimit when the queue holds none). The wheel holds only live events
+// and contributes its earliest occupied band's start, not the exact key;
+// the heap top may be a dead event. So the bound may undershoot — never
+// overshoot — which is the conservative direction for epoch scheduling.
 func (q *equeue) earliestBound() int64 {
 	bound := noLimit
 	if len(q.events) > 0 {

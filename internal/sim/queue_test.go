@@ -5,19 +5,11 @@ import (
 	"time"
 )
 
-// residentLocked reports how many events (live + dead) currently occupy
-// queue storage across both tiers.
-func residentLocked(s *Scheduler) int {
-	return len(s.q.events) + s.q.wheel.count
-}
-
-// TestCancelledWheelTimersBounded pins the cross-tier dead-event purge:
-// mass-cancelling wheel-resident timers must reclaim their slots even
-// while the heap holds a large live population that keeps the global
-// dead fraction low. Before the purge accounting counted both tiers,
-// only each tier's own majority triggered compaction, so this exact
-// split — dead concentrated in the wheel, live concentrated in the
-// heap — is the case a regression would break first.
+// TestCancelledWheelTimersBounded pins exact wheel cancellation:
+// mass-cancelling wheel-resident timers beside a large live heap
+// population leaves no residue at all. Each Stop unlinks its event from
+// the slot chain and recycles it, so the wheel's count stays equal to its
+// live events (here none) instead of waiting for a band drain or a purge.
 func TestCancelledWheelTimersBounded(t *testing.T) {
 	s := New(t0, 1)
 
@@ -41,16 +33,18 @@ func TestCancelledWheelTimersBounded(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	resident := residentLocked(s)
-	wheelDead := s.q.wheel.dead
+	count, err := s.q.wheel.count, checkWheel(&s.q)
+	heapLen, free := len(s.q.events), len(s.q.free)
 	s.mu.Unlock()
 
-	// Dead events may linger up to one purge trigger's worth past the
-	// live population; anything near churn means cancelled wheel timers
-	// are not being reclaimed.
-	if bound := liveHeap + 2*purgeFloor + 16; resident > bound {
-		t.Fatalf("queue holds %d events (%d wheel-dead) after %d cancelled wheel timers; want <= %d",
-			resident, wheelDead, churn, bound)
+	if count != 0 || err != nil {
+		t.Fatalf("wheel holds %d events after %d cancelled timers (%v); want 0", count, churn, err)
+	}
+	if heapLen != liveHeap {
+		t.Fatalf("heap holds %d events; want the %d live ones", heapLen, liveHeap)
+	}
+	if free != 1 {
+		t.Fatalf("freelist holds %d events; every cancel must recycle the one event the next schedule reuses", free)
 	}
 	if got := s.Pending(); got != liveHeap {
 		t.Fatalf("Pending() = %d; want %d (cancelled wheel timers must not count)", got, liveHeap)
@@ -59,9 +53,8 @@ func TestCancelledWheelTimersBounded(t *testing.T) {
 
 // TestCancelledTimersSplitAcrossTiers drives cancellation churn through
 // both tiers at once — sub-tick delays land in the heap, minute-scale
-// delays in the wheel — and checks the combined floor: neither tier's
-// dead count alone may reach the old per-tier purge floor while the
-// total keeps growing.
+// delays in the wheel. The wheel keeps no residue; the heap's tombstones
+// stay under its floor-plus-majority compaction bound.
 func TestCancelledTimersSplitAcrossTiers(t *testing.T) {
 	s := New(t0, 2)
 	const rounds = 30000
@@ -75,12 +68,15 @@ func TestCancelledTimersSplitAcrossTiers(t *testing.T) {
 		tm.Stop()
 	}
 	s.mu.Lock()
-	resident := residentLocked(s)
-	heapDead, wheelDead := s.q.dead, s.q.wheel.dead
+	count, err := s.q.wheel.count, checkWheel(&s.q)
+	heapLen, heapDead := len(s.q.events), s.q.dead
 	s.mu.Unlock()
-	if bound := 2*purgeFloor + 16; resident > bound {
-		t.Fatalf("queue holds %d events (heap dead %d, wheel dead %d) after %d split cancels; want <= %d",
-			resident, heapDead, wheelDead, rounds, bound)
+	if count != 0 || err != nil {
+		t.Fatalf("wheel holds %d events after %d split cancels (%v); want 0", count, rounds, err)
+	}
+	if bound := 2*purgeFloor + 16; heapLen > bound {
+		t.Fatalf("heap holds %d events (%d dead) after %d split cancels; want <= %d",
+			heapLen, heapDead, rounds, bound)
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after cancelling everything; want 0", got)
@@ -94,5 +90,52 @@ func TestCancelledTimersSplitAcrossTiers(t *testing.T) {
 	s.RunUntil(t0.Add(2 * time.Hour))
 	if fired != 64 {
 		t.Fatalf("fired %d of 64 live timers after purge churn", fired)
+	}
+}
+
+// TestStoppedWheelTimersLeaveLaneIdle pins what exact cancellation buys
+// the sharded engine: a lane holding only stopped wheel timers reports no
+// work at all, and a lane with one live timer behind many stopped ones
+// bounds the next epoch by the live one alone.
+func TestStoppedWheelTimersLeaveLaneIdle(t *testing.T) {
+	nop := func(any) {}
+	eng := NewSharded(t0, 1, 1, 10*time.Millisecond)
+	lane := eng.Shard(0)
+	delays := []time.Duration{2 * time.Millisecond, 3 * time.Second, 10 * time.Minute, 5 * time.Hour}
+	var stopped []ShardTimer
+	for i := 0; i < 400; i++ {
+		stopped = append(stopped, lane.AfterArg(delays[i%len(delays)]+time.Duration(i)*time.Millisecond, nop, nil))
+	}
+	for _, tm := range stopped {
+		tm.Stop()
+	}
+	if b := lane.q.earliestBound(); b != noLimit {
+		t.Fatalf("earliestBound() = %d with only stopped wheel timers; want noLimit", b)
+	}
+	if p := lane.q.pending(); p != 0 {
+		t.Fatalf("pending() = %d with only stopped wheel timers; want 0", p)
+	}
+
+	// Read the bound while the doomed timers are live, so the wheel caches
+	// the earliest of their bands; emptying that slot must drop the cache.
+	live := 20 * time.Hour
+	lane.AfterArg(live, nop, nil)
+	stopped = stopped[:0]
+	for i := 0; i < 400; i++ {
+		stopped = append(stopped, lane.AfterArg(delays[i%len(delays)]+time.Duration(i)*time.Millisecond, nop, nil))
+	}
+	if b := lane.q.earliestBound(); b >= t0.Add(live).UnixNano() {
+		t.Fatalf("earliestBound() = %d before the stops; want an earlier band", b)
+	}
+	for _, tm := range stopped {
+		tm.Stop()
+	}
+	liveKey := t0.Add(live).UnixNano()
+	band := liveKey &^ (int64(1)<<wheelGeometry[2].lowBit - 1)
+	if b := lane.q.earliestBound(); b != band {
+		t.Fatalf("earliestBound() = %d; want the live timer's band start %d", b, band)
+	}
+	if p := eng.Pending(); p != 1 {
+		t.Fatalf("Pending() = %d; want 1", p)
 	}
 }

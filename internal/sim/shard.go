@@ -127,9 +127,11 @@ func (e *Sharded) Run(until time.Time) {
 }
 
 // earliestWork lower-bounds the key of the next live event anywhere.
-// Lanes whose queues hold only dead (cancelled) events are ignored —
-// they have nothing to execute, and counting their tombstones would
-// stall the epoch cursor on keys no run phase will ever consume.
+// A cancelled wheel timer leaves its slot at once, so it never bounds
+// an epoch; a lane whose heap holds only tombstones is skipped — it has
+// nothing to execute, and counting them would stall the epoch cursor on
+// keys no run phase will ever consume. Epoch boundaries thus follow
+// live events only.
 func (e *Sharded) earliestWork() (int64, bool) {
 	bound, ok := e.ctrl.earliestKey()
 	if !ok {

@@ -265,6 +265,57 @@ func TestShardedTimerStop(t *testing.T) {
 	}
 }
 
+// TestLaneRearmAllocBudget pins exact event recycling on a lane: in
+// steady state an entity's renewal — fire, stop its eviction sentinel,
+// re-arm the sentinel and the next renewal — allocates nothing. The fired
+// event and the stopped sentinel both return to the lane's freelist at
+// once, and the two new events come from it. The sentinel (2.5 renewal
+// periods, the megascale ratio) sits on wheel level 1, where a cancelled
+// event used to wait for its band to drain, and a band holds more of them
+// than a fixed freelist cap would keep.
+func TestLaneRearmAllocBudget(t *testing.T) {
+	const (
+		entities = 20000
+		every    = 5 * time.Second
+	)
+	eng := NewSharded(t0, 1, 1, 500*time.Millisecond)
+	lane := eng.Shard(0)
+	sentinels := make([]ShardTimer, entities)
+	ids := make([]int, entities)
+	cycles := 0
+	lapse := func(any) { t.Error("a sentinel fired: a renewal failed to stop it") }
+	var renew func(any)
+	renew = func(arg any) {
+		i := *arg.(*int)
+		cycles++
+		sentinels[i].Stop()
+		sentinels[i] = lane.AfterArg(every*5/2, lapse, arg)
+		lane.AfterArg(every, renew, arg)
+	}
+	for i := range ids {
+		ids[i] = i
+		lane.AfterArg(time.Duration(i)*every/entities, renew, &ids[i])
+	}
+	now := t0.Add(time.Minute)
+	eng.Run(now)
+	// Count a whole batch in one run: AllocsPerRun truncates its per-run
+	// average, which would hide an event lost every few cycles.
+	batch := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		before := cycles
+		now = now.Add(every)
+		eng.Run(now)
+		batch = cycles - before
+	})
+	if batch != entities {
+		t.Fatalf("a simulated minute ran %d renewals, want %d", batch, entities)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d steady-state renewals allocated %.0f objects (%.3f per renewal), want 0",
+			batch, allocs, allocs/float64(batch))
+	}
+}
+
 // TestShardedStress is the -race workhorse: many lanes, dense timers,
 // cancellations, per-lane counters summed by a control-phase reader.
 func TestShardedStress(t *testing.T) {

@@ -132,28 +132,29 @@ func putParker(p *parker) { parkerPool.Put(p) }
 // event is a scheduled occurrence. Exactly one of fn, fnA, p, w is set:
 // a plain callback, a callback with its argument (saves the closure on
 // hot RPC paths), a sleeping goroutine due the run token, or a Waiter
-// whose timeout this is. Events are pooled: gen distinguishes a live
-// event from a recycled one so a stale Timer cannot cancel its slot's
-// next tenant.
+// whose timeout this is. Events are carved from slabs and recycled
+// exactly: gen distinguishes a live event from a recycled one so a stale
+// Timer cannot cancel its slot's next tenant. The struct is 96 bytes, a
+// malloc size class; the wheel's level and slot fit in the padding.
 type event struct {
-	key     int64 // due instant as UnixNano: the only time representation
-	seq     uint64
-	fn      func()
-	fnA     func(any)
-	arg     any
-	p       *parker
-	w       *Waiter
-	dead    bool
-	inWheel bool   // resident in a wheel slot rather than the heap
-	wnext   *event // intrusive wheel-slot chain link
-	gen     uint64
+	key          int64 // due instant as UnixNano: the only time representation
+	seq          uint64
+	fn           func()
+	fnA          func(any)
+	arg          any
+	p            *parker
+	w            *Waiter
+	wnext, wprev *event // intrusive doubly linked wheel-slot chain
+	gen          uint64
+	dead         bool  // cancelled while resident in the heap
+	inWheel      bool  // resident in a wheel slot rather than the heap
+	wlevel       uint8 // the wheel level and slot holding it, when inWheel
+	wslot        uint16
 }
 
-// maxFree bounds the event freelist; beyond it events fall back to GC.
-const maxFree = 4096
-
-// purgeFloor is the minimum number of dead events before a compaction is
-// considered (small heaps clean themselves up through popLocked).
+// purgeFloor is the minimum number of dead heap events before a
+// compaction is considered (small heaps clean themselves up through
+// popThrough).
 const purgeFloor = 256
 
 // Timer handles a pending event so it can be cancelled. The zero Timer

@@ -14,9 +14,11 @@ import "math/bits"
 // comes due, at which point the band's survivors drain into the binary
 // heap, which then holds a single ~1ms band instead of the whole future.
 //
-// Slot chains are intrusive (event.wnext), so filing an event is two
-// pointer writes with no slice growth or backing-array allocation, and
-// cascading a band is a relink, not a copy.
+// Slot chains are intrusive and doubly linked (event.wnext/wprev), so
+// filing an event is a few pointer writes with no slice growth or
+// backing-array allocation, cascading a band is a relink, not a copy,
+// and cancelling unlinks the event and recycles it at once. Chains hold
+// only live events: there is no dead-event count and no wheel purge.
 //
 // Levels are powers of two over the event key (UnixNano), kept wide so
 // an event cascades at most twice before it reaches the heap:
@@ -60,7 +62,7 @@ const wheelHorizonBit = 52
 type wlevel struct {
 	lowBit uint
 	mask   int
-	slots  []*event // heads of intrusive wnext chains
+	slots  []*event // heads of intrusive wnext/wprev chains
 	occ    []uint64
 	sum    uint64
 }
@@ -87,17 +89,15 @@ func (l *wlevel) firstSlot() int {
 	return w<<6 + bits.TrailingZeros64(l.occ[w])
 }
 
-// wheel is the slot storage. Slot chains hold live and dead (cancelled)
-// events; dead ones are reclaimed at drain or by the bulk purge.
+// wheel is the slot storage.
 type wheel struct {
 	cur    int64 // cursor key: all wheel events have key > cur
-	count  int   // events resident in slots (live + dead)
-	dead   int   // cancelled events resident in slots
+	count  int   // events resident in slots, every one live
 	levels [wheelLevels]wlevel
 
 	// Cached earliest band, so a pop after an insert-heavy stretch does
 	// not rescan the bitmaps: inserts lower the cache monotonically,
-	// drains and purges invalidate it.
+	// drains and emptied slots invalidate it.
 	nextValid bool
 	nextOK    bool
 	nextBand  int64
@@ -147,11 +147,15 @@ func (w *wheel) insert(ev *event) bool {
 	}
 	l := &w.levels[level]
 	slot := int(uint64(ev.key)>>l.lowBit) & l.mask
-	ev.wnext = l.slots[slot]
+	head := l.slots[slot]
+	if head != nil {
+		head.wprev = ev
+	}
+	ev.wnext = head
 	l.slots[slot] = ev
 	l.mark(slot)
 	w.count++
-	ev.inWheel = true
+	ev.inWheel, ev.wlevel, ev.wslot = true, uint8(level), uint16(slot)
 	if w.nextValid {
 		band := ev.key &^ (int64(1)<<l.lowBit - 1)
 		if !w.nextOK || band < w.nextBand {
@@ -188,76 +192,47 @@ func (w *wheel) earliest() (bandStart int64, level, slot int, ok bool) {
 	return bandStart, level, slot, ok
 }
 
-// takeSlot detaches a slot's chain and clears its occupancy bit.
-// Callers must fix w.count as they consume the chain.
-func (w *wheel) takeSlot(level, slot int) *event {
-	l := &w.levels[level]
-	head := l.slots[slot]
-	l.slots[slot] = nil
-	l.clear(slot)
-	w.nextValid = false
-	return head
+// unlink removes a cancelled event from its slot chain in O(1). A slot
+// left empty loses its occupancy bit and the cached earliest band, so
+// neither the cursor nor Sharded's epoch bound ever stops at a band that
+// holds nothing live.
+func (w *wheel) unlink(ev *event) {
+	l := &w.levels[ev.wlevel]
+	if ev.wprev != nil {
+		ev.wprev.wnext = ev.wnext
+	} else {
+		l.slots[ev.wslot] = ev.wnext
+	}
+	if ev.wnext != nil {
+		ev.wnext.wprev = ev.wprev
+	} else if ev.wprev == nil {
+		l.clear(int(ev.wslot))
+		w.nextValid = false
+	}
+	ev.wnext, ev.wprev, ev.inWheel = nil, nil, false
+	w.count--
 }
 
 // wheelDrain advances the cursor to the band and empties it: a
 // level-0 band feeds the heap (which then sorts only a ~1ms band), a
 // higher band cascades its chain into the levels below by relinking.
-// Dead events are reclaimed here instead of sifting through the heap.
 func (q *equeue) wheelDrain(bandStart int64, level, slot int) {
 	w := &q.wheel
 	if bandStart > w.cur {
 		w.cur = bandStart
 	}
-	ev := w.takeSlot(level, slot)
+	l := &w.levels[level]
+	ev := l.slots[slot]
+	l.slots[slot] = nil
+	l.clear(slot)
+	w.nextValid = false
 	for ev != nil {
 		next := ev.wnext
-		ev.wnext = nil
-		ev.inWheel = false
+		ev.wnext, ev.wprev, ev.inWheel = nil, nil, false
 		w.count--
-		switch {
-		case ev.dead:
-			w.dead--
-			q.release(ev)
-		case level > 0 && w.insert(ev):
-		default:
+		if level == 0 || !w.insert(ev) {
 			q.heapPush(ev)
 		}
 		ev = next
 	}
-}
-
-// purgeWheel sweeps every slot, dropping cancelled events — the
-// wheel's analogue of purgeHeap, triggered when dead events dominate
-// (weeks of cancelled RPC timeouts would otherwise sit in their chains
-// until their deadline band came due).
-func (q *equeue) purgeWheel() {
-	w := &q.wheel
-	for k := range w.levels {
-		l := &w.levels[k]
-		for wi, word := range l.occ {
-			for ; word != 0; word &= word - 1 {
-				slot := wi<<6 + bits.TrailingZeros64(word)
-				var live *event
-				for ev := l.slots[slot]; ev != nil; {
-					next := ev.wnext
-					if ev.dead {
-						ev.inWheel = false
-						ev.wnext = nil
-						w.count--
-						q.release(ev)
-					} else {
-						ev.wnext = live
-						live = ev
-					}
-					ev = next
-				}
-				l.slots[slot] = live
-				if live == nil {
-					l.clear(slot)
-				}
-			}
-		}
-	}
-	w.dead = 0
-	w.nextValid = false
 }
