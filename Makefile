@@ -49,8 +49,9 @@ cover:
 # Allocation budgets by name, so a byte regression is its own failure:
 # the per-viewer retained heap and per-journey churn (core), the lazy key
 # ring and SealKey (keys, cryptoutil), exact-size encoders (wire), the
-# zero-garbage MAC and directory sample (stoken, channelmgr), and the
-# zero-copy data plane (p2p relays, keys playback, simnet send
+# zero-garbage MAC and directory sample (stoken, channelmgr), the
+# allocation-free relay hop (p2p relays and the heap their dedup tables
+# retain, wire's channel-sharing decode, keys playback, simnet send
 # envelopes), and exact event recycling (sim's LaneRearmAllocBudget, exp's
 # MegaPopAllocBudget: per-renewal churn and per-virtual-viewer heap). A
 # package listed here in which the pattern selects nothing fails the

@@ -116,6 +116,10 @@ type Ring struct {
 	latest Serial
 	has    bool
 	stats  RingStats
+	// aad is OpenPacketAppend's serial||aad binding, rebuilt in place per
+	// packet under mu: it escapes through cipher.AEAD, so a fresh slice
+	// would cost a heap object per open.
+	aad []byte
 }
 
 // RingStats counts lookup outcomes, in particular *misses by depth*: how
@@ -223,6 +227,10 @@ func (r *Ring) Get(s Serial) (cryptoutil.SymKey, bool) {
 func (r *Ring) Sealer(s Serial) (*cryptoutil.SealKey, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.sealerLocked(s)
+}
+
+func (r *Ring) sealerLocked(s Serial) (*cryptoutil.SealKey, bool) {
 	sk, ok := r.keys[s]
 	r.stats.Lookups++
 	if !ok {
@@ -340,19 +348,23 @@ func OpenPacket(r *Ring, packet, aad []byte) ([]byte, error) {
 }
 
 // OpenPacketAppend is OpenPacket appending the plaintext to dst. Given
-// len(packet) spare capacity in dst its only allocation is the
-// serial||aad binding (which escapes through cipher.AEAD), so the
-// playback path decrypts every frame into one reused buffer.
+// len(packet) spare capacity in dst it allocates nothing: the
+// serial||aad binding is built in the ring's scratch, so the playback
+// path decrypts every frame into one reused buffer. The ring's lock is
+// held across the open.
 func OpenPacketAppend(dst []byte, r *Ring, packet, aad []byte) ([]byte, error) {
 	if len(packet) < 1 {
 		return nil, cryptoutil.ErrShortData
 	}
 	serial := Serial(packet[0])
-	key, ok := r.Sealer(serial)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	key, ok := r.sealerLocked(serial)
 	if !ok {
 		return nil, ErrUnknownSerial
 	}
-	pt, err := key.OpenAppend(dst, packet[1:], packetAAD(serial, aad))
+	r.aad = append(append(r.aad[:0], byte(serial)), aad...)
+	pt, err := key.OpenAppend(dst, packet[1:], r.aad)
 	if err != nil {
 		return nil, ErrHijack
 	}

@@ -19,11 +19,12 @@ type childHandle int32
 
 // Arena backs the hot per-child state of a set of peers with flat slabs:
 // child records live in fixed-size chunks addressed by integer handles
-// (with a free list for reuse), and packet-dedup rings are carved from
-// shared uint64 blocks. One arena serves all peers of one scheduler
-// lane — peers on the same lane never run concurrently, and the arena's
-// own mutex covers the cross-peer alloc/free paths, so a System (or one
-// shard of a sharded run) shares a single arena across its whole overlay.
+// (with a free list for reuse), and departed peers' packet-dedup tables
+// wait on a free list for the next relaying peer. One arena serves all
+// peers of one scheduler lane — peers on the same lane never run
+// concurrently, and the arena's own mutex covers the cross-peer
+// alloc/free paths, so a System (or one shard of a sharded run) shares a
+// single arena across its whole overlay.
 type Arena struct {
 	mu     sync.Mutex
 	chunks [][]child     // fixed-length table; entries filled lazily
@@ -31,9 +32,7 @@ type Arena struct {
 	next   int32         // first never-used handle
 	live   int           // allocated and not freed; the tests' leak check
 
-	seenSlab []uint64           // current block rings are carved from
-	seenOff  int                // carve position in seenSlab
-	seenFree map[int][][]uint64 // released rings, keyed by capacity
+	seenFree []*seenTable // departed peers' dedup tables
 }
 
 // arenaDefaultCap is the private-arena child capacity (a standalone peer
@@ -49,10 +48,7 @@ func NewArena(capacity int) *Arena {
 		capacity = arenaDefaultCap
 	}
 	nChunks := (capacity + arenaChunkSize - 1) >> arenaChunkShift
-	return &Arena{
-		chunks:   make([][]child, nChunks),
-		seenFree: make(map[int][][]uint64),
-	}
+	return &Arena{chunks: make([][]child, nChunks)}
 }
 
 // alloc grabs a child slot, reusing freed slots before extending.
@@ -93,37 +89,24 @@ func (a *Arena) at(h childHandle) *child {
 	return &a.chunks[int(h)>>arenaChunkShift][int(h)&arenaChunkMask]
 }
 
-// grabSeen hands out a zero-length dedup ring with exactly `window`
-// capacity, carved from a shared block. The caller appends up to window
-// entries (never past capacity, so the append stays in place) and may
-// return the ring with releaseSeen when the peer departs.
-func (a *Arena) grabSeen(window int) []uint64 {
+// grabSeen hands out a dedup table with an empty index: a departed
+// peer's, or a fresh one.
+func (a *Arena) grabSeen() *seenTable {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if rings := a.seenFree[window]; len(rings) > 0 {
-		r := rings[len(rings)-1]
-		a.seenFree[window] = rings[:len(rings)-1]
-		return r[:0]
+	if n := len(a.seenFree); n > 0 {
+		t := a.seenFree[n-1]
+		a.seenFree = a.seenFree[:n-1]
+		return t
 	}
-	if a.seenOff+window > len(a.seenSlab) {
-		block := 8 * window
-		if block < 1<<15 {
-			block = 1 << 15
-		}
-		a.seenSlab = make([]uint64, block)
-		a.seenOff = 0
-	}
-	r := a.seenSlab[a.seenOff : a.seenOff : a.seenOff+window]
-	a.seenOff += window
-	return r
+	return new(seenTable)
 }
 
-// releaseSeen recycles a departing peer's dedup ring.
-func (a *Arena) releaseSeen(ring []uint64) {
-	if cap(ring) == 0 {
-		return
-	}
+// releaseSeen recycles a departing peer's dedup table. Emptying the
+// index empties the table: ring entries are only reached through it.
+func (a *Arena) releaseSeen(t *seenTable) {
+	clear(t.slot[:])
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.seenFree[cap(ring)] = append(a.seenFree[cap(ring)], ring)
+	a.seenFree = append(a.seenFree, t)
 }

@@ -54,30 +54,24 @@ func TestArenaCapacityPanics(t *testing.T) {
 	a.alloc()
 }
 
-func TestArenaSeenRings(t *testing.T) {
+// TestArenaSeenTables: each filter gets its own dedup table, and a
+// departed peer's table goes to the next filter with its index emptied.
+func TestArenaSeenTables(t *testing.T) {
 	a := NewArena(0)
-	r1 := a.grabSeen(64)
-	if len(r1) != 0 || cap(r1) != 64 {
-		t.Fatalf("grabSeen: len=%d cap=%d, want 0/64", len(r1), cap(r1))
+	var d1, d2 dedup
+	d1.add(7, a)
+	d2.add(7, a)
+	if d1.t == d2.t {
+		t.Fatal("two filters share one table")
 	}
-	r2 := a.grabSeen(64)
-	// Distinct carves from one slab must not alias.
-	r1 = append(r1[:0], make([]uint64, 64)...)
-	r2 = append(r2[:0], make([]uint64, 64)...)
-	r1[63] = 7
-	if r2[0] == 7 || r2[63] == 7 {
-		t.Fatal("seen rings alias")
+	t1 := d1.t
+	d1.reset(a)
+	var d3 dedup
+	if !d3.add(7, a) {
+		t.Fatal("a recycled table still remembers its last peer's seq")
 	}
-	// A released ring is handed out again for the same window.
-	a.releaseSeen(r1)
-	r3 := a.grabSeen(64)
-	if &r3[:1][0] != &r1[:1][0] {
-		t.Fatal("released ring was not recycled")
-	}
-	// A window larger than the remaining slab forces a fresh block.
-	big := a.grabSeen(1 << 16)
-	if cap(big) != 1<<16 {
-		t.Fatalf("large grab cap = %d", cap(big))
+	if d3.t != t1 {
+		t.Fatal("released table was not recycled")
 	}
 }
 

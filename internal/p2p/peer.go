@@ -205,13 +205,13 @@ type Peer struct {
 	// push, content relay, rekey) walks this flat handle slice into the
 	// arena's child slabs instead of chasing per-child heap pointers.
 	// The order also fixes the simulator's seeded latency-draw sequence.
-	kidList    []childHandle
-	parents    map[simnet.Addr]*parent
-	ourTicket  []byte
-	seenSeq    map[uint64]bool
-	seenRing   []uint64 // fixed-capacity eviction ring over seenSeq
-	seenPos    int
-	seenWindow int
+	kidList   []childHandle
+	parents   map[simnet.Addr]*parent
+	ourTicket []byte
+	// seen drops packets arriving via a second parent. Its table comes
+	// from the arena on the first packet: a peer that never receives
+	// content never pays for one, and departed peers' tables recycle.
+	seen dedup
 	// hist retains the last HistoryWindow relayed frames (still sealed)
 	// for time-shift seeks, as a circular buffer.
 	hist     []wire.HistoryFrame
@@ -275,25 +275,19 @@ func NewPeer(node *simnet.Node, cfg Config) (*Peer, error) {
 		arena = NewArena(0)
 	}
 	p := &Peer{
-		cfg:        cfg,
-		node:       node,
-		rt:         svc.NewRuntime(node),
-		verifier:   ticket.NewVerifier(cfg.TicketCache),
-		ring:       keys.NewRing(cfg.KeyWindow),
-		arena:      arena,
-		children:   make(map[simnet.Addr]childHandle),
-		parents:    make(map[simnet.Addr]*parent),
-		seenSeq:    make(map[uint64]bool),
-		seenWindow: 4096,
+		cfg:      cfg,
+		node:     node,
+		rt:       svc.NewRuntime(node),
+		verifier: ticket.NewVerifier(cfg.TicketCache),
+		ring:     keys.NewRing(cfg.KeyWindow),
+		arena:    arena,
+		children: make(map[simnet.Addr]childHandle),
+		parents:  make(map[simnet.Addr]*parent),
 	}
-	// seenRing is carved from the arena's slab on the first relayed
-	// packet: most peers are short-lived viewers that may never relay,
-	// so paying the window up front would dominate NewPeer's footprint,
-	// and departed peers' rings recycle through the arena.
 	svc.Register(p.rt, wire.SvcJoin, wire.DecodeJoinReq, p.handleJoin)
 	svc.Register(p.rt, wire.SvcSeek, wire.DecodeSeekReq, p.handleSeek)
 	svc.RegisterOneWay(p.rt, wire.SvcKeyPush, wire.DecodeKeyPush, p.handleKeyPush)
-	svc.RegisterOneWay(p.rt, wire.SvcContent, wire.DecodeContentPush, p.handleContent)
+	svc.RegisterOneWay(p.rt, wire.SvcContent, p.decodeContent, p.handleContent)
 	svc.RegisterOneWay(p.rt, wire.SvcRenewal, wire.DecodeRenewalPresent, p.handleRenewal)
 	svc.RegisterOneWay(p.rt, wire.SvcLeave, wire.DecodeLeaveNotice, p.handleLeave)
 	svc.RegisterOneWay(p.rt, wire.SvcPeerExpire, wire.DecodeLeaveNotice, p.handlePeerExpire)
@@ -750,10 +744,7 @@ func (p *Peer) Leave() {
 	p.parents = make(map[simnet.Addr]*parent)
 	p.children = make(map[simnet.Addr]childHandle)
 	p.kidList = nil
-	p.arena.releaseSeen(p.seenRing)
-	p.seenRing = nil
-	p.seenSeq = make(map[uint64]bool)
-	p.seenPos = 0
+	p.seen.reset(p.arena)
 	p.hist = nil
 	p.histNext = 0
 	p.histFull = false
@@ -861,29 +852,15 @@ func (p *Peer) InjectFrame(substream uint8, seq uint64, packet []byte, clear boo
 func (p *Peer) relayFrame(substream uint8, seq uint64, packet []byte, clear bool, enc []byte) {
 	p.mu.Lock()
 	if p.closed {
-		// Departed: the dedup ring is back in the arena, so late
+		// Departed: the dedup table is back in the arena, so late
 		// packets are dropped rather than tracked.
 		p.mu.Unlock()
 		return
 	}
-	if p.seenSeq[seq] {
+	if !p.seen.add(seq, p.arena) {
 		p.stats.PacketsDuplicate++
 		p.mu.Unlock()
 		return
-	}
-	p.seenSeq[seq] = true
-	if len(p.seenRing) < p.seenWindow {
-		if p.seenRing == nil {
-			p.seenRing = p.arena.grabSeen(p.seenWindow)
-		}
-		p.seenRing = append(p.seenRing, seq)
-	} else {
-		delete(p.seenSeq, p.seenRing[p.seenPos])
-		p.seenRing[p.seenPos] = seq
-		p.seenPos++
-		if p.seenPos == p.seenWindow {
-			p.seenPos = 0
-		}
 	}
 	p.stats.PacketsReceived++
 	if p.cfg.HistoryWindow > 0 {
@@ -953,6 +930,12 @@ func (p *Peer) relayFrame(substream uint8, seq uint64, packet []byte, clear bool
 		p.mu.Unlock()
 		deliver(seq, payload)
 	}
+}
+
+// decodeContent decodes a ContentPush sharing the peer's ChannelID
+// string, so a hop on this peer's channel allocates nothing.
+func (p *Peer) decodeContent(b []byte) (wire.ContentPush, error) {
+	return wire.DecodeContentPushOn(b, p.cfg.ChannelID)
 }
 
 // handleContent receives a packet from a parent and relays the frame it

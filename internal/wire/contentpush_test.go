@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 // TestAppendContentPushHeader pins the batched fan-out frame: header +
@@ -38,5 +39,31 @@ func TestAppendContentPushHeader(t *testing.T) {
 				t.Fatalf("decoded message mismatch: %+v vs %+v", dec, tc.msg)
 			}
 		})
+	}
+}
+
+// TestDecodeContentPushOnAllocBudget pins the relay hop's decode: a frame
+// on the receiver's channel shares the receiver's ChannelID string (no
+// copy, no allocation), and a frame on another channel still decodes to
+// its own ChannelID, exactly as DecodeContentPush does.
+func TestDecodeContentPushOnAllocBudget(t *testing.T) {
+	own := "sports-hd"
+	frame := (&ContentPush{ChannelID: own, Substream: 3, Seq: 77, Packet: []byte("pkt")}).Encode()
+	m, err := DecodeContentPushOn(frame, own)
+	if err != nil || m.ChannelID != own || m.Seq != 77 || !bytes.Equal(m.Packet, []byte("pkt")) {
+		t.Fatalf("DecodeContentPushOn = %+v, %v", m, err)
+	}
+	if unsafe.StringData(m.ChannelID) != unsafe.StringData(own) {
+		t.Fatal("ChannelID was copied out of the frame, not shared with the receiver's")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeContentPushOn(frame, own); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeContentPushOn allocates %.1f objects on the receiver's channel, want 0", allocs)
+	}
+	if m, err := DecodeContentPushOn(frame, "news"); err != nil || m.ChannelID != own {
+		t.Fatalf("foreign-channel decode = %q, %v; want %q", m.ChannelID, err, own)
 	}
 }

@@ -45,7 +45,8 @@ func FuzzDecodeSwitchAndJoin(f *testing.F) {
 
 // FuzzDecodeOverlayAndMgmt also pins the canonical ContentPush decode the
 // relay's forward-as-received path rests on: whatever DecodeContentPush
-// accepts is exactly Encode() of the result, and Frame is the input.
+// accepts is exactly Encode() of the result, and Frame is the input. The
+// receiver-side DecodeContentPushOn must agree with it on every input.
 func FuzzDecodeOverlayAndMgmt(f *testing.F) {
 	fuzzSeeds(f)
 	clearFrame := (&ContentPush{ChannelID: "ch", Substream: 2, Seq: 1 << 40, Clear: true, Packet: []byte("frame")}).Encode()
@@ -56,7 +57,12 @@ func FuzzDecodeOverlayAndMgmt(f *testing.F) {
 	f.Add(append(bytes.Clone(clearFrame), 0)) // trailing byte
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = DecodeKeyPush(b)
-		if m, err := DecodeContentPush(b); err == nil {
+		m, err := DecodeContentPush(b)
+		if on, onErr := DecodeContentPushOn(b, "ch"); (err == nil) != (onErr == nil) ||
+			on.ChannelID != m.ChannelID || on.Seq != m.Seq || !bytes.Equal(on.Packet, m.Packet) {
+			t.Fatalf("DecodeContentPushOn = %+v, %v; DecodeContentPush = %+v, %v", on, onErr, m, err)
+		}
+		if err == nil {
 			if enc := m.Encode(); !bytes.Equal(enc, b) {
 				t.Fatalf("DecodeContentPush accepted a non-canonical frame:\n in  %x\n out %x", b, enc)
 			}

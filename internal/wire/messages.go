@@ -513,8 +513,15 @@ func AppendContentPushHeader(dst []byte, channelID string, substream uint8, seq 
 // length-prefixed, Bool accepts only 0/1 and Finish rejects trailing
 // bytes — so an accepted b is exactly Encode() of the result.
 func DecodeContentPush(b []byte) (ContentPush, error) {
+	return DecodeContentPushOn(b, "")
+}
+
+// DecodeContentPushOn is DecodeContentPush for a receiver carrying
+// channelID: a frame on that channel shares the channelID string instead
+// of copying it out of b, so a relay hop decodes without allocating.
+func DecodeContentPushOn(b []byte, channelID string) (ContentPush, error) {
 	d := NewDec(b)
-	m := ContentPush{ChannelID: d.Str(), Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.field(), Frame: b}
+	m := ContentPush{ChannelID: d.strAs(channelID), Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.field(), Frame: b}
 	return m, d.Finish()
 }
 

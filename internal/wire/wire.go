@@ -290,6 +290,16 @@ func (d *Dec) Str() string {
 	return string(d.field())
 }
 
+// strAs is Str returning want itself, with no copy, when the field
+// spells it: a receiver that knows the value it expects decodes it
+// without allocating.
+func (d *Dec) strAs(want string) string {
+	if f := d.field(); string(f) != want {
+		return string(f)
+	}
+	return want
+}
+
 // strSlice reads a count-prefixed string list.
 func (d *Dec) strSlice() []string {
 	n := d.U32()
