@@ -24,11 +24,13 @@ test:
 # any cross-lane access. The run-token tests
 # ride the same line: the baton-passing loop switches goroutines in a
 # different pattern when a woken goroutine finds an idle P to start on.
-# So does the queue's differential reference, whose 2-lane runs unlink
-# and recycle events on concurrent lanes.
+# So do the queue's differential reference, whose 2- and 8-lane runs
+# unlink and recycle events on concurrent lanes, and the tests of what a
+# recycled event must keep apart: a stale handle and its slot's next
+# tenant, and the event kinds dispatched from one packed field.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference' ./internal/sim ./internal/simnet ./internal/exp
+	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference|StaleTimerCannotStopNextTenant|DispatchAtOneInstant' ./internal/sim ./internal/simnet ./internal/exp
 
 # Coverage over every package, with a per-function summary. Writes
 # cover.out (ignored by git) for `go tool cover -html=cover.out`.
@@ -53,9 +55,10 @@ cover:
 # allocation-free relay hop (p2p relays and the heap their dedup tables
 # retain, wire's channel-sharing decode, keys playback, simnet send
 # envelopes), and exact event recycling (sim's LaneRearmAllocBudget, exp's
-# MegaPopAllocBudget: per-renewal churn and per-virtual-viewer heap). A
-# package listed here in which the pattern selects nothing fails the
-# target — a renamed or deleted budget must not pass by vanishing.
+# MegaPopAllocBudget: per-renewal churn and ≤ 192 B of heap per virtual
+# viewer). A package listed here in which the pattern selects nothing
+# fails the target — a renamed or deleted budget must not pass by
+# vanishing.
 ALLOC_TESTS = AllocBudget|RetainedHeapBudget|BuildsNoAEAD|SealKeyLazy|ExactSize|AllocatesOnly
 ALLOC_PKGS = core keys cryptoutil wire stoken channelmgr p2p simnet sim exp
 allocs:

@@ -37,9 +37,10 @@ func sm64Seed(seed int64, global int) uint64 {
 // eviction sentinel, and draws from its own RNG stream. Viewers are
 // striped over lanes by global index; all state here is lane-owned,
 // counters are read by control-phase samplers (commutative sums at epoch
-// boundaries). Per-viewer state is three flat slices — no per-viewer
-// structs. A timer's argument is a pointer into ids, which an interface
-// holds without boxing, so arming a timer allocates nothing.
+// boundaries). Each viewer is one 32-byte record — its RNG state and its
+// pending eviction sentinel — and a timer's argument is a pointer to it,
+// which an interface holds without boxing: arming a timer allocates
+// nothing and a renewal touches one record.
 type shardPop struct {
 	lane       *sim.Shard
 	renewEvery time.Duration
@@ -49,13 +50,17 @@ type shardPop struct {
 	churned   int64
 	evictions int64
 
-	rng   []uint64         // per-viewer SplitMix64 state
-	evict []sim.ShardTimer // pending eviction sentinel per viewer
-	ids   []int            // ids[i] == i: the lane-local index a timer points at
+	viewers []popViewer
 
 	// renew and evicted bound once: writing p.renew at a call site
 	// allocates a fresh method value per timer.
 	renewFn, evictedFn func(any)
+}
+
+// popViewer is one virtual viewer's state.
+type popViewer struct {
+	rng   uint64         // SplitMix64 state
+	evict sim.ShardTimer // pending eviction sentinel
 }
 
 // popChurnFrac is the per-renewal probability that a viewer departs
@@ -80,21 +85,19 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery time.Duration)
 			lane:       eng.Shard(s),
 			renewEvery: renewEvery,
 			evictAfter: 2*renewEvery + renewEvery/2,
-			rng:        make([]uint64, size),
-			evict:      make([]sim.ShardTimer, size),
-			ids:        make([]int, size),
+			viewers:    make([]popViewer, size),
 		}
 		p.renewFn, p.evictedFn = p.renew, p.evicted
-		for i := 0; i < size; i++ {
-			p.rng[i] = sm64Seed(seed, s+i*shards)
-			p.ids[i] = i
+		for i := range p.viewers {
+			p.viewers[i].rng = sm64Seed(seed, s+i*shards)
 		}
 		pops[s] = p
 	}
 	for _, p := range pops {
-		for i := range p.ids {
-			phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-			p.lane.AfterArg(phase, p.renewFn, &p.ids[i])
+		for i := range p.viewers {
+			v := &p.viewers[i]
+			phase := time.Duration(sm64Float(&v.rng) * float64(p.renewEvery))
+			p.lane.AfterArg(phase, p.renewFn, v)
 		}
 	}
 	return pops
@@ -103,29 +106,27 @@ func newShardPops(eng *sim.Sharded, n int, seed int64, renewEvery time.Duration)
 // renew is one viewer's license renewal: cancel the previous eviction
 // sentinel, maybe churn, re-arm both timers.
 func (p *shardPop) renew(arg any) {
-	id := arg.(*int)
-	i := *id
-	p.evict[i].Stop()
-	if sm64Float(&p.rng[i]) < popChurnFrac {
+	v := arg.(*popViewer)
+	v.evict.Stop()
+	if sm64Float(&v.rng) < popChurnFrac {
 		// Silent departure: no renewal is scheduled, so the sentinel
 		// fires at the deadline and admits a replacement.
 		p.churned++
-		p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, id)
+		v.evict = p.lane.AfterArg(p.evictAfter, p.evictedFn, v)
 		return
 	}
 	p.renewals++
-	p.evict[i] = p.lane.AfterArg(p.evictAfter, p.evictedFn, id)
-	p.lane.AfterArg(p.renewEvery, p.renewFn, id)
+	v.evict = p.lane.AfterArg(p.evictAfter, p.evictedFn, v)
+	p.lane.AfterArg(p.renewEvery, p.renewFn, v)
 }
 
 // evicted fires only for churned viewers (renewals always cancel it
 // first); the slot's replacement joins with a fresh phase.
 func (p *shardPop) evicted(arg any) {
-	id := arg.(*int)
-	i := *id
+	v := arg.(*popViewer)
 	p.evictions++
-	phase := time.Duration(sm64Float(&p.rng[i]) * float64(p.renewEvery))
-	p.lane.AfterArg(phase, p.renewFn, id)
+	phase := time.Duration(sm64Float(&v.rng) * float64(p.renewEvery))
+	p.lane.AfterArg(phase, p.renewFn, v)
 }
 
 // popTotals sums the commutative counters across lanes (control-phase

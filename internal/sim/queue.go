@@ -49,12 +49,12 @@ func (q *equeue) newEvent(key int64) *event {
 
 // release recycles a fired or cancelled event onto the freelist, which
 // has no cap: a queue's storage stays at its peak population and steady
-// state allocates nothing. Bumping gen invalidates any Timer still
+// state allocates nothing. Bumping the generation (and clearing the dead,
+// inWheel and position bits below it) invalidates any Timer still
 // pointing at it.
 func (q *equeue) release(ev *event) {
-	ev.gen++
-	ev.fn, ev.fnA, ev.arg, ev.p, ev.w = nil, nil, nil, nil, nil
-	ev.dead = false
+	ev.state = (ev.gen() + 1) << evGenShift
+	ev.fnA, ev.arg = nil, nil
 	q.free = append(q.free, ev)
 }
 
@@ -73,12 +73,12 @@ func (q *equeue) schedule(key int64) *event {
 // reclaimed when a pop skips it, or by a compaction once dead entries
 // pass purgeFloor and form the heap's majority.
 func (q *equeue) kill(ev *event) {
-	if ev.inWheel {
+	if ev.state&evInWheel != 0 {
 		q.wheel.unlink(ev)
 		q.release(ev)
 		return
 	}
-	ev.dead = true
+	ev.state |= evDead
 	q.dead++
 	if q.dead >= purgeFloor && q.dead*2 >= len(q.events) {
 		q.purgeHeap()
@@ -91,7 +91,7 @@ func (q *equeue) kill(ev *event) {
 func (q *equeue) purgeHeap() {
 	live := q.events[:0]
 	for _, ent := range q.events {
-		if ent.ev.dead {
+		if ent.ev.state&evDead != 0 {
 			q.release(ent.ev)
 		} else {
 			live = append(live, ent)
@@ -156,7 +156,7 @@ func (q *equeue) popThrough(limit int64) *event {
 			return nil
 		}
 		ev := q.heapPop()
-		if ev.dead {
+		if ev.state&evDead != 0 {
 			q.dead--
 			q.release(ev)
 			continue

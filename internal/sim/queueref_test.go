@@ -131,7 +131,7 @@ func checkWheel(q *equeue) error {
 				}
 				var prev *event
 				for ev := l.slots[slot]; ev != nil; prev, ev = ev, ev.wnext {
-					if ev.wprev != prev || !ev.inWheel || int(ev.wlevel) != k || int(ev.wslot) != slot {
+					if level, at := ev.wheelPos(); ev.wprev != prev || ev.state&evInWheel == 0 || level != k || at != slot {
 						return fmt.Errorf("level %d slot %d: chain entry %d misfiled or mislinked", k, slot, n)
 					}
 					n++
@@ -263,9 +263,14 @@ func genDelay(rng *rand.Rand) delaySpec {
 	}
 }
 
+// refLanes is the most lanes a program spreads over; a run on fewer
+// (any divisor) folds lane l onto l mod lanes, so timers that share a
+// lane in the program share one in every run.
+const refLanes = 8
+
 type progStep struct {
 	op   progOp
-	lane int       // schedule ops: the lane in a 2-lane run
+	lane int       // schedule ops: the lane in a refLanes-lane run, mod the lanes there are
 	id   int       // schedule ops: the new timer; opStop: its target
 	when delaySpec // schedule ops: due key from the lane clock; opRun: limit from the last one
 }
@@ -298,7 +303,7 @@ func genProgram(seed int64, n int) *program {
 			if rng.Intn(2) == 0 {
 				when = hot[rng.Intn(len(hot))]
 			}
-			p.steps = append(p.steps, progStep{op: progOp(r % 3), lane: rng.Intn(2), id: 2 * len(p.lane), when: when})
+			p.steps = append(p.steps, progStep{op: progOp(r % 3), lane: rng.Intn(refLanes), id: 2 * len(p.lane), when: when})
 			p.lane = append(p.lane, p.steps[len(p.steps)-1].lane)
 		case r < 16 && len(p.lane) > 0:
 			root := rng.Intn(len(p.lane))
@@ -318,7 +323,7 @@ func genProgram(seed int64, n int) *program {
 		r := &p.react[id]
 		r.kill = -1
 		if rng.Intn(4) == 0 {
-			for try := 0; try < 8; try++ {
+			for try := 0; try < 4*refLanes; try++ {
 				if m := rng.Intn(len(p.lane)); p.lane[m] == p.lane[id/2] {
 					r.kill = 2*m + rng.Intn(2)
 					break
@@ -397,7 +402,7 @@ func firstDiff(a, b []int64) int {
 // Stop/run-until steps, whose delays span every tier (sub-tick heap,
 // wheel levels 0–2, slot and level edges where cascades happen, beyond
 // the horizon) and whose firings stop and schedule timers in turn, on the
-// Scheduler and on 1- and 2-lane Sharded engines. After every step the
+// Scheduler and on 1-, 2- and 8-lane Sharded engines. After every step the
 // fire order with keys, every Stop result and Pending() must equal the
 // sorted-slice reference's.
 func TestQueueMatchesReference(t *testing.T) {
@@ -411,6 +416,7 @@ func TestQueueMatchesReference(t *testing.T) {
 		}},
 		{"sharded/1", 1, func(h *diffHarness, ids int) diffEngine { return newLaneEngine(h, 1, ids) }},
 		{"sharded/2", 2, func(h *diffHarness, ids int) diffEngine { return newLaneEngine(h, 2, ids) }},
+		{"sharded/8", refLanes, func(h *diffHarness, ids int) diffEngine { return newLaneEngine(h, refLanes, ids) }},
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		prog := genProgram(seed, 1500)

@@ -225,7 +225,7 @@ func (sh *Shard) AfterArg(d time.Duration, fn func(any), arg any) ShardTimer {
 	ev := sh.q.schedule(sh.nowKey + int64(d))
 	ev.fnA = fn
 	ev.arg = arg
-	return ShardTimer{sh: sh, ev: ev, gen: ev.gen}
+	return ShardTimer{sh: sh, ev: ev, gen: ev.gen()}
 }
 
 // runThrough executes lane events with key <= limit in (key, seq) order.
@@ -259,7 +259,7 @@ func (t ShardTimer) Stop() bool {
 		return false
 	}
 	t.sh.checkOwner()
-	if t.ev.gen != t.gen || t.ev.dead {
+	if !t.ev.live(t.gen) {
 		return false
 	}
 	t.sh.q.kill(t.ev)

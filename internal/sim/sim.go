@@ -129,28 +129,37 @@ var parkerPool = sync.Pool{New: func() any { return &parker{ch: make(chan struct
 func getParker() *parker  { return parkerPool.Get().(*parker) }
 func putParker(p *parker) { parkerPool.Put(p) }
 
-// event is a scheduled occurrence. Exactly one of fn, fnA, p, w is set:
-// a plain callback, a callback with its argument (saves the closure on
-// hot RPC paths), a sleeping goroutine due the run token, or a Waiter
-// whose timeout this is. Events are carved from slabs and recycled
-// exactly: gen distinguishes a live event from a recycled one so a stale
-// Timer cannot cancel its slot's next tenant. The struct is 96 bytes, a
-// malloc size class; the wheel's level and slot fit in the padding.
+// event is a scheduled occurrence, encoded as a task is (At/After store
+// a func(), Sleep its *parker, Wait its *Waiter for the timeout); a func
+// or pointer goes into an interface without allocating. Events are carved
+// from slabs and recycled exactly: the generation in state distinguishes
+// a live event from a recycled one so a stale Timer cannot cancel its
+// slot's next tenant. The struct is 64 bytes, so a 256-event slab is
+// 16 KiB, an exact size class, and every event sits in one cache line.
 type event struct {
 	key          int64 // due instant as UnixNano: the only time representation
 	seq          uint64
-	fn           func()
 	fnA          func(any)
 	arg          any
-	p            *parker
-	w            *Waiter
 	wnext, wprev *event // intrusive doubly linked wheel-slot chain
-	gen          uint64
-	dead         bool  // cancelled while resident in the heap
-	inWheel      bool  // resident in a wheel slot rather than the heap
-	wlevel       uint8 // the wheel level and slot holding it, when inWheel
-	wslot        uint16
+	state        uint64 // generation, wheel position and flags: see evDead
 }
+
+// event.state's fields, low bit first: dead (cancelled in the heap),
+// inWheel (in a wheel slot, not the heap), the wheel position
+// level<<evSlotBits|slot (14 bits), the 48-bit generation a release bumps.
+const (
+	evDead     = 1 << 0
+	evInWheel  = 1 << 1
+	evPosShift = 2
+	evSlotBits = 12
+	evGenShift = 16
+)
+
+func (ev *event) gen() uint64 { return ev.state >> evGenShift }
+
+// live reports whether ev is still the pending event of generation gen.
+func (ev *event) live(gen uint64) bool { return ev.gen() == gen && ev.state&evDead == 0 }
 
 // purgeFloor is the minimum number of dead heap events before a
 // compaction is considered (small heaps clean themselves up through
@@ -173,7 +182,7 @@ func (t Timer) Stop() bool {
 	}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	if t.ev.gen != t.gen || t.ev.dead {
+	if !t.ev.live(t.gen) {
 		return false
 	}
 	t.s.q.kill(t.ev)
@@ -187,8 +196,8 @@ func (t Timer) Stop() bool {
 func (s *Scheduler) At(at time.Time, fn func()) Timer {
 	s.mu.Lock()
 	ev := s.scheduleLocked(at)
-	ev.fn = fn
-	t := Timer{s: s, ev: ev, gen: ev.gen}
+	ev.arg = fn
+	t := Timer{s: s, ev: ev, gen: ev.gen()}
 	s.mu.Unlock()
 	return t
 }
@@ -200,8 +209,8 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 	}
 	s.mu.Lock()
 	ev := s.scheduleLocked(s.now.Add(d))
-	ev.fn = fn
-	t := Timer{s: s, ev: ev, gen: ev.gen}
+	ev.arg = fn
+	t := Timer{s: s, ev: ev, gen: ev.gen()}
 	s.mu.Unlock()
 	return t
 }
@@ -217,7 +226,7 @@ func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	ev := s.scheduleLocked(s.now.Add(d))
 	ev.fnA = fn
 	ev.arg = arg
-	t := Timer{s: s, ev: ev, gen: ev.gen}
+	t := Timer{s: s, ev: ev, gen: ev.gen()}
 	s.mu.Unlock()
 	return t
 }
@@ -236,21 +245,20 @@ func (s *Scheduler) scheduleLocked(at time.Time) *event {
 	return s.q.schedule(at.UnixNano())
 }
 
-// task is something for the run token's holder to do next: resume a
-// parked goroutine (p), or call fn / fnA(arg) — a Go/GoArg body on the
-// run queue that has not started yet, or a due event's callback.
+// task is something for the run token's holder to do next: call
+// fnA(arg), or, when fnA is nil, resume arg.(*parker) or call
+// arg.(func()) — a Go/GoArg body on the run queue that has not started
+// yet, or a due event's callback (drive resolves a timed-out *Waiter).
 type task struct {
-	p   *parker
-	fn  func()
 	fnA func(any)
 	arg any
 }
 
 func (t *task) run() {
-	if t.fn != nil {
-		t.fn()
-	} else {
+	if t.fnA != nil {
 		t.fnA(t.arg)
+	} else {
+		t.arg.(func())()
 	}
 }
 
@@ -310,7 +318,7 @@ func (s *Scheduler) startWorkerLocked(t task) {
 // virtual time does not advance while anything is runnable.
 func (s *Scheduler) Go(fn func()) {
 	s.mu.Lock()
-	s.runq = append(s.runq, task{fn: fn})
+	s.runq = append(s.runq, task{arg: fn})
 	s.mu.Unlock()
 }
 
@@ -325,7 +333,7 @@ func (s *Scheduler) GoArg(fn func(any), arg any) {
 // unparkLocked queues p's goroutine for the run token; the token's
 // holder drains the run queue when it gives the token up.
 func (s *Scheduler) unparkLocked(p *parker) {
-	s.runq = append(s.runq, task{p: p})
+	s.runq = append(s.runq, task{arg: p})
 }
 
 func (s *Scheduler) runqPopLocked() (task, bool) {
@@ -363,16 +371,20 @@ func (s *Scheduler) drive(self *parker) bool {
 			}
 			s.stats.Events++
 			s.now = time.Unix(0, ev.key).UTC()
-			t = task{p: ev.p, fn: ev.fn, fnA: ev.fnA, arg: ev.arg}
-			if w := ev.w; w != nil {
-				// A Wait timed out (a Deliver in time kills this event).
-				w.done, w.tev, t.p = true, nil, w.p
-			}
+			t = task{fnA: ev.fnA, arg: ev.arg}
 			s.q.release(ev)
 		}
+		if t.fnA == nil {
+			switch a := t.arg.(type) {
+			case *parker:
+				return s.passLocked(a, self)
+			case *Waiter:
+				// A Wait timed out (a Deliver in time kills this event).
+				a.done, a.tev = true, nil
+				return s.passLocked(a.p, self)
+			}
+		}
 		switch {
-		case t.p != nil:
-			return s.passLocked(t.p, self)
 		case queued && self != nil:
 			s.startWorkerLocked(t)
 			return false
@@ -415,8 +427,7 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	}
 	p := getParker()
 	s.mu.Lock()
-	ev := s.scheduleLocked(s.now.Add(d))
-	ev.p = p
+	s.scheduleLocked(s.now.Add(d)).arg = p
 	s.park(p)
 	putParker(p)
 }

@@ -84,9 +84,8 @@ func (w *Waiter) Wait(timeout time.Duration) (any, error) {
 	w.waiting = true
 	w.p = p
 	if timeout > 0 {
-		ev := w.s.scheduleLocked(w.s.now.Add(timeout))
-		ev.w = w
-		w.tev = ev
+		w.tev = w.s.scheduleLocked(w.s.now.Add(timeout))
+		w.tev.arg = w
 	}
 	w.s.park(p)
 

@@ -155,7 +155,7 @@ func (w *wheel) insert(ev *event) bool {
 	l.slots[slot] = ev
 	l.mark(slot)
 	w.count++
-	ev.inWheel, ev.wlevel, ev.wslot = true, uint8(level), uint16(slot)
+	ev.state = ev.state&^(1<<evGenShift-1) | uint64(level<<evSlotBits|slot)<<evPosShift | evInWheel
 	if w.nextValid {
 		band := ev.key &^ (int64(1)<<l.lowBit - 1)
 		if !w.nextOK || band < w.nextBand {
@@ -192,24 +192,32 @@ func (w *wheel) earliest() (bandStart int64, level, slot int, ok bool) {
 	return bandStart, level, slot, ok
 }
 
+// wheelPos decodes the level and slot insert packed into ev.state.
+func (ev *event) wheelPos() (level, slot int) {
+	pos := int(ev.state&(1<<evGenShift-1)) >> evPosShift
+	return pos >> evSlotBits, pos & (1<<evSlotBits - 1)
+}
+
 // unlink removes a cancelled event from its slot chain in O(1). A slot
 // left empty loses its occupancy bit and the cached earliest band, so
 // neither the cursor nor Sharded's epoch bound ever stops at a band that
 // holds nothing live.
 func (w *wheel) unlink(ev *event) {
-	l := &w.levels[ev.wlevel]
+	level, slot := ev.wheelPos()
+	l := &w.levels[level]
 	if ev.wprev != nil {
 		ev.wprev.wnext = ev.wnext
 	} else {
-		l.slots[ev.wslot] = ev.wnext
+		l.slots[slot] = ev.wnext
 	}
 	if ev.wnext != nil {
 		ev.wnext.wprev = ev.wprev
 	} else if ev.wprev == nil {
-		l.clear(int(ev.wslot))
+		l.clear(slot)
 		w.nextValid = false
 	}
-	ev.wnext, ev.wprev, ev.inWheel = nil, nil, false
+	ev.wnext, ev.wprev = nil, nil
+	ev.state &^= evInWheel
 	w.count--
 }
 
@@ -228,7 +236,8 @@ func (q *equeue) wheelDrain(bandStart int64, level, slot int) {
 	w.nextValid = false
 	for ev != nil {
 		next := ev.wnext
-		ev.wnext, ev.wprev, ev.inWheel = nil, nil, false
+		ev.wnext, ev.wprev = nil, nil
+		ev.state &^= evInWheel
 		w.count--
 		if level == 0 || !w.insert(ev) {
 			q.heapPush(ev)
