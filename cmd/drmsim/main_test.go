@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,13 +75,13 @@ func TestFigListCoversNewScenarios(t *testing.T) {
 }
 
 // TestMetricsExportWritesScenarioArtifacts pins the -metrics and -trace
-// contracts by walking the figure table: after one `-fig all` at smoke
-// sizes, every figure whose run handed back a bundle with a phase
-// timeline must have left the full five-file metric set
-// (phases/endpoints/calls CSVs, the sampler series CSV, and the event
-// trace JSONL) and the three causal-trace artifacts, every file
-// non-empty — and its critical-path CSV must carry assembled journeys,
-// not just the header.
+// contracts: after one `-fig all` at smoke sizes the two directories
+// hold exactly the expected files, and every figure whose run handed
+// back a bundle with a phase timeline must have left the full five-file
+// metric set (phases/endpoints/calls CSVs, the sampler series CSV, and
+// the event trace JSONL) and the three causal-trace artifacts, every
+// file non-empty — and its critical-path CSV must carry assembled
+// journeys, not just the header.
 func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario runs")
@@ -100,6 +101,40 @@ func TestMetricsExportWritesScenarioArtifacts(t *testing.T) {
 	null.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The exact file set: every figure's exports, whichever path writes
+	// them. A file gained, lost or renamed shows here first.
+	for d, want := range map[string][]string{dir: {
+		"adversary_calls.csv", "adversary_endpoints.csv", "adversary_phases.csv", "adversary_series.csv", "adversary_trace.jsonl",
+		"baseline_20_drm_endpoints.csv", "baseline_20_trad_endpoints.csv",
+		"churn_calls.csv", "churn_endpoints.csv", "churn_phases.csv", "churn_series.csv", "churn_trace.jsonl",
+		"farm_1_endpoints.csv",
+		"faults_calls.csv", "faults_endpoints.csv", "faults_phases.csv", "faults_series.csv", "faults_trace.jsonl",
+		"megascale_series.csv", "megascale_series.jsonl",
+		"scaleout_calls.csv", "scaleout_endpoints.csv", "scaleout_phases.csv", "scaleout_series.csv", "scaleout_trace.jsonl",
+		"timeshift_calls.csv", "timeshift_endpoints.csv", "timeshift_phases.csv", "timeshift_series.csv", "timeshift_trace.jsonl",
+		"week_calls.csv", "week_endpoints.csv", "week_series.csv", "week_trace.jsonl",
+		"zap_calls.csv", "zap_endpoints.csv", "zap_phases.csv", "zap_series.csv", "zap_trace.jsonl",
+	}, traceDir: {
+		"adversary_critical_path.csv", "adversary_trace_events.json", "adversary_waterfall.txt",
+		"churn_critical_path.csv", "churn_trace_events.json", "churn_waterfall.txt",
+		"faults_critical_path.csv", "faults_trace_events.json", "faults_waterfall.txt",
+		"scaleout_critical_path.csv", "scaleout_trace_events.json", "scaleout_waterfall.txt",
+		"timeshift_critical_path.csv", "timeshift_trace_events.json", "timeshift_waterfall.txt",
+		"week_critical_path.csv", "week_trace_events.json", "week_waterfall.txt",
+		"zap_critical_path.csv", "zap_trace_events.json", "zap_waterfall.txt",
+	}} {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(entries))
+		for i, en := range entries {
+			got[i] = en.Name()
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s holds\n%s\nwant\n%s", d, strings.Join(got, " "), strings.Join(want, " "))
+		}
 	}
 	phased := 0
 	for _, f := range figures {

@@ -1,13 +1,17 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"p2pdrm/internal/feedback"
+	"p2pdrm/internal/obs"
 )
 
 // The old engine's per-seed determinism was accidental and, in fact,
@@ -121,5 +125,57 @@ func TestWeekDeterminismGolden(t *testing.T) {
 	}
 	if got != goldenWeek {
 		t.Errorf("week results moved\n got:\n%s\nwant:\n%s", got, goldenWeek)
+	}
+}
+
+// goldenWeekExports pins the SHA-256 of every file the week exports
+// beyond its corpus: the golden week's sampled series, and the trace
+// artifacts of the same week with every second session traced.
+var goldenWeekExports = map[string]string{
+	"series.csv":        "f6e15eb82e306992ea44bcfeff6c45192098e0e76a4ae0d5fee6d32c0e57bf9f",
+	"trace_events.json": "38807adf313c80baf3439ea771687eda93ee5a8ca35c03996c6680fe23c32e71",
+	"waterfall.txt":     "3ee2a361f35c766dd71d6c9425e949c6897faa317f58e0575182c6c30e3a644b",
+	"critical_path.csv": "fd140a362517d024da06f3cbd7739999cdc29cdda820c3a7847d84c4437e18b7",
+}
+
+// TestWeekExportsDeterminismGolden pins the week's exported bytes, so a
+// change to how the week is assembled — engine, sampler, span ring —
+// cannot move a series row or a span while the corpus golden holds.
+func TestWeekExportsDeterminismGolden(t *testing.T) {
+	digest := func(fill func(io.Writer) error) string {
+		h := sha256.New()
+		if err := fill(h); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	plain, err := RunWeek(goldenWeekCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenWeekCfg
+	cfg.TraceEvery = 2
+	traced, err := RunWeek(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := traced.Trace
+	got := map[string]string{
+		"series.csv": digest(plain.Series.WriteCSV),
+		"trace_events.json": digest(func(w io.Writer) error {
+			return obs.WriteTraceEvents(w, tr.Spans(), tr.Total(), tr.Dropped())
+		}),
+		"waterfall.txt": digest(func(w io.Writer) error {
+			obs.RenderWaterfalls(w, tr.Spans(), tr.Total(), tr.Dropped())
+			return nil
+		}),
+		"critical_path.csv": digest(func(w io.Writer) error { return WriteCriticalPathCSV(w, tr) }),
+	}
+	for name, want := range goldenWeekExports {
+		if os.Getenv("GOLDEN_PRINT") != "" {
+			t.Logf("%q: %q,", name, got[name])
+		} else if got[name] != want {
+			t.Errorf("week %s moved: sha256 %s, want %s", name, got[name], want)
+		}
 	}
 }
