@@ -17,11 +17,12 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector, then the mixed-shard stress once
-# more at a forced GOMAXPROCS: the shard-invariance goldens run the same
-# scenarios at shards 0 (unset), 1, 2 and 8, so lane workers, control's
-# reads of lane counters at the epoch boundary and arena recycling
-# execute under a second thread schedule with the checker watching for
-# any cross-lane access. The run-token tests
+# more at a forced GOMAXPROCS: the megascale shard-invariance goldens
+# (megascale is the one scenario with lanes) run at shards 0 (unset), 1,
+# 2 and 8, so lane workers, control's reads of lane counters at the
+# epoch boundary and arena recycling execute under a second thread
+# schedule with the checker watching for any cross-lane access. The
+# run-token tests
 # ride the same line: the baton-passing loop switches goroutines in a
 # different pattern when a woken goroutine finds an idle P to start on.
 # So do the queue's differential reference, whose 2- and 8-lane runs

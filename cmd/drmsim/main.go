@@ -261,13 +261,11 @@ func baseline(e *env) (*exp.Artifacts, error) {
 	}
 	fmt.Println(exp.RenderFlashSweep(pts))
 	for _, p := range pts {
-		p := p
-		if err := e.out.metrics.write(fmt.Sprintf("baseline_%d_trad_endpoints.csv", p.Viewers),
-			func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.Trad.Endpoints) }); err != nil {
+		prefix := fmt.Sprintf("baseline_%d_", p.Viewers)
+		if err := e.out.exportArtifacts(prefix+"trad", &exp.Artifacts{Endpoints: p.Trad.Endpoints}); err != nil {
 			return nil, err
 		}
-		if err := e.out.metrics.write(fmt.Sprintf("baseline_%d_drm_endpoints.csv", p.Viewers),
-			func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.DRM.Endpoints) }); err != nil {
+		if err := e.out.exportArtifacts(prefix+"drm", &exp.Artifacts{Endpoints: p.DRM.Endpoints}); err != nil {
 			return nil, err
 		}
 	}
@@ -285,9 +283,7 @@ func farm(e *env) (*exp.Artifacts, error) {
 	}
 	fmt.Println(exp.RenderFarm(pts))
 	for _, p := range pts {
-		p := p
-		if err := e.out.metrics.write(fmt.Sprintf("farm_%d_endpoints.csv", p.Farm),
-			func(w io.Writer) error { return exp.WriteEndpointsCSV(w, p.Endpoints) }); err != nil {
+		if err := e.out.exportArtifacts(fmt.Sprintf("farm_%d", p.Farm), &exp.Artifacts{Endpoints: p.Endpoints}); err != nil {
 			return nil, err
 		}
 	}

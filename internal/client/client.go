@@ -206,7 +206,7 @@ type Client struct {
 	stats        Stats
 	// journeySeq numbers this client's traced journeys (login, switch) so
 	// each derives a distinct trace ID; per-client state, so the sequence
-	// is deterministic regardless of shard count.
+	// is deterministic whatever other clients do.
 	journeySeq uint64
 }
 

@@ -43,7 +43,7 @@ type journey struct {
 // is not in the traced cohort (no ring, or no trace identity). The
 // journey's trace ID is derived from the client's TraceID, the journey
 // name, and a per-client sequence — pure hashes, no global counters, so
-// IDs are identical at any shard count.
+// IDs do not depend on what other clients trace.
 func (c *Client) beginJourney(name string) *journey {
 	if c.cfg.Trace == nil || c.cfg.TraceID == 0 {
 		return nil

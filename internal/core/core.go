@@ -81,10 +81,10 @@ type Options struct {
 	// measurement week).
 	Start time.Time
 	// Scheduler, when set, hosts the deployment on an existing scheduler
-	// instead of creating one — a sharded run passes its engine's control
-	// scheduler here so the real overlay rides the control phase. Must
-	// have been created with the same Start and Seed semantics the caller
-	// wants; Start is ignored when set.
+	// instead of creating one — the megascale run passes its sharded
+	// engine's control scheduler here so the real overlay rides the
+	// control phase. Must have been created with the same Start and Seed
+	// semantics the caller wants; Start is ignored when set.
 	Scheduler *sim.Scheduler
 	// Latency is the network model. Default geo.LatencyModel(15ms, 60ms,
 	// 20ms).

@@ -137,7 +137,7 @@ func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	// every rotation.
 	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
 	var r *run
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		Partitions:            []string{"live"},
 		RekeyInterval:         10 * time.Minute,
 		PacketInterval:        time.Second,

@@ -71,7 +71,7 @@ type ChurnResult struct {
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.fill()
 	warm := time.Duration(cfg.Viewers)*500*time.Millisecond + 30*time.Second
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		RootMaxChildren: cfg.RootMaxChildren,
 		PacketInterval:  2 * time.Second,
 		RootRegion:      100,

@@ -68,17 +68,17 @@ func RunFarmScaling(cfg FarmConfig) ([]FarmPoint, error) {
 }
 
 func runFarmPoint(cfg FarmConfig, farm int) (FarmPoint, error) {
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		UserMgrFarm:    farm,
 		Partitions:     []string{"p1"},
 		ChannelMgrFarm: farm,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+11, cfg.ServiceMS),
+			Workers: cfg.Workers, ServiceTime: expService(rand.NewSource(cfg.Seed+11), cfg.ServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+12, cfg.ServiceMS),
+			Workers: cfg.Workers, ServiceTime: expService(rand.NewSource(cfg.Seed+12), cfg.ServiceMS),
 		},
-		PacketInterval: 24 * 365 * time.Hour,
+		PacketInterval: contentOff,
 	}, 10*time.Minute, 0)
 	if err != nil {
 		return FarmPoint{}, err

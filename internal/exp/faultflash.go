@@ -144,17 +144,17 @@ func impatientClient(cc *client.Config) {
 // RunFaultFlash runs the faulty flash crowd.
 func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 	cfg.fill()
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		UserMgrFarm:    faultUserMgrFarm,
 		Partitions:     []string{"live"},
 		ChannelMgrFarm: cfg.ChannelMgrFarm,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: faultWorkers, ServiceTime: expService(cfg.Seed+3, faultServiceMS),
+			Workers: faultWorkers, ServiceTime: expService(rand.NewSource(cfg.Seed+3), faultServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: faultWorkers, ServiceTime: expService(cfg.Seed+4, faultServiceMS),
+			Workers: faultWorkers, ServiceTime: expService(rand.NewSource(cfg.Seed+4), faultServiceMS),
 		},
-		PacketInterval: 24 * 365 * time.Hour, // protocol-only, as in RunWeek
+		PacketInterval: contentOff,
 		PacketLoss:     faultLinkLoss,
 	}, faultDeadline, drain)
 	if err != nil {

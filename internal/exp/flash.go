@@ -100,23 +100,13 @@ func summarize(lats []time.Duration, allDone time.Duration, failures, maxQ int) 
 	}
 }
 
-func expService(seed int64, meanMS float64) func() time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	var mu sync.Mutex
-	return func() time.Duration {
-		mu.Lock()
-		defer mu.Unlock()
-		return time.Duration(rng.ExpFloat64() * meanMS * float64(time.Millisecond))
-	}
-}
-
 func runTradFlash(cfg FlashConfig, viewers int) (SideResult, error) {
 	start := time.Date(2008, 6, 23, 20, 0, 0, 0, time.UTC)
 	s := sim.New(start, cfg.Seed)
 	net := simnet.New(s, simnet.WithLatency(geo.LatencyModel(15*time.Millisecond, 60*time.Millisecond, 20*time.Millisecond)))
 	srv, err := trad.New(net.NewNode("license.provider"), trad.Config{
 		Workers:     cfg.Workers,
-		ServiceTime: expService(cfg.Seed+1, cfg.ServiceMS),
+		ServiceTime: expService(rand.NewSource(cfg.Seed+1), cfg.ServiceMS),
 	})
 	if err != nil {
 		return SideResult{}, err
@@ -158,17 +148,17 @@ func runDRMFlash(cfg FlashConfig, viewers int) (SideResult, error) {
 	// own served by a Channel Manager farm; the User Manager farm scales
 	// the same way. This horizontal provisioning is exactly what the
 	// baseline's per-client license state rules out.
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		UserMgrFarm:    flashFarm,
 		Partitions:     []string{"live"},
 		ChannelMgrFarm: flashFarm,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+3, cfg.ServiceMS),
+			Workers: cfg.Workers, ServiceTime: expService(rand.NewSource(cfg.Seed+3), cfg.ServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: cfg.Workers, ServiceTime: expService(cfg.Seed+4, cfg.ServiceMS),
+			Workers: cfg.Workers, ServiceTime: expService(rand.NewSource(cfg.Seed+4), cfg.ServiceMS),
 		},
-		PacketInterval: 24 * 365 * time.Hour, // protocol-only, as in RunWeek
+		PacketInterval: contentOff,
 	}, flashLength, 0)
 	if err != nil {
 		return SideResult{}, err

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"p2pdrm/internal/client"
@@ -57,11 +58,15 @@ type run struct {
 
 // newRun builds the deployment for a run of deadline+grace: drain where
 // sessions retry, 0 where viewers try once and the deadline is the
-// run's hard end. Span IDs are pure
-// hashes and the trace envelope perturbs no timing or RNG draw, so the
-// armed ring leaves every fingerprint intact.
-func newRun(seed int64, opts core.Options, deadline, grace time.Duration) (*run, error) {
-	r := &run{seed: seed, trace: obs.NewTrace(8192), calls: newCallAggregator()}
+// run's hard end. traceCap sizes the span ring armed on every runtime;
+// 0 arms none. Span IDs are pure hashes and the trace envelope perturbs
+// no timing or RNG draw, so the armed ring leaves every fingerprint
+// intact.
+func newRun(seed int64, traceCap int, opts core.Options, deadline, grace time.Duration) (*run, error) {
+	r := &run{seed: seed, calls: newCallAggregator()}
+	if traceCap > 0 {
+		r.trace = obs.NewTrace(traceCap)
+	}
 	opts.Seed, opts.Trace = seed, r.trace
 	sys, err := core.NewSystem(opts)
 	if err != nil {
@@ -78,8 +83,30 @@ func newRun(seed int64, opts core.Options, deadline, grace time.Duration) (*run,
 // and read atomics: no randomness, no fingerprint impact.
 func (r *run) observe(bounds []phaseBoundary) {
 	r.phases = recordPhases(r.sys, bounds)
-	r.sampler = newSystemSampler(r.sys, 5*time.Second)
-	r.sampler.Run(r.sys.Sched, r.deadline)
+	r.sample(5 * time.Second)
+}
+
+// scenarioTraceCap is the span ring of the scenario figures, which
+// trace every viewer.
+const scenarioTraceCap = 8192
+
+// contentOff is the PacketInterval of a protocol-only run: a year
+// between packets, so no content flows within any run while keys, joins
+// and renewals still do. Per-packet streaming would dominate such a
+// run for no fidelity in the control-plane rounds it measures.
+const contentOff = 24 * 365 * time.Hour
+
+// expService draws exponential service times of mean meanMS from src.
+// Farms given one source interleave their draws on it in request order:
+// a run's simulated goroutines hold one run token.
+func expService(src rand.Source, meanMS float64) func() time.Duration {
+	rng := rand.New(src)
+	var mu sync.Mutex
+	return func() time.Duration {
+		mu.Lock()
+		defer mu.Unlock()
+		return time.Duration(rng.ExpFloat64() * meanMS * float64(time.Millisecond))
+	}
 }
 
 // viewerAddr places viewer i in the served region.
@@ -191,6 +218,8 @@ func (r *run) finish() Artifacts {
 	}
 	if r.phases != nil {
 		a.Phases = r.phases.Finish()
+	}
+	if r.sampler != nil {
 		a.Series = r.sampler.Series()
 	}
 	return a

@@ -28,7 +28,7 @@ func TestSessionLoop(t *testing.T) {
 		{name: "failures retry to the deadline", channel: "nope", toDeadline: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := newRun(3, core.Options{PacketInterval: 24 * 365 * time.Hour}, deadline, drain)
+			r, err := newRun(3, scenarioTraceCap, core.Options{PacketInterval: contentOff}, deadline, drain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestSessionLoop(t *testing.T) {
 // client's own snapshot, whichever clients have already departed, and a
 // returned total must not alias the accumulator.
 func TestCallAggregatorRollUp(t *testing.T) {
-	r, err := newRun(3, core.Options{PacketInterval: 24 * 365 * time.Hour}, 40*time.Second, 0)
+	r, err := newRun(3, scenarioTraceCap, core.Options{PacketInterval: contentOff}, 40*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func (r *MegaResult) Fingerprint() string {
 		r.KeyMsgs, r.Frames, r.Rows, r.PeakPending)
 }
 
-// megaLookahead is the engine's epoch length (RunWeek shares it). The
+// megaLookahead is the engine's epoch length. The
 // virtual population never talks across lanes, so no causality bound
 // applies — the epoch length only sets how often control-phase samplers
 // observe lane counters (and the per-epoch overhead). It is a fixed

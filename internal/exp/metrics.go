@@ -21,16 +21,15 @@ import (
 	"p2pdrm/internal/svc"
 )
 
-// newSystemSampler builds a sampler over the deployment-wide state:
+// sample arms the system sampler every period until the deadline:
 // per-endpoint cumulative requests/errors plus per-interval p50/p95
-// (from histogram snapshot deltas), and the network message counters.
-// Call its Run before driving the scheduler; scenario-specific sources
-// (client calls, concurrency) are added by the caller.
-func newSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
+// (from histogram snapshot deltas), the network message counters, then
+// the scenario's own sources (client calls, concurrency).
+func (r *run) sample(every time.Duration, sources ...obs.Source) {
 	sp := obs.NewSampler(every)
 	prev := make(map[string]*obs.HistSnapshot) // per-endpoint last snapshot
 	sp.AddSource(func(add func(string, float64)) {
-		for name, m := range sys.EndpointTotals() {
+		for name, m := range r.sys.EndpointTotals() {
 			add("ep."+name+".req", float64(m.Requests))
 			add("ep."+name+".err", float64(m.Errors))
 			d := m.Hist.Sub(prev[name])
@@ -42,14 +41,18 @@ func newSystemSampler(sys *core.System, every time.Duration) *obs.Sampler {
 		}
 	})
 	sp.AddSource(func(add func(string, float64)) {
-		st := sys.Net.Stats()
+		st := r.sys.Net.Stats()
 		add("net.sent", float64(st.Sent))
 		add("net.delivered", float64(st.Delivered))
 		add("net.dropped", float64(st.Dropped))
 		add("net.dropped_linkcut", float64(st.DroppedLinkCut))
 		add("net.dropped_loss", float64(st.DroppedLoss))
 	})
-	return sp
+	for _, src := range sources {
+		sp.AddSource(src)
+	}
+	sp.Run(r.sys.Sched, r.deadline)
+	r.sampler = sp
 }
 
 // callAggregator accumulates per-service client-side CallStats across a

@@ -58,7 +58,7 @@ func RunRekeyAblation(cfg RekeyConfig) ([]RekeyPoint, error) {
 
 func runRekeyPoint(cfg RekeyConfig, interval time.Duration) (RekeyPoint, error) {
 	warm := time.Duration(cfg.Viewers)*time.Second + 30*time.Second
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		RekeyInterval:   interval,
 		PacketInterval:  2 * time.Second,
 		RootRegion:      100,

@@ -168,7 +168,7 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	// by the resharding schedule: traced logins that land on a stale
 	// shard map or a shedding member leave wrong_shard restart and shed
 	// spans threaded into their journeys.
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		UserMgrFarm: scaleUserMgrFarm,
 		Partitions:  []string{"live"},
 		UserMgrShard: core.ShardOptions{
@@ -176,10 +176,10 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 			LoginHighWater: scaleLoginHighWater,
 		},
 		UserMgrCapacity: core.CapacityModel{
-			Workers: scaleWorkers, ServiceTime: expService(cfg.Seed+3, scaleServiceMS),
+			Workers: scaleWorkers, ServiceTime: expService(rand.NewSource(cfg.Seed+3), scaleServiceMS),
 		},
 		UserTicketLifetime: scaleUserTicketLifetime,
-		PacketInterval:     24 * 365 * time.Hour, // protocol-only, as in RunWeek
+		PacketInterval:     contentOff,
 	}, scaleDeadline, drain)
 	if err != nil {
 		return nil, err

@@ -139,7 +139,7 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	// delivery round, and only then is severed (§IV-D).
 	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
 	var r *run
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		Partitions:      []string{"live"},
 		RekeyInterval:   shiftRekeyInterval,
 		PacketInterval:  time.Second,

@@ -14,7 +14,6 @@ import (
 	"p2pdrm/internal/feedback"
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/obs"
-	"p2pdrm/internal/sim"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/workload"
 )
@@ -40,22 +39,12 @@ type WeekConfig struct {
 	// network counters into WeekResult.Series). Default 1h — the same
 	// granularity as the paper's per-hour tables.
 	MetricsEvery time.Duration
-	// Shards is the number of sim.Sharded worker lanes (default 1): the
-	// measured protocol deployment stays on the control scheduler while
-	// VirtualViewers stripe over the lanes. The result is identical at
-	// any shard count.
-	Shards int
-	// VirtualViewers is the ambient license-renewal population carried
-	// by the lanes — the broadcast audience whose renewals tick alongside
-	// the measured sessions (default 0: none).
-	VirtualViewers int
 	// TraceEvery arms causal tracing on a deterministic head-sampled
 	// cohort: a session is traced when obs.Sampled(Seed, key, TraceEvery)
 	// holds for its session key (email#arrival). 1 traces every session,
 	// 0 disables tracing entirely — no ring is allocated and the run is
 	// byte-identical to an untraced one. Sampling is a pure hash of the
-	// seed and key (no RNG draws), so the traced cohort — and the
-	// exported spans — are identical at any shard count.
+	// seed and key (no RNG draws), so arming it moves no golden.
 	TraceEvery int
 }
 
@@ -98,9 +87,6 @@ func (c *WeekConfig) fill() {
 	if c.MetricsEvery <= 0 {
 		c.MetricsEvery = time.Hour
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 }
 
 // WeekResult carries the corpus and trace parameters for rendering.
@@ -117,57 +103,37 @@ type WeekResult struct {
 	// series, Trace is the traced session cohort's span ring (nil unless
 	// WeekConfig.TraceEvery > 0). The week has no phase timeline.
 	Artifacts
-	// VirtualRenewals / VirtualChurned / VirtualEvictions count the
-	// lane-resident ambient population's events.
-	VirtualRenewals  int64
-	VirtualChurned   int64
-	VirtualEvictions int64
 }
 
 // RunWeek simulates the measurement week and returns the feedback
-// corpus. Content production is disabled: Fig. 5/6 measure only the five
-// protocol rounds, and weeks of per-packet streaming would dominate the
-// simulation for no additional fidelity (keys, joins and renewals still
-// flow for real).
+// corpus. Content production is off: Fig. 5/6 measure only the five
+// protocol rounds (keys, joins and renewals still flow for real).
 func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 	cfg.fill()
-	expService := func(rng *rand.Rand, meanMS float64) func() time.Duration {
-		var mu sync.Mutex
-		return func() time.Duration {
-			mu.Lock()
-			defer mu.Unlock()
-			return time.Duration(rng.ExpFloat64() * meanMS * float64(time.Millisecond))
-		}
-	}
-	svcRng := rand.New(rand.NewSource(cfg.Seed + 7))
-
-	eng := sim.NewSharded(time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC), cfg.Seed, cfg.Shards, megaLookahead)
-	var trace *obs.Trace
+	traceCap := 0
 	if cfg.TraceEvery > 0 {
-		trace = obs.NewTrace(weekTraceCap)
+		traceCap = weekTraceCap
 	}
-	sys, err := core.NewSystem(core.Options{
-		Trace:          trace,
-		Scheduler:      eng.Ctrl(),
-		Seed:           cfg.Seed,
+	// One service-time stream, drawn by both farms in request order.
+	svcSrc := rand.NewSource(cfg.Seed + 7)
+	r, err := newRun(cfg.Seed, traceCap, core.Options{
 		UserMgrFarm:    weekUserMgrFarm,
 		Partitions:     []string{"p1", "p2"},
 		ChannelMgrFarm: weekChannelMgrFarm,
 		UserMgrCapacity: core.CapacityModel{
-			Workers: weekUMWorkers, ServiceTime: expService(svcRng, weekUMServiceMS),
+			Workers: weekUMWorkers, ServiceTime: expService(svcSrc, weekUMServiceMS),
 		},
 		ChannelMgrCapacity: core.CapacityModel{
-			Workers: weekCMWorkers, ServiceTime: expService(svcRng, weekCMServiceMS),
+			Workers: weekCMWorkers, ServiceTime: expService(svcSrc, weekCMServiceMS),
 		},
-		PacketInterval: 24 * 365 * time.Hour, // content off (see doc comment)
+		PacketInterval: contentOff,
 		RekeyInterval:  time.Minute,
 		RootRegion:     100, // broadcasters' servers live in the served region
-	})
+	}, time.Duration(cfg.Days)*24*time.Hour, 0)
 	if err != nil {
 		return nil, err
 	}
-	start := sys.Sched.Now()
-	end := start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
+	sys, end := r.sys, r.deadline
 
 	channelIDs := make([]string, cfg.Channels)
 	for i := range channelIDs {
@@ -186,51 +152,28 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 
 	res := &WeekResult{
 		Corpus: feedback.NewCorpus(),
-		Start:  start,
+		Start:  r.start,
 		Hours:  cfg.Days * 24,
 	}
 	var mu sync.Mutex
 	active := 0
-	hostSeq := 0
 
-	// System metrics: endpoint/network sampler plus the cross-session
-	// call aggregator. Sampling rides scheduled events and reads only
-	// atomics, so the corpus (and its golden fingerprint) is identical
-	// with or without it.
-	agg := newCallAggregator()
-	sampler := newSystemSampler(sys, cfg.MetricsEvery)
-	sampler.AddSource(agg.Source())
-	sampler.AddSource(func(add func(string, float64)) {
+	// System metrics, with the cross-session call totals and the
+	// concurrent-user count beside the endpoint and network counters.
+	r.sample(cfg.MetricsEvery, r.calls.Source(), func(add func(string, float64)) {
 		mu.Lock()
 		add("users.active", float64(active))
 		mu.Unlock()
 	})
 
-	// Ambient lane population: renewals tick on the worker lanes,
-	// observed by the sampler at epoch boundaries.
-	var pops []*shardPop
-	if cfg.VirtualViewers > 0 {
-		pops = newShardPops(eng, cfg.VirtualViewers, cfg.Seed, 5*time.Minute)
-		sampler.AddSource(func(add func(string, float64)) {
-			renewals, churned, evictions := popTotals(pops)
-			add("virtual.renewals", float64(renewals))
-			add("virtual.churned", float64(churned))
-			add("virtual.evictions", float64(evictions))
-		})
-	}
-	sampler.Run(sys.Sched, end)
-
 	wlRng := rand.New(rand.NewSource(cfg.Seed + 13))
-	arrivals := workload.NewArrivals(wlRng, workload.DiurnalProfile(), cfg.PeakSessionsPerHour, start)
+	arrivals := workload.NewArrivals(wlRng, workload.DiurnalProfile(), cfg.PeakSessionsPerHour, r.start)
 	zipf := workload.NewZipf(wlRng, 1.3, cfg.Channels)
 	sessions := workload.NewSessions(wlRng, cfg.MeanSession, cfg.MeanZap)
 
 	// Concurrent-user sampler (the "Total # of Concurrent Users" series).
 	sys.Sched.Go(func() {
-		for {
-			if !sys.Sched.Now().Before(end) {
-				return
-			}
+		for sys.Sched.Now().Before(end) {
 			sys.Sched.Sleep(weekSampleEvery)
 			mu.Lock()
 			n := active
@@ -242,10 +185,13 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 		}
 	})
 
+	// A session's client lives for one arrival only: it is folded into
+	// the call totals and its node removed when it departs, so the week
+	// retains no per-session state (unlike r.viewer's roster).
 	runSession := func(email string, addr simnet.Addr, traceKey string) {
 		c, err := sys.NewClient(email, "pw", addr, func(cc *client.Config) {
 			cc.Parents = 2
-			if trace != nil && obs.Sampled(cfg.Seed, traceKey, cfg.TraceEvery) {
+			if r.trace != nil && obs.Sampled(cfg.Seed, traceKey, cfg.TraceEvery) {
 				cc.TraceID = obs.TraceIDFor(cfg.Seed, traceKey)
 			} else {
 				// Head sampling: sessions outside the cohort stay dark
@@ -256,11 +202,11 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 		if err != nil {
 			return
 		}
-		agg.Track(c)
+		r.calls.Track(c)
 		defer func() {
 			c.StopWatching()
 			res.Corpus.Submit(c.FeedbackLog())
-			agg.Finish(c)
+			r.calls.Finish(c)
 			sys.Net.RemoveNode(addr)
 		}()
 		if err := c.Login(); err != nil {
@@ -295,41 +241,23 @@ func RunWeek(cfg WeekConfig) (*WeekResult, error) {
 		}
 	}
 
-	// Arrival driver.
+	// Arrival driver: host numbers the arrivals.
 	sys.Sched.Go(func() {
-		for {
-			now := sys.Sched.Now()
-			if !now.Before(end) {
-				return
-			}
-			gap := arrivals.Next(now)
-			sys.Sched.Sleep(gap)
+		for host := 1; sys.Sched.Now().Before(end); host++ {
+			sys.Sched.Sleep(arrivals.Next(sys.Sched.Now()))
 			if !sys.Sched.Now().Before(end) {
 				return
 			}
-			mu.Lock()
-			hostSeq++
-			host := hostSeq
-			mu.Unlock()
 			email := fmt.Sprintf("user%05d@example.com", wlRng.Intn(cfg.Users))
 			addr := geo.Addr(100, 1+host%40, 1000+host)
 			// The session key folds in the arrival sequence so repeat
-			// sessions by one account get distinct trace identities. The
-			// sequence is assigned by the single arrival driver on the
-			// control scheduler — identical at any shard count.
+			// sessions by one account get distinct trace identities.
 			traceKey := fmt.Sprintf("%s#%d", email, host)
 			sys.Sched.Go(func() { runSession(email, addr, traceKey) })
 		}
 	})
 
-	eng.Run(end)
-	sys.StopAll()
-	res.Calls = agg.Totals()
-	res.Endpoints = sys.EndpointTotals()
-	res.Series = sampler.Series()
-	res.Net = sys.Net.Stats()
-	res.VirtualRenewals, res.VirtualChurned, res.VirtualEvictions = popTotals(pops)
-	res.Trace = trace
+	res.Artifacts = r.finish()
 	return res, nil
 }
 

@@ -58,7 +58,7 @@ func RunZap(cfg ZapConfig) (*ZapResult, error) {
 	cfg.fill()
 	warm := time.Duration(cfg.Viewers) * time.Second
 	total := warm + time.Duration(cfg.Zaps+2)*25*time.Second
-	r, err := newRun(cfg.Seed, core.Options{
+	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		PacketInterval: zapPacketInterval,
 		RootRegion:     100,
 	}, total, 0)

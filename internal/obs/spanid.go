@@ -2,9 +2,8 @@ package obs
 
 // Deterministic trace/span ID derivation. IDs are pure hashes of what
 // they identify — never counters — so the same seed produces the same
-// IDs no matter how many worker lanes the engine runs on or in which
-// order spans are emitted. That is what makes trace exports
-// byte-identical across shard counts.
+// IDs in whatever order spans are emitted. That is what makes trace
+// exports byte-identical run to run.
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // mixer (the same construction svc.Ring uses for vnode placement).
