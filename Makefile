@@ -28,10 +28,13 @@ test:
 # So do the queue's differential reference, whose 2- and 8-lane runs
 # unlink and recycle events on concurrent lanes, and the tests of what a
 # recycled event must keep apart: a stale handle and its slot's next
-# tenant, and the event kinds dispatched from one packed field.
+# tenant, and the event kinds dispatched from one packed field. So does
+# the deployment's verified-ticket memo, which the megascale lanes share:
+# goroutines verify, remember and evict overlapping tickets on one
+# ticket.Verifier.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference|StaleTimerCannotStopNextTenant|DispatchAtOneInstant' ./internal/sim ./internal/simnet ./internal/exp
+	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference|StaleTimerCannotStopNextTenant|DispatchAtOneInstant|SharedVerifierConcurrent' ./internal/sim ./internal/simnet ./internal/exp ./internal/ticket
 
 # Coverage over every package, with a per-function summary. Writes
 # cover.out (ignored by git) for `go tool cover -html=cover.out`.

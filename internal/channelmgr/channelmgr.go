@@ -57,6 +57,15 @@ type Config struct {
 	Dir *Directory
 	// RNG supplies nonces (nil = crypto/rand).
 	RNG io.Reader
+	// Tickets is the deployment's verified-ticket memo. It memoizes the
+	// Ed25519 checks of tickets this manager sees repeatedly — the same
+	// User Ticket arrives on every SWITCH round for its whole lifetime,
+	// and an expiring Channel Ticket is presented twice per renewal
+	// (SWITCH1 + SWITCH2) — and remembers every Channel Ticket this
+	// manager signs, so the client, the overlay parents and whichever
+	// farm backend takes the renewal never re-verify it. Nil gives the
+	// manager a private memo.
+	Tickets *ticket.Verifier
 }
 
 func (c *Config) fill() {
@@ -78,6 +87,9 @@ func (c *Config) fill() {
 	if c.Dir == nil {
 		c.Dir = NewDirectory(1)
 	}
+	if c.Tickets == nil {
+		c.Tickets = ticket.NewVerifier(0)
+	}
 }
 
 // Stats counts protocol outcomes.
@@ -95,15 +107,6 @@ type Manager struct {
 	node   *simnet.Node
 	rt     *svc.Runtime
 	sealer *stoken.Sealer
-	// userVerifier and chanVerifier memoize Ed25519 signature checks for
-	// tickets this manager sees repeatedly: the same User Ticket arrives
-	// on every SWITCH round for its whole lifetime, and an expiring
-	// Channel Ticket is presented twice per renewal (SWITCH1 + SWITCH2).
-	// chanVerifier also remembers every Channel Ticket this backend
-	// signed, so a renewal landing on its issuer verifies nothing twice;
-	// the cache is this backend's own, never shared across the farm.
-	userVerifier *ticket.Verifier
-	chanVerifier *ticket.Verifier
 
 	mu       sync.Mutex
 	channels map[string]*policy.Channel
@@ -124,13 +127,11 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 	}
 	cfg.fill()
 	m := &Manager{
-		cfg:          cfg,
-		node:         node,
-		rt:           svc.NewRuntime(node),
-		sealer:       stoken.New(cfg.TokenSecret),
-		userVerifier: ticket.NewVerifier(0),
-		chanVerifier: ticket.NewVerifier(0),
-		channels:     make(map[string]*policy.Channel),
+		cfg:      cfg,
+		node:     node,
+		rt:       svc.NewRuntime(node),
+		sealer:   stoken.New(cfg.TokenSecret),
+		channels: make(map[string]*policy.Channel),
 	}
 	svc.Register(m.rt, wire.SvcSwitch1, wire.DecodeSwitchReq, m.handleSwitch1)
 	svc.Register(m.rt, wire.SvcSwitch2, wire.DecodeSwitchFinish, m.handleSwitch2)
@@ -209,7 +210,7 @@ func (m *Manager) deny() {
 // verifyUserTicket runs the §IV-C checks shared by both rounds: signature,
 // expiry, and NetAddr match against the current connection.
 func (m *Manager) verifyUserTicket(blob []byte, from simnet.Addr, now time.Time) (*ticket.UserTicket, *wire.ServiceError) {
-	ut, err := m.userVerifier.VerifyUser(blob, m.cfg.UserMgrKey)
+	ut, err := m.cfg.Tickets.VerifyUser(blob, m.cfg.UserMgrKey)
 	if err != nil {
 		return nil, wire.Errf(wire.CodeBadTicket, "user ticket: %v", err)
 	}
@@ -235,7 +236,7 @@ func (m *Manager) handleSwitch1(from simnet.Addr, req *wire.SwitchReq) (*wire.Sw
 	renewal := len(req.ExpiringTicket) > 0
 	if renewal {
 		// The expiring ticket stands in for the channel identification.
-		ct, err := m.chanVerifier.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
+		ct, err := m.cfg.Tickets.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
 		if err != nil {
 			m.deny()
 			return nil, wire.Errf(wire.CodeBadTicket, "expiring ticket: %v", err)
@@ -327,7 +328,7 @@ func (m *Manager) handleSwitch2(from simnet.Addr, req *wire.SwitchFinish) (*wire
 
 	var ct *ticket.ChannelTicket
 	if renewal {
-		old, err := m.chanVerifier.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
+		old, err := m.cfg.Tickets.VerifyChannel(req.ExpiringTicket, m.cfg.Keys.Public())
 		if err != nil {
 			m.deny()
 			return nil, wire.Errf(wire.CodeBadTicket, "expiring ticket: %v", err)
@@ -340,7 +341,7 @@ func (m *Manager) handleSwitch2(from simnet.Addr, req *wire.SwitchFinish) (*wire
 		ct = m.freshTicket(ut, channelID, from, now, grantEnd)
 	}
 	blob := ticket.SignChannel(ct, m.cfg.Keys)
-	m.chanVerifier.RememberChannel(blob, m.cfg.Keys.Public(), ct)
+	m.cfg.Tickets.RememberChannel(blob, m.cfg.Keys.Public(), ct)
 
 	// Track the client as a (future) peer on the channel until its
 	// ticket lapses.

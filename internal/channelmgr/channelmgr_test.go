@@ -172,7 +172,7 @@ func TestChannelTicketCappedByUserTicket(t *testing.T) {
 	f.sched.Go(func() { resp, _ = doSwitch(cli, "cm.provider", kp, ut, "chA", nil) })
 	f.sched.Run()
 	ct, _ := ticket.VerifyChannel(resp.ChannelTicket, f.cmKeys.Public())
-	parsed, _ := ticket.VerifyUser(ut, f.umKeys.Public())
+	parsed, _ := ticket.NewVerifier(0).VerifyUser(ut, f.umKeys.Public())
 	if ct.Expiry.After(parsed.Expiry) {
 		t.Fatalf("channel ticket (%v) outlives user ticket (%v), violating §IV-C", ct.Expiry, parsed.Expiry)
 	}

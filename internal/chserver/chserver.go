@@ -23,6 +23,7 @@ import (
 	"p2pdrm/internal/p2p"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
+	"p2pdrm/internal/ticket"
 	"p2pdrm/internal/wire"
 )
 
@@ -57,6 +58,9 @@ type Config struct {
 	RNG io.Reader
 	// Arena backs the root peer's child state (see p2p.Config.Arena).
 	Arena *p2p.Arena
+	// Tickets is the verified-ticket memo the root checks joiners'
+	// Channel Tickets through (see p2p.Config.Tickets).
+	Tickets *ticket.Verifier
 	// HistoryWindow retains this many recent frames at the root for
 	// time-shifted viewers (p2p.Config.HistoryWindow). 0 = no retention.
 	HistoryWindow int
@@ -125,6 +129,7 @@ func New(node *simnet.Node, cfg Config) (*Server, error) {
 		Substreams:  cfg.Substreams,
 		RNG:         cfg.RNG,
 		Arena:       cfg.Arena,
+		Tickets:     cfg.Tickets,
 
 		HistoryWindow: cfg.HistoryWindow,
 	})

@@ -93,6 +93,12 @@ type Config struct {
 	// Arena backs the overlay peer's child state (see p2p.Config.Arena);
 	// a System shares one arena across all its clients and roots.
 	Arena *p2p.Arena
+	// Tickets is the verified-ticket memo the client checks the tickets
+	// it receives through, and hands to its overlay peer. A System
+	// shares one across the deployment, where the issuing manager has
+	// already remembered each ticket; nil gives the client a private
+	// memo.
+	Tickets *ticket.Verifier
 	// OnFrame receives each decrypted, deduplicated content frame. As
 	// with p2p.Config.OnPacket, payload is read-only and valid only until
 	// the callback returns (the next frame reuses its buffer); copy it to
@@ -116,6 +122,9 @@ func (c *Config) fill() {
 	}
 	if c.Parents <= 0 {
 		c.Parents = 2
+	}
+	if c.Tickets == nil {
+		c.Tickets = ticket.NewVerifier(0)
 	}
 	if c.Parents > c.Substreams {
 		c.Parents = c.Substreams
@@ -326,6 +335,7 @@ func (c *Client) ChannelTicketBlob() []byte {
 }
 
 // UserTicket returns the current parsed User Ticket (nil before login).
+// It is shared through the verified-ticket memo: read-only.
 func (c *Client) UserTicket() *ticket.UserTicket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,7 +343,7 @@ func (c *Client) UserTicket() *ticket.UserTicket {
 }
 
 // ChannelTicket returns the current parsed Channel Ticket (nil when not
-// watching).
+// watching). It is shared through the verified-ticket memo: read-only.
 func (c *Client) ChannelTicket() *ticket.ChannelTicket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -506,7 +516,7 @@ func (c *Client) loginOnce(j *journey) error {
 	if err != nil {
 		return fmt.Errorf("login2: %w", err)
 	}
-	ut, err := ticket.VerifyUser(resp2.UserTicket, umKey)
+	ut, err := c.cfg.Tickets.VerifyUser(resp2.UserTicket, umKey)
 	if err != nil {
 		return fmt.Errorf("login2: %w", err)
 	}
@@ -699,7 +709,7 @@ func (c *Client) watch(j *journey, channelID string) error {
 	if err != nil {
 		return err
 	}
-	ct, err := ticket.VerifyChannel(resp.ChannelTicket, cmKey)
+	ct, err := c.cfg.Tickets.VerifyChannel(resp.ChannelTicket, cmKey)
 	if err != nil {
 		return fmt.Errorf("channel ticket: %w", err)
 	}
@@ -756,6 +766,7 @@ func (c *Client) watch(j *journey, channelID string) error {
 		Substreams: c.cfg.Substreams,
 		RNG:        c.cfg.RNG,
 		Arena:      c.cfg.Arena,
+		Tickets:    c.cfg.Tickets,
 		Capacity:   c.cfg.PeerCapacity,
 		OnPacket:   onPacket,
 		OnHijack:   c.cfg.OnHijack,
@@ -1010,7 +1021,7 @@ func (c *Client) renewLoop(gen int) {
 			c.mu.Unlock()
 			return // peering will be severed at expiry (§IV-D)
 		}
-		ct, err := ticket.VerifyChannel(resp.ChannelTicket, cmKey)
+		ct, err := c.cfg.Tickets.VerifyChannel(resp.ChannelTicket, cmKey)
 		if err != nil {
 			c.mu.Lock()
 			c.stats.RenewalsFailed++

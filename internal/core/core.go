@@ -29,6 +29,7 @@ import (
 	"p2pdrm/internal/sim"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
+	"p2pdrm/internal/ticket"
 	"p2pdrm/internal/usermgr"
 	"p2pdrm/internal/wire"
 )
@@ -64,6 +65,11 @@ func AddrChannelMgr(partition string) simnet.Addr {
 func AddrChannelRoot(channelID string) simnet.Addr {
 	return simnet.Addr("root." + channelID)
 }
+
+// ticketMemoCap bounds each ticket kind in the deployment's verified-ticket
+// memo. A miss costs one Ed25519 verify; a larger memo retains more
+// parsed tickets without saving any on the measurement week.
+const ticketMemoCap = 4096
 
 // CapacityModel describes a manager backend's queueing behaviour: Workers
 // parallel servers, each holding a request for a sampled service time
@@ -253,6 +259,12 @@ type System struct {
 	// live on the one scheduler, so sharing is safe.
 	Arena *p2p.Arena
 
+	// tickets is the deployment's verified-ticket memo: the User and
+	// Channel Managers remember every ticket they sign, and every
+	// manager, root and client checks tickets through it, so each signed
+	// blob is verified at most once per deployment (see ticket.Verifier).
+	tickets *ticket.Verifier
+
 	rng       *cryptoutil.SeededReader
 	umKeys    *cryptoutil.KeyPair
 	pmKeys    *cryptoutil.KeyPair
@@ -290,6 +302,7 @@ func NewSystem(opts Options) (*System, error) {
 		ChanMgrs: make(map[string][]*channelmgr.Manager),
 		Servers:  make(map[string]*chserver.Server),
 		Arena:    p2p.NewArena(1 << 16),
+		tickets:  ticket.NewVerifier(ticketMemoCap),
 		rng:      rng,
 		cmKeys:   make(map[string]*cryptoutil.KeyPair),
 	}
@@ -357,6 +370,7 @@ func NewSystem(opts Options) (*System, error) {
 			Log:            channelmgr.NewViewLog(0),
 			Dir:            channelmgr.NewDirectory(opts.Seed + int64(len(part))),
 			RNG:            rng,
+			Tickets:        sys.tickets,
 		}
 		partition := part
 		mgrs, nodes, err := svc.DeployFarm(net, AddrChannelMgr(part), opts.ChannelMgrFarm,
@@ -390,6 +404,7 @@ func NewSystem(opts Options) (*System, error) {
 		UserMgrKey:  umKeys.Public(),
 		UserMgrs:    sys.umBackend,
 		ChannelMgrs: sys.cmBackend,
+		Tickets:     sys.tickets,
 	})
 	if err != nil {
 		return nil, err
@@ -446,6 +461,7 @@ func (s *System) userMgrConfig(domain string) usermgr.Config {
 		ClientImage:    s.Opts.ClientImage,
 		Domain:         domain,
 		RNG:            s.rng,
+		Tickets:        s.tickets,
 	}
 }
 
@@ -684,6 +700,7 @@ func (s *System) DeployChannel(ch *policy.Channel) error {
 		MaxChildren:    s.Opts.RootMaxChildren,
 		RNG:            s.rng,
 		Arena:          s.Arena,
+		Tickets:        s.tickets,
 		HistoryWindow:  s.Opts.HistoryWindow,
 		OnRekey:        onRekey,
 	})
@@ -766,6 +783,7 @@ func (s *System) NewClient(email, password string, addr simnet.Addr, mut func(*c
 		SecureTransport: s.Opts.SecureTransport,
 		RedirectKey:     s.rmKeys.Public().Encode(),
 		Arena:           s.Arena,
+		Tickets:         s.tickets,
 		Trace:           s.Opts.Trace,
 	}
 	if cfg.Version == 0 {

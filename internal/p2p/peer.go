@@ -78,11 +78,12 @@ type Config struct {
 	// ExpiryGrace extends a child's eviction deadline slightly past its
 	// ticket expiry so an in-flight renewal can land. Default 10s.
 	ExpiryGrace time.Duration
-	// TicketCache bounds the verified Channel Ticket cache: joiners and
-	// renewers present the same signed blob repeatedly, and a cache hit
-	// skips the Ed25519 check (validity windows are still enforced per
-	// use). Default 256 entries.
-	TicketCache int
+	// Tickets is the deployment's verified-ticket memo: a joiner presents
+	// the Channel Ticket its Channel Manager remembered there at signing,
+	// and a hit skips the Ed25519 check (the validity window, NetAddr
+	// binding and channel match are still enforced per use). Nil gives
+	// the peer a private memo.
+	Tickets *ticket.Verifier
 	// Arena backs the peer's hot child/dedup state with shared flat
 	// slabs. Peers sharing an arena must run on one scheduler lane (a
 	// System, or one shard of a sharded run). Nil gives the peer a small
@@ -135,8 +136,8 @@ func (c *Config) fill() {
 	if c.ExpiryGrace <= 0 {
 		c.ExpiryGrace = 10 * time.Second
 	}
-	if c.TicketCache <= 0 {
-		c.TicketCache = 256
+	if c.Tickets == nil {
+		c.Tickets = ticket.NewVerifier(0)
 	}
 }
 
@@ -192,10 +193,9 @@ type parent struct {
 // Peer is one overlay endpoint: the Channel Server root, a relay, or a
 // viewing client (all three share the same mechanics).
 type Peer struct {
-	cfg      Config
-	node     *simnet.Node
-	rt       *svc.Runtime
-	verifier *ticket.Verifier
+	cfg  Config
+	node *simnet.Node
+	rt   *svc.Runtime
 
 	mu       sync.Mutex
 	ring     *keys.Ring
@@ -278,7 +278,6 @@ func NewPeer(node *simnet.Node, cfg Config) (*Peer, error) {
 		cfg:      cfg,
 		node:     node,
 		rt:       svc.NewRuntime(node),
-		verifier: ticket.NewVerifier(cfg.TicketCache),
 		ring:     keys.NewRing(cfg.KeyWindow),
 		arena:    arena,
 		children: make(map[simnet.Addr]childHandle),
@@ -428,7 +427,7 @@ func (p *Peer) handleJoin(from simnet.Addr, req *wire.JoinReq) (*wire.JoinResp, 
 // the verified ticket, or a typed refusal (code != CodeUnknown).
 func (p *Peer) admitTicket(from simnet.Addr, blob []byte) (*ticket.ChannelTicket, wire.Code, string) {
 	now := p.node.Scheduler().Now()
-	ct, err := p.verifier.VerifyChannel(blob, p.cfg.ChanMgrKey)
+	ct, err := p.cfg.Tickets.VerifyChannel(blob, p.cfg.ChanMgrKey)
 	if err != nil {
 		return nil, wire.CodeBadTicket, "channel ticket: " + err.Error()
 	}
@@ -542,7 +541,7 @@ func (p *Peer) scheduleEviction(addr simnet.Addr, expiry time.Time) {
 // and extends the peering (§IV-D).
 func (p *Peer) handleRenewal(from simnet.Addr, req *wire.RenewalPresent) {
 	now := p.node.Scheduler().Now()
-	ct, err := p.verifier.VerifyChannel(req.ChannelTicket, p.cfg.ChanMgrKey)
+	ct, err := p.cfg.Tickets.VerifyChannel(req.ChannelTicket, p.cfg.ChanMgrKey)
 	if err != nil || ct.ValidAt(now) != nil || ct.NetAddr != string(from) ||
 		ct.ChannelID != p.cfg.ChannelID {
 		return // silently ignore invalid renewals

@@ -45,6 +45,11 @@ type Config struct {
 	UserMgrs []simnet.Addr
 	// ChannelMgrs receive Channel List pushes.
 	ChannelMgrs []simnet.Addr
+	// Tickets is the deployment's verified-ticket memo: clients
+	// refetching the Channel List present the User Ticket their User
+	// Manager remembered there at signing. Nil gives the manager a
+	// private memo.
+	Tickets *ticket.Verifier
 }
 
 // Manager is the Channel Policy Manager. The paper does not foresee the
@@ -53,9 +58,6 @@ type Manager struct {
 	cfg  Config
 	node *simnet.Node
 	rt   *svc.Runtime
-	// verifier memoizes User Ticket signature checks: clients refetching
-	// the Channel List present the same signed ticket for its whole life.
-	verifier *ticket.Verifier
 
 	mu       sync.Mutex
 	channels map[string]*policy.Channel
@@ -77,11 +79,13 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 	if len(cfg.UserMgrKey.Verify) == 0 {
 		return nil, fmt.Errorf("policymgr: UserMgrKey is required")
 	}
+	if cfg.Tickets == nil {
+		cfg.Tickets = ticket.NewVerifier(0)
+	}
 	m := &Manager{
 		cfg:        cfg,
 		node:       node,
 		rt:         svc.NewRuntime(node),
-		verifier:   ticket.NewVerifier(0),
 		channels:   make(map[string]*policy.Channel),
 		tombstones: make(map[policy.AttrKey]time.Time),
 	}
@@ -257,7 +261,7 @@ func (m *Manager) AddUserMgr(um simnet.Addr) {
 // receives the full current Channel List.
 func (m *Manager) handleChanList(from simnet.Addr, req *wire.ChanListReq) (*wire.ChanListResp, error) {
 	now := m.node.Scheduler().Now()
-	ut, err := m.verifier.VerifyUser(req.UserTicket, m.cfg.UserMgrKey)
+	ut, err := m.cfg.Tickets.VerifyUser(req.UserTicket, m.cfg.UserMgrKey)
 	if err != nil {
 		return nil, wire.Errf(wire.CodeBadTicket, "%v", err)
 	}

@@ -13,7 +13,8 @@ import (
 // Manager signs a User Ticket certifying the client's public key; the
 // Channel Manager derives a privacy-filtered Channel Ticket from it
 // (only the NetAddr attribute survives, §IV-C); any tampering breaks
-// verification.
+// verification. One Verifier serves every check, as one serves a whole
+// deployment.
 func Example() {
 	rng := cryptoutil.NewSeededReader(7)
 	userMgr, _ := cryptoutil.NewKeyPair(rng)
@@ -34,7 +35,8 @@ func Example() {
 	}
 	userBlob := ticket.SignUser(ut, userMgr)
 
-	verified, err := ticket.VerifyUser(userBlob, userMgr.Public())
+	v := ticket.NewVerifier(0)
+	verified, err := v.VerifyUser(userBlob, userMgr.Public())
 	fmt.Printf("user ticket: UserIN=%d attrs=%d err=%v\n",
 		verified.UserIN, len(verified.Attrs), err)
 
@@ -49,12 +51,12 @@ func Example() {
 		Expiry:    now.Add(5 * time.Minute),
 	}
 	chanBlob := ticket.SignChannel(ct, chanMgr)
-	got, err := ticket.VerifyChannel(chanBlob, chanMgr.Public())
+	got, err := v.VerifyChannel(chanBlob, chanMgr.Public())
 	fmt.Printf("channel ticket: ch=%s addr=%s renewal=%v err=%v\n",
 		got.ChannelID, got.NetAddr, got.Renewal, err)
 
 	chanBlob[10] ^= 1
-	_, err = ticket.VerifyChannel(chanBlob, chanMgr.Public())
+	_, err = v.VerifyChannel(chanBlob, chanMgr.Public())
 	fmt.Println("tampered:", err)
 	// Output:
 	// user ticket: UserIN=42 attrs=3 err=<nil>

@@ -37,7 +37,7 @@ func FuzzVerifyTickets(f *testing.F) {
 
 	pub := mgr.Public()
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if got, err := VerifyUser(b, pub); err == nil {
+		if got, err := verifyUser(b, pub); err == nil {
 			// Acceptance is only legal for the genuine blob.
 			if got.UserIN != 1 || !got.ClientKey.Equal(cli.Public()) {
 				t.Fatalf("forged user ticket accepted: %+v", got)

@@ -91,9 +91,10 @@ func SignUser(t *UserTicket, signer *cryptoutil.KeyPair) []byte {
 	return append(body, signer.Sign(body)...)
 }
 
-// VerifyUser parses a signed User Ticket and checks the User Manager's
-// signature. Validity times are NOT checked here — call ValidAt.
-func VerifyUser(b []byte, mgr cryptoutil.PublicKey) (*UserTicket, error) {
+// verifyUser parses a signed User Ticket and checks the User Manager's
+// signature. Validity times are NOT checked here — call ValidAt. Callers
+// outside this package verify through a Verifier.
+func verifyUser(b []byte, mgr cryptoutil.PublicKey) (*UserTicket, error) {
 	body, err := splitSigned(b, mgr)
 	if err != nil {
 		return nil, err

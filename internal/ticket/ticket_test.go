@@ -47,7 +47,7 @@ func TestUserTicketRoundTrip(t *testing.T) {
 	mgr, client := newKeys(t)
 	ut := sampleUserTicket(client)
 	blob := SignUser(ut, mgr)
-	got, err := VerifyUser(blob, mgr.Public())
+	got, err := verifyUser(blob, mgr.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestUserTicketTamperDetected(t *testing.T) {
 	for _, idx := range []int{0, 5, len(blob) / 2, len(blob) - 1} {
 		mut := append([]byte(nil), blob...)
 		mut[idx] ^= 1
-		if _, err := VerifyUser(mut, mgr.Public()); err == nil {
+		if _, err := verifyUser(mut, mgr.Public()); err == nil {
 			t.Fatalf("bit flip at %d accepted", idx)
 		}
 	}
@@ -78,7 +78,7 @@ func TestUserTicketWrongIssuer(t *testing.T) {
 	mgr, client := newKeys(t)
 	rogue, _ := cryptoutil.NewKeyPair(cryptoutil.NewSeededReader(9))
 	blob := SignUser(sampleUserTicket(client), rogue)
-	if _, err := VerifyUser(blob, mgr.Public()); !errors.Is(err, ErrBadSignature) {
+	if _, err := verifyUser(blob, mgr.Public()); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
 	}
 }
@@ -107,10 +107,10 @@ func TestUserTicketValidity(t *testing.T) {
 
 func TestUserTicketMalformed(t *testing.T) {
 	mgr, _ := newKeys(t)
-	if _, err := VerifyUser(nil, mgr.Public()); !errors.Is(err, ErrMalformed) {
+	if _, err := verifyUser(nil, mgr.Public()); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("nil: %v", err)
 	}
-	if _, err := VerifyUser(make([]byte, 10), mgr.Public()); !errors.Is(err, ErrMalformed) {
+	if _, err := verifyUser(make([]byte, 10), mgr.Public()); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short: %v", err)
 	}
 }
@@ -248,7 +248,7 @@ func TestUserTicketAttrsProperty(t *testing.T) {
 			l = append(l, attr.Attribute{Name: n, Value: "v"})
 		}
 		ut := &UserTicket{UserIN: 1, ClientKey: pub, Start: tStart, Expiry: tEnd, Attrs: l}
-		got, err := VerifyUser(SignUser(ut, mgr), mgr.Public())
+		got, err := verifyUser(SignUser(ut, mgr), mgr.Public())
 		if err != nil || len(got.Attrs) != len(l) {
 			return false
 		}

@@ -1,14 +1,19 @@
-// Verified-ticket caching. Ticket verification is dominated by the
-// Ed25519 signature check (~50µs) plus a full body re-parse, and the same
-// signed blob is presented over and over: every parent a peer contacts
-// re-verifies the same Channel Ticket, every SWITCH round re-verifies the
-// same User Ticket. A Verifier memoizes successful verifications in a
-// bounded LRU keyed by a hash of the complete signed bytes AND the signer
-// key, so a hit is exactly "these bytes already passed verification under
-// this key" — a forged or mutated ticket can never hit the cache, and a
-// ticket verified against the wrong signer cannot alias a right-signer
-// entry. Validity windows are deliberately NOT cached: callers check
-// ValidAt against the current clock on every use, cached or not.
+// Verified-ticket memo. Ticket verification is dominated by the Ed25519
+// signature check (~50µs) plus a full body re-parse, and one signed blob
+// is presented many times: to the client that receives it, to every
+// Channel Manager backend and the Policy Manager on each round of its
+// life, and to every overlay parent the viewer joins. A Verifier memoizes
+// successful verifications in a bounded LRU keyed by a hash of the
+// complete signed bytes AND the signer key, so a hit is exactly "these
+// bytes passed Ed25519 under this key" — a pure function of (key, bytes),
+// the same on every node that asks. One Verifier may therefore serve a
+// whole deployment: whichever node sees a ticket first checks it (or, for
+// the issuer, remembers it at signing), and every later check of the
+// same bytes under the same key hits. A forged or mutated ticket can
+// never hit, and a ticket checked against the wrong signer cannot alias
+// a right-signer entry. Validity windows are deliberately NOT cached:
+// callers check ValidAt (and any address or channel binding) against
+// their own clock on every use, cached or not.
 package ticket
 
 import (
@@ -24,9 +29,10 @@ import (
 const defaultVerifierCap = 1024
 
 // Verifier caches successful ticket verifications. Tickets returned from
-// a cache hit are shared: callers must treat them as read-only (all
-// existing callers copy before mutating). The zero value is not usable;
-// call NewVerifier.
+// a cache hit are shared — possibly with other nodes, and with the issuer
+// that remembered them: callers must treat them as read-only (all
+// existing callers copy before mutating). All methods are safe for
+// concurrent use. The zero value is not usable; call NewVerifier.
 type Verifier struct {
 	user    *lru.Cache[[32]byte, *UserTicket]
 	channel *lru.Cache[[32]byte, *ChannelTicket]
@@ -36,8 +42,8 @@ type Verifier struct {
 
 // NewVerifier creates a Verifier holding up to capacity verified tickets
 // of each kind (non-positive means defaultVerifierCap). Each cache's
-// storage is created by its first Add, so a kind never verified — an
-// overlay peer only ever sees Channel Tickets — costs its header alone.
+// storage is created by its first Add, so a kind never verified costs
+// its header alone.
 func NewVerifier(capacity int) *Verifier {
 	if capacity <= 0 {
 		capacity = defaultVerifierCap
@@ -61,15 +67,16 @@ func cacheKey(b []byte, mgr cryptoutil.PublicKey) [32]byte {
 	return k
 }
 
-// VerifyUser is VerifyUser with memoized signature checks. Errors are
-// never cached; a failing blob takes the full path every time.
+// VerifyUser parses a signed User Ticket and checks the User Manager's
+// signature, memoized. Validity times are NOT checked — call ValidAt.
+// Errors are never cached; a failing blob takes the full path every time.
 func (v *Verifier) VerifyUser(b []byte, mgr cryptoutil.PublicKey) (*UserTicket, error) {
 	k := cacheKey(b, mgr)
 	if t, ok := v.user.Get(k); ok {
 		v.hits.Add(1)
 		return t, nil
 	}
-	t, err := VerifyUser(b, mgr)
+	t, err := verifyUser(b, mgr)
 	if err != nil {
 		return nil, err
 	}
@@ -94,15 +101,23 @@ func (v *Verifier) VerifyChannel(b []byte, mgr cryptoutil.PublicKey) (*ChannelTi
 	return t, nil
 }
 
+// RememberUser records a User Ticket the caller has itself just issued:
+// b is SignUser's output for t under the key pair whose public half is
+// mgr. It mirrors RememberChannel.
+func (v *Verifier) RememberUser(b []byte, mgr cryptoutil.PublicKey, t *UserTicket) {
+	v.user.Add(cacheKey(b, mgr), t)
+}
+
 // RememberChannel records a Channel Ticket the caller has itself just
 // issued: b is SignChannel's output for t under the key pair whose
 // public half is mgr. A signer has no need to check its own signature,
-// so when the client presents b back to the backend that issued it (the
-// renewal's ExpiringTicket) VerifyChannel hits. Same key, same LRU bound
-// as a verified entry; t is shared with later hits, so the caller must
-// not modify it afterwards. Only an issuing path may call this — it is
-// the one place where "these bytes are validly signed by mgr" is known
-// without checking.
+// so when b is presented anywhere the Verifier is shared — to the client
+// receiving it, to an overlay parent, back to the issuing farm as a
+// renewal's ExpiringTicket — VerifyChannel hits. Same key, same LRU
+// bound as a verified entry; t is shared with later hits, so the caller
+// must not modify it afterwards. Only an issuing path may call this — it
+// is the one place where "these bytes are validly signed by mgr" is
+// known without checking.
 func (v *Verifier) RememberChannel(b []byte, mgr cryptoutil.PublicKey, t *ChannelTicket) {
 	v.channel.Add(cacheKey(b, mgr), t)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +18,10 @@ import (
 // for valid, expired, and bit-flipped tickets — of both kinds — the
 // cached path must return byte-identical results and identical errors to
 // the package-level verify functions, on both the cold (miss) and warm
-// (hit) pass.
+// (hit) pass. A second Verifier, in which the issuer remembered every
+// genuine blob at signing, must return the same errors and tickets that
+// encode to the same signed body, and must never verify a genuine blob
+// in full.
 func TestVerifierMatchesUncached(t *testing.T) {
 	rng := cryptoutil.NewSeededReader(7)
 	mgr, err := cryptoutil.NewKeyPair(rng)
@@ -35,6 +39,8 @@ func TestVerifierMatchesUncached(t *testing.T) {
 		blob []byte
 	}
 	var cases []blobCase
+	rem := NewVerifier(0)
+	pub := mgr.Public()
 
 	// Valid and expired tickets of both kinds. Expiry handling lives in
 	// ValidAt, outside the Verifier, so an "expired" ticket must verify
@@ -56,13 +62,17 @@ func TestVerifierMatchesUncached(t *testing.T) {
 				{Name: attr.NameRegion, Value: "100"},
 			},
 		}
-		cases = append(cases, blobCase{fmt.Sprintf("user/%s/%d", kind, i), SignUser(ut, mgr)})
+		utBlob := SignUser(ut, mgr)
+		rem.RememberUser(utBlob, pub, ut)
+		cases = append(cases, blobCase{fmt.Sprintf("user/%s/%d", kind, i), utBlob})
 		ct := &ChannelTicket{
 			UserIN: uint64(2000 + i), ChannelID: fmt.Sprintf("ch%d", i),
 			NetAddr: "r1.as1.h1", ClientKey: client.Public(),
 			Start: tStart, Expiry: expiry, Renewal: i%4 == 2,
 		}
-		cases = append(cases, blobCase{fmt.Sprintf("channel/%s/%d", kind, i), SignChannel(ct, mgr)})
+		ctBlob := SignChannel(ct, mgr)
+		rem.RememberChannel(ctBlob, pub, ct)
+		cases = append(cases, blobCase{fmt.Sprintf("channel/%s/%d", kind, i), ctBlob})
 	}
 	// Bit-flipped mutants: flip one random bit anywhere in a valid blob
 	// (body, signature, or type byte).
@@ -80,12 +90,11 @@ func TestVerifierMatchesUncached(t *testing.T) {
 	)
 
 	v := NewVerifier(0)
-	pub := mgr.Public()
 	for _, c := range cases {
 		// Two passes: the first may populate the cache, the second must
 		// hit it for successes — and both must match the uncached result.
 		for pass := 0; pass < 2; pass++ {
-			wantUT, wantUErr := VerifyUser(c.blob, pub)
+			wantUT, wantUErr := verifyUser(c.blob, pub)
 			gotUT, gotUErr := v.VerifyUser(c.blob, pub)
 			if !errors.Is(gotUErr, wantUErr) && !errors.Is(wantUErr, gotUErr) {
 				t.Fatalf("%s pass %d: VerifyUser err = %v, uncached %v", c.name, pass, gotUErr, wantUErr)
@@ -101,11 +110,44 @@ func TestVerifierMatchesUncached(t *testing.T) {
 			if !reflect.DeepEqual(gotCT, wantCT) {
 				t.Fatalf("%s pass %d: VerifyChannel = %+v, uncached %+v", c.name, pass, gotCT, wantCT)
 			}
+
+			remUT, remUErr := rem.VerifyUser(c.blob, pub)
+			if !errors.Is(remUErr, wantUErr) && !errors.Is(wantUErr, remUErr) {
+				t.Fatalf("%s pass %d: remembered VerifyUser err = %v, uncached %v", c.name, pass, remUErr, wantUErr)
+			}
+			if (remUT == nil) != (wantUT == nil) || remUT != nil && !sameUser(remUT, wantUT) {
+				t.Fatalf("%s pass %d: remembered VerifyUser = %+v, uncached %+v", c.name, pass, remUT, wantUT)
+			}
+			remCT, remCErr := rem.VerifyChannel(c.blob, pub)
+			if !errors.Is(remCErr, wantCErr) && !errors.Is(wantCErr, remCErr) {
+				t.Fatalf("%s pass %d: remembered VerifyChannel err = %v, uncached %v", c.name, pass, remCErr, wantCErr)
+			}
+			if (remCT == nil) != (wantCT == nil) || remCT != nil && !sameChannel(remCT, wantCT) {
+				t.Fatalf("%s pass %d: remembered VerifyChannel = %+v, uncached %+v", c.name, pass, remCT, wantCT)
+			}
 		}
 	}
 	if v.Hits() == 0 {
 		t.Fatal("second passes never hit the cache")
 	}
+	if rem.Misses() != 0 || rem.Hits() != 2*16 {
+		t.Fatalf("remembered verifier: hits = %d, misses = %d; want every genuine blob to hit on both passes", rem.Hits(), rem.Misses())
+	}
+}
+
+// sameUser reports whether two User Tickets encode to the same signed
+// body with the same client key and instants — what a remembered entry
+// must share with a full parse (the issuer's struct may differ in
+// representation only, e.g. a client key holding its parsed box half).
+func sameUser(a, b *UserTicket) bool {
+	return bytes.Equal(a.encodeBody(), b.encodeBody()) && a.ClientKey.Equal(b.ClientKey) &&
+		a.Start.Equal(b.Start) && a.Expiry.Equal(b.Expiry)
+}
+
+// sameChannel is sameUser for Channel Tickets.
+func sameChannel(a, b *ChannelTicket) bool {
+	return bytes.Equal(a.encodeBody(), b.encodeBody()) && a.ClientKey.Equal(b.ClientKey) &&
+		a.Start.Equal(b.Start) && a.Expiry.Equal(b.Expiry)
 }
 
 // TestVerifierForgedNeverCached pins the security property directly: a
@@ -195,8 +237,7 @@ func TestRememberChannelServesTheIssuerOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.encodeBody(), want.encodeBody()) || !got.ClientKey.Equal(want.ClientKey) ||
-		!got.Start.Equal(want.Start) || !got.Expiry.Equal(want.Expiry) {
+	if !sameChannel(got, want) {
 		t.Fatalf("remembered ticket = %+v, full verification parses %+v", got, want)
 	}
 
@@ -226,6 +267,251 @@ func TestRememberChannelServesTheIssuerOnly(t *testing.T) {
 	}
 	if _, err := v.VerifyChannel(blob, mgr.Public()); err != nil || v.Misses() != 1 {
 		t.Fatalf("evicted own ticket: err = %v, misses = %d; want one full verification", err, v.Misses())
+	}
+}
+
+// TestRememberUserServesTheIssuerOnly mirrors the Channel Ticket case:
+// a User Ticket the User Manager recorded at issue hits when the very
+// same bytes come back under its key, equal to what a full verification
+// parses; a mutated blob, the same blob under another key and the same
+// ticket signed by another key all take the full path and fail; the LRU
+// bound holds for remembered entries too.
+func TestRememberUserServesTheIssuerOnly(t *testing.T) {
+	rng := cryptoutil.NewSeededReader(17)
+	mgr, _ := cryptoutil.NewKeyPair(rng)
+	other, _ := cryptoutil.NewKeyPair(rng)
+	client, _ := cryptoutil.NewKeyPair(rng)
+	ut := sampleUserTicket(client)
+	blob := SignUser(ut, mgr)
+	v := NewVerifier(4)
+	v.RememberUser(blob, mgr.Public(), ut)
+
+	got, err := v.VerifyUser(blob, mgr.Public())
+	if err != nil || v.Hits() != 1 || v.Misses() != 0 {
+		t.Fatalf("own ticket: err = %v, hits = %d, misses = %d; want a hit", err, v.Hits(), v.Misses())
+	}
+	want, err := verifyUser(blob, mgr.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameUser(got, want) {
+		t.Fatalf("remembered ticket = %+v, full verification parses %+v", got, want)
+	}
+
+	for pos := 0; pos < len(blob); pos++ {
+		mut := append([]byte(nil), blob...)
+		mut[pos] ^= 0x01
+		if _, err := v.VerifyUser(mut, mgr.Public()); err == nil {
+			t.Fatalf("bit flip at %d verified through a remembered entry", pos)
+		}
+	}
+	if _, err := v.VerifyUser(blob, other.Public()); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("remembered blob under another signer key: err = %v, want ErrBadSignature", err)
+	}
+	if _, err := v.VerifyUser(SignUser(ut, other), mgr.Public()); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("same ticket signed by another key: err = %v, want ErrBadSignature", err)
+	}
+	if v.Hits() != 1 || v.Misses() != 0 {
+		t.Fatalf("failures moved the counters: hits = %d, misses = %d", v.Hits(), v.Misses())
+	}
+
+	for i := 2; i <= 5; i++ {
+		next := *ut
+		next.UserIN = uint64(i)
+		v.RememberUser(SignUser(&next, mgr), mgr.Public(), &next)
+	}
+	if _, err := v.VerifyUser(blob, mgr.Public()); err != nil || v.Misses() != 1 {
+		t.Fatalf("evicted own ticket: err = %v, misses = %d; want one full verification", err, v.Misses())
+	}
+}
+
+// TestMemoNeverVouchesForForgeries: with the genuine blob already in the
+// memo — remembered by its issuer or verified by an earlier node — each
+// forgery below must miss and fail with ErrBadSignature, for both ticket
+// kinds. Failures are not cached, so a second attempt fails the same way.
+func TestMemoNeverVouchesForForgeries(t *testing.T) {
+	rng := cryptoutil.NewSeededReader(19)
+	mgr, _ := cryptoutil.NewKeyPair(rng)
+	outsider, _ := cryptoutil.NewKeyPair(rng) // holds no manager key
+	client, _ := cryptoutil.NewKeyPair(rng)
+	ut := sampleUserTicket(client)
+	ct := &ChannelTicket{
+		UserIN: 42, ChannelID: "ch", NetAddr: "r1.as100.h7",
+		ClientKey: client.Public(), Start: tStart, Expiry: tEnd,
+	}
+	utBlob, ctBlob := SignUser(ut, mgr), SignChannel(ct, mgr)
+	flip := func(b []byte, pos int) []byte {
+		out := append([]byte(nil), b...)
+		out[pos] ^= 0x80
+		return out
+	}
+
+	type kind struct {
+		name     string
+		genuine  []byte
+		resigned []byte
+		remember func(v *Verifier)
+		verify   func(v *Verifier, b []byte, k cryptoutil.PublicKey) error
+	}
+	kinds := []kind{
+		{"user", utBlob, SignUser(ut, outsider),
+			func(v *Verifier) { v.RememberUser(utBlob, mgr.Public(), ut) },
+			func(v *Verifier, b []byte, k cryptoutil.PublicKey) error { _, err := v.VerifyUser(b, k); return err }},
+		{"channel", ctBlob, SignChannel(ct, outsider),
+			func(v *Verifier) { v.RememberChannel(ctBlob, mgr.Public(), ct) },
+			func(v *Verifier, b []byte, k cryptoutil.PublicKey) error { _, err := v.VerifyChannel(b, k); return err }},
+	}
+	for _, k := range kinds {
+		forgeries := []struct {
+			name string
+			blob []byte
+			key  cryptoutil.PublicKey
+		}{
+			{"bit flip in the body", flip(k.genuine, 12), mgr.Public()},
+			{"bit flip in the signature", flip(k.genuine, len(k.genuine)-5), mgr.Public()},
+			{"same body re-signed by a non-manager key", k.resigned, mgr.Public()},
+			{"genuine blob against another signer key", k.genuine, outsider.Public()},
+		}
+		for _, populate := range []string{"remembered", "verified"} {
+			v := NewVerifier(0)
+			if populate == "remembered" {
+				k.remember(v)
+			} else if err := k.verify(v, k.genuine, mgr.Public()); err != nil {
+				t.Fatal(err)
+			}
+			hits, misses := v.Hits(), v.Misses()
+			for _, f := range forgeries {
+				for attempt := 0; attempt < 2; attempt++ {
+					if err := k.verify(v, f.blob, f.key); !errors.Is(err, ErrBadSignature) {
+						t.Fatalf("%s/%s/%s attempt %d: err = %v, want ErrBadSignature", k.name, populate, f.name, attempt, err)
+					}
+				}
+			}
+			if v.Hits() != hits || v.Misses() != misses {
+				t.Fatalf("%s/%s: forgeries moved the counters (hits %d→%d, misses %d→%d)",
+					k.name, populate, hits, v.Hits(), misses, v.Misses())
+			}
+			if err := k.verify(v, k.genuine, mgr.Public()); err != nil || v.Hits() != hits+1 {
+				t.Fatalf("%s/%s: genuine blob err = %v, hits %d; want a hit", k.name, populate, err, v.Hits())
+			}
+		}
+	}
+}
+
+// TestRememberedExpiredStillFailsValidAt: the memo holds signatures, not
+// verdicts on time. A ticket remembered at issue and served from the memo
+// after its expiry still fails ValidAt on the caller's clock.
+func TestRememberedExpiredStillFailsValidAt(t *testing.T) {
+	rng := cryptoutil.NewSeededReader(23)
+	mgr, _ := cryptoutil.NewKeyPair(rng)
+	client, _ := cryptoutil.NewKeyPair(rng)
+	v := NewVerifier(0)
+	ut := sampleUserTicket(client)
+	utBlob := SignUser(ut, mgr)
+	v.RememberUser(utBlob, mgr.Public(), ut)
+	ct := &ChannelTicket{
+		UserIN: 42, ChannelID: "ch", NetAddr: "r1.as100.h7",
+		ClientKey: client.Public(), Start: tStart, Expiry: tEnd,
+	}
+	ctBlob := SignChannel(ct, mgr)
+	v.RememberChannel(ctBlob, mgr.Public(), ct)
+
+	gotUT, err := v.VerifyUser(utBlob, mgr.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCT, err := v.VerifyChannel(ctBlob, mgr.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Hits() != 2 {
+		t.Fatalf("hits = %d, want both served from the memo", v.Hits())
+	}
+	for _, now := range []time.Time{tEnd, tEnd.Add(time.Hour)} {
+		if err := gotUT.ValidAt(now); !errors.Is(err, ErrExpired) {
+			t.Fatalf("remembered user ticket at %v: ValidAt = %v, want ErrExpired", now, err)
+		}
+		if err := gotCT.ValidAt(now); !errors.Is(err, ErrExpired) {
+			t.Fatalf("remembered channel ticket at %v: ValidAt = %v, want ErrExpired", now, err)
+		}
+	}
+	if err := gotCT.ValidAt(tStart.Add(-time.Second)); !errors.Is(err, ErrNotYetValid) {
+		t.Fatalf("remembered channel ticket before its start: ValidAt = %v, want ErrNotYetValid", err)
+	}
+}
+
+// TestSharedVerifierConcurrent: one Verifier serves goroutines that
+// verify and remember overlapping blobs of both kinds at once, with a
+// capacity small enough that entries are evicted under them, and read
+// the tickets they get back. Every genuine blob verifies to its own
+// ticket and the forgery never verifies. Run it under -race.
+func TestSharedVerifierConcurrent(t *testing.T) {
+	rng := cryptoutil.NewSeededReader(29)
+	mgr, _ := cryptoutil.NewKeyPair(rng)
+	client, _ := cryptoutil.NewKeyPair(rng)
+	pub := mgr.Public()
+	const n = 12
+	uts := make([]*UserTicket, n)
+	cts := make([]*ChannelTicket, n)
+	utBlobs := make([][]byte, n)
+	ctBlobs := make([][]byte, n)
+	for i := range uts {
+		uts[i] = sampleUserTicket(client)
+		uts[i].UserIN = uint64(100 + i)
+		utBlobs[i] = SignUser(uts[i], mgr)
+		cts[i] = &ChannelTicket{
+			UserIN: uint64(200 + i), ChannelID: fmt.Sprintf("ch%d", i), NetAddr: "r1.as100.h7",
+			ClientKey: client.Public(), Start: tStart, Expiry: tEnd,
+		}
+		ctBlobs[i] = SignChannel(cts[i], mgr)
+	}
+	forged := append([]byte(nil), ctBlobs[0]...)
+	forged[20] ^= 1
+
+	v := NewVerifier(n / 2)
+	const workers, ops = 4, 60
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for op := 0; op < ops; op++ {
+				i := (op*(w+1) + w) % n
+				switch op % 5 {
+				case 0:
+					v.RememberUser(utBlobs[i], pub, uts[i])
+				case 1:
+					v.RememberChannel(ctBlobs[i], pub, cts[i])
+				case 2:
+					got, err := v.VerifyUser(utBlobs[i], pub)
+					if err != nil || got.UserIN != uint64(100+i) || got.NetAddr() != "r1.as100.h7" {
+						errs <- fmt.Errorf("worker %d: user ticket %d = %v, %v", w, i, got, err)
+						return
+					}
+				case 3:
+					got, err := v.VerifyChannel(ctBlobs[i], pub)
+					if err != nil || got.UserIN != uint64(200+i) || got.ChannelID != fmt.Sprintf("ch%d", i) ||
+						got.ValidAt(tStart) != nil {
+						errs <- fmt.Errorf("worker %d: channel ticket %d = %v, %v", w, i, got, err)
+						return
+					}
+				case 4:
+					if _, err := v.VerifyChannel(forged, pub); !errors.Is(err, ErrBadSignature) {
+						errs <- fmt.Errorf("worker %d: forged blob err = %v", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if v.user.Len() > n/2 || v.channel.Len() > n/2 {
+		t.Fatalf("memo holds %d user / %d channel tickets, bound %d", v.user.Len(), v.channel.Len(), n/2)
 	}
 }
 

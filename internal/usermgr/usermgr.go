@@ -58,6 +58,11 @@ type Config struct {
 	Domain string
 	// RNG supplies nonces and checksum salts (nil = crypto/rand).
 	RNG io.Reader
+	// Tickets is the deployment's verified-ticket memo: every User Ticket
+	// this manager signs is remembered there, so the client, the Channel
+	// Managers and the Policy Manager sharing it never re-verify it. Nil
+	// gives the manager a private memo.
+	Tickets *ticket.Verifier
 
 	// Shard is this member's view of a sharded farm's key map; nil for a
 	// classic VIP farm. When set, both login rounds check that this
@@ -90,6 +95,9 @@ func (c *Config) fill() {
 	}
 	if c.LockoutFor <= 0 {
 		c.LockoutFor = 5 * time.Minute
+	}
+	if c.Tickets == nil {
+		c.Tickets = ticket.NewVerifier(0)
 	}
 }
 
@@ -452,6 +460,7 @@ func (m *Manager) handleLogin2(from simnet.Addr, req *wire.Login2Req) (*wire.Log
 		Attrs:     attrs,
 	}
 	blob := ticket.SignUser(ut, m.cfg.Keys)
+	m.cfg.Tickets.RememberUser(blob, m.cfg.Keys.Public(), ut)
 	m.noteAuthOK(email)
 
 	m.mu.Lock()

@@ -124,7 +124,7 @@ func (f *fixture) doLogin(node *simnet.Node, email string, o loginOpts) ([]byte,
 	if err != nil {
 		return nil, nil, err
 	}
-	ut, err := ticket.VerifyUser(resp2.UserTicket, f.umKeys.Public())
+	ut, err := ticket.NewVerifier(0).VerifyUser(resp2.UserTicket, f.umKeys.Public())
 	if err != nil {
 		return nil, nil, err
 	}
