@@ -123,11 +123,11 @@ func (c *Config) fill() {
 	if c.Parents <= 0 {
 		c.Parents = 2
 	}
-	if c.Tickets == nil {
-		c.Tickets = ticket.NewVerifier(0)
-	}
 	if c.Parents > c.Substreams {
 		c.Parents = c.Substreams
+	}
+	if c.Tickets == nil {
+		c.Tickets = ticket.NewVerifier(0)
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 10 * time.Second
