@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover allocs bench chaos smoke smokes megascale check
+.PHONY: all vet build test race race-stress cover allocs bench chaos smoke smokes megascale check
 
 all: check
 
@@ -31,10 +31,19 @@ test:
 # tenant, and the event kinds dispatched from one packed field. So does
 # the deployment's verified-ticket memo, which the megascale lanes share:
 # goroutines verify, remember and evict overlapping tickets on one
-# ticket.Verifier.
+# ticket.Verifier. So does its challenge-signature and session-key memo:
+# goroutines sign, verify, seal and open overlapping records on one
+# cryptoutil.Memo. The second line is `race-stress`, which CI's
+# shard-invariance job also runs at each GOMAXPROCS of its matrix, so the
+# pattern lives in RACE_STRESS only.
+RACE_STRESS = Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference|StaleTimerCannotStopNextTenant|DispatchAtOneInstant|SharedVerifierConcurrent|MemoConcurrent
+RACE_STRESS_PKGS = ./internal/sim ./internal/simnet ./internal/exp ./internal/ticket ./internal/cryptoutil
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference|StaleTimerCannotStopNextTenant|DispatchAtOneInstant|SharedVerifierConcurrent' ./internal/sim ./internal/simnet ./internal/exp ./internal/ticket
+	GOMAXPROCS=4 $(MAKE) --no-print-directory race-stress
+
+race-stress:
+	$(GO) test -race -run '$(RACE_STRESS)' $(RACE_STRESS_PKGS)
 
 # Coverage over every package, with a per-function summary. Writes
 # cover.out (ignored by git) for `go tool cover -html=cover.out`.

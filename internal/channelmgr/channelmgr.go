@@ -63,8 +63,9 @@ type Config struct {
 	// and an expiring Channel Ticket is presented twice per renewal
 	// (SWITCH1 + SWITCH2) — and remembers every Channel Ticket this
 	// manager signs, so the client, the overlay parents and whichever
-	// farm backend takes the renewal never re-verify it. Nil gives the
-	// manager a private memo.
+	// farm backend takes the renewal never re-verify it. SWITCH2 nonce
+	// signatures are checked through its Crypto memo, where the client
+	// recorded them. Nil gives the manager a private memo.
 	Tickets *ticket.Verifier
 }
 
@@ -302,7 +303,7 @@ func (m *Manager) handleSwitch2(from simnet.Addr, req *wire.SwitchFinish) (*wire
 		return nil, serr
 	}
 	// Challenge response proves possession of the certified private key.
-	if !ut.ClientKey.VerifySig(nonce, req.Sig) {
+	if !m.cfg.Tickets.Crypto().VerifySig(ut.ClientKey, nonce, req.Sig) {
 		m.deny()
 		return nil, wire.Errf(wire.CodeDenied, "nonce signature invalid")
 	}

@@ -2,6 +2,7 @@ package channelmgr
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +91,11 @@ func (f *fixture) mintUserTicket(kp *cryptoutil.KeyPair, userIN uint64, addr sim
 
 // doSwitch runs the client side of SWITCH1+SWITCH2.
 func doSwitch(node *simnet.Node, target simnet.Addr, kp *cryptoutil.KeyPair, utBlob []byte, channelID string, expiring []byte) (*wire.SwitchResp, error) {
+	return doSwitchSigned(node, target, kp.Sign, utBlob, channelID, expiring)
+}
+
+// doSwitchSigned is doSwitch answering the challenge nonce with sign.
+func doSwitchSigned(node *simnet.Node, target simnet.Addr, sign func(nonce []byte) []byte, utBlob []byte, channelID string, expiring []byte) (*wire.SwitchResp, error) {
 	req := &wire.SwitchReq{UserTicket: utBlob, ChannelID: channelID, ExpiringTicket: expiring}
 	raw, err := node.Call(target, wire.SvcSwitch1, req.Encode(), 0)
 	if err != nil {
@@ -101,7 +107,7 @@ func doSwitch(node *simnet.Node, target simnet.Addr, kp *cryptoutil.KeyPair, utB
 	}
 	fin := &wire.SwitchFinish{
 		UserTicket: utBlob, ChannelID: channelID, ExpiringTicket: expiring,
-		Token: chal.Token, Nonce: chal.Nonce, Sig: kp.Sign(chal.Nonce),
+		Token: chal.Token, Nonce: chal.Nonce, Sig: sign(chal.Nonce),
 	}
 	raw2, err := node.Call(target, wire.SvcSwitch2, fin.Encode(), 0)
 	if err != nil {
@@ -299,6 +305,55 @@ func TestStolenTicketWithoutPrivateKeyRejected(t *testing.T) {
 	f.sched.Run()
 	if code := remoteCode(serr); code != wire.CodeDenied {
 		t.Fatalf("err = %v, want %s", serr, wire.CodeDenied)
+	}
+}
+
+// TestForgedSwitchSignatureDeniedWithGenuineRecorded: the manager checks
+// SWITCH2 nonce signatures through a memo that holds the genuine
+// signature of the very nonce, and a forgery still takes the full check
+// and fails.
+func TestForgedSwitchSignatureDeniedWithGenuineRecorded(t *testing.T) {
+	tickets := ticket.NewVerifier(0)
+	f := newFixture(t, func(c *Config) { c.Tickets = tickets })
+	addr := geo.Addr(100, 1, 1)
+	cli := f.net.NewNode(addr)
+	victim, _ := cryptoutil.NewKeyPair(f.rng)
+	attacker, _ := cryptoutil.NewKeyPair(f.rng)
+	ut := f.mintUserTicket(victim, 7, addr, time.Hour)
+	forgeries := []struct {
+		name string
+		sign func(nonce []byte) []byte
+	}{
+		{"genuine signature with a bit flipped", func(nonce []byte) []byte {
+			sig := tickets.Crypto().Sign(victim, nonce)
+			sig[0] ^= 0x80
+			return sig
+		}},
+		{"attacker's recorded signature", func(nonce []byte) []byte {
+			tickets.Crypto().Sign(victim, nonce)
+			return tickets.Crypto().Sign(attacker, nonce)
+		}},
+		{"genuine signature of another nonce", func(nonce []byte) []byte {
+			tickets.Crypto().Sign(victim, nonce)
+			return tickets.Crypto().Sign(victim, append([]byte{^nonce[0]}, nonce[1:]...))
+		}},
+	}
+	for _, fg := range forgeries {
+		var serr error
+		f.sched.Go(func() { _, serr = doSwitchSigned(cli, "cm.provider", fg.sign, ut, "chA", nil) })
+		f.sched.Run()
+		var se *wire.ServiceError
+		if !errors.As(serr, &se) || se.Code != wire.CodeDenied || !strings.Contains(se.Msg, "nonce signature invalid") {
+			t.Errorf("%s: err = %v, want %s nonce signature invalid", fg.name, serr, wire.CodeDenied)
+		}
+	}
+	var serr error
+	f.sched.Go(func() {
+		_, serr = doSwitchSigned(cli, "cm.provider", func(nonce []byte) []byte { return tickets.Crypto().Sign(victim, nonce) }, ut, "chA", nil)
+	})
+	f.sched.Run()
+	if serr != nil {
+		t.Fatalf("genuine recorded signature: %v", serr)
 	}
 }
 

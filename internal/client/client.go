@@ -96,8 +96,9 @@ type Config struct {
 	// Tickets is the verified-ticket memo the client checks the tickets
 	// it receives through, and hands to its overlay peer. A System
 	// shares one across the deployment, where the issuing manager has
-	// already remembered each ticket; nil gives the client a private
-	// memo.
+	// already remembered each ticket. The client signs its LOGIN2 and
+	// SWITCH2 challenges through its Crypto memo for the managers sharing
+	// it. Nil gives the client a private memo.
 	Tickets *ticket.Verifier
 	// OnFrame receives each decrypted, deduplicated content frame. As
 	// with p2p.Config.OnPacket, payload is read-only and valid only until
@@ -510,7 +511,7 @@ func (c *Client) loginOnce(j *journey) error {
 	signed := append(append([]byte(nil), nonce...), sum[:]...)
 	req2 := &wire.Login2Req{
 		Email: c.cfg.Email, Token: resp1.Token, Nonce: nonce,
-		Checksum: sum[:], Sig: c.keys.Sign(signed),
+		Checksum: sum[:], Sig: c.cfg.Tickets.Crypto().Sign(c.keys, signed),
 	}
 	resp2, err := svc.Invoke(c.traced(j, c.measured(umKey, feedback.Login2)), c.umAddr, wire.SvcLogin2, req2, wire.DecodeLogin2Resp)
 	if err != nil {
@@ -664,7 +665,7 @@ func (c *Client) switchOnce(j *journey, cm simnet.Addr, cmKey cryptoutil.PublicK
 	j.enter("switch2")
 	fin := &wire.SwitchFinish{
 		UserTicket: blob, ChannelID: channelID, ExpiringTicket: expiring,
-		Token: chal.Token, Nonce: chal.Nonce, Sig: c.keys.Sign(chal.Nonce),
+		Token: chal.Token, Nonce: chal.Nonce, Sig: c.cfg.Tickets.Crypto().Sign(c.keys, chal.Nonce),
 	}
 	resp, err := svc.Invoke(c.traced(j, c.measured(cmKey, feedback.Switch2)), cm, wire.SvcSwitch2, fin, wire.DecodeSwitchResp)
 	if err != nil {

@@ -263,6 +263,8 @@ type System struct {
 	// Channel Managers remember every ticket they sign, and every
 	// manager, root and client checks tickets through it, so each signed
 	// blob is verified at most once per deployment (see ticket.Verifier).
+	// Its Crypto memo likewise serves each client's challenge signatures
+	// to the managers and each parent's JOIN seal to the joiner.
 	tickets *ticket.Verifier
 
 	rng       *cryptoutil.SeededReader

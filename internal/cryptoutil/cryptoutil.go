@@ -8,7 +8,10 @@
 //   - symmetric AES-128-GCM for session keys and the rotating content keys
 //     (GCM authentication doubles as the paper's channel-hijack detection);
 //   - password hashing (the paper's "secure hash of the user's password",
-//     shp) and a rudimentary remote-attestation checksum.
+//     shp) and a rudimentary remote-attestation checksum;
+//   - a deployment-wide Memo that lets the checks following this
+//     process's own challenge signatures and ECIES seals reuse their
+//     results exactly (see Memo).
 //
 // The paper explicitly treats the concrete primitives as replaceable
 // engineering details (§IV); this package picks modern stdlib ones.
@@ -155,35 +158,41 @@ func (p PublicKey) Equal(o PublicKey) bool {
 // X25519 key, ECDH shared secret, HMAC-SHA-256 KDF, AES-128-GCM. Output
 // layout: ephemeralPub(32) || nonce(12) || ciphertext.
 func Seal(rng io.Reader, to PublicKey, plaintext []byte) ([]byte, error) {
+	out, _, err := seal(rng, to, plaintext)
+	return out, err
+}
+
+// seal is Seal also returning the ECDH shared secret.
+func seal(rng io.Reader, to PublicKey, plaintext []byte) (out, shared []byte, err error) {
 	if rng == nil {
 		rng = crand.Reader
 	}
 	if len(to.Box) != 32 {
-		return nil, ErrBadKey
+		return nil, nil, ErrBadKey
 	}
 	eph, err := newX25519Key(rng)
 	if err != nil {
-		return nil, fmt.Errorf("ephemeral keygen: %w", err)
+		return nil, nil, fmt.Errorf("ephemeral keygen: %w", err)
 	}
 	peer := to.boxParsed
 	if peer == nil {
 		if peer, err = ecdh.X25519().NewPublicKey(to.Box); err != nil {
-			return nil, ErrBadKey
+			return nil, nil, ErrBadKey
 		}
 	}
-	shared, err := eph.ECDH(peer)
+	shared, err = eph.ECDH(peer)
 	if err != nil {
-		return nil, fmt.Errorf("ecdh: %w", err)
+		return nil, nil, fmt.Errorf("ecdh: %w", err)
 	}
 	ephPub := eph.PublicKey().Bytes()
 	gcm := kdf(shared, ephPub, to.Box).aead()
-	out := make([]byte, 32+gcmNonceSize, 32+gcmNonceSize+len(plaintext)+gcmTagSize)
+	out = make([]byte, 32+gcmNonceSize, 32+gcmNonceSize+len(plaintext)+gcmTagSize)
 	copy(out, ephPub)
 	nonce := out[32:]
 	if _, err := io.ReadFull(rng, nonce); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return gcm.Seal(out, nonce, plaintext, nil), nil
+	return gcm.Seal(out, nonce, plaintext, nil), shared, nil
 }
 
 // Open decrypts a Seal output addressed to k.
@@ -199,6 +208,12 @@ func (k *KeyPair) Open(sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, ErrDecrypt
 	}
+	return k.openShared(shared, sealed)
+}
+
+// openShared is Open after the ECDH step: the KDF over shared and both
+// public keys, then AES-GCM authentication and decryption.
+func (k *KeyPair) openShared(shared, sealed []byte) ([]byte, error) {
 	gcm := kdf(shared, sealed[:32], k.boxPub[:]).aead()
 	nonce, ct := sealed[32:32+gcmNonceSize], sealed[32+gcmNonceSize:]
 	pt, err := gcm.Open(nil, nonce, ct, nil)

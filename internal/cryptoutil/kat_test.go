@@ -107,13 +107,19 @@ func TestX25519KnownAnswer(t *testing.T) {
 	}
 }
 
-// TestForgedSignatureFromPublicDataFails: signatures an attacker can
-// build from the public key and published signatures alone must all fail
-// VerifySig.
-func TestForgedSignatureFromPublicDataFails(t *testing.T) {
-	pub := katKeyPair(t).Public()
-	msg := []byte("channel ticket body")
-	genuine := unhex(t, rfc8032Sig) // a published signature, on the empty message
+// forgery is a signature attempt: sig presented as a signature on msg.
+type forgery struct {
+	name string
+	msg  []byte
+	sig  []byte
+}
+
+// publicDataForgeries builds the signatures an attacker can make from
+// pub and the RFC 8032 published signature (on the empty message) alone,
+// each presented on msg or on the empty message.
+func publicDataForgeries(t *testing.T, pub PublicKey, msg []byte) []forgery {
+	t.Helper()
+	genuine := unhex(t, rfc8032Sig)
 
 	// The group order L of edwards25519; a signature's S is a
 	// little-endian scalar that must be below it.
@@ -139,11 +145,7 @@ func TestForgedSignatureFromPublicDataFails(t *testing.T) {
 	malleated := append(append([]byte(nil), genuine[:32]...),
 		toLE(new(big.Int).Add(le(genuine[32:]), l))...)
 
-	forgeries := []struct {
-		name string
-		msg  []byte
-		sig  []byte
-	}{
+	forgeries := []forgery{
 		{"all zero", msg, make([]byte, SignatureSize)},
 		{"identity R, zero S", msg, append(append([]byte(nil), identity...), zero...)},
 		{"public key as R, zero S", msg, append(append([]byte(nil), pub.Verify...), zero...)},
@@ -155,6 +157,16 @@ func TestForgedSignatureFromPublicDataFails(t *testing.T) {
 		if len(f.sig) != SignatureSize {
 			t.Fatalf("%s: built %d bytes", f.name, len(f.sig))
 		}
+	}
+	return forgeries
+}
+
+// TestForgedSignatureFromPublicDataFails: signatures an attacker can
+// build from the public key and published signatures alone must all fail
+// VerifySig.
+func TestForgedSignatureFromPublicDataFails(t *testing.T) {
+	pub := katKeyPair(t).Public()
+	for _, f := range publicDataForgeries(t, pub, []byte("channel ticket body")) {
 		if pub.VerifySig(f.msg, f.sig) {
 			t.Errorf("%s: forged signature verified", f.name)
 		}

@@ -81,8 +81,10 @@ type Config struct {
 	// Tickets is the deployment's verified-ticket memo: a joiner presents
 	// the Channel Ticket its Channel Manager remembered there at signing,
 	// and a hit skips the Ed25519 check (the validity window, NetAddr
-	// binding and channel match are still enforced per use). Nil gives
-	// the peer a private memo.
+	// binding and channel match are still enforced per use). JOIN
+	// session keys are sealed and opened through its Crypto memo, so a
+	// joiner sharing it skips the ECDH its parent already computed. Nil
+	// gives the peer a private memo.
 	Tickets *ticket.Verifier
 	// Arena backs the peer's hot child/dedup state with shared flat
 	// slabs. Peers sharing an arena must run on one scheduler lane (a
@@ -369,7 +371,7 @@ func (p *Peer) handleJoin(from simnet.Addr, req *wire.JoinReq) (*wire.JoinResp, 
 	if err != nil {
 		return p.rejectJoin(wire.CodeInternal, "session key generation failed")
 	}
-	sealedSession, err := cryptoutil.Seal(p.cfg.RNG, ct.ClientKey, session[:])
+	sealedSession, err := p.cfg.Tickets.Crypto().Seal(p.cfg.RNG, ct.ClientKey, session[:])
 	if err != nil {
 		return p.rejectJoin(wire.CodeInternal, "session key sealing failed")
 	}
@@ -619,7 +621,7 @@ func (p *Peer) JoinParentTraced(tc wire.TraceCtx, addr simnet.Addr, substreams [
 		return fmt.Errorf("%w by %s: %w", ErrJoinRejected, addr,
 			&wire.ServiceError{Code: resp.Code, Msg: resp.Reason})
 	}
-	sessionBytes, err := p.cfg.Keys.Open(resp.SealedSession)
+	sessionBytes, err := p.cfg.Tickets.Crypto().Open(p.cfg.Keys, resp.SealedSession)
 	if err != nil || len(sessionBytes) != cryptoutil.SymKeySize {
 		return fmt.Errorf("join %s: session key: %w", addr, ErrNoSession)
 	}

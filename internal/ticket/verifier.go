@@ -14,6 +14,10 @@
 // a right-signer entry. Validity windows are deliberately NOT cached:
 // callers check ValidAt (and any address or channel binding) against
 // their own clock on every use, cached or not.
+//
+// A Verifier also carries the deployment's cryptoutil.Memo, so the
+// challenge signatures and JOIN session keys of the nodes sharing it are
+// checked through one memo too (see Crypto).
 package ticket
 
 import (
@@ -36,14 +40,15 @@ const defaultVerifierCap = 1024
 type Verifier struct {
 	user    *lru.Cache[[32]byte, *UserTicket]
 	channel *lru.Cache[[32]byte, *ChannelTicket]
+	crypto  *cryptoutil.Memo
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
 
 // NewVerifier creates a Verifier holding up to capacity verified tickets
-// of each kind (non-positive means defaultVerifierCap). Each cache's
-// storage is created by its first Add, so a kind never verified costs
-// its header alone.
+// of each kind (non-positive means defaultVerifierCap), and an empty
+// Crypto memo. Each cache's storage is created by its first Add, so a
+// kind never verified costs its header alone.
 func NewVerifier(capacity int) *Verifier {
 	if capacity <= 0 {
 		capacity = defaultVerifierCap
@@ -51,8 +56,15 @@ func NewVerifier(capacity int) *Verifier {
 	return &Verifier{
 		user:    lru.New[[32]byte, *UserTicket](capacity),
 		channel: lru.New[[32]byte, *ChannelTicket](capacity),
+		crypto:  cryptoutil.NewMemo(),
 	}
 }
+
+// Crypto returns the challenge-signature and session-key memo of the
+// nodes sharing v: clients sign LOGIN2/SWITCH2 nonces and managers check
+// them through it, and overlay parents seal JOIN session keys and
+// joiners open them through it.
+func (v *Verifier) Crypto() *cryptoutil.Memo { return v.crypto }
 
 // cacheKey binds the complete signed blob (body and signature) to the
 // signer's full public key. Both halves of the signer key are fixed-width
@@ -85,7 +97,9 @@ func (v *Verifier) VerifyUser(b []byte, mgr cryptoutil.PublicKey) (*UserTicket, 
 	return t, nil
 }
 
-// VerifyChannel is VerifyChannel with memoized signature checks.
+// VerifyChannel parses a signed Channel Ticket and checks the Channel
+// Manager's signature, memoized like VerifyUser. Validity times and the
+// ticket's address binding are NOT checked.
 func (v *Verifier) VerifyChannel(b []byte, mgr cryptoutil.PublicKey) (*ChannelTicket, error) {
 	k := cacheKey(b, mgr)
 	if t, ok := v.channel.Get(k); ok {

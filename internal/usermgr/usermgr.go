@@ -60,8 +60,9 @@ type Config struct {
 	RNG io.Reader
 	// Tickets is the deployment's verified-ticket memo: every User Ticket
 	// this manager signs is remembered there, so the client, the Channel
-	// Managers and the Policy Manager sharing it never re-verify it. Nil
-	// gives the manager a private memo.
+	// Managers and the Policy Manager sharing it never re-verify it.
+	// LOGIN2 signatures are checked through its Crypto memo, where the
+	// client recorded them. Nil gives the manager a private memo.
 	Tickets *ticket.Verifier
 
 	// Shard is this member's view of a sharded farm's key map; nil for a
@@ -420,7 +421,7 @@ func (m *Manager) handleLogin2(from simnet.Addr, req *wire.Login2Req) (*wire.Log
 	}
 	// Proof of private-key possession: signature over nonce || checksum.
 	signed := append(append([]byte(nil), req.Nonce...), req.Checksum...)
-	if !clientKey.VerifySig(signed, req.Sig) {
+	if !m.cfg.Tickets.Crypto().VerifySig(clientKey, signed, req.Sig) {
 		m.fail()
 		m.noteAuthFail(email, now)
 		return nil, wire.Errf(wire.CodeDenied, "client signature invalid")

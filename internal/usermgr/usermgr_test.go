@@ -68,6 +68,9 @@ type loginOpts struct {
 	image        []byte
 	wrongSignKey bool
 	target       simnet.Addr
+	// sign, when set, makes the LOGIN2 signature over msg for the key
+	// pair kp registered in LOGIN1.
+	sign func(kp *cryptoutil.KeyPair, msg []byte) []byte
 }
 
 // doLogin executes the client side of the login protocol from node.
@@ -112,9 +115,13 @@ func (f *fixture) doLogin(node *simnet.Node, email string, o loginOpts) ([]byte,
 		signer, _ = cryptoutil.NewKeyPair(f.rng)
 	}
 	signed := append(append([]byte(nil), nonce...), sum[:]...)
+	sig := signer.Sign(signed)
+	if o.sign != nil {
+		sig = o.sign(kp, signed)
+	}
 	req2 := &wire.Login2Req{
 		Email: email, Token: resp1.Token, Nonce: nonce,
-		Checksum: sum[:], Sig: signer.Sign(signed),
+		Checksum: sum[:], Sig: sig,
 	}
 	raw2, err := node.Call(o.target, wire.SvcLogin2, req2.Encode(), 0)
 	if err != nil {
@@ -280,6 +287,57 @@ func TestLoginWrongClientKeySignature(t *testing.T) {
 	f.sched.Run()
 	if code := remoteCode(lerr); code != wire.CodeDenied {
 		t.Fatalf("err = %v, want %s", lerr, wire.CodeDenied)
+	}
+}
+
+// TestForgedLoginSignatureDeniedWithGenuineRecorded: the manager checks
+// LOGIN2 signatures through a memo that holds the genuine signature of
+// the very challenge, and a forgery still takes the full check and fails.
+func TestForgedLoginSignatureDeniedWithGenuineRecorded(t *testing.T) {
+	tickets := ticket.NewVerifier(0)
+	f := newFixture(t, func(c *Config) { c.Tickets = tickets })
+	_, _ = f.accounts.Register("a@e", "pw")
+	attacker, _ := cryptoutil.NewKeyPair(f.rng)
+	forgeries := []struct {
+		name  string
+		forge func(kp *cryptoutil.KeyPair, msg []byte) []byte
+	}{
+		{"genuine signature with a bit flipped", func(kp *cryptoutil.KeyPair, msg []byte) []byte {
+			sig := tickets.Crypto().Sign(kp, msg)
+			sig[63] ^= 0x01
+			return sig
+		}},
+		{"attacker's recorded signature", func(kp *cryptoutil.KeyPair, msg []byte) []byte {
+			tickets.Crypto().Sign(kp, msg)
+			return tickets.Crypto().Sign(attacker, msg)
+		}},
+		{"genuine signature of another challenge", func(kp *cryptoutil.KeyPair, msg []byte) []byte {
+			tickets.Crypto().Sign(kp, msg)
+			return tickets.Crypto().Sign(kp, append([]byte{^msg[0]}, msg[1:]...))
+		}},
+	}
+	for i, fg := range forgeries {
+		cli := f.net.NewNode(geo.Addr(1, 1, i+1))
+		var lerr error
+		f.sched.Go(func() {
+			_, _, lerr = f.doLogin(cli, "a@e", loginOpts{password: "pw", sign: fg.forge})
+		})
+		f.sched.Run()
+		var se *wire.ServiceError
+		if !errors.As(lerr, &se) || se.Code != wire.CodeDenied || !strings.Contains(se.Msg, "client signature invalid") {
+			t.Errorf("%s: err = %v, want %s client signature invalid", fg.name, lerr, wire.CodeDenied)
+		}
+	}
+	// The memo itself is no obstacle: a genuine signature recorded in it
+	// logs in.
+	cli := f.net.NewNode(geo.Addr(1, 1, 99))
+	var lerr error
+	f.sched.Go(func() {
+		_, _, lerr = f.doLogin(cli, "a@e", loginOpts{password: "pw", sign: tickets.Crypto().Sign})
+	})
+	f.sched.Run()
+	if lerr != nil {
+		t.Fatalf("genuine recorded signature: %v", lerr)
 	}
 }
 
