@@ -28,6 +28,13 @@ import (
 	"p2pdrm/internal/wire"
 )
 
+// challengeLifetime bounds how long a round-1 challenge stays
+// answerable; peersPerReply bounds the returned peer list.
+const (
+	challengeLifetime = 30 * time.Second
+	peersPerReply     = 8
+)
+
 // Config parameterizes a Channel Manager (or a farm: every member gets
 // the same Config including the shared Log and Dir).
 type Config struct {
@@ -41,16 +48,12 @@ type Config struct {
 	// lifetime is additionally capped by the User Ticket's remaining
 	// life (§IV-C). Default 5 minutes.
 	TicketLifetime time.Duration
-	// ChallengeLifetime bounds round-1 challenges. Default 30 seconds.
-	ChallengeLifetime time.Duration
 	// RenewWindow is the "small window of the ticket expiration time"
 	// within which a renewal is accepted (§IV-D). Default 1 minute.
 	RenewWindow time.Duration
 	// Partition names the Channel Listing Partition this manager serves;
 	// "" accepts any channel it knows (§V).
 	Partition string
-	// PeersPerReply bounds the returned peer list. Default 8.
-	PeersPerReply int
 	// Log is the farm-shared viewing-activity log.
 	Log *ViewLog
 	// Dir is the farm-shared peer directory.
@@ -73,14 +76,8 @@ func (c *Config) fill() {
 	if c.TicketLifetime <= 0 {
 		c.TicketLifetime = 5 * time.Minute
 	}
-	if c.ChallengeLifetime <= 0 {
-		c.ChallengeLifetime = 30 * time.Second
-	}
 	if c.RenewWindow <= 0 {
 		c.RenewWindow = time.Minute
-	}
-	if c.PeersPerReply <= 0 {
-		c.PeersPerReply = 8
 	}
 	if c.Log == nil {
 		c.Log = NewViewLog(0)
@@ -254,7 +251,7 @@ func (m *Manager) handleSwitch1(from simnet.Addr, req *wire.SwitchReq) (*wire.Sw
 		m.deny()
 		return nil, wire.Errf(wire.CodeDenied, "nonce generation failed")
 	}
-	token := m.sealer.SealState(now.Add(m.cfg.ChallengeLifetime), func(e *wire.Enc) {
+	token := m.sealer.SealState(now.Add(challengeLifetime), func(e *wire.Enc) {
 		e.Blob(nonce[:])
 		e.Str(channelID)
 		e.Bool(renewal)
@@ -348,7 +345,7 @@ func (m *Manager) handleSwitch2(from simnet.Addr, req *wire.SwitchFinish) (*wire
 	// ticket lapses.
 	m.cfg.Dir.Register(channelID, from, ct.Expiry)
 
-	peers := m.cfg.Dir.Sample(channelID, m.cfg.PeersPerReply, from, now)
+	peers := m.cfg.Dir.Sample(channelID, peersPerReply, from, now)
 
 	m.mu.Lock()
 	m.stats.Switch2Served++

@@ -35,6 +35,15 @@ var (
 	ErrBadChallenge = errors.New("client: cannot decrypt login challenge (wrong password?)")
 )
 
+// renewMargin renews tickets this long before expiry. stallTimeout
+// resets the channel (fresh switch + peer list) when no frame has arrived
+// for this long — the self-healing path for orphaned overlay subtrees
+// after parent churn; it is only armed when Config.OnFrame is set.
+const (
+	renewMargin  = 30 * time.Second
+	stallTimeout = 30 * time.Second
+)
+
 // Config parameterizes a client.
 type Config struct {
 	// Email / Password identify the user's account.
@@ -75,13 +84,6 @@ type Config struct {
 	// it with obs.TraceIDFor(seed, email) so the cohort and every span ID
 	// are pure functions of the run seed, not of scheduling order.
 	TraceID uint64
-	// RenewMargin renews tickets this long before expiry. Default 30s.
-	RenewMargin time.Duration
-	// StallTimeout resets the channel (fresh switch + peer list) when no
-	// frame has arrived for this long — the self-healing path for
-	// orphaned overlay subtrees after parent churn. Only armed when
-	// OnFrame is set. Default 30s.
-	StallTimeout time.Duration
 	// RNG supplies key material (nil = crypto/rand).
 	RNG io.Reader
 	// SecureTransport turns on the SSL-like sealed transport for all
@@ -141,12 +143,6 @@ func (c *Config) fill() {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.RenewMargin <= 0 {
-		c.RenewMargin = 30 * time.Second
-	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 30 * time.Second
 	}
 }
 
@@ -815,7 +811,7 @@ func (c *Client) watch(j *journey, channelID string) error {
 func (c *Client) stallWatchdog(gen int, channelID string) {
 	s := c.node.Scheduler()
 	for {
-		s.Sleep(c.cfg.StallTimeout/2 + c.jitter(c.cfg.StallTimeout/4))
+		s.Sleep(stallTimeout/2 + c.jitter(stallTimeout/4))
 		c.mu.Lock()
 		if c.generation != gen {
 			c.mu.Unlock()
@@ -833,7 +829,7 @@ func (c *Client) stallWatchdog(gen int, channelID string) {
 			oldest = c.watchedAt
 		}
 		c.mu.Unlock()
-		if s.Now().Sub(oldest) <= c.cfg.StallTimeout {
+		if s.Now().Sub(oldest) <= stallTimeout {
 			continue
 		}
 		c.mu.Lock()
@@ -978,12 +974,12 @@ func (c *Client) renewLoop(gen int) {
 		id := c.watchingID
 		c.mu.Unlock()
 
-		wait := expiry.Sub(s.Now()) - c.cfg.RenewMargin
+		wait := expiry.Sub(s.Now()) - renewMargin
 		// Jitter renewals by up to half the margin: clients that joined
 		// together during a correlated arrival burst would otherwise
 		// renew in lockstep forever, hammering the Channel Managers with
 		// a synchronized storm every ticket lifetime.
-		wait -= c.jitter(c.cfg.RenewMargin / 2)
+		wait -= c.jitter(renewMargin / 2)
 		if wait > 0 {
 			s.Sleep(wait)
 		}
@@ -1003,7 +999,7 @@ func (c *Client) renewLoop(gen int) {
 		// to the same expiry (a renewal busy-loop). Renew the User
 		// Ticket first — "Channel and User Tickets must be renewed in
 		// time" (§IV-C).
-		if !userExpiry.IsZero() && userExpiry.Sub(s.Now()) < 3*c.cfg.RenewMargin {
+		if !userExpiry.IsZero() && userExpiry.Sub(s.Now()) < 3*renewMargin {
 			if err := c.login(nil); err != nil {
 				c.mu.Lock()
 				c.stats.RenewalsFailed++
@@ -1047,8 +1043,8 @@ func (c *Client) renewLoop(gen int) {
 		}
 		// Defensive floor: if the renewed expiry barely advanced, pace
 		// the loop rather than spinning against a pinned expiry.
-		if ct.Expiry.Sub(expiry) < c.cfg.RenewMargin {
-			s.Sleep(c.cfg.RenewMargin / 2)
+		if ct.Expiry.Sub(expiry) < renewMargin {
+			s.Sleep(renewMargin / 2)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func TestSortStrings(t *testing.T) {
 func TestConfigFillDefaults(t *testing.T) {
 	c := Config{}
 	c.fill()
-	if c.Substreams != 4 || c.Parents != 2 || c.RPCTimeout != 10*time.Second || c.RenewMargin != 30*time.Second {
+	if c.Substreams != 4 || c.Parents != 2 || c.RPCTimeout != 10*time.Second {
 		t.Fatalf("defaults = %+v", c)
 	}
 	c2 := Config{Substreams: 2, Parents: 8}

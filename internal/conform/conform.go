@@ -39,9 +39,9 @@ type Config struct {
 	// Grace is the slack allowed after a rights window closes before a
 	// successful decrypt counts as a false grant: frames and keys already
 	// in flight at expiry land shortly after it. Set it to at least the
-	// deployment's child-eviction slack (p2p Config.ExpiryGrace) plus a
+	// deployment's child-eviction slack (p2p's expiryGrace, 10s) plus a
 	// delivery round — the overlay severs expired children only at
-	// expiry+ExpiryGrace (§IV-D), so frames keep landing until then.
+	// expiry+expiryGrace (§IV-D), so frames keep landing until then.
 	// Default 5s.
 	Grace time.Duration
 	// Settle is the slack allowed after admission before a failed decrypt

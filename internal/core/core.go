@@ -100,11 +100,11 @@ type Options struct {
 	UserMgrFarm int
 	// UserMgrShard, when Enabled, deploys the User Manager farm as a
 	// consistent-hash sharded farm instead of a plain VIP pool: the
-	// Redirection Manager routes each account to its owning member,
-	// per-account hot state is manager-local, and members can be added
-	// or removed mid-run (System.AddUserMgrMember). The VIP still exists
-	// beside the keyed routing, so legacy VIP traffic keeps working.
-	// Requires the single anonymous domain (no Domains).
+	// Redirection Manager routes each account to its owning member, and
+	// members can be added or removed mid-run (System.AddUserMgrMember).
+	// The VIP still exists beside the keyed routing, so legacy VIP
+	// traffic keeps working. Requires the single anonymous domain (no
+	// Domains).
 	UserMgrShard ShardOptions
 	// Domains lists Authentication Domains (§V): each gets its own User
 	// Manager farm behind its own address; the Redirection Manager routes
@@ -207,13 +207,13 @@ func (o *Options) fill() {
 	}
 }
 
-// ShardOptions configures the sharded User Manager deployment.
+// ShardOptions configures the sharded User Manager deployment. The
+// members keep no per-account state, so sharding only routes: each
+// account goes to one owner, and a reshard moves ownership, not data.
 type ShardOptions struct {
 	// Enabled switches the farm from VIP round-robin to account-hash
 	// sharding.
 	Enabled bool
-	// VNodes per member on the ring (0 = the svc default, 64).
-	VNodes int
 	// GraceWindow is how long after a reshard members still serve keys
 	// they owned under the previous epoch (0 = the farm default, 30s).
 	GraceWindow time.Duration
@@ -221,13 +221,6 @@ type ShardOptions struct {
 	// this many admitted-but-unfinished requests per member, new
 	// arrivals are refused with wire.CodeOverloaded (0 disables).
 	LoginHighWater int
-	// LoginRateLimit / RateWindow / AbuseThreshold / LockoutFor are the
-	// per-account rate and abuse controls (see usermgr.Config); zero
-	// values disable or take the usermgr defaults.
-	LoginRateLimit int
-	RateWindow     time.Duration
-	AbuseThreshold int
-	LockoutFor     time.Duration
 }
 
 // defaultClientImage returns the golden client binary image used for the
@@ -476,10 +469,6 @@ func (s *System) deployShardedUserMgrs(net *simnet.Network) error {
 	opts := s.Opts
 	so := opts.UserMgrShard
 	umCfg := s.userMgrConfig("")
-	umCfg.LoginRateLimit = so.LoginRateLimit
-	umCfg.RateWindow = so.RateWindow
-	umCfg.AbuseThreshold = so.AbuseThreshold
-	umCfg.LockoutFor = so.LockoutFor
 	s.umBuild = func(node *simnet.Node, view *svc.ShardView) (*usermgr.Manager, error) {
 		applyCapacity(node, opts.UserMgrCapacity)
 		cfg := umCfg
@@ -499,7 +488,7 @@ func (s *System) deployShardedUserMgrs(net *simnet.Network) error {
 		return m, nil
 	}
 	farm, err := svc.DeployShardedFarm(net, opts.UserMgrFarm,
-		svc.ShardFarmConfig{VNodes: so.VNodes, GraceWindow: so.GraceWindow},
+		svc.ShardFarmConfig{GraceWindow: so.GraceWindow},
 		func(i int) simnet.Addr {
 			return simnet.Addr(fmt.Sprintf("um%d.provider", i+1))
 		},

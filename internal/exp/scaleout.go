@@ -98,15 +98,12 @@ type ScaleOutResult struct {
 	MembersEnd   int
 	Epoch        uint64 // final shard-map epoch (one bump per membership change)
 	Handoffs     int64  // membership changes that moved key-ranges
-	KeysMoved    int64  // account-state records transferred across members
 	Partitioned  int    // viewers behind the FaultPartition (0 without it)
 
 	Shed         int64 // server-side: login requests refused at high water
 	Overloads    int64 // client-side: shed answers absorbed by retry
 	ShardRetries int64 // client logins re-resolved after a stale shard map
 	WrongShard   int64 // server-side: requests refused as not-owned-here
-	RateLimited  int64 // round-1 challenges refused by the rate window
-	LockedOut    int64 // logins refused during abuse lockouts
 
 	SessionRetries int64
 	AllWatchingIn  time.Duration
@@ -121,12 +118,12 @@ type ScaleOutResult struct {
 // line; two runs with the same seed must match byte-for-byte.
 func (r *ScaleOutResult) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v=%d w=%d failed=%d members=%d-%d epoch=%d hand=%d moved=%d part=%d",
+	fmt.Fprintf(&b, "v=%d w=%d failed=%d members=%d-%d epoch=%d hand=%d part=%d",
 		r.Viewers, r.Watching, r.FailedLogins, r.MembersStart, r.MembersEnd,
-		r.Epoch, r.Handoffs, r.KeysMoved, r.Partitioned)
-	fmt.Fprintf(&b, " shed=%d over=%d sretry=%d wrong=%d rate=%d lock=%d sess=%d all=%d sent=%d drop=%d",
-		r.Shed, r.Overloads, r.ShardRetries, r.WrongShard, r.RateLimited,
-		r.LockedOut, r.SessionRetries, r.AllWatchingIn.Microseconds(),
+		r.Epoch, r.Handoffs, r.Partitioned)
+	fmt.Fprintf(&b, " shed=%d over=%d sretry=%d wrong=%d sess=%d all=%d sent=%d drop=%d",
+		r.Shed, r.Overloads, r.ShardRetries, r.WrongShard,
+		r.SessionRetries, r.AllWatchingIn.Microseconds(),
 		r.Net.Sent, r.Net.Dropped)
 	for _, ph := range r.PhaseStats {
 		fmt.Fprintf(&b, " %s=%d/%d/%d/%d/%d", ph.Name, ph.Arrivals, ph.Watching,
@@ -309,7 +306,6 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	res.MembersEnd = farm.Members
 	res.Epoch = farm.Epoch
 	res.Handoffs = farm.Handoffs
-	res.KeysMoved = farm.KeysMoved
 	for _, c := range r.clients {
 		res.ShardRetries += c.Stats().ShardRetries
 	}
@@ -317,10 +313,7 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 		res.Overloads += cs.Overloads
 	}
 	for _, m := range sys.UserMgrs {
-		st := m.Stats()
-		res.WrongShard += st.WrongShard
-		res.RateLimited += st.RateLimited
-		res.LockedOut += st.LockedOut
+		res.WrongShard += m.Stats().WrongShard
 	}
 	res.Shed = totalShed(sys)
 	finalShed := append(shedAt[1:], res.Shed)
@@ -360,8 +353,8 @@ func RenderScaleOut(res *ScaleOutResult) string {
 	b.WriteString("Elastic User Manager farm — flash crowd growing 10× with live resharding\n")
 	fmt.Fprintf(&b, "  viewers %d — watching %d, failed logins %d (all watching in %s)\n",
 		res.Viewers, res.Watching, res.FailedLogins, fmtMS(res.AllWatchingIn))
-	fmt.Fprintf(&b, "  farm: %d → %d members, epoch %d, %d handoffs moved %d account records\n",
-		res.MembersStart, res.MembersEnd, res.Epoch, res.Handoffs, res.KeysMoved)
+	fmt.Fprintf(&b, "  farm: %d → %d members, epoch %d, %d handoffs\n",
+		res.MembersStart, res.MembersEnd, res.Epoch, res.Handoffs)
 	if res.Partitioned > 0 {
 		fmt.Fprintf(&b, "  chaos: %d viewers partitioned from the first added member during its handoff\n",
 			res.Partitioned)
@@ -378,10 +371,6 @@ func RenderScaleOut(res *ScaleOutResult) string {
 		res.Shed, res.Overloads)
 	fmt.Fprintf(&b, "  resharding: %d stale-map client retries, %d wrong-shard refusals server-side\n",
 		res.ShardRetries, res.WrongShard)
-	if res.RateLimited+res.LockedOut > 0 {
-		fmt.Fprintf(&b, "  abuse controls: %d rate-limited, %d locked out\n",
-			res.RateLimited, res.LockedOut)
-	}
 	fmt.Fprintf(&b, "  sessions: %d retries; network: %d messages sent, %d dropped\n",
 		res.SessionRetries, res.Net.Sent, res.Net.Dropped)
 	if len(res.Phases) > 0 {

@@ -25,15 +25,12 @@ func TestScaleOutFlatP95(t *testing.T) {
 	if spread := res.p95Spread(); spread > 1.2 {
 		t.Errorf("login p95 spread %.2fx across phases, want flat within 20%%", spread)
 	}
-	// The farm must actually have grown live, moving account state.
+	// The farm must actually have grown live.
 	if res.MembersEnd != res.MembersStart+5 {
 		t.Errorf("members %d → %d, want +5", res.MembersStart, res.MembersEnd)
 	}
 	if res.Handoffs <= int64(res.MembersStart) {
 		t.Errorf("handoffs = %d — no mid-run membership change recorded", res.Handoffs)
-	}
-	if res.KeysMoved == 0 {
-		t.Error("no account records moved despite two reshards")
 	}
 	// Shedding absorbed bursts (server refused, client retried through).
 	if res.Shed == 0 {
@@ -55,7 +52,7 @@ func TestScaleOutFlatP95(t *testing.T) {
 // Recorded with ScaleOutConfig{Seed: 42} on the serialized engine.
 // Regenerate with GOLDEN_PRINT=1. A change here means the scale-out
 // scenario's observable behaviour moved.
-const goldenScaleOut = "v=400 w=400 failed=0 members=2-7 epoch=7 hand=7 moved=86 part=0 shed=1 over=1 sretry=62 wrong=62 rate=0 lock=0 sess=0 all=116085740 sent=25243 drop=0 x1=40/40/713006/941210/0 x3=80/80/710197/960574/0 x10=280/280/701940/1050054/1 drm.chanlist=400/0/0/0 drm.login1=1782/1/0/1 drm.login2=1719/0/0/0 drm.redirect=462/0/0/0 drm.switch1=1719/0/0/0 drm.switch2=1719/0/0/0"
+const goldenScaleOut = "v=400 w=400 failed=0 members=2-7 epoch=7 hand=7 part=0 shed=1 over=1 sretry=62 wrong=62 sess=0 all=116085740 sent=25243 drop=0 x1=40/40/713006/941210/0 x3=80/80/710197/960574/0 x10=280/280/701940/1050054/1 drm.chanlist=400/0/0/0 drm.login1=1782/1/0/1 drm.login2=1719/0/0/0 drm.redirect=462/0/0/0 drm.switch1=1719/0/0/0 drm.switch2=1719/0/0/0"
 
 func TestScaleOutDeterminismGolden(t *testing.T) {
 	res, err := RunScaleOut(ScaleOutConfig{Seed: 42})

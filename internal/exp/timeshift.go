@@ -135,7 +135,7 @@ func sortedKeys(m map[string]int64) []string {
 func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	cfg.fill()
 	// Grace must cover the overlay's eviction slack: a lapsed child keeps
-	// receiving until expiry + p2p ExpiryGrace (10s default) + one
+	// receiving until expiry + p2p's expiryGrace (10s) + one
 	// delivery round, and only then is severed (§IV-D).
 	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
 	var r *run

@@ -48,6 +48,10 @@ var (
 	ErrNoSession    = errors.New("p2p: session key missing")
 )
 
+// expiryGrace extends a child's eviction deadline slightly past its
+// ticket expiry so an in-flight renewal can land.
+const expiryGrace = 10 * time.Second
+
 // Config parameterizes a Peer.
 type Config struct {
 	// ChannelID is the channel this peer carries.
@@ -73,11 +77,6 @@ type Config struct {
 	// original content-key iteration, so history deeper than the key
 	// window is unreadable to any requester (forward secrecy holds).
 	HistoryWindow int
-	// KeyWindow sizes the content-key ring. Default keys.DefaultWindow.
-	KeyWindow int
-	// ExpiryGrace extends a child's eviction deadline slightly past its
-	// ticket expiry so an in-flight renewal can land. Default 10s.
-	ExpiryGrace time.Duration
 	// Tickets is the deployment's verified-ticket memo: a joiner presents
 	// the Channel Ticket its Channel Manager remembered there at signing,
 	// and a hit skips the Ed25519 check (the validity window, NetAddr
@@ -112,8 +111,6 @@ type Config struct {
 	// OnParentLoss, when set, is notified when a parent severs the link
 	// (expiry or departure) so the owner can re-join elsewhere.
 	OnParentLoss func(parent simnet.Addr, substreams []uint8)
-	// OnChildEvicted, when set, observes expiry enforcement.
-	OnChildEvicted func(child simnet.Addr)
 	// OnKey, when set, observes each new content-key iteration entering
 	// the ring (join response, parent push, direct rekey) — the causal
 	// tracer's "first key delivered" milestone rides this hook.
@@ -131,12 +128,6 @@ func (c *Config) fill() {
 	}
 	if c.Substreams <= 0 {
 		c.Substreams = 4
-	}
-	if c.KeyWindow <= 0 {
-		c.KeyWindow = keys.DefaultWindow
-	}
-	if c.ExpiryGrace <= 0 {
-		c.ExpiryGrace = 10 * time.Second
 	}
 	if c.Tickets == nil {
 		c.Tickets = ticket.NewVerifier(0)
@@ -280,7 +271,7 @@ func NewPeer(node *simnet.Node, cfg Config) (*Peer, error) {
 		cfg:      cfg,
 		node:     node,
 		rt:       svc.NewRuntime(node),
-		ring:     keys.NewRing(cfg.KeyWindow),
+		ring:     keys.NewRing(keys.DefaultWindow),
 		arena:    arena,
 		children: make(map[simnet.Addr]childHandle),
 		parents:  make(map[simnet.Addr]*parent),
@@ -517,11 +508,11 @@ func (p *Peer) rejectSeek(code wire.Code, reason string) (*wire.SeekResp, error)
 // without renewal (§IV-D).
 func (p *Peer) scheduleEviction(addr simnet.Addr, expiry time.Time) {
 	s := p.node.Scheduler()
-	s.At(expiry.Add(p.cfg.ExpiryGrace), func() {
+	s.At(expiry.Add(expiryGrace), func() {
 		now := s.Now()
 		p.mu.Lock()
 		h, ok := p.children[addr]
-		if !ok || now.Before(p.arena.at(h).expiry.Add(p.cfg.ExpiryGrace)) {
+		if !ok || now.Before(p.arena.at(h).expiry.Add(expiryGrace)) {
 			// Gone already, or a renewal pushed the expiry out (a fresh
 			// eviction check was scheduled by the renewal).
 			p.mu.Unlock()
@@ -529,13 +520,9 @@ func (p *Peer) scheduleEviction(addr simnet.Addr, expiry time.Time) {
 		}
 		p.delChildLocked(addr)
 		p.stats.ChildrenEvicted++
-		cb := p.cfg.OnChildEvicted
 		p.mu.Unlock()
 		note := &wire.LeaveNotice{ChannelID: p.cfg.ChannelID}
 		p.node.Send(addr, wire.SvcPeerExpire, note.Encode())
-		if cb != nil {
-			cb(addr)
-		}
 	})
 }
 

@@ -53,12 +53,6 @@ type PolicyConfig struct {
 	// included — for idempotent services. Non-idempotent services always
 	// get exactly one attempt. Default 3.
 	MaxAttempts int
-	// BaseBackoff and MaxBackoff shape the wait between retries: before
-	// attempt k+1 the policy sleeps Base·2^(k-1), capped at Max, plus a
-	// jitter in [0, Base) drawn from the scheduler's seeded stream.
-	// Defaults 250ms and 2s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Idempotent classifies services that may be retried. Default
 	// wire.IdempotentService.
 	Idempotent func(service string) bool
@@ -82,12 +76,6 @@ func (c *PolicyConfig) fill() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 250 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
 	}
 	if c.Idempotent == nil {
 		c.Idempotent = wire.IdempotentService
@@ -306,15 +294,23 @@ func (p *Policy) traceBreakerOpen(dst simnet.Addr, at time.Time, detail string) 
 	}
 }
 
+// baseBackoff and maxBackoff shape the wait between retries: before
+// attempt k+1 the policy sleeps base·2^(k-1), capped at max, plus a
+// jitter in [0, base) drawn from the scheduler's seeded stream.
+const (
+	baseBackoff = 250 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
+
 // backoff returns the wait before attempt n+1: deterministic exponential
 // growth plus seeded jitter. The jitter draw is the policy's only use of
 // the random stream, and it happens only on this failure path.
 func (p *Policy) backoff(n int) time.Duration {
-	d := p.cfg.BaseBackoff << (n - 1)
-	if d > p.cfg.MaxBackoff || d <= 0 {
-		d = p.cfg.MaxBackoff
+	d := baseBackoff << (n - 1)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
-	return d + time.Duration(p.sched.Float64()*float64(p.cfg.BaseBackoff))
+	return d + time.Duration(p.sched.Float64()*float64(baseBackoff))
 }
 
 // transportFailure reports whether an attempt's error means the request

@@ -11,47 +11,26 @@ import (
 )
 
 // This file scales DeployFarm's stateless VIP pool into a sharded farm:
-// members own key-ranges of a consistent-hash ring, per-account hot
-// state lives manager-local on the owner, and membership can change
-// mid-run with a key-range handoff instead of a redeploy.
+// members own key-ranges of a consistent-hash ring, every account is
+// routed to its owner, and membership can change mid-run with a
+// key-range handoff instead of a redeploy. Members hold no per-account
+// state (the login handshake is stateless: round-1 state travels in a
+// farm-sealed token), so a handoff moves ownership only; DESIGN.md
+// "Sharded farms" records why the farm keeps no per-account counters.
 //
 // The handoff protocol (AddMember/RemoveMember):
 //
-//  1. Build the next ring (current ± the member) without committing it.
-//  2. Transfer: every current owner exports the per-account records the
-//     next ring assigns elsewhere; the new owners import them. The old
-//     ring is still live, so old owners keep serving reads throughout
-//     the transfer.
-//  3. Commit: the ring swaps and the epoch bumps — the write fence. New
+//  1. Commit: the ring swaps and the epoch bumps — the write fence. New
 //     redirects route by the new ring; a request landing on the wrong
 //     member is answered with wire.CodeWrongShard and re-resolves.
-//  4. Grace: for GraceWindow after the commit, members also accept keys
+//  2. Grace: for GraceWindow after the commit, members also accept keys
 //     they owned under the previous epoch, so a login already past
 //     round 1 on the old owner completes there (round-2 tokens are
 //     farm-sealed and verify on any member; only the ownership check
 //     needs the grace).
 
-// HandoffRecord is one account's manager-local hot state in transit
-// between members. Like the rest of the in-process simulation transport
-// (payloads and errors travel by reference), Data is passed by
-// reference: the exporter must stop using the record once exported.
-type HandoffRecord struct {
-	Key  string
-	Data any
-}
-
-// ShardMember is a farm member that can hand its per-key state over.
-// ExportShard returns (and forgets) every record whose key satisfies
-// leaving; ImportShard installs records received from other members.
-type ShardMember interface {
-	ExportShard(leaving func(key string) bool) []HandoffRecord
-	ImportShard(recs []HandoffRecord)
-}
-
 // ShardFarmConfig parameterizes a sharded farm.
 type ShardFarmConfig struct {
-	// VNodes per member on the ring (0 = defaultVNodes).
-	VNodes int
 	// GraceWindow is how long after an epoch commit members still accept
 	// keys they owned under the previous epoch. Default 30s.
 	GraceWindow time.Duration
@@ -65,15 +44,14 @@ func (c *ShardFarmConfig) fill() {
 
 // ShardFarmStats snapshots the farm's resharding counters.
 type ShardFarmStats struct {
-	Members   int
-	Epoch     uint64 // current shard-map version
-	Handoffs  int64  // completed membership changes
-	KeysMoved int64  // per-account records transferred across all handoffs
+	Members  int
+	Epoch    uint64 // current shard-map version
+	Handoffs int64  // completed membership changes
 }
 
 // ShardedFarm is a farm whose members own consistent-hash key-ranges.
 // M is the member type (e.g. *usermgr.Manager).
-type ShardedFarm[M ShardMember] struct {
+type ShardedFarm[M any] struct {
 	net   *simnet.Network
 	sched *sim.Scheduler
 	cfg   ShardFarmConfig
@@ -88,17 +66,16 @@ type ShardedFarm[M ShardMember] struct {
 	prev      *hashRing     // previous epoch's ring, for the grace window
 	prevUntil time.Time
 	handoffs  int64
-	keysMoved int64
 }
 
 // newShardedFarm creates an empty sharded farm on the network.
-func newShardedFarm[M ShardMember](net *simnet.Network, cfg ShardFarmConfig) *ShardedFarm[M] {
+func newShardedFarm[M any](net *simnet.Network, cfg ShardFarmConfig) *ShardedFarm[M] {
 	cfg.fill()
 	return &ShardedFarm[M]{
 		net:     net,
 		sched:   net.Scheduler(),
 		cfg:     cfg,
-		ring:    newRing(cfg.VNodes),
+		ring:    newRing(defaultVNodes),
 		members: make(map[simnet.Addr]M),
 		nodes:   make(map[simnet.Addr]*simnet.Node),
 	}
@@ -109,7 +86,7 @@ func newShardedFarm[M ShardMember](net *simnet.Network, cfg ShardFarmConfig) *Sh
 // handle for ownership checks). Members are created strictly in index
 // order, like DeployFarm, so key/nonce draws inside build stay in a
 // deterministic sequence.
-func DeployShardedFarm[M ShardMember](net *simnet.Network, n int, cfg ShardFarmConfig,
+func DeployShardedFarm[M any](net *simnet.Network, n int, cfg ShardFarmConfig,
 	addr func(i int) simnet.Addr,
 	build func(node *simnet.Node, view *ShardView) (M, error)) (*ShardedFarm[M], error) {
 
@@ -172,16 +149,15 @@ func (f *ShardedFarm[M]) Stats() ShardFarmStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return ShardFarmStats{
-		Members:   len(f.order),
-		Epoch:     f.ring.Epoch(),
-		Handoffs:  f.handoffs,
-		KeysMoved: f.keysMoved,
+		Members:  len(f.order),
+		Epoch:    f.ring.Epoch(),
+		Handoffs: f.handoffs,
 	}
 }
 
-// AddMember deploys a new member at addr mid-run and reshards: keys the
-// grown ring assigns to the new member are exported from their current
-// owners and imported before the epoch commits. Safe to call from a
+// AddMember deploys a new member at addr mid-run and reshards: the grown
+// ring commits at once, handing the new member its key-ranges, and the
+// old owners keep serving them for the grace window. Safe to call from a
 // scheduler event while traffic is flowing.
 func (f *ShardedFarm[M]) AddMember(addr simnet.Addr,
 	build func(node *simnet.Node, view *ShardView) (M, error)) error {
@@ -191,7 +167,6 @@ func (f *ShardedFarm[M]) AddMember(addr simnet.Addr,
 		f.mu.Unlock()
 		return fmt.Errorf("svc: sharded farm already has member %q", addr)
 	}
-	srcs := append([]simnet.Addr(nil), f.order...)
 	f.mu.Unlock()
 
 	node := f.net.NewNode(addr)
@@ -200,25 +175,6 @@ func (f *ShardedFarm[M]) AddMember(addr simnet.Addr,
 	if err != nil {
 		f.net.RemoveNode(addr)
 		return err
-	}
-
-	// Transfer under the still-live old ring: old owners keep serving.
-	next := f.ring.Clone()
-	next.Add(addr)
-	moved := int64(0)
-	for _, src := range srcs {
-		srcM, ok := f.Member(src)
-		if !ok {
-			continue
-		}
-		recs := srcM.ExportShard(func(key string) bool {
-			o, _, ok := next.Owner(key)
-			return ok && o == addr
-		})
-		if len(recs) > 0 {
-			m.ImportShard(recs)
-			moved += int64(len(recs))
-		}
 	}
 
 	// Commit: epoch bump is the write fence; the old map stays honored
@@ -231,50 +187,24 @@ func (f *ShardedFarm[M]) AddMember(addr simnet.Addr,
 	f.nodes[addr] = node
 	f.order = append(f.order, addr)
 	f.handoffs++
-	f.keysMoved += moved
 	f.mu.Unlock()
 	return nil
 }
 
-// RemoveMember drains a member out of the ring mid-run: its entire
-// key-space is exported and imported by the members the shrunk ring
-// assigns it to, then the epoch commits. The departed node stays
-// registered (and its ShardView keeps honoring the grace window) so
-// in-flight logins against it complete; it simply receives no new
-// redirects.
+// RemoveMember drains a member out of the ring mid-run: the shrunk ring
+// commits at once, handing the member's key-space to the remaining
+// members. The departed node stays registered (and its ShardView keeps
+// honoring the grace window) so in-flight logins against it complete;
+// it simply receives no new redirects.
 func (f *ShardedFarm[M]) RemoveMember(addr simnet.Addr) error {
 	f.mu.Lock()
-	dep, ok := f.members[addr]
-	if !ok {
-		f.mu.Unlock()
+	defer f.mu.Unlock()
+	if _, ok := f.members[addr]; !ok {
 		return fmt.Errorf("svc: sharded farm has no member %q", addr)
 	}
 	if len(f.order) == 1 {
-		f.mu.Unlock()
 		return fmt.Errorf("svc: cannot remove the last member %q", addr)
 	}
-	f.mu.Unlock()
-
-	next := f.ring.Clone()
-	next.Remove(addr)
-	recs := dep.ExportShard(func(string) bool { return true })
-	moved := int64(len(recs))
-	// Group the departing state by its new owner and import.
-	byOwner := make(map[simnet.Addr][]HandoffRecord)
-	for _, rec := range recs {
-		o, _, ok := next.Owner(rec.Key)
-		if !ok {
-			continue
-		}
-		byOwner[o] = append(byOwner[o], rec)
-	}
-	for owner, batch := range byOwner {
-		if tgt, ok := f.Member(owner); ok {
-			tgt.ImportShard(batch)
-		}
-	}
-
-	f.mu.Lock()
 	f.prev = f.ring.Clone()
 	f.prevUntil = f.sched.Now().Add(f.cfg.GraceWindow)
 	f.ring.Remove(addr)
@@ -287,8 +217,6 @@ func (f *ShardedFarm[M]) RemoveMember(addr simnet.Addr) error {
 		}
 	}
 	f.handoffs++
-	f.keysMoved += moved
-	f.mu.Unlock()
 	return nil
 }
 
@@ -318,7 +246,7 @@ type shardChecker interface {
 }
 
 // ShardView is one member's handle on the farm's shard map: the check a
-// handler runs before touching per-account state. Handlers must call
+// handler runs before serving an account's request. Handlers must call
 // Check before taking their own locks — it takes the farm's.
 type ShardView struct {
 	farm shardChecker

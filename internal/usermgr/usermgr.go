@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -68,20 +67,9 @@ type Config struct {
 	// Shard is this member's view of a sharded farm's key map; nil for a
 	// classic VIP farm. When set, both login rounds check that this
 	// member owns the account's key-range and answer wire.CodeWrongShard
-	// otherwise, and per-account hot state below becomes manager-local
-	// (moved between members by the farm's handoff).
+	// otherwise. The manager keeps no per-account state, so ownership
+	// routes requests and nothing moves when the ring changes.
 	Shard *svc.ShardView
-	// LoginRateLimit caps round-1 challenges per account per RateWindow
-	// (0 disables). Manager-local: meaningful under sharding, where one
-	// member sees all of an account's traffic.
-	LoginRateLimit int
-	// RateWindow is the rate-limit window. Default 1 minute.
-	RateWindow time.Duration
-	// AbuseThreshold locks an account out after this many consecutive
-	// failed round-2 verifications (0 disables).
-	AbuseThreshold int
-	// LockoutFor is the abuse lockout duration. Default 5 minutes.
-	LockoutFor time.Duration
 }
 
 func (c *Config) fill() {
@@ -90,12 +78,6 @@ func (c *Config) fill() {
 	}
 	if c.ChallengeLifetime <= 0 {
 		c.ChallengeLifetime = 30 * time.Second
-	}
-	if c.RateWindow <= 0 {
-		c.RateWindow = time.Minute
-	}
-	if c.LockoutFor <= 0 {
-		c.LockoutFor = 5 * time.Minute
 	}
 	if c.Tickets == nil {
 		c.Tickets = ticket.NewVerifier(0)
@@ -109,20 +91,6 @@ type Stats struct {
 	TicketsIssued int64
 	Failures      int64
 	WrongShard    int64 // requests for accounts this member does not own
-	RateLimited   int64 // round-1 challenges refused by the rate window
-	LockedOut     int64 // logins refused during an abuse lockout
-}
-
-// accountState is one account's manager-local hot state: round-1
-// challenge bookkeeping and the rate/abuse counters. Under sharding it
-// lives only on the account's owner and travels in HandoffRecords when
-// the ring moves the account.
-type accountState struct {
-	Challenges  int64     // round-1 challenges issued to the account
-	WindowStart time.Time // current rate-limit window
-	WindowCount int       // challenges inside the window
-	ConsecFails int       // consecutive failed round-2 verifications
-	LockedUntil time.Time // abuse lockout expiry (zero = not locked)
 }
 
 // Manager is one User Manager backend.
@@ -136,7 +104,6 @@ type Manager struct {
 	chanAttrs policy.ChannelAttrList
 	feedSeen  uint64
 	stats     Stats
-	accounts  map[string]*accountState // keyed by account email
 }
 
 // New creates a User Manager on the node and registers its services.
@@ -154,7 +121,6 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 		rt:        svc.NewRuntime(node),
 		sealer:    stoken.New(cfg.TokenSecret),
 		chanAttrs: policy.ChannelAttrList{},
-		accounts:  make(map[string]*accountState),
 	}
 	svc.Register(m.rt, wire.SvcLogin1, wire.DecodeLogin1Req, m.handleLogin1)
 	svc.Register(m.rt, wire.SvcLogin2, wire.DecodeLogin2Req, m.handleLogin2)
@@ -215,92 +181,6 @@ func (m *Manager) checkShard(email string) error {
 	return nil
 }
 
-// acctState returns the account's hot-state record, creating it on first
-// touch. Caller holds m.mu.
-func (m *Manager) acctState(email string) *accountState {
-	st := m.accounts[email]
-	if st == nil {
-		st = &accountState{}
-		m.accounts[email] = st
-	}
-	return st
-}
-
-// admitChallenge applies the per-account lockout and rate window to a
-// round-1 request and records the challenge on admission.
-func (m *Manager) admitChallenge(email string, now time.Time) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.acctState(email)
-	if now.Before(st.LockedUntil) {
-		m.stats.LockedOut++
-		m.stats.Failures++
-		return wire.Errf(wire.CodeDenied, "account locked out until %s", st.LockedUntil.Format(time.RFC3339))
-	}
-	if m.cfg.LoginRateLimit > 0 {
-		if now.Sub(st.WindowStart) >= m.cfg.RateWindow {
-			st.WindowStart = now
-			st.WindowCount = 0
-		}
-		if st.WindowCount >= m.cfg.LoginRateLimit {
-			m.stats.RateLimited++
-			m.stats.Failures++
-			return wire.Errf(wire.CodeDenied, "login rate limit exceeded")
-		}
-		st.WindowCount++
-	}
-	st.Challenges++
-	return nil
-}
-
-// noteAuthFail records a failed round-2 verification and opens the abuse
-// lockout at the threshold. noteAuthOK clears the consecutive count.
-func (m *Manager) noteAuthFail(email string, now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.acctState(email)
-	st.ConsecFails++
-	if m.cfg.AbuseThreshold > 0 && st.ConsecFails >= m.cfg.AbuseThreshold {
-		st.LockedUntil = now.Add(m.cfg.LockoutFor)
-		st.ConsecFails = 0
-	}
-}
-
-func (m *Manager) noteAuthOK(email string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.acctState(email).ConsecFails = 0
-}
-
-// ExportShard implements svc.ShardMember: it removes and returns every
-// account record the new shard map assigns elsewhere, sorted by key so
-// handoff contents are deterministic.
-func (m *Manager) ExportShard(leaving func(key string) bool) []svc.HandoffRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []svc.HandoffRecord
-	for email, st := range m.accounts {
-		if leaving(email) {
-			out = append(out, svc.HandoffRecord{Key: email, Data: st})
-			delete(m.accounts, email)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// ImportShard implements svc.ShardMember: it installs account records
-// handed over from other members.
-func (m *Manager) ImportShard(recs []svc.HandoffRecord) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, r := range recs {
-		if st, ok := r.Data.(*accountState); ok {
-			m.accounts[r.Key] = st
-		}
-	}
-}
-
 // handleLogin1 runs the first login round: locate the user, mint a nonce
 // and checksum parameters, and return them sealed under shp along with
 // the stateless handshake token.
@@ -316,9 +196,6 @@ func (m *Manager) handleLogin1(_ simnet.Addr, req *wire.Login1Req) (*wire.Login1
 	if m.cfg.Domain != "" && acct.Domain != m.cfg.Domain {
 		m.fail()
 		return nil, wire.Errf(wire.CodeWrongDomain, "account served by another domain")
-	}
-	if err := m.admitChallenge(req.Email, m.node.Scheduler().Now()); err != nil {
-		return nil, err
 	}
 	nonce, err := cryptoutil.NewNonce(m.cfg.RNG)
 	if err != nil {
@@ -410,20 +287,17 @@ func (m *Manager) handleLogin2(from simnet.Addr, req *wire.Login2Req) (*wire.Log
 	}
 	if email != req.Email || !bytes.Equal(nonce, req.Nonce) {
 		m.fail()
-		m.noteAuthFail(req.Email, now)
 		return nil, wire.Errf(wire.CodeDenied, "nonce or identity mismatch")
 	}
 	clientKey, err := cryptoutil.DecodePublicKey(clientKeyBytes)
 	if err != nil {
 		m.fail()
-		m.noteAuthFail(email, now)
 		return nil, wire.Errf(wire.CodeDenied, "bad client key")
 	}
 	// Proof of private-key possession: signature over nonce || checksum.
 	signed := append(append([]byte(nil), req.Nonce...), req.Checksum...)
 	if !m.cfg.Tickets.Crypto().VerifySig(clientKey, signed, req.Sig) {
 		m.fail()
-		m.noteAuthFail(email, now)
 		return nil, wire.Errf(wire.CodeDenied, "client signature invalid")
 	}
 	// Remote attestation (rudimentary per the paper, §IV-F1 fn. 3).
@@ -436,7 +310,6 @@ func (m *Manager) handleLogin2(from simnet.Addr, req *wire.Login2Req) (*wire.Log
 		want := cryptoutil.Checksum(m.cfg.ClientImage, params)
 		if !bytes.Equal(req.Checksum, want[:]) {
 			m.fail()
-			m.noteAuthFail(email, now)
 			return nil, wire.Errf(wire.CodeBadAttestation, "client image checksum mismatch")
 		}
 	}
@@ -462,7 +335,6 @@ func (m *Manager) handleLogin2(from simnet.Addr, req *wire.Login2Req) (*wire.Log
 	}
 	blob := ticket.SignUser(ut, m.cfg.Keys)
 	m.cfg.Tickets.RememberUser(blob, m.cfg.Keys.Public(), ut)
-	m.noteAuthOK(email)
 
 	m.mu.Lock()
 	m.stats.Login2Served++

@@ -50,7 +50,6 @@ var surfaceReasons = map[string]bool{
 func walkSurface(t *testing.T) (exported, unreferenced []string) {
 	t.Helper()
 	const modPrefix = "p2pdrm/internal/"
-	fset := token.NewFileSet()
 	type decl struct{ dir, pkgName, method string }
 	var decls []decl
 	pkgRefs := map[string]map[string]bool{} // "pkg.Name" -> dirs naming it
@@ -61,22 +60,9 @@ func walkSurface(t *testing.T) (exported, unreferenced []string) {
 		}
 		m[k][dir] = true
 	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	walkModule(t, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		if pkg, ok := strings.CutPrefix(dir, "internal/"); ok {
@@ -135,11 +121,7 @@ func walkSurface(t *testing.T) (exported, unreferenced []string) {
 			mark(selRefs, sel.Sel.Name, dir)
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, d := range decls {
 		refs := pkgRefs[d.pkgName]
 		if d.method != "" {
@@ -160,6 +142,36 @@ func walkSurface(t *testing.T) (exported, unreferenced []string) {
 	sort.Strings(exported)
 	sort.Strings(unreferenced)
 	return exported, unreferenced
+}
+
+// walkModule parses every .go file in the module, tests included, and
+// hands each to fn with its path.
+func walkModule(t *testing.T, fn func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func receiverName(e ast.Expr) string {
@@ -224,4 +236,68 @@ func TestExportedSurface(t *testing.T) {
 		t.Errorf("%d exported identifiers under internal/; the cap is %d (parent %d less 10%%)", len(exported), surfaceMaxExported, surfaceParentExported)
 	}
 	t.Logf("exported identifiers under internal/: %d (parent %d), unreferenced: %d", len(exported), surfaceParentExported, len(unreferenced))
+}
+
+// TestNoUnsetKnobs is the unset-knob rule: every exported field of a
+// *Config or *Options struct under internal/ is written somewhere in the
+// module (tests and benchmark/ included), either as a keyed literal
+// element "Name: v" or by an assignment "x.Name = v" outside a fill
+// method. A knob nothing sets is a constant wearing a field; make it
+// one. Like the surface walk, the match is syntactic and by field name.
+func TestNoUnsetKnobs(t *testing.T) {
+	var knobs []string           // "pkg.Type.Field"
+	written := map[string]bool{} // field names some file writes
+	walkModule(t, func(path string, f *ast.File) {
+		pkg, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		if internal && !strings.HasSuffix(path, "_test.go") {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							if name.IsExported() {
+								knobs = append(knobs, pkg+"."+ts.Name.Name+"."+name.Name)
+							}
+						}
+					}
+				}
+				return false
+			})
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "fill" {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[id.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							written[sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
+	unset := 0
+	for _, k := range knobs {
+		if !written[k[strings.LastIndexByte(k, '.')+1:]] {
+			t.Errorf("%s is never set: no keyed literal and no assignment outside fill; make it a constant", k)
+			unset++
+		}
+	}
+	t.Logf("%d Config/Options fields under internal/, %d never set", len(knobs), unset)
 }
