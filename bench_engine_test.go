@@ -1,7 +1,7 @@
 // Engine benchmarks no `go run ./benchmark` probe covers: heap fan-out,
-// Sleep under a deep wheel, Pending(), the traced week and the elastic
-// farm. The event, sleep, timer-stop, deep-fan-out and RPC costs and the
-// week / content / megascale runs are timed by benchmark/ (sim.*_ns,
+// Sleep under a deep wheel, the traced week and the elastic farm. The
+// event, sleep, timer-stop, deep-fan-out and RPC costs and the week /
+// content / megascale runs are timed by benchmark/ (sim.*_ns,
 // simnet.rpc_ns and its workloads) and have no twin here.
 package bench
 
@@ -56,26 +56,6 @@ func BenchmarkSchedulerSleepDeep(b *testing.B) {
 	})
 	s.RunUntil(s.Now().Add(3*time.Hour - time.Minute))
 	b.StopTimer()
-	s.Stop()
-}
-
-// BenchmarkSchedulerPending measures Pending() with 16k live events —
-// O(1) with the live counter, a full heap scan before it.
-func BenchmarkSchedulerPending(b *testing.B) {
-	s := sim.New(time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC), 1)
-	for i := 0; i < 16384; i++ {
-		s.After(time.Duration(i+1)*time.Second, func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n += s.Pending()
-	}
-	b.StopTimer()
-	if n == 0 {
-		b.Fatal("no pending events")
-	}
 	s.Stop()
 }
 

@@ -170,8 +170,8 @@ func (m *Manager) Lookup(email string) (Account, error) {
 	return snapshot(a), nil
 }
 
-// Count returns the number of registered accounts.
-func (m *Manager) Count() int {
+// count returns the number of registered accounts.
+func (m *Manager) count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.byEmail)
@@ -185,5 +185,5 @@ func snapshot(a *Account) Account {
 
 // String describes the manager for logs.
 func (m *Manager) String() string {
-	return fmt.Sprintf("AccountManager{%d accounts}", m.Count())
+	return fmt.Sprintf("AccountManager{%d accounts}", m.count())
 }

@@ -156,8 +156,8 @@ func TestCount(t *testing.T) {
 	m := New()
 	_, _ = m.Register("a@e", "x")
 	_, _ = m.Register("b@e", "x")
-	if m.Count() != 2 {
-		t.Fatalf("Count = %d", m.Count())
+	if m.count() != 2 {
+		t.Fatalf("Count = %d", m.count())
 	}
 	if m.String() == "" {
 		t.Fatal("empty String()")

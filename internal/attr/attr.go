@@ -100,8 +100,8 @@ func (l List) First(name string) (Attribute, bool) {
 	return Attribute{}, false
 }
 
-// ValidAt filters to attributes valid at t.
-func (l List) ValidAt(t time.Time) List {
+// validAt filters to attributes valid at t.
+func (l List) validAt(t time.Time) List {
 	out := make(List, 0, len(l))
 	for _, a := range l {
 		if a.ValidAt(t) {
@@ -143,7 +143,7 @@ func (l List) Satisfies(name string, required Value, t time.Time) bool {
 	if required == Any {
 		return true
 	}
-	valid := l.Find(name).ValidAt(t)
+	valid := l.Find(name).validAt(t)
 	if required == None {
 		return len(valid) == 0
 	}

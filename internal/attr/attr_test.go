@@ -167,7 +167,7 @@ func TestValidAtFilter(t *testing.T) {
 		{Name: "A", Value: "1", ETime: t0},
 		{Name: "B", Value: "2"},
 	}
-	got := l.ValidAt(t0.Add(time.Second))
+	got := l.validAt(t0.Add(time.Second))
 	if len(got) != 1 || got[0].Name != "B" {
 		t.Fatalf("ValidAt filter = %v", got)
 	}

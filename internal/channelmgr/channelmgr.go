@@ -90,8 +90,8 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats counts protocol outcomes.
-type Stats struct {
+// counters counts protocol outcomes.
+type counters struct {
 	Switch1Served int64
 	Switch2Served int64
 	TicketsIssued int64
@@ -109,7 +109,7 @@ type Manager struct {
 	mu       sync.Mutex
 	channels map[string]*policy.Channel
 	feedSeen uint64
-	stats    Stats
+	stats    counters
 }
 
 // New creates a Channel Manager on the node and registers its services.
@@ -141,14 +141,11 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// PublicKey returns the farm's public key.
-func (m *Manager) PublicKey() cryptoutil.PublicKey { return m.cfg.Keys.Public() }
-
 // Runtime exposes the manager's service runtime (endpoint metrics).
 func (m *Manager) Runtime() *svc.Runtime { return m.rt }
 
-// Stats returns a snapshot of protocol counters.
-func (m *Manager) Stats() Stats {
+// snapshot returns a copy of the protocol counters.
+func (m *Manager) snapshot() counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
@@ -343,9 +340,9 @@ func (m *Manager) handleSwitch2(from simnet.Addr, req *wire.SwitchFinish) (*wire
 
 	// Track the client as a (future) peer on the channel until its
 	// ticket lapses.
-	m.cfg.Dir.Register(channelID, from, ct.Expiry)
+	m.cfg.Dir.register(channelID, from, ct.Expiry)
 
-	peers := m.cfg.Dir.Sample(channelID, peersPerReply, from, now)
+	peers := m.cfg.Dir.sample(channelID, peersPerReply, from, now)
 
 	m.mu.Lock()
 	m.stats.Switch2Served++

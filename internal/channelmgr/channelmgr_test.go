@@ -162,7 +162,7 @@ func TestSwitchHappyPath(t *testing.T) {
 	if !ok || entry.NetAddr != addr {
 		t.Fatalf("view log entry = %+v %v", entry, ok)
 	}
-	st := f.mgr.Stats()
+	st := f.mgr.snapshot()
 	if st.TicketsIssued != 1 || st.Renewals != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -253,7 +253,7 @@ func TestPolicyRejectsWrongRegion(t *testing.T) {
 	if code := remoteCode(serr); code != wire.CodeDenied {
 		t.Fatalf("err = %v, want %s", serr, wire.CodeDenied)
 	}
-	if f.mgr.Stats().Denials == 0 {
+	if f.mgr.snapshot().Denials == 0 {
 		t.Fatal("denial not counted")
 	}
 }
@@ -458,8 +458,8 @@ func TestRenewalHappyPath(t *testing.T) {
 	if !renewed.Expiry.After(t0.Add(5 * time.Minute)) {
 		t.Fatalf("renewal did not extend expiry: %v", renewed.Expiry)
 	}
-	if f.mgr.Stats().Renewals != 1 {
-		t.Fatalf("stats = %+v", f.mgr.Stats())
+	if f.mgr.snapshot().Renewals != 1 {
+		t.Fatalf("stats = %+v", f.mgr.snapshot())
 	}
 }
 
@@ -514,8 +514,8 @@ func TestRenewalForgedExpiringTicketRejected(t *testing.T) {
 			t.Fatalf("forged attempt %d: code = %v, want bad_ticket (all: %v)", i, c, codes)
 		}
 	}
-	if len(codes) != 4 || f.mgr.Stats().Renewals != 1 {
-		t.Fatalf("attempts = %v, stats = %+v; want 4 refusals and 1 renewal", codes, f.mgr.Stats())
+	if len(codes) != 4 || f.mgr.snapshot().Renewals != 1 {
+		t.Fatalf("attempts = %v, stats = %+v; want 4 refusals and 1 renewal", codes, f.mgr.snapshot())
 	}
 }
 
@@ -638,7 +638,7 @@ func TestFarmSharedLogAndStatelessRounds(t *testing.T) {
 	if serr != nil {
 		t.Fatalf("cross-backend switch failed: %v", serr)
 	}
-	s1, s2 := m1.Stats(), m2.Stats()
+	s1, s2 := m1.snapshot(), m2.snapshot()
 	if s1.Switch1Served != 1 || s2.Switch2Served != 1 {
 		t.Fatalf("rounds not split: %+v %+v", s1, s2)
 	}

@@ -20,7 +20,7 @@ import (
 //
 // Ordering invariant: each channel's roots and members are kept sorted
 // by address as they register, refresh and expire. The seeded shuffle
-// in Sample is only deterministic if its input order is, and a flash
+// in sample is only deterministic if its input order is, and a flash
 // crowd samples a 2000-member channel once per switch — so the order is
 // maintained at the (rarer, O(log n) search + one memmove) writes
 // instead of being rebuilt and sorted at every read.
@@ -28,7 +28,7 @@ type Directory struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	byChannel map[string]*channelPeers
-	scratch   []string // Sample's shuffle buffer, reused under mu
+	scratch   []string // sample's shuffle buffer, reused under mu
 }
 
 // channelPeers is one channel's membership, both slices sorted by addr.
@@ -57,8 +57,8 @@ func (d *Directory) RegisterPermanent(channelID string, addr simnet.Addr) {
 	d.peers(channelID).setPermanent(string(addr))
 }
 
-// Register adds or refreshes a peer with an expiry.
-func (d *Directory) Register(channelID string, addr simnet.Addr, expiry time.Time) {
+// register adds or refreshes a peer with an expiry.
+func (d *Directory) register(channelID string, addr simnet.Addr, expiry time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := d.peers(channelID)
@@ -77,8 +77,8 @@ func (d *Directory) Register(channelID string, addr simnet.Addr, expiry time.Tim
 	}
 }
 
-// Remove drops a peer from a channel.
-func (d *Directory) Remove(channelID string, addr simnet.Addr) {
+// remove drops a peer from a channel.
+func (d *Directory) remove(channelID string, addr simnet.Addr) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := d.byChannel[channelID]
@@ -92,14 +92,14 @@ func (d *Directory) Remove(channelID string, addr simnet.Addr) {
 	c.removeMember(a)
 }
 
-// Sample returns up to n live peers for the channel, excluding self,
+// sample returns up to n live peers for the channel, excluding self,
 // with permanent roots always included first (in address order) and the
 // rest drawn by a seeded shuffle of the live members in address order.
 // The whole membership is shuffled — the draw sequence, and so every
 // later sample, does not depend on n — but in the reused scratch
 // buffer; only the n-element result is allocated. Expired members other
 // than self are dropped on the way.
-func (d *Directory) Sample(channelID string, n int, self simnet.Addr, now time.Time) []string {
+func (d *Directory) sample(channelID string, n int, self simnet.Addr, now time.Time) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := d.byChannel[channelID]
@@ -137,8 +137,8 @@ func (d *Directory) Sample(channelID string, n int, self simnet.Addr, now time.T
 	return append(out, live[:min(n-len(out), len(live))]...)
 }
 
-// Count returns the number of live peers on a channel.
-func (d *Directory) Count(channelID string, now time.Time) int {
+// count returns the number of live peers on a channel.
+func (d *Directory) count(channelID string, now time.Time) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := d.byChannel[channelID]

@@ -32,7 +32,7 @@ func TestDirectoryMatchesReference(t *testing.T) {
 				if ops.Intn(50) == 0 {
 					exp = time.Time{} // zero expiry registers a permanent peer
 				}
-				d.Register(ch, a, exp)
+				d.register(ch, a, exp)
 				ref.Register(ch, a, exp)
 			case k < 44:
 				a := addr()
@@ -40,17 +40,17 @@ func TestDirectoryMatchesReference(t *testing.T) {
 				ref.RegisterPermanent(ch, a)
 			case k < 52:
 				a := addr()
-				d.Remove(ch, a)
+				d.remove(ch, a)
 				ref.Remove(ch, a)
 			case k < 60:
-				if got, want := d.Count(ch, now), ref.Count(ch, now); got != want {
+				if got, want := d.count(ch, now), ref.Count(ch, now); got != want {
 					t.Fatalf("seed %d step %d: Count %d, reference %d", seed, step, got, want)
 				}
 			case k < 70:
 				now = now.Add(time.Duration(ops.Intn(120)-20) * time.Second)
 			default:
 				n, self := ops.Intn(12), addr()
-				got, want := d.Sample(ch, n, self, now), ref.Sample(ch, n, self, now)
+				got, want := d.sample(ch, n, self, now), ref.Sample(ch, n, self, now)
 				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 					t.Fatalf("seed %d step %d: Sample(%q, %d, %s)\n got %v\nwant %v", seed, step, ch, n, self, got, want)
 				}
@@ -70,10 +70,10 @@ func TestDirectorySampleAllocatesOnlyTheResult(t *testing.T) {
 	d := NewDirectory(1)
 	d.RegisterPermanent("ch", "root")
 	for i := 0; i < 2000; i++ {
-		d.Register("ch", simnet.Addr(fmt.Sprintf("10.1.%d.%d", i/250, i%250)), now.Add(time.Hour))
+		d.register("ch", simnet.Addr(fmt.Sprintf("10.1.%d.%d", i/250, i%250)), now.Add(time.Hour))
 	}
-	d.Sample("ch", 8, "10.1.0.0", now) // sizes the buffer
-	if a := testing.AllocsPerRun(50, func() { d.Sample("ch", 8, "10.1.0.0", now) }); a > 1 {
+	d.sample("ch", 8, "10.1.0.0", now) // sizes the buffer
+	if a := testing.AllocsPerRun(50, func() { d.sample("ch", 8, "10.1.0.0", now) }); a > 1 {
 		t.Errorf("Sample allocates %v times per call at 2000 members, want ≤ 1", a)
 	}
 }

@@ -26,7 +26,7 @@ func TestDirectorySampleInvariants(t *testing.T) {
 			if expired {
 				exp = base.Add(-time.Hour)
 			}
-			d.Register("ch", addr, exp)
+			d.register("ch", addr, exp)
 			// Later registrations of the same addr overwrite earlier
 			// ones; track the final state.
 			live[addr] = !expired
@@ -35,7 +35,7 @@ func TestDirectorySampleInvariants(t *testing.T) {
 			}
 		}
 		want := int(n%16) + 1
-		got := d.Sample("ch", want, self, base)
+		got := d.sample("ch", want, self, base)
 		if len(got) > want {
 			return false
 		}

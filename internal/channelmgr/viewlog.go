@@ -73,8 +73,8 @@ func (l *ViewLog) last(userIN uint64, channelID string) (viewEntry, bool) {
 	return e, ok
 }
 
-// Len reports the number of retained history entries.
-func (l *ViewLog) Len() int {
+// size reports the number of retained history entries.
+func (l *ViewLog) size() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.history)

@@ -50,18 +50,18 @@ func TestViewLogHistoryBounded(t *testing.T) {
 	if h[0].UserIN != 2 || h[2].UserIN != 4 {
 		t.Fatalf("history = %+v", h)
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
+	if l.size() != 3 {
+		t.Fatalf("Len = %d", l.size())
 	}
 }
 
 func TestDirectorySampleExcludesSelfAndExpired(t *testing.T) {
 	d := NewDirectory(1)
 	d.RegisterPermanent("ch", "root")
-	d.Register("ch", "alive", vt0.Add(time.Hour))
-	d.Register("ch", "dead", vt0.Add(-time.Hour))
-	d.Register("ch", "me", vt0.Add(time.Hour))
-	got := d.Sample("ch", 10, "me", vt0)
+	d.register("ch", "alive", vt0.Add(time.Hour))
+	d.register("ch", "dead", vt0.Add(-time.Hour))
+	d.register("ch", "me", vt0.Add(time.Hour))
+	got := d.sample("ch", 10, "me", vt0)
 	if len(got) != 2 {
 		t.Fatalf("sample = %v, want root+alive", got)
 	}
@@ -78,22 +78,22 @@ func TestDirectorySampleExcludesSelfAndExpired(t *testing.T) {
 func TestDirectorySampleBounded(t *testing.T) {
 	d := NewDirectory(1)
 	for i := 0; i < 20; i++ {
-		d.Register("ch", geo.Addr(1, 1, i), vt0.Add(time.Hour))
+		d.register("ch", geo.Addr(1, 1, i), vt0.Add(time.Hour))
 	}
-	if got := d.Sample("ch", 5, "", vt0); len(got) != 5 {
+	if got := d.sample("ch", 5, "", vt0); len(got) != 5 {
 		t.Fatalf("sample size = %d, want 5", len(got))
 	}
 }
 
 func TestDirectoryRefreshAndRemove(t *testing.T) {
 	d := NewDirectory(1)
-	d.Register("ch", "p", vt0.Add(time.Minute))
-	d.Register("ch", "p", vt0.Add(time.Hour)) // refresh
-	if d.Count("ch", vt0.Add(30*time.Minute)) != 1 {
+	d.register("ch", "p", vt0.Add(time.Minute))
+	d.register("ch", "p", vt0.Add(time.Hour)) // refresh
+	if d.count("ch", vt0.Add(30*time.Minute)) != 1 {
 		t.Fatal("refresh did not extend expiry")
 	}
-	d.Remove("ch", "p")
-	if d.Count("ch", vt0) != 0 {
+	d.remove("ch", "p")
+	if d.count("ch", vt0) != 0 {
 		t.Fatal("Remove did not drop the peer")
 	}
 }
@@ -101,18 +101,18 @@ func TestDirectoryRefreshAndRemove(t *testing.T) {
 func TestDirectoryPermanentNotDemoted(t *testing.T) {
 	d := NewDirectory(1)
 	d.RegisterPermanent("ch", "root")
-	d.Register("ch", "root", vt0.Add(-time.Hour)) // would expire it
-	if d.Count("ch", vt0) != 1 {
+	d.register("ch", "root", vt0.Add(-time.Hour)) // would expire it
+	if d.count("ch", vt0) != 1 {
 		t.Fatal("permanent root was demoted by a timed Register")
 	}
 }
 
 func TestDirectoryUnknownChannel(t *testing.T) {
 	d := NewDirectory(1)
-	if got := d.Sample("ghost", 5, "", vt0); got != nil {
+	if got := d.sample("ghost", 5, "", vt0); got != nil {
 		t.Fatalf("sample of unknown channel = %v", got)
 	}
-	if d.Count("ghost", vt0) != 0 {
+	if d.count("ghost", vt0) != 0 {
 		t.Fatal("count of unknown channel nonzero")
 	}
 }

@@ -50,10 +50,6 @@ type Config struct {
 	Substreams int
 	// MaxChildren bounds direct root fan-out. Default 16.
 	MaxChildren int
-	// Encrypt controls content encryption. Providers with a public
-	// mandate may distribute in the clear (§IV-E fn. 2); access is still
-	// Channel-Ticket-gated. Default true (set NoEncrypt to disable).
-	NoEncrypt bool
 	// RNG supplies key material and payload filler (nil = crypto/rand).
 	RNG io.Reader
 	// Arena backs the root peer's child state (see p2p.Config.Arena).
@@ -286,24 +282,17 @@ func (s *Server) emit() {
 	payload := s.frame(seq)
 	sub := uint8(seq % uint64(s.cfg.Substreams))
 	hdrLen := wire.ContentPushHeaderLen(s.cfg.ChannelID)
-	if s.cfg.NoEncrypt {
-		enc := make([]byte, 0, hdrLen+len(payload))
-		enc = wire.AppendContentPushHeader(enc, s.cfg.ChannelID, sub, seq, true, len(payload))
-		enc = append(enc, payload...)
-		s.peer.InjectFrame(sub, seq, enc[hdrLen:], true, enc)
-		return
-	}
 	// Header and sealed payload in one exact-size buffer: the relay
 	// fan-out sends this frame on every edge with no re-encode, and the
 	// seal lands in place instead of through Seal's copy.
 	sealedLen := sealer.SealedLen(len(payload))
 	enc := make([]byte, 0, hdrLen+sealedLen)
-	enc = wire.AppendContentPushHeader(enc, s.cfg.ChannelID, sub, seq, false, sealedLen)
+	enc = wire.AppendContentPushHeader(enc, s.cfg.ChannelID, sub, seq, sealedLen)
 	enc, err := sealer.SealAppend(enc, s.cfg.RNG, payload, s.cid)
 	if err != nil {
 		return
 	}
-	s.peer.InjectFrame(sub, seq, enc[hdrLen:], false, enc)
+	s.peer.InjectFrame(sub, seq, enc[hdrLen:], enc)
 }
 
 // EmitOne produces a single packet immediately (test/bench hook).

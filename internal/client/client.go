@@ -107,8 +107,6 @@ type Config struct {
 	// the callback returns (the next frame reuses its buffer); copy it to
 	// keep it.
 	OnFrame func(seq uint64, payload []byte)
-	// OnHijack is notified of content failing authentication.
-	OnHijack func(seq uint64, err error)
 	// OnDecrypt observes every encrypted-packet decrypt attempt (serial,
 	// sequence, and outcome) before dedup — the conformance oracle's view
 	// of what this viewer could actually read (see p2p.Config.OnDecrypt).
@@ -308,9 +306,6 @@ func (c *Client) Stats() Stats {
 // Policy exposes the client's transport policy (per-service counters,
 // breaker state) for tests and the experiment harness.
 func (c *Client) Policy() *svc.Policy { return c.pol }
-
-// Addr returns the client's network address.
-func (c *Client) Addr() simnet.Addr { return c.node.Addr() }
 
 // Node exposes the client's network endpoint (tests and tooling).
 func (c *Client) Node() *simnet.Node { return c.node }
@@ -766,7 +761,6 @@ func (c *Client) watch(j *journey, channelID string) error {
 		Tickets:    c.cfg.Tickets,
 		Capacity:   c.cfg.PeerCapacity,
 		OnPacket:   onPacket,
-		OnHijack:   c.cfg.OnHijack,
 		OnDecrypt:  onDecrypt,
 		OnKey:      onKey,
 		OnParentLoss: func(parent simnet.Addr, subs []uint8) {
@@ -1094,24 +1088,6 @@ func (c *Client) StopWatching() {
 // Peer exposes the current overlay peer (nil when not watching).
 func (c *Client) Peer() *p2p.Peer { return c.peerOf() }
 
-// SeekHistory asks one of the client's current parents for retained
-// frames at or after fromSeq (time-shifted viewing). The frames come back
-// still sealed under their original content keys: how far back this
-// viewer can actually decrypt is bounded by its own key ring's window,
-// exactly the forward-secrecy property the conformance oracle checks.
-// Must run in a simulated goroutine.
-func (c *Client) SeekHistory(fromSeq uint64, maxFrames int) (*wire.SeekResp, []wire.HistoryFrame, error) {
-	peer := c.peerOf()
-	if peer == nil {
-		return nil, nil, ErrNoPeers
-	}
-	parents := peer.ParentAddrs()
-	if len(parents) == 0 {
-		return nil, nil, ErrNoPeers
-	}
-	return peer.SeekHistory(parents[0], fromSeq, maxFrames, c.cfg.RPCTimeout)
-}
-
 // DecryptHistoryFrame opens a sealed history frame with the client's key
 // ring. Fails with keys.ErrUnknownSerial when the frame's key iteration
 // has already slid out of the ring window (seek deeper than retained
@@ -1120,9 +1096,6 @@ func (c *Client) DecryptHistoryFrame(f wire.HistoryFrame) ([]byte, error) {
 	peer := c.peerOf()
 	if peer == nil {
 		return nil, ErrNoPeers
-	}
-	if f.Clear {
-		return f.Packet, nil
 	}
 	return peer.OpenHistory(f)
 }

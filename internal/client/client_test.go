@@ -190,7 +190,7 @@ func TestClientAccessorsAndUserTicketRenewal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Addr() != geo.Addr(100, 3, 9) || c.Node() == nil {
+	if c.Node() == nil || c.Node().Addr() != geo.Addr(100, 3, 9) {
 		t.Fatal("address accessors broken")
 	}
 	if c.UserTicket() != nil || c.UserTicketBlob() != nil || c.ChannelTicketBlob() != nil {

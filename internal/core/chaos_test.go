@@ -85,7 +85,7 @@ func TestChaosManagerCrashMidFlashCrowd(t *testing.T) {
 						}
 						if !sys.Sched.Now().Before(deadline) {
 							t.Errorf("client %s gave up at %v: %v",
-								c.Addr(), sys.Sched.Now().Sub(start), err)
+								c.Node().Addr(), sys.Sched.Now().Sub(start), err)
 							return
 						}
 						sys.Sched.Sleep(backoff)
@@ -152,11 +152,11 @@ func TestChaosSingleBackendPermanentKill(t *testing.T) {
 			c := arg.(*client.Client)
 			sys.Sched.Sleep(offset)
 			if err := c.Login(); err != nil {
-				t.Errorf("client %s login: %v", c.Addr(), err)
+				t.Errorf("client %s login: %v", c.Node().Addr(), err)
 				return
 			}
 			if err := c.Watch("news"); err != nil {
-				t.Errorf("client %s watch: %v", c.Addr(), err)
+				t.Errorf("client %s watch: %v", c.Node().Addr(), err)
 				return
 			}
 			watching++
@@ -221,7 +221,7 @@ func TestChaosPartitionedClientsRecover(t *testing.T) {
 					return
 				}
 				if !sys.Sched.Now().Before(deadline) {
-					t.Errorf("client %s gave up: %v", c.Addr(), err)
+					t.Errorf("client %s gave up: %v", c.Node().Addr(), err)
 					return
 				}
 				sys.Sched.Sleep(3 * time.Second)

@@ -66,11 +66,6 @@ func AddrChannelRoot(channelID string) simnet.Addr {
 	return simnet.Addr("root." + channelID)
 }
 
-// ticketMemoCap bounds each ticket kind in the deployment's verified-ticket
-// memo. A miss costs one Ed25519 verify; a larger memo retains more
-// parsed tickets without saving any on the measurement week.
-const ticketMemoCap = 4096
-
 // CapacityModel describes a manager backend's queueing behaviour: Workers
 // parallel servers, each holding a request for a sampled service time
 // (an M/G/c queue).
@@ -92,9 +87,6 @@ type Options struct {
 	// control phase. Must have been created with the same Start and Seed
 	// semantics the caller wants; Start is ignored when set.
 	Scheduler *sim.Scheduler
-	// Latency is the network model. Default geo.LatencyModel(15ms, 60ms,
-	// 20ms).
-	Latency simnet.LatencyModel
 	// UserMgrFarm is the number of User Manager backends behind the VIP.
 	// The paper's deployment used two (§VI). Default 2.
 	UserMgrFarm int
@@ -127,8 +119,6 @@ type Options struct {
 	UserTicketLifetime    time.Duration
 	ChannelTicketLifetime time.Duration
 	RenewWindow           time.Duration
-	// ClientImage is the golden client binary for attestation.
-	ClientImage []byte
 	// MinVersion is the minimum admitted client version.
 	MinVersion uint32
 	// RekeyInterval rotates content keys (default 1m, §IV-E).
@@ -136,8 +126,6 @@ type Options struct {
 	// PacketInterval paces content production (default 1s for
 	// simulation economy).
 	PacketInterval time.Duration
-	// Substreams for peer-division multiplexing (default 4).
-	Substreams int
 	// RootMaxChildren bounds direct fan-out at Channel Servers (default
 	// 32).
 	RootMaxChildren int
@@ -169,9 +157,6 @@ func (o *Options) fill() {
 	if o.Start.IsZero() {
 		o.Start = time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC)
 	}
-	if o.Latency == nil {
-		o.Latency = geo.LatencyModel(15*time.Millisecond, 60*time.Millisecond, 20*time.Millisecond)
-	}
 	if o.UserMgrFarm <= 0 {
 		o.UserMgrFarm = 2
 	}
@@ -190,17 +175,11 @@ func (o *Options) fill() {
 	if o.RenewWindow <= 0 {
 		o.RenewWindow = time.Minute
 	}
-	if len(o.ClientImage) == 0 {
-		o.ClientImage = defaultClientImage()
-	}
 	if o.RekeyInterval <= 0 {
 		o.RekeyInterval = time.Minute
 	}
 	if o.PacketInterval <= 0 {
 		o.PacketInterval = time.Second
-	}
-	if o.Substreams <= 0 {
-		o.Substreams = 4
 	}
 	if o.RootMaxChildren <= 0 {
 		o.RootMaxChildren = 32
@@ -214,24 +193,24 @@ type ShardOptions struct {
 	// Enabled switches the farm from VIP round-robin to account-hash
 	// sharding.
 	Enabled bool
-	// GraceWindow is how long after a reshard members still serve keys
-	// they owned under the previous epoch (0 = the farm default, 30s).
-	GraceWindow time.Duration
 	// LoginHighWater arms load shedding on the login endpoints: above
 	// this many admitted-but-unfinished requests per member, new
 	// arrivals are refused with wire.CodeOverloaded (0 disables).
 	LoginHighWater int
 }
 
-// defaultClientImage returns the golden client binary image used for the
-// rudimentary remote attestation.
-func defaultClientImage() []byte {
+// substreams is the peer-division multiplexing every channel uses.
+const substreams = 4
+
+// clientImage is the golden client binary for the rudimentary remote
+// attestation. Managers and clients only read it.
+var clientImage = func() []byte {
 	img := make([]byte, 4096)
 	for i := range img {
 		img[i] = byte(i*31 + 7)
 	}
 	return img
-}
+}()
 
 // System is a running deployment.
 type System struct {
@@ -282,7 +261,7 @@ func NewSystem(opts Options) (*System, error) {
 	if sched == nil {
 		sched = sim.New(opts.Start, opts.Seed)
 	}
-	netOpts := []simnet.Option{simnet.WithLatency(opts.Latency)}
+	netOpts := []simnet.Option{simnet.WithLatency(geo.LatencyModel(15*time.Millisecond, 60*time.Millisecond, 20*time.Millisecond))}
 	if opts.PacketLoss > 0 {
 		netOpts = append(netOpts, simnet.WithLoss(opts.PacketLoss))
 	}
@@ -297,7 +276,7 @@ func NewSystem(opts Options) (*System, error) {
 		ChanMgrs: make(map[string][]*channelmgr.Manager),
 		Servers:  make(map[string]*chserver.Server),
 		Arena:    p2p.NewArena(1 << 16),
-		tickets:  ticket.NewVerifier(ticketMemoCap),
+		tickets:  ticket.NewVerifier(0),
 		rng:      rng,
 		cmKeys:   make(map[string]*cryptoutil.KeyPair),
 	}
@@ -453,7 +432,7 @@ func (s *System) userMgrConfig(domain string) usermgr.Config {
 		TokenSecret:    []byte("um-farm-secret"),
 		TicketLifetime: s.Opts.UserTicketLifetime,
 		MinVersion:     s.Opts.MinVersion,
-		ClientImage:    s.Opts.ClientImage,
+		ClientImage:    clientImage,
 		Domain:         domain,
 		RNG:            s.rng,
 		Tickets:        s.tickets,
@@ -488,7 +467,7 @@ func (s *System) deployShardedUserMgrs(net *simnet.Network) error {
 		return m, nil
 	}
 	farm, err := svc.DeployShardedFarm(net, opts.UserMgrFarm,
-		svc.ShardFarmConfig{GraceWindow: so.GraceWindow},
+		svc.ShardFarmConfig{},
 		func(i int) simnet.Addr {
 			return simnet.Addr(fmt.Sprintf("um%d.provider", i+1))
 		},
@@ -637,12 +616,8 @@ func (s *System) InfraAddrs() []simnet.Addr {
 	return out
 }
 
-// RedirectKey returns the Redirection Manager's public key (built into
-// clients).
-func (s *System) RedirectKey() cryptoutil.PublicKey { return s.rmKeys.Public() }
-
-// UserMgrKey returns the User Manager farm's public key.
-func (s *System) UserMgrKey() cryptoutil.PublicKey { return s.umKeys.Public() }
+// userMgrKey returns the User Manager farm's public key.
+func (s *System) userMgrKey() cryptoutil.PublicKey { return s.umKeys.Public() }
 
 // nextPartition assigns channels round-robin over partitions ("each
 // channel is assigned to one, and only one, partition", §V).
@@ -687,7 +662,7 @@ func (s *System) DeployChannel(ch *policy.Channel) error {
 		Keys:           srvKeys,
 		RekeyInterval:  s.Opts.RekeyInterval,
 		PacketInterval: s.Opts.PacketInterval,
-		Substreams:     s.Opts.Substreams,
+		Substreams:     substreams,
 		MaxChildren:    s.Opts.RootMaxChildren,
 		RNG:            s.rng,
 		Arena:          s.Arena,
@@ -768,8 +743,8 @@ func (s *System) NewClient(email, password string, addr simnet.Addr, mut func(*c
 		Password:        password,
 		RedirectAddr:    addrRedirect,
 		Version:         s.Opts.MinVersion,
-		Image:           s.Opts.ClientImage,
-		Substreams:      s.Opts.Substreams,
+		Image:           clientImage,
+		Substreams:      substreams,
 		RNG:             s.rng,
 		SecureTransport: s.Opts.SecureTransport,
 		RedirectKey:     s.rmKeys.Public().Encode(),

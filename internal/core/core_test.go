@@ -8,6 +8,7 @@ import (
 	"p2pdrm/internal/feedback"
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/simnet"
+	"p2pdrm/internal/wire"
 )
 
 var t0 = time.Date(2008, 6, 23, 0, 0, 0, 0, time.UTC)
@@ -407,10 +408,14 @@ func TestPartitionedChannelManagersServeTheirChannels(t *testing.T) {
 		t.Fatalf("watch across partitions: %v, %v", e1, e2)
 	}
 	// Each partition's managers saw only their channel's traffic.
-	p1 := st.sys.ChanMgrs["p1"][0].Stats().TicketsIssued + st.sys.ChanMgrs["p1"][1].Stats().TicketsIssued
-	p2 := st.sys.ChanMgrs["p2"][0].Stats().TicketsIssued + st.sys.ChanMgrs["p2"][1].Stats().TicketsIssued
-	if p1 != 1 || p2 != 1 {
-		t.Fatalf("tickets per partition = %d/%d, want 1/1", p1, p2)
+	switch2 := func(part string) (n int64) {
+		for _, m := range st.sys.ChanMgrs[part] {
+			n += m.Runtime().Snapshot()[wire.SvcSwitch2].Requests
+		}
+		return n
+	}
+	if p1, p2 := switch2("p1"), switch2("p2"); p1 != 1 || p2 != 1 {
+		t.Fatalf("SWITCH2 per partition = %d/%d, want 1/1", p1, p2)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func redirectAssignment(sys *System, domain string) redirect.Assignment {
 	return redirect.Assignment{
 		UserMgr:    addrUserMgrDomain(domain),
-		UserMgrKey: sys.UserMgrKey().Encode(),
+		UserMgrKey: sys.userMgrKey().Encode(),
 	}
 }
 

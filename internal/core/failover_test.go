@@ -164,7 +164,7 @@ func TestRenewalPinnedToUserTicketDoesNotStorm(t *testing.T) {
 	if st.Renewals > 20 {
 		t.Fatalf("renewals = %d — renewal storm", st.Renewals)
 	}
-	total := c.FeedbackLog().Len()
+	total := len(c.FeedbackLog().Samples())
 	if total > 120 {
 		t.Fatalf("%d protocol rounds in 20 min — storm", total)
 	}

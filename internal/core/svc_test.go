@@ -157,7 +157,7 @@ func TestEndpointInstrumentation(t *testing.T) {
 	// Per-runtime metrics stay queryable too.
 	var umLogin1 int64
 	for _, m := range sys.UserMgrs {
-		umLogin1 += m.Runtime().Metrics(wire.SvcLogin1).Requests
+		umLogin1 += m.Runtime().Snapshot()[wire.SvcLogin1].Requests
 	}
 	if umLogin1 != 1 {
 		t.Errorf("per-runtime LOGIN1 sum = %d, want 1", umLogin1)
@@ -166,7 +166,7 @@ func TestEndpointInstrumentation(t *testing.T) {
 	// A svc.Metrics aggregate matches manual addition.
 	var sum svc.Metrics
 	for _, rt := range sys.runtimes() {
-		sum.Add(rt.Metrics(wire.SvcJoin))
+		sum.Add(rt.Snapshot()[wire.SvcJoin])
 	}
 	if sum.Requests != totals[wire.SvcJoin].Requests {
 		t.Errorf("Join totals disagree: %d vs %d", sum.Requests, totals[wire.SvcJoin].Requests)

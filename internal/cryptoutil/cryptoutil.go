@@ -22,7 +22,6 @@ import (
 	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/ed25519"
-	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -70,7 +69,7 @@ type PublicKey struct {
 	Box    []byte // X25519 public key bytes
 	// boxParsed is the parsed form of Box when the key came from
 	// KeyPair.Public, so Seal skips re-parsing; a decoded key leaves it
-	// nil and Seal parses on use. It never affects Encode/Equal.
+	// nil and Seal parses on use. It never affects Encode.
 	boxParsed *ecdh.PublicKey
 }
 
@@ -147,11 +146,6 @@ func DecodePublicKey(b []byte) (PublicKey, error) {
 		Verify: ed25519.PublicKey(append([]byte(nil), b[:32]...)),
 		Box:    append([]byte(nil), b[32:]...),
 	}, nil
-}
-
-// Equal reports whether two public keys are identical.
-func (p PublicKey) Equal(o PublicKey) bool {
-	return hmac.Equal(p.Verify, o.Verify) && hmac.Equal(p.Box, o.Box)
 }
 
 // Seal encrypts plaintext to the recipient's box key (ECIES): ephemeral
@@ -415,8 +409,8 @@ func openAEAD(dst []byte, gcm cipher.AEAD, sealed, aad []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// IsZero reports whether the key is all zeros (unset).
-func (k SymKey) IsZero() bool {
+// isZero reports whether the key is all zeros (unset).
+func (k SymKey) isZero() bool {
 	var z SymKey
 	return k == z
 }

@@ -56,7 +56,7 @@ func TestPublicKeyEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Equal(kp.Public()) {
+	if !bytes.Equal(dec.Encode(), kp.Public().Encode()) {
 		t.Fatal("decode(encode) != original")
 	}
 	if _, err := DecodePublicKey(enc[:10]); !errors.Is(err, ErrBadKey) {
@@ -156,11 +156,11 @@ func TestSymOpenShort(t *testing.T) {
 
 func TestSymKeyIsZero(t *testing.T) {
 	var z SymKey
-	if !z.IsZero() {
+	if !z.isZero() {
 		t.Fatal("zero key not IsZero")
 	}
 	k, _ := NewSymKey(testRNG())
-	if k.IsZero() {
+	if k.isZero() {
 		t.Fatal("random key IsZero")
 	}
 }

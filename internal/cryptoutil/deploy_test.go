@@ -9,6 +9,7 @@ import (
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/cryptoutil"
 	"p2pdrm/internal/geo"
+	"p2pdrm/internal/wire"
 )
 
 // TestDeploymentChallengesAndJoinsHitMemo: in a lossless deployment every
@@ -57,7 +58,8 @@ func TestDeploymentChallengesAndJoinsHitMemo(t *testing.T) {
 	}
 	for _, farm := range sys.ChanMgrs {
 		for _, m := range farm {
-			switches += m.Stats().Switch2Served
+			sw := m.Runtime().Snapshot()[wire.SvcSwitch2]
+			switches += sw.Requests - sw.Errors
 		}
 	}
 	for _, srv := range sys.Servers {

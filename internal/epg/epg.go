@@ -160,8 +160,8 @@ func (s *Schedule) Compile(now time.Time, regions ...string) (attr.List, []polic
 	return attrs, rules
 }
 
-// At returns the program on air at t, if any.
-func (s *Schedule) At(t time.Time) (Program, bool) {
+// at returns the program on air at t, if any.
+func (s *Schedule) at(t time.Time) (Program, bool) {
 	for _, p := range s.Programs {
 		if !t.Before(p.Start) && t.Before(p.End) {
 			return p, true

@@ -206,14 +206,14 @@ func TestAt(t *testing.T) {
 		prog("a", 8, 10, RightsFree, ""),
 		prog("b", 10, 12, RightsBlackout, ""),
 	}}
-	if p, ok := s.At(t0.Add(9 * time.Hour)); !ok || p.Title != "a" {
-		t.Fatalf("At(9h) = %+v %v", p, ok)
+	if p, ok := s.at(t0.Add(9 * time.Hour)); !ok || p.Title != "a" {
+		t.Fatalf("at(9h) = %+v %v", p, ok)
 	}
-	if p, ok := s.At(t0.Add(10 * time.Hour)); !ok || p.Title != "b" {
-		t.Fatalf("At(10h) = %+v %v (boundary belongs to the next program)", p, ok)
+	if p, ok := s.at(t0.Add(10 * time.Hour)); !ok || p.Title != "b" {
+		t.Fatalf("at(10h) = %+v %v (boundary belongs to the next program)", p, ok)
 	}
-	if _, ok := s.At(t0.Add(13 * time.Hour)); ok {
-		t.Fatal("At(13h) found a program in dead air")
+	if _, ok := s.at(t0.Add(13 * time.Hour)); ok {
+		t.Fatal("at(13h) found a program in dead air")
 	}
 }
 

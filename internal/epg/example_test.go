@@ -27,10 +27,6 @@ func Example() {
 	}
 	attrs, rules := schedule.Compile(day, "100")
 	fmt.Printf("compiled %d attributes, %d rules\n", len(attrs), len(rules))
-	if p, ok := schedule.At(day.Add(15 * time.Hour)); ok {
-		fmt.Printf("on air at 15:00: %q (%s)\n", p.Title, p.Rights)
-	}
 	// Output:
 	// compiled 3 attributes, 3 rules
-	// on air at 15:00: "the derby" (blackout)
 }

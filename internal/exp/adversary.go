@@ -103,9 +103,9 @@ type AdversaryResult struct {
 	Artifacts
 }
 
-// Fingerprint digests every counter into one line; two runs with the
+// fingerprint digests every counter into one line; two runs with the
 // same seed must match byte-for-byte.
-func (r *AdversaryResult) Fingerprint() string {
+func (r *AdversaryResult) fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v=%d fr=%d atk=%d frames=%d rekeys=%d stormfail=%d",
 		r.Viewers, r.FreeRiders, r.Attackers, r.Frames, r.ForcedRekeys, r.StormFails)

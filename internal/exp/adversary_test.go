@@ -62,7 +62,7 @@ func TestAdversaryDeterminismGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Fingerprint()
+	got := res.fingerprint()
 	if os.Getenv("GOLDEN_PRINT") != "" {
 		t.Logf("adversary golden:\n%s", got)
 	} else if got != goldenAdversary {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p2pdrm/internal/core"
+	"p2pdrm/internal/cryptoutil"
 	"p2pdrm/internal/feedback"
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/sim"
@@ -107,6 +108,7 @@ func runTradFlash(cfg FlashConfig, viewers int) (SideResult, error) {
 	srv, err := trad.New(net.NewNode("license.provider"), trad.Config{
 		Workers:     cfg.Workers,
 		ServiceTime: expService(rand.NewSource(cfg.Seed+1), cfg.ServiceMS),
+		RNG:         cryptoutil.NewSeededReader(cfg.Seed + 5),
 	})
 	if err != nil {
 		return SideResult{}, err

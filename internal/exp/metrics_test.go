@@ -1,7 +1,11 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -86,16 +90,35 @@ func TestWeekSeriesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Series.Rows()
+	var buf bytes.Buffer
+	if err := res.Series.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rows := recs[0], recs[1:]
 	if len(rows) != 24 {
 		t.Fatalf("expected 24 hourly rows for a 1-day trace, got %d", len(rows))
 	}
+	col := slices.Index(header, "ep.drm.login1.req")
 	prevReq := -1.0
+	var prevT time.Time
 	for i, r := range rows {
-		if i > 0 && !rows[i-1].T.Before(r.T) {
-			t.Fatalf("row %d: timestamps not increasing (%v then %v)", i, rows[i-1].T, r.T)
+		at, err := time.Parse(time.RFC3339, r[0])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if req, ok := r.Values["ep.drm.login1.req"]; ok {
+		if i > 0 && !prevT.Before(at) {
+			t.Fatalf("row %d: timestamps not increasing (%v then %v)", i, prevT, at)
+		}
+		prevT = at
+		if col > 0 && r[col] != "" {
+			req, err := strconv.ParseFloat(r[col], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if req < prevReq {
 				t.Fatalf("row %d: cumulative ep.drm.login1.req decreased (%v < %v)", i, req, prevReq)
 			}

@@ -35,7 +35,9 @@ func histOf(ds ...time.Duration) *obs.HistSnapshot {
 	for _, d := range ds {
 		h.Observe(d)
 	}
-	return h.Snapshot()
+	s := &obs.HistSnapshot{}
+	h.AddTo(s)
+	return s
 }
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }

@@ -114,9 +114,9 @@ type ScaleOutResult struct {
 	Artifacts
 }
 
-// Fingerprint digests every counter and per-phase latency into one
+// fingerprint digests every counter and per-phase latency into one
 // line; two runs with the same seed must match byte-for-byte.
-func (r *ScaleOutResult) Fingerprint() string {
+func (r *ScaleOutResult) fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v=%d w=%d failed=%d members=%d-%d epoch=%d hand=%d part=%d",
 		r.Viewers, r.Watching, r.FailedLogins, r.MembersStart, r.MembersEnd,

@@ -59,7 +59,7 @@ func TestScaleOutDeterminismGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Fingerprint()
+	got := res.fingerprint()
 	if os.Getenv("GOLDEN_PRINT") != "" {
 		t.Logf("scaleout golden:\n%s", got)
 	} else if got != goldenScaleOut {
@@ -80,7 +80,7 @@ func TestScaleOutDeterministicForFixedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+	if fa, fb := a.fingerprint(), b.fingerprint(); fa != fb {
 		t.Fatalf("same seed, different runs:\n  a: %s\n  b: %s", fa, fb)
 	}
 	cfg.Seed = 10
@@ -88,7 +88,7 @@ func TestScaleOutDeterministicForFixedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Fingerprint() == a.Fingerprint() {
+	if c.fingerprint() == a.fingerprint() {
 		t.Fatal("different seeds produced identical fingerprints — fingerprint too coarse")
 	}
 }

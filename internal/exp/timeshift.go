@@ -98,9 +98,9 @@ type TimeShiftResult struct {
 	Artifacts
 }
 
-// Fingerprint digests every counter into one line; two runs with the
+// fingerprint digests every counter into one line; two runs with the
 // same seed must match byte-for-byte.
-func (r *TimeShiftResult) Fingerprint() string {
+func (r *TimeShiftResult) fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "v=%d lapsed=%d frames=%d seeks=%d sframes=%d serr=%d deny=%d part=%d",
 		r.Viewers, r.Lapsed, r.Frames, r.SeekCalls, r.SeekFrames, r.SeekErrors,
@@ -299,6 +299,17 @@ func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	return res, nil
 }
 
+// openSeekFrame scores one retained frame: the key serial it is sealed
+// under and whether open, the viewer's ring, authenticates it. A frame
+// too short to carry a serial is serial 0, not opened.
+func openSeekFrame(open func(wire.HistoryFrame) ([]byte, error), f wire.HistoryFrame) (keys.Serial, bool) {
+	if len(f.Packet) == 0 {
+		return 0, false
+	}
+	_, err := open(f)
+	return keys.Serial(f.Packet[0]), err == nil
+}
+
 // ticketExpiry is the expiry of the client's current Channel Ticket
 // (zero when it holds none).
 func ticketExpiry(c *client.Client) time.Time {
@@ -344,13 +355,7 @@ func runSeek(sys *core.System, oracle *conform.Oracle, res *TimeShiftResult,
 	}
 	now := sys.Sched.Now()
 	for _, f := range sframes {
-		var serial keys.Serial
-		ok := f.Clear
-		if !f.Clear && len(f.Packet) > 0 {
-			serial = keys.Serial(f.Packet[0])
-			_, oerr := c.DecryptHistoryFrame(f)
-			ok = oerr == nil
-		}
+		serial, ok := openSeekFrame(c.DecryptHistoryFrame, f)
 		oracle.RecordSeekDecrypt(name, serial, f.Seq, now, ok)
 		depth := 0
 		if head > f.Seq {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"testing"
 
+	"p2pdrm/internal/cryptoutil"
+	"p2pdrm/internal/keys"
 	"p2pdrm/internal/wire"
 )
 
@@ -61,7 +63,7 @@ func TestTimeShiftDeterminismGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Fingerprint()
+	got := res.fingerprint()
 	if os.Getenv("GOLDEN_PRINT") != "" {
 		t.Logf("timeshift golden:\n%s", got)
 	} else if got != goldenTimeShift {
@@ -82,7 +84,7 @@ func TestTimeShiftDeterministicForFixedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+	if fa, fb := a.fingerprint(), b.fingerprint(); fa != fb {
 		t.Fatalf("same seed, different runs:\n  a: %s\n  b: %s", fa, fb)
 	}
 	cfg.Seed = 10
@@ -90,7 +92,7 @@ func TestTimeShiftDeterministicForFixedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Fingerprint() == a.Fingerprint() {
+	if c.fingerprint() == a.fingerprint() {
 		t.Fatal("different seeds produced identical fingerprints — fingerprint too coarse")
 	}
 }
@@ -117,5 +119,43 @@ func TestTimeShiftPartitionChaos(t *testing.T) {
 	}
 	if res.SeekFrames == 0 {
 		t.Fatal("no seeks succeeded even after the heal")
+	}
+}
+
+// TestOpenSeekFrameCountsOnlyRingOpens pins how a seek frame is scored
+// for the oracle: a success is a frame the viewer's ring authenticates.
+// An empty frame, bare payload bytes and a tampered frame are failures,
+// so none of them is recorded as a successful decrypt of serial 0 (the
+// first key iteration's serial, which the ring holds here).
+func TestOpenSeekFrameCountsOnlyRingOpens(t *testing.T) {
+	rng := cryptoutil.NewSeededReader(3)
+	sched, err := keys.NewSchedule(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := sched.Current()
+	ring := keys.NewRing(0)
+	ring.Add(ck)
+	open := func(f wire.HistoryFrame) ([]byte, error) { return keys.OpenPacket(ring, f.Packet, []byte("ch")) }
+	sealed, err := keys.NewPacketSealer(ck).Seal(rng, []byte("frame"), []byte("ch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := append([]byte(nil), sealed...)
+	tampered[len(tampered)-1] ^= 1
+	for _, tc := range []struct {
+		name   string
+		packet []byte
+		ok     bool
+	}{
+		{"sealed under a held key", sealed, true},
+		{"empty", nil, false},
+		{"bare payload", []byte{0, 'f', 'r', 'a', 'm', 'e'}, false},
+		{"tampered", tampered, false},
+	} {
+		serial, ok := openSeekFrame(open, wire.HistoryFrame{Seq: 1, Packet: tc.packet})
+		if ok != tc.ok || serial != ck.Serial {
+			t.Errorf("%s: openSeekFrame = serial %d, ok %v; want serial %d, ok %v", tc.name, serial, ok, ck.Serial, tc.ok)
+		}
 	}
 }

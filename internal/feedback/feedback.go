@@ -79,13 +79,6 @@ func (l *Log) Samples() []Sample {
 	return append([]Sample(nil), l.samples...)
 }
 
-// Len reports the number of recorded samples.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
 // Corpus is the provider-side collection of submitted feedback logs plus
 // the concurrent-user time series the live system tracks.
 type Corpus struct {

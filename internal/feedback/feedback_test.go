@@ -30,8 +30,8 @@ func TestLogRecordAndSubmit(t *testing.T) {
 	l := NewLog()
 	l.Record(Login1, t0, ms(100), true)
 	l.Record(Login2, t0.Add(time.Second), ms(150), true)
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.Samples()) != 2 {
+		t.Fatalf("Len = %d", len(l.Samples()))
 	}
 	c := NewCorpus()
 	c.Submit(l)

@@ -34,7 +34,7 @@ func FuzzRing(f *testing.F) {
 		r := NewRing(w)
 		for i, b := range script {
 			s := Serial(b)
-			_, hadBefore := r.Get(s)
+			_, hadBefore := r.get(s)
 			latestBefore, hasBefore := r.Latest()
 			added := r.Add(keyFor(s, window))
 
@@ -49,7 +49,7 @@ func FuzzRing(f *testing.F) {
 				t.Fatalf("step %d: first key (serial %d) refused", i, s)
 			}
 
-			if n := r.Len(); n > w {
+			if n := r.size(); n > w {
 				t.Fatalf("step %d: ring holds %d > window %d iterations", i, n, w)
 			}
 			latest, ok := r.Latest()
@@ -61,12 +61,12 @@ func FuzzRing(f *testing.F) {
 					t.Fatalf("step %d: evicted-range serial %d still held (latest %d, window %d)",
 						i, ck.Serial, latest.Serial, w)
 				}
-				got, ok := r.Get(ck.Serial)
+				got, ok := r.get(ck.Serial)
 				if !ok || got != keyFor(ck.Serial, window).Key {
 					t.Fatalf("step %d: held serial %d lookup mismatch", i, ck.Serial)
 				}
 			}
-			if _, ok := r.Sealer(latest.Serial); !ok {
+			if _, ok := r.sealer(latest.Serial); !ok {
 				t.Fatalf("step %d: newest serial %d not retrievable", i, latest.Serial)
 			}
 		}

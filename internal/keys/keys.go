@@ -21,8 +21,8 @@ import (
 // comparisons use a half-window rule like TCP sequence numbers.
 type Serial uint8
 
-// Next returns the following serial (wrapping).
-func (s Serial) Next() Serial { return s + 1 }
+// next returns the following serial (wrapping).
+func (s Serial) next() Serial { return s + 1 }
 
 // distance returns the signed shortest distance from s to o in modulo-256
 // space: positive when o is ahead of s.
@@ -97,7 +97,7 @@ func (s *Schedule) Rotate() (ContentKey, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cur = ContentKey{Serial: s.cur.Serial.Next(), Key: k}
+	s.cur = ContentKey{Serial: s.cur.Serial.next(), Key: k}
 	return s.cur, nil
 }
 
@@ -128,7 +128,7 @@ type Ring struct {
 // — misses at depth ≥ window are the forward-secrecy boundary working,
 // misses inside the window are delivery gaps.
 type RingStats struct {
-	Lookups int64 // Sealer/Get calls
+	Lookups int64 // packet opens that looked up a key
 	Misses  int64 // lookups with no key held
 	// MissesEvicted are misses whose serial sits at or beyond the window
 	// behind the newest held iteration — evicted (or never kept) by the
@@ -160,18 +160,6 @@ func (r *Ring) Stats() RingStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// Depth reports how many iterations behind the newest held key a serial
-// sits (0 = the newest itself; negative = ahead of it). ok is false when
-// the ring holds nothing yet.
-func (r *Ring) Depth(s Serial) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.has {
-		return 0, false
-	}
-	return -r.latest.distance(s), true
 }
 
 // DefaultWindow covers in-flight rotation plus early-delivered next keys.
@@ -214,22 +202,6 @@ func (r *Ring) Add(k ContentKey) bool {
 	return true
 }
 
-// Get looks up the key for a packet serial.
-func (r *Ring) Get(s Serial) (cryptoutil.SymKey, bool) {
-	sk, ok := r.Sealer(s)
-	if !ok {
-		return cryptoutil.SymKey{}, false
-	}
-	return sk.Key(), true
-}
-
-// Sealer looks up the reusable SealKey form of the key for a packet serial.
-func (r *Ring) Sealer(s Serial) (*cryptoutil.SealKey, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sealerLocked(s)
-}
-
 func (r *Ring) sealerLocked(s Serial) (*cryptoutil.SealKey, bool) {
 	sk, ok := r.keys[s]
 	r.stats.Lookups++
@@ -248,13 +220,6 @@ func (r *Ring) sealerLocked(s Serial) (*cryptoutil.SealKey, bool) {
 		}
 	}
 	return sk, ok
-}
-
-// Len reports how many iterations are held.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.keys)
 }
 
 // Snapshot returns all held iterations (for handing the current key set to
@@ -298,9 +263,6 @@ type PacketSealer struct {
 func NewPacketSealer(k ContentKey) *PacketSealer {
 	return &PacketSealer{serial: k.Serial, sealer: k.Key.Sealer()}
 }
-
-// Serial returns the iteration's serial number.
-func (ps *PacketSealer) Serial() Serial { return ps.serial }
 
 // Key returns the underlying key iteration.
 func (ps *PacketSealer) Key() ContentKey {

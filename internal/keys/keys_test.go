@@ -12,7 +12,7 @@ import (
 func testRNG() *cryptoutil.SeededReader { return cryptoutil.NewSeededReader(1) }
 
 func TestSerialWraps(t *testing.T) {
-	if Serial(255).Next() != 0 {
+	if Serial(255).next() != 0 {
 		t.Fatal("255.Next() != 0")
 	}
 	if Serial(0).distance(1) != 1 {
@@ -89,11 +89,11 @@ func TestRingAddAndGet(t *testing.T) {
 	if !r.Add(ContentKey{Serial: 10, Key: k}) {
 		t.Fatal("first Add rejected")
 	}
-	got, ok := r.Get(10)
+	got, ok := r.get(10)
 	if !ok || got != k {
 		t.Fatal("Get(10) missing or wrong")
 	}
-	if _, ok := r.Get(11); ok {
+	if _, ok := r.get(11); ok {
 		t.Fatal("Get(11) found a key never added")
 	}
 }
@@ -109,8 +109,8 @@ func TestRingDuplicateDiscarded(t *testing.T) {
 	if r.Add(ck) {
 		t.Fatal("duplicate Add accepted")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	if r.size() != 1 {
+		t.Fatalf("Len = %d, want 1", r.size())
 	}
 }
 
@@ -121,13 +121,13 @@ func TestRingEvictsOldKeys(t *testing.T) {
 		k, _ := cryptoutil.NewSymKey(rng)
 		r.Add(ContentKey{Serial: Serial(i), Key: k})
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want window of 3", r.Len())
+	if r.size() != 3 {
+		t.Fatalf("Len = %d, want window of 3", r.size())
 	}
-	if _, ok := r.Get(0); ok {
+	if _, ok := r.get(0); ok {
 		t.Fatal("serial 0 not evicted (forward secrecy window)")
 	}
-	if _, ok := r.Get(5); !ok {
+	if _, ok := r.get(5); !ok {
 		t.Fatal("latest serial evicted")
 	}
 }
@@ -339,4 +339,28 @@ func (r *Ring) Latest() (ContentKey, bool) {
 		return ContentKey{}, false
 	}
 	return ContentKey{Serial: r.latest, Key: r.keys[r.latest].Key()}, true
+}
+
+// get looks up the key for a packet serial, counted in the ring's stats
+// like a playback lookup.
+func (r *Ring) get(s Serial) (cryptoutil.SymKey, bool) {
+	sk, ok := r.sealer(s)
+	if !ok {
+		return cryptoutil.SymKey{}, false
+	}
+	return sk.Key(), true
+}
+
+// sealer looks up the reusable SealKey form of the key for a packet serial.
+func (r *Ring) sealer(s Serial) (*cryptoutil.SealKey, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sealerLocked(s)
+}
+
+// size reports how many iterations are held.
+func (r *Ring) size() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.keys)
 }

@@ -1,6 +1,6 @@
 // Package lru provides a small, mutex-guarded, fixed-capacity LRU cache
 // shared by the hot-path caching layers (verified-ticket cache, parsed-key
-// caches). It is deliberately minimal: Get/Add/Len and nothing else, with
+// caches). It is deliberately minimal: Get and Add and nothing else, with
 // strict bounds so a cache can never grow past its capacity no matter the
 // workload.
 package lru
@@ -67,11 +67,4 @@ func (c *Cache[K, V]) Add(key K, val V) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*entry[K, V]).key)
 	}
-}
-
-// Len reports the number of cached entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

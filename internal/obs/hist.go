@@ -116,13 +116,6 @@ func (h *Histogram) AddTo(s *HistSnapshot) {
 	s.Sum += h.sum.Load()
 }
 
-// Snapshot copies the current counts into an immutable snapshot.
-func (h *Histogram) Snapshot() *HistSnapshot {
-	s := &HistSnapshot{}
-	h.AddTo(s)
-	return s
-}
-
 // HistSnapshot is a point-in-time copy of a Histogram. Snapshots
 // support commutative merge (Add) and monotonic subtraction (Sub), so
 // per-interval and per-phase distributions fall out of snapshot
@@ -166,8 +159,8 @@ func (s *HistSnapshot) Sub(prev *HistSnapshot) *HistSnapshot {
 	return d
 }
 
-// Clone returns an independent copy (nil-safe).
-func (s *HistSnapshot) Clone() *HistSnapshot {
+// clone returns an independent copy (nil-safe).
+func (s *HistSnapshot) clone() *HistSnapshot {
 	if s == nil {
 		return nil
 	}

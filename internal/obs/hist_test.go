@@ -49,7 +49,7 @@ func TestQuantilePinnedToExact(t *testing.T) {
 			h.Observe(v)
 		}
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		s := h.Snapshot()
+		s := h.snapshot()
 		if s.N != int64(n) {
 			t.Fatalf("trial %d: snapshot N=%d want %d", trial, s.N, n)
 		}
@@ -87,7 +87,7 @@ func TestUnderflowOverflowClamp(t *testing.T) {
 	h.Observe(0)
 	h.Observe(time.Nanosecond)
 	h.Observe(10 * time.Minute)
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Counts[0] != 2 {
 		t.Fatalf("underflow bucket = %d, want 2", s.Counts[0])
 	}
@@ -107,8 +107,8 @@ func TestSnapshotAddSubMean(t *testing.T) {
 	for i := 101; i <= 200; i++ {
 		b.Observe(time.Duration(i) * time.Millisecond)
 	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	merged := sa.Clone()
+	sa, sb := a.snapshot(), b.snapshot()
+	merged := sa.clone()
 	merged.Add(sb)
 	if merged.N != 200 {
 		t.Fatalf("merged N=%d", merged.N)
@@ -128,7 +128,7 @@ func TestSnapshotAddSubMean(t *testing.T) {
 		t.Fatal("Sub did not invert Add")
 	}
 	// Commutativity: B then A equals A then B.
-	m2 := sb.Clone()
+	m2 := sb.clone()
 	m2.Add(sa)
 	if *m2 != *merged {
 		t.Fatal("Add is not commutative")
@@ -137,7 +137,7 @@ func TestSnapshotAddSubMean(t *testing.T) {
 
 func TestNilSnapshotSafe(t *testing.T) {
 	var s *HistSnapshot
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Count() != 0 || s.Clone() != nil {
+	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Count() != 0 || s.clone() != nil {
 		t.Fatal("nil snapshot must read as empty")
 	}
 	d := s.Sub(nil)
@@ -207,15 +207,15 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 			h.Observe(d)
 			ref.observe(d)
 			if i == len(ds)/2 {
-				prevGot, prevWant = h.Snapshot(), ref.snapshot()
+				prevGot, prevWant = h.snapshot(), ref.snapshot()
 			}
 		}
-		got, want := h.Snapshot(), ref.snapshot()
+		got, want := h.snapshot(), ref.snapshot()
 		if *got != *want {
 			t.Fatalf("trial %d: sparse snapshot differs from the dense reference", trial)
 		}
 		// AddTo into a non-empty aggregate ≡ Add of the snapshot.
-		agg, aggWant := prevGot.Clone(), prevWant.Clone()
+		agg, aggWant := prevGot.clone(), prevWant.clone()
 		h.AddTo(agg)
 		aggWant.Add(want)
 		if *agg != *aggWant {
@@ -287,7 +287,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		s := h.Snapshot()
+		s := h.snapshot()
 		var total int64
 		for _, c := range s.Counts {
 			total += c
@@ -304,4 +304,11 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(d)
 	}
+}
+
+// snapshot copies the current counts into an immutable snapshot.
+func (h *Histogram) snapshot() *HistSnapshot {
+	s := &HistSnapshot{}
+	h.AddTo(s)
+	return s
 }

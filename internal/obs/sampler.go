@@ -13,14 +13,6 @@ import (
 	"p2pdrm/internal/sim"
 )
 
-// Row is one sampled instant: the sim-clock time plus a column→value
-// map contributed by the sampler's sources. It is the materialized
-// (allocating) view; exports stream the columnar slab instead.
-type Row struct {
-	T      time.Time
-	Values map[string]float64
-}
-
 // RowSink consumes sampled rows as they are produced, letting week-long
 // traces stream to disk instead of growing the heap. Start is called
 // once with the final column schema (sorted) before the first Row;
@@ -146,12 +138,12 @@ func (s *Series) emitLocked() {
 	s.sinkErr = s.sink.Flush()
 }
 
-// Stream attaches a sink: rows already retained are flushed through it
+// stream attaches a sink: rows already retained are flushed through it
 // (locking the schema to the columns seen so far) and dropped, and
 // every subsequent row streams without being retained. Register all
 // sources before the first streamed row — later columns are not part
 // of the sink schema.
-func (s *Series) Stream(sink RowSink) {
+func (s *Series) stream(sink RowSink) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sink = sink
@@ -176,25 +168,6 @@ func (s *Series) SinkErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sinkErr
-}
-
-// Rows materializes the retained rows in time order. Every call
-// rebuilds rows and maps.
-func (s *Series) Rows() []Row {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stride := len(s.cols)
-	rows := make([]Row, 0, len(s.times))
-	for r, tn := range s.times {
-		vals := make(map[string]float64, stride)
-		for c, name := range s.cols {
-			if v := s.data[r*stride+c]; !math.IsNaN(v) {
-				vals[name] = v
-			}
-		}
-		rows = append(rows, Row{T: time.Unix(0, tn).UTC(), Values: vals})
-	}
-	return rows
 }
 
 // Len returns the number of rows ever appended, retained or streamed
@@ -403,7 +376,7 @@ func (sp *Sampler) AddSource(src Source) {
 func (sp *Sampler) Series() *Series { return &sp.series }
 
 // Stream attaches a sink to the sampler's series (see Series.Stream).
-func (sp *Sampler) Stream(sink RowSink) { sp.series.Stream(sink) }
+func (sp *Sampler) Stream(sink RowSink) { sp.series.stream(sink) }
 
 // Sample takes one sample now (also used by Run's scheduled ticks).
 func (sp *Sampler) Sample(now time.Time) {

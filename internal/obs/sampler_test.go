@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,7 +25,7 @@ func TestSamplerTicksOnSimClock(t *testing.T) {
 	sp.Run(sched, end)
 	sched.RunUntil(end)
 
-	rows := sp.Series().Rows()
+	rows := sp.Series().rows()
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows, want 5", len(rows))
 	}
@@ -83,7 +84,7 @@ func TestSeriesStreamingSinks(t *testing.T) {
 	var s Series
 	s.Append(base, map[string]float64{"b": 1, "a": 2})
 	var csvBuf, jslBuf bytes.Buffer
-	s.Stream(MultiSink(NewCSVSink(&csvBuf), NewJSONLSink(&jslBuf)))
+	s.stream(MultiSink(NewCSVSink(&csvBuf), NewJSONLSink(&jslBuf)))
 	s.Append(base.Add(time.Minute), map[string]float64{"a": 3, "b": 4})
 	// "late" was not in the schema when streaming started: it must not
 	// corrupt the export.
@@ -95,7 +96,7 @@ func TestSeriesStreamingSinks(t *testing.T) {
 	if got := s.Len(); got != 3 {
 		t.Fatalf("Len() = %d, want 3 (streamed rows still count)", got)
 	}
-	if rows := s.Rows(); len(rows) != 0 {
+	if rows := s.rows(); len(rows) != 0 {
 		t.Fatalf("streamed series retained %d rows; want 0", len(rows))
 	}
 
@@ -137,4 +138,31 @@ func (s *Series) Append(t time.Time, values map[string]float64) {
 	}
 	s.endLocked()
 	s.mu.Unlock()
+}
+
+// row is one sampled instant: the sim-clock time plus a column→value
+// map contributed by the sampler's sources. It is the materialized
+// (allocating) view; exports stream the columnar slab instead.
+type row struct {
+	T      time.Time
+	Values map[string]float64
+}
+
+// rows materializes the retained rows in time order. Every call
+// rebuilds rows and maps.
+func (s *Series) rows() []row {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stride := len(s.cols)
+	rows := make([]row, 0, len(s.times))
+	for r, tn := range s.times {
+		vals := make(map[string]float64, stride)
+		for c, name := range s.cols {
+			if v := s.data[r*stride+c]; !math.IsNaN(v) {
+				vals[name] = v
+			}
+		}
+		rows = append(rows, row{T: time.Unix(0, tn).UTC(), Values: vals})
+	}
+	return rows
 }

@@ -59,8 +59,8 @@ type Span struct {
 	Detail   string    `json:"detail,omitempty"`
 }
 
-// Duration is the span's extent on the simulation clock.
-func (sp Span) Duration() time.Duration { return sp.End.Sub(sp.Begin) }
+// duration is the span's extent on the simulation clock.
+func (sp Span) duration() time.Duration { return sp.End.Sub(sp.Begin) }
 
 // Trace is a bounded ring of spans. A nil *Trace is the disabled
 // tracer: Emit on it is a no-op with zero allocations, so callers

@@ -63,7 +63,7 @@ func WriteTraceEvents(w io.Writer, spans []Span, total, dropped int64) error {
 			Name: eventName(sp),
 			Ph:   "X",
 			Ts:   sp.Begin.UnixMicro(),
-			Dur:  sp.Duration().Microseconds(),
+			Dur:  sp.duration().Microseconds(),
 			Pid:  sp.Trace,
 			Tid:  sp.Node,
 			Cat:  sp.Kind,
@@ -71,7 +71,7 @@ func WriteTraceEvents(w io.Writer, spans []Span, total, dropped int64) error {
 		if ev.Tid == "" {
 			ev.Tid = "-"
 		}
-		if sp.Kind == KindMark || sp.Duration() <= 0 {
+		if sp.Kind == KindMark || sp.duration() <= 0 {
 			ev.Ph = "i"
 			ev.Dur = 0
 		}

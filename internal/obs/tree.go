@@ -167,7 +167,7 @@ func extractCriticalPath(t *spanTree) (CriticalPath, bool) {
 		Journey: root.Name,
 		Node:    root.Node,
 		Begin:   root.Begin,
-		Total:   root.Duration(),
+		Total:   root.duration(),
 		Outcome: root.Outcome,
 		Marks:   make(map[string]time.Duration),
 	}
@@ -175,7 +175,7 @@ func extractCriticalPath(t *spanTree) (CriticalPath, bool) {
 		sp := child.Span
 		switch sp.Kind {
 		case KindStage:
-			st := StageBreakdown{Name: sp.Name, Duration: sp.Duration(), Outcome: sp.Outcome}
+			st := StageBreakdown{Name: sp.Name, Duration: sp.duration(), Outcome: sp.Outcome}
 			// Calls sit directly under the stage; server spans parent under
 			// the call that caused them — walk the whole stage subtree.
 			child.Walk(0, func(depth int, g *spanNode) {
@@ -185,11 +185,11 @@ func extractCriticalPath(t *spanTree) (CriticalPath, bool) {
 				gs := g.Span
 				switch gs.Kind {
 				case KindCall:
-					st.Call += gs.Duration()
+					st.Call += gs.duration()
 					st.Attempts += gs.Attempts
 					st.Retries += gs.Retries
 				case KindServer:
-					st.Server += gs.Duration()
+					st.Server += gs.duration()
 				}
 			})
 			if st.Call > st.Server {

@@ -29,7 +29,7 @@ func renderWaterfall(w io.Writer, t *spanTree) {
 	line := func(depth int, n *spanNode) {
 		sp := n.Span
 		startCol := int(int64(waterfallCols) * int64(sp.Begin.Sub(begin)) / int64(total))
-		widthCol := int(int64(waterfallCols) * int64(sp.Duration()) / int64(total))
+		widthCol := int(int64(waterfallCols) * int64(sp.duration()) / int64(total))
 		if startCol > waterfallCols {
 			startCol = waterfallCols
 		}
@@ -43,7 +43,7 @@ func renderWaterfall(w io.Writer, t *spanTree) {
 			}
 		}
 		glyph := "="
-		if sp.Kind == KindMark || sp.Duration() <= 0 {
+		if sp.Kind == KindMark || sp.duration() <= 0 {
 			glyph = "|"
 		}
 		bar := strings.Repeat(" ", startCol) + strings.Repeat(glyph, widthCol) +
@@ -119,10 +119,10 @@ func waterfallLabel(sp Span) string {
 }
 
 func durLabel(sp Span) string {
-	if sp.Kind == KindMark || sp.Duration() <= 0 {
+	if sp.Kind == KindMark || sp.duration() <= 0 {
 		return "mark"
 	}
-	return sp.Duration().String()
+	return sp.duration().String()
 }
 
 func clip(s string, n int) string {

@@ -96,14 +96,12 @@ type Config struct {
 	// (local playback). Relays leave it nil: forwarding never decrypts.
 	// Like bufio.Scanner.Bytes, payload is valid only until the callback
 	// returns — the next packet is decrypted into the same buffer — so a
-	// callback that keeps it must copy it (bytes.Clone). It is also
-	// read-only: a clear packet is a view into the received frame, which
-	// is forwarded to children and kept in the time-shift history.
+	// callback that keeps it must copy it (bytes.Clone). Every delivery
+	// follows an OnDecrypt report of the same seq with a nil error.
 	OnPacket func(seq uint64, payload []byte)
 	// OnDecrypt, when set, observes every live decrypt attempt on the
 	// local playback path: the packet's key serial, its sequence number,
-	// and the outcome (nil, keys.ErrUnknownSerial, keys.ErrHijack).
-	// Clear packets carry no serial and are not reported. The
+	// and the outcome (nil, keys.ErrUnknownSerial, keys.ErrHijack). The
 	// rights-conformance oracle rides this hook.
 	OnDecrypt func(serial keys.Serial, seq uint64, err error)
 	// OnHijack, when set, is told about packets failing authentication.
@@ -309,8 +307,8 @@ func (p *Peer) Children() int {
 	return len(p.children)
 }
 
-// Parents reports current upstream count.
-func (p *Peer) Parents() int {
+// parentCount reports current upstream count.
+func (p *Peer) parentCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.parents)
@@ -674,22 +672,7 @@ func (p *Peer) SeekHistory(addr simnet.Addr, fromSeq uint64, maxFrames int, time
 // slid out of the ring window — the forward-secrecy bound on how deep a
 // time-shifted viewer can actually read.
 func (p *Peer) OpenHistory(f wire.HistoryFrame) ([]byte, error) {
-	if f.Clear {
-		return f.Packet, nil
-	}
 	return keys.OpenPacket(p.ring, f.Packet, []byte(p.cfg.ChannelID))
-}
-
-// ParentAddrs returns the current parents sorted by address.
-func (p *Peer) ParentAddrs() []simnet.Addr {
-	p.mu.Lock()
-	addrs := make([]simnet.Addr, 0, len(p.parents))
-	for a := range p.parents {
-		addrs = append(addrs, a)
-	}
-	p.mu.Unlock()
-	sortAddrs(addrs)
-	return addrs
 }
 
 // PresentRenewal pushes a renewed Channel Ticket to every parent.
@@ -821,13 +804,13 @@ func (p *Peer) handleKeyPush(from simnet.Addr, msg *wire.KeyPush) {
 
 // InjectFrame enters a packet together with its pre-encoded ContentPush
 // frame: enc must be the wire encoding of (ChannelID, substream, seq,
-// clear, packet), with packet aliasing the frame's tail. The Channel
+// packet), with packet aliasing the frame's tail. The Channel
 // Server builds header and sealed payload in one exact-size buffer
 // (wire.AppendContentPushHeader + PacketSealer.SealAppend), and the
 // relay fan-out then reuses that buffer for every edge instead of
 // re-encoding.
-func (p *Peer) InjectFrame(substream uint8, seq uint64, packet []byte, clear bool, enc []byte) {
-	p.relayFrame(substream, seq, packet, clear, enc)
+func (p *Peer) InjectFrame(substream uint8, seq uint64, packet []byte, enc []byte) {
+	p.relayFrame(substream, seq, packet, enc)
 }
 
 // relayFrame dedups, forwards to subscribed children, and delivers
@@ -837,7 +820,7 @@ func (p *Peer) InjectFrame(substream uint8, seq uint64, packet []byte, clear boo
 // encodes it once, on the first subscribed edge. The fan-out walks the
 // sorted child list under one lock hold — no target-slice collection, no
 // re-sort, stats batched into a single update.
-func (p *Peer) relayFrame(substream uint8, seq uint64, packet []byte, clear bool, enc []byte) {
+func (p *Peer) relayFrame(substream uint8, seq uint64, packet []byte, enc []byte) {
 	p.mu.Lock()
 	if p.closed {
 		// Departed: the dedup table is back in the arena, so late
@@ -855,7 +838,7 @@ func (p *Peer) relayFrame(substream uint8, seq uint64, packet []byte, clear bool
 		// Retain the sealed frame for time-shift seeks. The packet is a
 		// view into a frame that is immutable once sent (simnet.Node.Send),
 		// so aliasing it is safe.
-		f := wire.HistoryFrame{Substream: substream, Seq: seq, Clear: clear, Packet: packet}
+		f := wire.HistoryFrame{Substream: substream, Seq: seq, Packet: packet}
 		if len(p.hist) < p.cfg.HistoryWindow {
 			p.hist = append(p.hist, f)
 		} else {
@@ -876,7 +859,7 @@ func (p *Peer) relayFrame(substream uint8, seq uint64, packet []byte, clear bool
 		if enc == nil {
 			msg := &wire.ContentPush{
 				ChannelID: p.cfg.ChannelID, Substream: substream, Seq: seq,
-				Clear: clear, Packet: packet,
+				Packet: packet,
 			}
 			enc = msg.Encode()
 		}
@@ -890,13 +873,6 @@ func (p *Peer) relayFrame(substream uint8, seq uint64, packet []byte, clear bool
 	p.mu.Unlock()
 
 	if deliver != nil {
-		if clear {
-			p.mu.Lock()
-			p.stats.PacketsDelivered++
-			p.mu.Unlock()
-			deliver(seq, packet)
-			return
-		}
 		payload, err := keys.OpenPacketAppend(p.plain[:0], p.ring, packet, []byte(p.cfg.ChannelID))
 		if err == nil {
 			p.plain = payload
@@ -939,5 +915,5 @@ func (p *Peer) handleContent(from simnet.Addr, msg wire.ContentPush) {
 	if !ok {
 		return // content only flows down established peerings
 	}
-	p.relayFrame(msg.Substream, msg.Seq, msg.Packet, msg.Clear, msg.Frame)
+	p.relayFrame(msg.Substream, msg.Seq, msg.Packet, msg.Frame)
 }

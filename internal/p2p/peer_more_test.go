@@ -79,10 +79,10 @@ func TestKeyPushWrongChannelIgnored(t *testing.T) {
 	}
 	root.mu.Unlock()
 	sealed, _ := session.Seal(f.rng, ck.Encode(), nil)
-	msg := &wire.KeyPush{ChannelID: "chOTHER", SealedKey: sealed}
-	root.Node().Send(addr, wire.SvcKeyPush, msg.Encode())
+	msg := append(wire.AppendKeyPushHeader(nil, "chOTHER", len(sealed)), sealed...)
+	root.Node().Send(addr, wire.SvcKeyPush, msg)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
-	if cli.Ring().Len() != 0 {
+	if len(cli.Ring().Snapshot()) != 0 {
 		t.Fatal("mislabeled key push was accepted")
 	}
 }
@@ -93,7 +93,7 @@ func TestLeaveIsIdempotent(t *testing.T) {
 	mid.Leave()
 	mid.Leave() // second leave must not panic or resurrect state
 	f.sched.RunUntil(t0.Add(time.Minute))
-	if mid.Parents() != 0 || mid.Children() != 0 {
+	if mid.parentCount() != 0 || mid.Children() != 0 {
 		t.Fatal("state after double leave")
 	}
 }

@@ -81,14 +81,14 @@ func TestJoinHappyPathDeliversSessionAndKeys(t *testing.T) {
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	if cli.Parents() != 1 || root.Children() != 1 {
-		t.Fatalf("parents=%d children=%d", cli.Parents(), root.Children())
+	if cli.parentCount() != 1 || root.Children() != 1 {
+		t.Fatalf("parents=%d children=%d", cli.parentCount(), root.Children())
 	}
 	// The current content key arrived sealed under the session key.
-	if cli.Ring().Len() != 1 {
-		t.Fatalf("client ring has %d keys, want 1", cli.Ring().Len())
+	if len(cli.Ring().Snapshot()) != 1 {
+		t.Fatalf("client ring has %d keys, want 1", len(cli.Ring().Snapshot()))
 	}
-	if got, _ := cli.Ring().Get(sched.Current().Serial); got != sched.Current().Key {
+	if got, _ := ringKey(cli.Ring(), sched.Current().Serial); got != sched.Current().Key {
 		t.Fatal("client's key differs from the schedule's")
 	}
 }
@@ -212,10 +212,10 @@ func TestKeyPropagatesDownTree(t *testing.T) {
 	ck, _ := sched.Rotate()
 	root.InjectKey(ck)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
-	if _, ok := mid.Ring().Get(ck.Serial); !ok {
+	if _, ok := ringKey(mid.Ring(), ck.Serial); !ok {
 		t.Fatal("mid peer missing rotated key")
 	}
-	if _, ok := leaf.Ring().Get(ck.Serial); !ok {
+	if _, ok := ringKey(leaf.Ring(), ck.Serial); !ok {
 		t.Fatal("leaf peer missing rotated key (tree relay broken)")
 	}
 }
@@ -235,7 +235,7 @@ func TestContentFlowsAndDecryptsAtLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.relayFrame(0, 1, pkt, false, nil)
+	root.relayFrame(0, 1, pkt, nil)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if len(got) != 1 || string(got[0]) != "frame-1" {
 		t.Fatalf("leaf delivered %q", got)
@@ -253,8 +253,8 @@ func TestDuplicateKeysAndPacketsDiscarded(t *testing.T) {
 	root.InjectKey(ck)
 	root.InjectKey(ck) // duplicate injection
 	pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte("x"), []byte("chA"))
-	root.relayFrame(0, 5, pkt, false, nil)
-	root.relayFrame(0, 5, pkt, false, nil)
+	root.relayFrame(0, 5, pkt, nil)
+	root.relayFrame(0, 5, pkt, nil)
 	f.sched.RunUntil(t0.Add(time.Minute))
 	st := mid.Stats()
 	if st.KeysReceived != 1 {
@@ -334,7 +334,7 @@ func TestLeaveNotifiesBothSides(t *testing.T) {
 	if root.Children() != 0 {
 		t.Fatal("root still lists departed child")
 	}
-	if leaf.Parents() != 0 {
+	if leaf.parentCount() != 0 {
 		t.Fatal("leaf still lists departed parent")
 	}
 }
@@ -358,6 +358,63 @@ func TestContentFromStrangerIgnored(t *testing.T) {
 	}
 }
 
+// TestEveryDeliveryFollowsItsDecryptReport pins the hook the rights
+// oracle rides: each OnPacket delivery comes right after an
+// OnDecrypt(serial, seq, nil) for the same seq, and a packet the parent
+// relays that is not sealed under a key in the child's ring — an
+// unannounced iteration, or bare payload bytes — counts as
+// PacketsUndecrypt and never reaches OnPacket.
+func TestEveryDeliveryFollowsItsDecryptReport(t *testing.T) {
+	f := newFixture(t)
+	type event struct {
+		decrypt bool
+		serial  keys.Serial
+		seq     uint64
+		err     error
+	}
+	var events []event
+	root, _, leaf := buildChain(t, f, func(c *Config) {
+		c.OnDecrypt = func(serial keys.Serial, seq uint64, err error) {
+			events = append(events, event{true, serial, seq, err})
+		}
+		c.OnPacket = func(seq uint64, _ []byte) { events = append(events, event{seq: seq}) }
+	})
+	sched, _ := keys.NewSchedule(f.rng)
+	ck := sched.Current()
+	root.InjectKey(ck)
+	f.sched.RunUntil(t0.Add(time.Minute))
+	unannounced, _ := sched.Rotate() // never injected: no ring holds it
+	seal := func(k keys.ContentKey, payload string) []byte {
+		pkt, err := keys.NewPacketSealer(k).Seal(f.rng, []byte(payload), []byte("chA"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkt
+	}
+	root.relayFrame(0, 1, seal(ck, "frame-1"), nil)
+	root.relayFrame(1, 2, seal(unannounced, "frame-2"), nil)
+	root.relayFrame(2, 3, []byte("frame-3 in the clear"), nil)
+	root.relayFrame(3, 4, seal(ck, "frame-4"), nil)
+	f.sched.RunUntil(t0.Add(2 * time.Minute))
+
+	var delivered []uint64
+	for i, e := range events {
+		if e.decrypt {
+			continue
+		}
+		delivered = append(delivered, e.seq)
+		if i == 0 || !events[i-1].decrypt || events[i-1].seq != e.seq || events[i-1].err != nil || events[i-1].serial != ck.Serial {
+			t.Fatalf("delivery of seq %d not preceded by its successful decrypt report: %+v", e.seq, events)
+		}
+	}
+	if len(delivered) != 2 || delivered[0] != 1 || delivered[1] != 4 {
+		t.Fatalf("delivered seqs %v, want [1 4]", delivered)
+	}
+	if st := leaf.Stats(); st.PacketsUndecrypt != 2 || st.PacketsDelivered != 2 {
+		t.Fatalf("stats = %+v, want 2 undecryptable and 2 delivered", st)
+	}
+}
+
 func TestHijackedContentDetected(t *testing.T) {
 	// A parent relaying tampered packets trips GCM authentication.
 	f := newFixture(t)
@@ -372,7 +429,7 @@ func TestHijackedContentDetected(t *testing.T) {
 	f.sched.RunUntil(t0.Add(time.Minute))
 	pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte("legit"), []byte("chA"))
 	pkt[len(pkt)-1] ^= 1 // rogue content masquerading as legitimate
-	root.relayFrame(0, 9, pkt, false, nil)
+	root.relayFrame(0, 9, pkt, nil)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if hijacks != 1 {
 		t.Fatalf("hijacks = %d, want 1", hijacks)
@@ -413,9 +470,9 @@ func TestMultiParentSubstreamSplit(t *testing.T) {
 		pkt, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte{byte(seq)}, []byte("chA"))
 		// Both roots carry the full stream; each child only gets its
 		// subscribed substreams.
-		rootA.relayFrame(sub, seq, pkt, false, nil)
+		rootA.relayFrame(sub, seq, pkt, nil)
 		pkt2, _ := keys.NewPacketSealer(ck).Seal(f.rng, []byte{byte(seq)}, []byte("chA"))
-		rootB.relayFrame(sub, seq, pkt2, false, nil)
+		rootB.relayFrame(sub, seq, pkt2, nil)
 	}
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
 	if len(seqs) != 8 {
@@ -450,10 +507,10 @@ func TestEavesdropperCannotUseKeyPush(t *testing.T) {
 	ck, _ := sched.Rotate()
 	root.InjectKey(ck)
 	f.sched.RunUntil(t0.Add(2 * time.Minute))
-	if eve.Ring().Len() != 0 {
+	if len(eve.Ring().Snapshot()) != 0 {
 		t.Fatal("eavesdropper obtained a content key")
 	}
-	if cli.Ring().Len() == 0 {
+	if len(cli.Ring().Snapshot()) == 0 {
 		t.Fatal("legitimate client missing the key")
 	}
 }
@@ -463,4 +520,14 @@ func TestNewPeerValidatesConfig(t *testing.T) {
 	if _, err := NewPeer(f.net.NewNode("x"), Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
+}
+
+// ringKey looks up the key a ring holds for serial s.
+func ringKey(r *keys.Ring, s keys.Serial) (cryptoutil.SymKey, bool) {
+	for _, k := range r.Snapshot() {
+		if k.Serial == s {
+			return k.Key, true
+		}
+	}
+	return cryptoutil.SymKey{}, false
 }

@@ -53,7 +53,7 @@ func sealedFrame(t *testing.T, f *fixture, ps *keys.PacketSealer, sub uint8, seq
 	hdrLen = wire.ContentPushHeaderLen("chA")
 	sealedLen := ps.SealedLen(len(payload))
 	enc = make([]byte, 0, hdrLen+sealedLen)
-	enc = wire.AppendContentPushHeader(enc, "chA", sub, seq, false, sealedLen)
+	enc = wire.AppendContentPushHeader(enc, "chA", sub, seq, sealedLen)
 	enc, err := ps.SealAppend(enc, f.rng, payload, []byte("chA"))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRelayForwardsReceivedFrame(t *testing.T) {
 		})
 	}
 	enc, hdrLen := sealedFrame(t, f, ps, 2, 41, []byte("frame-41"))
-	root.InjectFrame(2, 41, enc[hdrLen:], false, enc)
+	root.InjectFrame(2, 41, enc[hdrLen:], enc)
 	f.sched.RunUntil(f.sched.Now().Add(time.Second))
 
 	want := (&wire.ContentPush{ChannelID: "chA", Substream: 2, Seq: 41, Packet: enc[hdrLen:]}).Encode()
@@ -120,7 +120,7 @@ func TestRelayAllocBudget(t *testing.T) {
 	next := 0
 	emit := func() {
 		enc := frames[next]
-		root.InjectFrame(0, uint64(next), enc[hdrLen:], false, enc)
+		root.InjectFrame(0, uint64(next), enc[hdrLen:], enc)
 		next++
 		f.sched.RunUntil(f.sched.Now().Add(50 * time.Millisecond))
 	}
@@ -182,7 +182,7 @@ func TestRelayRetainedHeapBudget(t *testing.T) {
 	}
 	before := retainedHeap()
 	for i, enc := range frames {
-		root.InjectFrame(0, uint64(i), enc[hdrLen:], false, enc)
+		root.InjectFrame(0, uint64(i), enc[hdrLen:], enc)
 		f.sched.RunUntil(f.sched.Now().Add(10 * time.Millisecond))
 	}
 	// The root filters what it injects too: kids+1 tables in all.
@@ -223,7 +223,7 @@ func TestPlaybackReusesBuffer(t *testing.T) {
 	})
 	for seq := uint64(0); seq < 3; seq++ {
 		enc, hdrLen := sealedFrame(t, f, ps, 0, seq, []byte{'p', byte('0' + seq)})
-		root.InjectFrame(0, seq, enc[hdrLen:], false, enc)
+		root.InjectFrame(0, seq, enc[hdrLen:], enc)
 		f.sched.RunUntil(f.sched.Now().Add(time.Second))
 	}
 	// Two kids each deliver three frames.

@@ -170,8 +170,8 @@ func (m *Manager) SetBlackout(id string, start, end time.Time) error {
 	})
 }
 
-// Channels returns a copy of the Channel List sorted by ID.
-func (m *Manager) Channels() []*policy.Channel {
+// lineup returns a copy of the Channel List sorted by ID.
+func (m *Manager) lineup() []*policy.Channel {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := m.sortedLocked()

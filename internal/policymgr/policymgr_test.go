@@ -82,7 +82,7 @@ func TestAddChannelTouchesUTimesAndPushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.sched.Run()
-	got := f.mgr.Channels()
+	got := f.mgr.lineup()
 	if len(got) != 1 || got[0].ID != "chA" {
 		t.Fatalf("channels = %v", got)
 	}
@@ -135,7 +135,7 @@ func TestRemoveChannelTombstonesUTimes(t *testing.T) {
 		}
 	})
 	f.sched.Run()
-	if len(f.mgr.Channels()) != 0 {
+	if len(f.mgr.lineup()) != 0 {
 		t.Fatal("channel not removed")
 	}
 	// §IV-A: the removed channel's Region attribute has its last-update
@@ -201,7 +201,7 @@ func TestSetBlackout(t *testing.T) {
 	if err := f.mgr.SetBlackout("chA", start, end); err != nil {
 		t.Fatal(err)
 	}
-	got := f.mgr.Channels()[0]
+	got := f.mgr.lineup()[0]
 	user := attr.List{{Name: attr.NameRegion, Value: "100"}}
 	if d := got.EvaluateUser(user, start.Add(time.Minute)); d.Effect != policy.Reject {
 		t.Fatalf("not blacked out: %+v", d)
@@ -309,7 +309,7 @@ func TestChanListCacheTracksMutations(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		got := served()
-		if want := policy.AppendChannels(nil, f.mgr.Channels()); !bytes.Equal(got, want) {
+		if want := policy.AppendChannels(nil, f.mgr.lineup()); !bytes.Equal(got, want) {
 			t.Fatalf("after %s: served Channel List differs from a fresh encode", step)
 		}
 		if len(got) != cap(got) {

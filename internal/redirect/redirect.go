@@ -60,7 +60,6 @@ type Manager struct {
 
 	mu      sync.Mutex
 	byEmail map[string]Assignment
-	lookups int64
 }
 
 // New creates the manager on the node and registers its service.
@@ -93,20 +92,12 @@ func (m *Manager) Assign(email string, a Assignment) {
 	m.byEmail[email] = a
 }
 
-// Lookups reports how many redirects were served.
-func (m *Manager) Lookups() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lookups
-}
-
 func (m *Manager) handleRedirect(_ simnet.Addr, req *wire.RedirectReq) (*wire.RedirectResp, error) {
 	m.mu.Lock()
 	a, ok := m.byEmail[req.Email]
 	if !ok {
 		a = m.cfg.Default
 	}
-	m.lookups++
 	m.mu.Unlock()
 	var epoch uint64
 	if !ok && m.cfg.Shards != nil {

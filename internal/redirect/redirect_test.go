@@ -54,8 +54,8 @@ func TestDefaultAssignment(t *testing.T) {
 	if resp.PolicyMgr != "pm.provider" || string(resp.PolicyMgrKey) != "kp" {
 		t.Fatalf("policy manager coords missing: %+v", resp)
 	}
-	if mgr.Lookups() != 1 {
-		t.Fatalf("lookups = %d", mgr.Lookups())
+	if got := mgr.Runtime().Snapshot()[wire.SvcRedirect].Requests; got != 1 {
+		t.Fatalf("redirect requests = %d", got)
 	}
 }
 

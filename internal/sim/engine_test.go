@@ -30,7 +30,7 @@ func TestCancelledTimersBounded(t *testing.T) {
 		t.Fatalf("heap holds %d events (%d dead) after %d cancelled timers; want <= %d",
 			heapLen, dead, churn, bound)
 	}
-	if got := s.Pending(); got != 0 {
+	if got := s.pending(); got != 0 {
 		t.Fatalf("Pending() = %d after cancelling every timer; want 0", got)
 	}
 
@@ -64,7 +64,7 @@ func TestWaiterTimeoutEventReclaimed(t *testing.T) {
 		}
 	})
 	s.RunUntil(t0.Add(time.Hour))
-	if got := s.Pending(); got != 0 {
+	if got := s.pending(); got != 0 {
 		t.Fatalf("Pending() = %d; delivered waiters leaked their timeout events", got)
 	}
 	s.mu.Lock()
@@ -81,7 +81,7 @@ func TestWaiterTimeoutEventReclaimed(t *testing.T) {
 // the park/handoff/pool machinery shows up here.
 func TestConcurrentStress(t *testing.T) {
 	s := New(t0, 99)
-	q := s.NewQueue()
+	q := s.newQueue()
 	const workers = 8
 	for i := 0; i < workers; i++ {
 		i := i
@@ -89,14 +89,14 @@ func TestConcurrentStress(t *testing.T) {
 			for n := 0; n < 300; n++ {
 				switch (i + n) % 5 {
 				case 0:
-					s.Sleep(time.Duration(1+s.Intn(1000)) * time.Microsecond)
+					s.Sleep(time.Duration(1+s.intn(1000)) * time.Microsecond)
 				case 1:
-					tm := s.After(time.Duration(1+s.Intn(5000))*time.Microsecond, func() {})
+					tm := s.After(time.Duration(1+s.intn(5000))*time.Microsecond, func() {})
 					tm.Stop()
 				case 2:
 					q.Send(n)
 				case 3:
-					_, _ = q.Recv(time.Duration(1+s.Intn(500)) * time.Microsecond)
+					_, _ = q.Recv(time.Duration(1+s.intn(500)) * time.Microsecond)
 				case 4:
 					var wg sync.WaitGroup
 					wg.Add(1)
@@ -120,9 +120,9 @@ func TestConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = s.Pending()
+				_ = s.pending()
 				_ = s.Now()
-				_ = s.Intn(10)
+				_ = s.intn(10)
 				runtime.Gosched()
 			}
 		}
@@ -130,7 +130,7 @@ func TestConcurrentStress(t *testing.T) {
 	s.RunUntil(t0.Add(time.Hour))
 	close(stop)
 	ext.Wait()
-	if got := s.Pending(); got != 0 {
+	if got := s.pending(); got != 0 {
 		t.Fatalf("Pending() = %d after quiescence; want 0", got)
 	}
 }

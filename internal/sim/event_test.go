@@ -178,7 +178,7 @@ func TestDispatchAtOneInstant(t *testing.T) {
 		if want := []string{"at", "sleep", "afterArg", "wait"}; !slices.Equal(log, want) {
 			t.Errorf("%s: fired %v, want %v", tier.name, log, want)
 		}
-		if n := s.Pending(); n != 0 {
+		if n := s.pending(); n != 0 {
 			t.Errorf("%s: %d events pending after the instant; the beaten timeout must not count", tier.name, n)
 		}
 		s.Run()

@@ -22,7 +22,7 @@ func interleaveScenario() []string {
 		log = append(log, fmt.Sprintf("%v %s %s", s.Now().Sub(t0), actor, fmt.Sprintf(step, args...)))
 	}
 	const ms = time.Millisecond
-	q := s.NewQueue()
+	q := s.newQueue()
 	sem := s.NewSemaphore(1)
 
 	// A callback spawning with Go and GoArg at one instant: spawn order
@@ -63,7 +63,7 @@ func interleaveScenario() []string {
 				rec(id, "released")
 			})
 			q.Send(i)
-			s.Sleep(time.Duration(200+s.Intn(800)) * time.Microsecond)
+			s.Sleep(time.Duration(200+s.intn(800)) * time.Microsecond)
 		}
 		rec("prod", "done")
 	})
@@ -133,7 +133,7 @@ func interleaveScenario() []string {
 
 	// WaitGroup: children of differing lengths, parent parks on Wait.
 	s.Go(func() {
-		wg := s.NewWaitGroup()
+		wg := s.newWaitGroup()
 		for i := 3; i >= 1; i-- {
 			id := fmt.Sprintf("g%d", i)
 			wg.Go(func() {
@@ -160,16 +160,16 @@ func interleaveScenario() []string {
 	// The run is split: RunUntil returns with goroutines parked beyond
 	// the deadline, the caller spawns between segments, and Run drains.
 	s.RunUntil(t0.Add(2 * ms))
-	rec("main", "segment 1 returned, pending=%d", s.Pending())
+	rec("main", "segment 1 returned, pending=%d", s.pending())
 	s.Go(func() {
 		rec("late", "start")
 		s.Sleep(ms)
 		rec("late", "woke")
 	})
 	s.RunUntil(t0.Add(5 * ms))
-	rec("main", "segment 2 returned, pending=%d", s.Pending())
+	rec("main", "segment 2 returned, pending=%d", s.pending())
 	s.Run()
-	rec("main", "drained, pending=%d", s.Pending())
+	rec("main", "drained, pending=%d", s.pending())
 	return log
 }
 

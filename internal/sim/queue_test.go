@@ -46,7 +46,7 @@ func TestCancelledWheelTimersBounded(t *testing.T) {
 	if free != 1 {
 		t.Fatalf("freelist holds %d events; every cancel must recycle the one event the next schedule reuses", free)
 	}
-	if got := s.Pending(); got != liveHeap {
+	if got := s.pending(); got != liveHeap {
 		t.Fatalf("Pending() = %d; want %d (cancelled wheel timers must not count)", got, liveHeap)
 	}
 }
@@ -78,7 +78,7 @@ func TestCancelledTimersSplitAcrossTiers(t *testing.T) {
 		t.Fatalf("heap holds %d events (%d dead) after %d split cancels; want <= %d",
 			heapLen, heapDead, rounds, bound)
 	}
-	if got := s.Pending(); got != 0 {
+	if got := s.pending(); got != 0 {
 		t.Fatalf("Pending() = %d after cancelling everything; want 0", got)
 	}
 

@@ -170,7 +170,7 @@ func (e *schedEngine) schedule(_ int, op progOp, key int64, id int) {
 
 func (e *schedEngine) stop(id int) bool     { return e.timers[id].Stop() }
 func (e *schedEngine) runUntil(limit int64) { e.s.RunUntil(time.Unix(0, limit).UTC()) }
-func (e *schedEngine) pending() int         { return e.s.Pending() }
+func (e *schedEngine) pending() int         { return e.s.pending() }
 
 func (e *schedEngine) check() error {
 	e.s.mu.Lock()

@@ -91,7 +91,7 @@ func (e *Sharded) Shard(i int) *Shard { return e.shards[i] }
 // lane. It must only be called from the control phase or outside Run
 // (lane queues are unsynchronized while the worker phase runs).
 func (e *Sharded) Pending() int {
-	total := e.ctrl.Pending()
+	total := e.ctrl.pending()
 	for _, sh := range e.shards {
 		total += sh.q.pending()
 	}

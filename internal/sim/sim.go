@@ -19,7 +19,7 @@
 // in the same process.
 //
 // All blocking inside simulated goroutines MUST go through the scheduler
-// primitives (Sleep, Waiter.Wait, Queue.Recv, WaitGroup.Wait). Blocking on
+// primitives (Sleep, Waiter.Wait, Semaphore). Blocking on
 // ordinary Go channels or mutexes held across virtual time would deadlock
 // the virtual clock.
 package sim
@@ -87,14 +87,6 @@ func (s *Scheduler) Now() time.Time {
 	return s.now
 }
 
-// Rand runs fn with the scheduler's seeded random source. The source is
-// guarded by its own mutex so simulated goroutines may call it freely.
-func (s *Scheduler) Rand(fn func(r *rand.Rand)) {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	fn(s.rng)
-}
-
 // Float64 draws from the scheduler's seeded random stream.
 func (s *Scheduler) Float64() float64 {
 	s.rngMu.Lock()
@@ -102,18 +94,11 @@ func (s *Scheduler) Float64() float64 {
 	return s.rng.Float64()
 }
 
-// Intn draws from the scheduler's seeded random stream.
-func (s *Scheduler) Intn(n int) int {
+// intn draws from the scheduler's seeded random stream.
+func (s *Scheduler) intn(n int) int {
 	s.rngMu.Lock()
 	defer s.rngMu.Unlock()
 	return s.rng.Intn(n)
-}
-
-// ExpFloat64 draws an exponentially distributed value with mean 1.
-func (s *Scheduler) ExpFloat64() float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.ExpFloat64()
 }
 
 // parker is a reusable one-shot wakeup slot. The buffered channel lets
@@ -463,8 +448,8 @@ func (s *Scheduler) Stop() {
 	s.mu.Unlock()
 }
 
-// Pending reports the number of live scheduled events in O(1).
-func (s *Scheduler) Pending() int {
+// pending reports the number of live scheduled events in O(1).
+func (s *Scheduler) pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.q.pending()

@@ -237,7 +237,7 @@ func TestWaiterDeliverAfterTimeoutRejected(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	s := New(t0, 1)
-	q := s.NewQueue()
+	q := s.newQueue()
 	var got []int
 	s.Go(func() {
 		for i := 0; i < 3; i++ {
@@ -261,7 +261,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueRecvTimeout(t *testing.T) {
 	s := New(t0, 1)
-	q := s.NewQueue()
+	q := s.newQueue()
 	var err error
 	s.Go(func() { _, err = q.Recv(time.Second) })
 	s.Run()
@@ -277,14 +277,14 @@ func TestQueueRecvTimeout(t *testing.T) {
 
 func TestQueueClose(t *testing.T) {
 	s := New(t0, 1)
-	q := s.NewQueue()
+	q := s.newQueue()
 	var err1, err2 error
 	s.Go(func() { _, err1 = q.Recv(0) })
 	s.Go(func() { _, err2 = q.Recv(0) })
 	s.After(time.Second, func() { q.Close() })
 	s.Run()
-	if err1 != ErrClosed || err2 != ErrClosed {
-		t.Fatalf("errs = %v, %v; want ErrClosed for both", err1, err2)
+	if err1 != errClosed || err2 != errClosed {
+		t.Fatalf("errs = %v, %v; want errClosed for both", err1, err2)
 	}
 	q.Send("dropped")
 	if q.Len() != 0 {
@@ -294,19 +294,19 @@ func TestQueueClose(t *testing.T) {
 
 func TestQueueRecvAfterClose(t *testing.T) {
 	s := New(t0, 1)
-	q := s.NewQueue()
+	q := s.newQueue()
 	q.Close()
 	var err error
 	s.Go(func() { _, err = q.Recv(0) })
 	s.Run()
-	if err != ErrClosed {
+	if err != errClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }
 
 func TestWaitGroup(t *testing.T) {
 	s := New(t0, 1)
-	g := s.NewWaitGroup()
+	g := s.newWaitGroup()
 	count := 0
 	for i := 1; i <= 4; i++ {
 		i := i
@@ -333,7 +333,7 @@ func TestWaitGroup(t *testing.T) {
 
 func TestWaitGroupTimeout(t *testing.T) {
 	s := New(t0, 1)
-	g := s.NewWaitGroup()
+	g := s.newWaitGroup()
 	g.Go(func() { s.Sleep(time.Hour) })
 	var err error
 	s.Go(func() { err = g.Wait(time.Minute) })
@@ -658,7 +658,7 @@ func TestPending(t *testing.T) {
 	s.After(time.Second, func() {})
 	tm := s.After(2*time.Second, func() {})
 	tm.Stop()
-	if got := s.Pending(); got != 1 {
+	if got := s.pending(); got != 1 {
 		t.Fatalf("Pending = %d, want 1 (stopped timers excluded)", got)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // timeout elapses before the awaited condition occurs.
 var ErrTimeout = errors.New("sim: timeout")
 
-// ErrClosed is returned when waiting on a closed Queue.
-var ErrClosed = errors.New("sim: queue closed")
+// errClosed is returned when waiting on a closed queue.
+var errClosed = errors.New("sim: queue closed")
 
 // Waiter is a one-shot rendezvous between a simulated goroutine and an
 // event callback. Deliver may happen before or after Wait; only the first
@@ -100,25 +100,25 @@ func (w *Waiter) Wait(timeout time.Duration) (any, error) {
 	return nil, ErrTimeout
 }
 
-// Queue is an unbounded FIFO mailbox with virtual-time blocking receive.
-// Send never blocks. A Queue models an in-order message stream (e.g. a
+// queue is an unbounded FIFO mailbox with virtual-time blocking receive.
+// Send never blocks. A queue models an in-order message stream (e.g. a
 // peer's incoming packet queue).
-type Queue struct {
+type queue struct {
 	s      *Scheduler
 	items  []any
 	recvrs []*Waiter
 	closed bool
 }
 
-// NewQueue creates an empty queue bound to the scheduler.
-func (s *Scheduler) NewQueue() *Queue {
-	return &Queue{s: s}
+// newQueue creates an empty queue bound to the scheduler.
+func (s *Scheduler) newQueue() *queue {
+	return &queue{s: s}
 }
 
 // Send enqueues v, waking the oldest live blocked receiver if any.
 // Sending on a closed queue is a silent no-op (the message is dropped,
 // mirroring delivery to a departed peer).
-func (q *Queue) Send(v any) {
+func (q *queue) Send(v any) {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()
 	if q.closed {
@@ -135,8 +135,8 @@ func (q *Queue) Send(v any) {
 	q.items = append(q.items, v)
 }
 
-// Close wakes all blocked receivers with ErrClosed and drops future sends.
-func (q *Queue) Close() {
+// Close wakes all blocked receivers with errClosed and drops future sends.
+func (q *queue) Close() {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()
 	if q.closed {
@@ -144,22 +144,22 @@ func (q *Queue) Close() {
 	}
 	q.closed = true
 	for _, w := range q.recvrs {
-		w.deliverLocked(ErrClosed)
+		w.deliverLocked(errClosed)
 	}
 	q.recvrs = nil
 }
 
 // Len reports the number of queued items.
-func (q *Queue) Len() int {
+func (q *queue) Len() int {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()
 	return len(q.items)
 }
 
 // Recv dequeues the oldest item, parking the caller for up to timeout
-// (timeout ≤ 0 waits forever). It returns ErrClosed once the queue is
+// (timeout ≤ 0 waits forever). It returns errClosed once the queue is
 // closed, and ErrTimeout on expiry.
-func (q *Queue) Recv(timeout time.Duration) (any, error) {
+func (q *queue) Recv(timeout time.Duration) (any, error) {
 	q.s.mu.Lock()
 	if len(q.items) > 0 {
 		v := q.items[0]
@@ -169,7 +169,7 @@ func (q *Queue) Recv(timeout time.Duration) (any, error) {
 	}
 	if q.closed {
 		q.s.mu.Unlock()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	w := &Waiter{s: q.s}
 	q.recvrs = append(q.recvrs, w)
@@ -187,27 +187,27 @@ func (q *Queue) Recv(timeout time.Duration) (any, error) {
 		q.s.mu.Unlock()
 		return nil, err
 	}
-	if errC, ok := v.(error); ok && errors.Is(errC, ErrClosed) {
-		return nil, ErrClosed
+	if errC, ok := v.(error); ok && errors.Is(errC, errClosed) {
+		return nil, errClosed
 	}
 	return v, nil
 }
 
-// WaitGroup counts simulated activities and lets a goroutine park until
+// waitGroup counts simulated activities and lets a goroutine park until
 // the count drops to zero.
-type WaitGroup struct {
+type waitGroup struct {
 	s       *Scheduler
 	count   int
 	waiters []*Waiter
 }
 
-// NewWaitGroup creates a WaitGroup bound to the scheduler.
-func (s *Scheduler) NewWaitGroup() *WaitGroup {
-	return &WaitGroup{s: s}
+// newWaitGroup creates a waitGroup bound to the scheduler.
+func (s *Scheduler) newWaitGroup() *waitGroup {
+	return &waitGroup{s: s}
 }
 
 // Add adjusts the counter by delta; when it reaches zero all waiters wake.
-func (g *WaitGroup) Add(delta int) {
+func (g *waitGroup) Add(delta int) {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
 	g.count += delta
@@ -220,10 +220,10 @@ func (g *WaitGroup) Add(delta int) {
 }
 
 // Done decrements the counter by one.
-func (g *WaitGroup) Done() { g.Add(-1) }
+func (g *waitGroup) Done() { g.Add(-1) }
 
 // Go runs fn in a simulated goroutine tracked by the group.
-func (g *WaitGroup) Go(fn func()) {
+func (g *waitGroup) Go(fn func()) {
 	g.Add(1)
 	g.s.Go(func() {
 		defer g.Done()
@@ -232,7 +232,7 @@ func (g *WaitGroup) Go(fn func()) {
 }
 
 // Wait parks until the counter reaches zero (timeout ≤ 0 waits forever).
-func (g *WaitGroup) Wait(timeout time.Duration) error {
+func (g *waitGroup) Wait(timeout time.Duration) error {
 	g.s.mu.Lock()
 	if g.count <= 0 {
 		g.s.mu.Unlock()

@@ -65,7 +65,7 @@ func TestWheelStopAcrossCascade(t *testing.T) {
 		}
 	}
 	s.Run()
-	if got := s.Pending(); got != 0 {
+	if got := s.pending(); got != 0 {
 		t.Fatalf("Pending() = %d after run; want 0", got)
 	}
 }
@@ -206,14 +206,14 @@ func TestWheelStressMixedTiers(t *testing.T) {
 		s.Go(func() {
 			for i := 0; i < perLoop; i++ {
 				d := delays[(g+i)%len(delays)]
-				jitter := time.Duration(s.Intn(1000)) * time.Microsecond
+				jitter := time.Duration(s.intn(1000)) * time.Microsecond
 				keep := s.After(d+jitter, func() { fired++ })
 				kill := s.After(d*2+jitter, func() { t.Error("cancelled timer fired") })
 				if !kill.Stop() {
 					t.Error("Stop() = false on live timer")
 				}
 				_ = keep
-				s.Sleep(time.Duration(s.Intn(int(d) + 1)))
+				s.Sleep(time.Duration(s.intn(int(d) + 1)))
 			}
 		})
 		expect += perLoop
@@ -222,7 +222,7 @@ func TestWheelStressMixedTiers(t *testing.T) {
 	if fired != expect {
 		t.Fatalf("fired %d of %d timers", fired, expect)
 	}
-	if got := s.Pending(); got != 0 {
+	if got := s.pending(); got != 0 {
 		t.Fatalf("Pending() = %d after full run; want 0", got)
 	}
 }

@@ -168,8 +168,8 @@ func (n *Network) Stats() NetStats {
 	}
 }
 
-// Cut severs (or restores) the bidirectional link between a and b.
-func (n *Network) Cut(a, b Addr, down bool) {
+// setCut severs (or restores) the bidirectional link between a and b.
+func (n *Network) setCut(a, b Addr, down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	k := linkKey(a, b)
@@ -209,13 +209,13 @@ func (n *Network) SetLinkLoss(a, b Addr, p float64) {
 	n.ovCount.Store(int64(len(n.linkLoss)))
 }
 
-// Partition severs (down=true) or heals every link between the two
+// partition severs (down=true) or heals every link between the two
 // address sets — a transient network split.
-func (n *Network) Partition(a, b []Addr, down bool) {
+func (n *Network) partition(a, b []Addr, down bool) {
 	for _, x := range a {
 		for _, y := range b {
 			if x != y {
-				n.Cut(x, y, down)
+				n.setCut(x, y, down)
 			}
 		}
 	}
@@ -228,14 +228,14 @@ func (n *Network) Partition(a, b []Addr, down bool) {
 func (n *Network) SchedulePartition(a, b []Addr, at time.Time, healAfter time.Duration) {
 	aa := append([]Addr(nil), a...)
 	bb := append([]Addr(nil), b...)
-	n.sched.At(at, func() { n.Partition(aa, bb, true) })
+	n.sched.At(at, func() { n.partition(aa, bb, true) })
 	if healAfter > 0 {
-		n.sched.At(at.Add(healAfter), func() { n.Partition(aa, bb, false) })
+		n.sched.At(at.Add(healAfter), func() { n.partition(aa, bb, false) })
 	}
 }
 
-// Node returns the node registered at addr (not VIPs).
-func (n *Network) Node(addr Addr) (*Node, bool) {
+// node returns the node registered at addr (not VIPs).
+func (n *Network) node(addr Addr) (*Node, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	nd, ok := n.nodes[addr]
@@ -249,13 +249,13 @@ func (n *Network) Node(addr Addr) (*Node, bool) {
 // its request queue.
 func (n *Network) ScheduleDown(addr Addr, at time.Time, downFor time.Duration) {
 	n.sched.At(at, func() {
-		if nd, ok := n.Node(addr); ok {
+		if nd, ok := n.node(addr); ok {
 			nd.setUp(false)
 		}
 	})
 	if downFor > 0 {
 		n.sched.At(at.Add(downFor), func() {
-			if nd, ok := n.Node(addr); ok {
+			if nd, ok := n.node(addr); ok {
 				nd.setUp(true)
 			}
 		})
@@ -423,9 +423,6 @@ type Node struct {
 
 // Addr returns the node's address.
 func (nd *Node) Addr() Addr { return nd.addr }
-
-// Network returns the owning network.
-func (nd *Node) Network() *Network { return nd.net }
 
 // Scheduler returns the simulation scheduler.
 func (nd *Node) Scheduler() *sim.Scheduler { return nd.net.sched }

@@ -101,14 +101,14 @@ func TestCutLinkDropsTraffic(t *testing.T) {
 	srv := net.NewNode("server")
 	srv.Handle("x", func(Addr, []byte) ([]byte, error) { return []byte("ok"), nil })
 	cli := net.NewNode("client")
-	net.Cut("client", "server", true)
+	net.setCut("client", "server", true)
 	var err1 error
 	s.Go(func() { _, err1 = cli.Call("server", "x", nil, time.Second) })
 	s.Run()
 	if !errors.Is(err1, ErrRPCTimeout) {
 		t.Fatalf("err = %v, want timeout on cut link", err1)
 	}
-	net.Cut("client", "server", false)
+	net.setCut("client", "server", false)
 	var err2 error
 	s.Go(func() { _, err2 = cli.Call("server", "x", nil, time.Second) })
 	s.Run()

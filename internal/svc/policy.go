@@ -44,18 +44,12 @@ func PlainAttempt(node *simnet.Node) AttemptFunc {
 // PolicyConfig parameterizes a Policy. The zero value is usable: every
 // field has a default.
 type PolicyConfig struct {
-	// DefaultDeadline bounds one attempt when Deadlines has no entry for
-	// the service. Default 10s.
+	// DefaultDeadline bounds one attempt. Default 10s.
 	DefaultDeadline time.Duration
-	// Deadlines overrides the per-attempt deadline for specific services.
-	Deadlines map[string]time.Duration
 	// MaxAttempts is the total attempt budget per call — first try
-	// included — for idempotent services. Non-idempotent services always
-	// get exactly one attempt. Default 3.
+	// included — for idempotent services (wire.IdempotentService).
+	// Non-idempotent services always get exactly one attempt. Default 3.
 	MaxAttempts int
-	// Idempotent classifies services that may be retried. Default
-	// wire.IdempotentService.
-	Idempotent func(service string) bool
 	// BreakerThreshold is the consecutive transport-failure count that
 	// opens a destination's circuit. 0 means the default (5); negative
 	// disables the breaker.
@@ -76,9 +70,6 @@ func (c *PolicyConfig) fill() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.Idempotent == nil {
-		c.Idempotent = wire.IdempotentService
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
@@ -198,15 +189,6 @@ func NewPolicy(sched *sim.Scheduler, cfg PolicyConfig) *Policy {
 		breakers: make(map[simnet.Addr]*breaker),
 		stats:    make(map[string]*callCounters),
 	}
-}
-
-// deadline returns the per-attempt deadline the policy applies to a
-// service.
-func (p *Policy) deadline(service string) time.Duration {
-	if d, ok := p.cfg.Deadlines[service]; ok && d > 0 {
-		return d
-	}
-	return p.cfg.DefaultDeadline
 }
 
 // counters returns the per-service counter block, creating it on first
@@ -331,13 +313,13 @@ func overloadShed(err error) bool {
 }
 
 // do runs one logical call under the policy: admission through dst's
-// breaker, then up to the attempt budget of attempts, each bounded by the
-// service's deadline, with backoff between them. Must run in a simulated
+// breaker, then up to the attempt budget of attempts, each bounded by
+// DefaultDeadline, with backoff between them. Must run in a simulated
 // goroutine (it sleeps between retries).
 func (p *Policy) do(dst simnet.Addr, service string, payload []byte, attempt AttemptFunc) ([]byte, error) {
-	deadline := p.deadline(service)
+	deadline := p.cfg.DefaultDeadline
 	maxAttempts := 1
-	if p.cfg.Idempotent(service) {
+	if wire.IdempotentService(service) {
 		maxAttempts = p.cfg.MaxAttempts
 	}
 	st := p.counters(service)

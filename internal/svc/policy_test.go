@@ -137,7 +137,6 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 	cooldown := 5 * time.Second
 	p := NewPolicy(s, PolicyConfig{
 		MaxAttempts:      1, // isolate breaker behaviour from retries
-		Idempotent:       func(string) bool { return true },
 		BreakerThreshold: 2,
 		BreakerCooldown:  cooldown,
 	})
@@ -207,30 +206,6 @@ func TestPolicyBreakerOpensRejectsAndProbes(t *testing.T) {
 	st := p.Stats()[wire.SvcSwitch1]
 	if st.BreakerRejects != 2 {
 		t.Fatalf("breaker rejects = %d, want 2", st.BreakerRejects)
-	}
-}
-
-func TestPolicyPerServiceDeadlines(t *testing.T) {
-	s := sim.New(t0, 1)
-	p := NewPolicy(s, PolicyConfig{
-		DefaultDeadline: 10 * time.Second,
-		Deadlines:       map[string]time.Duration{wire.SvcJoin: 2 * time.Second},
-		MaxAttempts:     1,
-	})
-	if got := p.deadline(wire.SvcJoin); got != 2*time.Second {
-		t.Fatalf("Deadline(join) = %v", got)
-	}
-	if got := p.deadline(wire.SvcLogin1); got != 10*time.Second {
-		t.Fatalf("Deadline(login1) = %v", got)
-	}
-	var seen []time.Duration
-	s.Go(func() {
-		p.do("root", wire.SvcJoin, nil, scriptedAttempt(0, &seen))
-		p.do("um.vip", wire.SvcLogin1, nil, scriptedAttempt(0, &seen))
-	})
-	s.Run()
-	if len(seen) != 2 || seen[0] != 2*time.Second || seen[1] != 10*time.Second {
-		t.Fatalf("per-attempt deadlines = %v", seen)
 	}
 }
 

@@ -242,7 +242,6 @@ func (f *ShardedFarm[M]) allows(self simnet.Addr, key string) bool {
 type shardChecker interface {
 	allows(self simnet.Addr, key string) bool
 	Owner(key string) (simnet.Addr, uint64)
-	Epoch() uint64
 }
 
 // ShardView is one member's handle on the farm's shard map: the check a
@@ -252,9 +251,6 @@ type ShardView struct {
 	farm shardChecker
 	self simnet.Addr
 }
-
-// Epoch returns the farm's current shard-map version.
-func (v *ShardView) Epoch() uint64 { return v.farm.Epoch() }
 
 // Check returns nil when this member may serve the key, and a
 // wire.CodeWrongShard ServiceError naming the real owner and the

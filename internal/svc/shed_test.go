@@ -49,7 +49,7 @@ func TestSheddingRefusesAboveHighWater(t *testing.T) {
 	if okN != 2 || shedN != 3 {
 		t.Fatalf("ok=%d shed=%d, want 2/3", okN, shedN)
 	}
-	m := rt.Metrics("feed")
+	m := rt.metrics("feed")
 	if m.Shed != 3 {
 		t.Fatalf("Shed = %d, want 3", m.Shed)
 	}
@@ -82,7 +82,7 @@ func TestSheddingInflightDrains(t *testing.T) {
 		}
 	})
 	s.Run()
-	m := rt.Metrics("feed")
+	m := rt.metrics("feed")
 	if m.Requests != 8 || m.Shed != 0 {
 		t.Fatalf("metrics = %+v, want 8 requests / 0 shed", m)
 	}
@@ -201,7 +201,7 @@ func TestVIPBackendAddRemoveLive(t *testing.T) {
 		}
 	})
 	s.Run()
-	if got := b3.rt.Metrics("feed").Requests; got != 2 {
+	if got := b3.rt.metrics("feed").Requests; got != 2 {
 		t.Fatalf("added backend served %d of 6, want its round-robin 2", got)
 	}
 
@@ -217,12 +217,12 @@ func TestVIPBackendAddRemoveLive(t *testing.T) {
 		}
 	})
 	s.Run()
-	if got := b3.rt.Metrics("feed").Requests; got != 3 {
+	if got := b3.rt.metrics("feed").Requests; got != 3 {
 		t.Fatalf("drained backend at %d requests, want 2 VIP + 1 direct", got)
 	}
 	total := int64(0)
 	for _, m := range members {
-		total += m.rt.Metrics("feed").Requests
+		total += m.rt.metrics("feed").Requests
 	}
 	if total != 8 {
 		t.Fatalf("original members served %d, want 8", total)

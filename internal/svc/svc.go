@@ -207,8 +207,8 @@ func (r *Runtime) install(service string, raw simnet.Handler) *endpoint {
 	return ep
 }
 
-// Metrics returns one endpoint's counters (zero for unknown services).
-func (r *Runtime) Metrics(service string) Metrics {
+// metrics returns one endpoint's counters (zero for unknown services).
+func (r *Runtime) metrics(service string) Metrics {
 	r.mu.Lock()
 	ep := r.endpoints[service]
 	r.mu.Unlock()

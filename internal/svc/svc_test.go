@@ -44,7 +44,7 @@ func TestTypedRoundTrip(t *testing.T) {
 	if resp.Version != 7 || !bytes.Equal(resp.Body, []byte("b")) {
 		t.Fatalf("resp = %+v", resp)
 	}
-	m := rt.Metrics("feed")
+	m := rt.metrics("feed")
 	if m.Requests != 1 || m.Errors != 0 || m.DecodeErrors != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
@@ -71,7 +71,7 @@ func TestMalformedRequestAnsweredBeforeHandler(t *testing.T) {
 	if ran {
 		t.Fatal("handler ran on an undecodable frame")
 	}
-	m := rt.Metrics("feed")
+	m := rt.metrics("feed")
 	if m.Requests != 1 || m.Errors != 1 || m.DecodeErrors != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
@@ -94,7 +94,7 @@ func TestHandlerErrorSurfacesTyped(t *testing.T) {
 	if !errors.As(cerr, &se) || se.Code != wire.CodeDenied {
 		t.Fatalf("err = %v", cerr)
 	}
-	if m := rt.Metrics("feed"); m.Errors != 1 || m.DecodeErrors != 0 {
+	if m := rt.metrics("feed"); m.Errors != 1 || m.DecodeErrors != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -113,7 +113,7 @@ func TestOneWayCountsAndDropsMalformed(t *testing.T) {
 	if len(got) != 1 || got[0].Version != 3 {
 		t.Fatalf("delivered = %v", got)
 	}
-	m := rt.Metrics("push")
+	m := rt.metrics("push")
 	if m.Requests != 2 || m.DecodeErrors != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
@@ -152,7 +152,7 @@ func TestSealedSharesEndpointCounters(t *testing.T) {
 		t.Fatalf("versions = %d, %d", plain.Version, sealed.Version)
 	}
 	// Both transports dispatch into the same endpoint.
-	if m := rt.Metrics("feed"); m.Requests != 2 {
+	if m := rt.metrics("feed"); m.Requests != 2 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -188,14 +188,14 @@ func TestReRegistrationKeepsCounters(t *testing.T) {
 	if resp == nil || resp.Version != 99 {
 		t.Fatalf("replacement handler not in effect: %+v", resp)
 	}
-	if m := rt.Metrics("feed"); m.Requests != 2 {
+	if m := rt.metrics("feed"); m.Requests != 2 {
 		t.Fatalf("metrics = %+v (history lost)", m)
 	}
 	// AddTo rolls the live counters into whatever the aggregate already
 	// holds — a second runtime's share, here the same one again.
 	agg := rt.Snapshot()
 	rt.AddTo(agg)
-	if m := agg["feed"]; m.Requests != 4 || m.Hist.Count() != 4 || rt.Metrics("feed").Hist.Count() != 2 {
+	if m := agg["feed"]; m.Requests != 4 || m.Hist.Count() != 4 || rt.metrics("feed").Hist.Count() != 2 {
 		t.Fatalf("AddTo into a snapshot = %+v (hist %d), want the counters doubled", m, m.Hist.Count())
 	}
 	if len(rt.order) != 1 {
@@ -255,7 +255,7 @@ func TestDeployFarmOrderAndVIP(t *testing.T) {
 	s.Run()
 	total := int64(0)
 	for _, m := range members {
-		got := m.rt.Metrics("feed").Requests
+		got := m.rt.metrics("feed").Requests
 		if got == 0 {
 			t.Fatal("a farm member served nothing — VIP not spreading")
 		}

@@ -66,7 +66,7 @@ func TestTracedCallChainsServerSpan(t *testing.T) {
 	// Service time was 5ms: the handler span itself is instantaneous (the
 	// capacity delay precedes the handler), but call − server covers wire
 	// latency + queueing.
-	if call.Duration() < server.Duration() {
+	if call.End.Sub(call.Begin) < server.End.Sub(server.Begin) {
 		t.Fatal("call shorter than its server span")
 	}
 }
@@ -112,8 +112,8 @@ func TestTracedShedEmitsSpan(t *testing.T) {
 	if sheds != 2 {
 		t.Fatalf("%d shed spans, want 2 (high-water 1, 3 concurrent)", sheds)
 	}
-	if rt.Metrics("feed").Shed != 2 {
-		t.Fatalf("shed counter: %+v", rt.Metrics("feed"))
+	if rt.metrics("feed").Shed != 2 {
+		t.Fatalf("shed counter: %+v", rt.metrics("feed"))
 	}
 }
 

@@ -1,6 +1,7 @@
 package ticket
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -54,7 +55,7 @@ func TestUserTicketRoundTrip(t *testing.T) {
 	if got.UserIN != 42 || got.NetAddr() != "r1.as100.h7" || len(got.Attrs) != 3 {
 		t.Fatalf("decoded = %+v", got)
 	}
-	if !got.ClientKey.Equal(client.Public()) {
+	if !bytes.Equal(got.ClientKey.Encode(), client.Public().Encode()) {
 		t.Fatal("client key not certified through the ticket")
 	}
 	if !got.Start.Equal(tStart) || !got.Expiry.Equal(tEnd) {
@@ -139,7 +140,7 @@ func TestChannelTicketRoundTrip(t *testing.T) {
 			got.Renewal != renewal {
 			t.Fatalf("decoded = %+v", got)
 		}
-		if !got.ClientKey.Equal(client.Public()) {
+		if !bytes.Equal(got.ClientKey.Encode(), client.Public().Encode()) {
 			t.Fatal("client key mismatch")
 		}
 	}

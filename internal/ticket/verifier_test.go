@@ -39,7 +39,7 @@ func TestVerifierMatchesUncached(t *testing.T) {
 		blob []byte
 	}
 	var cases []blobCase
-	rem := NewVerifier(0)
+	rem := newCounted(0)
 	pub := mgr.Public()
 
 	// Valid and expired tickets of both kinds. Expiry handling lives in
@@ -89,7 +89,7 @@ func TestVerifierMatchesUncached(t *testing.T) {
 		blobCase{"truncated", base[0].blob[:len(base[0].blob)/2]},
 	)
 
-	v := NewVerifier(0)
+	v := newCounted(0)
 	for _, c := range cases {
 		// Two passes: the first may populate the cache, the second must
 		// hit it for successes — and both must match the uncached result.
@@ -127,11 +127,11 @@ func TestVerifierMatchesUncached(t *testing.T) {
 			}
 		}
 	}
-	if v.Hits() == 0 {
+	if v.hits == 0 {
 		t.Fatal("second passes never hit the cache")
 	}
-	if rem.Misses() != 0 || rem.Hits() != 2*16 {
-		t.Fatalf("remembered verifier: hits = %d, misses = %d; want every genuine blob to hit on both passes", rem.Hits(), rem.Misses())
+	if rem.misses != 0 || rem.hits != 2*16 {
+		t.Fatalf("remembered verifier: hits = %d, misses = %d; want every genuine blob to hit on both passes", rem.hits, rem.misses)
 	}
 }
 
@@ -140,13 +140,13 @@ func TestVerifierMatchesUncached(t *testing.T) {
 // must share with a full parse (the issuer's struct may differ in
 // representation only, e.g. a client key holding its parsed box half).
 func sameUser(a, b *UserTicket) bool {
-	return bytes.Equal(a.encodeBody(), b.encodeBody()) && a.ClientKey.Equal(b.ClientKey) &&
+	return bytes.Equal(a.encodeBody(), b.encodeBody()) && bytes.Equal(a.ClientKey.Encode(), b.ClientKey.Encode()) &&
 		a.Start.Equal(b.Start) && a.Expiry.Equal(b.Expiry)
 }
 
 // sameChannel is sameUser for Channel Tickets.
 func sameChannel(a, b *ChannelTicket) bool {
-	return bytes.Equal(a.encodeBody(), b.encodeBody()) && a.ClientKey.Equal(b.ClientKey) &&
+	return bytes.Equal(a.encodeBody(), b.encodeBody()) && bytes.Equal(a.ClientKey.Encode(), b.ClientKey.Encode()) &&
 		a.Start.Equal(b.Start) && a.Expiry.Equal(b.Expiry)
 }
 
@@ -163,7 +163,7 @@ func TestVerifierForgedNeverCached(t *testing.T) {
 		ClientKey: client.Public(), Start: tStart, Expiry: tEnd,
 	}
 	blob := SignChannel(ct, mgr)
-	v := NewVerifier(0)
+	v := newCounted(0)
 	if _, err := v.VerifyChannel(blob, mgr.Public()); err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestVerifierForgedNeverCached(t *testing.T) {
 		t.Fatal("wrong-signer verify succeeded via cache")
 	}
 	// And the original must still hit.
-	before := v.Hits()
+	before := v.hits
 	if _, err := v.VerifyChannel(blob, mgr.Public()); err != nil {
 		t.Fatal(err)
 	}
-	if v.Hits() != before+1 {
+	if v.hits != before+1 {
 		t.Fatal("original blob stopped hitting the cache")
 	}
 }
@@ -195,7 +195,7 @@ func TestVerifierEviction(t *testing.T) {
 	rng := cryptoutil.NewSeededReader(11)
 	mgr, _ := cryptoutil.NewKeyPair(rng)
 	client, _ := cryptoutil.NewKeyPair(rng)
-	v := NewVerifier(4)
+	v := newCounted(4)
 	for i := 0; i < 32; i++ {
 		ct := &ChannelTicket{
 			UserIN: uint64(i), ChannelID: "ch", NetAddr: "r1.as1.h1",
@@ -205,7 +205,7 @@ func TestVerifierEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := v.Misses(); got != 32 {
+	if got := v.misses; got != 32 {
 		t.Fatalf("misses = %d, want 32 distinct verifications", got)
 	}
 }
@@ -226,12 +226,12 @@ func TestRememberChannelServesTheIssuerOnly(t *testing.T) {
 		ClientKey: client.Public(), Start: tStart, Expiry: tEnd, Renewal: true,
 	}
 	blob := SignChannel(ct, mgr)
-	v := NewVerifier(4)
+	v := newCounted(4)
 	v.RememberChannel(blob, mgr.Public(), ct)
 
 	got, err := v.VerifyChannel(blob, mgr.Public())
-	if err != nil || v.Hits() != 1 || v.Misses() != 0 {
-		t.Fatalf("own ticket: err = %v, hits = %d, misses = %d; want a hit", err, v.Hits(), v.Misses())
+	if err != nil || v.hits != 1 || v.misses != 0 {
+		t.Fatalf("own ticket: err = %v, hits = %d, misses = %d; want a hit", err, v.hits, v.misses)
 	}
 	want, err := VerifyChannel(blob, mgr.Public())
 	if err != nil {
@@ -254,8 +254,8 @@ func TestRememberChannelServesTheIssuerOnly(t *testing.T) {
 	if _, err := v.VerifyChannel(SignChannel(ct, other), mgr.Public()); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("same ticket signed by another key: err = %v, want ErrBadSignature", err)
 	}
-	if v.Hits() != 1 || v.Misses() != 0 {
-		t.Fatalf("failures moved the counters: hits = %d, misses = %d", v.Hits(), v.Misses())
+	if v.hits != 1 || v.misses != 0 {
+		t.Fatalf("failures moved the counters: hits = %d, misses = %d", v.hits, v.misses)
 	}
 
 	// Four more issues push the first out of a 4-entry cache: it then
@@ -265,8 +265,8 @@ func TestRememberChannelServesTheIssuerOnly(t *testing.T) {
 		next.UserIN = uint64(i)
 		v.RememberChannel(SignChannel(&next, mgr), mgr.Public(), &next)
 	}
-	if _, err := v.VerifyChannel(blob, mgr.Public()); err != nil || v.Misses() != 1 {
-		t.Fatalf("evicted own ticket: err = %v, misses = %d; want one full verification", err, v.Misses())
+	if _, err := v.VerifyChannel(blob, mgr.Public()); err != nil || v.misses != 1 {
+		t.Fatalf("evicted own ticket: err = %v, misses = %d; want one full verification", err, v.misses)
 	}
 }
 
@@ -283,12 +283,12 @@ func TestRememberUserServesTheIssuerOnly(t *testing.T) {
 	client, _ := cryptoutil.NewKeyPair(rng)
 	ut := sampleUserTicket(client)
 	blob := SignUser(ut, mgr)
-	v := NewVerifier(4)
+	v := newCounted(4)
 	v.RememberUser(blob, mgr.Public(), ut)
 
 	got, err := v.VerifyUser(blob, mgr.Public())
-	if err != nil || v.Hits() != 1 || v.Misses() != 0 {
-		t.Fatalf("own ticket: err = %v, hits = %d, misses = %d; want a hit", err, v.Hits(), v.Misses())
+	if err != nil || v.hits != 1 || v.misses != 0 {
+		t.Fatalf("own ticket: err = %v, hits = %d, misses = %d; want a hit", err, v.hits, v.misses)
 	}
 	want, err := verifyUser(blob, mgr.Public())
 	if err != nil {
@@ -311,8 +311,8 @@ func TestRememberUserServesTheIssuerOnly(t *testing.T) {
 	if _, err := v.VerifyUser(SignUser(ut, other), mgr.Public()); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("same ticket signed by another key: err = %v, want ErrBadSignature", err)
 	}
-	if v.Hits() != 1 || v.Misses() != 0 {
-		t.Fatalf("failures moved the counters: hits = %d, misses = %d", v.Hits(), v.Misses())
+	if v.hits != 1 || v.misses != 0 {
+		t.Fatalf("failures moved the counters: hits = %d, misses = %d", v.hits, v.misses)
 	}
 
 	for i := 2; i <= 5; i++ {
@@ -320,8 +320,8 @@ func TestRememberUserServesTheIssuerOnly(t *testing.T) {
 		next.UserIN = uint64(i)
 		v.RememberUser(SignUser(&next, mgr), mgr.Public(), &next)
 	}
-	if _, err := v.VerifyUser(blob, mgr.Public()); err != nil || v.Misses() != 1 {
-		t.Fatalf("evicted own ticket: err = %v, misses = %d; want one full verification", err, v.Misses())
+	if _, err := v.VerifyUser(blob, mgr.Public()); err != nil || v.misses != 1 {
+		t.Fatalf("evicted own ticket: err = %v, misses = %d; want one full verification", err, v.misses)
 	}
 }
 
@@ -350,16 +350,22 @@ func TestMemoNeverVouchesForForgeries(t *testing.T) {
 		name     string
 		genuine  []byte
 		resigned []byte
-		remember func(v *Verifier)
-		verify   func(v *Verifier, b []byte, k cryptoutil.PublicKey) error
+		remember func(v *countedVerifier)
+		verify   func(v *countedVerifier, b []byte, k cryptoutil.PublicKey) error
 	}
 	kinds := []kind{
 		{"user", utBlob, SignUser(ut, outsider),
-			func(v *Verifier) { v.RememberUser(utBlob, mgr.Public(), ut) },
-			func(v *Verifier, b []byte, k cryptoutil.PublicKey) error { _, err := v.VerifyUser(b, k); return err }},
+			func(v *countedVerifier) { v.RememberUser(utBlob, mgr.Public(), ut) },
+			func(v *countedVerifier, b []byte, k cryptoutil.PublicKey) error {
+				_, err := v.VerifyUser(b, k)
+				return err
+			}},
 		{"channel", ctBlob, SignChannel(ct, outsider),
-			func(v *Verifier) { v.RememberChannel(ctBlob, mgr.Public(), ct) },
-			func(v *Verifier, b []byte, k cryptoutil.PublicKey) error { _, err := v.VerifyChannel(b, k); return err }},
+			func(v *countedVerifier) { v.RememberChannel(ctBlob, mgr.Public(), ct) },
+			func(v *countedVerifier, b []byte, k cryptoutil.PublicKey) error {
+				_, err := v.VerifyChannel(b, k)
+				return err
+			}},
 	}
 	for _, k := range kinds {
 		forgeries := []struct {
@@ -373,13 +379,13 @@ func TestMemoNeverVouchesForForgeries(t *testing.T) {
 			{"genuine blob against another signer key", k.genuine, outsider.Public()},
 		}
 		for _, populate := range []string{"remembered", "verified"} {
-			v := NewVerifier(0)
+			v := newCounted(0)
 			if populate == "remembered" {
 				k.remember(v)
 			} else if err := k.verify(v, k.genuine, mgr.Public()); err != nil {
 				t.Fatal(err)
 			}
-			hits, misses := v.Hits(), v.Misses()
+			hits, misses := v.hits, v.misses
 			for _, f := range forgeries {
 				for attempt := 0; attempt < 2; attempt++ {
 					if err := k.verify(v, f.blob, f.key); !errors.Is(err, ErrBadSignature) {
@@ -387,12 +393,12 @@ func TestMemoNeverVouchesForForgeries(t *testing.T) {
 					}
 				}
 			}
-			if v.Hits() != hits || v.Misses() != misses {
+			if v.hits != hits || v.misses != misses {
 				t.Fatalf("%s/%s: forgeries moved the counters (hits %d→%d, misses %d→%d)",
-					k.name, populate, hits, v.Hits(), misses, v.Misses())
+					k.name, populate, hits, v.hits, misses, v.misses)
 			}
-			if err := k.verify(v, k.genuine, mgr.Public()); err != nil || v.Hits() != hits+1 {
-				t.Fatalf("%s/%s: genuine blob err = %v, hits %d; want a hit", k.name, populate, err, v.Hits())
+			if err := k.verify(v, k.genuine, mgr.Public()); err != nil || v.hits != hits+1 {
+				t.Fatalf("%s/%s: genuine blob err = %v, hits %d; want a hit", k.name, populate, err, v.hits)
 			}
 		}
 	}
@@ -405,7 +411,7 @@ func TestRememberedExpiredStillFailsValidAt(t *testing.T) {
 	rng := cryptoutil.NewSeededReader(23)
 	mgr, _ := cryptoutil.NewKeyPair(rng)
 	client, _ := cryptoutil.NewKeyPair(rng)
-	v := NewVerifier(0)
+	v := newCounted(0)
 	ut := sampleUserTicket(client)
 	utBlob := SignUser(ut, mgr)
 	v.RememberUser(utBlob, mgr.Public(), ut)
@@ -424,8 +430,8 @@ func TestRememberedExpiredStillFailsValidAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Hits() != 2 {
-		t.Fatalf("hits = %d, want both served from the memo", v.Hits())
+	if v.hits != 2 {
+		t.Fatalf("hits = %d, want both served from the memo", v.hits)
 	}
 	for _, now := range []time.Time{tEnd, tEnd.Add(time.Hour)} {
 		if err := gotUT.ValidAt(now); !errors.Is(err, ErrExpired) {
@@ -510,13 +516,53 @@ func TestSharedVerifierConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if v.user.Len() > n/2 || v.channel.Len() > n/2 {
-		t.Fatalf("memo holds %d user / %d channel tickets, bound %d", v.user.Len(), v.channel.Len(), n/2)
+	users, channels := 0, 0
+	for i := range utBlobs {
+		if _, ok := v.user.Get(cacheKey(utBlobs[i], pub)); ok {
+			users++
+		}
+		if _, ok := v.channel.Get(cacheKey(ctBlobs[i], pub)); ok {
+			channels++
+		}
+	}
+	if users > n/2 || channels > n/2 {
+		t.Fatalf("memo holds %d user / %d channel tickets, bound %d", users, channels, n/2)
 	}
 }
 
-// Hits reports cache hits across both ticket kinds.
-func (v *Verifier) Hits() int64 { return v.hits.Load() }
+// countedVerifier tallies which successful verifications v's memo served
+// (hits) and which ran in full (misses), across both ticket kinds. A hit
+// returns the very ticket the memo held before the call; a full
+// verification parses a fresh one.
+type countedVerifier struct {
+	*Verifier
+	hits, misses int
+}
 
-// Misses reports successful verifications that had to run in full.
-func (v *Verifier) Misses() int64 { return v.misses.Load() }
+func newCounted(capacity int) *countedVerifier {
+	return &countedVerifier{Verifier: NewVerifier(capacity)}
+}
+
+func (c *countedVerifier) VerifyUser(b []byte, mgr cryptoutil.PublicKey) (*UserTicket, error) {
+	held, _ := c.user.Get(cacheKey(b, mgr))
+	t, err := c.Verifier.VerifyUser(b, mgr)
+	c.tally(err, held != nil && t == held)
+	return t, err
+}
+
+func (c *countedVerifier) VerifyChannel(b []byte, mgr cryptoutil.PublicKey) (*ChannelTicket, error) {
+	held, _ := c.channel.Get(cacheKey(b, mgr))
+	t, err := c.Verifier.VerifyChannel(b, mgr)
+	c.tally(err, held != nil && t == held)
+	return t, err
+}
+
+func (c *countedVerifier) tally(err error, hit bool) {
+	switch {
+	case err != nil:
+	case hit:
+		c.hits++
+	default:
+		c.misses++
+	}
+}

@@ -39,12 +39,6 @@ type Config struct {
 	RNG io.Reader
 }
 
-// Stats counts server activity.
-type Stats struct {
-	Granted int64
-	Denied  int64
-}
-
 // Server is the central, stateful License Manager.
 type Server struct {
 	cfg  Config
@@ -55,7 +49,6 @@ type Server struct {
 	fileKeys  map[string]cryptoutil.SymKey
 	playbacks map[licKey]int
 	devices   map[licKey]map[simnet.Addr]bool
-	stats     Stats
 }
 
 type licKey struct {
@@ -83,13 +76,6 @@ func New(node *simnet.Node, cfg Config) (*Server, error) {
 // Runtime exposes the server's service runtime (endpoint metrics).
 func (s *Server) Runtime() *svc.Runtime { return s.rt }
 
-// Stats returns a snapshot of server counters.
-func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
 // QueueDepth exposes the request queue high-water mark.
 func (s *Server) QueueDepth() (cur, max int) { return s.node.QueueDepth() }
 
@@ -106,11 +92,9 @@ func (s *Server) handleLicense(from simnet.Addr, req *wire.LicenseReq) (*wire.Li
 		s.devices[k] = devs
 	}
 	if s.cfg.MaxDevices > 0 && !devs[from] && len(devs) >= s.cfg.MaxDevices {
-		s.stats.Denied++
 		return &wire.LicenseResp{Granted: false}, nil
 	}
 	if s.cfg.MaxPlaybacks > 0 && s.playbacks[k] >= s.cfg.MaxPlaybacks {
-		s.stats.Denied++
 		return &wire.LicenseResp{Granted: false}, nil
 	}
 	devs[from] = true
@@ -125,7 +109,6 @@ func (s *Server) handleLicense(from simnet.Addr, req *wire.LicenseReq) (*wire.Li
 		}
 		s.fileKeys[req.FileID] = key
 	}
-	s.stats.Granted++
 	return &wire.LicenseResp{Granted: true, Key: key[:]}, nil
 }
 

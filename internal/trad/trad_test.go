@@ -47,13 +47,10 @@ func TestLicenseGrantAndStableKey(t *testing.T) {
 	if !bytes.Equal(k1, k2) {
 		t.Fatal("same file produced different keys")
 	}
-	if srv.Stats().Granted != 2 {
-		t.Fatalf("granted = %d", srv.Stats().Granted)
-	}
 }
 
 func TestMaxPlaybacksEnforced(t *testing.T) {
-	s, net, srv := setup(t, Config{MaxPlaybacks: 2, RNG: cryptoutil.NewSeededReader(1)})
+	s, net, _ := setup(t, Config{MaxPlaybacks: 2, RNG: cryptoutil.NewSeededReader(1)})
 	c := net.NewNode(geo.Addr(1, 1, 1))
 	var errs []error
 	s.Go(func() {
@@ -68,9 +65,6 @@ func TestMaxPlaybacksEnforced(t *testing.T) {
 	}
 	if errs[2] == nil || !strings.Contains(errs[2].Error(), "denied") {
 		t.Fatalf("third play err = %v, want denial", errs[2])
-	}
-	if srv.Stats().Denied != 1 {
-		t.Fatalf("denied = %d", srv.Stats().Denied)
 	}
 }
 

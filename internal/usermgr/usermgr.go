@@ -133,9 +133,6 @@ func New(node *simnet.Node, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// PublicKey returns the farm's public key.
-func (m *Manager) PublicKey() cryptoutil.PublicKey { return m.cfg.Keys.Public() }
-
 // Runtime exposes the manager's service runtime (endpoint metrics).
 func (m *Manager) Runtime() *svc.Runtime { return m.rt }
 

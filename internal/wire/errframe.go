@@ -124,8 +124,8 @@ func (c Code) String() string {
 	return fmt.Sprintf("code_%d", uint16(c))
 }
 
-// Valid reports whether c is a defined code.
-func (c Code) Valid() bool { return c < codeMax }
+// valid reports whether c is a defined code.
+func (c Code) valid() bool { return c < codeMax }
 
 // ServiceError is the typed application-level error every request-serving
 // endpoint answers with. On the plain simnet transport it travels by
@@ -163,21 +163,14 @@ func appendErrorFrame(e *Enc, serr *ServiceError) {
 func readErrorFrame(d *Dec) *ServiceError {
 	code := Code(d.u16())
 	msg := d.Str()
-	if d.Err() != nil {
+	if d.err != nil {
 		return nil
 	}
-	if !code.Valid() {
+	if !code.valid() {
 		d.err = fmt.Errorf("wire: unknown error code %d", uint16(code))
 		return nil
 	}
 	return &ServiceError{Code: code, Msg: msg}
-}
-
-// Encode serializes the error as a standalone frame.
-func (e *ServiceError) Encode() []byte {
-	en := newEnc(2 + strLen(e.Msg))
-	appendErrorFrame(en, e)
-	return en.Bytes()
 }
 
 // --- Reply envelope ----------------------------------------------------
@@ -204,8 +197,8 @@ func AppendReply(e *Enc, body []byte, serr *ServiceError) {
 func DecodeReply(b []byte) (body []byte, remote *ServiceError, err error) {
 	d := NewDec(b)
 	ok := d.Bool()
-	if d.Err() != nil {
-		return nil, nil, d.Err()
+	if d.err != nil {
+		return nil, nil, d.err
 	}
 	if !ok {
 		serr := readErrorFrame(d)

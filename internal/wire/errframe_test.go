@@ -13,7 +13,7 @@ import (
 func TestCodeTaxonomyExhaustive(t *testing.T) {
 	seen := make(map[string]Code)
 	for _, c := range Codes() {
-		if !c.Valid() {
+		if !c.valid() {
 			t.Fatalf("Codes() yielded invalid code %d", uint16(c))
 		}
 		name := c.String()
@@ -41,7 +41,7 @@ func TestCodeTaxonomyExhaustive(t *testing.T) {
 
 func TestCodeOutOfRange(t *testing.T) {
 	c := codeMax
-	if c.Valid() {
+	if c.valid() {
 		t.Fatal("sentinel is valid")
 	}
 	if got := c.String(); !strings.HasPrefix(got, "code_") {
@@ -129,7 +129,7 @@ func FuzzDecodeErrorFrame(f *testing.F) {
 		if serr == nil {
 			t.Fatal("nil error with nil decode error")
 		}
-		if !serr.Code.Valid() {
+		if !serr.Code.valid() {
 			t.Fatalf("decoder accepted invalid code %d", uint16(serr.Code))
 		}
 		if !bytes.Equal(serr.Encode(), b) {
@@ -157,7 +157,7 @@ func FuzzDecodeReply(f *testing.F) {
 		if body != nil && remote != nil {
 			t.Fatal("both body and remote error decoded")
 		}
-		if remote != nil && !remote.Code.Valid() {
+		if remote != nil && !remote.Code.valid() {
 			t.Fatalf("invalid remote code %d accepted", uint16(remote.Code))
 		}
 	})
@@ -181,4 +181,12 @@ func DecodeErrorFrame(b []byte) (*ServiceError, error) {
 		return nil, err
 	}
 	return serr, nil
+}
+
+// Encode serializes the error as a standalone frame: the error half of a
+// reply envelope, without the ok byte.
+func (e *ServiceError) Encode() []byte {
+	en := newEnc(2 + strLen(e.Msg))
+	appendErrorFrame(en, e)
+	return en.Bytes()
 }

@@ -37,10 +37,10 @@ var everyMessage = []struct {
 	{&JoinReq{ChannelTicket: []byte("ct"), Substreams: []byte{0, 2}, Capacity: 4}, &JoinReq{}, dec(DecodeJoinReq)},
 	{&JoinResp{Accept: true, Reason: "r", SealedSession: []byte("sk"), SealedKeys: [][]byte{{1}, {2, 3}}, Code: CodeNoCapacity}, &JoinResp{}, dec(DecodeJoinResp)},
 	{&SeekReq{ChannelTicket: []byte("ct"), FromSeq: 9, MaxFrames: 3}, &SeekReq{}, dec(DecodeSeekReq)},
-	{&HistoryFrame{Substream: 1, Seq: 7, Clear: true, Packet: []byte("pkt")}, &HistoryFrame{}, dec(DecodeHistoryFrame)},
+	{&HistoryFrame{Substream: 1, Seq: 7, Packet: []byte("pkt")}, &HistoryFrame{}, dec(DecodeHistoryFrame)},
 	{&SeekResp{Accept: true, Reason: "r", Code: CodeSeekTooDeep, OldestSeq: 1, NewestSeq: 9, Frames: [][]byte{{1, 2}, {3}}}, &SeekResp{}, dec(DecodeSeekResp)},
 	{&KeyPush{ChannelID: "chA", SealedKey: []byte("sealed")}, &KeyPush{}, dec(DecodeKeyPush)},
-	{&ContentPush{ChannelID: "chA", Substream: 3, Seq: 77, Clear: true, Packet: []byte("pkt")}, &ContentPush{}, func(b []byte) (encoder, error) {
+	{&ContentPush{ChannelID: "chA", Substream: 3, Seq: 77, Packet: []byte("pkt")}, &ContentPush{}, func(b []byte) (encoder, error) {
 		m, err := DecodeContentPush(b) // by value: the zero-copy decode puts no message on the heap
 		return &m, err
 	}},

@@ -49,12 +49,9 @@ func FuzzDecodeSwitchAndJoin(f *testing.F) {
 // receiver-side DecodeContentPushOn must agree with it on every input.
 func FuzzDecodeOverlayAndMgmt(f *testing.F) {
 	fuzzSeeds(f)
-	clearFrame := (&ContentPush{ChannelID: "ch", Substream: 2, Seq: 1 << 40, Clear: true, Packet: []byte("frame")}).Encode()
-	f.Add(clearFrame)
-	badBool := bytes.Clone(clearFrame)
-	badBool[ContentPushHeaderLen("ch")-5] = 2 // Clear byte: only 0/1 is canonical
-	f.Add(badBool)
-	f.Add(append(bytes.Clone(clearFrame), 0)) // trailing byte
+	frame := (&ContentPush{ChannelID: "ch", Substream: 2, Seq: 1 << 40, Packet: []byte("frame")}).Encode()
+	f.Add(frame)
+	f.Add(append(bytes.Clone(frame), 0)) // trailing byte
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = DecodeKeyPush(b)
 		m, err := DecodeContentPush(b)
@@ -99,8 +96,8 @@ func FuzzDecodeStr(f *testing.F) {
 			if s != string(blob) {
 				t.Fatalf("read %d: Str = %q, string(Blob()) = %q", i, s, blob)
 			}
-			if ds.Err() != db.Err() {
-				t.Fatalf("read %d: Str err = %v, Blob err = %v", i, ds.Err(), db.Err())
+			if ds.err != db.err {
+				t.Fatalf("read %d: Str err = %v, Blob err = %v", i, ds.err, db.err)
 			}
 			if len(ds.b) != len(db.b) {
 				t.Fatalf("read %d: Str left %d bytes, Blob left %d", i, len(ds.b), len(db.b))

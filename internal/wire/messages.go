@@ -138,7 +138,7 @@ type Login2Resp struct {
 func (m *Login2Resp) Encode() []byte {
 	e := newEnc(blobLen(m.UserTicket) + 8 + 4)
 	e.Blob(m.UserTicket)
-	e.Time(m.ServerTime)
+	e.instant(m.ServerTime)
 	e.U32(m.MinVersion)
 	return e.Bytes()
 }
@@ -146,7 +146,7 @@ func (m *Login2Resp) Encode() []byte {
 // DecodeLogin2Resp parses a Login2Resp.
 func DecodeLogin2Resp(b []byte) (*Login2Resp, error) {
 	d := NewDec(b)
-	m := &Login2Resp{UserTicket: d.Blob(), ServerTime: d.Time(), MinVersion: d.U32()}
+	m := &Login2Resp{UserTicket: d.Blob(), ServerTime: d.instant(), MinVersion: d.U32()}
 	return m, d.Finish()
 }
 
@@ -354,16 +354,14 @@ func DecodeSeekReq(b []byte) (*SeekReq, error) {
 type HistoryFrame struct {
 	Substream uint8
 	Seq       uint64
-	Clear     bool
 	Packet    []byte
 }
 
 // Encode serializes the frame.
 func (f *HistoryFrame) Encode() []byte {
-	e := newEnc(1 + 8 + 1 + blobLen(f.Packet))
+	e := newEnc(1 + 8 + blobLen(f.Packet))
 	e.u8(f.Substream)
 	e.u64(f.Seq)
-	e.Bool(f.Clear)
 	e.Blob(f.Packet)
 	return e.Bytes()
 }
@@ -371,7 +369,7 @@ func (f *HistoryFrame) Encode() []byte {
 // DecodeHistoryFrame parses a HistoryFrame.
 func DecodeHistoryFrame(b []byte) (*HistoryFrame, error) {
 	d := NewDec(b)
-	f := &HistoryFrame{Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.Blob()}
+	f := &HistoryFrame{Substream: d.u8(), Seq: d.u64(), Packet: d.Blob()}
 	return f, d.Finish()
 }
 
@@ -418,14 +416,6 @@ type KeyPush struct {
 	SealedKey []byte
 }
 
-// Encode serializes the message.
-func (m *KeyPush) Encode() []byte {
-	e := newEnc(KeyPushHeaderLen(m.ChannelID) + len(m.SealedKey))
-	e.Str(m.ChannelID)
-	e.Blob(m.SealedKey)
-	return e.Bytes()
-}
-
 // KeyPushHeaderLen is the encoded size of everything before the sealed
 // key bytes in a KeyPush.
 func KeyPushHeaderLen(channelID string) int { return 4 + len(channelID) + 4 }
@@ -448,14 +438,11 @@ func DecodeKeyPush(b []byte) (*KeyPush, error) {
 }
 
 // ContentPush carries one content packet (serial-prefixed ciphertext from
-// internal/keys, or plaintext when Clear is set — some providers with a
-// public mandate distribute unencrypted, §IV-E fn. 2) down a peering
-// link / substream.
+// internal/keys) down a peering link / substream.
 type ContentPush struct {
 	ChannelID string
 	Substream uint8
 	Seq       uint64
-	Clear     bool
 	Packet    []byte
 	// Frame is the exact input DecodeContentPush accepted (nil on a
 	// message built locally). The decoder is canonical, so Frame is
@@ -464,20 +451,19 @@ type ContentPush struct {
 	Frame []byte
 }
 
-// EncodedLen is the exact Encode output size.
-func (m *ContentPush) EncodedLen() int {
-	return 4 + len(m.ChannelID) + 1 + 8 + 1 + 4 + len(m.Packet)
+// encodedLen is the exact Encode output size.
+func (m *ContentPush) encodedLen() int {
+	return 4 + len(m.ChannelID) + 1 + 8 + 4 + len(m.Packet)
 }
 
 // Encode serializes the message in one exact-size allocation — the
 // buffer is retained by the network until delivery, so fan-out paths
 // must not over-allocate or pool it.
 func (m *ContentPush) Encode() []byte {
-	e := newEnc(m.EncodedLen())
+	e := newEnc(m.encodedLen())
 	e.Str(m.ChannelID)
 	e.u8(m.Substream)
 	e.u64(m.Seq)
-	e.Bool(m.Clear)
 	e.Blob(m.Packet)
 	return e.Bytes()
 }
@@ -485,7 +471,7 @@ func (m *ContentPush) Encode() []byte {
 // ContentPushHeaderLen is the encoded size of everything before the
 // packet bytes in a ContentPush.
 func ContentPushHeaderLen(channelID string) int {
-	return 4 + len(channelID) + 1 + 8 + 1 + 4
+	return 4 + len(channelID) + 1 + 8 + 4
 }
 
 // AppendContentPushHeader appends the ContentPush framing up to the
@@ -494,24 +480,19 @@ func ContentPushHeaderLen(channelID string) int {
 // bytes next (typically by sealing directly into the same buffer),
 // producing a valid DecodeContentPush input with a single allocation
 // per edge.
-func AppendContentPushHeader(dst []byte, channelID string, substream uint8, seq uint64, clear bool, packetLen int) []byte {
+func AppendContentPushHeader(dst []byte, channelID string, substream uint8, seq uint64, packetLen int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(channelID)))
 	dst = append(dst, channelID...)
 	dst = append(dst, substream)
 	dst = binary.BigEndian.AppendUint64(dst, seq)
-	if clear {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
 	return binary.BigEndian.AppendUint32(dst, uint32(packetLen))
 }
 
 // DecodeContentPush parses a ContentPush without copying: Packet and
 // Frame are views into b, which the network hands over immutable (see
-// simnet.Node.Send). The decode is canonical — every field is
-// length-prefixed, Bool accepts only 0/1 and Finish rejects trailing
-// bytes — so an accepted b is exactly Encode() of the result.
+// simnet.Node.Send). The decode is canonical — every variable field is
+// length-prefixed and Finish rejects trailing bytes — so an accepted b
+// is exactly Encode() of the result.
 func DecodeContentPush(b []byte) (ContentPush, error) {
 	return DecodeContentPushOn(b, "")
 }
@@ -521,7 +502,7 @@ func DecodeContentPush(b []byte) (ContentPush, error) {
 // of copying it out of b, so a relay hop decodes without allocating.
 func DecodeContentPushOn(b []byte, channelID string) (ContentPush, error) {
 	d := NewDec(b)
-	m := ContentPush{ChannelID: d.strAs(channelID), Substream: d.u8(), Seq: d.u64(), Clear: d.Bool(), Packet: d.field(), Frame: b}
+	m := ContentPush{ChannelID: d.strAs(channelID), Substream: d.u8(), Seq: d.u64(), Packet: d.field(), Frame: b}
 	return m, d.Finish()
 }
 

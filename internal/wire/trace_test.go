@@ -80,3 +80,33 @@ func TestTraceWrapUnwrapProperty(t *testing.T) {
 		}
 	}
 }
+
+// FuzzUnwrapTraced: UnwrapTraced never panics; what it strips is exactly
+// one envelope WrapTraced would have built; anything else comes back
+// unchanged with a zero context; and for any live context it inverts
+// WrapTraced, whatever the payload starts with.
+func FuzzUnwrapTraced(f *testing.F) {
+	f.Add(uint64(1), uint64(2), []byte("payload"))
+	f.Add(uint64(0), uint64(9), []byte{})
+	f.Add(^uint64(0), uint64(0), append(traceMagic[:], make([]byte, 16)...))
+	f.Add(uint64(7), uint64(7), WrapTraced(TraceCtx{Trace: 3, Span: 4}, []byte("nested")))
+	f.Fuzz(func(t *testing.T, trace, span uint64, b []byte) {
+		tc, inner := UnwrapTraced(b)
+		if tc.Valid() {
+			if !bytes.Equal(WrapTraced(tc, inner), b) {
+				t.Fatalf("UnwrapTraced(%x) = %+v, %x: not one WrapTraced envelope", b, tc, inner)
+			}
+		} else if tc != (TraceCtx{}) || !bytes.Equal(inner, b) {
+			t.Fatalf("UnwrapTraced(%x) = %+v, %x: want the input back with a zero context", b, tc, inner)
+		}
+
+		want := TraceCtx{Trace: trace, Span: span}
+		if !want.Valid() {
+			return
+		}
+		got, payload := UnwrapTraced(WrapTraced(want, b))
+		if got != want || !bytes.Equal(payload, b) {
+			t.Fatalf("UnwrapTraced(WrapTraced(%+v, %x)) = %+v, %x", want, b, got, payload)
+		}
+	})
+}

@@ -121,8 +121,8 @@ func (e *Enc) Bool(v bool) {
 	}
 }
 
-// Time appends a time as unix nanos (0 = zero time).
-func (e *Enc) Time(t time.Time) {
+// instant appends a time as unix nanos (0 = zero time).
+func (e *Enc) instant(t time.Time) {
 	if t.IsZero() {
 		e.u64(0)
 		return
@@ -167,10 +167,6 @@ type Dec struct {
 
 // NewDec creates a decoder over b.
 func NewDec(b []byte) *Dec { return &Dec{b: b} }
-
-// Err returns the first decoding error, also failing if trailing bytes
-// remain (call Finish for the strict check).
-func (d *Dec) Err() error { return d.err }
 
 // Finish returns an error if decoding failed or bytes remain.
 func (d *Dec) Finish() error {
@@ -250,8 +246,8 @@ func (d *Dec) Bool() bool {
 	}
 }
 
-// Time reads a unix-nano time (0 = zero time).
-func (d *Dec) Time() time.Time {
+// instant reads a unix-nano time (0 = zero time).
+func (d *Dec) instant() time.Time {
 	v := d.u64()
 	if d.err != nil || v == 0 {
 		return time.Time{}

@@ -17,8 +17,8 @@ func TestEncDecPrimitives(t *testing.T) {
 	e.u64(1 << 40)
 	e.Bool(true)
 	e.Bool(false)
-	e.Time(ts)
-	e.Time(time.Time{})
+	e.instant(ts)
+	e.instant(time.Time{})
 	e.Blob([]byte{1, 2, 3})
 	e.Str("hello")
 	e.strSlice([]string{"a", "bb"})
@@ -31,10 +31,10 @@ func TestEncDecPrimitives(t *testing.T) {
 	if !d.Bool() || d.Bool() {
 		t.Fatal("bool round trip failed")
 	}
-	if got := d.Time(); !got.Equal(ts) {
+	if got := d.instant(); !got.Equal(ts) {
 		t.Fatalf("time = %v", got)
 	}
-	if !d.Time().IsZero() {
+	if !d.instant().IsZero() {
 		t.Fatal("zero time round trip failed")
 	}
 	if !bytes.Equal(d.Blob(), []byte{1, 2, 3}) {
@@ -59,7 +59,7 @@ func TestEncDecPrimitives(t *testing.T) {
 func TestDecStickyError(t *testing.T) {
 	d := NewDec([]byte{1})
 	_ = d.U32() // fails
-	if d.Err() == nil {
+	if d.err == nil {
 		t.Fatal("no error after truncated read")
 	}
 	if d.u64() != 0 || d.Str() != "" {
@@ -81,7 +81,7 @@ func TestDecTrailingBytes(t *testing.T) {
 func TestDecBadBool(t *testing.T) {
 	d := NewDec([]byte{7})
 	_ = d.Bool()
-	if d.Err() == nil {
+	if d.err == nil {
 		t.Fatal("bool byte 7 accepted")
 	}
 }
@@ -91,8 +91,8 @@ func TestDecFieldBomb(t *testing.T) {
 	e.U32(1 << 30) // absurd length prefix
 	d := NewDec(e.Bytes())
 	_ = d.Blob()
-	if !errors.Is(d.Err(), ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", d.Err())
+	if !errors.Is(d.err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", d.err)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestDecSliceBomb(t *testing.T) {
 	e.U32(1 << 20)
 	d := NewDec(e.Bytes())
 	_ = d.strSlice()
-	if !errors.Is(d.Err(), ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", d.Err())
+	if !errors.Is(d.err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", d.err)
 	}
 }
 
