@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-stress cover allocs bench chaos smoke smokes megascale check
+.PHONY: all vet build test race race-stress cover allocs fuzz bench chaos smoke smokes megascale check
 
 all: check
 
@@ -79,6 +79,25 @@ allocs:
 		$(GO) test -list '$(ALLOC_TESTS)' ./internal/$$pkg | grep -q '^Test' || { echo "allocs: no budget test selected in internal/$$pkg"; exit 1; }; \
 	done
 	$(GO) test -run '$(ALLOC_TESTS)' $(addprefix ./internal/,$(ALLOC_PKGS))
+
+# Every Fuzz target in the module, found with `go test -list`, each
+# fuzzed for FUZZTIME (go test -fuzz takes one target in one package at a
+# time). A target that finds a crasher fails the target and leaves the
+# input under its package's testdata/fuzz/ as a regression seed. A
+# package in FUZZ_PKGS in which the pattern selects nothing fails too — a
+# renamed or deleted fuzzer must not pass by vanishing.
+FUZZTIME ?= 5s
+FUZZ_PKGS = keys policy sectran stoken ticket wire
+fuzz:
+	@for pkg in $(FUZZ_PKGS); do \
+		$(GO) test -list '^Fuzz' ./internal/$$pkg | grep -q '^Fuzz' || { echo "fuzz: no Fuzz target selected in internal/$$pkg"; exit 1; }; \
+	done
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok / { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "fuzz: $$pkg $$target for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # Quick smoke of every testing.B benchmark (~0.1s each): catches
 # bit-rot, not a measurement. The measured numbers — and every per-call

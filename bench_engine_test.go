@@ -84,10 +84,10 @@ func BenchmarkEngineWeekTraced(b *testing.B) {
 }
 
 // BenchmarkEngineScaleOut runs the elastic-farm sweep — a flash crowd
-// growing 10× with members added live via consistent-hash resharding —
-// and reports the worst per-phase login p95 next to the wall clock, so a
-// regression in the sharded serving path shows up in the benchmark
-// artifact, not just in the scenario's golden test.
+// growing 10× while members join the User Manager VIP live — and reports
+// the worst per-phase login p95 next to the wall clock, so a regression
+// in the elastic serving path shows up in the benchmark artifact, not
+// just in the scenario's golden test.
 func BenchmarkEngineScaleOut(b *testing.B) {
 	var worst time.Duration
 	for i := 0; i < b.N; i++ {

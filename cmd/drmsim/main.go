@@ -82,7 +82,7 @@ var figures = []figure{
 		}
 		return &res.Artifacts, nil
 	}},
-	{"scaleout", "elastic farm: crowd grows 10×, members added live via resharding", func(e *env) (*exp.Artifacts, error) {
+	{"scaleout", "elastic farm: crowd grows 10×, members join the VIP live", func(e *env) (*exp.Artifacts, error) {
 		res, err := exp.RunScaleOut(exp.ScaleOutConfig{Seed: e.seed})
 		if err != nil {
 			return nil, err

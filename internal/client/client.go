@@ -158,9 +158,6 @@ type Stats struct {
 	Retries        int64
 	Restarts       int64
 	BreakerOpens   int64
-	// ShardRetries counts logins re-resolved after a wire.CodeWrongShard
-	// answer proved the cached shard map stale (sharded farms only).
-	ShardRetries int64
 }
 
 // Client is one running instance of the client software.
@@ -183,12 +180,6 @@ type Client struct {
 	pmAddr simnet.Addr
 	pmKey  cryptoutil.PublicKey
 	rmKey  cryptoutil.PublicKey
-	// shardEpoch is the shard-map version the cached umAddr came from.
-	// 0 — a classic VIP deployment — means nothing is cached and every
-	// login starts with a Redirection Manager lookup, exactly as before
-	// sharding existed; >0 lets repeat logins skip the redirect until a
-	// wire.CodeWrongShard answer invalidates the cache.
-	shardEpoch uint64
 	// Login state.
 	userTicketBlob []byte
 	userTicket     *ticket.UserTicket
@@ -372,34 +363,7 @@ func (c *Client) login(j *journey) error {
 		c.noteRestart(j, "login")
 		err = c.loginOnce(j)
 	}
-	// Stale shard map: the farm resharded since the coordinates were
-	// cached. Drop the cache and re-resolve through the Redirection
-	// Manager; bounded because back-to-back handoffs can race the retry.
-	for tries := 0; tries < 3 && wrongShard(err); tries++ {
-		c.noteShardRetry(j)
-		err = c.loginOnce(j)
-	}
 	return err
-}
-
-// wrongShard matches the answer of a manager that does not own the
-// account's key-range.
-func wrongShard(err error) bool {
-	var se *wire.ServiceError
-	return errors.As(err, &se) && se.Code == wire.CodeWrongShard
-}
-
-// noteShardRetry invalidates the cached manager coordinates and counts
-// the re-resolution. Inside a traced journey the failed stage closes
-// with the wrong_shard outcome and the restart span threads under the
-// journey root, so retry rounds stay visible in the critical path.
-func (c *Client) noteShardRetry(j *journey) {
-	c.mu.Lock()
-	c.stats.ShardRetries++
-	c.shardEpoch = 0 // force a fresh Redirection Manager lookup
-	c.mu.Unlock()
-	j.closeStage(wire.CodeWrongShard.String())
-	c.noteSpan(j, "login", "wrong shard: cached map stale after reshard; re-resolving owner")
 }
 
 // noteRestart counts one protocol-level restart and traces its cause
@@ -437,36 +401,28 @@ func (c *Client) noteSpan(j *journey, proto, detail string) {
 func (c *Client) loginOnce(j *journey) error {
 	c.mu.Lock()
 	rmKey := c.rmKey
-	umKey := c.umKey
-	cached := c.shardEpoch > 0 && c.umAddr != ""
 	c.mu.Unlock()
-	if !cached {
-		// Redirection (not one of the five measured rounds). A sharded
-		// deployment stamps the reply with its map epoch, letting repeat
-		// logins reuse these coordinates until a reshard invalidates
-		// them; the classic VIP path (epoch 0) re-resolves every time.
-		j.enter("redirect")
-		rreq := &wire.RedirectReq{Email: c.cfg.Email}
-		rresp, err := svc.Invoke(c.traced(j, c.transport(rmKey)), c.cfg.RedirectAddr, wire.SvcRedirect, rreq, wire.DecodeRedirectResp)
-		if err != nil {
-			return fmt.Errorf("redirect: %w", err)
-		}
-		umKey, err = cryptoutil.DecodePublicKey(rresp.UserMgrKey)
-		if err != nil {
-			return fmt.Errorf("redirect: user manager key: %w", err)
-		}
-		c.mu.Lock()
-		c.umAddr = simnet.Addr(rresp.UserMgr)
-		c.umKey = umKey
-		c.pmAddr = simnet.Addr(rresp.PolicyMgr)
-		c.shardEpoch = rresp.ShardEpoch
-		if len(rresp.PolicyMgrKey) > 0 {
-			if pmKey, err := cryptoutil.DecodePublicKey(rresp.PolicyMgrKey); err == nil {
-				c.pmKey = pmKey
-			}
-		}
-		c.mu.Unlock()
+	// Redirection (not one of the five measured rounds).
+	j.enter("redirect")
+	rreq := &wire.RedirectReq{Email: c.cfg.Email}
+	rresp, err := svc.Invoke(c.traced(j, c.transport(rmKey)), c.cfg.RedirectAddr, wire.SvcRedirect, rreq, wire.DecodeRedirectResp)
+	if err != nil {
+		return fmt.Errorf("redirect: %w", err)
 	}
+	umKey, err := cryptoutil.DecodePublicKey(rresp.UserMgrKey)
+	if err != nil {
+		return fmt.Errorf("redirect: user manager key: %w", err)
+	}
+	c.mu.Lock()
+	c.umAddr = simnet.Addr(rresp.UserMgr)
+	c.umKey = umKey
+	c.pmAddr = simnet.Addr(rresp.PolicyMgr)
+	if len(rresp.PolicyMgrKey) > 0 {
+		if pmKey, err := cryptoutil.DecodePublicKey(rresp.PolicyMgrKey); err == nil {
+			c.pmKey = pmKey
+		}
+	}
+	c.mu.Unlock()
 
 	// LOGIN1.
 	j.enter("login1")

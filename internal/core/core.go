@@ -36,7 +36,9 @@ import (
 
 // Well-known infrastructure addresses.
 const (
-	addrUserMgr   = simnet.Addr("um.provider")
+	// AddrUserMgr is the default User Manager farm's VIP: the one name
+	// every member serves behind, whatever the farm's size.
+	AddrUserMgr   = simnet.Addr("um.provider")
 	addrPolicyMgr = simnet.Addr("pm.provider")
 	addrRedirect  = simnet.Addr("rm.provider")
 )
@@ -44,7 +46,7 @@ const (
 // addrUserMgrDomain names a domain's User Manager VIP ("" = default).
 func addrUserMgrDomain(domain string) simnet.Addr {
 	if domain == "" {
-		return addrUserMgr
+		return AddrUserMgr
 	}
 	return simnet.Addr("um." + domain + ".provider")
 }
@@ -88,20 +90,18 @@ type Options struct {
 	// semantics the caller wants; Start is ignored when set.
 	Scheduler *sim.Scheduler
 	// UserMgrFarm is the number of User Manager backends behind the VIP.
-	// The paper's deployment used two (§VI). Default 2.
+	// The paper's deployment used two (§VI). Default 2. Without Domains
+	// the farm grows and shrinks live (System.AddUserMgrMember).
 	UserMgrFarm int
-	// UserMgrShard, when Enabled, deploys the User Manager farm as a
-	// consistent-hash sharded farm instead of a plain VIP pool: the
-	// Redirection Manager routes each account to its owning member, and
-	// members can be added or removed mid-run (System.AddUserMgrMember).
-	// The VIP still exists beside the keyed routing, so legacy VIP
-	// traffic keeps working. Requires the single anonymous domain (no
-	// Domains).
-	UserMgrShard ShardOptions
+	// LoginHighWater arms load shedding on every User Manager's login
+	// endpoints: above this many admitted-but-unfinished requests per
+	// member, new arrivals are refused with wire.CodeOverloaded (0
+	// disables).
+	LoginHighWater int
 	// Domains lists Authentication Domains (§V): each gets its own User
 	// Manager farm behind its own address; the Redirection Manager routes
 	// each user to the domain it was assigned to. Empty means a single
-	// anonymous domain at addrUserMgr.
+	// anonymous domain at AddrUserMgr.
 	Domains []string
 	// Partitions lists Channel Listing Partition names. The paper's
 	// deployment used two partitions served by four Channel Managers
@@ -186,19 +186,6 @@ func (o *Options) fill() {
 	}
 }
 
-// ShardOptions configures the sharded User Manager deployment. The
-// members keep no per-account state, so sharding only routes: each
-// account goes to one owner, and a reshard moves ownership, not data.
-type ShardOptions struct {
-	// Enabled switches the farm from VIP round-robin to account-hash
-	// sharding.
-	Enabled bool
-	// LoginHighWater arms load shedding on the login endpoints: above
-	// this many admitted-but-unfinished requests per member, new
-	// arrivals are refused with wire.CodeOverloaded (0 disables).
-	LoginHighWater int
-}
-
 // substreams is the peer-division multiplexing every channel uses.
 const substreams = 4
 
@@ -223,9 +210,6 @@ type System struct {
 	PolicyMgr *policymgr.Manager
 	Redirect  *redirect.Manager
 	Servers   map[string]*chserver.Server
-	// UMShard is the sharded User Manager farm (nil unless
-	// Options.UserMgrShard.Enabled).
-	UMShard *svc.ShardedFarm[*usermgr.Manager]
 	// Arena is the deployment-wide overlay arena: every root and client
 	// peer files its child/dedup state in these shared slabs. All peers
 	// live on the one scheduler, so sharing is safe.
@@ -248,10 +232,11 @@ type System struct {
 	umBackend []simnet.Addr
 	cmBackend []simnet.Addr
 	mgrNodes  []*simnet.Node
-	// Sharded-farm scale-out state: the member build closure reused by
-	// AddUserMgrMember, and the next member index for address naming.
-	umBuild func(node *simnet.Node, view *svc.ShardView) (*usermgr.Manager, error)
-	umNext  int
+	// umMember builds one member of the anonymous domain's User Manager
+	// farm, for DeployFarm and for every member AddUserMgrMember adds
+	// later; umMembers counts the members ever built, naming the next.
+	umMember  func(node *simnet.Node) (*usermgr.Manager, error)
+	umMembers int
 }
 
 // NewSystem builds and wires a full deployment.
@@ -290,40 +275,29 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.umKeys = umKeys
-	if opts.UserMgrShard.Enabled {
-		// The sharded deployment replaces the VIP-pool farms.
-		if len(opts.Domains) > 0 {
-			return nil, fmt.Errorf("core: UserMgrShard requires the single anonymous domain")
+	for di, domain := range append([]string{""}, opts.Domains...) {
+		if di > 0 && domain == "" {
+			return nil, fmt.Errorf("core: empty domain name")
 		}
-		if err := sys.deployShardedUserMgrs(net); err != nil {
+		if di == 0 && len(opts.Domains) > 0 {
+			continue // explicit domains replace the anonymous one
+		}
+		suffix := domainSuffix(domain)
+		build := sys.userMgrBuilder(domain)
+		mgrs, nodes, err := svc.DeployFarm(net, addrUserMgrDomain(domain), opts.UserMgrFarm,
+			func(i int) simnet.Addr {
+				return simnet.Addr(fmt.Sprintf("um%d%s.provider", i+1, suffix))
+			}, build)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		for di, domain := range append([]string{""}, opts.Domains...) {
-			if di > 0 && domain == "" {
-				return nil, fmt.Errorf("core: empty domain name")
-			}
-			if di == 0 && len(opts.Domains) > 0 {
-				continue // explicit domains replace the anonymous one
-			}
-			umCfg := sys.userMgrConfig(domain)
-			suffix := domainSuffix(domain)
-			mgrs, nodes, err := svc.DeployFarm(net, addrUserMgrDomain(domain), opts.UserMgrFarm,
-				func(i int) simnet.Addr {
-					return simnet.Addr(fmt.Sprintf("um%d%s.provider", i+1, suffix))
-				},
-				func(node *simnet.Node) (*usermgr.Manager, error) {
-					applyCapacity(node, opts.UserMgrCapacity)
-					return usermgr.New(node, umCfg)
-				})
-			if err != nil {
-				return nil, err
-			}
-			sys.UserMgrs = append(sys.UserMgrs, mgrs...)
-			for _, node := range nodes {
-				sys.umBackend = append(sys.umBackend, node.Addr())
-				sys.mgrNodes = append(sys.mgrNodes, node)
-			}
+		if domain == "" {
+			sys.umMember, sys.umMembers = build, len(mgrs)
+		}
+		sys.UserMgrs = append(sys.UserMgrs, mgrs...)
+		for _, node := range nodes {
+			sys.umBackend = append(sys.umBackend, node.Addr())
+			sys.mgrNodes = append(sys.mgrNodes, node)
 		}
 	}
 
@@ -387,7 +361,7 @@ func NewSystem(opts Options) (*System, error) {
 
 	// --- Redirection Manager (built into clients, §V).
 	rmNode := net.NewNode(addrRedirect)
-	defaultUM := addrUserMgr
+	defaultUM := AddrUserMgr
 	if len(opts.Domains) > 0 {
 		defaultUM = addrUserMgrDomain(opts.Domains[0])
 	}
@@ -406,9 +380,6 @@ func NewSystem(opts Options) (*System, error) {
 		PolicyMgr:    addrPolicyMgr,
 		PolicyMgrKey: pmKeys.Public().Encode(),
 	}
-	if sys.UMShard != nil {
-		rmCfg.Shards = sys.UMShard
-	}
 	rm, err := redirect.New(rmNode, rmCfg)
 	if err != nil {
 		return nil, err
@@ -422,91 +393,62 @@ func NewSystem(opts Options) (*System, error) {
 	return sys, nil
 }
 
-// userMgrConfig is what every User Manager backend of one Authentication
-// Domain is built from, whichever way its farm is deployed. All domains
-// share the provider's key pair.
-func (s *System) userMgrConfig(domain string) usermgr.Config {
-	return usermgr.Config{
+// userMgrBuilder returns the constructor of one User Manager farm member
+// of an Authentication Domain: its capacity model, its login shedding
+// and its trace. The initial farm and every member added live are built
+// by it, from one configuration; all domains share the provider's key
+// pair and the farm's token secret, so any member completes a login
+// another began.
+func (s *System) userMgrBuilder(domain string) func(node *simnet.Node) (*usermgr.Manager, error) {
+	opts := s.Opts
+	cfg := usermgr.Config{
 		Accounts:       s.Accounts,
 		Keys:           s.umKeys,
 		TokenSecret:    []byte("um-farm-secret"),
-		TicketLifetime: s.Opts.UserTicketLifetime,
-		MinVersion:     s.Opts.MinVersion,
+		TicketLifetime: opts.UserTicketLifetime,
+		MinVersion:     opts.MinVersion,
 		ClientImage:    clientImage,
 		Domain:         domain,
 		RNG:            s.rng,
 		Tickets:        s.tickets,
 	}
-}
-
-// deployShardedUserMgrs builds the User Manager farm as a sharded farm:
-// same addresses and key draws as the VIP pool, plus the ring, the
-// per-member shard views, and (optionally) login shedding. The VIP is
-// still registered over the members so legacy VIP traffic works beside
-// the keyed routing.
-func (s *System) deployShardedUserMgrs(net *simnet.Network) error {
-	opts := s.Opts
-	so := opts.UserMgrShard
-	umCfg := s.userMgrConfig("")
-	s.umBuild = func(node *simnet.Node, view *svc.ShardView) (*usermgr.Manager, error) {
+	return func(node *simnet.Node) (*usermgr.Manager, error) {
 		applyCapacity(node, opts.UserMgrCapacity)
-		cfg := umCfg
-		cfg.Shard = view
 		m, err := usermgr.New(node, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if so.LoginHighWater > 0 {
-			if err := m.Runtime().SetShedding(wire.SvcLogin1, so.LoginHighWater); err != nil {
-				return nil, err
+		if opts.LoginHighWater > 0 {
+			for _, svcName := range []string{wire.SvcLogin1, wire.SvcLogin2} {
+				if err := m.Runtime().SetShedding(svcName, opts.LoginHighWater); err != nil {
+					return nil, err
+				}
 			}
-			if err := m.Runtime().SetShedding(wire.SvcLogin2, so.LoginHighWater); err != nil {
-				return nil, err
-			}
+		}
+		if opts.Trace != nil {
+			m.Runtime().SetTrace(opts.Trace)
 		}
 		return m, nil
 	}
-	farm, err := svc.DeployShardedFarm(net, opts.UserMgrFarm,
-		svc.ShardFarmConfig{},
-		func(i int) simnet.Addr {
-			return simnet.Addr(fmt.Sprintf("um%d.provider", i+1))
-		},
-		s.umBuild)
-	if err != nil {
-		return err
-	}
-	s.UMShard = farm
-	s.umNext = opts.UserMgrFarm
-	nodes := farm.Nodes()
-	net.NewVIP(addrUserMgr, nodes...)
-	s.UserMgrs = farm.Members()
-	for _, node := range nodes {
-		s.umBackend = append(s.umBackend, node.Addr())
-		s.mgrNodes = append(s.mgrNodes, node)
-	}
-	return nil
 }
 
-// AddUserMgrMember grows the sharded User Manager farm by one member
-// mid-run: the node deploys at the next um<N>.provider address, takes
-// over its key-ranges through the farm's handoff, joins the VIP pool,
-// and subscribes to Policy Manager pushes. Returns the new address.
+// AddUserMgrMember grows the User Manager farm by one member mid-run
+// (§V): the member deploys at the next um<N>.provider address, joins the
+// VIP pool, and subscribes to Policy Manager pushes. Members keep no
+// per-account state, so nothing moves. Returns the new address.
 func (s *System) AddUserMgrMember() (simnet.Addr, error) {
-	if s.UMShard == nil {
-		return "", fmt.Errorf("core: AddUserMgrMember requires Options.UserMgrShard.Enabled")
+	if len(s.Opts.Domains) > 0 {
+		return "", fmt.Errorf("core: AddUserMgrMember requires the single anonymous domain")
 	}
-	s.umNext++
-	addr := simnet.Addr(fmt.Sprintf("um%d.provider", s.umNext))
-	if err := s.UMShard.AddMember(addr, s.umBuild); err != nil {
-		s.umNext--
+	addr := simnet.Addr(fmt.Sprintf("um%d.provider", s.umMembers+1))
+	node := s.Net.NewNode(addr)
+	m, err := s.umMember(node)
+	if err != nil {
+		s.Net.RemoveNode(addr)
 		return "", err
 	}
-	m, _ := s.UMShard.Member(addr)
-	if s.Opts.Trace != nil {
-		m.Runtime().SetTrace(s.Opts.Trace)
-	}
-	node := m.Runtime().Node()
-	s.Net.AddVIPBackend(addrUserMgr, node)
+	s.umMembers++
+	s.Net.AddVIPBackend(AddrUserMgr, node)
 	s.PolicyMgr.AddUserMgr(addr)
 	s.UserMgrs = append(s.UserMgrs, m)
 	s.umBackend = append(s.umBackend, addr)
@@ -514,25 +456,27 @@ func (s *System) AddUserMgrMember() (simnet.Addr, error) {
 	return addr, nil
 }
 
-// RemoveUserMgrMember drains a member out of the sharded farm: its
-// key-ranges hand off to the surviving members and it leaves the VIP
-// pool, but the node stays up through the grace window so in-flight
-// logins complete there.
+// RemoveUserMgrMember drains a member out of the User Manager farm: it
+// leaves the VIP pool, so it receives no new request, but its node stays
+// up, so a request already routed to it completes there. A login whose
+// first round it served finishes on any survivor, which opens the
+// farm-sealed round-2 token as well as it would have.
 func (s *System) RemoveUserMgrMember(addr simnet.Addr) error {
-	if s.UMShard == nil {
-		return fmt.Errorf("core: RemoveUserMgrMember requires Options.UserMgrShard.Enabled")
+	if len(s.Opts.Domains) > 0 {
+		return fmt.Errorf("core: RemoveUserMgrMember requires the single anonymous domain")
 	}
-	if err := s.UMShard.RemoveMember(addr); err != nil {
-		return err
-	}
-	s.Net.RemoveVIPBackend(addrUserMgr, addr)
 	for i, a := range s.umBackend {
-		if a == addr {
-			s.umBackend = append(s.umBackend[:i], s.umBackend[i+1:]...)
-			break
+		if a != addr {
+			continue
 		}
+		if len(s.umBackend) == 1 {
+			return fmt.Errorf("core: cannot remove the last User Manager member %s", addr)
+		}
+		s.Net.RemoveVIPBackend(AddrUserMgr, addr)
+		s.umBackend = append(s.umBackend[:i], s.umBackend[i+1:]...)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("core: %s is not a User Manager farm member", addr)
 }
 
 func applyCapacity(node *simnet.Node, c CapacityModel) {
@@ -605,7 +549,7 @@ func (s *System) ChannelMgrBackends() []simnet.Addr {
 func (s *System) InfraAddrs() []simnet.Addr {
 	out := []simnet.Addr{addrRedirect, addrPolicyMgr}
 	if len(s.Opts.Domains) == 0 {
-		out = append(out, addrUserMgr)
+		out = append(out, AddrUserMgr)
 	}
 	for _, d := range s.Opts.Domains {
 		out = append(out, addrUserMgrDomain(d))

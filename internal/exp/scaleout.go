@@ -9,17 +9,16 @@ import (
 
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
-	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/workload"
 )
 
 // ScaleOutConfig parameterizes the elastic-farm scenario: a flash-crowd
 // sweep whose arrival rate grows 10× across three phases while User
-// Manager members are added live at the phase boundaries. The question
-// the scenario answers: does consistent-hash sharding with live
-// resharding keep login latency flat as the crowd grows — old owners
-// serving through each handoff, load shedding absorbing the bursts, and
-// no login lost to a mid-run reshard?
+// Manager members join the farm's VIP pool live at the phase boundaries.
+// The question the scenario answers: does growing the §V farm live keep
+// login p95 flat as the crowd grows 10× — load shedding absorbing the
+// bursts, every added member taking its share, and no login lost to a
+// membership change?
 type ScaleOutConfig struct {
 	Seed int64
 	// BaseViewers arrive in phase 1; phase 2 brings the total to 3× and
@@ -31,12 +30,11 @@ type ScaleOutConfig struct {
 	// with their length, so burst intensity grows with the arrival count
 	// the way a longer event ramp does.
 	PhaseLen time.Duration
-	// FaultPartition overlaps the first handoff with a transient
+	// FaultPartition overlaps the first scale-out with a transient
 	// partition: scalePartitionShare of viewers lose their link to the
-	// first added member for scalePartitionFor, starting exactly at the
-	// boundary-1 reshard. Accounts the new member took over are
-	// unreachable for those viewers until the heal — session retry must
-	// carry them to playback anyway.
+	// User Manager VIP for scalePartitionFor, starting exactly at the
+	// boundary-1 member adds. The farm is unreachable for those viewers
+	// until the heal — session retry must carry them to playback anyway.
 	FaultPartition bool
 }
 
@@ -57,10 +55,12 @@ const (
 	// members, boundary 2 adds 3 — member count tracks arrival rate
 	// (2 → 4 → 7), which is what keeps per-member load flat.
 	scaleUserMgrFarm = 2
-	// scaleLoginHighWater arms load shedding on the login endpoints.
-	scaleLoginHighWater = 4
-	// scaleUserTicketLifetime is short so phase-1 viewers renew mid-run
-	// and exercise the stale-shard-map retry path after the reshards.
+	// scaleLoginHighWater arms load shedding on the login endpoints. The
+	// VIP's round-robin spreads a burst evenly over the members, so the
+	// mark sits at the members' worker count for shedding to engage.
+	scaleLoginHighWater = 2
+	// scaleUserTicketLifetime is short so phase-1 viewers renew mid-run,
+	// logging in again through the grown farm.
 	scaleUserTicketLifetime = 2 * time.Minute
 	// scaleDeadline bounds the scenario: every viewer must be watching
 	// within it of event start.
@@ -88,7 +88,7 @@ type ScalePhase struct {
 	Shed int64
 }
 
-// ScaleOutResult reports the sweep outcome and the reshard/shed
+// ScaleOutResult reports the sweep outcome and the farm and shed
 // machinery's counters.
 type ScaleOutResult struct {
 	Viewers      int
@@ -96,14 +96,13 @@ type ScaleOutResult struct {
 	FailedLogins int // viewers that never completed a login by the deadline
 	MembersStart int
 	MembersEnd   int
-	Epoch        uint64 // final shard-map epoch (one bump per membership change)
-	Handoffs     int64  // membership changes that moved key-ranges
-	Partitioned  int    // viewers behind the FaultPartition (0 without it)
+	// Login2 is the LOGIN2 count each member served, in the order the
+	// members joined the farm.
+	Login2      []int64
+	Partitioned int // viewers behind the FaultPartition (0 without it)
 
-	Shed         int64 // server-side: login requests refused at high water
-	Overloads    int64 // client-side: shed answers absorbed by retry
-	ShardRetries int64 // client logins re-resolved after a stale shard map
-	WrongShard   int64 // server-side: requests refused as not-owned-here
+	Shed      int64 // server-side: login requests refused at high water
+	Overloads int64 // client-side: shed answers absorbed by retry
 
 	SessionRetries int64
 	AllWatchingIn  time.Duration
@@ -118,11 +117,11 @@ type ScaleOutResult struct {
 // line; two runs with the same seed must match byte-for-byte.
 func (r *ScaleOutResult) fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v=%d w=%d failed=%d members=%d-%d epoch=%d hand=%d part=%d",
+	fmt.Fprintf(&b, "v=%d w=%d failed=%d members=%d-%d login2=%s part=%d",
 		r.Viewers, r.Watching, r.FailedLogins, r.MembersStart, r.MembersEnd,
-		r.Epoch, r.Handoffs, r.Partitioned)
-	fmt.Fprintf(&b, " shed=%d over=%d sretry=%d wrong=%d sess=%d all=%d sent=%d drop=%d",
-		r.Shed, r.Overloads, r.ShardRetries, r.WrongShard,
+		joinCounts(r.Login2), r.Partitioned)
+	fmt.Fprintf(&b, " shed=%d over=%d sess=%d all=%d sent=%d drop=%d",
+		r.Shed, r.Overloads,
 		r.SessionRetries, r.AllWatchingIn.Microseconds(),
 		r.Net.Sent, r.Net.Dropped)
 	for _, ph := range r.PhaseStats {
@@ -161,17 +160,13 @@ func (r *ScaleOutResult) p95Spread() float64 {
 // RunScaleOut runs the elastic-farm flash-crowd sweep.
 func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	cfg.fill()
-	// The ring is armed on every runtime, including members added mid-run
-	// by the resharding schedule: traced logins that land on a stale
-	// shard map or a shedding member leave wrong_shard restart and shed
+	// The span ring is armed on every runtime, including members added
+	// mid-run: traced logins that land on a shedding member leave shed
 	// spans threaded into their journeys.
 	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
-		UserMgrFarm: scaleUserMgrFarm,
-		Partitions:  []string{"live"},
-		UserMgrShard: core.ShardOptions{
-			Enabled:        true,
-			LoginHighWater: scaleLoginHighWater,
-		},
+		UserMgrFarm:    scaleUserMgrFarm,
+		Partitions:     []string{"live"},
+		LoginHighWater: scaleLoginHighWater,
 		UserMgrCapacity: core.CapacityModel{
 			Workers: scaleWorkers, ServiceTime: expService(rand.NewSource(cfg.Seed+3), scaleServiceMS),
 		},
@@ -220,10 +215,11 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 		}
 	}
 
-	// Live resharding: member adds ride scheduler events at the phase
+	// Live scale-out: member adds ride scheduler events at the phase
 	// boundaries, racing the arrival wave exactly as a real scale-out
 	// would. Ordering within the boundary instant doesn't matter — the
-	// grace window lets in-flight logins finish on either owner.
+	// members keep no per-account state, so a login whose round 1 ran on
+	// one member finishes on whichever member the VIP picks next.
 	for _, p := range plans {
 		if p.adds == 0 {
 			continue
@@ -238,13 +234,13 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 		})
 	}
 
-	// Chaos knob: sever a viewer subset from the first added member for
-	// the handoff window. Those viewers' redirects name an owner they
-	// cannot reach; the session loop has to carry them across the heal.
+	// Chaos knob: sever a viewer subset from the User Manager VIP across
+	// the first scale-out — the name they dial, so the cut meets their
+	// logins whichever member would serve them. The session loop has to
+	// carry them across the heal.
 	partitioned := 0
 	if cfg.FaultPartition {
-		firstAdded := simnet.Addr(fmt.Sprintf("um%d.provider", scaleUserMgrFarm+1))
-		partitioned = r.partition(rng, viewers, scalePartitionShare, firstAdded, plans[1].start, scalePartitionFor)
+		partitioned = r.partition(rng, viewers, scalePartitionShare, core.AddrUserMgr, plans[1].start, scalePartitionFor)
 	}
 
 	// Observability: the growth timeline, plus shed-counter snapshots at
@@ -301,19 +297,13 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 	}
 	res.Artifacts = r.finish()
 
-	farm := sys.UMShard.Stats()
 	res.FailedLogins = viewers - loggedIn
-	res.MembersEnd = farm.Members
-	res.Epoch = farm.Epoch
-	res.Handoffs = farm.Handoffs
-	for _, c := range r.clients {
-		res.ShardRetries += c.Stats().ShardRetries
+	res.MembersEnd = len(sys.UserMgrBackends())
+	for _, m := range sys.UserMgrs {
+		res.Login2 = append(res.Login2, m.Stats().Login2Served)
 	}
 	for _, cs := range res.Calls {
 		res.Overloads += cs.Overloads
-	}
-	for _, m := range sys.UserMgrs {
-		res.WrongShard += m.Stats().WrongShard
 	}
 	res.Shed = totalShed(sys)
 	finalShed := append(shedAt[1:], res.Shed)
@@ -346,17 +336,26 @@ func totalShed(sys *core.System) int64 {
 	return total
 }
 
+// joinCounts renders counts as a/b/c.
+func joinCounts(counts []int64) string {
+	parts := make([]string, len(counts))
+	for i, n := range counts {
+		parts[i] = fmt.Sprint(n)
+	}
+	return strings.Join(parts, "/")
+}
+
 // RenderScaleOut prints the elastic-farm sweep: per-phase growth,
-// latency flatness, and the reshard/shed counters.
+// latency flatness, and the farm and shed counters.
 func RenderScaleOut(res *ScaleOutResult) string {
 	var b strings.Builder
-	b.WriteString("Elastic User Manager farm — flash crowd growing 10× with live resharding\n")
+	b.WriteString("Elastic User Manager farm — flash crowd growing 10× while members join the VIP live\n")
 	fmt.Fprintf(&b, "  viewers %d — watching %d, failed logins %d (all watching in %s)\n",
 		res.Viewers, res.Watching, res.FailedLogins, fmtMS(res.AllWatchingIn))
-	fmt.Fprintf(&b, "  farm: %d → %d members, epoch %d, %d handoffs\n",
-		res.MembersStart, res.MembersEnd, res.Epoch, res.Handoffs)
+	fmt.Fprintf(&b, "  farm: %d → %d members; LOGIN2s served per member, in join order: %s\n",
+		res.MembersStart, res.MembersEnd, joinCounts(res.Login2))
 	if res.Partitioned > 0 {
-		fmt.Fprintf(&b, "  chaos: %d viewers partitioned from the first added member during its handoff\n",
+		fmt.Fprintf(&b, "  chaos: %d viewers partitioned from the User Manager VIP across the first scale-out\n",
 			res.Partitioned)
 	}
 	fmt.Fprintf(&b, "  %-6s %9s %8s %8s %9s %12s %12s %8s\n",
@@ -369,15 +368,13 @@ func RenderScaleOut(res *ScaleOutResult) string {
 	fmt.Fprintf(&b, "  login p95 spread across phases: %.2fx (flat = 1.00x)\n", res.p95Spread())
 	fmt.Fprintf(&b, "  shedding: %d refused at high water, %d absorbed by client retry\n",
 		res.Shed, res.Overloads)
-	fmt.Fprintf(&b, "  resharding: %d stale-map client retries, %d wrong-shard refusals server-side\n",
-		res.ShardRetries, res.WrongShard)
 	fmt.Fprintf(&b, "  sessions: %d retries; network: %d messages sent, %d dropped\n",
 		res.SessionRetries, res.Net.Sent, res.Net.Dropped)
 	if len(res.Phases) > 0 {
 		b.WriteString(renderPhases(res.Phases))
 	}
-	b.WriteString("(members join mid-wave: old owners serve through each handoff's grace window,\n")
-	b.WriteString(" the high-water mark sheds bursts instead of queueing them, and stale client\n")
-	b.WriteString(" shard maps self-heal through one wrong_shard round trip)\n")
+	b.WriteString("(members join the VIP mid-wave and take new requests at once: they keep no\n")
+	b.WriteString(" per-account state, so nothing moves, and the high-water mark sheds bursts\n")
+	b.WriteString(" instead of queueing them)\n")
 	return b.String()
 }

@@ -118,27 +118,20 @@ func TestTracedLoginStageSumMatchesLatency(t *testing.T) {
 	}
 }
 
-// TestScaleOutTraceSpans pins the satellite coverage on the resharding
-// scenario: stale-shard-map login retries leave wrong-shard restart
-// spans in the ring, the ring's overflow is real and surfaced through
-// the JSONL footer, and traced journeys assembled into trees.
+// TestScaleOutTraceSpans pins the satellite coverage on the scale-out
+// scenario: the ring's overflow is real and surfaced through the JSONL
+// footer, and traced journeys assembled into trees.
 func TestScaleOutTraceSpans(t *testing.T) {
 	res, err := RunScaleOut(ScaleOutConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spans := res.Trace.Spans()
-	wrongShard, journeys := 0, 0
+	journeys := 0
 	for _, sp := range spans {
-		if sp.Kind == obs.KindRestart && strings.Contains(sp.Detail, "wrong shard") {
-			wrongShard++
-		}
 		if sp.Kind == obs.KindJourney {
 			journeys++
 		}
-	}
-	if wrongShard == 0 {
-		t.Error("no wrong-shard restart spans despite stale-map retries")
 	}
 	if journeys == 0 {
 		t.Error("no journey roots in the ring")

@@ -37,19 +37,6 @@ type Config struct {
 	// PolicyMgr / PolicyMgrKey are handed out with every lookup (§V).
 	PolicyMgr    simnet.Addr
 	PolicyMgrKey []byte
-	// Shards, when set, routes unassigned users by account hash instead
-	// of the Default address: the redirect reply names the account's
-	// owning farm member and carries the shard-map epoch, so the client
-	// knows when its cached coordinates go stale. Explicit Assign()
-	// entries still win (per-user domain overrides).
-	Shards ShardRouter
-}
-
-// ShardRouter resolves an account key to its owning farm member — the
-// surface svc.ShardedFarm exposes (Owner + Epoch).
-type ShardRouter interface {
-	Owner(key string) (simnet.Addr, uint64)
-	Epoch() uint64
 }
 
 // Manager is the Redirection Manager.
@@ -99,20 +86,10 @@ func (m *Manager) handleRedirect(_ simnet.Addr, req *wire.RedirectReq) (*wire.Re
 		a = m.cfg.Default
 	}
 	m.mu.Unlock()
-	var epoch uint64
-	if !ok && m.cfg.Shards != nil {
-		// Account-hash routing: the "single hash table lookup" becomes a
-		// ring lookup. The farm key pair is shared, so only the address
-		// changes; the epoch versions the client's cached coordinates.
-		if owner, ep := m.cfg.Shards.Owner(req.Email); owner != "" {
-			a.UserMgr, epoch = owner, ep
-		}
-	}
 	return &wire.RedirectResp{
 		UserMgr:      string(a.UserMgr),
 		UserMgrKey:   a.UserMgrKey,
 		PolicyMgr:    string(m.cfg.PolicyMgr),
 		PolicyMgrKey: m.cfg.PolicyMgrKey,
-		ShardEpoch:   epoch,
 	}, nil
 }

@@ -139,9 +139,6 @@ func New(s *sim.Scheduler, opts ...Option) *Network {
 	return n
 }
 
-// Scheduler returns the underlying scheduler.
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
 // NetStats is a snapshot of the network's message counters. Dropped is
 // broken down by fault cause: DroppedLinkCut counts packets that hit a
 // severed link (Cut/Partition), DroppedLoss counts lost-in-transit

@@ -59,8 +59,9 @@ func (s *Sealer) Open(tok []byte, now time.Time) ([]byte, error) {
 	if !hmac.Equal(tok[len(tok)-macSize:], want[:]) {
 		return nil, ErrBadToken
 	}
+	// The expiry is exclusive: a token is live strictly before it.
 	expiry := time.Unix(0, int64(binary.BigEndian.Uint64(body))).UTC()
-	if now.After(expiry) {
+	if !now.Before(expiry) {
 		return nil, ErrExpired
 	}
 	return append([]byte(nil), body[8:]...), nil

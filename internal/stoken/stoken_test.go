@@ -28,6 +28,13 @@ func TestOpenExpired(t *testing.T) {
 	if _, err := s.Open(tok, now.Add(2*time.Minute)); !errors.Is(err, ErrExpired) {
 		t.Fatalf("err = %v, want ErrExpired", err)
 	}
+	// The expiry is exclusive: live one tick before it, dead at it.
+	if _, err := s.Open(tok, now.Add(time.Minute-1)); err != nil {
+		t.Fatalf("one tick before expiry: %v", err)
+	}
+	if _, err := s.Open(tok, now.Add(time.Minute)); !errors.Is(err, ErrExpired) {
+		t.Fatalf("at expiry: err = %v, want ErrExpired", err)
+	}
 }
 
 func TestOpenTampered(t *testing.T) {

@@ -63,13 +63,6 @@ type Config struct {
 	// LOGIN2 signatures are checked through its Crypto memo, where the
 	// client recorded them. Nil gives the manager a private memo.
 	Tickets *ticket.Verifier
-
-	// Shard is this member's view of a sharded farm's key map; nil for a
-	// classic VIP farm. When set, both login rounds check that this
-	// member owns the account's key-range and answer wire.CodeWrongShard
-	// otherwise. The manager keeps no per-account state, so ownership
-	// routes requests and nothing moves when the ring changes.
-	Shard *svc.ShardView
 }
 
 func (c *Config) fill() {
@@ -90,7 +83,6 @@ type Stats struct {
 	Login2Served  int64
 	TicketsIssued int64
 	Failures      int64
-	WrongShard    int64 // requests for accounts this member does not own
 }
 
 // Manager is one User Manager backend.
@@ -163,28 +155,10 @@ func (m *Manager) fail() {
 	m.mu.Unlock()
 }
 
-// checkShard verifies this member owns the account's key-range. Must be
-// called before m.mu is taken (the shard view locks the farm).
-func (m *Manager) checkShard(email string) error {
-	if m.cfg.Shard == nil {
-		return nil
-	}
-	if err := m.cfg.Shard.Check(email); err != nil {
-		m.mu.Lock()
-		m.stats.WrongShard++
-		m.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
 // handleLogin1 runs the first login round: locate the user, mint a nonce
 // and checksum parameters, and return them sealed under shp along with
 // the stateless handshake token.
 func (m *Manager) handleLogin1(_ simnet.Addr, req *wire.Login1Req) (*wire.Login1Resp, error) {
-	if err := m.checkShard(req.Email); err != nil {
-		return nil, err
-	}
 	acct, err := m.cfg.Accounts.Lookup(req.Email)
 	if err != nil {
 		m.fail()
@@ -258,11 +232,6 @@ func (m *Manager) newChecksumParams() cryptoutil.ChecksumParams {
 // echo, the client signature (proof of private-key possession), and the
 // attestation checksum, then issue the signed User Ticket.
 func (m *Manager) handleLogin2(from simnet.Addr, req *wire.Login2Req) (*wire.Login2Resp, error) {
-	// Ownership first: during a handoff's grace window the previous
-	// owner still passes, so a login whose round 1 ran there completes.
-	if err := m.checkShard(req.Email); err != nil {
-		return nil, err
-	}
 	now := m.node.Scheduler().Now()
 	var (
 		email          string

@@ -52,13 +52,13 @@ const (
 	// remote failures alike.
 	CodeBreakerOpen
 
-	// Sharded-farm outcomes. CodeWrongShard means the addressed manager
-	// does not own the account's key-range (the caller's shard map is
-	// stale — re-resolve through the Redirection Manager and retry).
+	// codeRetired was the removed sharded farm's wrong-shard answer. Its
+	// value stays reserved, so the codes after it keep their wire values;
+	// no frame may carry it.
+	codeRetired
 	// CodeOverloaded is an early rejection at a queue high-water mark:
 	// the destination is alive but shedding, distinctly from an outage,
 	// and the request was never processed (always safe to retry).
-	CodeWrongShard
 	CodeOverloaded
 
 	// Overlay admission outcomes (§IV-F3). Joins used to be refused with
@@ -107,7 +107,6 @@ var codeNames = [...]string{
 	CodeRenewalDenied:  "renewal_denied",
 	CodeRenewalWindow:  "renewal_window",
 	CodeBreakerOpen:    "breaker_open",
-	CodeWrongShard:     "wrong_shard",
 	CodeOverloaded:     "overloaded",
 	CodeNoCapacity:     "no_capacity",
 	CodeDeparting:      "departing",
@@ -118,14 +117,14 @@ var codeNames = [...]string{
 
 // String returns the code's stable snake_case name.
 func (c Code) String() string {
-	if int(c) < len(codeNames) {
+	if c.valid() {
 		return codeNames[c]
 	}
 	return fmt.Sprintf("code_%d", uint16(c))
 }
 
 // valid reports whether c is a defined code.
-func (c Code) valid() bool { return c < codeMax }
+func (c Code) valid() bool { return c < codeMax && c != codeRetired }
 
 // ServiceError is the typed application-level error every request-serving
 // endpoint answers with. On the plain simnet transport it travels by

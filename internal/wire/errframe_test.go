@@ -40,12 +40,16 @@ func TestCodeTaxonomyExhaustive(t *testing.T) {
 }
 
 func TestCodeOutOfRange(t *testing.T) {
-	c := codeMax
-	if c.valid() {
-		t.Fatal("sentinel is valid")
-	}
-	if got := c.String(); !strings.HasPrefix(got, "code_") {
-		t.Fatalf("out-of-range String() = %q", got)
+	for _, c := range []Code{codeRetired, codeMax} {
+		if c.valid() {
+			t.Fatalf("code %d is valid", uint16(c))
+		}
+		if got := c.String(); !strings.HasPrefix(got, "code_") {
+			t.Fatalf("out-of-range String() = %q", got)
+		}
+		if _, err := DecodeErrorFrame((&ServiceError{Code: c, Msg: "x"}).Encode()); err == nil {
+			t.Fatalf("frame with code %d accepted", uint16(c))
+		}
 	}
 }
 
@@ -167,7 +171,9 @@ func FuzzDecodeReply(f *testing.F) {
 func Codes() []Code {
 	out := make([]Code, 0, codeMax)
 	for c := Code(0); c < codeMax; c++ {
-		out = append(out, c)
+		if c.valid() {
+			out = append(out, c)
+		}
 	}
 	return out
 }

@@ -49,7 +49,7 @@ var everyMessage = []struct {
 	{&ChanListReq{UserTicket: []byte("ut"), StaleNames: []string{"Region", "Tier"}}, &ChanListReq{}, dec(DecodeChanListReq)},
 	{&ChanListResp{Channels: bytes.Repeat([]byte("ch"), 700)}, &ChanListResp{}, dec(DecodeChanListResp)},
 	{&RedirectReq{Email: "u@e"}, &RedirectReq{}, dec(DecodeRedirectReq)},
-	{&RedirectResp{UserMgr: "um1", UserMgrKey: []byte("k1"), PolicyMgr: "pm", PolicyMgrKey: []byte("k2"), ShardEpoch: 4}, &RedirectResp{}, dec(DecodeRedirectResp)},
+	{&RedirectResp{UserMgr: "um1", UserMgrKey: []byte("k1"), PolicyMgr: "pm", PolicyMgrKey: []byte("k2")}, &RedirectResp{}, dec(DecodeRedirectResp)},
 	{&Feed{Version: 3, Body: []byte("body")}, &Feed{}, dec(DecodeFeed)},
 	{&LicenseReq{UserIN: 9, FileID: "f1"}, &LicenseReq{}, dec(DecodeLicenseReq)},
 	{&LicenseResp{Granted: true, Key: []byte("k")}, &LicenseResp{}, dec(DecodeLicenseResp)},

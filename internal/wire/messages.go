@@ -609,28 +609,22 @@ func DecodeRedirectReq(b []byte) (*RedirectReq, error) {
 }
 
 // RedirectResp returns the assigned User Manager and, for extensibility,
-// the Channel Policy Manager coordinates (§V). On a sharded deployment
-// UserMgr is the backend owning the account's key-range and ShardEpoch
-// is the shard-map version it was resolved against — a manager answering
-// CodeWrongShard proves the epoch stale and the client re-resolves.
-// ShardEpoch is 0 on classic VIP deployments.
+// the Channel Policy Manager coordinates (§V).
 type RedirectResp struct {
 	UserMgr      string
 	UserMgrKey   []byte
 	PolicyMgr    string
 	PolicyMgrKey []byte
-	ShardEpoch   uint64
 }
 
 // Encode serializes the message.
 func (m *RedirectResp) Encode() []byte {
 	e := newEnc(strLen(m.UserMgr) + blobLen(m.UserMgrKey) + strLen(m.PolicyMgr) +
-		blobLen(m.PolicyMgrKey) + 8)
+		blobLen(m.PolicyMgrKey))
 	e.Str(m.UserMgr)
 	e.Blob(m.UserMgrKey)
 	e.Str(m.PolicyMgr)
 	e.Blob(m.PolicyMgrKey)
-	e.u64(m.ShardEpoch)
 	return e.Bytes()
 }
 
@@ -640,7 +634,6 @@ func DecodeRedirectResp(b []byte) (*RedirectResp, error) {
 	m := &RedirectResp{
 		UserMgr: d.Str(), UserMgrKey: d.Blob(),
 		PolicyMgr: d.Str(), PolicyMgrKey: d.Blob(),
-		ShardEpoch: d.u64(),
 	}
 	return m, d.Finish()
 }
