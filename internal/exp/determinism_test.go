@@ -179,3 +179,60 @@ func TestWeekExportsDeterminismGolden(t *testing.T) {
 		}
 	}
 }
+
+// goldenFaultPlan pins every run that injects faults: the faulty flash
+// crowd at its test seed and the three FaultPartition variants at the
+// seed their chaos tests run. Recorded on the serialized engine;
+// regenerate with GOLDEN_PRINT=1. A change here means a fault landed at
+// a different instant, in a different order or on different links.
+var goldenFaultPlan = []struct {
+	name string
+	run  func() (string, error)
+	want string
+}{
+	{"faultflash/11", func() (string, error) {
+		res, err := RunFaultFlash(FaultFlashConfig{Seed: 11})
+		if err != nil {
+			return "", err
+		}
+		return res.Fingerprint(), nil
+	}, "v=120 w=120 deg=12 part=18 all=66392640 med=3986521 p95=32414570 max=65423909 sess=66 restart=46 retry=127 opens=43 rejects=64 sent=3929 drop=139 drm.chanlist=133/12/1/0 drm.login1=244/72/24/56 drm.login2=138/0/9/0 drm.redirect=239/20/1/1 drm.switch1=210/23/4/7 drm.switch2=178/0/9/0"},
+	{"scaleout/33", func() (string, error) {
+		res, err := RunScaleOut(ScaleOutConfig{Seed: 33, FaultPartition: true})
+		if err != nil {
+			return "", err
+		}
+		return res.fingerprint(), nil
+	}, "v=400 w=400 failed=0 members=2-7 login2=251/263/245/259/235/220/231 part=120 shed=5 over=5 sess=38 all=121529209 sent=27572 drop=57 x1=40/40/739193/942180/2 x3=80/80/722958/18622007/1 x10=280/280/691126/911679/2 drm.chanlist=400/0/0/0 drm.login1=1765/42/19/4 drm.login2=1705/1/0/1 drm.redirect=1761/0/0/0 drm.switch1=1704/0/0/0 drm.switch2=1704/0/0/0"},
+	{"timeshift/33", func() (string, error) {
+		res, err := RunTimeShift(TimeShiftConfig{Seed: 33, FaultPartition: true})
+		if err != nil {
+			return "", err
+		}
+		return res.fingerprint(), nil
+	}, "v=16 lapsed=4 frames=7689 seeks=327 sframes=9376 serr=57 deny=4 part=4 rej.expired_ticket=9 d0=2197/2197/0 d1=1463/1463/0 d2=849/836/13 d3=791/201/590 d4=879/0/879 d5=946/0/946 d6=819/0/819 d7=541/0/541 d8=397/0/397 d9=246/0/246 d10=64/0/64 d11=56/0/56 d12=72/0/72 d13=43/0/43 d14=13/0/13 ring=15154/4422/4422/0 conform[decrypts=17065 ok=12386 falseGrant=0 falseDeny=0 windowBreach=0 ticketOverrun=0 graceGrant=40 windowDeny=4679] sent=9574 drop=44 drm.chanlist=16/0/0/0 drm.login1=44/0/0/0 drm.login2=44/0/0/0 drm.redirect=44/0/0/0 drm.switch1=64/0/0/0 drm.switch2=64/0/0/0"},
+	{"adversary/33", func() (string, error) {
+		res, err := RunAdversary(AdversaryConfig{Seed: 33, FaultPartition: true})
+		if err != nil {
+			return "", err
+		}
+		return res.fingerprint(), nil
+	}, "v=12 fr=6 atk=5 frames=4868 rekeys=7 stormfail=12 frref=10 fradm=12 frwatch=6 replay=25 acc=0 rep.addr_mismatch=5 rep.bad_ticket=5 rep.expired_ticket=15 part=3 ring=4880/12/0/12 conform[decrypts=4880 ok=4868 falseGrant=0 falseDeny=0 windowBreach=0 ticketOverrun=0 graceGrant=0 windowDeny=0] sent=5957 drop=10 drm.chanlist=18/0/0/0 drm.login1=18/0/0/0 drm.login2=18/0/0/0 drm.redirect=18/0/0/0 drm.switch1=104/0/0/0 drm.switch2=104/0/0/0"},
+}
+
+// TestFaultPlanDeterminismGolden pins the fault runs' bytes, so a change
+// to how faults are scheduled cannot move a loss draw, a cut or an
+// outage while the fault-free goldens hold.
+func TestFaultPlanDeterminismGolden(t *testing.T) {
+	for _, tc := range goldenFaultPlan {
+		got, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if os.Getenv("GOLDEN_PRINT") != "" {
+			t.Logf("%s: %q", tc.name, got)
+		} else if got != tc.want {
+			t.Errorf("%s moved\n got: %s\nwant: %s", tc.name, got, tc.want)
+		}
+	}
+}
