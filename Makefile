@@ -87,7 +87,7 @@ allocs:
 # package in FUZZ_PKGS in which the pattern selects nothing fails too — a
 # renamed or deleted fuzzer must not pass by vanishing.
 FUZZTIME ?= 5s
-FUZZ_PKGS = keys policy sectran stoken ticket wire
+FUZZ_PKGS = keys policy sectran simnet stoken ticket wire
 fuzz:
 	@for pkg in $(FUZZ_PKGS); do \
 		$(GO) test -list '^Fuzz' ./internal/$$pkg | grep -q '^Fuzz' || { echo "fuzz: no Fuzz target selected in internal/$$pkg"; exit 1; }; \
@@ -109,7 +109,9 @@ bench:
 # and simnet fault machinery (including recycled send envelopes across
 # partition/heal and a node crash), the chaos scenarios (manager-farm
 # crashes, partitions, the faulty flash crowd), and the golden
-# fingerprints that prove fault-free runs stayed byte-identical.
+# fingerprints of the fault-free runs and of the fault runs
+# (TestFaultPlanDeterminismGolden: the faulty flash crowd and the three
+# FaultPartition variants).
 chaos:
 	$(GO) test -race ./internal/obs ./internal/svc ./internal/simnet ./internal/client
 	$(GO) test -race -run 'Chaos|FaultFlash' -v ./internal/core ./internal/exp

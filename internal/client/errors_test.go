@@ -47,9 +47,7 @@ func newFaultySystem(t *testing.T) (*core.System, *client.Client) {
 // killAll marks every given backend down.
 func killAll(t *testing.T, sys *core.System, addrs []simnet.Addr) {
 	t.Helper()
-	for _, a := range addrs {
-		sys.Net.ScheduleDown(a, sys.Sched.Now(), 0)
-	}
+	sys.Net.Inject(simnet.Fault{Kind: simnet.Down, A: addrs})
 }
 
 // wantUniformError asserts the two properties every dead-destination

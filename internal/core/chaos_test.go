@@ -39,16 +39,14 @@ func TestChaosManagerCrashMidFlashCrowd(t *testing.T) {
 			// A single-backend kill is invisible at this layer (the VIP
 			// health-checks route around it — see failover_test.go); a
 			// full-farm outage is what exercises breakers and restarts.
+			var down []simnet.Addr
 			if tc.crashUM {
-				for _, b := range sys.UserMgrBackends() {
-					sys.Net.ScheduleDown(b, start.Add(5*time.Second), 10*time.Second)
-				}
+				down = append(down, sys.UserMgrBackends()...)
 			}
 			if tc.crashCM {
-				for _, b := range sys.ChannelMgrBackends() {
-					sys.Net.ScheduleDown(b, start.Add(5*time.Second), 10*time.Second)
-				}
+				down = append(down, sys.ChannelMgrBackends()...)
 			}
+			sys.Net.Inject(simnet.Fault{Kind: simnet.Down, At: start.Add(5 * time.Second), For: 10 * time.Second, A: down})
 
 			const users = 10
 			watching := 0
@@ -131,8 +129,8 @@ func TestChaosSingleBackendPermanentKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := sys.Sched.Now()
-	sys.Net.ScheduleDown(sys.UserMgrBackends()[0], start.Add(2*time.Second), 0)
-	sys.Net.ScheduleDown(sys.ChannelMgrBackends()[0], start.Add(2*time.Second), 0)
+	sys.Net.Inject(simnet.Fault{Kind: simnet.Down, At: start.Add(2 * time.Second),
+		A: []simnet.Addr{sys.UserMgrBackends()[0], sys.ChannelMgrBackends()[0]}})
 
 	const users = 8
 	watching := 0
@@ -189,8 +187,8 @@ func TestChaosPartitionedClientsRecover(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = geo.Addr(100, 3, i+1)
 	}
-	sys.Net.SchedulePartition(addrs, []simnet.Addr{AddrChannelMgr("live")},
-		start.Add(time.Second), 15*time.Second)
+	sys.Net.Inject(simnet.Fault{Kind: simnet.Partition, At: start.Add(time.Second), For: 15 * time.Second,
+		A: addrs, B: []simnet.Addr{AddrChannelMgr("live")}})
 
 	watching := 0
 	deadline := start.Add(90 * time.Second)

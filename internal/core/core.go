@@ -140,8 +140,6 @@ type Options struct {
 	// client-to-root latency matches client-to-peer latency. Zero keeps
 	// roots at infrastructure addresses (inter-region latency).
 	RootRegion int
-	// PacketLoss is the network loss probability.
-	PacketLoss float64
 	// SecureTransport makes clients use the SSL-like sealed transport
 	// for all infrastructure communication (§IV-G1).
 	SecureTransport bool
@@ -246,11 +244,7 @@ func NewSystem(opts Options) (*System, error) {
 	if sched == nil {
 		sched = sim.New(opts.Start, opts.Seed)
 	}
-	netOpts := []simnet.Option{simnet.WithLatency(geo.LatencyModel(15*time.Millisecond, 60*time.Millisecond, 20*time.Millisecond))}
-	if opts.PacketLoss > 0 {
-		netOpts = append(netOpts, simnet.WithLoss(opts.PacketLoss))
-	}
-	net := simnet.New(sched, netOpts...)
+	net := simnet.New(sched, simnet.WithLatency(geo.LatencyModel(15*time.Millisecond, 60*time.Millisecond, 20*time.Millisecond)))
 	rng := cryptoutil.NewSeededReader(opts.Seed + 1)
 
 	sys := &System{

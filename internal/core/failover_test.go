@@ -6,6 +6,7 @@ import (
 
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/geo"
+	"p2pdrm/internal/simnet"
 )
 
 // TestManagerBackendFailover kills one of the two User Manager backends:
@@ -64,10 +65,11 @@ func TestManagerBackendFailover(t *testing.T) {
 // TestRPCRetryCoversLossyLinks: a lost request or reply times out and is
 // retried once, so moderate packet loss does not fail whole sessions.
 func TestRPCRetryCoversLossyLinks(t *testing.T) {
-	sys, err := NewSystem(Options{Seed: 53, PacketLoss: 0.05})
+	sys, err := NewSystem(Options{Seed: 53})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Net.Inject(simnet.Fault{Kind: simnet.Loss, P: 0.05})
 	if err := sys.DeployChannel(FreeToView("news", "News", "100")); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func killNode(t *testing.T, sys *System, addr string) {
 	t.Helper()
 	for _, n := range sys.mgrNodes {
 		if string(n.Addr()) == addr {
-			sys.Net.ScheduleDown(n.Addr(), sys.Sched.Now(), 0)
+			sys.Net.Inject(simnet.Fault{Kind: simnet.Down, A: []simnet.Addr{n.Addr()}})
 			return
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/geo"
+	"p2pdrm/internal/simnet"
 )
 
 // TestMinimumClientVersionEnforced exercises §IV-F1's version gate: "the
@@ -110,10 +111,11 @@ func TestAccountDisabledMidSession(t *testing.T) {
 // themselves either complete or time out) and playback continues at a
 // reduced rate rather than collapsing.
 func TestPacketLossDegradesGracefully(t *testing.T) {
-	sys, err := NewSystem(Options{Seed: 43, PacketLoss: 0.02})
+	sys, err := NewSystem(Options{Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Net.Inject(simnet.Fault{Kind: simnet.Loss, P: 0.02})
 	if err := sys.DeployChannel(FreeToView("news", "News", "100")); err != nil {
 		t.Fatal(err)
 	}

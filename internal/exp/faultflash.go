@@ -11,6 +11,7 @@ import (
 	"p2pdrm/internal/client"
 	"p2pdrm/internal/core"
 	"p2pdrm/internal/feedback"
+	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/svc"
 	"p2pdrm/internal/workload"
 )
@@ -155,34 +156,28 @@ func RunFaultFlash(cfg FaultFlashConfig) (*FaultFlashResult, error) {
 			Workers: faultWorkers, ServiceTime: expService(rand.NewSource(cfg.Seed+4), faultServiceMS),
 		},
 		PacketInterval: contentOff,
-		PacketLoss:     faultLinkLoss,
 	}, faultDeadline, drain)
 	if err != nil {
 		return nil, err
 	}
 	sys, start := r.sys, r.start
+	rng := rand.New(rand.NewSource(cfg.Seed + 2))
+	offsets := workload.FlashCrowd(rng, cfg.Viewers, cfg.Spread)
+	degraded := pickViewers(rng, cfg.Viewers, faultDegradedShare)
+	partitioned := pickViewers(rng, cfg.Viewers, faultPartitionShare)
+	sys.Net.Inject(
+		simnet.Fault{Kind: simnet.Loss, At: start, P: faultLinkLoss},
+		simnet.Fault{Kind: simnet.Loss, At: start, P: faultDegradedLoss,
+			A: degraded, B: append(sys.InfraAddrs(), core.AddrChannelRoot("live-event"))},
+		simnet.Fault{Kind: simnet.Partition, At: start.Add(faultPartitionAt), For: faultPartitionFor,
+			A: partitioned, B: []simnet.Addr{core.AddrChannelMgr("live")}},
+		simnet.Fault{Kind: simnet.Down, At: start.Add(faultCrashAt), For: faultCrashFor, A: sys.UserMgrBackends()},
+		simnet.Fault{Kind: simnet.Down, At: start.Add(faultCMCrashAt), For: faultCMCrashFor, A: sys.ChannelMgrBackends()[:1]},
+	)
 	if err := sys.DeployChannel(core.FreeToView("live-event", "Live Event", "100")); err != nil {
 		return nil, err
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	offsets := workload.FlashCrowd(rng, cfg.Viewers, cfg.Spread)
-	degraded := workload.PickSubset(rng, cfg.Viewers, int(float64(cfg.Viewers)*faultDegradedShare))
-	infra := append(sys.InfraAddrs(), core.AddrChannelRoot("live-event"))
-	for _, i := range degraded {
-		for _, dst := range infra {
-			sys.Net.SetLinkLoss(viewerAddr(i), dst, faultDegradedLoss)
-		}
-	}
-	res := &FaultFlashResult{Viewers: cfg.Viewers, Degraded: len(degraded)}
-	res.Partitioned = r.partition(rng, cfg.Viewers, faultPartitionShare,
-		core.AddrChannelMgr("live"), start.Add(faultPartitionAt), faultPartitionFor)
-	for _, b := range sys.UserMgrBackends() {
-		sys.Net.ScheduleDown(b, start.Add(faultCrashAt), faultCrashFor)
-	}
-	if cmb := sys.ChannelMgrBackends(); len(cmb) > 0 {
-		sys.Net.ScheduleDown(cmb[0], start.Add(faultCMCrashAt), faultCMCrashFor)
-	}
+	res := &FaultFlashResult{Viewers: cfg.Viewers, Degraded: len(degraded), Partitioned: len(partitioned)}
 	r.observe([]phaseBoundary{
 		{Name: "ramp", At: start},
 		{Name: "partition", At: start.Add(faultPartitionAt)},

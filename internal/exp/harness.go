@@ -193,16 +193,23 @@ func (r *run) session(c *client.Client, arrive time.Duration, channel string, h 
 	})
 }
 
-// partition severs a seeded share of the first n viewers from dst for
-// dur starting at at, and returns how many it cut off.
-func (r *run) partition(rng *rand.Rand, n int, share float64, dst simnet.Addr, at time.Time, dur time.Duration) int {
+// pickViewers draws the addresses of a seeded share of the first n
+// viewers.
+func pickViewers(rng *rand.Rand, n int, share float64) []simnet.Addr {
 	picked := workload.PickSubset(rng, n, int(float64(n)*share))
 	addrs := make([]simnet.Addr, len(picked))
 	for k, i := range picked {
 		addrs[k] = viewerAddr(i)
 	}
-	r.sys.Net.SchedulePartition(addrs, []simnet.Addr{dst}, at, dur)
-	return len(picked)
+	return addrs
+}
+
+// partition severs a seeded share of the first n viewers from dst for
+// dur starting at at, and returns how many it cut off.
+func (r *run) partition(rng *rand.Rand, n int, share float64, dst simnet.Addr, at time.Time, dur time.Duration) int {
+	addrs := pickViewers(rng, n, share)
+	r.sys.Net.Inject(simnet.Fault{Kind: simnet.Partition, At: at, For: dur, A: addrs, B: []simnet.Addr{dst}})
+	return len(addrs)
 }
 
 // finish drives the run to its end, stops content production and

@@ -81,7 +81,7 @@ func TestWaiterTimeoutEventReclaimed(t *testing.T) {
 // the park/handoff/pool machinery shows up here.
 func TestConcurrentStress(t *testing.T) {
 	s := New(t0, 99)
-	q := s.newQueue()
+	sem := s.NewSemaphore(0)
 	const workers = 8
 	for i := 0; i < workers; i++ {
 		i := i
@@ -94,9 +94,9 @@ func TestConcurrentStress(t *testing.T) {
 					tm := s.After(time.Duration(1+s.intn(5000))*time.Microsecond, func() {})
 					tm.Stop()
 				case 2:
-					q.Send(n)
+					sem.Release()
 				case 3:
-					_, _ = q.Recv(time.Duration(1+s.intn(500)) * time.Microsecond)
+					_ = sem.Acquire(time.Duration(1+s.intn(500)) * time.Microsecond)
 				case 4:
 					var wg sync.WaitGroup
 					wg.Add(1)

@@ -11,10 +11,10 @@ import (
 // interleaveScenario runs one scheduler through every way a simulated
 // goroutine can start, park and be woken — Go/GoArg from callbacks and
 // from goroutines, Sleep, Waiter deliver-vs-timeout races at the same
-// instant, Queue, Semaphore, WaitGroup, Timer.Stop, seeded random
-// delays, and a run split over several RunUntil calls — and returns the
-// order in which the actors observed each other as "elapsed actor step"
-// lines.
+// instant, a mailbox and a join built on Semaphore and Waiter, a
+// contended Semaphore, Timer.Stop, seeded random delays, and a run split
+// over several RunUntil calls — and returns the order in which the
+// actors observed each other as "elapsed actor step" lines.
 func interleaveScenario() []string {
 	s := New(t0, 42)
 	var log []string
@@ -22,8 +22,17 @@ func interleaveScenario() []string {
 		log = append(log, fmt.Sprintf("%v %s %s", s.Now().Sub(t0), actor, fmt.Sprintf(step, args...)))
 	}
 	const ms = time.Millisecond
-	q := s.newQueue()
 	sem := s.NewSemaphore(1)
+
+	// A mailbox: each item or the close releases one slot of mail, so a
+	// receiver parked in Acquire wakes exactly as a blocked receive would.
+	mail := s.NewSemaphore(0)
+	var items []any
+	closed := false
+	send := func(v any) {
+		items = append(items, v)
+		mail.Release()
+	}
 
 	// A callback spawning with Go and GoArg at one instant: spawn order
 	// is run order, and the callback finishes before either body starts.
@@ -33,14 +42,14 @@ func interleaveScenario() []string {
 			rec("a", "start")
 			s.Sleep(2 * ms)
 			rec("a", "woke")
-			q.Send("from-a")
+			send("from-a")
 		})
 		s.GoArg(func(v any) {
 			rec(v.(string), "start")
 			s.GoArg(func(v any) { rec(v.(string), "start (spawned by b)") }, "b2")
 			s.Sleep(2 * ms)
 			rec(v.(string), "woke")
-			q.Send("from-b")
+			send("from-b")
 		}, "b")
 		rec("cb1", "spawned")
 	})
@@ -62,28 +71,32 @@ func interleaveScenario() []string {
 				sem.Release()
 				rec(id, "released")
 			})
-			q.Send(i)
+			send(i)
 			s.Sleep(time.Duration(200+s.intn(800)) * time.Microsecond)
 		}
 		rec("prod", "done")
 	})
 
-	// Consumer: Recv with a timeout that sometimes wins.
+	// Consumer: a receive with a timeout that sometimes wins.
 	s.Go(func() {
 		for {
-			v, err := q.Recv(1200 * time.Microsecond)
-			switch err {
-			case nil:
-				rec("cons", "got %v", v)
-			case ErrTimeout:
+			switch err := mail.Acquire(1200 * time.Microsecond); {
+			case err == ErrTimeout:
 				rec("cons", "timeout")
-			default:
+			case len(items) > 0:
+				rec("cons", "got %v", items[0])
+				items = items[1:]
+			case closed:
 				rec("cons", "closed")
 				return
 			}
 		}
 	})
-	s.After(9*ms, func() { rec("cb-close", "close"); q.Close() })
+	s.After(9*ms, func() {
+		rec("cb-close", "close")
+		closed = true
+		mail.Release()
+	})
 
 	// Deliver and timeout due at the same instant. w1's Deliver event is
 	// scheduled before its Wait (lower seq, Deliver wins); w2's after
@@ -131,18 +144,22 @@ func interleaveScenario() []string {
 		rec("tm", "stop early=%v late=%v", early.Stop(), late.Stop())
 	})
 
-	// WaitGroup: children of differing lengths, parent parks on Wait.
+	// A join: children of differing lengths, the last to finish wakes
+	// the parent parked on a Waiter.
 	s.Go(func() {
-		wg := s.newWaitGroup()
+		all, left := s.NewWaiter(), 3
 		for i := 3; i >= 1; i-- {
 			id := fmt.Sprintf("g%d", i)
-			wg.Go(func() {
+			s.Go(func() {
 				s.Sleep(time.Duration(i) * 2 * ms)
 				rec(id, "done")
+				if left--; left == 0 {
+					all.Deliver(nil)
+				}
 			})
 		}
 		rec("wg", "waiting")
-		err := wg.Wait(0)
+		_, err := all.Wait(0)
 		rec("wg", "all done err=%v", err)
 	})
 

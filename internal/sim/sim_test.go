@@ -235,114 +235,6 @@ func TestWaiterDeliverAfterTimeoutRejected(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	s := New(t0, 1)
-	q := s.newQueue()
-	var got []int
-	s.Go(func() {
-		for i := 0; i < 3; i++ {
-			v, err := q.Recv(0)
-			if err != nil {
-				t.Errorf("Recv: %v", err)
-				return
-			}
-			n, _ := v.(int)
-			got = append(got, n)
-		}
-	})
-	s.After(time.Second, func() { q.Send(1); q.Send(2); q.Send(3) })
-	s.Run()
-	for i, want := range []int{1, 2, 3} {
-		if got[i] != want {
-			t.Fatalf("got %v, want [1 2 3]", got)
-		}
-	}
-}
-
-func TestQueueRecvTimeout(t *testing.T) {
-	s := New(t0, 1)
-	q := s.newQueue()
-	var err error
-	s.Go(func() { _, err = q.Recv(time.Second) })
-	s.Run()
-	if err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	// A later Send must not be lost to the dead receiver.
-	q.Send("x")
-	if q.Len() != 1 {
-		t.Fatal("send after receiver timeout was dropped")
-	}
-}
-
-func TestQueueClose(t *testing.T) {
-	s := New(t0, 1)
-	q := s.newQueue()
-	var err1, err2 error
-	s.Go(func() { _, err1 = q.Recv(0) })
-	s.Go(func() { _, err2 = q.Recv(0) })
-	s.After(time.Second, func() { q.Close() })
-	s.Run()
-	if err1 != errClosed || err2 != errClosed {
-		t.Fatalf("errs = %v, %v; want errClosed for both", err1, err2)
-	}
-	q.Send("dropped")
-	if q.Len() != 0 {
-		t.Fatal("send after close enqueued an item")
-	}
-}
-
-func TestQueueRecvAfterClose(t *testing.T) {
-	s := New(t0, 1)
-	q := s.newQueue()
-	q.Close()
-	var err error
-	s.Go(func() { _, err = q.Recv(0) })
-	s.Run()
-	if err != errClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	s := New(t0, 1)
-	g := s.newWaitGroup()
-	count := 0
-	for i := 1; i <= 4; i++ {
-		i := i
-		g.Go(func() {
-			s.Sleep(time.Duration(i) * time.Second)
-			count++
-		})
-	}
-	var doneAt time.Time
-	s.Go(func() {
-		if err := g.Wait(0); err != nil {
-			t.Errorf("Wait: %v", err)
-		}
-		doneAt = s.Now()
-	})
-	s.Run()
-	if count != 4 {
-		t.Fatalf("count = %d, want 4", count)
-	}
-	if want := t0.Add(4 * time.Second); !doneAt.Equal(want) {
-		t.Fatalf("Wait returned at %v, want %v", doneAt, want)
-	}
-}
-
-func TestWaitGroupTimeout(t *testing.T) {
-	s := New(t0, 1)
-	g := s.newWaitGroup()
-	g.Go(func() { s.Sleep(time.Hour) })
-	var err error
-	s.Go(func() { err = g.Wait(time.Minute) })
-	s.Run()
-	if err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-}
-
 func TestSemaphoreSerializesWork(t *testing.T) {
 	// 1 slot, 3 jobs of 10s each: completions at 10, 20, 30s.
 	s := New(t0, 1)

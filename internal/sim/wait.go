@@ -5,12 +5,9 @@ import (
 	"time"
 )
 
-// ErrTimeout is returned by Wait/Recv/Acquire when the virtual-time
-// timeout elapses before the awaited condition occurs.
+// ErrTimeout is returned by Waiter.Wait and Semaphore.Acquire when the
+// virtual-time timeout elapses before the awaited condition occurs.
 var ErrTimeout = errors.New("sim: timeout")
-
-// errClosed is returned when waiting on a closed queue.
-var errClosed = errors.New("sim: queue closed")
 
 // Waiter is a one-shot rendezvous between a simulated goroutine and an
 // event callback. Deliver may happen before or after Wait; only the first
@@ -98,151 +95,6 @@ func (w *Waiter) Wait(timeout time.Duration) (any, error) {
 		return v, nil
 	}
 	return nil, ErrTimeout
-}
-
-// queue is an unbounded FIFO mailbox with virtual-time blocking receive.
-// Send never blocks. A queue models an in-order message stream (e.g. a
-// peer's incoming packet queue).
-type queue struct {
-	s      *Scheduler
-	items  []any
-	recvrs []*Waiter
-	closed bool
-}
-
-// newQueue creates an empty queue bound to the scheduler.
-func (s *Scheduler) newQueue() *queue {
-	return &queue{s: s}
-}
-
-// Send enqueues v, waking the oldest live blocked receiver if any.
-// Sending on a closed queue is a silent no-op (the message is dropped,
-// mirroring delivery to a departed peer).
-func (q *queue) Send(v any) {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	if q.closed {
-		return
-	}
-	for len(q.recvrs) > 0 {
-		w := q.recvrs[0]
-		q.recvrs = q.recvrs[1:]
-		if w.deliverLocked(v) {
-			return
-		}
-		// Receiver timed out concurrently; try the next one.
-	}
-	q.items = append(q.items, v)
-}
-
-// Close wakes all blocked receivers with errClosed and drops future sends.
-func (q *queue) Close() {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.closed = true
-	for _, w := range q.recvrs {
-		w.deliverLocked(errClosed)
-	}
-	q.recvrs = nil
-}
-
-// Len reports the number of queued items.
-func (q *queue) Len() int {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	return len(q.items)
-}
-
-// Recv dequeues the oldest item, parking the caller for up to timeout
-// (timeout ≤ 0 waits forever). It returns errClosed once the queue is
-// closed, and ErrTimeout on expiry.
-func (q *queue) Recv(timeout time.Duration) (any, error) {
-	q.s.mu.Lock()
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		q.s.mu.Unlock()
-		return v, nil
-	}
-	if q.closed {
-		q.s.mu.Unlock()
-		return nil, errClosed
-	}
-	w := &Waiter{s: q.s}
-	q.recvrs = append(q.recvrs, w)
-	q.s.mu.Unlock()
-
-	v, err := w.Wait(timeout)
-	if err != nil {
-		q.s.mu.Lock()
-		for i, r := range q.recvrs {
-			if r == w {
-				q.recvrs = append(q.recvrs[:i], q.recvrs[i+1:]...)
-				break
-			}
-		}
-		q.s.mu.Unlock()
-		return nil, err
-	}
-	if errC, ok := v.(error); ok && errors.Is(errC, errClosed) {
-		return nil, errClosed
-	}
-	return v, nil
-}
-
-// waitGroup counts simulated activities and lets a goroutine park until
-// the count drops to zero.
-type waitGroup struct {
-	s       *Scheduler
-	count   int
-	waiters []*Waiter
-}
-
-// newWaitGroup creates a waitGroup bound to the scheduler.
-func (s *Scheduler) newWaitGroup() *waitGroup {
-	return &waitGroup{s: s}
-}
-
-// Add adjusts the counter by delta; when it reaches zero all waiters wake.
-func (g *waitGroup) Add(delta int) {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	g.count += delta
-	if g.count <= 0 {
-		for _, w := range g.waiters {
-			w.deliverLocked(nil)
-		}
-		g.waiters = nil
-	}
-}
-
-// Done decrements the counter by one.
-func (g *waitGroup) Done() { g.Add(-1) }
-
-// Go runs fn in a simulated goroutine tracked by the group.
-func (g *waitGroup) Go(fn func()) {
-	g.Add(1)
-	g.s.Go(func() {
-		defer g.Done()
-		fn()
-	})
-}
-
-// Wait parks until the counter reaches zero (timeout ≤ 0 waits forever).
-func (g *waitGroup) Wait(timeout time.Duration) error {
-	g.s.mu.Lock()
-	if g.count <= 0 {
-		g.s.mu.Unlock()
-		return nil
-	}
-	w := &Waiter{s: g.s}
-	g.waiters = append(g.waiters, w)
-	g.s.mu.Unlock()
-	_, err := w.Wait(timeout)
-	return err
 }
 
 // Semaphore models a pool of identical servers/workers: Acquire parks the

@@ -110,8 +110,10 @@ func TestSendPoolExactlyOnceChaos(t *testing.T) {
 	}
 	partFrom, partTo := t0.Add(200*time.Millisecond), t0.Add(400*time.Millisecond)
 	downFrom, downTo := t0.Add(600*time.Millisecond), t0.Add(700*time.Millisecond)
-	net.SchedulePartition([]Addr{"src0"}, []Addr{"dst0"}, partFrom, partTo.Sub(partFrom))
-	net.ScheduleDown("dst1", downFrom, downTo.Sub(downFrom))
+	net.Inject(
+		Fault{Kind: Partition, At: partFrom, For: partTo.Sub(partFrom), A: []Addr{"src0"}, B: []Addr{"dst0"}},
+		Fault{Kind: Down, At: downFrom, For: downTo.Sub(downFrom), A: []Addr{"dst1"}},
+	)
 
 	// Message i leaves src(i%2) for dst((i/2)%2) at i×100µs + 50µs, off
 	// every fault boundary, so its fate is fixed by the windows.

@@ -12,6 +12,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,19 +80,21 @@ func (f LatencyFunc) Sample(s *sim.Scheduler, src, dst Addr) time.Duration {
 
 // Network holds the nodes and the link model.
 //
-// latency and lossRate are fixed at New; per-message state is held in
-// atomics so the transmit fast path takes no lock unless links are cut.
+// latency is fixed at New and the loss and cut state changes only
+// through Inject; per-message state is held in atomics so the transmit
+// fast path takes no lock unless links are cut or overridden.
 type Network struct {
 	sched *sim.Scheduler
 
 	mu       sync.Mutex
 	nodes    map[Addr]*Node
 	vips     map[Addr]*vip
-	cut      map[[2]Addr]bool
-	linkLoss map[[2]Addr]float64 // per-link loss replacing lossRate
+	cut      map[[2]Addr]int        // open Partition windows per severed link
+	linkLoss map[[2]Addr]lossWindow // per-link loss replacing the base rate
+	baseLoss lossWindow
 
 	latency  LatencyModel
-	lossRate float64
+	lossRate atomic.Uint64 // float64 bits of baseLoss.p
 
 	cutCount    atomic.Int64 // number of currently severed links
 	ovCount     atomic.Int64 // number of links with a loss override
@@ -118,11 +121,6 @@ func WithLatency(m LatencyModel) Option {
 	return func(n *Network) { n.latency = m }
 }
 
-// WithLoss sets a global packet loss probability in [0,1).
-func WithLoss(p float64) Option {
-	return func(n *Network) { n.lossRate = p }
-}
-
 // New creates a Network on the given scheduler.
 func New(s *sim.Scheduler, opts ...Option) *Network {
 	n := &Network{
@@ -130,8 +128,8 @@ func New(s *sim.Scheduler, opts ...Option) *Network {
 		nodes:    make(map[Addr]*Node),
 		vips:     make(map[Addr]*vip),
 		latency:  UniformLatency{Base: 20 * time.Millisecond, Jitter: 20 * time.Millisecond},
-		cut:      make(map[[2]Addr]bool),
-		linkLoss: make(map[[2]Addr]float64),
+		cut:      make(map[[2]Addr]int),
+		linkLoss: make(map[[2]Addr]lossWindow),
 	}
 	for _, o := range opts {
 		o(n)
@@ -141,7 +139,7 @@ func New(s *sim.Scheduler, opts ...Option) *Network {
 
 // NetStats is a snapshot of the network's message counters. Dropped is
 // broken down by fault cause: DroppedLinkCut counts packets that hit a
-// severed link (Cut/Partition), DroppedLoss counts lost-in-transit
+// severed link (a Partition fault), DroppedLoss counts lost-in-transit
 // draws (global loss rate or a per-link override). Messages swallowed
 // because the destination node is down are not network drops — the
 // caller's RPC simply times out — so Dropped == DroppedLinkCut +
@@ -165,98 +163,12 @@ func (n *Network) Stats() NetStats {
 	}
 }
 
-// setCut severs (or restores) the bidirectional link between a and b.
-func (n *Network) setCut(a, b Addr, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	k := linkKey(a, b)
-	if n.cut[k] == down {
-		return
-	}
-	n.cut[k] = down
-	if down {
-		n.cutCount.Add(1)
-	} else {
-		n.cutCount.Add(-1)
-	}
-}
-
-func linkKey(a, b Addr) [2]Addr {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]Addr{a, b}
-}
-
-// SetLinkLoss overrides the loss probability of the bidirectional link
-// between a and b (a degraded last mile, a flaky transit path). A
-// negative p clears the loss override. Links addressed through a VIP key
-// on the VIP address — per-link faults hit the client↔farm path, not
-// individual backends.
-func (n *Network) SetLinkLoss(a, b Addr, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if p < 0 {
-		delete(n.linkLoss, linkKey(a, b))
-	} else {
-		n.linkLoss[linkKey(a, b)] = p
-	}
-	// The atomic guard keeps the transmit fast path lock-free while no
-	// overrides exist.
-	n.ovCount.Store(int64(len(n.linkLoss)))
-}
-
-// partition severs (down=true) or heals every link between the two
-// address sets — a transient network split.
-func (n *Network) partition(a, b []Addr, down bool) {
-	for _, x := range a {
-		for _, y := range b {
-			if x != y {
-				n.setCut(x, y, down)
-			}
-		}
-	}
-}
-
-// SchedulePartition opens a partition between the two sets at time at
-// and heals it healAfter later (0 leaves it open). Resolution happens at
-// fire time off the deterministic scheduler: the same seed replays the
-// same split.
-func (n *Network) SchedulePartition(a, b []Addr, at time.Time, healAfter time.Duration) {
-	aa := append([]Addr(nil), a...)
-	bb := append([]Addr(nil), b...)
-	n.sched.At(at, func() { n.partition(aa, bb, true) })
-	if healAfter > 0 {
-		n.sched.At(at.Add(healAfter), func() { n.partition(aa, bb, false) })
-	}
-}
-
 // node returns the node registered at addr (not VIPs).
 func (n *Network) node(addr Addr) (*Node, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	nd, ok := n.nodes[addr]
 	return nd, ok
-}
-
-// ScheduleDown crashes the node at addr at time at and, when downFor > 0,
-// restarts it downFor later. The address is resolved at fire time, so
-// outages can be scheduled before the node exists. In-flight requests at
-// the node vanish (callers time out), exactly as a process crash loses
-// its request queue.
-func (n *Network) ScheduleDown(addr Addr, at time.Time, downFor time.Duration) {
-	n.sched.At(at, func() {
-		if nd, ok := n.node(addr); ok {
-			nd.setUp(false)
-		}
-	})
-	if downFor > 0 {
-		n.sched.At(at.Add(downFor), func() {
-			if nd, ok := n.node(addr); ok {
-				nd.setUp(true)
-			}
-		})
-	}
 }
 
 // NewNode registers a node at addr. It panics if the address is taken
@@ -274,7 +186,6 @@ func (n *Network) NewNode(addr Addr) *Node {
 		net:      n,
 		addr:     addr,
 		handlers: make(map[string]Handler),
-		up:       true,
 	}
 	n.nodes[addr] = node
 	return node
@@ -350,7 +261,7 @@ func (n *Network) resolve(addr Addr) (*Node, bool) {
 			node := v.backends[v.next%len(v.backends)]
 			v.next++
 			node.mu.Lock()
-			up := node.up
+			up := node.downs == 0
 			node.mu.Unlock()
 			if up {
 				return node, true
@@ -372,7 +283,7 @@ func (n *Network) transmit(src, dst Addr) (time.Duration, bool) {
 	n.sent.Add(1)
 	if n.cutCount.Load() > 0 {
 		n.mu.Lock()
-		down := n.cut[linkKey(src, dst)]
+		down := n.cut[linkKey(src, dst)] > 0
 		n.mu.Unlock()
 		if down {
 			n.dropped.Add(1)
@@ -380,11 +291,11 @@ func (n *Network) transmit(src, dst Addr) (time.Duration, bool) {
 			return 0, false
 		}
 	}
-	loss := n.lossRate
+	loss := math.Float64frombits(n.lossRate.Load())
 	if n.ovCount.Load() > 0 {
 		n.mu.Lock()
-		if p, ok := n.linkLoss[linkKey(src, dst)]; ok {
-			loss = p
+		if w, ok := n.linkLoss[linkKey(src, dst)]; ok {
+			loss = w.p
 		}
 		n.mu.Unlock()
 	}
@@ -404,7 +315,7 @@ type Node struct {
 
 	mu       sync.Mutex
 	handlers map[string]Handler
-	up       bool
+	downs    int // open Down windows; the node is up at 0
 
 	// Capacity model: nil proc means infinite capacity with zero service
 	// time (pure network latency).
@@ -424,11 +335,11 @@ func (nd *Node) Addr() Addr { return nd.addr }
 // Scheduler returns the simulation scheduler.
 func (nd *Node) Scheduler() *sim.Scheduler { return nd.net.sched }
 
-// setUp marks the node reachable or unreachable.
-func (nd *Node) setUp(up bool) {
+// addDown opens (d = 1) or closes (d = -1) one Down window on the node.
+func (nd *Node) addDown(d int) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	nd.up = up
+	nd.downs += d
 }
 
 // SetCapacity installs a queueing model: workers parallel servers, each
@@ -477,10 +388,10 @@ func (nd *Node) Handle(service string, h Handler) {
 func (nd *Node) process(service string, from Addr, payload []byte) ([]byte, error) {
 	nd.mu.Lock()
 	h, ok := nd.handlers[service]
-	up, proc, svc, admit := nd.up, nd.proc, nd.serviceTime, nd.admission
+	down, proc, svc, admit := nd.downs > 0, nd.proc, nd.serviceTime, nd.admission
 	nd.mu.Unlock()
 	// Down nodes silently drop; unknown services answer with an error.
-	if !up {
+	if down {
 		return nil, errDropped
 	}
 	if !ok {

@@ -77,7 +77,7 @@ func TestCallToDownNodeTimesOut(t *testing.T) {
 	net := New(s, WithLatency(fixedLatency(time.Millisecond)))
 	srv := net.NewNode("server")
 	srv.Handle("x", func(Addr, []byte) ([]byte, error) { return nil, nil })
-	srv.setUp(false)
+	srv.addDown(1)
 	cli := net.NewNode("client")
 	var err error
 	var took time.Duration
@@ -101,14 +101,15 @@ func TestCutLinkDropsTraffic(t *testing.T) {
 	srv := net.NewNode("server")
 	srv.Handle("x", func(Addr, []byte) ([]byte, error) { return []byte("ok"), nil })
 	cli := net.NewNode("client")
-	net.setCut("client", "server", true)
+	cut := Fault{Kind: Partition, A: []Addr{"client"}, B: []Addr{"server"}}
+	net.links(cut, 1)
 	var err1 error
 	s.Go(func() { _, err1 = cli.Call("server", "x", nil, time.Second) })
 	s.Run()
 	if !errors.Is(err1, ErrRPCTimeout) {
 		t.Fatalf("err = %v, want timeout on cut link", err1)
 	}
-	net.setCut("client", "server", false)
+	net.links(cut, -1)
 	var err2 error
 	s.Go(func() { _, err2 = cli.Call("server", "x", nil, time.Second) })
 	s.Run()
@@ -217,7 +218,8 @@ func TestSendOneWay(t *testing.T) {
 
 func TestLossDropsSomeMessages(t *testing.T) {
 	s := sim.New(t0, 42)
-	net := New(s, WithLatency(fixedLatency(time.Millisecond)), WithLoss(0.5))
+	net := New(s, WithLatency(fixedLatency(time.Millisecond)))
+	net.Inject(Fault{Kind: Loss, P: 0.5})
 	dst := net.NewNode("dst")
 	got := 0
 	dst.Handle("p", func(Addr, []byte) ([]byte, error) { got++; return nil, nil })
@@ -301,7 +303,7 @@ func TestVIPSkipsDownBackends(t *testing.T) {
 		backends = append(backends, b)
 	}
 	net.NewVIP("farm", backends...)
-	backends[0].setUp(false)
+	backends[0].addDown(1)
 	cli := net.NewNode("client")
 	s.Go(func() {
 		for i := 0; i < 6; i++ {
@@ -309,7 +311,7 @@ func TestVIPSkipsDownBackends(t *testing.T) {
 				t.Errorf("call with one backend down: %v", err)
 			}
 		}
-		backends[0].setUp(true)
+		backends[0].addDown(-1)
 		for i := 0; i < 6; i++ {
 			if _, err := cli.Call("farm", "x", nil, time.Second); err != nil {
 				t.Errorf("call after recovery: %v", err)
@@ -331,7 +333,7 @@ func TestVIPAllBackendsDownTimesOut(t *testing.T) {
 	b := net.NewNode("b1")
 	b.Handle("x", func(Addr, []byte) ([]byte, error) { return nil, nil })
 	net.NewVIP("farm", b)
-	b.setUp(false)
+	b.addDown(1)
 	cli := net.NewNode("client")
 	var err error
 	s.Go(func() { _, err = cli.Call("farm", "x", nil, time.Second) })
