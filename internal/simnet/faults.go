@@ -22,10 +22,13 @@ const (
 )
 
 // Fault is one entry of a fault plan: Kind in force over [At, At+For),
-// or from At on when For is 0. A link is the unordered pair of an
-// address in A and a different one in B; a link addressed through a VIP
-// keys on the VIP address, so link faults hit the client↔farm path, not
-// individual backends.
+// or from At on when For is 0. Windows over one link or node compose: a
+// link stays cut and a node down while any window over it is open, and
+// the newest open Loss window sets a link's P, so when it ends the loss
+// falls back to the newest one still open. A link is the unordered pair
+// of an address in A and a different one in B; a link addressed through
+// a VIP keys on the VIP address, so link faults hit the client↔farm
+// path, not individual backends.
 type Fault struct {
 	Kind FaultKind
 	At   time.Time
@@ -36,11 +39,9 @@ type Fault struct {
 
 // Inject applies a fault plan off the deterministic scheduler. Faults
 // apply in the order given, which also orders their events at one
-// instant; a fault due at or before Now applies at once. Overlapping
-// windows compose: a link stays cut and a node down until the last
-// window over it ends, and a loss keeps the latest P until then. Down
-// resolves its addresses when it fires, so an outage can be planned
-// before its node exists.
+// instant; a fault due at or before Now applies at once. Down resolves
+// its addresses when it fires, so an outage can be planned before its
+// node exists.
 func (n *Network) Inject(faults ...Fault) {
 	now := n.sched.Now()
 	at := func(t time.Time, fn func()) {
@@ -53,7 +54,7 @@ func (n *Network) Inject(faults ...Fault) {
 	for _, f := range faults {
 		f.A, f.B = slices.Clone(f.A), slices.Clone(f.B)
 		var end func()
-		at(f.At, func() { end = n.begin(f) })
+		at(f.At, func() { end = n.begin(&f) })
 		if f.For > 0 {
 			at(f.At.Add(f.For), func() { end() })
 		}
@@ -61,7 +62,7 @@ func (n *Network) Inject(faults ...Fault) {
 }
 
 // begin puts f in force and returns what ends it.
-func (n *Network) begin(f Fault) (end func()) {
+func (n *Network) begin(f *Fault) (end func()) {
 	if f.Kind != Down {
 		n.links(f, 1)
 		return func() { n.links(f, -1) }
@@ -82,12 +83,12 @@ func (n *Network) begin(f Fault) (end func()) {
 
 // links opens (d = 1) or closes (d = -1) one Loss or Partition window
 // over every link f covers.
-func (n *Network) links(f Fault, d int) {
+func (n *Network) links(f *Fault, d int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if f.Kind == Loss && len(f.A) == 0 && len(f.B) == 0 {
-		n.baseLoss.add(f.P, d)
-		n.lossRate.Store(math.Float64bits(n.baseLoss.p))
+		n.baseLoss = openLoss(n.baseLoss, f, d)
+		n.lossRate.Store(math.Float64bits(lossP(n.baseLoss)))
 		return
 	}
 	for _, x := range f.A {
@@ -102,8 +103,7 @@ func (n *Network) links(f Fault, d int) {
 				}
 				continue
 			}
-			w := n.linkLoss[k]
-			if w.add(f.P, d); w.n == 0 {
+			if w := openLoss(n.linkLoss[k], f, d); len(w) == 0 {
 				delete(n.linkLoss, k)
 			} else {
 				n.linkLoss[k] = w
@@ -116,19 +116,23 @@ func (n *Network) links(f Fault, d int) {
 	n.ovCount.Store(int64(len(n.linkLoss)))
 }
 
-// lossWindow is the loss in force on a link while n Loss windows are
-// open over it: the P of the one opened last.
-type lossWindow struct {
-	p float64
-	n int
+// openLoss opens (d = 1) or closes (d = -1) f's window among the open
+// Loss windows of one link, oldest first.
+func openLoss(open []*Fault, f *Fault, d int) []*Fault {
+	if d > 0 {
+		return append(open, f)
+	}
+	i := slices.Index(open, f)
+	return slices.Delete(open, i, i+1)
 }
 
-func (w *lossWindow) add(p float64, d int) {
-	if w.n += d; d > 0 {
-		w.p = p
-	} else if w.n == 0 {
-		w.p = 0
+// lossP is the loss in force under the open Loss windows: the newest
+// one's P, or 0 when none is open.
+func lossP(open []*Fault) float64 {
+	if len(open) == 0 {
+		return 0
 	}
+	return open[len(open)-1].P
 }
 
 func linkKey(a, b Addr) [2]Addr {

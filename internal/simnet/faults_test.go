@@ -186,6 +186,32 @@ func TestOverlappingWindowsCompose(t *testing.T) {
 	}
 }
 
+// TestLossFallsBackToOlderWindow: a lossless link with a total-loss
+// window over [10s, 20s) on top drops only inside that window; when it
+// ends, the older window's P is in force again.
+func TestLossFallsBackToOlderWindow(t *testing.T) {
+	s, net, _, cli := newEchoPair(1)
+	link := Fault{Kind: Loss, At: t0, A: []Addr{"server"}, B: []Addr{"client"}}
+	burst := link
+	burst.At, burst.For, burst.P = t0.Add(10*time.Second), 10*time.Second, 1
+	net.Inject(link, burst)
+	got := map[time.Duration]bool{}
+	s.Go(func() {
+		for _, at := range []time.Duration{5, 12, 22} {
+			sleepUntil(s, t0.Add(at*time.Second))
+			_, err := cli.Call("server", "echo", nil, time.Second)
+			got[at] = err == nil
+		}
+	})
+	s.Run()
+	want := map[time.Duration]bool{5: true, 12: false, 22: true}
+	for at, ok := range want {
+		if got[at] != ok {
+			t.Errorf("+%ds: call succeeded = %v, want %v", at, got[at], ok)
+		}
+	}
+}
+
 // TestFaultFreeOverridesCostNothing pins the determinism contract: a
 // network that never had an override must deliver the exact same event
 // timeline as one where an override was set and cleared — and, more
@@ -228,10 +254,13 @@ func TestFaultFreeOverridesCostNothing(t *testing.T) {
 func FuzzInject(f *testing.F) {
 	// Two partitions, two outages and two losses of one link or node over
 	// [10s, 20s) and [15s, 25s); then a mix with global loss, permanent
-	// faults, duplicate links and windows that open at the start.
+	// faults, duplicate links and windows that open at the start; then a
+	// permanent loss of 1/4 on one link and on every link, each with a
+	// 3/4 window over [5s, 10s) on top.
 	f.Add([]byte{1, 10, 10, 1, 2, 1, 15, 10, 1, 2, 2, 10, 10, 4, 0, 2, 15, 10, 4, 0, 3, 10, 10, 1, 8, 6, 15, 10, 8, 1})
 	f.Add([]byte{0, 0, 3, 0, 0, 12, 2, 4, 0, 0, 1, 0, 0, 15, 15, 5, 3, 2, 3, 6, 2, 7, 0, 9, 9, 9, 3, 1, 6, 3})
 	f.Add([]byte{4, 1, 1, 1, 1, 7, 1, 1, 2, 2, 10, 1, 1, 4, 4, 13, 1, 1, 8, 8})
+	f.Add([]byte{3, 0, 0, 1, 2, 9, 5, 5, 1, 2, 3, 0, 0, 0, 0, 9, 5, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		addrs := []Addr{"a", "b", "c", "d"}
 		pick := func(mask byte) []Addr {
@@ -302,21 +331,17 @@ func FuzzInject(f *testing.F) {
 
 		for _, now := range bounds {
 			s.RunUntil(now)
-			// Loss in force over a set of windows: the P of the one opened
-			// last (latest At, then latest in the plan), while any is open.
+			// Loss in force over a set of windows: the P of the newest open
+			// one (latest At, then latest in the plan).
 			loss := func(match func(Fault) int) (float64, bool) {
-				open, last := 0, -1
+				last := -1
 				for i, fl := range ref {
-					if fl.Kind == Loss && match(fl) > 0 && !fl.At.After(now) {
-						if now.Before(end(fl)) {
-							open += match(fl)
-						}
-						if last < 0 || !fl.At.Before(ref[last].At) {
-							last = i
-						}
+					if fl.Kind == Loss && match(fl) > 0 && !fl.At.After(now) && now.Before(end(fl)) &&
+						(last < 0 || !fl.At.Before(ref[last].At)) {
+						last = i
 					}
 				}
-				if open == 0 {
+				if last < 0 {
 					return 0, false
 				}
 				return ref[last].P, true
@@ -345,8 +370,8 @@ func FuzzInject(f *testing.F) {
 						t.Errorf("%v: link %s-%s in %d partitions, want %d", now.Sub(t0), x, y, net.cut[k], cut)
 					}
 					p, ov := loss(func(fl Fault) int { return covers(fl, x, y) })
-					if w, ok := net.linkLoss[k]; ok != ov || w.p != p {
-						t.Errorf("%v: link %s-%s loss %v (override %v), want %v (%v)", now.Sub(t0), x, y, w.p, ok, p, ov)
+					if w, ok := net.linkLoss[k]; ok != ov || lossP(w) != p {
+						t.Errorf("%v: link %s-%s loss %v (override %v), want %v (%v)", now.Sub(t0), x, y, lossP(w), ok, p, ov)
 					}
 					if cut > 0 {
 						cuts++

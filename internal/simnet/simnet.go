@@ -89,12 +89,12 @@ type Network struct {
 	mu       sync.Mutex
 	nodes    map[Addr]*Node
 	vips     map[Addr]*vip
-	cut      map[[2]Addr]int        // open Partition windows per severed link
-	linkLoss map[[2]Addr]lossWindow // per-link loss replacing the base rate
-	baseLoss lossWindow
+	cut      map[[2]Addr]int      // open Partition windows per severed link
+	linkLoss map[[2]Addr][]*Fault // open Loss windows per link, replacing the base rate
+	baseLoss []*Fault             // open Loss windows over every link
 
 	latency  LatencyModel
-	lossRate atomic.Uint64 // float64 bits of baseLoss.p
+	lossRate atomic.Uint64 // float64 bits of the base loss in force
 
 	cutCount    atomic.Int64 // number of currently severed links
 	ovCount     atomic.Int64 // number of links with a loss override
@@ -129,7 +129,7 @@ func New(s *sim.Scheduler, opts ...Option) *Network {
 		vips:     make(map[Addr]*vip),
 		latency:  UniformLatency{Base: 20 * time.Millisecond, Jitter: 20 * time.Millisecond},
 		cut:      make(map[[2]Addr]int),
-		linkLoss: make(map[[2]Addr]lossWindow),
+		linkLoss: make(map[[2]Addr][]*Fault),
 	}
 	for _, o := range opts {
 		o(n)
@@ -295,7 +295,7 @@ func (n *Network) transmit(src, dst Addr) (time.Duration, bool) {
 	if n.ovCount.Load() > 0 {
 		n.mu.Lock()
 		if w, ok := n.linkLoss[linkKey(src, dst)]; ok {
-			loss = w.p
+			loss = lossP(w)
 		}
 		n.mu.Unlock()
 	}

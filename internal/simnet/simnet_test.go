@@ -101,7 +101,7 @@ func TestCutLinkDropsTraffic(t *testing.T) {
 	srv := net.NewNode("server")
 	srv.Handle("x", func(Addr, []byte) ([]byte, error) { return []byte("ok"), nil })
 	cli := net.NewNode("client")
-	cut := Fault{Kind: Partition, A: []Addr{"client"}, B: []Addr{"server"}}
+	cut := &Fault{Kind: Partition, A: []Addr{"client"}, B: []Addr{"server"}}
 	net.links(cut, 1)
 	var err1 error
 	s.Go(func() { _, err1 = cli.Call("server", "x", nil, time.Second) })
