@@ -47,13 +47,23 @@ func FuzzDecodeSwitchAndJoin(f *testing.F) {
 // relay's forward-as-received path rests on: whatever DecodeContentPush
 // accepts is exactly Encode() of the result, and Frame is the input. The
 // receiver-side DecodeContentPushOn must agree with it on every input.
+// And every decoder of the package keeps the in-place decode contract
+// (checkDecodeContract) on every input.
 func FuzzDecodeOverlayAndMgmt(f *testing.F) {
 	fuzzSeeds(f)
 	frame := (&ContentPush{ChannelID: "ch", Substream: 2, Seq: 1 << 40, Packet: []byte("frame")}).Encode()
 	f.Add(frame)
 	f.Add(append(bytes.Clone(frame), 0)) // trailing byte
+	rows := everyDecoder()
+	for _, row := range rows {
+		for _, b := range row.frames {
+			f.Add(b)
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		_, _ = DecodeKeyPush(b)
+		for _, row := range rows {
+			checkDecodeContract(t, row, b)
+		}
 		m, err := DecodeContentPush(b)
 		if on, onErr := DecodeContentPushOn(b, "ch"); (err == nil) != (onErr == nil) ||
 			on.ChannelID != m.ChannelID || on.Seq != m.Seq || !bytes.Equal(on.Packet, m.Packet) {
@@ -67,15 +77,6 @@ func FuzzDecodeOverlayAndMgmt(f *testing.F) {
 				t.Fatalf("Frame = %x, want the accepted input %x", m.Frame, b)
 			}
 		}
-		_, _ = DecodeRenewalPresent(b)
-		_, _ = DecodeLeaveNotice(b)
-		_, _ = DecodeChanListReq(b)
-		_, _ = DecodeChanListResp(b)
-		_, _ = DecodeRedirectReq(b)
-		_, _ = DecodeRedirectResp(b)
-		_, _ = DecodeLicenseReq(b)
-		_, _ = DecodeLicenseResp(b)
-		_, _ = DecodeFeed(b)
 	})
 }
 

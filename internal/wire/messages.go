@@ -489,10 +489,10 @@ func AppendContentPushHeader(dst []byte, channelID string, substream uint8, seq 
 }
 
 // DecodeContentPush parses a ContentPush without copying: Packet and
-// Frame are views into b, which the network hands over immutable (see
-// simnet.Node.Send). The decode is canonical — every variable field is
-// length-prefixed and Finish rejects trailing bytes — so an accepted b
-// is exactly Encode() of the result.
+// Frame are views into b, like every decoded byte field (see Dec.Blob).
+// The decode is canonical — every variable field is length-prefixed and
+// Finish rejects trailing bytes — so an accepted b is exactly Encode() of
+// the result.
 func DecodeContentPush(b []byte) (ContentPush, error) {
 	return DecodeContentPushOn(b, "")
 }
@@ -502,7 +502,7 @@ func DecodeContentPush(b []byte) (ContentPush, error) {
 // of copying it out of b, so a relay hop decodes without allocating.
 func DecodeContentPushOn(b []byte, channelID string) (ContentPush, error) {
 	d := NewDec(b)
-	m := ContentPush{ChannelID: d.strAs(channelID), Substream: d.u8(), Seq: d.u64(), Packet: d.field(), Frame: b}
+	m := ContentPush{ChannelID: d.strAs(channelID), Substream: d.u8(), Seq: d.u64(), Packet: d.Blob(), Frame: b[:len(b):len(b)]}
 	return m, d.Finish()
 }
 

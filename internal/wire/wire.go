@@ -275,10 +275,19 @@ func (d *Dec) field() []byte {
 	return out
 }
 
-// Blob reads a length-prefixed byte field. The result is a copy: decoded
-// messages outlive the receive buffer and callers may mutate either.
+// Blob reads a length-prefixed byte field as a view into the input, not
+// a copy: a payload is immutable once handed to the network (see
+// simnet.Node.Send), so a decoded message shares the frame's bytes. The
+// view's capacity is capped at the field's length, so an append to it
+// reallocates instead of writing into the frame. An empty field decodes
+// to nil. A caller must not write into the result; one that keeps a small
+// field of a large frame for long pins the whole frame.
 func (d *Dec) Blob() []byte {
-	return append([]byte(nil), d.field()...)
+	f := d.field()
+	if len(f) == 0 {
+		return nil
+	}
+	return f[:len(f):len(f)]
 }
 
 // Str reads a length-prefixed string (one copy, straight from the input).
@@ -316,7 +325,8 @@ func (d *Dec) strSlice() []string {
 	return out
 }
 
-// blobSlice reads a count-prefixed list of byte fields.
+// blobSlice reads a count-prefixed list of byte fields, each a view like
+// Blob's.
 func (d *Dec) blobSlice() [][]byte {
 	n := d.U32()
 	if d.err != nil {

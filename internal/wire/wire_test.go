@@ -106,15 +106,32 @@ func TestDecSliceBomb(t *testing.T) {
 	}
 }
 
-func TestBlobIsCopied(t *testing.T) {
+// TestBlobIsAView pins Blob's contract: the field is a view into the
+// input, its capacity capped at its length so an append reallocates
+// instead of writing into the frame, and an empty field is nil.
+func TestBlobIsAView(t *testing.T) {
 	e := newEnc(16)
 	e.Blob([]byte{1, 2, 3})
+	e.Blob(nil)
+	e.u8(7)
 	buf := e.Bytes()
+	orig := bytes.Clone(buf)
 	d := NewDec(buf)
 	got := d.Blob()
-	buf[4] = 99 // mutate underlying buffer
-	if got[0] != 1 {
-		t.Fatal("Blob aliases the input buffer")
+	if &got[0] != &buf[4] {
+		t.Fatal("Blob copied the field; want a view into the input")
+	}
+	if len(got) != 3 || cap(got) != 3 {
+		t.Fatalf("len %d cap %d, want 3 and 3", len(got), cap(got))
+	}
+	if grown := append(got, 99); &grown[0] == &buf[4] || !bytes.Equal(buf, orig) {
+		t.Fatal("append to a decoded field wrote into the input")
+	}
+	if empty := d.Blob(); empty != nil {
+		t.Fatalf("empty field decoded to %#v, want nil", empty)
+	}
+	if d.u8() != 7 || d.Finish() != nil {
+		t.Fatal("Blob consumed the wrong number of bytes")
 	}
 }
 
