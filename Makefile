@@ -33,11 +33,13 @@ test:
 # goroutines verify, remember and evict overlapping tickets on one
 # ticket.Verifier. So does its challenge-signature and session-key memo:
 # goroutines sign, verify, seal and open overlapping records on one
-# cryptoutil.Memo. The second line is `race-stress`, which CI's
+# cryptoutil.Memo. So does its decoded Channel List memo: goroutines
+# decode and evaluate overlapping versions through one policy.Lists. The
+# second line is `race-stress`, which CI's
 # shard-invariance job also runs at each GOMAXPROCS of its matrix, so the
 # pattern lives in RACE_STRESS only.
-RACE_STRESS = Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference|StaleTimerCannotStopNextTenant|DispatchAtOneInstant|SharedVerifierConcurrent|MemoConcurrent
-RACE_STRESS_PKGS = ./internal/sim ./internal/simnet ./internal/exp ./internal/ticket ./internal/cryptoutil
+RACE_STRESS = Shard.*Golden|ShardedStress|HandoffBudget|InterleavingOrder|QueueMatchesReference|StaleTimerCannotStopNextTenant|DispatchAtOneInstant|SharedVerifierConcurrent|MemoConcurrent|ListsConcurrent
+RACE_STRESS_PKGS = ./internal/sim ./internal/simnet ./internal/exp ./internal/ticket ./internal/cryptoutil ./internal/policy
 race:
 	$(GO) test -race ./...
 	GOMAXPROCS=4 $(MAKE) --no-print-directory race-stress

@@ -70,6 +70,10 @@ type Config struct {
 	// signatures are checked through its Crypto memo, where the client
 	// recorded them. Nil gives the manager a private memo.
 	Tickets *ticket.Verifier
+	// Lists is the deployment's memo of decoded Channel Lists: a feed of
+	// bytes another backend or client already decoded shares that
+	// decode, read-only. Nil decodes every feed afresh.
+	Lists *policy.Lists
 }
 
 func (c *Config) fill() {
@@ -160,6 +164,8 @@ func (m *Manager) Directory() *Directory { return m.cfg.Dir }
 func (m *Manager) Log() *ViewLog { return m.cfg.Log }
 
 // setChannels installs the Channel List for this manager's partition.
+// The channels are shared with every other holder of the lineup and are
+// never written here.
 func (m *Manager) setChannels(chs []*policy.Channel) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -168,13 +174,13 @@ func (m *Manager) setChannels(chs []*policy.Channel) {
 		if m.cfg.Partition != "" && c.Partition != m.cfg.Partition {
 			continue
 		}
-		m.channels[c.ID] = c.Clone()
+		m.channels[c.ID] = c
 	}
 }
 
 func (m *Manager) handleChannelFeed(_ simnet.Addr, feed *wire.Feed) {
-	chs, rest, err := policy.DecodeChannels(feed.Body)
-	if err != nil || len(rest) != 0 {
+	lineup, err := m.cfg.Lists.Decode(feed.Body)
+	if err != nil {
 		return // undecodable feed body: drop, the push is one-way
 	}
 	m.mu.Lock()
@@ -186,7 +192,7 @@ func (m *Manager) handleChannelFeed(_ simnet.Addr, feed *wire.Feed) {
 	if stale {
 		return // reordered stale push
 	}
-	m.setChannels(chs)
+	m.setChannels(lineup.Channels)
 }
 
 func (m *Manager) channel(id string) (*policy.Channel, bool) {

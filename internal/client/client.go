@@ -102,6 +102,10 @@ type Config struct {
 	// SWITCH2 challenges through its Crypto memo for the managers sharing
 	// it. Nil gives the client a private memo.
 	Tickets *ticket.Verifier
+	// Lists is the deployment's memo of decoded Channel Lists: a fetch
+	// of bytes another client or Channel Manager already decoded shares
+	// that decode, read-only. Nil decodes every fetch afresh.
+	Lists *policy.Lists
 	// OnFrame receives each decrypted, deduplicated content frame. As
 	// with p2p.Config.OnPacket, payload is read-only and valid only until
 	// the callback returns (the next frame reuses its buffer); copy it to
@@ -526,15 +530,12 @@ func (c *Client) fetchChannelList(j *journey, staleNames []string) error {
 	if err != nil {
 		return err
 	}
-	chs, rest, err := policy.DecodeChannels(resp.Channels)
-	if err != nil || len(rest) != 0 {
+	lineup, err := c.cfg.Lists.Decode(resp.Channels)
+	if err != nil {
 		return fmt.Errorf("client: malformed channel list")
 	}
 	c.mu.Lock()
-	c.channels = make(map[string]*policy.Channel, len(chs))
-	for _, ch := range chs {
-		c.channels[ch.ID] = ch
-	}
+	c.channels = lineup.ByID
 	c.stats.ListFetches++
 	c.mu.Unlock()
 	return nil

@@ -220,6 +220,11 @@ type System struct {
 	// Its Crypto memo likewise serves each client's challenge signatures
 	// to the managers and each parent's JOIN seal to the joiner.
 	tickets *ticket.Verifier
+	// lists is the deployment's memo of decoded Channel Lists: every
+	// Channel Manager backend and client decodes each encoded lineup
+	// version through it, so the version is decoded once and shared
+	// read-only by every holder (see policy.Lists).
+	lists *policy.Lists
 
 	rng       *cryptoutil.SeededReader
 	umKeys    *cryptoutil.KeyPair
@@ -256,6 +261,7 @@ func NewSystem(opts Options) (*System, error) {
 		Servers:  make(map[string]*chserver.Server),
 		Arena:    p2p.NewArena(1 << 16),
 		tickets:  ticket.NewVerifier(0),
+		lists:    policy.NewLists(),
 		rng:      rng,
 		cmKeys:   make(map[string]*cryptoutil.KeyPair),
 	}
@@ -313,6 +319,7 @@ func NewSystem(opts Options) (*System, error) {
 			Dir:            channelmgr.NewDirectory(opts.Seed + int64(len(part))),
 			RNG:            rng,
 			Tickets:        sys.tickets,
+			Lists:          sys.lists,
 		}
 		partition := part
 		mgrs, nodes, err := svc.DeployFarm(net, AddrChannelMgr(part), opts.ChannelMgrFarm,
@@ -688,6 +695,7 @@ func (s *System) NewClient(email, password string, addr simnet.Addr, mut func(*c
 		RedirectKey:     s.rmKeys.Public().Encode(),
 		Arena:           s.Arena,
 		Tickets:         s.tickets,
+		Lists:           s.lists,
 		Trace:           s.Opts.Trace,
 	}
 	if cfg.Version == 0 {

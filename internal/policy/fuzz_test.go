@@ -35,7 +35,7 @@ func FuzzDecodeChannelArtifacts(f *testing.F) {
 			// Decoded channels must be safely evaluable.
 			_ = c.EvaluateUser(attr.List{{Name: attr.NameRegion, Value: "100"}}, at)
 		}
-		_, _, _ = DecodeChannels(b)
+		_, _, _ = decodeChannels(b)
 		_, _ = DecodeAttrList(b)
 		_, _, _ = decodeRule(b)
 	})

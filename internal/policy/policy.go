@@ -407,8 +407,8 @@ func AppendChannels(buf []byte, chs []*Channel) []byte {
 	return buf
 }
 
-// DecodeChannels parses an AppendChannels encoding.
-func DecodeChannels(b []byte) ([]*Channel, []byte, error) {
+// decodeChannels parses an AppendChannels encoding.
+func decodeChannels(b []byte) ([]*Channel, []byte, error) {
 	if len(b) < 4 {
 		return nil, nil, errTruncated
 	}

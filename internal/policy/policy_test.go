@@ -243,7 +243,7 @@ func TestChannelEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestChannelsEncodeDecode(t *testing.T) {
 	chs := []*Channel{channelA(), {ID: "chB", Name: "B"}}
-	dec, rest, err := DecodeChannels(AppendChannels(nil, chs))
+	dec, rest, err := decodeChannels(AppendChannels(nil, chs))
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: %v rest=%d", err, len(rest))
 	}

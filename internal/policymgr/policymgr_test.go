@@ -109,9 +109,9 @@ func TestAddChannelTouchesUTimesAndPushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chs, _, err := policy.DecodeChannels(cmFeed.Body)
-	if err != nil || len(chs) != 1 || chs[0].ID != "chA" {
-		t.Fatalf("pushed channel list: %v %v", err, chs)
+	l, err := policy.NewLists().Decode(cmFeed.Body)
+	if err != nil || len(l.Channels) != 1 || l.Channels[0].ID != "chA" {
+		t.Fatalf("pushed channel list: %v %+v", err, l)
 	}
 }
 
@@ -179,8 +179,8 @@ func TestUpdateChannelPushesNewPolicy(t *testing.T) {
 	if fd0.Version > fd1.Version {
 		newer = fd0
 	}
-	chs, _, _ := policy.DecodeChannels(newer.Body)
-	if len(chs) == 0 || len(chs[0].Attrs) != 2 {
+	l, err := policy.NewLists().Decode(newer.Body)
+	if err != nil || len(l.Channels) == 0 || len(l.Channels[0].Attrs) != 2 {
 		t.Fatal("updated channel list missing new attribute")
 	}
 }
@@ -238,7 +238,10 @@ func TestChanListFetch(t *testing.T) {
 			ferr = err
 			return
 		}
-		chs, _, ferr = policy.DecodeChannels(resp.Channels)
+		var l *policy.Lineup
+		if l, ferr = policy.NewLists().Decode(resp.Channels); ferr == nil {
+			chs = l.Channels
+		}
 	})
 	f.sched.Run()
 	if ferr != nil {
