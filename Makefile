@@ -65,7 +65,9 @@ cover:
 
 # Allocation budgets by name, so a byte regression is its own failure:
 # the per-viewer retained heap and per-journey churn (core), the lazy key
-# ring and SealKey (keys, cryptoutil), exact-size encoders (wire), the
+# ring and SealKey (keys, cryptoutil), exact-size encoders and decodes
+# that copy no payload (wire), a feedback Submit that copies no sample
+# (feedback), the
 # zero-garbage MAC and directory sample (stoken, channelmgr), the
 # allocation-free relay hop (p2p relays and the heap their dedup tables
 # retain, wire's channel-sharing decode, keys playback, simnet send
@@ -75,7 +77,7 @@ cover:
 # fails the target — a renamed or deleted budget must not pass by
 # vanishing.
 ALLOC_TESTS = AllocBudget|RetainedHeapBudget|BuildsNoAEAD|SealKeyLazy|ExactSize|AllocatesOnly
-ALLOC_PKGS = core keys cryptoutil wire stoken channelmgr p2p simnet sim exp
+ALLOC_PKGS = core keys cryptoutil wire feedback stoken channelmgr p2p simnet sim exp
 allocs:
 	@for pkg in $(ALLOC_PKGS); do \
 		$(GO) test -list '$(ALLOC_TESTS)' ./internal/$$pkg | grep -q '^Test' || { echo "allocs: no budget test selected in internal/$$pkg"; exit 1; }; \

@@ -82,23 +82,41 @@ func (l *Log) Samples() []Sample {
 // Corpus is the provider-side collection of submitted feedback logs plus
 // the concurrent-user time series the live system tracks.
 type Corpus struct {
-	mu        sync.Mutex
-	samples   []Sample
+	mu sync.Mutex
+	// logs holds each submitted log's samples, in submission order, as a
+	// view of the log's own slice capped at its length at submission. A
+	// Log only ever appends, so the samples a view covers never change,
+	// and an append that follows writes past the view or into a new
+	// array.
+	logs      [][]Sample
+	n         int // samples over all views
 	userTimes []time.Time
 	userCount []int
-	logs      int
 }
 
 // NewCorpus creates an empty corpus.
 func NewCorpus() *Corpus { return &Corpus{} }
 
-// Submit ingests one client's feedback log.
+// Submit ingests one client's feedback log: the samples it holds now,
+// without copying them.
 func (c *Corpus) Submit(l *Log) {
-	s := l.Samples()
+	l.mu.Lock()
+	s := l.samples[:len(l.samples):len(l.samples)]
+	l.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.samples = append(c.samples, s...)
-	c.logs++
+	c.logs = append(c.logs, s)
+	c.n += len(s)
+}
+
+// each calls f on every ingested sample in submission order. c.mu must
+// be held.
+func (c *Corpus) each(f func(s Sample)) {
+	for _, l := range c.logs {
+		for _, s := range l {
+			f(s)
+		}
+	}
 }
 
 // RecordUsers appends one concurrent-user observation.
@@ -113,21 +131,25 @@ func (c *Corpus) RecordUsers(at time.Time, users int) {
 func (c *Corpus) Logs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.logs
+	return len(c.logs)
 }
 
-// Samples returns a copy of all ingested samples.
+// Samples returns a copy of all ingested samples, in submission order.
 func (c *Corpus) Samples() []Sample {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Sample(nil), c.samples...)
+	out := make([]Sample, 0, c.n)
+	for _, l := range c.logs {
+		out = append(out, l...)
+	}
+	return out
 }
 
 // Len reports total ingested samples.
 func (c *Corpus) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.samples)
+	return c.n
 }
 
 // HourlyPoint is one Fig. 5 x-position: an hour of the trace.
@@ -146,16 +168,16 @@ func (c *Corpus) Hourly(r Round, start time.Time, hours int) []HourlyPoint {
 	defer c.mu.Unlock()
 
 	lat := make([][]time.Duration, hours)
-	for _, s := range c.samples {
+	c.each(func(s Sample) {
 		if s.Round != r || !s.OK {
-			continue
+			return
 		}
 		h := int(s.At.Sub(start) / time.Hour)
 		if h < 0 || h >= hours {
-			continue
+			return
 		}
 		lat[h] = append(lat[h], s.Latency)
-	}
+	})
 	userSum := make([]float64, hours)
 	userN := make([]int, hours)
 	for i, at := range c.userTimes {
@@ -185,18 +207,18 @@ func (c *Corpus) Latencies(r Round, start time.Time, fromHour, toHour int) []tim
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []time.Duration
-	for _, s := range c.samples {
+	c.each(func(s Sample) {
 		if s.Round != r || !s.OK {
-			continue
+			return
 		}
 		hod := int(s.At.Sub(start)/time.Hour) % 24
 		if hod < 0 {
-			continue
+			return
 		}
 		if hod >= fromHour && hod < toHour {
 			out = append(out, s.Latency)
 		}
-	}
+	})
 	return out
 }
 

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,6 +38,64 @@ func TestLogRecordAndSubmit(t *testing.T) {
 	c.Submit(l)
 	if c.Logs() != 1 || c.Len() != 2 {
 		t.Fatalf("corpus logs=%d len=%d", c.Logs(), c.Len())
+	}
+}
+
+// TestSubmitKeepsSamplesAtSubmission: a submitted log contributes the
+// samples it held when submitted, in submission order, whatever the log
+// records afterwards — also when a later Record grows it into the spare
+// capacity past the corpus's view.
+func TestSubmitKeepsSamplesAtSubmission(t *testing.T) {
+	a, b := NewLog(), NewLog()
+	for i := 0; i < 3; i++ {
+		a.Record(Login1, t0, ms(i), true)
+	}
+	b.Record(Join, t0, ms(100), true)
+	c := NewCorpus()
+	c.Submit(a)
+	c.Submit(b)
+	a.Record(Login2, t0, ms(3), true) // fits a's spare capacity
+	c.Submit(a)
+	var got []time.Duration
+	for _, s := range c.Samples() {
+		got = append(got, s.Latency)
+	}
+	want := []time.Duration{ms(0), ms(1), ms(2), ms(100), ms(0), ms(1), ms(2), ms(3)}
+	if len(got) != len(want) || c.Len() != len(want) || c.Logs() != 3 {
+		t.Fatalf("corpus = %v (Len %d, Logs %d), want %v", got, c.Len(), c.Logs(), want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("corpus = %v, want %v", got, want)
+		}
+	}
+	if lat := c.Latencies(Login2, t0, 0, 24); len(lat) != 1 || lat[0] != ms(3) {
+		t.Fatalf("Latencies(LOGIN2) = %v, want [3ms]", lat)
+	}
+}
+
+// TestSubmitAllocBudget: Submit copies no samples. Submitting a log of
+// 1 000 samples (40 kB) costs only the corpus's growth of one slice
+// header per log.
+func TestSubmitAllocBudget(t *testing.T) {
+	l := NewLog()
+	for i := 0; i < 1000; i++ {
+		l.Record(Switch1, t0, ms(i), true)
+	}
+	c := NewCorpus()
+	const runs = 1000
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		c.Submit(l)
+	}
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; per > 64 {
+		t.Fatalf("Submit allocates %.0f B per 1 000-sample log, want ≤ 64 (no sample copied)", per)
+	}
+	if c.Len() != runs*1000 {
+		t.Fatalf("Len = %d", c.Len())
 	}
 }
 
