@@ -38,11 +38,11 @@ type Config struct {
 	Window int
 	// Grace is the slack allowed after a rights window closes before a
 	// successful decrypt counts as a false grant: frames and keys already
-	// in flight at expiry land shortly after it. Set it to at least the
+	// in flight at expiry land shortly after it. It must be at least the
 	// deployment's child-eviction slack (p2p's expiryGrace, 10s) plus a
 	// delivery round — the overlay severs expired children only at
 	// expiry+expiryGrace (§IV-D), so frames keep landing until then.
-	// Default 5s.
+	// Default 12s.
 	Grace time.Duration
 	// Settle is the slack allowed after admission before a failed decrypt
 	// counts as a false denial: key distribution from the parent is one
@@ -58,7 +58,7 @@ func (c *Config) fill() {
 		c.Window = keys.DefaultWindow
 	}
 	if c.Grace <= 0 {
-		c.Grace = 5 * time.Second
+		c.Grace = 12 * time.Second
 	}
 	if c.Settle <= 0 {
 		c.Settle = 5 * time.Second

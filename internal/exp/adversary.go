@@ -132,10 +132,10 @@ func (r *AdversaryResult) fingerprint() string {
 // RunAdversary runs the adversarial DRM scenario.
 func RunAdversary(cfg AdversaryConfig) (*AdversaryResult, error) {
 	cfg.fill()
-	// Grace covers the overlay's eviction slack (see RunTimeShift); the
-	// natural rekey interval is pushed past the run so the storm owns
-	// every rotation.
-	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
+	// The oracle's default grace covers the overlay's eviction slack (see
+	// RunTimeShift); the natural rekey interval is pushed past the run so
+	// the storm owns every rotation.
+	oracle := conform.New(conform.Config{MaxViolations: 64})
 	var r *run
 	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		Partitions:            []string{"live"},

@@ -134,10 +134,10 @@ func sortedKeys(m map[string]int64) []string {
 // RunTimeShift runs the time-shifted viewing scenario.
 func RunTimeShift(cfg TimeShiftConfig) (*TimeShiftResult, error) {
 	cfg.fill()
-	// Grace must cover the overlay's eviction slack: a lapsed child keeps
-	// receiving until expiry + p2p's expiryGrace (10s) + one
-	// delivery round, and only then is severed (§IV-D).
-	oracle := conform.New(conform.Config{Grace: 12 * time.Second, MaxViolations: 64})
+	// The oracle's default grace covers the overlay's eviction slack: a
+	// lapsed child keeps receiving until expiry + p2p's expiryGrace (10s)
+	// + one delivery round, and only then is severed (§IV-D).
+	oracle := conform.New(conform.Config{MaxViolations: 64})
 	var r *run
 	r, err := newRun(cfg.Seed, scenarioTraceCap, core.Options{
 		Partitions:      []string{"live"},
