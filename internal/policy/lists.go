@@ -42,8 +42,13 @@ func NewLists() *Lists { return &Lists{} }
 // nothing after it, decodes to. Bytes decoded before return the same
 // Lineup. A nil Lists decodes afresh on every call.
 func (m *Lists) Decode(b []byte) (*Lineup, error) {
-	if l := m.lookup(b); l != nil {
-		return l, nil
+	if m != nil {
+		m.mu.Lock()
+		l := m.lookupLocked(b)
+		m.mu.Unlock()
+		if l != nil {
+			return l, nil
+		}
 	}
 	chs, rest, err := decodeChannels(b)
 	if err != nil {
@@ -69,15 +74,6 @@ func (m *Lists) Decode(b []byte) (*Lineup, error) {
 	}
 	m.recent = slices.Insert(m.recent, 0, listEntry{enc: bytes.Clone(b), lineup: l})
 	return l, nil
-}
-
-func (m *Lists) lookup(b []byte) *Lineup {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lookupLocked(b)
 }
 
 func (m *Lists) lookupLocked(b []byte) *Lineup {
