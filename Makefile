@@ -32,8 +32,8 @@ test:
 # the deployment's verified-ticket memo, which the megascale lanes share:
 # goroutines verify, remember and evict overlapping tickets on one
 # ticket.Verifier. So does its challenge-signature and session-key memo:
-# goroutines sign, verify, seal and open overlapping records on one
-# cryptoutil.Memo. So does its decoded Channel List memo: goroutines
+# goroutines sign, verify, seal and open overlapping records, and take
+# overlapping SealKeys, on one cryptoutil.Memo. So does its decoded Channel List memo: goroutines
 # decode and evaluate overlapping versions through one policy.Lists. The
 # second line is `race-stress`, which CI's
 # shard-invariance job also runs at each GOMAXPROCS of its matrix, so the
@@ -65,9 +65,11 @@ cover:
 
 # Allocation budgets by name, so a byte regression is its own failure:
 # the per-viewer retained heap and per-journey churn (core), the lazy key
-# ring and SealKey (keys, cryptoutil), exact-size encoders and decodes
-# that copy no payload (wire), a feedback Submit that copies no sample
-# (feedback), the
+# ring and SealKey (keys, cryptoutil), one shared SealKey per key and an
+# ECIES open that reuses its seal's AEAD (cryptoutil, keys), a policy
+# evaluation that allocates nothing (policy), exact-size encoders and
+# decodes that copy no payload (wire), a feedback Submit that copies no
+# sample (feedback), the
 # zero-garbage MAC and directory sample (stoken, channelmgr), the
 # allocation-free relay hop (p2p relays and the heap their dedup tables
 # retain, wire's channel-sharing decode, keys playback, simnet send
@@ -77,7 +79,7 @@ cover:
 # fails the target — a renamed or deleted budget must not pass by
 # vanishing.
 ALLOC_TESTS = AllocBudget|RetainedHeapBudget|BuildsNoAEAD|SealKeyLazy|ExactSize|AllocatesOnly
-ALLOC_PKGS = core keys cryptoutil wire feedback stoken channelmgr p2p simnet sim exp
+ALLOC_PKGS = core keys cryptoutil policy wire feedback stoken channelmgr p2p simnet sim exp
 allocs:
 	@for pkg in $(ALLOC_PKGS); do \
 		$(GO) test -list '$(ALLOC_TESTS)' ./internal/$$pkg | grep -q '^Test' || { echo "allocs: no budget test selected in internal/$$pkg"; exit 1; }; \

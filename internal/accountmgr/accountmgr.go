@@ -44,14 +44,9 @@ func (s Subscription) ActiveAt(t time.Time) bool {
 
 // Account is the snapshot the User Manager consumes.
 type Account struct {
-	Email  string
-	UserIN uint64
-	SHP    cryptoutil.SymKey // secure hash of the password
-	// SHPSealer is SHP in cached-AEAD form, built once at registration
-	// (and on password change) and shared by every snapshot: the User
-	// Manager seals a login challenge under shp on every LOGIN1, so the
-	// AES/GCM setup is paid per account, not per login.
-	SHPSealer     *cryptoutil.SealKey
+	Email         string
+	UserIN        uint64
+	SHP           cryptoutil.SymKey // secure hash of the password
 	Subscriptions []Subscription
 	Domain        string // Authentication Domain (§V)
 	Disabled      bool
@@ -77,12 +72,10 @@ func (m *Manager) Register(email, password string) (Account, error) {
 	if _, ok := m.byEmail[email]; ok {
 		return Account{}, ErrDuplicateEmail
 	}
-	shp := cryptoutil.HashPassword(password, email)
 	a := &Account{
-		Email:     email,
-		UserIN:    m.nextIN,
-		SHP:       shp,
-		SHPSealer: shp.Sealer(),
+		Email:  email,
+		UserIN: m.nextIN,
+		SHP:    cryptoutil.HashPassword(password, email),
 	}
 	m.nextIN++
 	m.byEmail[email] = a
@@ -152,7 +145,6 @@ func (m *Manager) ChangePassword(email, password string) error {
 		return ErrNoAccount
 	}
 	a.SHP = cryptoutil.HashPassword(password, email)
-	a.SHPSealer = a.SHP.Sealer()
 	return nil
 }
 

@@ -79,17 +79,6 @@ func (a Attribute) String() string {
 // different values (e.g. several Subscription attributes).
 type List []Attribute
 
-// Find returns all attributes with the given name.
-func (l List) Find(name string) List {
-	var out List
-	for _, a := range l {
-		if a.Name == name {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // First returns the first attribute with the name, if any.
 func (l List) First(name string) (Attribute, bool) {
 	for _, a := range l {
@@ -98,17 +87,6 @@ func (l List) First(name string) (Attribute, bool) {
 		}
 	}
 	return Attribute{}, false
-}
-
-// validAt filters to attributes valid at t.
-func (l List) validAt(t time.Time) List {
-	out := make(List, 0, len(l))
-	for _, a := range l {
-		if a.ValidAt(t) {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // SoonestExpiry returns the earliest non-null ETime in the list (zero if
@@ -139,20 +117,24 @@ func (l List) Clone() List {
 //     that name;
 //   - otherwise: the user needs a valid attribute of that name whose
 //     value equals the requirement or is the wildcard All.
+//
+// It reads the list in place and allocates nothing.
 func (l List) Satisfies(name string, required Value, t time.Time) bool {
 	if required == Any {
 		return true
 	}
-	valid := l.Find(name).validAt(t)
-	if required == None {
-		return len(valid) == 0
-	}
-	for _, a := range valid {
+	for _, a := range l {
+		if a.Name != name || !a.ValidAt(t) {
+			continue
+		}
+		if required == None {
+			return false
+		}
 		if a.Value == required || a.Value == All {
 			return true
 		}
 	}
-	return false
+	return required == None
 }
 
 // String renders the list compactly.

@@ -78,14 +78,14 @@ func TestValidAtBoundaryInstants(t *testing.T) {
 	}
 }
 
-func TestFindAndFirst(t *testing.T) {
+func TestFirst(t *testing.T) {
 	l := List{
 		{Name: NameRegion, Value: "100"},
 		{Name: NameSubscription, Value: "101"},
 		{Name: NameSubscription, Value: "102"},
 	}
-	if got := l.Find(NameSubscription); len(got) != 2 {
-		t.Fatalf("Find returned %d, want 2", len(got))
+	if a, ok := l.First(NameSubscription); !ok || a.Value != "101" {
+		t.Fatalf("First(Subscription) = %v %v, want the first of two", a, ok)
 	}
 	if a, ok := l.First(NameRegion); !ok || a.Value != "100" {
 		t.Fatalf("First(Region) = %v %v", a, ok)
@@ -162,14 +162,29 @@ func TestSatisfiesRespectsValidity(t *testing.T) {
 	}
 }
 
-func TestValidAtFilter(t *testing.T) {
-	l := List{
-		{Name: "A", Value: "1", ETime: t0},
-		{Name: "B", Value: "2"},
+// TestSatisfiesReadsEveryMatch: invalid attributes of the name and
+// attributes of other names are skipped wherever they sit in the list,
+// and the in-place scan allocates nothing.
+func TestSatisfiesReadsEveryMatch(t *testing.T) {
+	u := List{
+		{Name: NameSubscription, Value: "101", ETime: t0}, // expired at t1
+		{Name: NameRegion, Value: "102"},
+		{Name: NameSubscription, Value: "102", STime: t1.Add(time.Hour)}, // not yet valid
+		{Name: NameSubscription, Value: "103"},
 	}
-	got := l.validAt(t0.Add(time.Second))
-	if len(got) != 1 || got[0].Name != "B" {
-		t.Fatalf("ValidAt filter = %v", got)
+	for _, c := range []struct {
+		required Value
+		want     bool
+	}{{"101", false}, {"102", false}, {"103", true}, {None, false}, {Any, true}} {
+		if got := u.Satisfies(NameSubscription, c.required, t1); got != c.want {
+			t.Errorf("Satisfies(Subscription=%s) = %v, want %v", c.required, got, c.want)
+		}
+	}
+	if !u[:3].Satisfies(NameSubscription, None, t1) {
+		t.Fatal("NONE unsatisfied with only invalid attributes of the name")
+	}
+	if n := testing.AllocsPerRun(100, func() { u.Satisfies(NameSubscription, "103", t1) }); n != 0 {
+		t.Fatalf("Satisfies allocates %.0f objects, want 0", n)
 	}
 }
 

@@ -179,18 +179,24 @@ func (m *Manager) setChannels(chs []*policy.Channel) {
 }
 
 func (m *Manager) handleChannelFeed(_ simnet.Addr, feed *wire.Feed) {
+	m.mu.Lock()
+	stale := feed.Version <= m.feedSeen
+	m.mu.Unlock()
+	if stale {
+		return // reordered stale push: not worth decoding
+	}
 	lineup, err := m.cfg.Lists.Decode(feed.Body)
 	if err != nil {
 		return // undecodable feed body: drop, the push is one-way
 	}
 	m.mu.Lock()
-	stale := feed.Version <= m.feedSeen
+	stale = feed.Version <= m.feedSeen // a newer feed landed while decoding
 	if !stale {
 		m.feedSeen = feed.Version
 	}
 	m.mu.Unlock()
 	if stale {
-		return // reordered stale push
+		return
 	}
 	m.setChannels(lineup.Channels)
 }

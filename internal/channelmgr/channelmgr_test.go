@@ -662,6 +662,33 @@ func TestChannelFeedHandler(t *testing.T) {
 	}
 }
 
+// TestChannelFeedStaleNotDecoded: a feed no newer than the last one
+// applied is dropped before its body is decoded (it allocates nothing,
+// even with no decoded-list memo to answer it), and a fresh feed whose
+// body does not decode leaves the version where it was, so the next
+// good feed still applies.
+func TestChannelFeedStaleNotDecoded(t *testing.T) {
+	f := newFixture(t, nil)
+	f.mgr.cfg.Lists = nil // every decode is a real one
+	feed := func(v uint64, body []byte) *wire.Feed { return &wire.Feed{Version: v, Body: body} }
+	f.mgr.handleChannelFeed("pm.provider", feed(5, policy.AppendChannels(nil, []*policy.Channel{freeChannel("ch5")})))
+	if _, ok := f.mgr.channel("ch5"); !ok {
+		t.Fatal("version 5 not applied")
+	}
+	stale := feed(3, policy.AppendChannels(nil, []*policy.Channel{freeChannel("ch3")}))
+	if n := testing.AllocsPerRun(20, func() { f.mgr.handleChannelFeed("pm.provider", stale) }); n != 0 {
+		t.Fatalf("stale feed allocates %.0f objects, want 0 (decoded before its version check?)", n)
+	}
+	f.mgr.handleChannelFeed("pm.provider", feed(10, []byte{0xff, 0, 1}))
+	if _, ok := f.mgr.channel("ch3"); ok || f.mgr.feedSeen != 5 {
+		t.Fatalf("after a stale and a garbage feed: ch3 applied %v, version %d; want version 5", ok, f.mgr.feedSeen)
+	}
+	f.mgr.handleChannelFeed("pm.provider", feed(6, policy.AppendChannels(nil, []*policy.Channel{freeChannel("ch6")})))
+	if _, ok := f.mgr.channel("ch6"); !ok || f.mgr.feedSeen != 6 {
+		t.Fatalf("version 6 after a garbage version 10: applied %v, version %d", ok, f.mgr.feedSeen)
+	}
+}
+
 func TestNewValidatesConfig(t *testing.T) {
 	s := sim.New(t0, 1)
 	net := simnet.New(s)

@@ -55,7 +55,9 @@ type Config struct {
 	// Arena backs the root peer's child state (see p2p.Config.Arena).
 	Arena *p2p.Arena
 	// Tickets is the verified-ticket memo the root checks joiners'
-	// Channel Tickets through (see p2p.Config.Tickets).
+	// Channel Tickets through (see p2p.Config.Tickets). Its Crypto memo
+	// also holds the content keys' SealKeys, shared with every ring built
+	// on it. Nil means a private one.
 	Tickets *ticket.Verifier
 	// HistoryWindow retains this many recent frames at the root for
 	// time-shifted viewers (p2p.Config.HistoryWindow). 0 = no retention.
@@ -84,6 +86,9 @@ func (c *Config) fill() {
 	}
 	if c.MaxChildren <= 0 {
 		c.MaxChildren = 16
+	}
+	if c.Tickets == nil {
+		c.Tickets = ticket.NewVerifier(0)
 	}
 }
 
@@ -136,11 +141,15 @@ func New(node *simnet.Node, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{
-		cfg: cfg, peer: peer, schedule: schedule,
-		produce: keys.NewPacketSealer(schedule.Current()),
-		cid:     []byte(cfg.ChannelID),
-	}, nil
+	s := &Server{cfg: cfg, peer: peer, schedule: schedule, cid: []byte(cfg.ChannelID)}
+	s.produce = s.packetSealer(schedule.Current())
+	return s, nil
+}
+
+// packetSealer seals under k with the SealKey the deployment's rings
+// hold for it.
+func (s *Server) packetSealer(k keys.ContentKey) *keys.PacketSealer {
+	return keys.NewSharedPacketSealer(k, s.cfg.Tickets.Crypto())
 }
 
 // Peer returns the root overlay peer (register it with the Channel
@@ -223,7 +232,7 @@ func (s *Server) rekeyLoop() {
 		if s.stopped() {
 			return
 		}
-		sealer := keys.NewPacketSealer(next)
+		sealer := s.packetSealer(next)
 		s.mu.Lock()
 		s.produce = sealer
 		s.stats.Rekeys++
@@ -246,7 +255,7 @@ func (s *Server) ForceRekey() (keys.Serial, error) {
 		return 0, err
 	}
 	s.peer.InjectKey(next)
-	sealer := keys.NewPacketSealer(next)
+	sealer := s.packetSealer(next)
 	s.mu.Lock()
 	s.produce = sealer
 	s.stats.Rekeys++

@@ -100,7 +100,8 @@ type Config struct {
 	// shares one across the deployment, where the issuing manager has
 	// already remembered each ticket. The client signs its LOGIN2 and
 	// SWITCH2 challenges through its Crypto memo for the managers sharing
-	// it. Nil gives the client a private memo.
+	// it, and takes its shp SealKey from it. Nil gives the client a
+	// private memo.
 	Tickets *ticket.Verifier
 	// Lists is the deployment's memo of decoded Channel Lists: a fetch
 	// of bytes another client or Channel Manager already decoded shares
@@ -171,9 +172,10 @@ type Client struct {
 	keys *cryptoutil.KeyPair
 	flog *feedback.Log
 	pol  *svc.Policy
-	// shpSealer caches the password hash with its AEAD: hashing plus
-	// cipher setup then happens once per client, not once per login
-	// (renewals re-login for the life of the process). Lazily built on
+	// shpSealer caches the password hash's SealKey, taken from the
+	// deployment's memo (shared with the User Manager sealing the
+	// challenge): hashing then happens once per client, not once per
+	// login (renewals re-login for the life of the process). Set by the
 	// first Login; guarded by mu.
 	shpSealer *cryptoutil.SealKey
 
@@ -442,7 +444,7 @@ func (c *Client) loginOnce(j *journey) error {
 	c.mu.Lock()
 	shp := c.shpSealer
 	if shp == nil {
-		shp = cryptoutil.HashPassword(c.cfg.Password, c.cfg.Email).Sealer()
+		shp = c.cfg.Tickets.Crypto().Sealer(cryptoutil.HashPassword(c.cfg.Password, c.cfg.Email))
 		c.shpSealer = shp
 	}
 	c.mu.Unlock()

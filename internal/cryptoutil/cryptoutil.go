@@ -156,8 +156,9 @@ func Seal(rng io.Reader, to PublicKey, plaintext []byte) ([]byte, error) {
 	return out, err
 }
 
-// seal is Seal also returning the ECDH shared secret.
-func seal(rng io.Reader, to PublicKey, plaintext []byte) (out, shared []byte, err error) {
+// seal is Seal also returning the AEAD it derived, which is the one the
+// recipient's Open derives for this output.
+func seal(rng io.Reader, to PublicKey, plaintext []byte) (out []byte, gcm cipher.AEAD, err error) {
 	if rng == nil {
 		rng = crand.Reader
 	}
@@ -174,19 +175,19 @@ func seal(rng io.Reader, to PublicKey, plaintext []byte) (out, shared []byte, er
 			return nil, nil, ErrBadKey
 		}
 	}
-	shared, err = eph.ECDH(peer)
+	shared, err := eph.ECDH(peer)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ecdh: %w", err)
 	}
 	ephPub := eph.PublicKey().Bytes()
-	gcm := kdf(shared, ephPub, to.Box).aead()
+	gcm = kdf(shared, ephPub, to.Box).aead()
 	out = make([]byte, 32+gcmNonceSize, 32+gcmNonceSize+len(plaintext)+gcmTagSize)
 	copy(out, ephPub)
 	nonce := out[32:]
 	if _, err := io.ReadFull(rng, nonce); err != nil {
 		return nil, nil, err
 	}
-	return gcm.Seal(out, nonce, plaintext, nil), shared, nil
+	return gcm.Seal(out, nonce, plaintext, nil), gcm, nil
 }
 
 // Open decrypts a Seal output addressed to k.
@@ -202,13 +203,12 @@ func (k *KeyPair) Open(sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, ErrDecrypt
 	}
-	return k.openShared(shared, sealed)
+	return openECIES(kdf(shared, sealed[:32], k.boxPub[:]).aead(), sealed)
 }
 
-// openShared is Open after the ECDH step: the KDF over shared and both
-// public keys, then AES-GCM authentication and decryption.
-func (k *KeyPair) openShared(shared, sealed []byte) ([]byte, error) {
-	gcm := kdf(shared, sealed[:32], k.boxPub[:]).aead()
+// openECIES is Open after the ECDH step and the KDF: AES-GCM
+// authentication and decryption under the derived AEAD.
+func openECIES(gcm cipher.AEAD, sealed []byte) ([]byte, error) {
 	nonce, ct := sealed[32:32+gcmNonceSize], sealed[32+gcmNonceSize:]
 	pt, err := gcm.Open(nil, nonce, ct, nil)
 	if err != nil {
@@ -320,7 +320,9 @@ func (k SymKey) aead() cipher.AEAD {
 // many operations, so holding a SealKey removes the dominant
 // per-operation set-up cost; a key that is held but never used — a
 // content key on a peer that receives no packets under it — costs its 16
-// bytes and nothing else.
+// bytes and nothing else. The SealKey is this caller's alone; a key held
+// by several nodes of one deployment is taken from its Memo.Sealer, so
+// all of them share one.
 func (k SymKey) Sealer() *SealKey {
 	return &SealKey{key: k}
 }

@@ -2,13 +2,25 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"io"
 	"sync"
 )
 
-// memoCap bounds each of a Memo's two tables: at most memoCap challenge
-// signatures and memoCap session-key secrets are held at once.
+// memoCap bounds a Memo's two record tables: at most memoCap challenge
+// signatures and memoCap sealed-payload AEADs are held at once.
 const memoCap = 4096
+
+// sealerCap bounds a Memo's SealKey table. An entry only has to bridge
+// the time from a key's first holder taking it to its last: a JOIN's two
+// ends take it one round trip apart, a channel's peers as the key spreads
+// down the tree, a client and its User Manager at each LOGIN1, and a
+// looked-up entry moves to the newer generation. Each entry past its
+// holders can keep a built AEAD (~1.3 kB) alive, so the bound is a
+// quarter of memoCap: on the seed-1 week_diurnal benchmark run, a bound
+// of 4096 saved 1.1 MB (0.4 %) of allocation over 1024 and cost 2.8 MB
+// of peak RSS.
+const sealerCap = 1024
 
 // memoMsgMax is the longest message Memo.Sign records. Challenge
 // messages are a nonce (16 bytes) or a nonce and attestation checksum
@@ -27,32 +39,37 @@ type sigRecord struct {
 // Memo shares the results of this process's own challenge signatures
 // and ECIES seals with the checks that follow them, so when signer and
 // checker, or sealer and opener, run in one process (a simulated
-// deployment) the check does not redo the curve arithmetic.
+// deployment) the check does not redo the curve arithmetic. It also holds
+// the deployment's one SealKey per symmetric key (see Sealer).
 //
 // Sign records (signer, msg, sig) after signing; the first VerifySig of
 // exactly those bytes returns true without the Ed25519 check and drops
-// the record. Seal records the ECDH secret it computed, keyed by the
-// ephemeral public key and the recipient's box key; the first Open of a
-// sealed payload carrying that ephemeral key, by the key pair owning that
-// box key, skips its X25519 ladder and drops the record, and still runs
-// the KDF and the AES-GCM tag check. Records are made only by the real
-// primitives from private material, and no method inserts anything else,
-// so a hit returns exactly what the skipped computation would: a
-// signature Sign produced verifies (Ed25519 correctness), and eph·(k·9)
-// = k·(eph·9) (X25519 commutativity). A forged, altered or misaddressed
-// input never matches a record and takes the full check.
+// the record. Seal records the AEAD it derived, keyed by the ephemeral
+// public key and the recipient's box key; the first Open of a sealed
+// payload carrying that ephemeral key, by the key pair owning that box
+// key, skips its X25519 ladder, the KDF and the AES-GCM set-up, drops the
+// record, and still runs the AES-GCM tag check. Records are made only by
+// the real primitives from private material, and no method inserts
+// anything else, so a hit returns exactly what the skipped computation
+// would: a signature Sign produced verifies (Ed25519 correctness), and
+// eph·(k·9) = k·(eph·9) (X25519 commutativity), so the KDF over the
+// recorded key's inputs derives the recorded AEAD. A forged, altered or
+// misaddressed input never matches a record and takes the full check.
 //
-// Each table holds at most memoCap fixed-size records in two
-// generations: when the newer fills to half the bound it becomes the
-// older and the previous older is dropped. A dropped record only costs
-// its check again. A nil *Memo is valid and runs every check in full.
-// All methods are safe for concurrent use.
+// Each table holds at most its bound (memoCap, sealerCap) of fixed-size
+// entries in two generations: when the newer fills to half the bound it
+// becomes the older and the previous older is dropped. A dropped entry
+// only costs its check, or its AEAD build, again. A nil *Memo is valid,
+// runs every check in full and shares no SealKey. All methods are safe
+// for concurrent use. Every answer depends only on the order of the
+// calls made, never on timing or the garbage collector.
 type Memo struct {
-	mu     sync.Mutex
-	sigs   gens[[SignatureSize]byte, sigRecord]
-	shared gens[[64]byte, [32]byte] // ephPub || recipient box key → ECDH secret
-	hits   int64
-	misses int64
+	mu      sync.Mutex
+	sigs    gens[[SignatureSize]byte, sigRecord]
+	sealed  gens[[64]byte, cipher.AEAD] // ephPub || recipient box key → derived AEAD
+	sealers gens[SymKey, *SealKey]
+	hits    int64
+	misses  int64
 }
 
 // NewMemo returns an empty Memo. Its tables are created by their first
@@ -69,7 +86,7 @@ func (m *Memo) Sign(k *KeyPair, msg []byte) []byte {
 	copy(rec.pub[:], k.sign[32:]) // an ed25519.PrivateKey is seed || public key
 	copy(rec.msg[:], msg)
 	m.mu.Lock()
-	m.sigs.put([SignatureSize]byte(sig), rec)
+	m.sigs.put([SignatureSize]byte(sig), rec, memoCap)
 	m.mu.Unlock()
 	return sig
 }
@@ -95,9 +112,9 @@ func (m *Memo) VerifySig(pub PublicKey, msg, sig []byte) bool {
 }
 
 // Seal is Seal(rng, to, plaintext) — the same rng reads and the same
-// output bytes — recording the ECDH secret for Open.
+// output bytes — recording the derived AEAD for Open.
 func (m *Memo) Seal(rng io.Reader, to PublicKey, plaintext []byte) ([]byte, error) {
-	out, shared, err := seal(rng, to, plaintext)
+	out, gcm, err := seal(rng, to, plaintext)
 	if m == nil || err != nil {
 		return out, err
 	}
@@ -105,13 +122,13 @@ func (m *Memo) Seal(rng io.Reader, to PublicKey, plaintext []byte) ([]byte, erro
 	copy(key[:32], out)
 	copy(key[32:], to.Box)
 	m.mu.Lock()
-	m.shared.put(key, [32]byte(shared))
+	m.sealed.put(key, gcm, memoCap)
 	m.mu.Unlock()
 	return out, nil
 }
 
-// Open is k.Open(sealed), taking the ECDH secret from the record Seal
-// made for this ephemeral key and k's box key when there is one.
+// Open is k.Open(sealed), authenticating and decrypting under the AEAD
+// Seal recorded for this ephemeral key and k's box key when there is one.
 func (m *Memo) Open(k *KeyPair, sealed []byte) ([]byte, error) {
 	if m == nil || len(sealed) < 32+gcmNonceSize {
 		return k.Open(sealed)
@@ -120,9 +137,9 @@ func (m *Memo) Open(k *KeyPair, sealed []byte) ([]byte, error) {
 	copy(key[:32], sealed)
 	copy(key[32:], k.boxPub[:])
 	m.mu.Lock()
-	shared, ok := m.shared.get(key)
+	gcm, ok := m.sealed.get(key)
 	if ok {
-		m.shared.del(key)
+		m.sealed.del(key)
 		m.hits++
 	} else {
 		m.misses++
@@ -131,19 +148,50 @@ func (m *Memo) Open(k *KeyPair, sealed []byte) ([]byte, error) {
 	if !ok {
 		return k.Open(sealed)
 	}
-	return k.openShared(shared[:], sealed)
+	return openECIES(gcm, sealed)
 }
 
-// gens is a map bounded to memoCap entries in two generations: puts go
-// to cur, and when cur holds memoCap/2 it replaces old (whose entries
-// are dropped) and a fresh cur starts. Callers hold Memo.mu.
+// Sealer returns the deployment's SealKey for k: every holder of the same
+// 16 bytes — both ends of a JOIN session, every peer of a channel and its
+// Channel Server, a client and its User Manager — gets the same SealKey,
+// and so one AEAD, built lazily by the first Seal, Open or SealAppend on
+// it. Sharing is exact: a cipher.AEAD is a pure function of its key and
+// keeps no state between calls, so a shared SealKey seals and opens the
+// bytes a private one would. A key taken again after its entry was
+// dropped gets a fresh SealKey, which only costs that AEAD build again. A
+// nil Memo returns k.Sealer().
+func (m *Memo) Sealer(k SymKey) *SealKey {
+	if m == nil {
+		return k.Sealer()
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s, ok := m.sealers.cur[k]; ok {
+		return s
+	}
+	s, ok := m.sealers.old[k]
+	if ok {
+		delete(m.sealers.old, k) // in use: carry it into the newer generation
+	} else {
+		s = k.Sealer()
+	}
+	m.sealers.put(k, s, sealerCap)
+	return s
+}
+
+// gens is a map bounded to a fixed number of entries in two
+// generations: puts go to cur, and when cur holds half the bound it
+// replaces old, whose entries are dropped and whose map, cleared, is the
+// next cur — so a full table turns over without allocating. Callers hold
+// Memo.mu.
 type gens[K comparable, V any] struct {
 	cur, old map[K]V
 }
 
-func (g *gens[K, V]) put(k K, v V) {
-	if len(g.cur) >= memoCap/2 {
-		g.old, g.cur = g.cur, nil
+func (g *gens[K, V]) put(k K, v V, bound int) {
+	if len(g.cur) >= bound/2 {
+		g.old, g.cur = g.cur, g.old
+		clear(g.cur)
 	}
 	if g.cur == nil {
 		g.cur = make(map[K]V)

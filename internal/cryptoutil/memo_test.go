@@ -176,7 +176,7 @@ func TestMemoEvictedEntryTakesRealCheck(t *testing.T) {
 	}
 	for name, n := range map[string]int{
 		"sigs":   len(m.sigs.cur) + len(m.sigs.old),
-		"shared": len(m.shared.cur) + len(m.shared.old),
+		"sealed": len(m.sealed.cur) + len(m.sealed.old),
 	} {
 		if n > memoCap {
 			t.Errorf("%s holds %d records, bound %d", name, n, memoCap)
@@ -193,6 +193,143 @@ func TestMemoEvictedEntryTakesRealCheck(t *testing.T) {
 	}
 	if m.Hits() != 0 || m.Misses() != 3 {
 		t.Fatalf("hits %d misses %d, want three misses", m.Hits(), m.Misses())
+	}
+}
+
+// TestMemoSealerSharesOnePerKey: every Sealer call for the same 16 bytes
+// returns one SealKey, distinct keys — down to one flipped bit — never
+// share, and a shared SealKey seals exactly the bytes a private one does
+// and opens what either sealed.
+func TestMemoSealerSharesOnePerKey(t *testing.T) {
+	rng := testRNG()
+	m := NewMemo()
+	k, _ := NewSymKey(rng)
+	near := k
+	near[SymKeySize-1] ^= 1
+	other, _ := NewSymKey(rng)
+
+	shared := m.Sealer(k)
+	if m.Sealer(k) != shared {
+		t.Fatal("Sealer returned a second SealKey for a held key")
+	}
+	if shared.aead != nil {
+		t.Fatal("Sealer built the AEAD before first use")
+	}
+	seen := map[*SealKey]SymKey{shared: k}
+	for _, key := range []SymKey{near, other} {
+		s := m.Sealer(key)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("keys %x and %x share a SealKey", prev, key)
+		}
+		seen[s] = key
+		if s.Key() != key {
+			t.Fatalf("Sealer(%x).Key() = %x", key, s.Key())
+		}
+	}
+
+	payload, aad := bytes.Repeat([]byte{0x5a}, 300), []byte("aad")
+	private := k.Sealer()
+	for i := int64(0); i < 3; i++ {
+		got, err1 := shared.Seal(NewSeededReader(i), payload, aad)
+		want, err2 := private.Seal(NewSeededReader(i), payload, aad)
+		if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+			t.Fatalf("seal %d: shared %x, %v; private %x, %v", i, got, err1, want, err2)
+		}
+		if pt, err := m.Sealer(k).Open(want, aad); err != nil || !bytes.Equal(pt, payload) {
+			t.Fatalf("seal %d: shared Open of a private seal = %v", i, err)
+		}
+		if _, err := m.Sealer(near).Open(got, aad); !errors.Is(err, ErrDecrypt) {
+			t.Fatalf("seal %d: a one-bit-off key opened it: %v", i, err)
+		}
+	}
+	var nilMemo *Memo
+	if a, b := nilMemo.Sealer(k), nilMemo.Sealer(k); a == b || a.Key() != k {
+		t.Fatal("nil memo shared a SealKey, or lost its key")
+	}
+}
+
+// TestMemoSealerBoundAndPromotion: the SealKey table never holds more
+// than sealerCap entries; a key taken again while held in the older
+// generation moves to the newer and stays shared however many keys
+// follow, and a key dropped from the table gets a fresh SealKey that
+// still seals the same bytes.
+func TestMemoSealerBoundAndPromotion(t *testing.T) {
+	rng := testRNG()
+	m := NewMemo()
+	hot, _ := NewSymKey(rng)
+	cold, _ := NewSymKey(rng)
+	hotSK, coldSK := m.Sealer(hot), m.Sealer(cold)
+	for i := 0; i < 4*sealerCap; i++ {
+		k, _ := NewSymKey(rng)
+		m.Sealer(k)
+		if i%(sealerCap/4) == 0 && m.Sealer(hot) != hotSK {
+			t.Fatalf("after %d keys the hot key got a second SealKey", i)
+		}
+		if n := len(m.sealers.cur) + len(m.sealers.old); n > sealerCap {
+			t.Fatalf("table holds %d SealKeys, bound %d", n, sealerCap)
+		}
+	}
+	fresh := m.Sealer(cold)
+	if fresh == coldSK {
+		t.Fatal("a key untouched for 4×sealerCap insertions is still held")
+	}
+	a, _ := fresh.Seal(NewSeededReader(1), []byte("x"), nil)
+	b, _ := coldSK.Seal(NewSeededReader(1), []byte("x"), nil)
+	if !bytes.Equal(a, b) {
+		t.Fatal("a re-taken key seals differently")
+	}
+}
+
+// TestMemoSealerAllocBudget: taking a key the memo holds allocates
+// nothing — no SealKey, no AEAD — whether or not its AEAD is built.
+func TestMemoSealerAllocBudget(t *testing.T) {
+	m := NewMemo()
+	k, _ := NewSymKey(testRNG())
+	held := m.Sealer(k)
+	var got *SealKey // escapes, so a fresh SealKey would show
+	take := func() { got = m.Sealer(k) }
+	if n := testing.AllocsPerRun(100, take); n != 0 || got != held {
+		t.Fatalf("second Sealer of a held key allocates %.0f objects (shared %v), want 0", n, got == held)
+	}
+	if _, err := held.Seal(testRNG(), []byte("x"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, take); n != 0 || got != held {
+		t.Fatalf("Sealer of a held, built key allocates %.0f objects (shared %v), want 0", n, got == held)
+	}
+}
+
+// TestMemoOpenBuildsNoAEAD: opening a payload the memo sealed reuses the
+// AEAD Seal derived — it allocates the plaintext and nothing else, where
+// a plain Open pays the X25519 ladder and a fresh AES-GCM — and still
+// opens exactly what was sealed.
+func TestMemoOpenBuildsNoAEAD(t *testing.T) {
+	rng := testRNG()
+	kp, _ := NewKeyPair(rng)
+	m := NewMemo()
+	const runs = 50
+	pt := []byte("0123456789abcdef")
+	sealed := make([][]byte, runs+1) // AllocsPerRun calls f runs+1 times
+	for i := range sealed {
+		sealed[i], _ = m.Seal(rng, kp.Public(), pt)
+	}
+	next := 0
+	memoAllocs := testing.AllocsPerRun(runs, func() {
+		got, err := m.Open(kp, sealed[next])
+		if err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("Open %d = %x, %v", next, got, err)
+		}
+		next++
+	})
+	if m.Hits() != runs+1 || m.Misses() != 0 {
+		t.Fatalf("hits %d misses %d, want every Open to hit", m.Hits(), m.Misses())
+	}
+	if memoAllocs != 1 {
+		t.Fatalf("Memo.Open after Memo.Seal allocates %.0f objects, want 1 (the plaintext)", memoAllocs)
+	}
+	plainAllocs := testing.AllocsPerRun(runs, func() { _, _ = kp.Open(sealed[0]) })
+	if plainAllocs <= memoAllocs+1 {
+		t.Fatalf("plain Open allocates %.0f objects, memo Open %.0f: the comparison shows nothing", plainAllocs, memoAllocs)
 	}
 }
 
@@ -215,7 +352,9 @@ func TestNilMemoRunsPlainPrimitives(t *testing.T) {
 
 // TestMemoConcurrent: goroutines sign, verify, seal and open through one
 // memo — some verifying the others' signatures, some opening the others'
-// seals, some presenting forgeries — and every answer is the plain one.
+// seals, some presenting forgeries — and take overlapping symmetric keys
+// from it, sealing under them and opening each other's payloads; every
+// answer is the plain one, and each key has one SealKey.
 func TestMemoConcurrent(t *testing.T) {
 	const workers, rounds = 8, 40
 	m := NewMemo()
@@ -223,6 +362,12 @@ func TestMemoConcurrent(t *testing.T) {
 	for i := range keys {
 		keys[i], _ = NewKeyPair(NewSeededReader(int64(i)))
 	}
+	syms := make([]SymKey, 5)
+	for i := range syms {
+		syms[i], _ = NewSymKey(NewSeededReader(int64(50 + i)))
+	}
+	sealers := make([][]*SealKey, workers) // per worker: the SealKey it got for each sym
+	symSealed := make(chan []byte, workers*rounds)
 	type signed struct{ msg, sig []byte }
 	sigs := make(chan signed, workers*rounds)
 	seals := make(chan []byte, workers*rounds)
@@ -256,10 +401,38 @@ func TestMemoConcurrent(t *testing.T) {
 				if pt, err := m.Open(keys[0], <-seals); err != nil || !bytes.HasPrefix(pt, []byte("nonce ")) {
 					t.Errorf("Open = %q, %v", pt, err)
 				}
+				sk := m.Sealer(syms[(w+r)%len(syms)])
+				sealers[w] = append(sealers[w], sk)
+				ct, err := sk.Seal(rng, msg, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				symSealed <- ct
+				got := <-symSealed
+				opened := false
+				for _, k := range syms {
+					if pt, err := m.Sealer(k).Open(got, nil); err == nil {
+						opened = bytes.HasPrefix(pt, []byte("nonce "))
+						break
+					}
+				}
+				if !opened {
+					t.Error("no shared key opened a payload sealed under one of them")
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	one := make(map[SymKey]*SealKey)
+	for _, got := range sealers {
+		for _, sk := range got {
+			if prev, ok := one[sk.Key()]; ok && prev != sk {
+				t.Fatalf("key %x: two SealKeys", sk.Key())
+			}
+			one[sk.Key()] = sk
+		}
+	}
 }
 
 // Hits reports how many checks a record answered.

@@ -108,10 +108,13 @@ func (s *Schedule) Rotate() (ContentKey, error) {
 // Each iteration is stored as a cryptoutil.SealKey: Add keeps the 16 key
 // bytes, and the AES/GCM set-up is paid by the first packet opened under
 // that iteration, once — a peer that receives no content under a key
-// never builds its AEAD.
+// never builds its AEAD. A ring built with a deployment's Memo takes that
+// SealKey from it, so every ring of the deployment holding the iteration,
+// and the Channel Server sealing under it, share one AEAD.
 type Ring struct {
 	mu     sync.Mutex
 	window int
+	memo   *cryptoutil.Memo
 	keys   map[Serial]*cryptoutil.SealKey
 	latest Serial
 	has    bool
@@ -166,12 +169,16 @@ func (r *Ring) Stats() RingStats {
 const DefaultWindow = 4
 
 // NewRing creates a ring keeping up to window iterations (≤ 0 uses
-// DefaultWindow).
-func NewRing(window int) *Ring {
+// DefaultWindow), holding a SealKey of its own for each.
+func NewRing(window int) *Ring { return NewSharedRing(window, nil) }
+
+// NewSharedRing is NewRing taking each iteration's SealKey from m (see
+// cryptoutil.Memo.Sealer); a nil m shares nothing.
+func NewSharedRing(window int, m *cryptoutil.Memo) *Ring {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &Ring{window: window, keys: make(map[Serial]*cryptoutil.SealKey, window)}
+	return &Ring{window: window, memo: m, keys: make(map[Serial]*cryptoutil.SealKey, window)}
 }
 
 // Add inserts a received key iteration. It returns false for duplicates
@@ -188,7 +195,7 @@ func (r *Ring) Add(k ContentKey) bool {
 			return false // too old
 		}
 	}
-	r.keys[k.Serial] = k.Key.Sealer()
+	r.keys[k.Serial] = r.memo.Sealer(k.Key)
 	if !r.has || k.Serial.newerThan(r.latest) {
 		r.latest = k.Serial
 		r.has = true
@@ -260,8 +267,13 @@ type PacketSealer struct {
 }
 
 // NewPacketSealer wraps the key iteration for sealing packets.
-func NewPacketSealer(k ContentKey) *PacketSealer {
-	return &PacketSealer{serial: k.Serial, sealer: k.Key.Sealer()}
+func NewPacketSealer(k ContentKey) *PacketSealer { return NewSharedPacketSealer(k, nil) }
+
+// NewSharedPacketSealer is NewPacketSealer taking the iteration's SealKey
+// from m, the one every ring built on m holds for it; a nil m shares
+// nothing.
+func NewSharedPacketSealer(k ContentKey, m *cryptoutil.Memo) *PacketSealer {
+	return &PacketSealer{serial: k.Serial, sealer: m.Sealer(k.Key)}
 }
 
 // Key returns the underlying key iteration.

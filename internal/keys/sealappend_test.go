@@ -172,3 +172,55 @@ func TestRingAddBuildsNoAEAD(t *testing.T) {
 		t.Fatalf("packet under a foreign key: err = %v, want ErrHijack", err)
 	}
 }
+
+// TestSharedRingsAllocBudget: rings built on one memo, like the peers of
+// a channel, hold the very SealKey the Channel Server seals under, so N
+// rings that each open a packet under the key build one AEAD between
+// them: the Channel Server's. A sharing ring's first open costs its AAD
+// scratch and nothing more, where a private ring's also builds an AEAD.
+func TestSharedRingsAllocBudget(t *testing.T) {
+	m := cryptoutil.NewMemo()
+	sched, _ := NewSchedule(testRNG())
+	ck := sched.Current()
+	aad := []byte("chan-1")
+	ps := NewSharedPacketSealer(ck, m)
+	packet, err := ps.Seal(testRNG(), []byte("frame"), aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	for i := 0; i < n; i++ {
+		r := NewSharedRing(DefaultWindow, m)
+		r.Add(ck)
+		if pt, err := OpenPacket(r, packet, aad); err != nil || string(pt) != "frame" {
+			t.Fatalf("ring %d: OpenPacket = %q, %v", i, pt, err)
+		}
+		if r.keys[ck.Serial] != ps.sealer {
+			t.Fatalf("ring %d holds its own SealKey, not the Channel Server's", i)
+		}
+	}
+
+	buf := make([]byte, 0, len(packet))
+	held := func(shared *cryptoutil.Memo, open bool) float64 {
+		return testing.AllocsPerRun(100, func() {
+			r := NewSharedRing(DefaultWindow, shared)
+			r.Add(ck)
+			if open {
+				if _, err := OpenPacketAppend(buf[:0], r, packet, aad); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	ringOnly, sharedOpen, privateOpen := held(m, false), held(m, true), held(nil, true)
+	if sharedOpen-ringOnly != 1 {
+		t.Fatalf("a sharing ring's first open allocates %.0f objects beyond the ring's %.0f, want 1 (its AAD scratch; an AEAD was built?)", sharedOpen-ringOnly, ringOnly)
+	}
+	// What sharing saves each ring: a SealKey and its AEAD build.
+	full := append([]byte{byte(ck.Serial)}, aad...)
+	sealKeyAndAEAD := testing.AllocsPerRun(100, func() { ck.Key.Sealer().OpenAppend(buf[:0], packet[1:], full) })
+	if privateOpen-sharedOpen != sealKeyAndAEAD || sealKeyAndAEAD < 3 {
+		t.Fatalf("a private ring's first open allocates %.0f objects, a sharing one's %.0f; a SealKey with its AEAD is %.0f",
+			privateOpen, sharedOpen, sealKeyAndAEAD)
+	}
+}

@@ -82,8 +82,10 @@ type Config struct {
 	// and a hit skips the Ed25519 check (the validity window, NetAddr
 	// binding and channel match are still enforced per use). JOIN
 	// session keys are sealed and opened through its Crypto memo, so a
-	// joiner sharing it skips the ECDH its parent already computed. Nil
-	// gives the peer a private memo.
+	// joiner sharing it skips the ECDH its parent already computed, and
+	// the session keys at both ends and the content keys in the ring
+	// take their SealKeys from it, one AEAD per key. Nil gives the peer
+	// a private memo.
 	Tickets *ticket.Verifier
 	// Arena backs the peer's hot child/dedup state with shared flat
 	// slabs. Peers sharing an arena must run on one scheduler lane (a
@@ -269,7 +271,7 @@ func NewPeer(node *simnet.Node, cfg Config) (*Peer, error) {
 		cfg:      cfg,
 		node:     node,
 		rt:       svc.NewRuntime(node),
-		ring:     keys.NewRing(keys.DefaultWindow),
+		ring:     keys.NewSharedRing(keys.DefaultWindow, cfg.Tickets.Crypto()),
 		arena:    arena,
 		children: make(map[simnet.Addr]childHandle),
 		parents:  make(map[simnet.Addr]*parent),
@@ -364,9 +366,10 @@ func (p *Peer) handleJoin(from simnet.Addr, req *wire.JoinReq) (*wire.JoinResp, 
 	if err != nil {
 		return p.rejectJoin(wire.CodeInternal, "session key sealing failed")
 	}
-	// The pairwise session key lives for the whole peering; build its
-	// AEAD once here and reuse it for every key push and content seal.
-	sealer := session.Sealer()
+	// The pairwise session key lives for the whole peering; its AEAD is
+	// built once, shared with the joiner's end through the deployment's
+	// memo, and reused for every key push and content seal.
+	sealer := p.cfg.Tickets.Crypto().Sealer(session)
 	// Current content keys, each sealed under the new session key (§IV-E).
 	var sealedKeys [][]byte
 	for _, ck := range p.ring.Snapshot() {
@@ -612,7 +615,7 @@ func (p *Peer) JoinParentTraced(tc wire.TraceCtx, addr simnet.Addr, substreams [
 	}
 	var session cryptoutil.SymKey
 	copy(session[:], sessionBytes)
-	sealer := session.Sealer()
+	sealer := p.cfg.Tickets.Crypto().Sealer(session)
 	for _, sk := range resp.SealedKeys {
 		raw, err := sealer.Open(sk, nil)
 		if err != nil {

@@ -51,15 +51,6 @@ func (l ChannelAttrList) UTimeFor(name string) time.Time {
 	return latest
 }
 
-// Clone copies the list.
-func (l ChannelAttrList) Clone() ChannelAttrList {
-	out := make(ChannelAttrList, len(l))
-	for k, v := range l {
-		out[k] = v
-	}
-	return out
-}
-
 // Encode serializes the list deterministically (sorted by key).
 func (l ChannelAttrList) Encode() []byte {
 	keys := make([]AttrKey, 0, len(l))

@@ -81,11 +81,16 @@ type Decision struct {
 }
 
 // Evaluate applies the channel's rules to the user's attributes at time t.
+// It allocates nothing for a channel of up to 16 rules.
 func Evaluate(chAttrs attr.List, rules []Rule, user attr.List, t time.Time) Decision {
 	// Stable selection: highest priority first, ties by list order.
-	order := make([]int, len(rules))
-	for i := range order {
-		order[i] = i
+	var stack [16]int
+	order := stack[:0]
+	if len(rules) > len(stack) {
+		order = make([]int, 0, len(rules))
+	}
+	for i := range rules {
+		order = append(order, i)
 	}
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && rules[order[j]].Priority > rules[order[j-1]].Priority; j-- {
@@ -108,18 +113,22 @@ func Evaluate(chAttrs attr.List, rules []Rule, user attr.List, t time.Time) Deci
 // condition of the rule at time t.
 func armed(chAttrs attr.List, r Rule, t time.Time) bool {
 	for _, c := range r.Conds {
-		found := false
-		for _, a := range chAttrs.Find(c.Name) {
-			if a.Value == c.Value && a.ValidAt(t) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !holds(chAttrs, c, t) {
 			return false
 		}
 	}
 	return true
+}
+
+// holds reports whether the channel has an attribute of the condition's
+// exact name and value valid at t.
+func holds(chAttrs attr.List, c Cond, t time.Time) bool {
+	for _, a := range chAttrs {
+		if a.Name == c.Name && a.Value == c.Value && a.ValidAt(t) {
+			return true
+		}
+	}
+	return false
 }
 
 // matches reports whether the user satisfies every condition.

@@ -339,3 +339,31 @@ func TestRuleRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEvaluateAllocBudget: deciding a request reads the channel's and the
+// user's attribute lists in place — before, during and after a blackout,
+// for an accepted, a rejected and a default-denied user — and allocates
+// nothing; only a channel of more than 16 rules pays for its order slice.
+func TestEvaluateAllocBudget(t *testing.T) {
+	ch := channelA()
+	users := []attr.List{
+		{{Name: attr.NameRegion, Value: "101"}},
+		{{Name: attr.NameRegion, Value: "100"}, {Name: attr.NameSubscription, Value: "101", ETime: subEnd}},
+		userR100,
+		{{Name: attr.NameRegion, Value: "300"}},
+	}
+	for _, at := range []time.Time{now, boStart.Add(time.Minute), boEnd.Add(time.Minute)} {
+		for i, u := range users {
+			if n := testing.AllocsPerRun(100, func() { ch.EvaluateUser(u, at) }); n != 0 {
+				t.Errorf("user %d at %s: Evaluate allocates %.0f objects, want 0", i, at.Format(time.Kitchen), n)
+			}
+		}
+	}
+	var many []Rule
+	for i := 0; i < 17; i++ {
+		many = append(many, Rule{Priority: i % 3, Conds: []Cond{{Name: attr.NameRegion, Value: "999"}}, Effect: Accept})
+	}
+	if n := testing.AllocsPerRun(100, func() { Evaluate(ch.Attrs, many, userR100, now) }); n != 1 {
+		t.Errorf("17-rule Evaluate allocates %.0f objects, want 1 (its order slice)", n)
+	}
+}

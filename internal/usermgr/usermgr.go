@@ -61,7 +61,8 @@ type Config struct {
 	// this manager signs is remembered there, so the client, the Channel
 	// Managers and the Policy Manager sharing it never re-verify it.
 	// LOGIN2 signatures are checked through its Crypto memo, where the
-	// client recorded them. Nil gives the manager a private memo.
+	// client recorded them, and LOGIN1 challenges are sealed under the
+	// shp SealKey it holds. Nil gives the manager a private memo.
 	Tickets *ticket.Verifier
 }
 
@@ -136,17 +137,23 @@ func (m *Manager) Stats() Stats {
 }
 
 func (m *Manager) handlePolicyFeed(_ simnet.Addr, feed *wire.Feed) {
-	l, err := policy.DecodeAttrList(feed.Body)
+	m.mu.Lock()
+	stale := feed.Version <= m.feedSeen
+	m.mu.Unlock()
+	if stale {
+		return // reordered stale push: not worth decoding
+	}
+	l, err := policy.DecodeAttrList(feed.Body) // a fresh list, owned here
 	if err != nil {
 		return // undecodable feed body: drop, the push is one-way
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if feed.Version <= m.feedSeen {
-		return // reordered stale push
+		return // a newer feed landed while decoding
 	}
 	m.feedSeen = feed.Version
-	m.chanAttrs = l.Clone()
+	m.chanAttrs = l
 }
 
 func (m *Manager) fail() {
@@ -175,18 +182,15 @@ func (m *Manager) handleLogin1(_ simnet.Addr, req *wire.Login1Req) (*wire.Login1
 	}
 	params := m.newChecksumParams()
 
-	// Challenge: shp-sealed nonce || params (§IV-F1). The per-account
-	// cached sealer amortizes the AES/GCM setup across logins; accounts
-	// injected without one (hand-built fixtures) fall back to one-shot.
+	// Challenge: shp-sealed nonce || params (§IV-F1). The shp SealKey
+	// comes from the deployment's memo, which the client opening the
+	// challenge takes it from too, so the AES/GCM set-up is paid once per
+	// account, not per login or per end.
 	paramBytes := params.Encode()
 	plain := make([]byte, 0, cryptoutil.NonceSize+16)
 	plain = append(plain, nonce[:]...)
 	plain = append(plain, paramBytes...)
-	shpSealer := acct.SHPSealer
-	if shpSealer == nil {
-		shpSealer = acct.SHP.Sealer()
-	}
-	sealed, err := shpSealer.Seal(m.cfg.RNG, plain, nil)
+	sealed, err := m.cfg.Tickets.Crypto().Sealer(acct.SHP).Seal(m.cfg.RNG, plain, nil)
 	if err != nil {
 		m.fail()
 		return nil, wire.Errf(wire.CodeDenied, "challenge sealing failed")

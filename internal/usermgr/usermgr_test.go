@@ -388,7 +388,12 @@ func TestSubscriptionAttributesAndTicketCap(t *testing.T) {
 	if ut == nil {
 		t.Fatal("no ticket")
 	}
-	subs := ut.Attrs.Find(attr.NameSubscription)
+	var subs attr.List
+	for _, a := range ut.Attrs {
+		if a.Name == attr.NameSubscription {
+			subs = append(subs, a)
+		}
+	}
 	if len(subs) != 1 || subs[0].Value != "premium" {
 		t.Fatalf("subscription attrs = %v (expired one must be dropped)", subs)
 	}
@@ -432,6 +437,35 @@ func TestPolicyFeedHandler(t *testing.T) {
 	f.mgr.mu.Unlock()
 	if !got.Equal(t0) {
 		t.Fatalf("feed not applied: utime = %v", got)
+	}
+}
+
+// TestPolicyFeedStaleNotDecoded: a feed no newer than the last one
+// applied is dropped before its body is decoded (it allocates nothing),
+// and a fresh feed whose body does not decode leaves the version where
+// it was, so the next good feed still applies.
+func TestPolicyFeedStaleNotDecoded(t *testing.T) {
+	f := newFixture(t, nil)
+	body := func(utime time.Time) []byte {
+		return policy.ChannelAttrList{{Name: attr.NameRegion, Value: "7"}: utime}.Encode()
+	}
+	utime := func() time.Time {
+		f.mgr.mu.Lock()
+		defer f.mgr.mu.Unlock()
+		return f.mgr.chanAttrs.UTimeFor(attr.NameRegion)
+	}
+	f.mgr.handlePolicyFeed("pm.provider", &wire.Feed{Version: 5, Body: body(t0)})
+	stale := &wire.Feed{Version: 3, Body: body(t0.Add(-time.Hour))}
+	if n := testing.AllocsPerRun(20, func() { f.mgr.handlePolicyFeed("pm.provider", stale) }); n != 0 {
+		t.Fatalf("stale feed allocates %.0f objects, want 0 (decoded before its version check?)", n)
+	}
+	f.mgr.handlePolicyFeed("pm.provider", &wire.Feed{Version: 10, Body: []byte{0xff}})
+	if got := utime(); !got.Equal(t0) || f.mgr.feedSeen != 5 {
+		t.Fatalf("after a stale and a garbage feed: utime %v, version %d; want %v, 5", got, f.mgr.feedSeen, t0)
+	}
+	f.mgr.handlePolicyFeed("pm.provider", &wire.Feed{Version: 6, Body: body(t0.Add(time.Hour))})
+	if got := utime(); !got.Equal(t0.Add(time.Hour)) || f.mgr.feedSeen != 6 {
+		t.Fatalf("version 6 after a garbage version 10: utime %v, version %d", got, f.mgr.feedSeen)
 	}
 }
 
