@@ -141,18 +141,20 @@ func run(w io.Writer) error {
 		return fmt.Errorf("lineup changes did not propagate")
 	}
 
-	// End-of-day royalty/viewing-rate report from the viewing logs
-	// (§II: licensing fees, royalties, per-view payment, ad ratings).
+	viewingReport(w, sys, start)
+	return nil
+}
+
+// viewingReport prints the end-of-day royalty/viewing-rate report from
+// the viewing logs (§II: licensing fees, royalties, per-view payment, ad
+// ratings), one section per partition in Options order.
+func viewingReport(w io.Writer, sys *core.System, since time.Time) {
 	fmt.Fprintln(w, "\nviewing report (per partition):")
-	for part, farm := range sys.ChanMgrs {
-		if len(farm) == 0 {
-			continue
-		}
-		usage := farm[0].Log().Usage(start, sys.Sched.Now())
-		for _, u := range usage {
+	for _, part := range sys.Opts.Partitions {
+		// A partition's members share one viewing log.
+		for _, u := range sys.ChanMgrs(part)[0].Log().Usage(since, sys.Sched.Now()) {
 			fmt.Fprintf(w, "  [%s] %-8s viewers=%d ticket-issues=%d\n",
 				part, u.ChannelID, u.UniqueViewers, u.TicketIssues)
 		}
 	}
-	return nil
 }

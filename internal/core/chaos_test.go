@@ -166,8 +166,8 @@ func TestChaosSingleBackendPermanentKill(t *testing.T) {
 		t.Fatalf("%d of %d clients watching with one backend of each farm dead", watching, users)
 	}
 	// The survivors did all the work.
-	if sys.UserMgrs[1].Stats().Login2Served != users {
-		t.Fatalf("surviving UM served %d login2, want %d", sys.UserMgrs[1].Stats().Login2Served, users)
+	if sys.UserMgrs()[1].Stats().Login2Served != users {
+		t.Fatalf("surviving UM served %d login2, want %d", sys.UserMgrs()[1].Stats().Login2Served, users)
 	}
 }
 

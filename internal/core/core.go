@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"p2pdrm/internal/accountmgr"
@@ -49,13 +50,6 @@ func addrUserMgrDomain(domain string) simnet.Addr {
 		return AddrUserMgr
 	}
 	return simnet.Addr("um." + domain + ".provider")
-}
-
-func domainSuffix(domain string) string {
-	if domain == "" {
-		return ""
-	}
-	return "." + domain
 }
 
 // AddrChannelMgr names a partition's Channel Manager VIP.
@@ -203,8 +197,6 @@ type System struct {
 	Sched     *sim.Scheduler
 	Net       *simnet.Network
 	Accounts  *accountmgr.Manager
-	UserMgrs  []*usermgr.Manager
-	ChanMgrs  map[string][]*channelmgr.Manager
 	PolicyMgr *policymgr.Manager
 	Redirect  *redirect.Manager
 	Servers   map[string]*chserver.Server
@@ -226,20 +218,19 @@ type System struct {
 	// read-only by every holder (see policy.Lists).
 	lists *policy.Lists
 
-	rng       *cryptoutil.SeededReader
-	umKeys    *cryptoutil.KeyPair
-	pmKeys    *cryptoutil.KeyPair
-	rmKeys    *cryptoutil.KeyPair
-	cmKeys    map[string]*cryptoutil.KeyPair
-	partIdx   int
-	umBackend []simnet.Addr
-	cmBackend []simnet.Addr
-	mgrNodes  []*simnet.Node
-	// umMember builds one member of the anonymous domain's User Manager
-	// farm, for DeployFarm and for every member AddUserMgrMember adds
-	// later; umMembers counts the members ever built, naming the next.
-	umMember  func(node *simnet.Node) (*usermgr.Manager, error)
-	umMembers int
+	rng     *cryptoutil.SeededReader
+	umKeys  *cryptoutil.KeyPair
+	pmKeys  *cryptoutil.KeyPair
+	rmKeys  *cryptoutil.KeyPair
+	cmKeys  map[string]*cryptoutil.KeyPair
+	partIdx int
+	// umFarms holds one User Manager farm per Authentication Domain and
+	// cmFarms one Channel Manager farm per partition, both in Options
+	// order: every member list, address list and Policy Manager
+	// subscription is read from them in that order, which fixes the send
+	// and random-draw order every golden fingerprint pins.
+	umFarms []*farm[*usermgr.Manager]
+	cmFarms []*farm[*channelmgr.Manager]
 }
 
 // NewSystem builds and wires a full deployment.
@@ -257,7 +248,6 @@ func NewSystem(opts Options) (*System, error) {
 		Sched:    sched,
 		Net:      net,
 		Accounts: accountmgr.New(),
-		ChanMgrs: make(map[string][]*channelmgr.Manager),
 		Servers:  make(map[string]*chserver.Server),
 		Arena:    p2p.NewArena(1 << 16),
 		tickets:  ticket.NewVerifier(0),
@@ -270,35 +260,30 @@ func NewSystem(opts Options) (*System, error) {
 	// Domain, each implemented across a farm of backends). All domains
 	// share the provider's key pair so Channel Managers verify User
 	// Tickets with a single key.
+	if slices.Contains(opts.Domains, "") {
+		return nil, fmt.Errorf("core: empty domain name")
+	}
 	umKeys, err := cryptoutil.NewKeyPair(rng)
 	if err != nil {
 		return nil, err
 	}
 	sys.umKeys = umKeys
-	for di, domain := range append([]string{""}, opts.Domains...) {
-		if di > 0 && domain == "" {
-			return nil, fmt.Errorf("core: empty domain name")
+	domains := opts.Domains
+	if len(domains) == 0 {
+		domains = []string{""} // the single anonymous domain
+	}
+	for _, domain := range domains {
+		suffix := ""
+		if domain != "" {
+			suffix = "." + domain
 		}
-		if di == 0 && len(opts.Domains) > 0 {
-			continue // explicit domains replace the anonymous one
-		}
-		suffix := domainSuffix(domain)
-		build := sys.userMgrBuilder(domain)
-		mgrs, nodes, err := svc.DeployFarm(net, addrUserMgrDomain(domain), opts.UserMgrFarm,
-			func(i int) simnet.Addr {
-				return simnet.Addr(fmt.Sprintf("um%d%s.provider", i+1, suffix))
-			}, build)
+		f, err := newFarm(net, addrUserMgrDomain(domain), opts.UserMgrFarm,
+			func(n int) simnet.Addr { return simnet.Addr(fmt.Sprintf("um%d%s.provider", n, suffix)) },
+			sys.userMgrBuilder(domain))
 		if err != nil {
 			return nil, err
 		}
-		if domain == "" {
-			sys.umMember, sys.umMembers = build, len(mgrs)
-		}
-		sys.UserMgrs = append(sys.UserMgrs, mgrs...)
-		for _, node := range nodes {
-			sys.umBackend = append(sys.umBackend, node.Addr())
-			sys.mgrNodes = append(sys.mgrNodes, node)
-		}
+		sys.umFarms = append(sys.umFarms, f)
 	}
 
 	// --- Channel Manager farms, one per partition (§V).
@@ -308,36 +293,13 @@ func NewSystem(opts Options) (*System, error) {
 			return nil, err
 		}
 		sys.cmKeys[part] = cmKeys
-		cfg := channelmgr.Config{
-			Keys:           cmKeys,
-			UserMgrKey:     umKeys.Public(),
-			TokenSecret:    []byte("cm-farm-secret-" + part),
-			TicketLifetime: opts.ChannelTicketLifetime,
-			RenewWindow:    opts.RenewWindow,
-			Partition:      part,
-			Log:            channelmgr.NewViewLog(0),
-			Dir:            channelmgr.NewDirectory(opts.Seed + int64(len(part))),
-			RNG:            rng,
-			Tickets:        sys.tickets,
-			Lists:          sys.lists,
-		}
-		partition := part
-		mgrs, nodes, err := svc.DeployFarm(net, AddrChannelMgr(part), opts.ChannelMgrFarm,
-			func(i int) simnet.Addr {
-				return simnet.Addr(fmt.Sprintf("cm%d.%s.provider", i+1, partition))
-			},
-			func(node *simnet.Node) (*channelmgr.Manager, error) {
-				applyCapacity(node, opts.ChannelMgrCapacity)
-				return channelmgr.New(node, cfg)
-			})
+		f, err := newFarm(net, AddrChannelMgr(part), opts.ChannelMgrFarm,
+			func(n int) simnet.Addr { return simnet.Addr(fmt.Sprintf("cm%d.%s.provider", n, part)) },
+			sys.chanMgrBuilder(part, cmKeys))
 		if err != nil {
 			return nil, err
 		}
-		sys.ChanMgrs[part] = append(sys.ChanMgrs[part], mgrs...)
-		for _, node := range nodes {
-			sys.cmBackend = append(sys.cmBackend, node.Addr())
-			sys.mgrNodes = append(sys.mgrNodes, node)
-		}
+		sys.cmFarms = append(sys.cmFarms, f)
 	}
 
 	// --- Channel Policy Manager (one per provider network, §V).
@@ -351,8 +313,8 @@ func NewSystem(opts Options) (*System, error) {
 		Keys:        pmKeys,
 		RNG:         rng,
 		UserMgrKey:  umKeys.Public(),
-		UserMgrs:    sys.umBackend,
-		ChannelMgrs: sys.cmBackend,
+		UserMgrs:    sys.UserMgrBackends(),
+		ChannelMgrs: sys.ChannelMgrBackends(),
 		Tickets:     sys.tickets,
 	})
 	if err != nil {
@@ -433,6 +395,31 @@ func (s *System) userMgrBuilder(domain string) func(node *simnet.Node) (*usermgr
 	}
 }
 
+// chanMgrBuilder returns the constructor of one Channel Manager farm
+// member of a partition. Every member shares the partition's key pair,
+// token secret, viewing log and peer directory, so any member serves any
+// switch.
+func (s *System) chanMgrBuilder(part string, keys *cryptoutil.KeyPair) func(node *simnet.Node) (*channelmgr.Manager, error) {
+	opts := s.Opts
+	cfg := channelmgr.Config{
+		Keys:           keys,
+		UserMgrKey:     s.umKeys.Public(),
+		TokenSecret:    []byte("cm-farm-secret-" + part),
+		TicketLifetime: opts.ChannelTicketLifetime,
+		RenewWindow:    opts.RenewWindow,
+		Partition:      part,
+		Log:            channelmgr.NewViewLog(0),
+		Dir:            channelmgr.NewDirectory(opts.Seed + int64(len(part))),
+		RNG:            s.rng,
+		Tickets:        s.tickets,
+		Lists:          s.lists,
+	}
+	return func(node *simnet.Node) (*channelmgr.Manager, error) {
+		applyCapacity(node, opts.ChannelMgrCapacity)
+		return channelmgr.New(node, cfg)
+	}
+}
+
 // AddUserMgrMember grows the User Manager farm by one member mid-run
 // (§V): the member deploys at the next um<N>.provider address, joins the
 // VIP pool, and subscribes to Policy Manager pushes. Members keep no
@@ -441,43 +428,25 @@ func (s *System) AddUserMgrMember() (simnet.Addr, error) {
 	if len(s.Opts.Domains) > 0 {
 		return "", fmt.Errorf("core: AddUserMgrMember requires the single anonymous domain")
 	}
-	addr := simnet.Addr(fmt.Sprintf("um%d.provider", s.umMembers+1))
-	node := s.Net.NewNode(addr)
-	m, err := s.umMember(node)
+	m, err := s.umFarms[0].add()
 	if err != nil {
-		s.Net.RemoveNode(addr)
 		return "", err
 	}
-	s.umMembers++
-	s.Net.AddVIPBackend(AddrUserMgr, node)
+	addr := m.Runtime().Node().Addr()
 	s.PolicyMgr.AddUserMgr(addr)
-	s.UserMgrs = append(s.UserMgrs, m)
-	s.umBackend = append(s.umBackend, addr)
-	s.mgrNodes = append(s.mgrNodes, node)
 	return addr, nil
 }
 
-// RemoveUserMgrMember drains a member out of the User Manager farm: it
+// removeUserMgrMember drains a member out of the User Manager farm: it
 // leaves the VIP pool, so it receives no new request, but its node stays
 // up, so a request already routed to it completes there. A login whose
 // first round it served finishes on any survivor, which opens the
 // farm-sealed round-2 token as well as it would have.
-func (s *System) RemoveUserMgrMember(addr simnet.Addr) error {
+func (s *System) removeUserMgrMember(addr simnet.Addr) error {
 	if len(s.Opts.Domains) > 0 {
-		return fmt.Errorf("core: RemoveUserMgrMember requires the single anonymous domain")
+		return fmt.Errorf("core: draining a User Manager member requires the single anonymous domain")
 	}
-	for i, a := range s.umBackend {
-		if a != addr {
-			continue
-		}
-		if len(s.umBackend) == 1 {
-			return fmt.Errorf("core: cannot remove the last User Manager member %s", addr)
-		}
-		s.Net.RemoveVIPBackend(AddrUserMgr, addr)
-		s.umBackend = append(s.umBackend[:i], s.umBackend[i+1:]...)
-		return nil
-	}
-	return fmt.Errorf("core: %s is not a User Manager farm member", addr)
+	return s.umFarms[0].drain(addr)
 }
 
 func applyCapacity(node *simnet.Node, c CapacityModel) {
@@ -486,19 +455,39 @@ func applyCapacity(node *simnet.Node, c CapacityModel) {
 	}
 }
 
+// UserMgrs lists every User Manager farm member ever built, drained ones
+// included: domains in Options order, each farm's members in build order.
+func (s *System) UserMgrs() []*usermgr.Manager { return membersOf(s.umFarms) }
+
+// ChanMgrs lists every member of a partition's Channel Manager farm, in
+// build order.
+func (s *System) ChanMgrs(partition string) []*channelmgr.Manager {
+	if i := slices.Index(s.Opts.Partitions, partition); i >= 0 {
+		return s.cmFarms[i].members
+	}
+	return nil
+}
+
+// mgrRuntimes lists every manager farm member's runtime in build order.
+func (s *System) mgrRuntimes() []*svc.Runtime {
+	var out []*svc.Runtime
+	for _, m := range membersOf(s.umFarms) {
+		out = append(out, m.Runtime())
+	}
+	for _, m := range membersOf(s.cmFarms) {
+		out = append(out, m.Runtime())
+	}
+	return out
+}
+
 // runtimes returns every service runtime in the deployment keyed by node
 // address: manager farm backends, the policy and redirection managers,
 // and the channel server roots.
 func (s *System) runtimes() map[simnet.Addr]*svc.Runtime {
 	out := make(map[simnet.Addr]*svc.Runtime)
 	add := func(rt *svc.Runtime) { out[rt.Node().Addr()] = rt }
-	for _, m := range s.UserMgrs {
-		add(m.Runtime())
-	}
-	for _, farm := range s.ChanMgrs {
-		for _, m := range farm {
-			add(m.Runtime())
-		}
+	for _, rt := range s.mgrRuntimes() {
+		add(rt)
 	}
 	add(s.PolicyMgr.Runtime())
 	add(s.Redirect.Runtime())
@@ -522,8 +511,8 @@ func (s *System) EndpointTotals() map[string]svc.Metrics {
 // at any manager backend (0 without a capacity model).
 func (s *System) ManagerQueueHighWater() int {
 	max := 0
-	for _, n := range s.mgrNodes {
-		if _, hw := n.QueueDepth(); hw > max {
+	for _, rt := range s.mgrRuntimes() {
+		if _, hw := rt.Node().QueueDepth(); hw > max {
 			max = hw
 		}
 	}
@@ -533,15 +522,11 @@ func (s *System) ManagerQueueHighWater() int {
 // UserMgrBackends lists the User Manager farm backend addresses across
 // all domains. Fault-injection schedules target these: taking every
 // backend down crashes the logical manager while its VIP black-holes.
-func (s *System) UserMgrBackends() []simnet.Addr {
-	return append([]simnet.Addr(nil), s.umBackend...)
-}
+func (s *System) UserMgrBackends() []simnet.Addr { return pools(s.umFarms) }
 
 // ChannelMgrBackends lists the Channel Manager farm backend addresses
 // across all partitions.
-func (s *System) ChannelMgrBackends() []simnet.Addr {
-	return append([]simnet.Addr(nil), s.cmBackend...)
-}
+func (s *System) ChannelMgrBackends() []simnet.Addr { return pools(s.cmFarms) }
 
 // InfraAddrs lists the client-facing infrastructure addresses — the
 // Redirection and Policy Managers plus every manager VIP. Partition
@@ -549,14 +534,11 @@ func (s *System) ChannelMgrBackends() []simnet.Addr {
 // because that is what clients dial.
 func (s *System) InfraAddrs() []simnet.Addr {
 	out := []simnet.Addr{addrRedirect, addrPolicyMgr}
-	if len(s.Opts.Domains) == 0 {
-		out = append(out, AddrUserMgr)
+	for _, f := range s.umFarms {
+		out = append(out, f.vip)
 	}
-	for _, d := range s.Opts.Domains {
-		out = append(out, addrUserMgrDomain(d))
-	}
-	for _, part := range s.Opts.Partitions {
-		out = append(out, AddrChannelMgr(part))
+	for _, f := range s.cmFarms {
+		out = append(out, f.vip)
 	}
 	return out
 }
@@ -623,7 +605,7 @@ func (s *System) DeployChannel(ch *policy.Channel) error {
 		srv.Runtime().SetTrace(s.Opts.Trace)
 	}
 
-	for _, cm := range s.ChanMgrs[ch.Partition] {
+	for _, cm := range s.ChanMgrs(ch.Partition) {
 		cm.Directory().RegisterPermanent(ch.ID, node.Addr())
 	}
 	if err := s.PolicyMgr.AddChannel(ch); err != nil {

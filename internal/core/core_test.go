@@ -409,7 +409,7 @@ func TestPartitionedChannelManagersServeTheirChannels(t *testing.T) {
 	}
 	// Each partition's managers saw only their channel's traffic.
 	switch2 := func(part string) (n int64) {
-		for _, m := range st.sys.ChanMgrs[part] {
+		for _, m := range st.sys.ChanMgrs(part) {
 			n += m.Runtime().Snapshot()[wire.SvcSwitch2].Requests
 		}
 		return n

@@ -69,8 +69,8 @@ func TestAuthenticationDomains(t *testing.T) {
 
 	// Each domain's farm served exactly its own user: 2 rounds per farm.
 	// UserMgrs[0..1] = eu farm, [2..3] = us farm.
-	euServed := sys.UserMgrs[0].Stats().Login2Served + sys.UserMgrs[1].Stats().Login2Served
-	usServed := sys.UserMgrs[2].Stats().Login2Served + sys.UserMgrs[3].Stats().Login2Served
+	euServed := sys.UserMgrs()[0].Stats().Login2Served + sys.UserMgrs()[1].Stats().Login2Served
+	usServed := sys.UserMgrs()[2].Stats().Login2Served + sys.UserMgrs()[3].Stats().Login2Served
 	if euServed != 1 || usServed != 1 {
 		t.Fatalf("logins per domain farm = %d/%d, want 1/1", euServed, usServed)
 	}

@@ -56,9 +56,9 @@ func TestManagerBackendFailover(t *testing.T) {
 		t.Fatalf("%d of %d logins succeeded with one backend down", okLogins, users)
 	}
 	// The survivor served every completed round.
-	if sys.UserMgrs[1].Stats().Login2Served != users {
+	if sys.UserMgrs()[1].Stats().Login2Served != users {
 		t.Fatalf("surviving backend served %d login2, want %d",
-			sys.UserMgrs[1].Stats().Login2Served, users)
+			sys.UserMgrs()[1].Stats().Login2Served, users)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestRPCRetryCoversLossyLinks(t *testing.T) {
 // killNode marks a backend unreachable from now on.
 func killNode(t *testing.T, sys *System, addr string) {
 	t.Helper()
-	for _, n := range sys.mgrNodes {
-		if string(n.Addr()) == addr {
+	for _, rt := range sys.mgrRuntimes() {
+		if n := rt.Node(); string(n.Addr()) == addr {
 			sys.Net.Inject(simnet.Fault{Kind: simnet.Down, A: []simnet.Addr{n.Addr()}})
 			return
 		}

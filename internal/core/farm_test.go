@@ -42,13 +42,13 @@ func layoutOf(t *testing.T, sys *System, id string) farmLayout {
 			return nil, nil
 		})
 	}
-	for _, m := range sys.UserMgrs {
+	for _, m := range sys.UserMgrs() {
 		node := m.Runtime().Node()
 		l.userMgrNodes = append(l.userMgrNodes, node.Addr())
 		record(node, wire.SvcPolicyFeed)
 	}
 	for _, part := range sys.Opts.Partitions {
-		for _, m := range sys.ChanMgrs[part] {
+		for _, m := range sys.ChanMgrs(part) {
 			node := m.Runtime().Node()
 			l.chanMgrNodes = append(l.chanMgrNodes, node.Addr())
 			record(node, wire.SvcChannelFeed)
@@ -168,7 +168,7 @@ func TestFarmLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.RemoveUserMgrMember(added); err != nil {
+		if err := sys.removeUserMgrMember(added); err != nil {
 			t.Fatal(err)
 		}
 		if added, err = sys.AddUserMgrMember(); err != nil || added != "um4.provider" {

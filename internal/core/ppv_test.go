@@ -88,8 +88,8 @@ func TestPayPerView(t *testing.T) {
 	// Per-view payment accounting: a Channel Manager answered the
 	// buyer's SWITCH2 with a ticket.
 	logged := false
-	for _, farm := range sys.ChanMgrs {
-		for _, m := range farm {
+	for _, part := range sys.Opts.Partitions {
+		for _, m := range sys.ChanMgrs(part) {
 			if sw := m.Runtime().Snapshot()[wire.SvcSwitch2]; sw.Requests > sw.Errors {
 				logged = true
 			}

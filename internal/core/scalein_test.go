@@ -52,21 +52,21 @@ func TestUserMgrScaleIn(t *testing.T) {
 		}
 	}
 
-	gone, departed := sys.UserMgrBackends()[0], sys.UserMgrs[0]
+	gone, departed := sys.UserMgrBackends()[0], sys.UserMgrs()[0]
 	var removedAt time.Time
 	var removeErr error
 	sys.Sched.Go(func() {
 		for departed.Stats().Login1Served == 0 {
 			sys.Sched.Sleep(time.Millisecond)
 		}
-		removedAt, removeErr = sys.Sched.Now(), sys.RemoveUserMgrMember(gone)
+		removedAt, removeErr = sys.Sched.Now(), sys.removeUserMgrMember(gone)
 	})
 	wave(clients[:users/2])
 	sys.Sched.RunUntil(sys.Sched.Now().Add(time.Minute))
 	if removeErr != nil {
 		t.Fatal(removeErr)
 	}
-	if err := sys.RemoveUserMgrMember(gone); err == nil {
+	if err := sys.removeUserMgrMember(gone); err == nil {
 		t.Fatal("removing a departed member twice succeeded")
 	}
 	settled := departed.Stats()
@@ -134,8 +134,8 @@ func TestUserMgrMembershipNeedsOneDomain(t *testing.T) {
 	if _, err := sys.AddUserMgrMember(); err == nil {
 		t.Error("AddUserMgrMember succeeded with Domains set")
 	}
-	if err := sys.RemoveUserMgrMember(sys.UserMgrBackends()[0]); err == nil {
-		t.Error("RemoveUserMgrMember succeeded with Domains set")
+	if err := sys.removeUserMgrMember(sys.UserMgrBackends()[0]); err == nil {
+		t.Error("removeUserMgrMember succeeded with Domains set")
 	}
 	if got := len(sys.UserMgrBackends()); got != 4 {
 		t.Errorf("%d backends after refused changes, want 4", got)
@@ -163,13 +163,13 @@ func TestUserMgrMemberAddedLikeTheFarm(t *testing.T) {
 		t.Fatalf("added member at %s, want um2.provider", added)
 	}
 	first := sys.UserMgrBackends()[0]
-	if err := sys.RemoveUserMgrMember(first); err != nil {
+	if err := sys.removeUserMgrMember(first); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RemoveUserMgrMember(added); err == nil {
+	if err := sys.removeUserMgrMember(added); err == nil {
 		t.Fatal("removed the last member")
 	}
-	if err := sys.RemoveUserMgrMember("um9.provider"); err == nil {
+	if err := sys.removeUserMgrMember("um9.provider"); err == nil {
 		t.Fatal("removed a member that never joined")
 	}
 
@@ -196,7 +196,7 @@ func TestUserMgrMemberAddedLikeTheFarm(t *testing.T) {
 			t.Fatalf("login %d: %v", i, err)
 		}
 	}
-	if got := sys.UserMgrs[1].Stats().Login2Served; got != 2 {
+	if got := sys.UserMgrs()[1].Stats().Login2Served; got != 2 {
 		t.Errorf("added member served %d LOGIN2s, want 2", got)
 	}
 	served := 0
@@ -208,7 +208,7 @@ func TestUserMgrMemberAddedLikeTheFarm(t *testing.T) {
 	if served == 0 {
 		t.Error("added member emitted no server span: its trace is not armed")
 	}
-	if shed := sys.UserMgrs[1].Runtime().Snapshot()["drm.login1"].Shed; shed == 0 {
+	if shed := sys.UserMgrs()[1].Runtime().Snapshot()["drm.login1"].Shed; shed == 0 {
 		t.Error("added member shed no LOGIN1 at a high-water mark of one")
 	}
 }
@@ -221,15 +221,16 @@ func TestAddUserMgrMemberBuildErrorLeavesNoNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build, boom := sys.umMember, errors.New("boom")
-	sys.umMember = func(*simnet.Node) (*usermgr.Manager, error) { return nil, boom }
+	um, boom := sys.umFarms[0], errors.New("boom")
+	build := um.build
+	um.build = func(*simnet.Node) (*usermgr.Manager, error) { return nil, boom }
 	if _, err := sys.AddUserMgrMember(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if got := len(sys.UserMgrBackends()); got != 2 || len(sys.UserMgrs) != 2 {
-		t.Fatalf("failed add left %d backends and %d managers, want 2 and 2", got, len(sys.UserMgrs))
+	if got := len(sys.UserMgrBackends()); got != 2 || len(sys.UserMgrs()) != 2 {
+		t.Fatalf("failed add left %d backends and %d managers, want 2 and 2", got, len(sys.UserMgrs()))
 	}
-	sys.umMember = build
+	um.build = build
 	if addr, err := sys.AddUserMgrMember(); err != nil || addr != "um3.provider" {
 		t.Fatalf("retried add = %s, %v; want um3.provider", addr, err)
 	}

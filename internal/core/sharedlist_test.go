@@ -130,8 +130,8 @@ func TestSharedChannelListReadOnly(t *testing.T) {
 		}
 	}
 	backends := 0
-	for part, mgrs := range st.sys.ChanMgrs {
-		for i, m := range mgrs {
+	for _, part := range st.sys.Opts.Partitions {
+		for i, m := range st.sys.ChanMgrs(part) {
 			backends++
 			if !matches(heldChannels(t, m), part) {
 				t.Errorf("channel manager %s/%d holds a Channel List that differs from every fresh decode", part, i)
@@ -154,7 +154,7 @@ func TestSharedChannelListReadOnly(t *testing.T) {
 	if news == nil {
 		t.Fatal("no news channel in the second version")
 	}
-	if heldChannels(t, st.sys.ChanMgrs[news.Partition][0])["news"] != news {
+	if heldChannels(t, st.sys.ChanMgrs(news.Partition)[0])["news"] != news {
 		t.Error("the Channel Manager and the viewers hold separate decodes of one version")
 	}
 }

@@ -37,11 +37,11 @@ func TestServiceRegistrationComplete(t *testing.T) {
 
 	// Where each service must live.
 	umAddrs := make(map[simnet.Addr]bool)
-	for _, a := range sys.umBackend {
+	for _, a := range sys.UserMgrBackends() {
 		umAddrs[a] = true
 	}
 	cmAddrs := make(map[simnet.Addr]bool)
-	for _, a := range sys.cmBackend {
+	for _, a := range sys.ChannelMgrBackends() {
 		cmAddrs[a] = true
 	}
 	rootAddrs := make(map[simnet.Addr]bool)
@@ -156,7 +156,7 @@ func TestEndpointInstrumentation(t *testing.T) {
 	}
 	// Per-runtime metrics stay queryable too.
 	var umLogin1 int64
-	for _, m := range sys.UserMgrs {
+	for _, m := range sys.UserMgrs() {
 		umLogin1 += m.Runtime().Snapshot()[wire.SvcLogin1].Requests
 	}
 	if umLogin1 != 1 {

@@ -53,11 +53,11 @@ func TestDeploymentChallengesAndJoinsHitMemo(t *testing.T) {
 	sys.StopAll()
 
 	var logins, switches, joins int64
-	for _, m := range sys.UserMgrs {
+	for _, m := range sys.UserMgrs() {
 		logins += m.Stats().Login2Served
 	}
-	for _, farm := range sys.ChanMgrs {
-		for _, m := range farm {
+	for _, part := range sys.Opts.Partitions {
+		for _, m := range sys.ChanMgrs(part) {
 			sw := m.Runtime().Snapshot()[wire.SvcSwitch2]
 			switches += sw.Requests - sw.Errors
 		}

@@ -299,7 +299,7 @@ func RunScaleOut(cfg ScaleOutConfig) (*ScaleOutResult, error) {
 
 	res.FailedLogins = viewers - loggedIn
 	res.MembersEnd = len(sys.UserMgrBackends())
-	for _, m := range sys.UserMgrs {
+	for _, m := range sys.UserMgrs() {
 		res.Login2 = append(res.Login2, m.Stats().Login2Served)
 	}
 	for _, cs := range res.Calls {

@@ -163,131 +163,3 @@ func TestPolicyOverloadBudgetExhausts(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 overloads / 1 failure", st)
 	}
 }
-
-// TestVIPBackendAddRemoveLive pins mid-run VIP pool mutation: an added
-// backend starts taking round-robin turns, a removed one stops getting
-// new VIP traffic but stays directly addressable.
-func TestVIPBackendAddRemoveLive(t *testing.T) {
-	s, net := newNet()
-	type member struct{ rt *Runtime }
-	build := func(node *simnet.Node) (member, error) {
-		rt := NewRuntime(node)
-		Register(rt, "feed", wire.DecodeFeed, echoFeed)
-		return member{rt: rt}, nil
-	}
-	members, _, err := DeployFarm(net, "farm.vip", 2,
-		func(i int) simnet.Addr { return simnet.Addr([]string{"b1", "b2"}[i]) },
-		build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3node := net.NewNode("b3")
-	b3, err := build(b3node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := net.NewNode("client")
-	call := func() {
-		if _, err := Invoke(Plain{Node: cli}, "farm.vip", "feed",
-			&wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
-			t.Errorf("vip call: %v", err)
-		}
-	}
-	s.Go(func() {
-		net.AddVIPBackend("farm.vip", b3node)
-		net.AddVIPBackend("farm.vip", b3node) // duplicate: no-op
-		for i := 0; i < 6; i++ {
-			call()
-		}
-	})
-	s.Run()
-	if got := b3.rt.metrics("feed").Requests; got != 2 {
-		t.Fatalf("added backend served %d of 6, want its round-robin 2", got)
-	}
-
-	s.Go(func() {
-		net.RemoveVIPBackend("farm.vip", "b3")
-		for i := 0; i < 4; i++ {
-			call()
-		}
-		// Direct traffic still lands on the drained node.
-		if _, err := Invoke(Plain{Node: cli}, "b3", "feed",
-			&wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
-			t.Errorf("direct call to drained backend: %v", err)
-		}
-	})
-	s.Run()
-	if got := b3.rt.metrics("feed").Requests; got != 3 {
-		t.Fatalf("drained backend at %d requests, want 2 VIP + 1 direct", got)
-	}
-	total := int64(0)
-	for _, m := range members {
-		total += m.rt.metrics("feed").Requests
-	}
-	if total != 8 {
-		t.Fatalf("original members served %d, want 8", total)
-	}
-}
-
-// TestDeployFarmBuildErrorLeavesNoVIPOrNodes strengthens the build-error
-// contract: a mid-deploy failure leaves neither the VIP nor any
-// partially built backend registered.
-func TestDeployFarmBuildErrorLeavesNoVIPOrNodes(t *testing.T) {
-	s, net := newNet()
-	boom := errors.New("boom")
-	calls := 0
-	_, _, err := DeployFarm(net, "farm.vip", 3,
-		func(i int) simnet.Addr { return simnet.Addr([]string{"n1", "n2", "n3"}[i]) },
-		func(node *simnet.Node) (struct{}, error) {
-			calls++
-			if calls == 2 {
-				return struct{}{}, boom
-			}
-			Register(NewRuntime(node), "feed", wire.DecodeFeed, echoFeed)
-			return struct{}{}, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// No VIP: a call to it fails instead of reaching a half-farm.
-	cli := net.NewNode("client")
-	var cerr error
-	s.Go(func() {
-		_, cerr = cli.Call("farm.vip", "feed", (&wire.Feed{Version: 1}).Encode(), 2*time.Second)
-	})
-	s.Run()
-	if cerr == nil {
-		t.Fatal("call to the aborted farm's VIP succeeded")
-	}
-	// Both touched addresses are free again (NewNode panics on dups).
-	net.NewNode("n1")
-	net.NewNode("n2")
-}
-
-// TestDeployFarmHeterogeneousAddrsDeterministicOrder covers addr
-// callbacks that don't share one naming scheme: member order must follow
-// the index sequence, not the address collation.
-func TestDeployFarmHeterogeneousAddrsDeterministicOrder(t *testing.T) {
-	_, net := newNet()
-	addrs := []simnet.Addr{"zeta.provider", "um1.other", "alpha"}
-	var built []simnet.Addr
-	_, nodes, err := DeployFarm(net, "farm.vip", 3,
-		func(i int) simnet.Addr { return addrs[i] },
-		func(node *simnet.Node) (struct{}, error) {
-			built = append(built, node.Addr())
-			return struct{}{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range built {
-		if a != addrs[i] {
-			t.Fatalf("build order %v, want %v", built, addrs)
-		}
-	}
-	for i, nd := range nodes {
-		if nd.Addr() != addrs[i] {
-			t.Fatalf("node order %v-th = %v, want %v", i, nd.Addr(), addrs[i])
-		}
-	}
-}

@@ -3,7 +3,6 @@ package svc
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -214,65 +213,5 @@ func TestSnapshotListsEveryEndpoint(t *testing.T) {
 		if _, ok := snap[name]; !ok {
 			t.Fatalf("snapshot missing %q: %v", name, snap)
 		}
-	}
-}
-
-func TestDeployFarmOrderAndVIP(t *testing.T) {
-	s, net := newNet()
-	type member struct{ rt *Runtime }
-	var built []simnet.Addr
-	members, nodes, err := DeployFarm(net, "farm.vip", 3,
-		func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("backend-%d", i+1)) },
-		func(node *simnet.Node) (member, error) {
-			built = append(built, node.Addr())
-			rt := NewRuntime(node)
-			Register(rt, "feed", wire.DecodeFeed, echoFeed)
-			return member{rt: rt}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(members) != 3 || len(nodes) != 3 {
-		t.Fatalf("deployed %d members, %d nodes", len(members), len(nodes))
-	}
-	for i, a := range built {
-		want := simnet.Addr(fmt.Sprintf("backend-%d", i+1))
-		if a != want {
-			t.Fatalf("build order: got %v", built)
-		}
-	}
-	// The VIP spreads requests across the farm.
-	cli := net.NewNode("client")
-	s.Go(func() {
-		for i := 0; i < 6; i++ {
-			if _, err := Invoke(Plain{Node: cli}, "farm.vip", "feed",
-				&wire.Feed{Version: 1}, wire.DecodeFeed); err != nil {
-				t.Errorf("call %d: %v", i, err)
-				return
-			}
-		}
-	})
-	s.Run()
-	total := int64(0)
-	for _, m := range members {
-		got := m.rt.metrics("feed").Requests
-		if got == 0 {
-			t.Fatal("a farm member served nothing — VIP not spreading")
-		}
-		total += got
-	}
-	if total != 6 {
-		t.Fatalf("farm served %d requests, want 6", total)
-	}
-}
-
-func TestDeployFarmBuildError(t *testing.T) {
-	_, net := newNet()
-	boom := errors.New("boom")
-	_, _, err := DeployFarm(net, "farm.vip", 2,
-		func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("n%d", i)) },
-		func(*simnet.Node) (struct{}, error) { return struct{}{}, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
 	}
 }
