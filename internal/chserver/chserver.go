@@ -105,8 +105,10 @@ type Server struct {
 
 	mu       sync.Mutex
 	schedule *keys.Schedule
-	// produce seals packets under the current key iteration with its AEAD
-	// built once per rotation, not once per packet.
+	// current is the key iteration production is on. produce seals under
+	// it; it is built by the first packet after a rotation, not by the
+	// rotation, so a deployment that produces nothing builds none.
+	current  keys.ContentKey
 	produce  *keys.PacketSealer
 	seq      uint64
 	running  bool
@@ -141,15 +143,7 @@ func New(node *simnet.Node, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, peer: peer, schedule: schedule, cid: []byte(cfg.ChannelID)}
-	s.produce = s.packetSealer(schedule.Current())
-	return s, nil
-}
-
-// packetSealer seals under k with the SealKey the deployment's rings
-// hold for it.
-func (s *Server) packetSealer(k keys.ContentKey) *keys.PacketSealer {
-	return keys.NewSharedPacketSealer(k, s.cfg.Tickets.Crypto())
+	return &Server{cfg: cfg, peer: peer, schedule: schedule, current: schedule.Current(), cid: []byte(cfg.ChannelID)}, nil
 }
 
 // Peer returns the root overlay peer (register it with the Channel
@@ -166,7 +160,7 @@ func (s *Server) Addr() simnet.Addr { return s.peer.Node().Addr() }
 func (s *Server) CurrentKey() keys.ContentKey {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.produce.Key()
+	return s.current
 }
 
 // Stats returns a snapshot of production counters.
@@ -232,14 +226,19 @@ func (s *Server) rekeyLoop() {
 		if s.stopped() {
 			return
 		}
-		sealer := s.packetSealer(next)
-		s.mu.Lock()
-		s.produce = sealer
-		s.stats.Rekeys++
-		s.mu.Unlock()
-		if s.cfg.OnRekey != nil {
-			s.cfg.OnRekey(next.Serial)
-		}
+		s.switchTo(next)
+	}
+}
+
+// switchTo moves production onto key iteration k; the next packet builds
+// its sealer.
+func (s *Server) switchTo(k keys.ContentKey) {
+	s.mu.Lock()
+	s.current, s.produce = k, nil
+	s.stats.Rekeys++
+	s.mu.Unlock()
+	if s.cfg.OnRekey != nil {
+		s.cfg.OnRekey(k.Serial)
 	}
 }
 
@@ -255,14 +254,7 @@ func (s *Server) ForceRekey() (keys.Serial, error) {
 		return 0, err
 	}
 	s.peer.InjectKey(next)
-	sealer := s.packetSealer(next)
-	s.mu.Lock()
-	s.produce = sealer
-	s.stats.Rekeys++
-	s.mu.Unlock()
-	if s.cfg.OnRekey != nil {
-		s.cfg.OnRekey(next.Serial)
-	}
+	s.switchTo(next)
 	return next.Serial, nil
 }
 
@@ -284,6 +276,10 @@ func (s *Server) emit() {
 	s.mu.Lock()
 	seq := s.seq
 	s.seq++
+	if s.produce == nil {
+		// The SealKey the deployment's rings hold for this iteration.
+		s.produce = keys.NewSharedPacketSealer(s.current, s.cfg.Tickets.Crypto())
+	}
 	sealer := s.produce
 	s.stats.PacketsProduced++
 	s.mu.Unlock()

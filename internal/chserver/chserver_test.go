@@ -2,6 +2,8 @@ package chserver
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"p2pdrm/internal/sim"
 	"p2pdrm/internal/simnet"
 	"p2pdrm/internal/ticket"
+	"p2pdrm/internal/wire"
 )
 
 var t0 = time.Date(2008, 6, 23, 20, 0, 0, 0, time.UTC)
@@ -187,5 +190,68 @@ func TestFrameHelpersRejectShort(t *testing.T) {
 	}
 	if _, ok := FrameTime(nil); ok {
 		t.Fatal("nil frame parsed")
+	}
+}
+
+// TestRekeyBuildsNoSealerUntilEmit: a rotation only moves production onto
+// the new key iteration; the first packet after it builds the sealer. So
+// a deployment that produces nothing, as the week runs, builds none, and
+// the packets that are produced seal to the same bytes as when every
+// rotation built its sealer.
+func TestRekeyBuildsNoSealerUntilEmit(t *testing.T) {
+	f := newFixture(t, nil)
+	v := f.joinViewer(t, 1, nil)
+	f.sched.RunUntil(t0.Add(time.Second)) // complete join
+	var frames [][]byte
+	v.Node().Handle(wire.SvcContent, func(_ simnet.Addr, p []byte) ([]byte, error) {
+		frames = append(frames, bytes.Clone(p))
+		return nil, nil
+	})
+	if f.srv.produce != nil {
+		t.Fatal("New built a sealer before any packet")
+	}
+	for i := 0; i < 3; i++ {
+		serial, err := f.srv.ForceRekey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.srv.produce != nil {
+			t.Fatalf("rotation %d built a sealer with no packet to seal", i+1)
+		}
+		if got := f.srv.CurrentKey().Serial; got != serial {
+			t.Fatalf("CurrentKey serial %d after rotating to %d", got, serial)
+		}
+	}
+	key := f.srv.CurrentKey()
+	f.srv.EmitOne()
+	if f.srv.produce == nil {
+		t.Fatal("the first packet after a rotation built no sealer")
+	}
+	built := f.srv.produce
+	f.srv.EmitOne()
+	if f.srv.produce != built {
+		t.Fatal("the second packet built another sealer")
+	}
+	f.sched.RunUntil(t0.Add(2 * time.Second))
+
+	// The two frames as they were when each rotation built its sealer.
+	h := sha256.New()
+	for _, fr := range frames {
+		h.Write(fr)
+	}
+	const want = "a2c9dca4663c98ef744a4f69f4bb5179c237490ed258c7d518b8aef379960183"
+	if len(frames) != 2 || hex.EncodeToString(h.Sum(nil)) != want {
+		t.Fatalf("%d frames hash to %x, want 2 hashing to %s", len(frames), h.Sum(nil), want)
+	}
+	ring := keys.NewRing(4)
+	ring.Add(key)
+	for _, fr := range frames {
+		push, err := wire.DecodeContentPush(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := keys.OpenPacket(ring, push.Packet, []byte("chA")); err != nil {
+			t.Fatalf("frame %d does not open under the current key: %v", push.Seq, err)
+		}
 	}
 }

@@ -276,11 +276,6 @@ func NewSharedPacketSealer(k ContentKey, m *cryptoutil.Memo) *PacketSealer {
 	return &PacketSealer{serial: k.Serial, sealer: m.Sealer(k.Key)}
 }
 
-// Key returns the underlying key iteration.
-func (ps *PacketSealer) Key() ContentKey {
-	return ContentKey{Serial: ps.serial, Key: ps.sealer.Key()}
-}
-
 // Seal encrypts one content packet, prepending the 8-bit serial (§IV-E)
 // and binding aad (the channel ID) so packets cannot be replayed across
 // channels.
