@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-stress cover allocs fuzz bench chaos smoke smokes megascale check
+.PHONY: all vet build test race race-stress cover allocs repeat fuzz bench chaos smoke smokes megascale check
 
 all: check
 
@@ -85,6 +85,27 @@ allocs:
 		$(GO) test -list '$(ALLOC_TESTS)' ./internal/$$pkg | grep -q '^Test' || { echo "allocs: no budget test selected in internal/$$pkg"; exit 1; }; \
 	done
 	$(GO) test -run '$(ALLOC_TESTS)' $(addprefix ./internal/,$(ALLOC_PKGS))
+
+# Repeatable runs: the quick benchmark, ten fresh-process repetitions of
+# every workload at seed 1, once in the default environment and once
+# with GOGC=5 GOMAXPROCS=1, which moves garbage collection and goroutine
+# scheduling. A child that exits nonzero, or repetitions whose digests
+# differ, fail the run; the two runs' digest lines must also match. So
+# behaviour that varies from one process to the next (map order, GC or
+# goroutine timing) fails here, not after some good runs of a longer
+# benchmark.
+REPEAT_OUT = out/repeat
+repeat:
+	rm -rf $(REPEAT_OUT) && mkdir -p $(REPEAT_OUT)
+	$(GO) build -o $(REPEAT_OUT)/benchmark ./benchmark
+	@for env in default stress; do \
+		if [ $$env = stress ]; then export GOGC=5 GOMAXPROCS=1; fi; \
+		echo "repeat: $$env environment"; \
+		$(REPEAT_OUT)/benchmark run -quick -reps 10 -out $(REPEAT_OUT)/$$env.json > $(REPEAT_OUT)/$$env.txt 2>&1 || { cat $(REPEAT_OUT)/$$env.txt; exit 1; }; \
+		grep 'digest=' $(REPEAT_OUT)/$$env.txt > $(REPEAT_OUT)/$$env.digests || { echo "repeat: no digest lines in $$env.txt"; exit 1; }; \
+	done
+	@diff $(REPEAT_OUT)/default.digests $(REPEAT_OUT)/stress.digests || { echo "repeat: digests differ under GOGC=5 GOMAXPROCS=1"; exit 1; }
+	@echo "repeat: $$(wc -l < $(REPEAT_OUT)/default.digests) workloads, 10 repetitions each, same digests in both environments"
 
 # Every Fuzz target in the module, found with `go test -list`, each
 # fuzzed for FUZZTIME (go test -fuzz takes one target in one package at a

@@ -462,8 +462,10 @@ func (s *System) UserMgrs() []*usermgr.Manager { return membersOf(s.umFarms) }
 // ChanMgrs lists every member of a partition's Channel Manager farm, in
 // build order.
 func (s *System) ChanMgrs(partition string) []*channelmgr.Manager {
-	if i := slices.Index(s.Opts.Partitions, partition); i >= 0 {
-		return s.cmFarms[i].members
+	for _, f := range s.cmFarms {
+		if f.vip == AddrChannelMgr(partition) {
+			return f.members
+		}
 	}
 	return nil
 }
