@@ -44,14 +44,6 @@ const (
 	addrRedirect  = simnet.Addr("rm.provider")
 )
 
-// addrUserMgrDomain names a domain's User Manager VIP ("" = default).
-func addrUserMgrDomain(domain string) simnet.Addr {
-	if domain == "" {
-		return AddrUserMgr
-	}
-	return simnet.Addr("um." + domain + ".provider")
-}
-
 // AddrChannelMgr names a partition's Channel Manager VIP.
 func AddrChannelMgr(partition string) simnet.Addr {
 	return simnet.Addr("cm." + partition + ".provider")
@@ -273,13 +265,11 @@ func NewSystem(opts Options) (*System, error) {
 		domains = []string{""} // the single anonymous domain
 	}
 	for _, domain := range domains {
-		suffix := ""
+		vip := AddrUserMgr
 		if domain != "" {
-			suffix = "." + domain
+			vip = simnet.Addr("um." + domain + ".provider")
 		}
-		f, err := newFarm(net, addrUserMgrDomain(domain), opts.UserMgrFarm,
-			func(n int) simnet.Addr { return simnet.Addr(fmt.Sprintf("um%d%s.provider", n, suffix)) },
-			sys.userMgrBuilder(domain))
+		f, err := newFarm(net, vip, opts.UserMgrFarm, sys.userMgrBuilder(domain))
 		if err != nil {
 			return nil, err
 		}
@@ -293,9 +283,7 @@ func NewSystem(opts Options) (*System, error) {
 			return nil, err
 		}
 		sys.cmKeys[part] = cmKeys
-		f, err := newFarm(net, AddrChannelMgr(part), opts.ChannelMgrFarm,
-			func(n int) simnet.Addr { return simnet.Addr(fmt.Sprintf("cm%d.%s.provider", n, part)) },
-			sys.chanMgrBuilder(part, cmKeys))
+		f, err := newFarm(net, AddrChannelMgr(part), opts.ChannelMgrFarm, sys.chanMgrBuilder(part, cmKeys))
 		if err != nil {
 			return nil, err
 		}
@@ -324,10 +312,6 @@ func NewSystem(opts Options) (*System, error) {
 
 	// --- Redirection Manager (built into clients, §V).
 	rmNode := net.NewNode(addrRedirect)
-	defaultUM := AddrUserMgr
-	if len(opts.Domains) > 0 {
-		defaultUM = addrUserMgrDomain(opts.Domains[0])
-	}
 	rmKeys, err := cryptoutil.NewKeyPair(rng)
 	if err != nil {
 		return nil, err
@@ -337,7 +321,7 @@ func NewSystem(opts Options) (*System, error) {
 		Keys: rmKeys,
 		RNG:  rng,
 		Default: redirect.Assignment{
-			UserMgr:    defaultUM,
+			UserMgr:    sys.umFarms[0].vip,
 			UserMgrKey: umKeys.Public().Encode(),
 		},
 		PolicyMgr:    addrPolicyMgr,
@@ -428,23 +412,22 @@ func (s *System) AddUserMgrMember() (simnet.Addr, error) {
 	if len(s.Opts.Domains) > 0 {
 		return "", fmt.Errorf("core: AddUserMgrMember requires the single anonymous domain")
 	}
-	m, err := s.umFarms[0].add()
+	addr, err := s.umFarms[0].add()
 	if err != nil {
 		return "", err
 	}
-	addr := m.Runtime().Node().Addr()
 	s.PolicyMgr.AddUserMgr(addr)
 	return addr, nil
 }
 
-// removeUserMgrMember drains a member out of the User Manager farm: it
+// RemoveUserMgrMember drains a member out of the User Manager farm: it
 // leaves the VIP pool, so it receives no new request, but its node stays
 // up, so a request already routed to it completes there. A login whose
 // first round it served finishes on any survivor, which opens the
 // farm-sealed round-2 token as well as it would have.
-func (s *System) removeUserMgrMember(addr simnet.Addr) error {
+func (s *System) RemoveUserMgrMember(addr simnet.Addr) error {
 	if len(s.Opts.Domains) > 0 {
-		return fmt.Errorf("core: draining a User Manager member requires the single anonymous domain")
+		return fmt.Errorf("core: RemoveUserMgrMember requires the single anonymous domain")
 	}
 	return s.umFarms[0].drain(addr)
 }
@@ -462,17 +445,14 @@ func (s *System) UserMgrs() []*usermgr.Manager { return membersOf(s.umFarms) }
 // ChanMgrs lists every member of a partition's Channel Manager farm, in
 // build order.
 func (s *System) ChanMgrs(partition string) []*channelmgr.Manager {
-	for _, f := range s.cmFarms {
-		if f.vip == AddrChannelMgr(partition) {
-			return f.members
-		}
+	if i := slices.Index(s.Opts.Partitions, partition); i >= 0 {
+		return s.cmFarms[i].members
 	}
 	return nil
 }
 
 // mgrRuntimes lists every manager farm member's runtime in build order.
-func (s *System) mgrRuntimes() []*svc.Runtime {
-	var out []*svc.Runtime
+func (s *System) mgrRuntimes() (out []*svc.Runtime) {
 	for _, m := range membersOf(s.umFarms) {
 		out = append(out, m.Runtime())
 	}
@@ -640,14 +620,8 @@ func (s *System) RegisterUser(email, password string) (accountmgr.Account, error
 // Domain (§V): the account is tagged, and the Redirection Manager is
 // taught to route the user to that domain's User Manager farm.
 func (s *System) registerUserInDomain(email, password, domain string) (accountmgr.Account, error) {
-	found := false
-	for _, d := range s.Opts.Domains {
-		if d == domain {
-			found = true
-			break
-		}
-	}
-	if !found {
+	i := slices.Index(s.Opts.Domains, domain)
+	if i < 0 {
 		return accountmgr.Account{}, fmt.Errorf("core: unknown domain %q", domain)
 	}
 	acct, err := s.Accounts.Register(email, password)
@@ -658,7 +632,7 @@ func (s *System) registerUserInDomain(email, password, domain string) (accountmg
 		return acct, err
 	}
 	s.Redirect.Assign(email, redirect.Assignment{
-		UserMgr:    addrUserMgrDomain(domain),
+		UserMgr:    s.umFarms[i].vip,
 		UserMgrKey: s.umKeys.Public().Encode(),
 	})
 	acct.Domain = domain

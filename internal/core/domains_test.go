@@ -7,12 +7,13 @@ import (
 
 	"p2pdrm/internal/geo"
 	"p2pdrm/internal/redirect"
+	"p2pdrm/internal/simnet"
 )
 
 // redirectAssignment builds the Redirection Manager entry for a domain.
 func redirectAssignment(sys *System, domain string) redirect.Assignment {
 	return redirect.Assignment{
-		UserMgr:    addrUserMgrDomain(domain),
+		UserMgr:    simnet.Addr("um." + domain + ".provider"),
 		UserMgrKey: sys.userMgrKey().Encode(),
 	}
 }

@@ -3,25 +3,18 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"p2pdrm/internal/simnet"
-	"p2pdrm/internal/svc"
 )
-
-// member is what a farm needs of its members: each serves on its own
-// node through a service runtime.
-type member interface{ Runtime() *svc.Runtime }
 
 // farm is one logical manager of §V: interchangeable members, built from
 // one configuration, that share "a single network name/address" — the
 // VIP. add is the only way a member is made, at deployment and whenever
 // the farm grows, so every member of a farm is built alike.
-type farm[M member] struct {
-	net *simnet.Network
-	vip simnet.Addr
-	// addr names the n-th member ever built, counting from 1: a drained
-	// member keeps its name, and the next one takes a new name.
-	addr  func(n int) simnet.Addr
+type farm[M any] struct {
+	net   *simnet.Network
+	vip   simnet.Addr
 	build func(node *simnet.Node) (M, error)
 	// members holds every member ever built, in build order, drained
 	// ones included; pool holds the addresses the VIP routes to.
@@ -30,9 +23,9 @@ type farm[M member] struct {
 }
 
 // newFarm creates the VIP and builds n members behind it.
-func newFarm[M member](net *simnet.Network, vip simnet.Addr, n int, addr func(int) simnet.Addr, build func(*simnet.Node) (M, error)) (*farm[M], error) {
+func newFarm[M any](net *simnet.Network, vip simnet.Addr, n int, build func(*simnet.Node) (M, error)) (*farm[M], error) {
 	net.NewVIP(vip)
-	f := &farm[M]{net: net, vip: vip, addr: addr, build: build}
+	f := &farm[M]{net: net, vip: vip, build: build}
 	for i := 0; i < n; i++ {
 		if _, err := f.add(); err != nil {
 			return nil, err
@@ -42,18 +35,22 @@ func newFarm[M member](net *simnet.Network, vip simnet.Addr, n int, addr func(in
 }
 
 // add builds the next member on a new node and puts it in the VIP pool.
-// A member whose build fails leaves no node behind.
-func (f *farm[M]) add() (M, error) {
-	node := f.net.NewNode(f.addr(len(f.members) + 1))
+// The n-th member ever built is named by numbering the VIP's first label
+// (um.eu.provider: um<n>.eu.provider), so a drained member keeps its
+// name and the next one takes a new one. A member whose build fails
+// leaves no node behind.
+func (f *farm[M]) add() (simnet.Addr, error) {
+	role, rest, _ := strings.Cut(string(f.vip), ".")
+	node := f.net.NewNode(simnet.Addr(fmt.Sprintf("%s%d.%s", role, len(f.members)+1, rest)))
 	m, err := f.build(node)
 	if err != nil {
 		f.net.RemoveNode(node.Addr())
-		return m, err
+		return "", err
 	}
 	f.members = append(f.members, m)
 	f.pool = append(f.pool, node.Addr())
 	f.net.AddVIPBackend(f.vip, node)
-	return m, nil
+	return node.Addr(), nil
 }
 
 // drain takes a member out of the VIP pool: it receives no new request,
@@ -73,8 +70,7 @@ func (f *farm[M]) drain(addr simnet.Addr) error {
 }
 
 // pools lists the VIP pools of farms, in order.
-func pools[M member](farms []*farm[M]) []simnet.Addr {
-	var out []simnet.Addr
+func pools[M any](farms []*farm[M]) (out []simnet.Addr) {
 	for _, f := range farms {
 		out = append(out, f.pool...)
 	}
@@ -82,8 +78,7 @@ func pools[M member](farms []*farm[M]) []simnet.Addr {
 }
 
 // membersOf lists every member of farms, in order.
-func membersOf[M member](farms []*farm[M]) []M {
-	var out []M
+func membersOf[M any](farms []*farm[M]) (out []M) {
 	for _, f := range farms {
 		out = append(out, f.members...)
 	}

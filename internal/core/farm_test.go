@@ -168,7 +168,7 @@ func TestFarmLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.removeUserMgrMember(added); err != nil {
+		if err := sys.RemoveUserMgrMember(added); err != nil {
 			t.Fatal(err)
 		}
 		if added, err = sys.AddUserMgrMember(); err != nil || added != "um4.provider" {

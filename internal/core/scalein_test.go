@@ -59,14 +59,14 @@ func TestUserMgrScaleIn(t *testing.T) {
 		for departed.Stats().Login1Served == 0 {
 			sys.Sched.Sleep(time.Millisecond)
 		}
-		removedAt, removeErr = sys.Sched.Now(), sys.removeUserMgrMember(gone)
+		removedAt, removeErr = sys.Sched.Now(), sys.RemoveUserMgrMember(gone)
 	})
 	wave(clients[:users/2])
 	sys.Sched.RunUntil(sys.Sched.Now().Add(time.Minute))
 	if removeErr != nil {
 		t.Fatal(removeErr)
 	}
-	if err := sys.removeUserMgrMember(gone); err == nil {
+	if err := sys.RemoveUserMgrMember(gone); err == nil {
 		t.Fatal("removing a departed member twice succeeded")
 	}
 	settled := departed.Stats()
@@ -134,8 +134,8 @@ func TestUserMgrMembershipNeedsOneDomain(t *testing.T) {
 	if _, err := sys.AddUserMgrMember(); err == nil {
 		t.Error("AddUserMgrMember succeeded with Domains set")
 	}
-	if err := sys.removeUserMgrMember(sys.UserMgrBackends()[0]); err == nil {
-		t.Error("removeUserMgrMember succeeded with Domains set")
+	if err := sys.RemoveUserMgrMember(sys.UserMgrBackends()[0]); err == nil {
+		t.Error("RemoveUserMgrMember succeeded with Domains set")
 	}
 	if got := len(sys.UserMgrBackends()); got != 4 {
 		t.Errorf("%d backends after refused changes, want 4", got)
@@ -163,13 +163,13 @@ func TestUserMgrMemberAddedLikeTheFarm(t *testing.T) {
 		t.Fatalf("added member at %s, want um2.provider", added)
 	}
 	first := sys.UserMgrBackends()[0]
-	if err := sys.removeUserMgrMember(first); err != nil {
+	if err := sys.RemoveUserMgrMember(first); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.removeUserMgrMember(added); err == nil {
+	if err := sys.RemoveUserMgrMember(added); err == nil {
 		t.Fatal("removed the last member")
 	}
-	if err := sys.removeUserMgrMember("um9.provider"); err == nil {
+	if err := sys.RemoveUserMgrMember("um9.provider"); err == nil {
 		t.Fatal("removed a member that never joined")
 	}
 
