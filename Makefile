@@ -69,7 +69,8 @@ cover:
 # ECIES open that reuses its seal's AEAD (cryptoutil, keys), a policy
 # evaluation that allocates nothing (policy), exact-size encoders and
 # decodes that copy no payload (wire), a feedback Submit that copies no
-# sample (feedback), the
+# sample (feedback), a per-holder Stats/Snapshot that copies only the
+# histogram octaves it touched (svc), the
 # zero-garbage MAC and directory sample (stoken, channelmgr), the
 # allocation-free relay hop (p2p relays and the heap their dedup tables
 # retain, wire's channel-sharing decode, keys playback, simnet send
@@ -79,7 +80,7 @@ cover:
 # fails the target — a renamed or deleted budget must not pass by
 # vanishing.
 ALLOC_TESTS = AllocBudget|RetainedHeapBudget|BuildsNoAEAD|SealKeyLazy|ExactSize|AllocatesOnly
-ALLOC_PKGS = core keys cryptoutil policy wire feedback stoken channelmgr p2p simnet sim exp
+ALLOC_PKGS = core keys cryptoutil policy wire feedback stoken channelmgr p2p simnet sim exp svc
 allocs:
 	@for pkg in $(ALLOC_PKGS); do \
 		$(GO) test -list '$(ALLOC_TESTS)' ./internal/$$pkg | grep -q '^Test' || { echo "allocs: no budget test selected in internal/$$pkg"; exit 1; }; \
@@ -93,7 +94,11 @@ allocs:
 # differ, fail the run; the two runs' digest lines must also match. So
 # behaviour that varies from one process to the next (map order, GC or
 # goroutine timing) fails here, not after some good runs of a longer
-# benchmark.
+# benchmark. Each environment also runs content_stream once at full size
+# in the benchmark's driver form (one child, one JSON line): it must exit
+# 0 with "correct":true on its last line — a failure that shows only at
+# full size, or only in some processes, is this workload's, and the
+# quick sizes do not reach it (≈ 35 s for the two runs on 2 cores).
 REPEAT_OUT = out/repeat
 repeat:
 	rm -rf $(REPEAT_OUT) && mkdir -p $(REPEAT_OUT)
@@ -103,9 +108,12 @@ repeat:
 		echo "repeat: $$env environment"; \
 		$(REPEAT_OUT)/benchmark run -quick -reps 10 -out $(REPEAT_OUT)/$$env.json > $(REPEAT_OUT)/$$env.txt 2>&1 || { cat $(REPEAT_OUT)/$$env.txt; exit 1; }; \
 		grep 'digest=' $(REPEAT_OUT)/$$env.txt > $(REPEAT_OUT)/$$env.digests || { echo "repeat: no digest lines in $$env.txt"; exit 1; }; \
+		echo "repeat: $$env environment, content_stream at full size"; \
+		$(REPEAT_OUT)/benchmark --workload content_stream --seed 1 --seconds 20 --trace 0 > $(REPEAT_OUT)/$$env.full.json 2> $(REPEAT_OUT)/$$env.full.err || { cat $(REPEAT_OUT)/$$env.full.err $(REPEAT_OUT)/$$env.full.json; exit 1; }; \
+		tail -n 1 $(REPEAT_OUT)/$$env.full.json | grep -q '"correct":true' || { echo "repeat: content_stream at full size not correct in $$env environment"; cat $(REPEAT_OUT)/$$env.full.json; exit 1; }; \
 	done
 	@diff $(REPEAT_OUT)/default.digests $(REPEAT_OUT)/stress.digests || { echo "repeat: digests differ under GOGC=5 GOMAXPROCS=1"; exit 1; }
-	@echo "repeat: $$(wc -l < $(REPEAT_OUT)/default.digests) workloads, 10 repetitions each, same digests in both environments"
+	@echo "repeat: $$(wc -l < $(REPEAT_OUT)/default.digests) workloads, 10 repetitions each, same digests in both environments; content_stream correct at full size in both"
 
 # Every Fuzz target in the module, found with `go test -list`, each
 # fuzzed for FUZZTIME (go test -fuzz takes one target in one package at a
@@ -114,7 +122,7 @@ repeat:
 # package in FUZZ_PKGS in which the pattern selects nothing fails too — a
 # renamed or deleted fuzzer must not pass by vanishing.
 FUZZTIME ?= 5s
-FUZZ_PKGS = keys policy sectran simnet stoken ticket wire
+FUZZ_PKGS = keys obs policy sectran simnet stoken ticket wire
 fuzz:
 	@for pkg in $(FUZZ_PKGS); do \
 		$(GO) test -list '^Fuzz' ./internal/$$pkg | grep -q '^Fuzz' || { echo "fuzz: no Fuzz target selected in internal/$$pkg"; exit 1; }; \

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -118,7 +119,7 @@ func TestCallAggregatorRollUp(t *testing.T) {
 		}
 		for name, w := range want {
 			g := got[name]
-			if *g.Hist != *w.Hist {
+			if !reflect.DeepEqual(g.Hist, w.Hist) {
 				t.Errorf("%s: %s histogram differs from the merged client snapshots", when, name)
 			}
 			g.Hist, w.Hist = nil, nil

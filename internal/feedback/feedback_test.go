@@ -76,26 +76,34 @@ func TestSubmitKeepsSamplesAtSubmission(t *testing.T) {
 
 // TestSubmitAllocBudget: Submit copies no samples. Submitting a log of
 // 1 000 samples (40 kB) costs only the corpus's growth of one slice
-// header per log.
+// header per log. The figure is the least of five passes, each on a
+// fresh Corpus, so an allocation elsewhere in the process during one
+// pass does not count against Submit.
 func TestSubmitAllocBudget(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 1000; i++ {
 		l.Record(Switch1, t0, ms(i), true)
 	}
-	c := NewCorpus()
 	const runs = 1000
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < runs; i++ {
-		c.Submit(l)
+	best := -1.0
+	for pass := 0; pass < 5; pass++ {
+		c := NewCorpus()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			c.Submit(l)
+		}
+		runtime.ReadMemStats(&m1)
+		if per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; best < 0 || per < best {
+			best = per
+		}
+		if c.Len() != runs*1000 {
+			t.Fatalf("Len = %d", c.Len())
+		}
 	}
-	runtime.ReadMemStats(&m1)
-	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs; per > 64 {
-		t.Fatalf("Submit allocates %.0f B per 1 000-sample log, want ≤ 64 (no sample copied)", per)
-	}
-	if c.Len() != runs*1000 {
-		t.Fatalf("Len = %d", c.Len())
+	if best > 64 {
+		t.Fatalf("Submit allocates %.0f B per 1 000-sample log, want ≤ 64 (no sample copied)", best)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // allocated when the octave is first observed — because most holders
 // (an endpoint per peer, a call counter per service per client) see a
 // handful of octaves or none: ~200 bytes empty, +256 per octave touched,
-// against 6 KB dense. Only a HistSnapshot, of which a run keeps a few
-// per service, is dense.
+// against 6 KB dense. A HistSnapshot is stored the same way, so reading
+// a holder costs the octaves it touched.
 const (
 	subBits    = 5
 	subCount   = 1 << subBits // sub-buckets per octave
@@ -99,32 +99,86 @@ func (h *Histogram) install(o int) *octave {
 // snapshot of h — the roll-up form: one aggregate per service, every
 // holder added straight into it. The observation count is the sum of
 // the buckets read, so Observe keeps no counter of its own for it.
+// A block of s is allocated only for a live octave holding a nonzero
+// count, and all the blocks one call adds come from one allocation.
 func (h *Histogram) AddTo(s *HistSnapshot) {
 	n := h.under.Load()
-	s.Counts[0] += n
+	s.under += n
+	var want int
 	for o := range h.octaves {
-		if b := h.octaves[o].Load(); b != nil {
-			dst := s.Counts[1+o*subCount:]
-			for i := range b {
-				c := b[i].Load()
-				dst[i] += c
-				n += c
-			}
+		if s.octaves[o] == nil && h.octaves[o].Load() != nil {
+			want++
+		}
+	}
+	blocks := make(slab, want)
+	for o := range h.octaves {
+		b := h.octaves[o].Load()
+		if b == nil {
+			continue
+		}
+		var cur block
+		var sum int64
+		for i := range b {
+			cur[i] = b[i].Load()
+			sum += cur[i]
+		}
+		if sum == 0 {
+			continue // installed by an Observe that has not counted yet
+		}
+		n += sum
+		switch {
+		case s.octaves[o] == nil:
+			s.octaves[o] = blocks.next()
+			*s.octaves[o] = cur
+		case !s.octaves[o].add(&cur, 1):
+			s.octaves[o] = nil // cancelled a negative delta in s
 		}
 	}
 	s.N += n
 	s.Sum += h.sum.Load()
 }
 
-// HistSnapshot is a point-in-time copy of a Histogram. Snapshots
-// support commutative merge (Add) and monotonic subtraction (Sub), so
-// per-interval and per-phase distributions fall out of snapshot
-// deltas. All methods tolerate a nil receiver (an endpoint that never
-// recorded), returning zeros.
+// block holds the subCount counts of one octave in a snapshot.
+type block [subCount]int64
+
+// add adds sign × o into b and reports whether b is still nonzero.
+func (b *block) add(o *block, sign int64) bool {
+	var or int64
+	for i := range b {
+		b[i] += sign * o[i]
+		or |= b[i]
+	}
+	return or != 0
+}
+
+// slab hands out the blocks one call adds to one snapshot from a single
+// allocation sized by a first pass; a block the pass did not foresee (an
+// octave a racing Observe installed since) is allocated on its own.
+type slab []block
+
+func (sl *slab) next() *block {
+	if len(*sl) == 0 {
+		return new(block)
+	}
+	b := &(*sl)[0]
+	*sl = (*sl)[1:]
+	return b
+}
+
+// HistSnapshot is a point-in-time copy of a Histogram, stored the way
+// the Histogram is: the underflow bucket, then one block per octave,
+// nil unless the octave holds a nonzero count (so two snapshots with
+// equal buckets are equal under reflect.DeepEqual). A snapshot owns its
+// blocks — it never shares one with a Histogram or another snapshot.
+// Snapshots support commutative merge (Add) and monotonic subtraction
+// (Sub), so per-interval and per-phase distributions fall out of
+// snapshot deltas. All methods tolerate a nil receiver (an endpoint
+// that never recorded), returning zeros.
 type HistSnapshot struct {
-	Counts [numBuckets]int64
-	N      int64
-	Sum    int64
+	under   int64              // bucket 0
+	octaves [numOctaves]*block // buckets 1…; nil while all zero
+	N       int64
+	Sum     int64
 }
 
 // Add merges another snapshot into s. Bucket-wise addition commutes,
@@ -133,8 +187,23 @@ func (s *HistSnapshot) Add(o *HistSnapshot) {
 	if o == nil {
 		return
 	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
+	var want int
+	for i, b := range o.octaves {
+		if b != nil && s.octaves[i] == nil {
+			want++
+		}
+	}
+	blocks := make(slab, want)
+	s.under += o.under
+	for i, b := range o.octaves {
+		switch {
+		case b == nil:
+		case s.octaves[i] == nil:
+			s.octaves[i] = blocks.next()
+			*s.octaves[i] = *b
+		case !s.octaves[i].add(b, 1):
+			s.octaves[i] = nil // a negative delta cancelled it
+		}
 	}
 	s.N += o.N
 	s.Sum += o.Sum
@@ -148,15 +217,45 @@ func (s *HistSnapshot) Sub(prev *HistSnapshot) *HistSnapshot {
 	if s == nil {
 		return d
 	}
-	*d = *s
-	if prev != nil {
-		for i, c := range prev.Counts {
-			d.Counts[i] -= c
-		}
-		d.N -= prev.N
-		d.Sum -= prev.Sum
+	var zero HistSnapshot
+	if prev == nil {
+		prev = &zero
 	}
+	// A block of the delta exists where the two blocks differ.
+	var want int
+	for i, b := range s.octaves {
+		if differ(b, prev.octaves[i]) {
+			want++
+		}
+	}
+	blocks := make(slab, want)
+	for i, b := range s.octaves {
+		p := prev.octaves[i]
+		if !differ(b, p) {
+			continue
+		}
+		db := blocks.next()
+		if b != nil {
+			*db = *b
+		}
+		if p != nil {
+			db.add(p, -1)
+		}
+		d.octaves[i] = db
+	}
+	d.under = s.under - prev.under
+	d.N = s.N - prev.N
+	d.Sum = s.Sum - prev.Sum
 	return d
+}
+
+// differ reports whether two blocks hold different counts, a nil block
+// reading as all zero (and a non-nil one, in canonical form, as not).
+func differ(a, b *block) bool {
+	if a == nil || b == nil {
+		return a != b
+	}
+	return *a != *b
 }
 
 // clone returns an independent copy (nil-safe).
@@ -164,8 +263,9 @@ func (s *HistSnapshot) clone() *HistSnapshot {
 	if s == nil {
 		return nil
 	}
-	c := *s
-	return &c
+	c := &HistSnapshot{}
+	c.Add(s)
+	return c
 }
 
 // Quantile estimates the q-quantile using the same nearest-rank rule
@@ -184,11 +284,19 @@ func (s *HistSnapshot) Quantile(q float64) time.Duration {
 	if rank > s.N {
 		rank = s.N
 	}
-	var cum int64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			return time.Duration(bucketMid(i))
+	cum := s.under
+	if cum >= rank {
+		return time.Duration(bucketMid(0))
+	}
+	for o, b := range s.octaves {
+		if b == nil {
+			continue
+		}
+		for i, c := range b {
+			cum += c
+			if cum >= rank {
+				return time.Duration(bucketMid(1 + o*subCount + i))
+			}
 		}
 	}
 	return time.Duration(bucketMid(numBuckets - 1))

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -88,11 +89,11 @@ func TestUnderflowOverflowClamp(t *testing.T) {
 	h.Observe(time.Nanosecond)
 	h.Observe(10 * time.Minute)
 	s := h.snapshot()
-	if s.Counts[0] != 2 {
-		t.Fatalf("underflow bucket = %d, want 2", s.Counts[0])
+	if s.bucket(0) != 2 {
+		t.Fatalf("underflow bucket = %d, want 2", s.bucket(0))
 	}
-	if s.Counts[numBuckets-1] != 1 {
-		t.Fatalf("overflow bucket = %d, want 1", s.Counts[numBuckets-1])
+	if s.bucket(numBuckets-1) != 1 {
+		t.Fatalf("overflow bucket = %d, want 1", s.bucket(numBuckets-1))
 	}
 	if got := s.Quantile(1.0); got != time.Duration(bucketMid(numBuckets-1)) {
 		t.Fatalf("max quantile = %v, want top-bucket midpoint", got)
@@ -124,13 +125,13 @@ func TestSnapshotAddSubMean(t *testing.T) {
 		t.Fatalf("Mean=%v", got)
 	}
 	back := merged.Sub(sb)
-	if *back != *sa {
+	if !reflect.DeepEqual(back, sa) {
 		t.Fatal("Sub did not invert Add")
 	}
 	// Commutativity: B then A equals A then B.
 	m2 := sb.clone()
 	m2.Add(sa)
-	if *m2 != *merged {
+	if !reflect.DeepEqual(m2, merged) {
 		t.Fatal("Add is not commutative")
 	}
 }
@@ -164,8 +165,18 @@ func (h *denseHist) observe(d time.Duration) {
 	h.sum += d.Nanoseconds()
 }
 
+// snapshot builds the sparse snapshot of the reference's counts, a
+// block only for an octave with a nonzero count.
 func (h *denseHist) snapshot() *HistSnapshot {
-	return &HistSnapshot{Counts: h.counts, N: h.n, Sum: h.sum}
+	s := &HistSnapshot{under: h.counts[0], N: h.n, Sum: h.sum}
+	for o := range s.octaves {
+		var b block
+		copy(b[:], h.counts[1+o*subCount:])
+		if b != (block{}) {
+			s.octaves[o] = &b
+		}
+	}
+	return s
 }
 
 // boundaryDurations covers the underflow bucket, every octave edge (one
@@ -211,17 +222,17 @@ func TestSparseMatchesDenseReference(t *testing.T) {
 			}
 		}
 		got, want := h.snapshot(), ref.snapshot()
-		if *got != *want {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: sparse snapshot differs from the dense reference", trial)
 		}
 		// AddTo into a non-empty aggregate ≡ Add of the snapshot.
 		agg, aggWant := prevGot.clone(), prevWant.clone()
 		h.AddTo(agg)
 		aggWant.Add(want)
-		if *agg != *aggWant {
+		if !reflect.DeepEqual(agg, aggWant) {
 			t.Fatalf("trial %d: AddTo differs from Add(Snapshot())", trial)
 		}
-		if *got.Sub(prevGot) != *want.Sub(prevWant) {
+		if !reflect.DeepEqual(got.Sub(prevGot), want.Sub(prevWant)) {
 			t.Fatalf("trial %d: Sub differs", trial)
 		}
 		for _, q := range []float64{0, 0.001, 0.5, 0.95, 0.999, 1} {
@@ -261,8 +272,15 @@ func TestHistogramStaysSparse(t *testing.T) {
 		t.Errorf("Observe into a touched octave allocates %v", a)
 	}
 	var agg HistSnapshot
+	h.AddTo(&agg) // allocates the snapshot's one block
 	if a := testing.AllocsPerRun(100, func() { h.AddTo(&agg) }); a != 0 {
-		t.Errorf("AddTo allocates %v", a)
+		t.Errorf("AddTo into a snapshot holding the octave allocates %v", a)
+	}
+	// An octave installed by an Observe that has not counted yet reads
+	// as empty: the snapshot gets no block for it.
+	h.install(0)
+	if s := h.snapshot(); s.octaves[0] != nil {
+		t.Error("snapshot holds a block for an octave with no count")
 	}
 }
 
@@ -289,8 +307,8 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		wg.Wait()
 		s := h.snapshot()
 		var total int64
-		for _, c := range s.Counts {
-			total += c
+		for i := 0; i < numBuckets; i++ {
+			total += s.bucket(i)
 		}
 		if s.N != workers*per || total != s.N {
 			t.Fatalf("round %d: N=%d bucket total=%d, want %d", round, s.N, total, workers*per)
@@ -311,4 +329,15 @@ func (h *Histogram) snapshot() *HistSnapshot {
 	s := &HistSnapshot{}
 	h.AddTo(s)
 	return s
+}
+
+// bucket reads bucket i of a snapshot (nil blocks read as zero).
+func (s *HistSnapshot) bucket(i int) int64 {
+	if i == 0 {
+		return s.under
+	}
+	if b := s.octaves[(i-1)/subCount]; b != nil {
+		return b[(i-1)%subCount]
+	}
+	return 0
 }
